@@ -15,3 +15,14 @@ def attach_rows(benchmark, headers, rows):
         [round(c, 4) if isinstance(c, float) else c for c in row]
         for row in rows
     ]
+
+
+def run_sweep_once(benchmark, experiment, grid=None, seeds=None):
+    """Time one registry run of ``experiment``; returns its rows."""
+    from repro.experiments.registry import run
+
+    return benchmark.pedantic(
+        lambda: run(experiment, grid=grid, seeds=seeds).rows,
+        rounds=1,
+        iterations=1,
+    )

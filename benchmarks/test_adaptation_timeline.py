@@ -2,19 +2,16 @@
 
 from repro.experiments import adaptation_timeline
 
-from benchmarks.conftest import attach_rows
+from benchmarks.conftest import attach_rows, run_sweep_once
 
 CRASH_WINDOW = (10_000.0, 12_500.0)
 
 
 def test_adaptation_timeline(benchmark):
-    buckets = benchmark.pedantic(
-        lambda: adaptation_timeline.run(seed=0), rounds=1, iterations=1
-    )
+    buckets = run_sweep_once(benchmark, adaptation_timeline.EXPERIMENT)
     rows = [
-        (b.policy, b.start_ms, b.requests, b.failures, b.timeouts)
+        (b["policy"], b["start_ms"], b["requests"], b["failures"], b["timeouts"])
         for b in buckets
-        if b.requests
     ]
     attach_rows(
         benchmark, ["policy", "start_ms", "requests", "failures", "timeouts"],
@@ -24,7 +21,7 @@ def test_adaptation_timeline(benchmark):
     def crash_bucket(policy):
         return next(
             b for b in buckets
-            if b.policy == policy and b.start_ms == CRASH_WINDOW[0]
+            if b["policy"] == policy and b["start_ms"] == CRASH_WINDOW[0]
         )
 
     dynamic = crash_bucket("dynamic (paper)")
@@ -32,15 +29,15 @@ def test_adaptation_timeline(benchmark):
     print()
     print("Crash-window bucket (10.0-12.5 s; crash at t=10 s)")
     for b in (dynamic, single):
-        print(f"  {b.policy:<16} requests={b.requests}  "
-              f"failures={b.failures}  timeouts={b.timeouts}")
+        print(f"  {b['policy']:<16} requests={b['requests']}  "
+              f"failures={b['failures']}  timeouts={b['timeouts']}")
 
     # The §5.3.2 hedge masks the entire detection window ...
-    assert dynamic.failures == 0
-    assert dynamic.timeouts == 0
+    assert dynamic["failures"] == 0
+    assert dynamic["timeouts"] == 0
     # ... which single-replica routing demonstrably does not.
-    assert single.failures + single.timeouts >= 1
+    assert single["failures"] + single["timeouts"] >= 1
     # Outside the window, both policies keep serving (liveness check).
     for b in buckets:
-        if b.start_ms < CRASH_WINDOW[0]:
-            assert b.requests > 0
+        if b["start_ms"] < CRASH_WINDOW[0]:
+            assert b["requests"] > 0

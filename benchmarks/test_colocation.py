@@ -2,17 +2,21 @@
 
 from repro.experiments import colocation
 
-from benchmarks.conftest import attach_rows
+from benchmarks.conftest import attach_rows, run_sweep_once
 
 
 def test_colocation_interference(benchmark):
-    results = benchmark.pedantic(
-        lambda: colocation.run(seeds=(0, 1), num_requests=30),
-        rounds=1,
-        iterations=1,
+    results = run_sweep_once(
+        benchmark,
+        colocation.EXPERIMENT,
+        grid=colocation.grid(num_requests=30),
+        seeds=(0, 1),
     )
     rows = [
-        (r.policy, r.failure_probability, r.noisy_host_share, r.mean_redundancy)
+        tuple(
+            r[k]
+            for k in ("policy", "failure_probability", "noisy_host_share", "mean_redundancy")
+        )
         for r in results
     ]
     attach_rows(
@@ -26,10 +30,10 @@ def test_colocation_interference(benchmark):
         print(f"  {row[0]:<22} failures={row[1]:.3f}  "
               f"noisy replies={row[2]:.3f}  redundancy={row[3]:.2f}")
 
-    by_name = {r.policy: r for r in results}
+    by_name = {r["policy"]: r for r in results}
     dynamic = by_name["dynamic (paper)"]
     blind = by_name["random-2 (load-blind)"]
     # The measurement loop steers the dynamic policy to the quiet hosts.
-    assert dynamic.noisy_host_share < blind.noisy_host_share
-    assert dynamic.failure_probability <= 0.1
-    assert dynamic.failure_probability <= blind.failure_probability
+    assert dynamic["noisy_host_share"] < blind["noisy_host_share"]
+    assert dynamic["failure_probability"] <= 0.1
+    assert dynamic["failure_probability"] <= blind["failure_probability"]

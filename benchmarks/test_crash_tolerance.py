@@ -2,15 +2,18 @@
 
 from repro.experiments import crash_tolerance
 
-from benchmarks.conftest import attach_rows
+from benchmarks.conftest import attach_rows, run_sweep_once
 
 
 def test_crash_tolerance(benchmark):
-    results = benchmark.pedantic(
-        lambda: crash_tolerance.run(seeds=(0, 1, 2)), rounds=1, iterations=1
+    results = run_sweep_once(
+        benchmark, crash_tolerance.EXPERIMENT, seeds=(0, 1, 2)
     )
     rows = [
-        (r.policy, r.failure_probability, r.timeout_fraction, r.mean_redundancy)
+        tuple(
+            r[k]
+            for k in ("policy", "failure_probability", "timeout_fraction", "mean_redundancy")
+        )
         for r in results
     ]
     attach_rows(
@@ -24,17 +27,17 @@ def test_crash_tolerance(benchmark):
         print(f"  {row[0]:<24} failures={row[1]:.3f}  "
               f"timeouts={row[2]:.3f}  redundancy={row[3]:.2f}")
 
-    by_name = {r.policy: r for r in results}
+    by_name = {r["policy"]: r for r in results}
     # The paper's policy keeps the budget through the crash.
-    assert by_name["dynamic (paper)"].failure_probability <= 0.10
+    assert by_name["dynamic (paper)"]["failure_probability"] <= 0.10
     # The hedged set masks the crash entirely: no request times out.
-    assert by_name["dynamic (paper)"].timeout_fraction == 0.0
+    assert by_name["dynamic (paper)"]["timeout_fraction"] == 0.0
     # Higher tolerance never hedges with fewer replicas.
     assert (
-        by_name["dynamic, 2-crash hedge"].mean_redundancy
-        >= by_name["dynamic (paper)"].mean_redundancy
+        by_name["dynamic, 2-crash hedge"]["mean_redundancy"]
+        >= by_name["dynamic (paper)"]["mean_redundancy"]
     )
     assert (
-        by_name["dynamic (paper)"].mean_redundancy
-        >= by_name["dynamic, no crash hedge"].mean_redundancy
+        by_name["dynamic (paper)"]["mean_redundancy"]
+        >= by_name["dynamic, no crash hedge"]["mean_redundancy"]
     )

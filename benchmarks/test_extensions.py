@@ -2,18 +2,19 @@
 
 from repro.experiments import bursty_network, method_classification, probing
 
-from benchmarks.conftest import attach_rows
+from benchmarks.conftest import attach_rows, run_sweep_once
 
 
 def test_active_probing(benchmark):
     """A6: probes rescue QoS when information goes stale between bursts."""
-    results = benchmark.pedantic(
-        lambda: probing.run(seeds=(0, 1), num_requests=30),
-        rounds=1,
-        iterations=1,
+    results = run_sweep_once(
+        benchmark, probing.EXPERIMENT, grid=probing.grid(num_requests=30), seeds=(0, 1)
     )
     rows = [
-        (r.variant, r.failure_probability, r.mean_redundancy, r.probes_sent)
+        tuple(
+            r[k]
+            for k in ("variant", "failure_probability", "mean_redundancy", "probes_sent")
+        )
         for r in results
     ]
     attach_rows(
@@ -25,28 +26,29 @@ def test_active_probing(benchmark):
         print(f"  {row[0]:<20} failures={row[1]:.3f}  "
               f"redundancy={row[2]:.2f}  probes={row[3]:.0f}")
 
-    by_name = {r.variant: r for r in results}
+    by_name = {r["variant"]: r for r in results}
     without = by_name["without probes"]
     with_probes = by_name["with active probes"]
-    assert with_probes.probes_sent > 0
-    assert without.probes_sent == 0
+    assert with_probes["probes_sent"] > 0
+    assert without["probes_sent"] == 0
     # Probing must cut the failure rate on this workload.
-    assert with_probes.failure_probability < without.failure_probability
+    assert with_probes["failure_probability"] < without["failure_probability"]
 
 
 def test_method_classification(benchmark):
     """A7: per-method models find the specialist replicas."""
-    results = benchmark.pedantic(
-        lambda: method_classification.run(seeds=(0, 1), num_requests=40),
-        rounds=1,
-        iterations=1,
+    results = run_sweep_once(
+        benchmark,
+        method_classification.EXPERIMENT,
+        grid=method_classification.grid(num_requests=40),
+        seeds=(0, 1),
     )
     rows = [
         (
-            r.variant,
-            r.failure_probability,
-            r.cheap_redundancy,
-            r.heavy_redundancy,
+            r["variant"],
+            r["failure_probability"],
+            r["cheap_redundancy"],
+            r["heavy_redundancy"],
         )
         for r in results
     ]
@@ -61,25 +63,26 @@ def test_method_classification(benchmark):
         print(f"  {row[0]:<26} failures={row[1]:.3f}  "
               f"redundancy={row[2]:.2f}/{row[3]:.2f}")
 
-    by_name = {r.variant: r for r in results}
+    by_name = {r["variant"]: r for r in results}
     pooled = by_name["pooled (paper base)"]
     classified = by_name["classified (per-method)"]
     # Classification meets the budget with far less redundancy: the
     # pooled model cannot tell specialists apart and over-broadcasts.
-    assert classified.failure_probability <= 0.1
-    assert classified.heavy_redundancy < pooled.heavy_redundancy
-    assert classified.cheap_redundancy < pooled.cheap_redundancy
+    assert classified["failure_probability"] <= 0.1
+    assert classified["heavy_redundancy"] < pooled["heavy_redundancy"]
+    assert classified["cheap_redundancy"] < pooled["cheap_redundancy"]
 
 
 def test_bursty_network_gateway_window(benchmark):
     """A8: windowed T_i never does worse than last-value on bursty LANs."""
-    results = benchmark.pedantic(
-        lambda: bursty_network.run(seeds=(0, 1, 2), num_requests=40),
-        rounds=1,
-        iterations=1,
+    results = run_sweep_once(
+        benchmark,
+        bursty_network.EXPERIMENT,
+        grid=bursty_network.grid(num_requests=40),
+        seeds=(0, 1, 2),
     )
     rows = [
-        (r.variant, r.failure_probability, r.mean_redundancy)
+        (r["variant"], r["failure_probability"], r["mean_redundancy"])
         for r in results
     ]
     attach_rows(benchmark, ["variant", "failure_prob", "redundancy"], rows)
@@ -88,10 +91,10 @@ def test_bursty_network_gateway_window(benchmark):
     for row in rows:
         print(f"  {row[0]:<24} failures={row[1]:.3f}  redundancy={row[2]:.2f}")
 
-    by_name = {r.variant: r for r in results}
+    by_name = {r["variant"]: r for r in results}
     base = by_name["last value (paper base)"]
     windowed = by_name["window of 5"]
     # Both meet the budget (the paper's simplification holds on a LAN);
     # the window must not hurt.
-    assert base.failure_probability <= 0.1
-    assert windowed.failure_probability <= base.failure_probability + 0.02
+    assert base["failure_probability"] <= 0.1
+    assert windowed["failure_probability"] <= base["failure_probability"] + 0.02

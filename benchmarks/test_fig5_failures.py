@@ -7,26 +7,27 @@ budget ``1 − Pc`` the client declared.
 
 from repro.experiments import fig45_selection
 
-from benchmarks.conftest import attach_rows
+from benchmarks.conftest import attach_rows, run_sweep_once
 
 DEADLINES = (100.0, 140.0, 200.0)
 PROBABILITIES = (0.9, 0.5, 0.0)
 
 
 def test_fig5_timing_failures(benchmark):
-    points = benchmark.pedantic(
-        lambda: fig45_selection.run(
-            deadlines_ms=DEADLINES, probabilities=PROBABILITIES, seeds=(0, 1)
+    points = run_sweep_once(
+        benchmark,
+        fig45_selection.EXPERIMENT,
+        grid=fig45_selection.grid(
+            deadlines_ms=DEADLINES, probabilities=PROBABILITIES
         ),
-        rounds=1,
-        iterations=1,
+        seeds=(0, 1),
     )
     rows = [
         (
-            p.min_probability,
-            p.deadline_ms,
-            p.failure_probability,
-            p.tolerated_failure_probability,
+            p["min_probability"],
+            p["deadline_ms"],
+            p["failure_probability"],
+            p["tolerated_failure_probability"],
         )
         for p in points
     ]
@@ -42,7 +43,7 @@ def test_fig5_timing_failures(benchmark):
     # The paper's validation: every configuration keeps the observed
     # failure probability within the client's budget.
     for p in points:
-        assert p.failure_probability <= p.tolerated_failure_probability + 1e-9
+        assert p["failure_probability"] <= p["tolerated_failure_probability"] + 1e-9
     # And comfortably so for the strict client (paper: max 0.08 vs 0.10).
-    strict = [p for p in points if p.min_probability == 0.9]
-    assert max(p.failure_probability for p in strict) <= 0.1
+    strict = [p for p in points if p["min_probability"] == 0.9]
+    assert max(p["failure_probability"] for p in strict) <= 0.1

@@ -2,21 +2,19 @@
 
 from repro.experiments import min_response
 
-from benchmarks.conftest import attach_rows
+from benchmarks.conftest import attach_rows, run_sweep_once
 
 
 def test_min_response_floor(benchmark):
-    result = benchmark.pedantic(
-        lambda: min_response.run(num_requests=100), rounds=1, iterations=1
-    )
+    (result,) = run_sweep_once(benchmark, min_response.EXPERIMENT)
     attach_rows(
         benchmark,
         ["min_ms", "mean_ms", "paper_ms"],
-        [(result.min_response_ms, result.mean_response_ms, 3.5)],
+        [(result["min_response_ms"], result["mean_response_ms"], 3.5)],
     )
     print()
     print(
-        f"Minimum response time: {result.min_response_ms:.2f} ms "
-        f"(mean {result.mean_response_ms:.2f} ms; paper ~3.5 ms)"
+        f"Minimum response time: {result['min_response_ms']:.2f} ms "
+        f"(mean {result['mean_response_ms']:.2f} ms; paper ~3.5 ms)"
     )
-    assert 1.0 <= result.min_response_ms <= 6.0
+    assert 1.0 <= result["min_response_ms"] <= 6.0

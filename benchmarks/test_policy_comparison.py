@@ -7,31 +7,30 @@ cannot hold the budget at a tight deadline.
 
 from repro.experiments import policy_comparison
 
-from benchmarks.conftest import attach_rows
+from benchmarks.conftest import attach_rows, run_sweep_once
 
-SUBSET = {
-    name: policy_comparison.POLICY_FACTORIES[name]
-    for name in (
-        "dynamic (paper)",
-        "dynamic, no t-delta",
-        "all-replicas",
-        "single-fastest",
-        "lowest-mean",
-        "random-1",
-    )
-}
+SUBSET = (
+    "dynamic (paper)",
+    "dynamic, no t-delta",
+    "all-replicas",
+    "single-fastest",
+    "lowest-mean",
+    "random-1",
+)
 
 
 def test_policy_comparison(benchmark):
-    results = benchmark.pedantic(
-        lambda: policy_comparison.run(
-            deadline_ms=120.0, min_probability=0.9, seeds=(0, 1), policies=SUBSET
-        ),
-        rounds=1,
-        iterations=1,
+    results = run_sweep_once(
+        benchmark,
+        policy_comparison.EXPERIMENT,
+        grid=policy_comparison.grid(policies=SUBSET, deadline_ms=120.0),
+        seeds=(0, 1),
     )
     rows = [
-        (r.policy, r.failure_probability, r.mean_redundancy, r.mean_response_ms)
+        tuple(
+            r[k]
+            for k in ("policy", "failure_probability", "mean_redundancy", "mean_response_ms")
+        )
         for r in results
     ]
     attach_rows(
@@ -45,19 +44,19 @@ def test_policy_comparison(benchmark):
         print(f"  {row[0]:<22} failures={row[1]:.3f}  "
               f"redundancy={row[2]:.2f}  response={row[3]:.1f} ms")
 
-    by_name = {r.policy: r for r in results}
+    by_name = {r["policy"]: r for r in results}
     budget = 0.10
     # The paper's policy meets the budget.
-    assert by_name["dynamic (paper)"].failure_probability <= budget
+    assert by_name["dynamic (paper)"]["failure_probability"] <= budget
     # ... with strictly less redundancy than active replication.
     assert (
-        by_name["dynamic (paper)"].mean_redundancy
-        < by_name["all-replicas"].mean_redundancy
+        by_name["dynamic (paper)"]["mean_redundancy"]
+        < by_name["all-replicas"]["mean_redundancy"]
     )
     # Single-replica baselines under-hedge at this deadline.
     single_failures = min(
-        by_name["single-fastest"].failure_probability,
-        by_name["lowest-mean"].failure_probability,
-        by_name["random-1"].failure_probability,
+        by_name["single-fastest"]["failure_probability"],
+        by_name["lowest-mean"]["failure_probability"],
+        by_name["random-1"]["failure_probability"],
     )
     assert single_failures > budget

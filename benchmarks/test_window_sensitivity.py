@@ -2,19 +2,21 @@
 
 from repro.experiments import window_sensitivity
 
-from benchmarks.conftest import attach_rows
+from benchmarks.conftest import attach_rows, run_sweep_once
 
 
 def test_window_sensitivity(benchmark):
-    results = benchmark.pedantic(
-        lambda: window_sensitivity.run(
-            window_sizes=(2, 5, 20), seeds=(0, 1)
-        ),
-        rounds=1,
-        iterations=1,
+    results = run_sweep_once(
+        benchmark,
+        window_sensitivity.EXPERIMENT,
+        grid=window_sensitivity.grid(window_sizes=(2, 5, 20)),
+        seeds=(0, 1),
     )
     rows = [
-        (r.workload, r.window_size, r.failure_probability, r.mean_redundancy)
+        tuple(
+            r[k]
+            for k in ("workload", "window_size", "failure_probability", "mean_redundancy")
+        )
         for r in results
     ]
     attach_rows(
@@ -29,8 +31,8 @@ def test_window_sensitivity(benchmark):
               f"redundancy={row[3]:.2f}")
 
     stationary = {
-        r.window_size: r for r in results if r.workload == "stationary"
+        r["window_size"]: r for r in results if r["workload"] == "stationary"
     }
     # On the paper's stationary workload every window size holds the
     # budget — the paper's l=5 choice is not load-bearing there.
-    assert all(r.failure_probability <= 0.1 for r in stationary.values())
+    assert all(r["failure_probability"] <= 0.1 for r in stationary.values())

@@ -50,7 +50,8 @@ from .gateway import (
     TimingFaultClientHandler,
     TimingFaultServerHandler,
 )
-from .sim import RandomStreams, Simulator
+from .rng import RNGManager
+from .sim import Simulator
 from .workload import (
     ClientSummary,
     ClosedLoopClient,
@@ -65,7 +66,7 @@ __all__ = [
     "__version__",
     # simulation
     "Simulator",
-    "RandomStreams",
+    "RNGManager",
     # core model + algorithm
     "DiscretePMF",
     "InformationRepository",

@@ -11,11 +11,18 @@ different replicas are independent) breaks down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..gateway.handlers.timing_fault import ReplyOutcome
 
-__all__ = ["CalibrationBucket", "calibration_table", "brier_score"]
+__all__ = [
+    "CalibrationBucket",
+    "prediction_pairs",
+    "calibration_table",
+    "bucket_pairs",
+    "brier_score",
+    "brier_pairs",
+]
 
 
 @dataclass(frozen=True)
@@ -44,21 +51,36 @@ def _prediction(outcome: ReplyOutcome) -> Optional[float]:
     return float(prediction)
 
 
-def calibration_table(
-    outcomes: Iterable[ReplyOutcome], num_buckets: int = 10
-) -> List[CalibrationBucket]:
-    """Bucket predictions and compare with observed timely frequencies.
+def prediction_pairs(outcomes: Iterable[ReplyOutcome]) -> List[Tuple[float, bool]]:
+    """``(predicted P_K(t), timely)`` for every model-backed outcome.
 
-    Empty buckets are omitted.  Requests without a model prediction
-    (bootstrap selections, baseline policies) are skipped.
+    Requests without a model prediction (bootstrap selections, baseline
+    policies) are skipped.
     """
-    if num_buckets < 1:
-        raise ValueError(f"num_buckets must be >= 1, got {num_buckets}")
-    pairs: List[Tuple[float, bool]] = []
+    pairs = []
     for outcome in outcomes:
         prediction = _prediction(outcome)
         if prediction is not None:
             pairs.append((prediction, outcome.timely))
+    return pairs
+
+
+def calibration_table(
+    outcomes: Iterable[ReplyOutcome], num_buckets: int = 10
+) -> List[CalibrationBucket]:
+    """Bucket predictions and compare with observed timely frequencies."""
+    return bucket_pairs(prediction_pairs(outcomes), num_buckets)
+
+
+def bucket_pairs(
+    pairs: Sequence[Tuple[float, bool]], num_buckets: int = 10
+) -> List[CalibrationBucket]:
+    """:func:`calibration_table` over ``(prediction, timely)`` pairs.
+
+    Empty buckets are omitted.
+    """
+    if num_buckets < 1:
+        raise ValueError(f"num_buckets must be >= 1, got {num_buckets}")
     buckets = []
     width = 1.0 / num_buckets
     for index in range(num_buckets):
@@ -94,12 +116,12 @@ def brier_score(outcomes: Iterable[ReplyOutcome]) -> float:
 
     0 is perfect; 0.25 is the score of always predicting 0.5.
     """
-    errors = []
-    for outcome in outcomes:
-        prediction = _prediction(outcome)
-        if prediction is None:
-            continue
-        errors.append((prediction - (1.0 if outcome.timely else 0.0)) ** 2)
-    if not errors:
+    return brier_pairs(prediction_pairs(outcomes))
+
+
+def brier_pairs(pairs: Sequence[Tuple[float, bool]]) -> float:
+    """:func:`brier_score` over ``(prediction, timely)`` pairs."""
+    if not pairs:
         raise ValueError("no model-backed outcomes to score")
+    errors = [(p - (1.0 if timely else 0.0)) ** 2 for p, timely in pairs]
     return sum(errors) / len(errors)

@@ -1,77 +1,57 @@
-"""Experiment harnesses regenerating the paper's figures and the ablations.
+"""Experiments regenerating the paper's figures and the ablations.
 
-Each module exposes ``run(...)`` returning structured results and
-``main()`` printing a paper-style table; all are runnable as
-``python -m repro.experiments.<module>``.
+Every entry is registered under a short key; ``python -m
+repro.experiments --list`` prints the table (EXPERIMENTS.md carries the
+same one) and ``python -m repro.experiments <KEY>`` runs an entry.  A
+module declares its entry as ``EXPERIMENT`` — an
+:class:`~repro.experiments.registry.Experiment` (a seeded sweep: grid,
+seeds, point function, tables) or a
+:class:`~repro.experiments.registry.Command`.
 
-===================  =====================================================
-Module               Reproduces
-===================  =====================================================
-``fig3_overhead``    Fig. 3 — selection overhead vs. n and l
-``fig45_selection``  Fig. 4 (redundancy) and Fig. 5 (timing failures)
-``min_response``     §6's ≈3.5 ms response-time floor
-``policy_comparison`` Ablation A1/A4 — baselines + overhead compensation
-``crash_tolerance``  Ablation A2 — single-crash guarantee of §5.3.2
-``window_sensitivity`` Ablation A3 — sliding-window size ``l``
-``scalability``      Ablation A5 — concurrent clients vs. redundancy
-``probing``          Ablation A6 — §8 active probing of stale records
-``method_classification`` Ablation A7 — §8 per-method performance models
-``bursty_network``   Ablation A8 — §5.3.1 windowed gateway delays
-``factors``          §5.1 — per-stage response-time decomposition
-``calibration``      Ablation A9 — Eq. 1 calibration vs. correlated LAN
-``omission_faults``  Ablation A10 — per-link message-loss sweep
-``queue_scaling``    Ablation A11 — queue-depth-scaled estimation
-``colocation``       Ablation A12 — routing around co-located load
-``retransmission``   Ablation A13 — §1 redundancy vs. retry strategies
-``adaptation_timeline`` Ablation A14 — transient through a crash window
-``export``           CSV export of every figure's data series
-``run_all``          run every harness in sequence
-===================  =====================================================
+Keys resolve to modules lazily: importing one experiment module (as the
+end-to-end benchmark does in every child process) imports none of its
+siblings.
 """
 
-from . import (
-    adaptation_timeline,
-    bursty_network,
-    calibration,
-    colocation,
-    crash_tolerance,
-    export,
-    factors,
-    fig3_overhead,
-    fig45_selection,
-    harness,
-    method_classification,
-    min_response,
-    omission_faults,
-    policy_comparison,
-    probing,
-    queue_scaling,
-    retransmission,
-    scalability,
-    window_sensitivity,
-)
-from .harness import TwoClientResult, run_two_client_experiment
+from __future__ import annotations
 
-__all__ = [
-    "harness",
-    "fig3_overhead",
-    "fig45_selection",
-    "min_response",
-    "policy_comparison",
-    "crash_tolerance",
-    "window_sensitivity",
-    "scalability",
-    "probing",
-    "method_classification",
-    "bursty_network",
-    "factors",
-    "calibration",
-    "omission_faults",
-    "queue_scaling",
-    "colocation",
-    "retransmission",
-    "adaptation_timeline",
-    "export",
-    "TwoClientResult",
-    "run_two_client_experiment",
-]
+import importlib
+from typing import TYPE_CHECKING, Dict, Union
+
+if TYPE_CHECKING:
+    from .registry import Command, Experiment
+
+__all__ = ["MODULES", "load"]
+
+#: Registry key → module name within this package, in presentation order.
+MODULES: Dict[str, str] = {
+    "fig3": "fig3_overhead",
+    "fig45": "fig45_selection",
+    "min_response": "min_response",
+    "factors": "factors",
+    "A1": "policy_comparison",
+    "A2": "crash_tolerance",
+    "A3": "window_sensitivity",
+    "A5": "scalability",
+    "A6": "probing",
+    "A7": "method_classification",
+    "A8": "bursty_network",
+    "A9": "calibration",
+    "A10": "omission_faults",
+    "A11": "queue_scaling",
+    "A12": "colocation",
+    "A13": "retransmission",
+    "A14": "adaptation_timeline",
+    "A15": "health_degradation",
+    "A16": "overload_collapse",
+    "A17": "chaos_campaign",
+    "A18": "clock_faults",
+    "scale": "bench_scale",
+    "smoke": "smoke",
+}
+
+
+def load(key: str) -> Union["Experiment", "Command"]:
+    """Import the module registered under ``key`` and return its entry."""
+    module = importlib.import_module(f"{__name__}.{MODULES[key]}")
+    return module.EXPERIMENT

@@ -13,73 +13,44 @@ figure the paper did not include but whose §5.3.2 argument predicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Dict, List, Sequence
 
-from ..core.baselines import SingleFastestPolicy
-from ..core.qos import QoSSpec
-from ..core.selection import SelectionPolicy
 from ..sim.random import Constant
-from ..workload.scenarios import Scenario, ScenarioConfig
-from .harness import print_table
+from ..workload.scenarios import ScenarioConfig
+from .harness import run_clients
+from .registry import Cell, Experiment, Row, Table, cartesian
 
-__all__ = ["TimelineBucket", "run_one", "run", "main"]
+__all__ = ["POLICIES", "point", "timeline_rows", "EXPERIMENT"]
 
+POLICIES = ("dynamic (paper)", "single-fastest")
+DEADLINE_MS, MIN_PROBABILITY = 170.0, 0.9
 CRASH_AT_MS = 10_000.0
 BUCKET_MS = 2_500.0
-RUN_REQUESTS = 100
+HORIZON_MS = 30_000.0
 THINK_MS = 250.0
 
 
-@dataclass(frozen=True)
-class TimelineBucket:
-    """Reply statistics for one time window of the run."""
-
-    policy: str
-    start_ms: float
-    end_ms: float
-    requests: int
-    failures: int
-    timeouts: int
-
-    @property
-    def failure_rate(self) -> float:
-        """Fraction of this bucket's requests that missed the deadline."""
-        if self.requests == 0:
-            return 0.0
-        return self.failures / self.requests
-
-
-def run_one(
-    policy_factory: Optional[Callable[[], SelectionPolicy]],
-    policy_name: str,
-    deadline_ms: float = 170.0,
-    min_probability: float = 0.9,
-    seed: int = 0,
-    horizon_ms: float = 30_000.0,
-) -> List[TimelineBucket]:
-    """One traced run; returns the reply timeline in buckets."""
+def point(params: dict, seed: int, repetition: int) -> Dict[str, list]:
+    """One traced run; the reply timeline as ``(start, end, n, failed, timed out)``."""
     # A deliberately sluggish failure detector (~2 s to evict) widens the
     # window during which selection must survive on redundancy alone —
     # the regime §5.3.2's hedge exists for.
-    scenario = Scenario(
+    scenario, _clients = run_clients(
         ScenarioConfig(
             seed=seed,
             trace=True,
             response_timeout_factor=3.0,
             fd_poll_interval_ms=1000.0,
             fd_confirm_polls=2,
-        )
-    )
-    scenario.add_client(
-        "client-1",
-        QoSSpec(scenario.config.service, deadline_ms, min_probability),
-        policy=policy_factory() if policy_factory else None,
-        num_requests=RUN_REQUESTS,
+        ),
+        1,
+        DEADLINE_MS,
+        MIN_PROBABILITY,
+        params["num_requests"],
+        policy=params["policy"],
+        crash_at_ms=CRASH_AT_MS,
         think_time=Constant(THINK_MS),
     )
-    scenario.schedule_crash("replica-1", at_ms=CRASH_AT_MS)
-    scenario.run_to_completion()
 
     # Reconstruct per-reply instants from the trace.
     events: List[tuple] = []  # (time, failed, timed_out)
@@ -91,53 +62,64 @@ def run_one(
 
     buckets = []
     start = 0.0
-    while start < horizon_ms:
+    while start < HORIZON_MS:
         end = start + BUCKET_MS
         members = [e for e in events if start <= e[0] < end]
         buckets.append(
-            TimelineBucket(
-                policy=policy_name,
-                start_ms=start,
-                end_ms=end,
-                requests=len(members),
-                failures=sum(1 for e in members if e[1]),
-                timeouts=sum(1 for e in members if e[2]),
-            )
+            [
+                start,
+                end,
+                len(members),
+                sum(1 for e in members if e[1]),
+                sum(1 for e in members if e[2]),
+            ]
         )
         start = end
-    return buckets
+    return {"buckets": buckets}
 
 
-def run(seed: int = 0) -> List[TimelineBucket]:
-    """Timelines for the paper's policy and single-fastest."""
+def timeline_rows(cells: Sequence[Cell]) -> List[Row]:
+    """One row per non-empty time bucket of each policy's (single) run."""
     rows = []
-    rows.extend(run_one(None, "dynamic (paper)", seed=seed))
-    rows.extend(run_one(SingleFastestPolicy, "single-fastest", seed=seed))
+    for params, (run,) in cells:
+        for start_ms, end_ms, requests, failures, timeouts in run["buckets"]:
+            if requests:
+                rows.append(
+                    {
+                        "policy": params["policy"],
+                        "start_ms": start_ms,
+                        "end_ms": end_ms,
+                        "window": f"{start_ms / 1000:.1f}-{end_ms / 1000:.1f}s",
+                        "requests": requests,
+                        "failures": failures,
+                        "timeouts": timeouts,
+                        "failure_rate": failures / requests,
+                    }
+                )
     return rows
 
 
-def main() -> None:
-    """Print the timeline table (crash at t = 10 s)."""
-    buckets = run()
-    rows = [
-        (
-            b.policy,
-            f"{b.start_ms / 1000:.1f}-{b.end_ms / 1000:.1f}s",
-            b.requests,
-            b.failures,
-            b.timeouts,
-            b.failure_rate,
-        )
-        for b in buckets
-        if b.requests
-    ]
-    print_table(
-        "Adaptation timeline around a crash of the best replica at t=10 s "
-        "(deadline 170 ms, Pc = 0.9)",
-        ["policy", "window", "requests", "failures", "timeouts", "rate"],
-        rows,
-    )
-
-
-if __name__ == "__main__":
-    main()
+EXPERIMENT = Experiment(
+    key="A14",
+    title="A14 adaptation timeline",
+    point=point,
+    grid=cartesian(policy=POLICIES, num_requests=[100]),
+    seeds=(0,),
+    quick_grid=cartesian(policy=POLICIES, num_requests=[60]),
+    quick_seeds=(0,),
+    rows=timeline_rows,
+    tables=(
+        Table(
+            "Adaptation timeline around a crash of the best replica at t=10 s "
+            "(deadline 170 ms, Pc = 0.9)",
+            (
+                ("policy", "policy"),
+                ("window", "window"),
+                ("requests", "requests"),
+                ("failures", "failures"),
+                ("timeouts", "timeouts"),
+                ("rate", "failure_rate"),
+            ),
+        ),
+    ),
+)

@@ -23,6 +23,7 @@ from typing import Dict, List, Sequence
 from ..sim.kernel import Simulator
 from .fig3_overhead import measure_overhead
 from .harness import print_table
+from .registry import Command, flag_value
 
 __all__ = [
     "ScalePoint",
@@ -31,6 +32,7 @@ __all__ = [
     "measure_kernel_throughput",
     "export_scale_bench",
     "main",
+    "EXPERIMENT",
 ]
 
 #: Fleet sizes the scale benchmark sweeps (Fig. 3 stops at 8).
@@ -188,9 +190,15 @@ def export_scale_bench(
         handle.write("\n")
 
 
-def main() -> None:
-    """Print the fleet-scale tables and export ``BENCH_scale.json``."""
-    selection = measure_selection_scale()
+def main(argv: Sequence[str] = ()) -> int:
+    """Print the fleet-scale tables; ``--json FILE`` exports them (BENCH_scale.json)."""
+    quick = "--quick" in argv
+    if quick:
+        selection = measure_selection_scale(
+            (64,), (60,), cached_iterations=5, uncached_iterations=1
+        )
+    else:
+        selection = measure_selection_scale()
     print_table(
         "Fleet-scale selection overhead (microseconds per selection)",
         ["window l", "replicas n", "cached us", "uncached us", "speedup"],
@@ -200,16 +208,21 @@ def main() -> None:
         ],
     )
     kernel = [
-        measure_kernel_throughput(pending_timers=n) for n in (64, 512, 4096)
+        measure_kernel_throughput(
+            pending_timers=n, target_events=20_000 if quick else 200_000
+        )
+        for n in (64, 512, 4096)
     ]
     print_table(
         "Event-kernel dispatch throughput",
         ["pending timers", "events", "events/sec"],
         [(p.pending_timers, p.events, p.events_per_sec) for p in kernel],
     )
-    export_scale_bench(selection, kernel, "BENCH_scale.json")
-    print("wrote BENCH_scale.json")
+    path = flag_value(argv, "--json")
+    if path:
+        export_scale_bench(selection, kernel, path)
+        print(f"wrote {path}")
+    return 0
 
 
-if __name__ == "__main__":
-    main()
+EXPERIMENT = Command(key="scale", title="Fleet-scale benchmark", main=main)

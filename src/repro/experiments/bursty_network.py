@@ -15,91 +15,55 @@ windowed ``T_i`` distribution under a deadline with little slack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, Tuple
 
-from ..core.qos import QoSSpec
-from ..workload.scenarios import Scenario, ScenarioConfig
-from .harness import average, print_table
+from ..workload.scenarios import ScenarioConfig
+from .harness import run_clients, summary_metrics
+from .registry import Experiment, Table, cartesian
 
-__all__ = ["BurstyResult", "run_one", "run", "main"]
+__all__ = ["VARIANTS", "grid", "point", "EXPERIMENT"]
 
-
-@dataclass(frozen=True)
-class BurstyResult:
-    """Averaged metrics for one T_i representation."""
-
-    variant: str
-    failure_probability: float
-    mean_redundancy: float
-    runs: int
+#: Table label → gateway-delay window size (``None``: the paper's last value).
+VARIANTS = {"last value (paper base)": None, "window of 5": 5, "window of 10": 10}
+DEADLINE_MS, MIN_PROBABILITY = 150.0, 0.9
 
 
-def run_one(
-    gateway_window: Optional[int],
-    deadline_ms: float = 150.0,
-    min_probability: float = 0.9,
-    seeds: Sequence[int] = (0, 1, 2, 3),
-    num_requests: int = 50,
-) -> BurstyResult:
-    """One variant averaged over seeds (window=None = paper base)."""
-    failures, redundancy = [], []
-    for seed in seeds:
-        scenario = Scenario(
-            ScenarioConfig(seed=seed, num_replicas=7, bursty_network=True)
-        )
-        handler_kwargs = (
-            {"gateway_window_size": gateway_window}
-            if gateway_window is not None
-            else {}
-        )
-        client = scenario.add_client(
-            "client-1",
-            QoSSpec(scenario.config.service, deadline_ms, min_probability),
-            num_requests=num_requests,
-            handler_kwargs=handler_kwargs,
-        )
-        scenario.run_to_completion()
-        summary = client.summary()
-        failures.append(summary.failure_probability)
-        redundancy.append(summary.mean_redundancy)
-    variant = (
-        "last value (paper base)"
-        if gateway_window is None
-        else f"window of {gateway_window}"
+def grid(num_requests: int = 50) -> Tuple[dict, ...]:
+    """The paper's last-value T_i, then gateway-delay windows of 5 and 10."""
+    return cartesian(variant=VARIANTS, num_requests=[num_requests])
+
+
+def point(params: dict, seed: int, repetition: int) -> Dict[str, float]:
+    """One single-client run on the bursty LAN."""
+    window = VARIANTS[params["variant"]]
+    _scenario, (client,) = run_clients(
+        ScenarioConfig(seed=seed, num_replicas=7, bursty_network=True),
+        1,
+        DEADLINE_MS,
+        MIN_PROBABILITY,
+        params["num_requests"],
+        handler_kwargs={} if window is None else {"gateway_window_size": window},
     )
-    return BurstyResult(
-        variant=variant,
-        failure_probability=average(failures),
-        mean_redundancy=average(redundancy),
-        runs=len(seeds),
-    )
+    return summary_metrics(client.summary())
 
 
-def run(
-    seeds: Sequence[int] = (0, 1, 2, 3), num_requests: int = 50
-) -> List[BurstyResult]:
-    """Paper's last-value T_i vs. windowed T_i on a bursty LAN."""
-    return [
-        run_one(None, seeds=seeds, num_requests=num_requests),
-        run_one(5, seeds=seeds, num_requests=num_requests),
-        run_one(10, seeds=seeds, num_requests=num_requests),
-    ]
-
-
-def main() -> None:
-    """Print the bursty-network table."""
-    results = run()
-    rows = [
-        (r.variant, r.failure_probability, r.mean_redundancy) for r in results
-    ]
-    print_table(
-        "Gateway-delay representation under bursty LAN traffic "
-        "(deadline 150 ms, Pc = 0.9)",
-        ["T_i representation", "failure prob", "mean redundancy"],
-        rows,
-    )
-
-
-if __name__ == "__main__":
-    main()
+EXPERIMENT = Experiment(
+    key="A8",
+    title="A8 bursty network",
+    point=point,
+    grid=grid(),
+    seeds=(0, 1, 2, 3),
+    quick_grid=grid(num_requests=25),
+    quick_seeds=(0,),
+    tables=(
+        Table(
+            "Gateway-delay representation under bursty LAN traffic "
+            "(deadline 150 ms, Pc = 0.9)",
+            (
+                ("T_i representation", "variant"),
+                ("failure prob", "failure_probability"),
+                ("mean redundancy", "mean_redundancy"),
+            ),
+        ),
+    ),
+)

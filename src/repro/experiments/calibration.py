@@ -16,26 +16,22 @@ shows up as overconfidence (observed < predicted) in the high buckets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
-from ..analysis.calibration import CalibrationBucket, brier_score, calibration_table
-from ..core.qos import QoSSpec
+from ..analysis.calibration import brier_pairs, bucket_pairs, prediction_pairs
 from ..sim.random import Constant, MarkovModulated, Normal
-from ..workload.scenarios import Scenario, ScenarioConfig
-from .harness import print_table
+from ..workload.scenarios import ScenarioConfig
+from .harness import run_clients
+from .registry import Cell, Experiment, Row, Table, cartesian
 
-__all__ = ["CalibrationRun", "run_one", "run", "main"]
+__all__ = ["REGIMES", "grid", "point", "calibration_rows", "EXPERIMENT"]
 
-
-@dataclass(frozen=True)
-class CalibrationRun:
-    """Calibration results for one network regime."""
-
-    regime: str
-    buckets: List[CalibrationBucket]
-    brier: float
-    max_overconfidence: float
+#: Regime label → whether the LAN has the shared congested switch.
+REGIMES = {
+    "independent (paper LAN)": False,
+    "correlated (shared switch)": True,
+}
+MIN_PROBABILITY = 0.5
 
 
 def _shared_congestion() -> MarkovModulated:
@@ -48,72 +44,85 @@ def _shared_congestion() -> MarkovModulated:
     )
 
 
-def run_one(
-    correlated: bool,
+def grid(
     deadlines_ms: Sequence[float] = (110.0, 130.0, 150.0, 180.0),
-    min_probability: float = 0.5,
-    seeds: Sequence[int] = (0, 1, 2),
     num_requests: int = 50,
-) -> CalibrationRun:
-    """Pool predictions over deadlines/seeds for one network regime."""
-    outcomes = []
-    for seed in seeds:
-        for deadline in deadlines_ms:
-            scenario = Scenario(
-                ScenarioConfig(
-                    seed=seed,
-                    shared_congestion=(
-                        _shared_congestion() if correlated else None
-                    ),
-                )
-            )
-            client = scenario.add_client(
-                "client-1",
-                QoSSpec(scenario.config.service, deadline, min_probability),
-                num_requests=num_requests,
-            )
-            scenario.run_to_completion()
-            outcomes.extend(client.outcomes)
-    buckets = calibration_table(outcomes, num_buckets=10)
-    return CalibrationRun(
-        regime="correlated (shared switch)" if correlated else "independent (paper LAN)",
-        buckets=buckets,
-        brier=brier_score(outcomes),
-        max_overconfidence=max(b.overconfidence for b in buckets),
+) -> Tuple[dict, ...]:
+    """Both network regimes across the deadline sweep."""
+    return cartesian(
+        regime=REGIMES, deadline_ms=deadlines_ms, num_requests=[num_requests]
     )
 
 
-def run(
-    seeds: Sequence[int] = (0, 1, 2), num_requests: int = 50
-) -> List[CalibrationRun]:
-    """Both network regimes."""
-    return [
-        run_one(correlated=False, seeds=seeds, num_requests=num_requests),
-        run_one(correlated=True, seeds=seeds, num_requests=num_requests),
-    ]
+def point(params: dict, seed: int, repetition: int) -> Dict[str, list]:
+    """One single-client run; its ``(predicted P_K(t), timely)`` pairs."""
+    _scenario, (client,) = run_clients(
+        ScenarioConfig(
+            seed=seed,
+            shared_congestion=(
+                _shared_congestion() if REGIMES[params["regime"]] else None
+            ),
+        ),
+        1,
+        params["deadline_ms"],
+        MIN_PROBABILITY,
+        params["num_requests"],
+    )
+    return {"pairs": prediction_pairs(client.outcomes)}
 
 
-def main() -> None:
-    """Print calibration tables for both regimes."""
-    for result in run():
-        rows = [
-            (
-                f"[{b.low:.1f}, {b.high:.1f})",
-                b.count,
-                b.mean_predicted,
-                b.observed_timely,
-                b.overconfidence,
-            )
-            for b in result.buckets
+def calibration_rows(cells: Sequence[Cell]) -> List[Row]:
+    """Per regime: predictions pooled over seeds and deadlines, bucketed."""
+    rows = []
+    for regime in REGIMES:
+        runs_by_deadline = [
+            runs for params, runs in cells if params["regime"] == regime
         ]
-        print_table(
-            f"Model calibration — {result.regime} "
-            f"(Brier {result.brier:.4f})",
-            ["predicted bucket", "n", "mean predicted", "observed timely",
-             "overconfidence"],
-            rows,
-        )
+        # Seed-major pooling keeps the per-bucket float sums in the
+        # order the published tables were computed in.
+        pairs = [
+            pair
+            for repetition in zip(*runs_by_deadline)
+            for run in repetition
+            for pair in run["pairs"]
+        ]
+        buckets = bucket_pairs(pairs, num_buckets=10)
+        for bucket in buckets:
+            rows.append(
+                {
+                    "regime": regime,
+                    "brier": brier_pairs(pairs),
+                    "max_overconfidence": max(b.overconfidence for b in buckets),
+                    "bucket": f"[{bucket.low:.1f}, {bucket.high:.1f})",
+                    "count": bucket.count,
+                    "mean_predicted": bucket.mean_predicted,
+                    "observed_timely": bucket.observed_timely,
+                    "overconfidence": bucket.overconfidence,
+                }
+            )
+    return rows
 
 
-if __name__ == "__main__":
-    main()
+EXPERIMENT = Experiment(
+    key="A9",
+    title="A9 model calibration",
+    point=point,
+    grid=grid(),
+    seeds=(0, 1, 2),
+    quick_grid=grid(deadlines_ms=(130.0, 180.0), num_requests=25),
+    quick_seeds=(0,),
+    rows=calibration_rows,
+    tables=(
+        Table(
+            "Model calibration — {regime} (Brier {brier:.4f})",
+            (
+                ("predicted bucket", "bucket"),
+                ("n", "count"),
+                ("mean predicted", "mean_predicted"),
+                ("observed timely", "observed_timely"),
+                ("overconfidence", "overconfidence"),
+            ),
+            split_by="regime",
+        ),
+    ),
+)

@@ -33,31 +33,9 @@ from ..faultinject.campaign import (
     shrink_schedule,
 )
 from .harness import print_table
+from .registry import Command
 
-__all__ = ["run", "main"]
-
-#: run_all passes ``--workers`` through to :func:`main`.
-PARALLEL_CAPABLE = True
-
-
-def run(
-    schedules: int = 20,
-    base_seed: int = 0,
-    workers: int = 1,
-    clock_windows: int = 0,
-) -> CampaignResult:
-    """Run a (default: small) campaign; the CLI default is 200 schedules.
-
-    ``clock_windows`` is the per-schedule cap on the opt-in clock-fault
-    family (0, the default, keeps the legacy schedule draws and their
-    published digests bit-identical).
-    """
-    cfg = CampaignConfig(
-        schedules=schedules,
-        base_seed=base_seed,
-        max_clock_windows=clock_windows,
-    )
-    return run_campaign(cfg, workers=workers)
+__all__ = ["main", "EXPERIMENT"]
 
 
 def _summarize(result: CampaignResult) -> List[str]:
@@ -190,13 +168,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("scenario is clean — nothing to shrink")
         return 0
 
-    schedules = 20 if args.quick else args.schedules
     started = time.perf_counter()
-    result = run(
-        schedules=schedules,
-        base_seed=args.seed,
+    result = run_campaign(
+        CampaignConfig(
+            schedules=20 if args.quick else args.schedules,
+            base_seed=args.seed,
+            max_clock_windows=args.clock_windows,
+        ),
         workers=args.workers,
-        clock_windows=args.clock_windows,
     )
     report_lines = _summarize(result)
     print("\n".join(report_lines))
@@ -273,6 +252,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"with {result.workers} worker(s)]"
     )
     return 1 if result.failures else 0
+
+
+EXPERIMENT = Command(key="A17", title="A17 chaos campaign", main=main)
 
 
 if __name__ == "__main__":

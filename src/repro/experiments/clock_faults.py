@@ -43,54 +43,33 @@ draw a ``"clock_fault"`` quarantine.
 
 from __future__ import annotations
 
-import argparse
-import json
-import time
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.estimator import QueueScaledEstimator
-from ..core.qos import QoSSpec
 from ..core.selection import DynamicSelectionPolicy
 from ..faultinject import ClockDriver, ClockFault, FaultSchedule
-from ..gateway.gateway import Gateway
 from ..gateway.handlers.timing_fault import (
     PerformanceUpdate,
     TimingFaultClientHandler,
-    TimingFaultServerHandler,
     _PendingRequest,
 )
-from ..group.ensemble import GroupCommunication
-from ..group.failure_detector import FailureDetector
 from ..health import HealthConfig, HealthState
-from ..net.lan import LanModel, LinkProfile
-from ..net.transport import Transport
-from ..orb.iiop import MarshallingModel
-from ..orb.orb import Orb
-from ..replica.load import ServiceProfile
-from ..replica.server import ReplicaApplication
-from ..sim.hostclock import ClockRegistry
-from ..sim.kernel import Simulator
-from ..sim.random import Constant, RandomStreams
-from ..workload.scenarios import IntegerServant, make_interface
-from .harness import average, print_table
-from .parallel import run_sweep
+from ..sim.random import Constant
+from ..workload.ministack import MiniStack
+from .harness import window_timeliness
+from .registry import Experiment, Table, cartesian
 
 __all__ = [
-    "ClockPoint",
     "NaiveAbsoluteTimestampClient",
     "clock_fault_schedule",
-    "run_one",
-    "run",
-    "export_clock_bench",
-    "main",
+    "build_stack",
+    "drive",
+    "grid",
+    "point",
+    "EXPERIMENT",
 ]
 
-#: run_all passes ``--workers`` through to :func:`main`.
-PARALLEL_CAPABLE = True
-
-SERVICE = "search"
-METHOD = "process"
 REPLICAS = tuple(f"s-{i + 1}" for i in range(5))
 WINDOW_START, WINDOW_END = 500.0, 2500.0
 DEADLINE_MS = 100.0
@@ -102,18 +81,6 @@ INTERARRIVAL_MS = 3.3
 
 #: The three comparison rows, in table order.
 VARIANTS = ("naive", "same-clock", "tolerant")
-
-
-@dataclass(frozen=True)
-class ClockPoint:
-    """Averaged metrics for one variant row of the comparison."""
-
-    variant: str
-    window_timely_fraction: float
-    overall_timely_fraction: float
-    clock_quarantines: float
-    clock_rejections: float
-    runs: int
 
 
 class NaiveAbsoluteTimestampClient(TimingFaultClientHandler):
@@ -228,60 +195,21 @@ def _health_config(variant: str) -> Optional[HealthConfig]:
     )
 
 
-def _build_stack(seed: int, variant: str):
-    sim = Simulator()
-    clocks = ClockRegistry(sim)
-    streams = RandomStreams(seed=seed)
-    profile = LinkProfile(
-        stack_ms=1.0, per_kb_ms=0.0, per_member_ms=0.0, jitter=Constant(0.0)
-    )
-    lan = LanModel(streams, default_profile=profile)
-    transport = Transport(sim, lan)
-    detector = FailureDetector(sim, lan, poll_interval_ms=10.0, confirm_polls=2)
-    group_comm = GroupCommunication(
-        sim, lan, transport, notify_delay_ms=1.0, failure_detector=detector
-    )
-    marshalling = MarshallingModel(base_ms=0.0, per_kb_ms=0.0, envelope_bytes=0)
-    interface = make_interface(SERVICE, METHOD)
-
+def build_stack(seed: int, variant: str) -> MiniStack:
+    """The five-replica deployment of ``variant`` with the clock faults armed."""
+    stack = MiniStack(seed=seed)
     for host in REPLICAS:
-        lan.add_host(host)
-        app = ReplicaApplication(
-            host=host,
-            servant=IntegerServant(interface, METHOD),
-            profile=ServiceProfile(default=Constant(SERVICE_MS)),
-            streams=streams,
-        )
-        server = TimingFaultServerHandler(
-            sim=sim,
-            app=app,
-            transport=transport,
-            marshalling=marshalling,
-            clock=clocks.clock(host),
-        )
-        Gateway(host, sim, transport).load_handler(server)
-        group_comm.join(SERVICE, host, watch=True)
-
-    lan.add_host("client-1")
-    handler_cls = (
-        NaiveAbsoluteTimestampClient
-        if variant == "naive"
-        else TimingFaultClientHandler
-    )
-    kwargs = {}
+        stack.add_server(host, service_time=Constant(SERVICE_MS))
     health = _health_config(variant)
-    if health is not None:
-        kwargs["health_config"] = health
-    client = handler_cls(
-        sim=sim,
-        host="client-1",
-        transport=transport,
-        group_comm=group_comm,
-        interface=interface,
-        qos=QoSSpec(SERVICE, DEADLINE_MS, 0.9),
-        marshalling=marshalling,
-        selection_charge_ms=0.0,
-        rng=streams.stream("client-1.policy"),
+    stack.add_client(
+        "client-1",
+        deadline_ms=DEADLINE_MS,
+        min_probability=0.9,
+        handler_cls=(
+            NaiveAbsoluteTimestampClient
+            if variant == "naive"
+            else TimingFaultClientHandler
+        ),
         # fixed_overhead_ms pins the §5.3.3 deadline compensation: the
         # default measures the previous decision's wall-clock cost, and
         # letting host timing noise shift the effective deadline makes
@@ -303,32 +231,23 @@ def _build_stack(seed: int, variant: str):
         # the coherent stacks keep their pre-fault model of it.
         probe_staleness_ms=100.0,
         bootstrap_probes=True,
-        clock=clocks.clock("client-1"),
-        **kwargs,
+        **({"health_config": health} if health is not None else {}),
     )
-    Gateway("client-1", sim, transport).load_handler(client)
-    driver = ClockDriver(sim, clocks.clocks())
-    driver.apply(clock_fault_schedule())
-    orb = Orb()
-    orb.register_interface(interface)
-    orb.bind_interceptor(SERVICE, client)
-    return sim, client, orb.stub(SERVICE)
+    ClockDriver(stack.sim, stack.clocks.clocks()).apply(clock_fault_schedule())
+    return stack
 
 
-def run_one(
-    variant: str,
-    seed: int,
-    num_requests: int = 900,
-) -> Tuple[float, float, int, int]:
-    """One run; returns (window timely, overall timely, clock
-    quarantines, clock rejections)."""
-    sim, client, stub = _build_stack(seed, variant)
-    outcomes = []
-    # Open-loop load: requests keep arriving whether or not earlier ones
-    # returned, so a selection policy that funnels everything onto one
-    # (measurement-faulty) replica builds a genuinely unbounded queue —
-    # a closed loop would self-throttle and mask the collapse.
-    arrival_rng = RandomStreams(seed=seed).stream("a18.arrivals")
+def drive(stack: MiniStack, num_requests: int) -> List[Tuple[float, Any]]:
+    """Run the open-loop Poisson load; ``(t0, outcome)`` per completed request.
+
+    Requests keep arriving whether or not earlier ones returned, so a
+    selection policy that funnels everything onto one
+    (measurement-faulty) replica builds a genuinely unbounded queue — a
+    closed loop would self-throttle and mask the collapse.
+    """
+    sim = stack.sim
+    outcomes: List[Tuple[float, Any]] = []
+    arrival_rng = stack.streams.stream("a18.arrivals")
 
     def waiter(t0: float, event):
         yield event
@@ -336,7 +255,7 @@ def run_one(
 
     def load():
         for i in range(num_requests):
-            event = stub.invoke(METHOD, i)
+            event = stack.invoke("client-1", i)
             sim.spawn(waiter(sim.now, event), name=f"wait.{i}")
             yield sim.timeout(
                 float(arrival_rng.exponential(INTERARRIVAL_MS))
@@ -344,12 +263,21 @@ def run_one(
 
     sim.spawn(load(), name="load.open")
     sim.run()
-    sim.run(until=max(sim.now, 6000.0))  # let re-admission probes settle
+    return outcomes
 
-    in_window = [
-        v.timely for t0, v in outcomes if WINDOW_START <= t0 < WINDOW_END
-    ]
-    overall = [v.timely for _t0, v in outcomes]
+
+def grid(num_requests: int = 900) -> Tuple[dict, ...]:
+    """The three estimation disciplines under the same clock schedule."""
+    return cartesian(variant=VARIANTS, num_requests=[num_requests])
+
+
+def point(params: dict, seed: int, repetition: int) -> Dict[str, float]:
+    """One variant run: timeliness in and out of the fault window."""
+    stack = build_stack(seed, params["variant"])
+    outcomes = drive(stack, params["num_requests"])
+    # Let re-admission probes settle.
+    stack.sim.run(until=max(stack.sim.now, 6000.0))
+    client = stack.clients["client-1"]
     quarantines = 0
     if client.health is not None:
         quarantines = sum(
@@ -358,123 +286,33 @@ def run_one(
             if e.new_state is HealthState.QUARANTINED
             and e.reason == "clock_fault"
         )
-    return (
-        sum(in_window) / max(len(in_window), 1),
-        sum(overall) / max(len(overall), 1),
-        quarantines,
-        client.clock_rejections,
-    )
-
-
-def _clock_point(params, seed: int, repetition: int):
-    """Parallel-runner task: one variant run at one scenario seed."""
-    variant, num_requests = params
-    return run_one(variant, seed, num_requests=num_requests)
-
-
-def run(
-    seeds: Sequence[int] = (0, 1, 2),
-    num_requests: int = 900,
-    workers: int = 1,
-) -> List[ClockPoint]:
-    """Compare the three estimation disciplines under the clock schedule.
-
-    ``workers`` fans the ``(variant, seed)`` grid across processes via
-    :mod:`repro.experiments.parallel`; repetition-ordered merging keeps
-    the averaged table bit-identical for any worker count.
-    """
-    grid = [(variant, num_requests) for variant in VARIANTS]
-    sweep = run_sweep(_clock_point, grid, seeds=seeds, workers=workers)
-    points = []
-    for variant, values in zip(VARIANTS, sweep.by_point()):
-        window, overall, quarantines, rejections = zip(*values)
-        points.append(
-            ClockPoint(
-                variant=variant,
-                window_timely_fraction=average(window),
-                overall_timely_fraction=average(overall),
-                clock_quarantines=average(quarantines),
-                clock_rejections=average(rejections),
-                runs=len(seeds),
-            )
-        )
-    return points
-
-
-def export_clock_bench(points: Sequence[ClockPoint], path: str) -> None:
-    """Write ``BENCH_clock.json`` (format: docs/PERFORMANCE.md)."""
-    payload = {
-        "benchmark": "a18-clock-faults",
-        "unit": "fractions of issued requests",
-        "description": (
-            "Per-host clock faults (10 s step + freeze on s-1, ±500 ppm "
-            "drift on s-2/s-3, 200 ms step on s-4) against three "
-            "estimation disciplines: naive absolute-timestamp, "
-            "same-clock, and same-clock plus clock-health quarantine."
-        ),
-        "points": [
-            {
-                "variant": p.variant,
-                "window_timely_fraction": round(p.window_timely_fraction, 4),
-                "overall_timely_fraction": round(p.overall_timely_fraction, 4),
-                "clock_quarantines": round(p.clock_quarantines, 3),
-                "clock_rejections": round(p.clock_rejections, 3),
-            }
-            for p in points
-        ],
+    return {
+        **window_timeliness(outcomes, WINDOW_START, WINDOW_END),
+        "clock_quarantines": quarantines,
+        "clock_rejections": client.clock_rejections,
     }
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
 
 
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    """Print the clock-fault comparison table and export ``BENCH_clock.json``.
-
-    ``--workers N`` runs the sweep through the parallel engine (the
-    nightly A18 acceptance invocation uses ``--workers 2``); the table
-    and the exported JSON are bit-identical to the serial run.
-    """
-    parser = argparse.ArgumentParser(description="A18 clock-fault tolerance")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the sweep (default 1 = serial)",
-    )
-    parser.add_argument(
-        "--json",
-        default="BENCH_clock.json",
-        help="path of the exported benchmark artifact",
-    )
-    args = parser.parse_args(argv)
-    started = time.perf_counter()
-    points = run(workers=args.workers)
-    rows = [
-        (
-            p.variant,
-            p.window_timely_fraction,
-            p.overall_timely_fraction,
-            p.clock_quarantines,
-            p.clock_rejections,
-        )
-        for p in points
-    ]
-    print_table(
-        f"Clock faults in [{WINDOW_START:.0f}, {WINDOW_END:.0f}) ms: "
-        "10 s step + freeze on s-1, ±500 ppm drift on s-2/s-3, 200 ms "
-        f"step on s-4 (deadline {DEADLINE_MS:.0f} ms, Pc = 0.9)",
-        ["variant", "window timely", "overall timely", "clock quarantines",
-         "rejections"],
-        rows,
-    )
-    export_clock_bench(points, args.json)
-    print(f"wrote {args.json}")
-    print(
-        f"[A18 sweep: {time.perf_counter() - started:.1f}s "
-        f"with {max(args.workers, 1)} worker(s)]"
-    )
-
-
-if __name__ == "__main__":
-    main()
+EXPERIMENT = Experiment(
+    key="A18",
+    title="A18 clock-fault tolerance",
+    point=point,
+    grid=grid(),
+    seeds=(0, 1, 2),
+    quick_grid=grid(),
+    quick_seeds=(0,),
+    tables=(
+        Table(
+            f"Clock faults in [{WINDOW_START:.0f}, {WINDOW_END:.0f}) ms: "
+            "10 s step + freeze on s-1, ±500 ppm drift on s-2/s-3, 200 ms "
+            f"step on s-4 (deadline {DEADLINE_MS:.0f} ms, Pc = 0.9)",
+            (
+                ("variant", "variant"),
+                ("window timely", "window_timely_fraction"),
+                ("overall timely", "overall_timely_fraction"),
+                ("clock quarantines", "clock_quarantines"),
+                ("rejections", "clock_rejections"),
+            ),
+        ),
+    ),
+)

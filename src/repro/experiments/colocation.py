@@ -14,32 +14,31 @@ load-blind random policy of the same redundancy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Dict, Tuple
 
-from ..core.baselines import RandomPolicy
+from ..core.baselines import AllReplicasPolicy
 from ..core.qos import QoSSpec
-from ..core.selection import SelectionPolicy
+from ..gateway.handlers.timing_fault import TimingFaultClientHandler
+from ..orb.orb import Orb
 from ..proteus.manager import ServiceSpec
 from ..replica.load import CoupledLoad, ServiceProfile
 from ..sim.random import Constant, Exponential, Normal
-from ..workload.scenarios import IntegerServant, Scenario, ScenarioConfig, make_interface
-from .harness import average, print_table
+from ..workload.client import OpenLoopClient
+from ..workload.scenarios import (
+    IntegerServant,
+    Scenario,
+    ScenarioConfig,
+    make_interface,
+)
+from .harness import make_policy, summary_metrics
+from .registry import Experiment, Table, cartesian
 
-__all__ = ["ColocationResult", "run_one", "run", "main"]
+__all__ = ["NOISY_HOSTS", "POLICIES", "grid", "point", "EXPERIMENT"]
 
 NOISY_HOSTS = ("replica-1", "replica-2")
 
-
-@dataclass(frozen=True)
-class ColocationResult:
-    """Averaged metrics for one policy under co-location interference."""
-
-    policy: str
-    failure_probability: float
-    noisy_host_share: float  # fraction of winning replies from noisy hosts
-    mean_redundancy: float
-    runs: int
+POLICIES = ("dynamic (paper)", "random-2 (load-blind)")
+DEADLINE_MS, MIN_PROBABILITY = 160.0, 0.9
 
 
 def _build_scenario(seed: int) -> Scenario:
@@ -76,11 +75,6 @@ def _build_scenario(seed: int) -> Scenario:
 
     # An open-loop client hammers the batch service through a plain
     # broadcast handler (its QoS is irrelevant; its load is the point).
-    from ..core.baselines import AllReplicasPolicy
-    from ..gateway.handlers.timing_fault import TimingFaultClientHandler
-    from ..orb.orb import Orb
-    from ..workload.client import OpenLoopClient
-
     scenario.lan.add_host("batch-client")
     batch_handler = TimingFaultClientHandler(
         sim=scenario.sim,
@@ -110,72 +104,54 @@ def _build_scenario(seed: int) -> Scenario:
     return scenario
 
 
-def run_one(
-    policy_factory: Optional[Callable[[], SelectionPolicy]],
-    policy_name: str,
-    deadline_ms: float = 160.0,
-    min_probability: float = 0.9,
-    seeds: Sequence[int] = (0, 1, 2),
-    num_requests: int = 40,
-) -> ColocationResult:
-    """One policy for the analytics client, averaged over seeds."""
-    failures, noisy_share, redundancy = [], [], []
-    for seed in seeds:
-        scenario = _build_scenario(seed)
-        client = scenario.add_client(
-            "analytics-client",
-            QoSSpec("analytics", deadline_ms, min_probability),
-            policy=policy_factory() if policy_factory else None,
-            num_requests=num_requests,
-            think_time=Constant(400.0),
-        )
-        scenario.run_to_completion()
-        summary = client.summary()
-        failures.append(summary.failure_probability)
-        redundancy.append(summary.mean_redundancy)
-        winners = [o.replica for o in client.outcomes if o.replica]
-        noisy_share.append(
+def grid(num_requests: int = 40) -> Tuple[dict, ...]:
+    """The dynamic policy vs. load-blind random at equal redundancy."""
+    return cartesian(policy=POLICIES, num_requests=[num_requests])
+
+
+def point(params: dict, seed: int, repetition: int) -> Dict[str, float]:
+    """One analytics-client run beside the noisy neighbour.
+
+    ``noisy_host_share`` is the fraction of winning replies that came
+    from the hosts the batch service shares.
+    """
+    scenario = _build_scenario(seed)
+    client = scenario.add_client(
+        "analytics-client",
+        QoSSpec("analytics", DEADLINE_MS, MIN_PROBABILITY),
+        policy=make_policy(params["policy"]),
+        num_requests=params["num_requests"],
+        think_time=Constant(400.0),
+    )
+    scenario.run_to_completion()
+    winners = [o.replica for o in client.outcomes if o.replica]
+    return {
+        **summary_metrics(client.summary()),
+        "noisy_host_share": (
             sum(1 for replica in winners if replica in NOISY_HOSTS)
             / max(1, len(winners))
-        )
-    return ColocationResult(
-        policy=policy_name,
-        failure_probability=average(failures),
-        noisy_host_share=average(noisy_share),
-        mean_redundancy=average(redundancy),
-        runs=len(seeds),
-    )
-
-
-def run(
-    seeds: Sequence[int] = (0, 1, 2), num_requests: int = 40
-) -> List[ColocationResult]:
-    """Dynamic policy vs. load-blind random at equal redundancy."""
-    return [
-        run_one(None, "dynamic (paper)", seeds=seeds, num_requests=num_requests),
-        run_one(
-            lambda: RandomPolicy(redundancy=2),
-            "random-2 (load-blind)",
-            seeds=seeds,
-            num_requests=num_requests,
         ),
-    ]
+    }
 
 
-def main() -> None:
-    """Print the co-location interference table."""
-    results = run()
-    rows = [
-        (r.policy, r.failure_probability, r.noisy_host_share, r.mean_redundancy)
-        for r in results
-    ]
-    print_table(
-        "Co-location interference: batch jobs share hosts 1-2 "
-        "(deadline 160 ms, Pc = 0.9)",
-        ["policy", "failure prob", "noisy-host replies", "redundancy"],
-        rows,
-    )
-
-
-if __name__ == "__main__":
-    main()
+EXPERIMENT = Experiment(
+    key="A12",
+    title="A12 co-location interference",
+    point=point,
+    grid=grid(),
+    seeds=(0, 1, 2),
+    quick_grid=grid(num_requests=25),
+    quick_seeds=(0,),
+    tables=(
+        Table(
+            "Co-location interference: batch jobs share hosts 1-2 "
+            "(deadline 160 ms, Pc = 0.9)",
+            (
+                ("policy", "policy"),
+                ("failure prob", "failure_probability"),
+                ("noisy-host replies", "noisy_host_share"),
+                ("redundancy", "mean_redundancy"),
+            ),
+        ),
+    ),
+)

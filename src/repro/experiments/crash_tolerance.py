@@ -11,122 +11,58 @@ replica until membership eviction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Dict
 
-from ..core.baselines import SingleFastestPolicy
-from ..core.qos import QoSSpec
-from ..core.selection import DynamicSelectionPolicy, SelectionPolicy
-from ..workload.scenarios import Scenario, ScenarioConfig
-from .harness import average, print_table
+from ..workload.scenarios import ScenarioConfig
+from .harness import run_clients, summary_metrics
+from .registry import Experiment, Table, cartesian
 
-__all__ = ["CrashRunResult", "run_crash_experiment", "run", "main"]
+__all__ = ["POLICIES", "point", "EXPERIMENT"]
 
-
-@dataclass(frozen=True)
-class CrashRunResult:
-    """Averaged metrics for one policy under crash injection."""
-
-    policy: str
-    failure_probability: float
-    timeout_fraction: float
-    mean_redundancy: float
-    runs: int
+POLICIES = (
+    "dynamic (paper)",
+    "single-fastest",
+    "dynamic, no crash hedge",
+    "dynamic, 2-crash hedge",
+)
+DEADLINE_MS, MIN_PROBABILITY = 160.0, 0.9
+CRASH_AT_MS = 10_000.0
+GRID = cartesian(policy=POLICIES, num_requests=[50])
 
 
-def run_crash_experiment(
-    policy_factory: Optional[Callable[[], SelectionPolicy]],
-    policy_name: str,
-    crash_at_ms: float = 10_000.0,
-    crash_host: str = "replica-1",
-    deadline_ms: float = 160.0,
-    min_probability: float = 0.9,
-    seeds: Sequence[int] = (0, 1, 2, 3, 4),
-    num_requests: int = 50,
-) -> CrashRunResult:
-    """Average one policy's behaviour over seeds with a mid-run crash."""
-    failure_probs = []
-    timeout_fracs = []
-    redundancies = []
-    for seed in seeds:
-        scenario = Scenario(ScenarioConfig(seed=seed))
-        client = scenario.add_client(
-            "client-1",
-            QoSSpec(
-                scenario.config.service,
-                deadline_ms=deadline_ms,
-                min_probability=min_probability,
+def point(params: dict, seed: int, repetition: int) -> Dict[str, float]:
+    """One single-client run; ``replica-1`` crashes at t = 10 s."""
+    _scenario, (client,) = run_clients(
+        ScenarioConfig(seed=seed),
+        1,
+        DEADLINE_MS,
+        MIN_PROBABILITY,
+        params["num_requests"],
+        policy=params["policy"],
+        crash_at_ms=CRASH_AT_MS,
+    )
+    return summary_metrics(client.summary())
+
+
+EXPERIMENT = Experiment(
+    key="A2",
+    title="A2 crash tolerance",
+    point=point,
+    grid=GRID,
+    seeds=(0, 1, 2, 3, 4),
+    quick_grid=GRID,
+    quick_seeds=(0,),
+    tables=(
+        Table(
+            "Crash tolerance: replica-1 crashes at t=10 s "
+            "(deadline 160 ms, Pc = 0.9, budget 0.10)",
+            (
+                ("policy", "policy"),
+                ("failure prob", "failure_probability"),
+                ("timeout frac", "timeout_fraction"),
+                ("mean redundancy", "mean_redundancy"),
+                ("runs", "runs"),
             ),
-            policy=policy_factory() if policy_factory else None,
-            num_requests=num_requests,
-        )
-        scenario.schedule_crash(crash_host, at_ms=crash_at_ms)
-        scenario.run_to_completion()
-        summary = client.summary()
-        failure_probs.append(summary.failure_probability)
-        timeout_fracs.append(
-            summary.timeouts / summary.requests if summary.requests else 0.0
-        )
-        redundancies.append(summary.mean_redundancy)
-    return CrashRunResult(
-        policy=policy_name,
-        failure_probability=average(failure_probs),
-        timeout_fraction=average(timeout_fracs),
-        mean_redundancy=average(redundancies),
-        runs=len(seeds),
-    )
-
-
-def run(
-    seeds: Sequence[int] = (0, 1, 2, 3, 4),
-    num_requests: int = 50,
-) -> List[CrashRunResult]:
-    """Crash-tolerance comparison: paper's policy vs. single-fastest."""
-    return [
-        run_crash_experiment(
-            None, "dynamic (paper)", seeds=seeds, num_requests=num_requests
         ),
-        run_crash_experiment(
-            SingleFastestPolicy,
-            "single-fastest",
-            seeds=seeds,
-            num_requests=num_requests,
-        ),
-        run_crash_experiment(
-            lambda: DynamicSelectionPolicy(crash_tolerance=0),
-            "dynamic, no crash hedge",
-            seeds=seeds,
-            num_requests=num_requests,
-        ),
-        run_crash_experiment(
-            lambda: DynamicSelectionPolicy(crash_tolerance=2),
-            "dynamic, 2-crash hedge",
-            seeds=seeds,
-            num_requests=num_requests,
-        ),
-    ]
-
-
-def main() -> None:
-    """Print the crash-tolerance table."""
-    results = run()
-    rows = [
-        (
-            r.policy,
-            r.failure_probability,
-            r.timeout_fraction,
-            r.mean_redundancy,
-            r.runs,
-        )
-        for r in results
-    ]
-    print_table(
-        "Crash tolerance: replica-1 crashes at t=10 s "
-        "(deadline 160 ms, Pc = 0.9, budget 0.10)",
-        ["policy", "failure prob", "timeout frac", "mean redundancy", "runs"],
-        rows,
-    )
-
-
-if __name__ == "__main__":
-    main()
+    ),
+)

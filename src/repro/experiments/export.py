@@ -1,22 +1,18 @@
-"""Export figure data series as CSV files.
+"""CSV export of experiment rows.
 
-``python -m repro.experiments.export [outdir]`` regenerates the data
-behind every paper figure (and the headline ablations) as plain CSV, so
-downstream users can plot them with whatever tooling they like without
-rerunning the harnesses.
+``python -m repro.experiments <KEY>… --csv DIR`` writes one
+``<KEY>.csv`` per selected sweep — every row key as a column — so
+downstream users can plot the data series with whatever tooling they
+like without rerunning the experiments.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
-import sys
 from pathlib import Path
-from typing import Iterable, List, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from . import fig3_overhead, fig45_selection, min_response, policy_comparison
-
-__all__ = ["export_all", "write_csv", "main"]
+__all__ = ["write_csv", "export_rows"]
 
 
 def write_csv(
@@ -33,98 +29,12 @@ def write_csv(
     return count
 
 
-def export_all(outdir: Path, quick: bool = False) -> List[Path]:
-    """Regenerate and write every figure's data; returns written paths."""
+def export_rows(
+    outdir: Path, key: str, rows: Sequence[Mapping[str, object]]
+) -> Path:
+    """Write ``rows`` as ``outdir/<key>.csv``; returns the path."""
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    iterations = 30 if quick else 200
-    points = fig3_overhead.run(iterations=iterations)
-    path = outdir / "fig3_overhead.csv"
-    write_csv(
-        path,
-        ["window_size", "num_replicas", "total_us", "distribution_us",
-         "selection_us"],
-        [
-            (p.window_size, p.num_replicas, round(p.total_us, 3),
-             round(p.distribution_us, 3), round(p.selection_us, 3))
-            for p in points
-        ],
-    )
-    written.append(path)
-
-    seeds = (0,) if quick else (0, 1, 2)
-    sweep = fig45_selection.run(seeds=seeds)
-    path = outdir / "fig4_replicas_selected.csv"
-    write_csv(
-        path,
-        ["min_probability", "deadline_ms", "avg_replicas_selected"],
-        [
-            (p.min_probability, p.deadline_ms,
-             round(p.avg_replicas_selected, 4))
-            for p in sweep
-        ],
-    )
-    written.append(path)
-
-    path = outdir / "fig5_timing_failures.csv"
-    write_csv(
-        path,
-        ["min_probability", "deadline_ms", "observed_failure_probability",
-         "tolerated_failure_probability"],
-        [
-            (p.min_probability, p.deadline_ms,
-             round(p.failure_probability, 4),
-             round(p.tolerated_failure_probability, 4))
-            for p in sweep
-        ],
-    )
-    written.append(path)
-
-    floor = min_response.run(num_requests=50 if quick else 100)
-    path = outdir / "min_response.csv"
-    write_csv(
-        path,
-        ["min_response_ms", "mean_response_ms", "paper_floor_ms"],
-        [(round(floor.min_response_ms, 3), round(floor.mean_response_ms, 3),
-          3.5)],
-    )
-    written.append(path)
-
-    comparison = policy_comparison.run(seeds=seeds)
-    path = outdir / "policy_comparison.csv"
-    write_csv(
-        path,
-        ["policy", "failure_probability", "mean_redundancy",
-         "mean_response_ms"],
-        [
-            (r.policy, round(r.failure_probability, 4),
-             round(r.mean_redundancy, 4), round(r.mean_response_ms, 3))
-            for r in comparison
-        ],
-    )
-    written.append(path)
-    return written
-
-
-def main(argv=None) -> int:
-    """CLI entry point."""
-    parser = argparse.ArgumentParser(
-        description="Export paper-figure data series as CSV files"
-    )
-    parser.add_argument(
-        "outdir", nargs="?", default="figure_data",
-        help="output directory (default: ./figure_data)",
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="reduced sweeps"
-    )
-    args = parser.parse_args(argv)
-    written = export_all(Path(args.outdir), quick=args.quick)
-    for path in written:
-        print(f"wrote {path}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    path = outdir / f"{key}.csv"
+    headers = list(rows[0])
+    write_csv(path, headers, [[row[h] for h in headers] for row in rows])
+    return path

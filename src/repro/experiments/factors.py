@@ -14,84 +14,78 @@ reply path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import Dict, List, Sequence
 
 from ..analysis.stages import extract_stages, stage_summaries
-from ..core.qos import QoSSpec
-from ..metrics.stats import Summary
-from ..workload.scenarios import Scenario, ScenarioConfig
-from .harness import print_table
+from ..workload.scenarios import ScenarioConfig
+from .harness import run_clients
+from .registry import Cell, Experiment, Row, Table
 
-__all__ = ["FactorRow", "run", "main"]
+__all__ = ["STAGES", "point", "stage_rows", "EXPERIMENT"]
 
-
-@dataclass(frozen=True)
-class FactorRow:
-    """One stage of the decomposition."""
-
-    stage: str
-    mean_ms: float
-    p90_ms: float
-    share_of_total: float
+STAGES = ("client", "request-net", "queueing", "service", "reply-net", "total")
+NUM_CLIENTS = 2
+DEADLINE_MS, MIN_PROBABILITY = 200.0, 0.5
 
 
-def run(
-    seed: int = 0,
-    num_requests: int = 100,
-    num_clients: int = 2,
-    deadline_ms: float = 200.0,
-) -> List[FactorRow]:
-    """Trace the paper's workload and decompose response times."""
-    scenario = Scenario(ScenarioConfig(seed=seed, trace=True))
-    for index in range(num_clients):
-        scenario.add_client(
-            f"client-{index + 1}",
-            QoSSpec(scenario.config.service, deadline_ms, 0.5),
-            num_requests=num_requests,
-        )
-    scenario.run_to_completion()
-    stages = extract_stages(scenario.tracer)
-    summaries = stage_summaries(stages)
-    total_mean = summaries["total"].mean
-    rows = []
-    for stage in ("client", "request-net", "queueing", "service", "reply-net"):
-        summary: Summary = summaries[stage]
-        rows.append(
-            FactorRow(
-                stage=stage,
-                mean_ms=summary.mean,
-                p90_ms=summary.p90,
-                share_of_total=summary.mean / total_mean if total_mean else 0.0,
-            )
-        )
-    rows.append(
-        FactorRow(
-            stage="total",
-            mean_ms=total_mean,
-            p90_ms=summaries["total"].p90,
-            share_of_total=1.0,
-        )
+def point(params: dict, seed: int, repetition: int) -> Dict[str, Dict[str, float]]:
+    """Trace the paper's workload; ``{stage: {mean_ms, p90_ms}}``."""
+    scenario, _clients = run_clients(
+        ScenarioConfig(seed=seed, trace=True),
+        NUM_CLIENTS,
+        DEADLINE_MS,
+        MIN_PROBABILITY,
+        params["num_requests"],
     )
-    return rows
+    summaries = stage_summaries(extract_stages(scenario.tracer))
+    return {
+        stage: {"mean_ms": summaries[stage].mean, "p90_ms": summaries[stage].p90}
+        for stage in STAGES
+    }
 
 
-def main() -> None:
-    """Print the factor-decomposition table."""
-    rows = run()
-    print_table(
-        "Factors influencing the response time (paper §5.1; winning-reply "
-        "path, 2 clients x 100 requests)",
-        ["stage", "mean ms", "p90 ms", "share of total"],
-        [(r.stage, r.mean_ms, r.p90_ms, r.share_of_total) for r in rows],
-    )
-    network = sum(r.mean_ms for r in rows if r.stage.endswith("-net"))
-    total = next(r.mean_ms for r in rows if r.stage == "total")
-    print(
-        f"\nNetwork share of the response time: {network / total:.1%} — "
-        "'a small fraction' as the paper's independence argument requires."
-    )
+def stage_rows(cells: Sequence[Cell]) -> List[Row]:
+    """One row per stage of the (single) traced run, plus the network share."""
+    ((_params, (run,)),) = cells
+    total = run["total"]["mean_ms"]
+    network = sum(run[s]["mean_ms"] for s in STAGES if s.endswith("-net"))
+    return [
+        {
+            "stage": stage,
+            **run[stage],
+            "share_of_total": (
+                1.0 if stage == "total"
+                else run[stage]["mean_ms"] / total if total else 0.0
+            ),
+            "network_share": network / total,
+        }
+        for stage in STAGES
+    ]
 
 
-if __name__ == "__main__":
-    main()
+EXPERIMENT = Experiment(
+    key="factors",
+    title="§5.1 factors",
+    point=point,
+    grid=({"num_requests": 100},),
+    seeds=(0,),
+    quick_grid=({"num_requests": 30},),
+    quick_seeds=(0,),
+    rows=stage_rows,
+    tables=(
+        Table(
+            "Factors influencing the response time (paper §5.1; winning-reply "
+            "path, 2 clients x 100 requests)",
+            (
+                ("stage", "stage"),
+                ("mean ms", "mean_ms"),
+                ("p90 ms", "p90_ms"),
+                ("share of total", "share_of_total"),
+            ),
+            note=(
+                "\nNetwork share of the response time: {network_share:.1%} — "
+                "'a small fraction' as the paper's independence argument requires."
+            ),
+        ),
+    ),
+)

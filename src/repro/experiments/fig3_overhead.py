@@ -26,6 +26,7 @@ from ..core.repository import InformationRepository
 from ..core.selection import select_replicas_arrays
 from ..rng import seeded_generator
 from .harness import print_table
+from .registry import Command
 
 __all__ = [
     "OverheadPoint",
@@ -36,6 +37,7 @@ __all__ = [
     "run_cached_comparison",
     "export_estimator_bench",
     "main",
+    "EXPERIMENT",
 ]
 
 
@@ -219,9 +221,10 @@ def run(
     return points
 
 
-def main() -> None:
+def main(argv: Sequence[str] = ()) -> int:
     """Print the Figure 3 table and the cached-pipeline comparison."""
-    points = run()
+    iterations = 30 if "--quick" in argv else 200
+    points = run(iterations=iterations)
     rows = [
         (
             p.window_size,
@@ -239,7 +242,7 @@ def main() -> None:
          "algorithm us", "distr. fraction"],
         rows,
     )
-    comparisons = run_cached_comparison()
+    comparisons = run_cached_comparison(iterations=iterations)
     print_table(
         "Incremental pipeline: cached vs uncached selection overhead",
         ["window l", "replicas n", "uncached us", "cached us", "speedup"],
@@ -254,7 +257,7 @@ def main() -> None:
             for c in comparisons
         ],
     )
+    return 0
 
 
-if __name__ == "__main__":
-    main()
+EXPERIMENT = Command(key="fig3", title="Figure 3 (overhead)", main=main)

@@ -17,103 +17,71 @@ Reproduced claims:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, Sequence, Tuple
 
-from .harness import average, print_table, run_two_client_experiment
+from .harness import run_two_client_experiment, summary_metrics
+from .registry import Experiment, Table
 
-__all__ = ["SweepPoint", "run", "main", "DEADLINES_MS", "PROBABILITIES"]
+__all__ = ["DEADLINES_MS", "PROBABILITIES", "grid", "point", "EXPERIMENT"]
 
 DEADLINES_MS = (100.0, 120.0, 140.0, 160.0, 180.0, 200.0)
 PROBABILITIES = (0.9, 0.5, 0.0)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """Averages over seeds for one (deadline, Pc) configuration."""
-
-    deadline_ms: float
-    min_probability: float
-    avg_replicas_selected: float
-    failure_probability: float
-    mean_response_ms: float
-    runs: int
-
-    @property
-    def tolerated_failure_probability(self) -> float:
-        """The failure rate the client accepts (1 − Pc)."""
-        return 1.0 - self.min_probability
-
-
-def run(
+def grid(
     deadlines_ms: Sequence[float] = DEADLINES_MS,
     probabilities: Sequence[float] = PROBABILITIES,
-    seeds: Sequence[int] = (0, 1, 2),
     num_requests: int = 50,
-    num_replicas: int = 7,
-    window_size: int = 5,
-) -> List[SweepPoint]:
-    """The full two-dimensional sweep, averaged over ``seeds``."""
-    points = []
-    for min_probability in probabilities:
-        for deadline in deadlines_ms:
-            results = [
-                run_two_client_experiment(
-                    deadline_ms=deadline,
-                    min_probability=min_probability,
-                    seed=seed,
-                    num_requests=num_requests,
-                    num_replicas=num_replicas,
-                    window_size=window_size,
-                )
-                for seed in seeds
-            ]
-            points.append(
-                SweepPoint(
-                    deadline_ms=deadline,
-                    min_probability=min_probability,
-                    avg_replicas_selected=average(
-                        [r.avg_replicas_selected for r in results]
-                    ),
-                    failure_probability=average(
-                        [r.failure_probability for r in results]
-                    ),
-                    mean_response_ms=average(
-                        [r.client2.mean_response_ms for r in results]
-                    ),
-                    runs=len(results),
-                )
-            )
-    return points
-
-
-def main() -> None:
-    """Print the Figure 4 and Figure 5 tables."""
-    points = run()
-    fig4_rows = [
-        (p.min_probability, p.deadline_ms, p.avg_replicas_selected)
-        for p in points
-    ]
-    print_table(
-        "Figure 4: average number of replicas selected (client 2)",
-        ["requested Pc", "deadline ms", "avg replicas"],
-        fig4_rows,
-    )
-    fig5_rows = [
-        (
-            p.min_probability,
-            p.deadline_ms,
-            p.failure_probability,
-            p.tolerated_failure_probability,
-        )
-        for p in points
-    ]
-    print_table(
-        "Figure 5: observed probability of timing failures (client 2)",
-        ["requested Pc", "deadline ms", "observed failures", "tolerated"],
-        fig5_rows,
+) -> Tuple[dict, ...]:
+    """The (Pc, deadline) grid; ``tolerated`` is the 1 − Pc the client accepts."""
+    return tuple(
+        {
+            "min_probability": min_probability,
+            "deadline_ms": deadline,
+            "tolerated_failure_probability": 1.0 - min_probability,
+            "num_requests": num_requests,
+        }
+        for min_probability in probabilities
+        for deadline in deadlines_ms
     )
 
 
-if __name__ == "__main__":
-    main()
+def point(params: dict, seed: int, repetition: int) -> Dict[str, float]:
+    """One two-client run; client 2's redundancy, failures and response time."""
+    result = run_two_client_experiment(
+        deadline_ms=params["deadline_ms"],
+        min_probability=params["min_probability"],
+        seed=seed,
+        num_requests=params["num_requests"],
+    )
+    return summary_metrics(result.client2)
+
+
+EXPERIMENT = Experiment(
+    key="fig45",
+    title="Figures 4+5 (selection & failures)",
+    point=point,
+    grid=grid(),
+    seeds=(0, 1, 2),
+    quick_grid=grid(),
+    quick_seeds=(0,),
+    tables=(
+        Table(
+            "Figure 4: average number of replicas selected (client 2)",
+            (
+                ("requested Pc", "min_probability"),
+                ("deadline ms", "deadline_ms"),
+                ("avg replicas", "mean_redundancy"),
+            ),
+        ),
+        Table(
+            "Figure 5: observed probability of timing failures (client 2)",
+            (
+                ("requested Pc", "min_probability"),
+                ("deadline ms", "deadline_ms"),
+                ("observed failures", "failure_probability"),
+                ("tolerated", "tolerated_failure_probability"),
+            ),
+        ),
+    ),
+)

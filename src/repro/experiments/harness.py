@@ -1,31 +1,55 @@
 """Shared experiment machinery.
 
-Every figure/table module builds on :func:`run_two_client_experiment`,
-which reproduces the paper's §6 setup — two closed-loop clients against
-seven replicas, fifty requests each, one-second think time — and on the
-small table-printing helpers used by all ``main()`` entry points.
+:func:`run_two_client_experiment` reproduces the paper's §6 setup — two
+closed-loop clients against seven replicas, fifty requests each,
+one-second think time; :func:`summary_metrics` is the per-run metric
+mapping most point functions return; the rest are the averaging and
+table-printing helpers of the registry runner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..core.baselines import AllReplicasPolicy, RandomPolicy, SingleFastestPolicy
 from ..core.qos import QoSSpec
-from ..core.selection import SelectionPolicy
-from ..rng import derive_repetition_seed
-from ..workload.client import ClientSummary
+from ..core.selection import DynamicSelectionPolicy, SelectionPolicy
+from ..workload.client import ClientSummary, ClosedLoopClient
 from ..workload.scenarios import Scenario, ScenarioConfig
 
 __all__ = [
+    "POLICIES",
+    "make_policy",
     "TwoClientResult",
     "run_two_client_experiment",
-    "repetition_seeds",
+    "run_clients",
+    "pooled_metrics",
+    "window_timeliness",
+    "summary_metrics",
     "two_client_point",
     "average",
     "format_table",
     "print_table",
 ]
+
+
+#: The selection policies the ablations compare, by table label
+#: (``None``: the handler's default — the paper's dynamic policy).
+POLICIES: Dict[str, Optional[Callable[[], SelectionPolicy]]] = {
+    "dynamic (paper)": None,
+    "dynamic, no crash hedge": lambda: DynamicSelectionPolicy(crash_tolerance=0),
+    "dynamic, 2-crash hedge": lambda: DynamicSelectionPolicy(crash_tolerance=2),
+    "all-replicas": AllReplicasPolicy,
+    "single-fastest": SingleFastestPolicy,
+    "random-2 (load-blind)": lambda: RandomPolicy(redundancy=2),
+}
+
+
+def make_policy(name: str) -> Optional[SelectionPolicy]:
+    """A fresh instance of the policy labelled ``name`` in :data:`POLICIES`."""
+    factory = POLICIES[name]
+    return factory() if factory else None
 
 
 @dataclass(frozen=True)
@@ -36,16 +60,6 @@ class TwoClientResult:
     min_probability: float
     client2: ClientSummary
     client1: ClientSummary
-
-    @property
-    def avg_replicas_selected(self) -> float:
-        """Fig. 4's y-axis: mean redundancy chosen for client 2."""
-        return self.client2.mean_redundancy
-
-    @property
-    def failure_probability(self) -> float:
-        """Fig. 5's y-axis: observed timing-failure probability, client 2."""
-        return self.client2.failure_probability
 
 
 def run_two_client_experiment(
@@ -101,29 +115,85 @@ def run_two_client_experiment(
     )
 
 
-def repetition_seeds(base_seed: int, repetitions: int) -> Tuple[int, ...]:
-    """Derived scenario seeds for ``repetitions`` repeated runs.
+def run_clients(
+    config: ScenarioConfig,
+    num_clients: int,
+    deadline_ms: float,
+    min_probability: float,
+    num_requests: int,
+    policy: str = "dynamic (paper)",
+    crash_at_ms: Optional[float] = None,
+    **client_kwargs: Any,
+) -> Tuple[Scenario, List[ClosedLoopClient]]:
+    """Run ``client-1..n`` closed-loop against a fresh scenario to completion.
 
-    The canonical way to widen a sweep: instead of hand-picking seed
-    tuples, record one ``base_seed`` and derive repetition ``r``'s
-    scenario seed as ``derive_repetition_seed(base_seed, r)``
-    (docs/REPRODUCIBILITY.md).  Stable under reordering and extension —
-    growing ``repetitions`` never changes the earlier seeds.
+    Every client gets the same QoS and its own instance of the policy
+    labelled ``policy``; ``crash_at_ms`` crashes ``replica-1``
+    (frequently the best) mid-run; ``client_kwargs`` go to
+    :meth:`Scenario.add_client`.
     """
-    return tuple(
-        derive_repetition_seed(base_seed, r) for r in range(repetitions)
-    )
+    scenario = Scenario(config)
+    clients = [
+        scenario.add_client(
+            f"client-{index + 1}",
+            QoSSpec(config.service, deadline_ms, min_probability),
+            policy=make_policy(policy),
+            num_requests=num_requests,
+            **client_kwargs,
+        )
+        for index in range(num_clients)
+    ]
+    if crash_at_ms is not None:
+        scenario.schedule_crash("replica-1", at_ms=crash_at_ms)
+    scenario.run_to_completion()
+    return scenario, clients
 
 
-def two_client_point(params: dict, seed: int, repetition: int) -> TwoClientResult:
-    """Sweep adapter: one §6 two-client run as a parallel-runner task.
+def pooled_metrics(summaries: Sequence[ClientSummary]) -> Dict[str, float]:
+    """Several clients' run-level figures, request-weighted into one."""
+    total = sum(s.requests for s in summaries)
+    return {
+        "failure_probability": sum(s.timing_failures for s in summaries) / total,
+        "mean_redundancy": (
+            sum(s.mean_redundancy * s.requests for s in summaries) / total
+        ),
+        "mean_response_ms": (
+            sum(s.mean_response_ms * s.requests for s in summaries) / total
+        ),
+    }
+
+
+def window_timeliness(
+    outcomes: Sequence[Tuple[float, Any]], start_ms: float, end_ms: float
+) -> Dict[str, float]:
+    """Timely fractions of ``(t0, outcome)`` pairs: inside the window, and overall."""
+    in_window = [v.timely for t0, v in outcomes if start_ms <= t0 < end_ms]
+    overall = [v.timely for _t0, v in outcomes]
+    return {
+        "window_timely_fraction": sum(in_window) / max(len(in_window), 1),
+        "overall_timely_fraction": sum(overall) / max(len(overall), 1),
+    }
+
+
+def summary_metrics(summary: ClientSummary) -> Dict[str, float]:
+    """One client's run-level figures, as a point function returns them."""
+    return {
+        "failure_probability": summary.failure_probability,
+        "timeout_fraction": (
+            summary.timeouts / summary.requests if summary.requests else 0.0
+        ),
+        "mean_redundancy": summary.mean_redundancy,
+        "mean_response_ms": summary.mean_response_ms,
+    }
+
+
+def two_client_point(params: dict, seed: int, repetition: int) -> Dict[str, float]:
+    """Sweep point: one §6 two-client run, reported for client 2.
 
     ``params`` are keyword arguments of :func:`run_two_client_experiment`
-    minus ``seed``, which the runner supplies per task.  Module-level so
-    it can be pickled into worker processes
-    (:func:`repro.experiments.parallel.run_sweep`).
+    minus ``seed``, which the runner supplies per task.
     """
-    return run_two_client_experiment(seed=seed, **params)
+    return summary_metrics(run_two_client_experiment(seed=seed, **params).client2)
 
 
 def average(values: Sequence[float]) -> float:

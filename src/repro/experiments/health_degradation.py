@@ -15,64 +15,43 @@ overall timely fraction, and the number of quarantine transitions.
 
 from __future__ import annotations
 
-import argparse
-import time
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, Tuple
 
-from ..core.qos import QoSSpec
 from ..core.selection import DynamicSelectionPolicy
-from ..faultinject import DegradationFault, FaultSchedule, FaultyTransport
-from ..gateway.gateway import Gateway
-from ..gateway.handlers.timing_fault import (
-    TimingFaultClientHandler,
-    TimingFaultServerHandler,
-)
-from ..group.ensemble import GroupCommunication
-from ..group.failure_detector import FailureDetector
+from ..faultinject import DegradationFault, FaultSchedule
 from ..health import HealthConfig, HealthState
-from ..net.lan import LanModel, LinkProfile
-from ..net.transport import Transport
-from ..orb.iiop import MarshallingModel
-from ..orb.orb import Orb
-from ..replica.load import ServiceProfile
-from ..replica.server import ReplicaApplication
-from ..sim.kernel import Simulator
-from ..rng import RNGManager
-from ..sim.random import Constant, RandomStreams
-from ..workload.scenarios import IntegerServant, make_interface
-from .harness import average, print_table
-from .parallel import run_sweep
+from ..sim.random import Constant
+from ..workload.ministack import MiniStack
+from .harness import window_timeliness
+from .registry import Experiment, Table, cartesian
 
-__all__ = ["DegradationPoint", "run_one", "run", "main"]
+__all__ = ["VARIANTS", "grid", "point", "EXPERIMENT"]
 
-#: run_all passes ``--workers`` through to :func:`main`.
-PARALLEL_CAPABLE = True
+#: Table label → whether the client runs the health subsystem.
+VARIANTS = {"health": True, "no-health": False}
 
-SERVICE = "search"
-METHOD = "process"
 REPLICAS = tuple(f"s-{i + 1}" for i in range(5))
 WINDOW_START, WINDOW_END = 500.0, 2500.0
+#: Seed of the wire's injection draws (a total omission never draws).
+WIRE_SEED = 11
+
+HEALTH = HealthConfig(
+    suspect_after=2,
+    quarantine_after=1,
+    probation_after=2,
+    backoff_initial_ms=400.0,
+    backoff_factor=2.0,
+    backoff_max_ms=3200.0,
+)
 
 
-@dataclass(frozen=True)
-class DegradationPoint:
-    """Averaged metrics for one (variant) row of the comparison."""
-
-    variant: str
-    window_timely_fraction: float
-    overall_timely_fraction: float
-    quarantine_transitions: float
-    runs: int
+def grid(num_requests: int = 150) -> Tuple[dict, ...]:
+    """The health-enabled client, then the no-health baseline."""
+    return cartesian(variant=VARIANTS, num_requests=[num_requests])
 
 
-def _build_stack(seed: int, fault_seed: int, with_health: bool):
-    sim = Simulator()
-    streams = RandomStreams(seed=seed)
-    profile = LinkProfile(
-        stack_ms=1.0, per_kb_ms=0.0, per_member_ms=0.0, jitter=Constant(0.0)
-    )
-    lan = LanModel(streams, default_profile=profile)
+def point(params: dict, seed: int, repetition: int) -> Dict[str, float]:
+    """One closed-loop run through the two-second degradation window."""
     schedule = FaultSchedule(
         degradations=(
             DegradationFault(
@@ -83,79 +62,25 @@ def _build_stack(seed: int, fault_seed: int, with_health: bool):
             ),
         )
     )
-    transport = FaultyTransport(
-        Transport(sim, lan),
-        schedule=schedule,
-        streams=RNGManager(fault_seed),
-    )
-    detector = FailureDetector(sim, lan, poll_interval_ms=10.0, confirm_polls=2)
-    group_comm = GroupCommunication(
-        sim, lan, transport, notify_delay_ms=1.0, failure_detector=detector
-    )
-    marshalling = MarshallingModel(base_ms=0.0, per_kb_ms=0.0, envelope_bytes=0)
-    interface = make_interface(SERVICE, METHOD)
-
+    stack = MiniStack(seed=seed, schedule=schedule, wire_seed=WIRE_SEED)
     for host in REPLICAS:
-        lan.add_host(host)
-        app = ReplicaApplication(
-            host=host,
-            servant=IntegerServant(interface, METHOD),
-            profile=ServiceProfile(default=Constant(8.0)),
-            streams=streams,
-        )
-        server = TimingFaultServerHandler(
-            sim=sim, app=app, transport=transport, marshalling=marshalling
-        )
-        Gateway(host, sim, transport).load_handler(server)
-        group_comm.join(SERVICE, host, watch=True)
-
-    lan.add_host("client-1")
-    kwargs = {}
-    if with_health:
-        kwargs["health_config"] = HealthConfig(
-            suspect_after=2,
-            quarantine_after=1,
-            probation_after=2,
-            backoff_initial_ms=400.0,
-            backoff_factor=2.0,
-            backoff_max_ms=3200.0,
-        )
-    client = TimingFaultClientHandler(
-        sim=sim,
-        host="client-1",
-        transport=transport,
-        group_comm=group_comm,
-        interface=interface,
-        qos=QoSSpec(SERVICE, 100.0, 0.9),
-        marshalling=marshalling,
-        selection_charge_ms=0.0,
-        rng=streams.stream("client-1.policy"),
+        stack.add_server(host, service_time=Constant(8.0))
+    client = stack.add_client(
+        "client-1",
+        deadline_ms=100.0,
+        min_probability=0.9,
         policy=DynamicSelectionPolicy(crash_tolerance=0),
         response_timeout_factor=3.0,
         probe_interval_ms=200.0,
-        **kwargs,
+        **({"health_config": HEALTH} if VARIANTS[params["variant"]] else {}),
     )
-    Gateway("client-1", sim, transport).load_handler(client)
-    orb = Orb()
-    orb.register_interface(interface)
-    orb.bind_interceptor(SERVICE, client)
-    return sim, client, orb.stub(SERVICE)
-
-
-def run_one(
-    with_health: bool,
-    seed: int,
-    fault_seed: int = 11,
-    num_requests: int = 150,
-):
-    """One run; returns (window fraction, overall fraction, transitions)."""
-    sim, client, stub = _build_stack(seed, fault_seed, with_health)
+    sim = stack.sim
     outcomes = []
 
     def load():
-        for i in range(num_requests):
+        for i in range(params["num_requests"]):
             t0 = sim.now
-            event = stub.invoke(METHOD, i)
+            event = stack.invoke("client-1", i)
             yield event
             outcomes.append((t0, event.value))
             yield sim.timeout(5.0)
@@ -164,10 +89,6 @@ def run_one(
     sim.run()
     sim.run(until=6000.0)  # let re-admission probes finish
 
-    in_window = [
-        v.timely for t0, v in outcomes if WINDOW_START <= t0 < WINDOW_END
-    ]
-    overall = [v.timely for _t0, v in outcomes]
     transitions = 0
     if client.health is not None:
         transitions = sum(
@@ -175,89 +96,30 @@ def run_one(
             for e in client.health.events
             if e.new_state is HealthState.QUARANTINED
         )
-    return (
-        sum(in_window) / max(len(in_window), 1),
-        sum(overall) / max(len(overall), 1),
-        transitions,
-    )
+    return {
+        **window_timeliness(outcomes, WINDOW_START, WINDOW_END),
+        "quarantine_transitions": transitions,
+    }
 
 
-def _degradation_point(params, seed: int, repetition: int):
-    """Parallel-runner task: one variant run at one scenario seed."""
-    with_health, num_requests = params
-    return run_one(with_health, seed, num_requests=num_requests)
-
-
-def run(
-    seeds: Sequence[int] = (0, 1, 2),
-    num_requests: int = 150,
-    workers: int = 1,
-) -> List[DegradationPoint]:
-    """Compare the health-enabled client against the no-health baseline.
-
-    ``workers`` fans the ``(variant, seed)`` grid across processes via
-    :mod:`repro.experiments.parallel`; repetition-ordered merging keeps
-    the averaged table bit-identical for any worker count.
-    """
-    grid = [
-        (with_health, num_requests)
-        for with_health, _name in ((True, "health"), (False, "no-health"))
-    ]
-    sweep = run_sweep(_degradation_point, grid, seeds=seeds, workers=workers)
-    points = []
-    for (_, name), values in zip(
-        ((True, "health"), (False, "no-health")), sweep.by_point()
-    ):
-        window, overall, transitions = zip(*values)
-        points.append(
-            DegradationPoint(
-                variant=name,
-                window_timely_fraction=average(window),
-                overall_timely_fraction=average(overall),
-                quarantine_transitions=average(transitions),
-                runs=len(seeds),
-            )
-        )
-    return points
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    """Print the persistent-degradation comparison table.
-
-    ``--workers N`` runs the sweep through the parallel engine (the
-    nightly A15 acceptance invocation uses ``--workers 2``); the table
-    is bit-identical to the serial run.
-    """
-    parser = argparse.ArgumentParser(description="A15 health degradation")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the sweep (default 1 = serial)",
-    )
-    args = parser.parse_args(argv)
-    started = time.perf_counter()
-    points = run(workers=args.workers)
-    rows = [
-        (
-            p.variant,
-            p.window_timely_fraction,
-            p.overall_timely_fraction,
-            p.quarantine_transitions,
-        )
-        for p in points
-    ]
-    print_table(
-        "Persistent degradation: s-1 drops all traffic in [500, 2500) ms "
-        "(deadline 100 ms, Pc = 0.9)",
-        ["variant", "window timely", "overall timely", "quarantines"],
-        rows,
-    )
-    print(
-        f"[A15 sweep: {time.perf_counter() - started:.1f}s "
-        f"with {max(args.workers, 1)} worker(s)]"
-    )
-
-
-if __name__ == "__main__":
-    main()
+EXPERIMENT = Experiment(
+    key="A15",
+    title="A15 health under degradation",
+    point=point,
+    grid=grid(),
+    seeds=(0, 1, 2),
+    quick_grid=grid(),
+    quick_seeds=(0,),
+    tables=(
+        Table(
+            "Persistent degradation: s-1 drops all traffic in [500, 2500) ms "
+            "(deadline 100 ms, Pc = 0.9)",
+            (
+                ("variant", "variant"),
+                ("window timely", "window_timely_fraction"),
+                ("overall timely", "overall_timely_fraction"),
+                ("quarantines", "quarantine_transitions"),
+            ),
+        ),
+    ),
+)

@@ -17,32 +17,25 @@ model routes each method to its specialists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, Tuple
 
-from ..core.qos import QoSSpec
 from ..gateway.handlers.timing_fault import method_classifier
 from ..replica.load import ServiceProfile
 from ..sim.random import Normal
-from ..workload.scenarios import Scenario, ScenarioConfig
-from .harness import average, print_table
+from ..workload.scenarios import ScenarioConfig
+from .harness import run_clients
+from .registry import Experiment, Table, cartesian
 
-__all__ = ["ClassificationResult", "run_one", "run", "main"]
+__all__ = ["VARIANTS", "grid", "point", "EXPERIMENT"]
 
 FAST = Normal(40.0, 10.0)
 SLOW = Normal(220.0, 30.0)
-
-
-@dataclass(frozen=True)
-class ClassificationResult:
-    """Averaged metrics for one model variant."""
-
-    variant: str
-    failure_probability: float
-    heavy_failure_probability: float
-    cheap_redundancy: float
-    heavy_redundancy: float
-    runs: int
+#: Table label → handler options (the pooled paper model, then per-method).
+VARIANTS = {
+    "pooled (paper base)": {},
+    "classified (per-method)": {"classifier": method_classifier},
+}
+DEADLINE_MS, MIN_PROBABILITY = 150.0, 0.9
 
 
 def _specialist_profile(host: str) -> ServiceProfile:
@@ -53,89 +46,61 @@ def _specialist_profile(host: str) -> ServiceProfile:
     return ServiceProfile(default=SLOW, per_method={"analyze": FAST})
 
 
-def _scenario(seed: int) -> ScenarioConfig:
-    return ScenarioConfig(
-        seed=seed,
-        num_replicas=6,  # three specialists per method
-        extra_methods={"analyze": FAST},  # signature only; profiles rule
-        profile_factory=_specialist_profile,
+def grid(num_requests: int = 60) -> Tuple[dict, ...]:
+    """The pooled (paper base) model, then the per-method one."""
+    return cartesian(variant=VARIANTS, num_requests=[num_requests])
+
+
+def point(params: dict, seed: int, repetition: int) -> Dict[str, float]:
+    """One mixed-method run; failures and redundancy split by method."""
+    _scenario, (client,) = run_clients(
+        ScenarioConfig(
+            seed=seed,
+            num_replicas=6,  # three specialists per method
+            extra_methods={"analyze": FAST},  # signature only; profiles rule
+            profile_factory=_specialist_profile,
+        ),
+        1,
+        DEADLINE_MS,
+        MIN_PROBABILITY,
+        params["num_requests"],
+        method_chooser=lambda i: "analyze" if i % 2 else "process",
+        handler_kwargs=VARIANTS[params["variant"]],
     )
-
-
-def run_one(
-    classified: bool,
-    deadline_ms: float = 150.0,
-    min_probability: float = 0.9,
-    seeds: Sequence[int] = (0, 1, 2),
-    num_requests: int = 60,
-) -> ClassificationResult:
-    """One variant (classified or pooled) averaged over seeds."""
-    failures, heavy_failures = [], []
-    cheap_red, heavy_red = [], []
-    for seed in seeds:
-        scenario = Scenario(_scenario(seed))
-        client = scenario.add_client(
-            "client-1",
-            QoSSpec(scenario.config.service, deadline_ms, min_probability),
-            num_requests=num_requests,
-            method_chooser=lambda i: "analyze" if i % 2 else "process",
-            handler_kwargs=(
-                {"classifier": method_classifier} if classified else {}
-            ),
-        )
-        scenario.run_to_completion()
-        outcomes = client.outcomes
-        heavy = outcomes[1::2]  # odd indices invoked "analyze"
-        cheap = outcomes[0::2]
-        failures.append(
+    outcomes = client.outcomes
+    heavy = outcomes[1::2]  # odd indices invoked "analyze"
+    cheap = outcomes[0::2]
+    return {
+        "failure_probability": (
             sum(1 for o in outcomes if not o.timely) / len(outcomes)
-        )
-        heavy_failures.append(
+        ),
+        "heavy_failure_probability": (
             sum(1 for o in heavy if not o.timely) / len(heavy)
-        )
-        cheap_red.append(sum(o.redundancy for o in cheap) / len(cheap))
-        heavy_red.append(sum(o.redundancy for o in heavy) / len(heavy))
-    return ClassificationResult(
-        variant="classified (per-method)" if classified else "pooled (paper base)",
-        failure_probability=average(failures),
-        heavy_failure_probability=average(heavy_failures),
-        cheap_redundancy=average(cheap_red),
-        heavy_redundancy=average(heavy_red),
-        runs=len(seeds),
-    )
+        ),
+        "cheap_redundancy": sum(o.redundancy for o in cheap) / len(cheap),
+        "heavy_redundancy": sum(o.redundancy for o in heavy) / len(heavy),
+    }
 
 
-def run(
-    seeds: Sequence[int] = (0, 1, 2), num_requests: int = 60
-) -> List[ClassificationResult]:
-    """Both variants on the mixed-method workload."""
-    return [
-        run_one(classified=False, seeds=seeds, num_requests=num_requests),
-        run_one(classified=True, seeds=seeds, num_requests=num_requests),
-    ]
-
-
-def main() -> None:
-    """Print the method-classification table."""
-    results = run()
-    rows = [
-        (
-            r.variant,
-            r.failure_probability,
-            r.heavy_failure_probability,
-            r.cheap_redundancy,
-            r.heavy_redundancy,
-        )
-        for r in results
-    ]
-    print_table(
-        "Per-method classification (specialist replicas, "
-        "deadline 150 ms, Pc = 0.9)",
-        ["model", "overall failures", "analyze-call failures",
-         "process redundancy", "analyze redundancy"],
-        rows,
-    )
-
-
-if __name__ == "__main__":
-    main()
+EXPERIMENT = Experiment(
+    key="A7",
+    title="A7 method classification",
+    point=point,
+    grid=grid(),
+    seeds=(0, 1, 2),
+    quick_grid=grid(num_requests=30),
+    quick_seeds=(0,),
+    tables=(
+        Table(
+            "Per-method classification (specialist replicas, "
+            "deadline 150 ms, Pc = 0.9)",
+            (
+                ("model", "variant"),
+                ("overall failures", "failure_probability"),
+                ("analyze-call failures", "heavy_failure_probability"),
+                ("process redundancy", "cheap_redundancy"),
+                ("analyze redundancy", "heavy_redundancy"),
+            ),
+        ),
+    ),
+)

@@ -11,29 +11,19 @@ stack/LAN on the request and reply paths, and the selection charge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Dict
 
 from ..core.qos import QoSSpec
 from ..sim.random import Constant
 from ..workload.scenarios import Scenario, ScenarioConfig
-from .harness import print_table
+from .registry import Experiment, Table
 
-__all__ = ["MinResponseResult", "run", "main"]
+__all__ = ["PAPER_FLOOR_MS", "point", "EXPERIMENT"]
 
-
-@dataclass(frozen=True)
-class MinResponseResult:
-    """Floor statistics over one run."""
-
-    min_response_ms: float
-    mean_response_ms: float
-    requests: int
+PAPER_FLOOR_MS = 3.5
 
 
-def run(
-    num_requests: int = 100,
-    seed: int = 0,
-) -> MinResponseResult:
+def point(params: dict, seed: int, repetition: int) -> Dict[str, float]:
     """Measure the response-time floor with zero service time."""
     config = ScenarioConfig(
         seed=seed,
@@ -46,27 +36,34 @@ def run(
     client = scenario.add_client(
         "client-1",
         QoSSpec(config.service, deadline_ms=100.0, min_probability=0.0),
-        num_requests=num_requests,
+        num_requests=params["requests"],
         think_time=Constant(10.0),
     )
     scenario.run_to_completion()
     times = [o.response_time_ms for o in client.outcomes]
-    return MinResponseResult(
-        min_response_ms=min(times),
-        mean_response_ms=sum(times) / len(times),
-        requests=len(times),
-    )
+    return {
+        "min_response_ms": min(times),
+        "mean_response_ms": sum(times) / len(times),
+    }
 
 
-def main() -> None:
-    """Print the floor measurement."""
-    result = run()
-    print_table(
-        "Minimum response time (minimum-sized request, zero service time)",
-        ["requests", "min tr (ms)", "mean tr (ms)", "paper floor (ms)"],
-        [(result.requests, result.min_response_ms, result.mean_response_ms, 3.5)],
-    )
-
-
-if __name__ == "__main__":
-    main()
+EXPERIMENT = Experiment(
+    key="min_response",
+    title="Minimum response time",
+    point=point,
+    grid=({"requests": 100, "paper_floor_ms": PAPER_FLOOR_MS},),
+    seeds=(0,),
+    quick_grid=({"requests": 50, "paper_floor_ms": PAPER_FLOOR_MS},),
+    quick_seeds=(0,),
+    tables=(
+        Table(
+            "Minimum response time (minimum-sized request, zero service time)",
+            (
+                ("requests", "requests"),
+                ("min tr (ms)", "min_response_ms"),
+                ("mean tr (ms)", "mean_response_ms"),
+                ("paper floor (ms)", "paper_floor_ms"),
+            ),
+        ),
+    ),
+)

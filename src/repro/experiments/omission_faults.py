@@ -9,112 +9,64 @@ single-fastest (where any loss costs the full response-timeout).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Dict, Sequence, Tuple
 
-from ..core.baselines import SingleFastestPolicy
-from ..core.qos import QoSSpec
-from ..core.selection import SelectionPolicy
-from ..workload.scenarios import Scenario, ScenarioConfig
-from .harness import average, print_table
+from ..workload.scenarios import ScenarioConfig
+from .harness import run_clients, summary_metrics
+from .registry import Experiment, Table, cartesian
 
-__all__ = ["LossPoint", "run_one", "run", "main"]
+__all__ = ["LOSS_RATES", "POLICIES", "grid", "point", "EXPERIMENT"]
 
 LOSS_RATES = (0.0, 0.01, 0.02, 0.05, 0.10)
+POLICIES = ("dynamic (paper)", "single-fastest")
+DEADLINE_MS, MIN_PROBABILITY = 180.0, 0.9
 
 
-@dataclass(frozen=True)
-class LossPoint:
-    """Averaged metrics for one (policy, loss rate) cell."""
-
-    policy: str
-    loss_probability: float
-    failure_probability: float
-    timeout_fraction: float
-    mean_redundancy: float
-    runs: int
-
-
-def run_one(
-    policy_factory: Optional[Callable[[], SelectionPolicy]],
-    policy_name: str,
-    loss_probability: float,
-    deadline_ms: float = 180.0,
-    min_probability: float = 0.9,
-    seeds: Sequence[int] = (0, 1, 2),
-    num_requests: int = 40,
-) -> LossPoint:
-    """One cell of the loss sweep."""
-    failures, timeouts, redundancy = [], [], []
-    for seed in seeds:
-        scenario = Scenario(
-            ScenarioConfig(
-                seed=seed,
-                loss_probability=loss_probability,
-                response_timeout_factor=3.0,
-            )
-        )
-        client = scenario.add_client(
-            "client-1",
-            QoSSpec(scenario.config.service, deadline_ms, min_probability),
-            policy=policy_factory() if policy_factory else None,
-            num_requests=num_requests,
-        )
-        scenario.run_to_completion()
-        summary = client.summary()
-        failures.append(summary.failure_probability)
-        timeouts.append(summary.timeouts / summary.requests)
-        redundancy.append(summary.mean_redundancy)
-    return LossPoint(
-        policy=policy_name,
-        loss_probability=loss_probability,
-        failure_probability=average(failures),
-        timeout_fraction=average(timeouts),
-        mean_redundancy=average(redundancy),
-        runs=len(seeds),
+def grid(
+    loss_rates: Sequence[float] = LOSS_RATES, num_requests: int = 40
+) -> Tuple[dict, ...]:
+    """Both policies across the per-link loss sweep."""
+    return cartesian(
+        policy=POLICIES, loss_probability=loss_rates, num_requests=[num_requests]
     )
 
 
-def run(
-    loss_rates: Sequence[float] = LOSS_RATES,
-    seeds: Sequence[int] = (0, 1, 2),
-    num_requests: int = 40,
-) -> List[LossPoint]:
-    """Loss sweep for the dynamic policy and single-fastest."""
-    points = []
-    for factory, name in (
-        (None, "dynamic (paper)"),
-        (SingleFastestPolicy, "single-fastest"),
-    ):
-        for loss in loss_rates:
-            points.append(
-                run_one(
-                    factory, name, loss, seeds=seeds, num_requests=num_requests
-                )
-            )
-    return points
-
-
-def main() -> None:
-    """Print the omission-fault table."""
-    points = run()
-    rows = [
-        (
-            p.policy,
-            p.loss_probability,
-            p.failure_probability,
-            p.timeout_fraction,
-            p.mean_redundancy,
-        )
-        for p in points
-    ]
-    print_table(
-        "Omission faults: per-link loss sweep "
-        "(deadline 180 ms, Pc = 0.9, budget 0.10)",
-        ["policy", "link loss", "failure prob", "timeout frac", "redundancy"],
-        rows,
+def point(params: dict, seed: int, repetition: int) -> Dict[str, float]:
+    """One single-client run at one per-link loss probability."""
+    _scenario, (client,) = run_clients(
+        ScenarioConfig(
+            seed=seed,
+            loss_probability=params["loss_probability"],
+            response_timeout_factor=3.0,
+        ),
+        1,
+        DEADLINE_MS,
+        MIN_PROBABILITY,
+        params["num_requests"],
+        policy=params["policy"],
     )
+    return summary_metrics(client.summary())
 
 
-if __name__ == "__main__":
-    main()
+EXPERIMENT = Experiment(
+    key="A10",
+    title="A10 omission faults",
+    point=point,
+    grid=grid(),
+    seeds=(0, 1, 2),
+    quick_grid=grid(loss_rates=(0.0, 0.05), num_requests=20),
+    quick_seeds=(0,),
+    tables=(
+        Table(
+            "Omission faults: per-link loss sweep "
+            "(deadline 180 ms, Pc = 0.9, budget 0.10)",
+            (
+                ("policy", "policy"),
+                ("link loss", "loss_probability"),
+                ("failure prob", "failure_probability"),
+                ("timeout frac", "timeout_fraction"),
+                ("redundancy", "mean_redundancy"),
+            ),
+        ),
+    ),
+)

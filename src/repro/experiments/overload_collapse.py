@@ -10,7 +10,7 @@ The sweep drives an increasing number of closed-loop clients with a
 short think time at a five-replica deployment, once with the plain
 dynamic policy and once with the overload subsystem enabled (load
 tracker + redundancy governor + deadline-based admission control).  The
-headline comparison, exported to ``BENCH_overload.json``:
+headline comparison (``--json BENCH_overload.json`` exports it):
 
 * **ungoverned** — the in-deadline fraction collapses as clients are
   added (past the knee, more than half of all requests miss);
@@ -28,14 +28,9 @@ collapses past the knee (the confound check in the A16 tests).
 
 from __future__ import annotations
 
-import argparse
-import json
-import time
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, Sequence, Tuple
 
 from ..core.estimator import QueueScaledEstimator
-from ..core.qos import QoSSpec
 from ..overload import (
     AdmissionConfig,
     GovernorConfig,
@@ -43,44 +38,19 @@ from ..overload import (
     OverloadConfig,
 )
 from ..sim.random import Exponential, Normal
-from ..workload.scenarios import Scenario, ScenarioConfig
-from .harness import average, print_table
-from .parallel import run_sweep
+from ..workload.scenarios import ScenarioConfig
+from .harness import run_clients
+from .registry import Experiment, Table, cartesian
 
-__all__ = [
-    "OverloadPoint",
-    "default_overload_config",
-    "run_one",
-    "run",
-    "export_overload_bench",
-    "main",
-]
+__all__ = ["VARIANTS", "default_overload_config", "grid", "point", "EXPERIMENT"]
 
-#: run_all passes ``--workers`` through to :func:`main`.
-PARALLEL_CAPABLE = True
-
+#: Table label → whether the overload subsystem (and queue-scaled F) is on.
+VARIANTS = {"ungoverned": False, "governed": True}
 NUM_REPLICAS = 5
-DEADLINE_MS = 60.0
+DEADLINE_MS, MIN_PROBABILITY = 60.0, 0.9
 SERVICE_MEAN_MS = 8.0
 SERVICE_SIGMA_MS = 2.0
 THINK_MS = 5.0
-
-
-@dataclass(frozen=True)
-class OverloadPoint:
-    """Averaged metrics for one (variant, client count) cell."""
-
-    variant: str
-    num_clients: int
-    #: In-deadline fraction over every *issued* request (sheds count as
-    #: not-in-deadline here — honesty against gaming the headline).
-    timely_fraction: float
-    #: In-deadline fraction over *admitted* requests only.
-    admitted_timely_fraction: float
-    shed_fraction: float
-    mean_redundancy: float
-    mean_response_ms: float
-    runs: int
 
 
 def default_overload_config() -> OverloadConfig:
@@ -96,195 +66,98 @@ def default_overload_config() -> OverloadConfig:
     )
 
 
-def run_one(
-    governed: bool,
-    num_clients: int,
-    seed: int,
-    num_requests: int = 40,
-    overload_config: Optional[OverloadConfig] = None,
-):
-    """One run; returns (timely, admitted-timely, shed, redundancy, resp)."""
-    config = ScenarioConfig(
-        seed=seed,
-        num_replicas=NUM_REPLICAS,
-        service_mean_ms=SERVICE_MEAN_MS,
-        service_sigma_ms=SERVICE_SIGMA_MS,
-        service_distribution_factory=lambda host: Normal(
-            SERVICE_MEAN_MS, SERVICE_SIGMA_MS
-        ),
-        response_timeout_factor=3.0,
-        keep_samples=False,
-        overload_config=(
-            (overload_config or default_overload_config()) if governed else None
-        ),
+def grid(
+    client_counts: Sequence[int] = (2, 8, 16, 24), num_requests: int = 40
+) -> Tuple[dict, ...]:
+    """The ungoverned stack, then the governed one, across client counts."""
+    return cartesian(
+        variant=VARIANTS, num_clients=client_counts, num_requests=[num_requests]
     )
-    scenario = Scenario(config)
-    # The governed stack needs queue-scaled F (see module docstring);
-    # the ungoverned baseline is the paper's stack, untouched.
-    handler_kwargs = (
-        {
-            "estimator_factory": lambda repo: QueueScaledEstimator(
-                repo, bin_width_ms=1.0
-            )
-        }
-        if governed
-        else {}
-    )
-    clients = [
-        scenario.add_client(
-            f"client-{i + 1}",
-            QoSSpec(
-                config.service,
-                deadline_ms=DEADLINE_MS,
-                min_probability=0.9,
+
+
+def point(params: dict, seed: int, repetition: int) -> Dict[str, float]:
+    """One flash-crowd run.
+
+    ``timely_fraction`` is over every *issued* request (sheds count as
+    not-in-deadline — honesty against gaming the headline);
+    ``admitted_timely_fraction``, redundancy and response time are over
+    *admitted* requests only, admitted-weighted across the clients.
+    """
+    governed = VARIANTS[params["variant"]]
+    scenario, clients = run_clients(
+        ScenarioConfig(
+            seed=seed,
+            num_replicas=NUM_REPLICAS,
+            service_mean_ms=SERVICE_MEAN_MS,
+            service_sigma_ms=SERVICE_SIGMA_MS,
+            service_distribution_factory=lambda host: Normal(
+                SERVICE_MEAN_MS, SERVICE_SIGMA_MS
             ),
-            num_requests=num_requests,
-            think_time=Exponential(THINK_MS),
-            handler_kwargs=handler_kwargs,
-        )
-        for i in range(num_clients)
-    ]
-    scenario.run_to_completion()
+            response_timeout_factor=3.0,
+            keep_samples=False,
+            overload_config=default_overload_config() if governed else None,
+        ),
+        params["num_clients"],
+        DEADLINE_MS,
+        MIN_PROBABILITY,
+        params["num_requests"],
+        think_time=Exponential(THINK_MS),
+        # The governed stack needs queue-scaled F (see module docstring);
+        # the ungoverned baseline is the paper's stack, untouched.
+        handler_kwargs=(
+            {
+                "estimator_factory": lambda repo: QueueScaledEstimator(
+                    repo, bin_width_ms=1.0
+                )
+            }
+            if governed
+            else {}
+        ),
+    )
     scenario.audit_lifecycle()
     summaries = [c.summary() for c in clients]
     issued = sum(s.requests for s in summaries)
     sheds = sum(s.sheds for s in summaries)
     admitted = issued - sheds
     admitted_timely = sum(s.admitted - s.timing_failures for s in summaries)
-    return (
-        admitted_timely / issued,
-        admitted_timely / max(admitted, 1),
-        sheds / issued,
-        sum(s.mean_redundancy * s.admitted for s in summaries)
-        / max(admitted, 1),
-        sum(s.mean_response_ms * s.admitted for s in summaries)
-        / max(admitted, 1),
-    )
-
-
-def _overload_point(params, seed: int, repetition: int):
-    """Parallel-runner task: one ``(variant, client count)`` cell run."""
-    governed, _variant, count, num_requests = params
-    return run_one(governed, count, seed, num_requests=num_requests)
-
-
-def run(
-    client_counts: Sequence[int] = (2, 8, 16, 24),
-    seeds: Sequence[int] = (0, 1),
-    num_requests: int = 40,
-    workers: int = 1,
-) -> List[OverloadPoint]:
-    """The full collapse-vs-governed sweep.
-
-    ``workers`` fans the ``(variant, clients, seed)`` grid across that
-    many processes (:mod:`repro.experiments.parallel`); the averaged
-    table is bit-identical for any worker count because the per-seed
-    results are merged in repetition order.
-    """
-    grid = [
-        (governed, variant, count, num_requests)
-        for governed, variant in ((False, "ungoverned"), (True, "governed"))
-        for count in client_counts
-    ]
-    sweep = run_sweep(
-        _overload_point, grid, seeds=seeds, workers=workers
-    )
-    points = []
-    for (_, variant, count, _), values in zip(grid, sweep.by_point()):
-        timely, adm_timely, shed, redundancy, response = zip(*values)
-        points.append(
-            OverloadPoint(
-                variant=variant,
-                num_clients=count,
-                timely_fraction=average(timely),
-                admitted_timely_fraction=average(adm_timely),
-                shed_fraction=average(shed),
-                mean_redundancy=average(redundancy),
-                mean_response_ms=average(response),
-                runs=len(seeds),
-            )
-        )
-    return points
-
-
-def export_overload_bench(
-    points: Sequence[OverloadPoint], path: str
-) -> None:
-    """Write ``BENCH_overload.json`` (format: docs/PERFORMANCE.md)."""
-    payload = {
-        "benchmark": "a16-overload-collapse",
-        "unit": "fractions of issued/admitted requests",
-        "description": (
-            "Flash-crowd sweep over closed-loop client counts: the "
-            "ungoverned dynamic policy's in-deadline fraction collapses "
-            "past the knee, while the governed variant (redundancy cap + "
-            "deadline-based admission control) sustains admitted "
-            "timeliness by shedding a bounded, metered fraction."
+    return {
+        "timely_fraction": admitted_timely / issued,
+        "admitted_timely_fraction": admitted_timely / max(admitted, 1),
+        "shed_fraction": sheds / issued,
+        "mean_redundancy": (
+            sum(s.mean_redundancy * s.admitted for s in summaries)
+            / max(admitted, 1)
         ),
-        "points": [
-            {
-                "variant": p.variant,
-                "num_clients": p.num_clients,
-                "timely_fraction": round(p.timely_fraction, 4),
-                "admitted_timely_fraction": round(
-                    p.admitted_timely_fraction, 4
-                ),
-                "shed_fraction": round(p.shed_fraction, 4),
-                "mean_redundancy": round(p.mean_redundancy, 3),
-                "mean_response_ms": round(p.mean_response_ms, 2),
-            }
-            for p in points
-        ],
+        "mean_response_ms": (
+            sum(s.mean_response_ms * s.admitted for s in summaries)
+            / max(admitted, 1)
+        ),
     }
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
 
 
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    """Print the collapse table and export ``BENCH_overload.json``.
-
-    ``--workers N`` runs the sweep through the parallel engine; the
-    table and the exported JSON are bit-identical to the serial run
-    (the nightly A16 acceptance invocation uses ``--workers 2``).
-    """
-    parser = argparse.ArgumentParser(description="A16 overload collapse sweep")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the sweep (default 1 = serial)",
-    )
-    args = parser.parse_args(argv)
-    started = time.perf_counter()
-    points = run(workers=args.workers)
-    rows = [
-        (
-            p.variant,
-            p.num_clients,
-            p.timely_fraction,
-            p.admitted_timely_fraction,
-            p.shed_fraction,
-            p.mean_redundancy,
-            p.mean_response_ms,
-        )
-        for p in points
-    ]
-    print_table(
-        f"Flash crowd: closed-loop clients vs {NUM_REPLICAS} replicas "
-        f"(deadline {DEADLINE_MS:.0f} ms, service "
-        f"~N({SERVICE_MEAN_MS:.0f}, {SERVICE_SIGMA_MS:.0f}) ms, "
-        f"think {THINK_MS:.0f} ms)",
-        ["variant", "clients", "timely", "admitted timely", "shed",
-         "redundancy", "response ms"],
-        rows,
-    )
-    export_overload_bench(points, "BENCH_overload.json")
-    print(
-        f"[A16 sweep: {time.perf_counter() - started:.1f}s "
-        f"with {max(args.workers, 1)} worker(s)]"
-    )
-
-
-if __name__ == "__main__":
-    main()
+EXPERIMENT = Experiment(
+    key="A16",
+    title="A16 overload collapse",
+    point=point,
+    grid=grid(),
+    seeds=(0, 1),
+    quick_grid=grid(client_counts=(2, 8), num_requests=20),
+    quick_seeds=(0,),
+    tables=(
+        Table(
+            f"Flash crowd: closed-loop clients vs {NUM_REPLICAS} replicas "
+            f"(deadline {DEADLINE_MS:.0f} ms, service "
+            f"~N({SERVICE_MEAN_MS:.0f}, {SERVICE_SIGMA_MS:.0f}) ms, "
+            f"think {THINK_MS:.0f} ms)",
+            (
+                ("variant", "variant"),
+                ("clients", "num_clients"),
+                ("timely", "timely_fraction"),
+                ("admitted timely", "admitted_timely_fraction"),
+                ("shed", "shed_fraction"),
+                ("redundancy", "mean_redundancy"),
+                ("response ms", "mean_response_ms"),
+            ),
+        ),
+    ),
+)

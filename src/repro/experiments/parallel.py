@@ -20,20 +20,18 @@ This module supplies that discipline on top of :mod:`repro.rng`:
   contract of docs/REPRODUCIBILITY.md, enforced in CI by the digest
   smoke job and ``tests/experiments/test_parallel_runner.py``).
 
-``python -m repro.experiments.parallel --workers 2`` runs a built-in
-smoke sweep serially and with the requested worker count and fails if
-the two digests differ.
+``python -m repro.experiments smoke --workers 2``
+(:mod:`repro.experiments.smoke`) runs a built-in smoke sweep serially
+and with the requested worker count and fails if the two digests differ.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import hashlib
 import json
 import multiprocessing
 import os
-import sys
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
@@ -49,7 +47,6 @@ __all__ = [
     "merge_summaries",
     "sweep_digest",
     "canonical",
-    "main",
 ]
 
 #: A sweep worker: ``fn(params, seed, repetition) -> value``.  Must be a
@@ -284,82 +281,3 @@ def run_sweep(
         workers=workers,
         elapsed_s=time.perf_counter() - started,
     )
-
-
-# -- digest smoke (CI entry point) -----------------------------------------
-
-#: The built-in smoke sweep: two §6 two-client points, small enough for a
-#: sub-minute CI job yet exercising the full scenario stack.
-SMOKE_POINTS = (
-    {
-        "deadline_ms": 140.0,
-        "min_probability": 0.9,
-        "num_requests": 6,
-        "num_replicas": 3,
-    },
-    {
-        "deadline_ms": 160.0,
-        "min_probability": 0.5,
-        "num_requests": 6,
-        "num_replicas": 3,
-    },
-)
-
-
-def _smoke_sweep(workers: int) -> SweepResult:
-    """The tiny built-in sweep the CI digest check runs at a worker count."""
-    from .harness import two_client_point
-
-    return run_sweep(
-        two_client_point,
-        SMOKE_POINTS,
-        repetitions=2,
-        base_seed=2001,
-        workers=workers,
-        stream_name="smoke",
-    )
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI digest smoke: serial vs ``--workers`` must be bit-identical."""
-    parser = argparse.ArgumentParser(
-        description=(
-            "Run the built-in smoke sweep serially and with --workers "
-            "processes; fail unless the merged digests are bit-identical."
-        )
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="worker processes for the parallel leg (default 2)",
-    )
-    args = parser.parse_args(argv)
-
-    serial = _smoke_sweep(workers=1)
-    parallel = _smoke_sweep(workers=args.workers)
-    lines = [
-        f"serial   ({serial.workers} worker):  digest {serial.digest()} "
-        f"in {serial.elapsed_s:.2f}s",
-        f"parallel ({parallel.workers} workers): digest {parallel.digest()} "
-        f"in {parallel.elapsed_s:.2f}s",
-    ]
-    ok = serial.digest() == parallel.digest()
-    lines.append(
-        "digests match — 1-vs-N invariance holds"
-        if ok
-        else "DIGEST MISMATCH — parallel merge is not deterministic"
-    )
-    report = "\n".join(lines)
-    print(report)
-    summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
-    if summary_path:
-        with open(summary_path, "a", encoding="utf-8") as handle:
-            handle.write("### Parallel sweep digest smoke\n```\n")
-            handle.write(report)
-            handle.write("\n```\n")
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -14,8 +14,7 @@ disabled (selection against ``t`` instead of ``t − δ``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..core.baselines import (
     AllReplicasPolicy,
@@ -29,9 +28,10 @@ from ..core.baselines import (
 )
 from ..core.selection import DynamicSelectionPolicy, SelectionPolicy
 from ..gateway.handlers.passive import PrimaryBackupPolicy
-from .harness import average, print_table, run_two_client_experiment
+from .harness import two_client_point
+from .registry import Cell, Experiment, Row, Table, cartesian, mean_rows
 
-__all__ = ["PolicyResult", "POLICY_FACTORIES", "run", "main"]
+__all__ = ["POLICY_FACTORIES", "grid", "point", "ranked_rows", "EXPERIMENT"]
 
 
 def _dynamic() -> SelectionPolicy:
@@ -60,77 +60,58 @@ POLICY_FACTORIES: Dict[str, Callable[[], SelectionPolicy]] = {
 }
 
 
-@dataclass(frozen=True)
-class PolicyResult:
-    """Averaged metrics for one policy."""
-
-    policy: str
-    failure_probability: float
-    mean_redundancy: float
-    mean_response_ms: float
-    runs: int
-
-
-def run(
+def grid(
+    policies: Sequence[str] = tuple(POLICY_FACTORIES),
     deadline_ms: float = 140.0,
     min_probability: float = 0.9,
-    seeds: Sequence[int] = (0, 1, 2),
-    policies: Optional[Dict[str, Callable[[], SelectionPolicy]]] = None,
     num_requests: int = 50,
-) -> List[PolicyResult]:
-    """Compare all policies on the same workload and seeds."""
-    chosen = policies if policies is not None else POLICY_FACTORIES
-    results = []
-    for name, factory in chosen.items():
-        per_seed = [
-            run_two_client_experiment(
-                deadline_ms=deadline_ms,
-                min_probability=min_probability,
-                seed=seed,
-                num_requests=num_requests,
-                policy_factory=factory,
-            )
-            for seed in seeds
-        ]
-        results.append(
-            PolicyResult(
-                policy=name,
-                failure_probability=average(
-                    [r.failure_probability for r in per_seed]
-                ),
-                mean_redundancy=average(
-                    [r.client2.mean_redundancy for r in per_seed]
-                ),
-                mean_response_ms=average(
-                    [r.client2.mean_response_ms for r in per_seed]
-                ),
-                runs=len(per_seed),
-            )
-        )
-    return results
-
-
-def main() -> None:
-    """Print the policy-comparison table."""
-    results = run()
-    budget = 1.0 - 0.9
-    rows = [
-        (
-            r.policy,
-            r.failure_probability,
-            "yes" if r.failure_probability <= budget else "NO",
-            r.mean_redundancy,
-            r.mean_response_ms,
-        )
-        for r in sorted(results, key=lambda r: r.failure_probability)
-    ]
-    print_table(
-        "Policy comparison (deadline 140 ms, Pc = 0.9, budget 0.10)",
-        ["policy", "failure prob", "meets budget", "mean redundancy",
-         "mean response ms"],
-        rows,
+) -> Tuple[dict, ...]:
+    """One point per policy name, all on the same workload."""
+    return cartesian(
+        policy=policies,
+        deadline_ms=[deadline_ms],
+        min_probability=[min_probability],
+        num_requests=[num_requests],
     )
 
 
-if __name__ == "__main__":
-    main()
+def point(params: dict, seed: int, repetition: int) -> Dict[str, float]:
+    """One two-client run under the named policy (both clients)."""
+    run_params = dict(params)
+    run_params["policy_factory"] = POLICY_FACTORIES[run_params.pop("policy")]
+    return two_client_point(run_params, seed, repetition)
+
+
+def ranked_rows(cells: Sequence[Cell]) -> List[Row]:
+    """Mean rows, best policy first, each judged against its 1 − Pc budget."""
+    rows = sorted(mean_rows(cells), key=lambda row: row["failure_probability"])
+    for row in rows:
+        budget = 1.0 - row["min_probability"]
+        row["meets_budget"] = (
+            "yes" if row["failure_probability"] <= budget else "NO"
+        )
+    return rows
+
+
+EXPERIMENT = Experiment(
+    key="A1",
+    title="A1/A4 policy comparison",
+    point=point,
+    grid=grid(),
+    seeds=(0, 1, 2),
+    quick_grid=grid(num_requests=20),
+    quick_seeds=(0,),
+    rows=ranked_rows,
+    tables=(
+        Table(
+            "Policy comparison (deadline 140 ms, Pc = 0.9, budget 0.10)",
+            (
+                ("policy", "policy"),
+                ("failure prob", "failure_probability"),
+                ("meets budget", "meets_budget"),
+                ("mean redundancy", "mean_redundancy"),
+                ("mean response ms", "mean_response_ms"),
+            ),
+        ),
+    ),
+)

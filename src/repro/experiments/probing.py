@@ -13,32 +13,28 @@ refreshed during the gap and selection hedges correctly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, Tuple
 
 from ..core.qos import QoSSpec
 from ..net.lan import LinkProfile
 from ..sim.random import Constant, Normal
 from ..workload.scenarios import Scenario, ScenarioConfig
-from .harness import average, print_table
+from .harness import summary_metrics
+from .registry import Experiment, Table, cartesian
 
-__all__ = ["ProbingResult", "run_one", "run", "main"]
+__all__ = ["VARIANTS", "grid", "point", "EXPERIMENT"]
+
+#: Table label → handler options (probing off, then on).
+VARIANTS = {
+    "without probes": {},
+    "with active probes": {"probe_staleness_ms": 1_000.0, "probe_interval_ms": 500.0},
+}
+DEADLINE_MS, MIN_PROBABILITY = 165.0, 0.9
 
 # One-way extra delay during the congested regime, ms.  Two-way this eats
 # most of the slack between the 100 ms mean service time and the deadline.
 CONGESTED_EXTRA_MS = 35.0
 TOGGLE_PERIOD_MS = 10_000.0
-
-
-@dataclass(frozen=True)
-class ProbingResult:
-    """Averaged metrics for one variant."""
-
-    variant: str
-    failure_probability: float
-    mean_redundancy: float
-    probes_sent: float
-    runs: int
 
 
 def _install_toggling_network(scenario: Scenario, client_host: str) -> None:
@@ -66,68 +62,47 @@ def _install_toggling_network(scenario: Scenario, client_host: str) -> None:
     scenario.sim.call_in(TOGGLE_PERIOD_MS / 2, lambda: toggle(True), daemon=True)
 
 
-def run_one(
-    probing: bool,
-    deadline_ms: float = 165.0,
-    min_probability: float = 0.9,
-    seeds: Sequence[int] = (0, 1, 2),
-    num_requests: int = 40,
-) -> ProbingResult:
-    """One variant (probing on/off) averaged over seeds."""
-    failures, redundancy, probes = [], [], []
-    for seed in seeds:
-        scenario = Scenario(ScenarioConfig(seed=seed, num_replicas=7))
-        handler_kwargs = (
-            {"probe_staleness_ms": 1_000.0, "probe_interval_ms": 500.0}
-            if probing
-            else {}
-        )
-        client = scenario.add_client(
-            "client-1",
-            QoSSpec(scenario.config.service, deadline_ms, min_probability),
-            num_requests=num_requests,
-            think_time=Constant(5_000.0),  # long idle gaps
-            handler_kwargs=handler_kwargs,
-        )
-        _install_toggling_network(scenario, "client-1")
-        scenario.run_to_completion()
-        summary = client.summary()
-        failures.append(summary.failure_probability)
-        redundancy.append(summary.mean_redundancy)
-        probes.append(scenario.handlers["client-1"].probes_sent)
-    return ProbingResult(
-        variant="with active probes" if probing else "without probes",
-        failure_probability=average(failures),
-        mean_redundancy=average(redundancy),
-        probes_sent=average(probes),
-        runs=len(seeds),
+def grid(num_requests: int = 40) -> Tuple[dict, ...]:
+    """Probing off, then on, on the toggling-network workload."""
+    return cartesian(variant=VARIANTS, num_requests=[num_requests])
+
+
+def point(params: dict, seed: int, repetition: int) -> Dict[str, float]:
+    """One idle-client run on the toggling LAN, probing on or off."""
+    scenario = Scenario(ScenarioConfig(seed=seed, num_replicas=7))
+    client = scenario.add_client(
+        "client-1",
+        QoSSpec(scenario.config.service, DEADLINE_MS, MIN_PROBABILITY),
+        num_requests=params["num_requests"],
+        think_time=Constant(5_000.0),  # long idle gaps
+        handler_kwargs=VARIANTS[params["variant"]],
     )
+    _install_toggling_network(scenario, "client-1")
+    scenario.run_to_completion()
+    return {
+        **summary_metrics(client.summary()),
+        "probes_sent": scenario.handlers["client-1"].probes_sent,
+    }
 
 
-def run(
-    seeds: Sequence[int] = (0, 1, 2), num_requests: int = 40
-) -> List[ProbingResult]:
-    """Both variants on the toggling-network workload."""
-    return [
-        run_one(probing=False, seeds=seeds, num_requests=num_requests),
-        run_one(probing=True, seeds=seeds, num_requests=num_requests),
-    ]
-
-
-def main() -> None:
-    """Print the probing table."""
-    results = run()
-    rows = [
-        (r.variant, r.failure_probability, r.mean_redundancy, r.probes_sent)
-        for r in results
-    ]
-    print_table(
-        "Active probing of stale records (idle client, toggling LAN, "
-        "deadline 165 ms, Pc = 0.9)",
-        ["variant", "failure prob", "mean redundancy", "probes sent"],
-        rows,
-    )
-
-
-if __name__ == "__main__":
-    main()
+EXPERIMENT = Experiment(
+    key="A6",
+    title="A6 active probing",
+    point=point,
+    grid=grid(),
+    seeds=(0, 1, 2),
+    quick_grid=grid(num_requests=20),
+    quick_seeds=(0,),
+    tables=(
+        Table(
+            "Active probing of stale records (idle client, toggling LAN, "
+            "deadline 165 ms, Pc = 0.9)",
+            (
+                ("variant", "variant"),
+                ("failure prob", "failure_probability"),
+                ("mean redundancy", "mean_redundancy"),
+                ("probes sent", "probes_sent"),
+            ),
+        ),
+    ),
+)

@@ -15,114 +15,68 @@ client counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, Sequence, Tuple
 
 from ..core.estimator import QueueScaledEstimator
-from ..core.qos import QoSSpec
 from ..sim.random import Exponential
-from ..workload.scenarios import Scenario, ScenarioConfig
-from .harness import average, print_table
+from ..workload.scenarios import ScenarioConfig
+from .harness import pooled_metrics, run_clients
+from .registry import Experiment, Table, cartesian
 
-__all__ = ["QueueScalingPoint", "run_one", "run", "main"]
+__all__ = ["ESTIMATORS", "grid", "point", "EXPERIMENT"]
 
-
-@dataclass(frozen=True)
-class QueueScalingPoint:
-    """Averaged metrics for one (estimator, client count) cell."""
-
-    estimator: str
-    num_clients: int
-    failure_probability: float
-    mean_redundancy: float
-    mean_response_ms: float
-    runs: int
+#: Table label → whether the handler runs the queue-scaled estimator.
+ESTIMATORS = {"windowed (paper)": False, "queue-scaled": True}
+DEADLINE_MS, MIN_PROBABILITY = 160.0, 0.9
+THINK_MEAN_MS = 700.0
 
 
-def run_one(
-    queue_scaled: bool,
-    num_clients: int,
-    deadline_ms: float = 160.0,
-    min_probability: float = 0.9,
-    seeds: Sequence[int] = (0, 1),
-    num_requests: int = 30,
-    think_mean_ms: float = 700.0,
-) -> QueueScalingPoint:
-    """One cell: estimator variant at one client count."""
+def grid(
+    client_counts: Sequence[int] = (2, 6, 10), num_requests: int = 30
+) -> Tuple[dict, ...]:
+    """Both estimators across client counts."""
+    return cartesian(
+        estimator=ESTIMATORS, num_clients=client_counts, num_requests=[num_requests]
+    )
+
+
+def point(params: dict, seed: int, repetition: int) -> Dict[str, float]:
+    """One multi-client run; means request-weighted across the clients."""
     handler_kwargs = {}
-    if queue_scaled:
+    if ESTIMATORS[params["estimator"]]:
         handler_kwargs["estimator_factory"] = (
             lambda repo: QueueScaledEstimator(repo, bin_width_ms=1.0)
         )
-    failures, redundancy, response = [], [], []
-    for seed in seeds:
-        scenario = Scenario(ScenarioConfig(seed=seed))
-        clients = [
-            scenario.add_client(
-                f"client-{i + 1}",
-                QoSSpec(scenario.config.service, deadline_ms, min_probability),
-                num_requests=num_requests,
-                think_time=Exponential(think_mean_ms),
-                handler_kwargs=dict(handler_kwargs),
-            )
-            for i in range(num_clients)
-        ]
-        scenario.run_to_completion()
-        summaries = [c.summary() for c in clients]
-        total = sum(s.requests for s in summaries)
-        failures.append(sum(s.timing_failures for s in summaries) / total)
-        redundancy.append(
-            sum(s.mean_redundancy * s.requests for s in summaries) / total
-        )
-        response.append(
-            sum(s.mean_response_ms * s.requests for s in summaries) / total
-        )
-    return QueueScalingPoint(
-        estimator="queue-scaled" if queue_scaled else "windowed (paper)",
-        num_clients=num_clients,
-        failure_probability=average(failures),
-        mean_redundancy=average(redundancy),
-        mean_response_ms=average(response),
-        runs=len(seeds),
+    _scenario, clients = run_clients(
+        ScenarioConfig(seed=seed),
+        params["num_clients"],
+        DEADLINE_MS,
+        MIN_PROBABILITY,
+        params["num_requests"],
+        think_time=Exponential(THINK_MEAN_MS),
+        handler_kwargs=handler_kwargs,
     )
+    return pooled_metrics([c.summary() for c in clients])
 
 
-def run(
-    client_counts: Sequence[int] = (2, 6, 10),
-    seeds: Sequence[int] = (0, 1),
-    num_requests: int = 30,
-) -> List[QueueScalingPoint]:
-    """Both estimators across client counts."""
-    points = []
-    for queue_scaled in (False, True):
-        for count in client_counts:
-            points.append(
-                run_one(
-                    queue_scaled, count, seeds=seeds, num_requests=num_requests
-                )
-            )
-    return points
-
-
-def main() -> None:
-    """Print the queue-scaling table."""
-    points = run()
-    rows = [
-        (
-            p.estimator,
-            p.num_clients,
-            p.failure_probability,
-            p.mean_redundancy,
-            p.mean_response_ms,
-        )
-        for p in points
-    ]
-    print_table(
-        "Queue-scaled estimation under load (deadline 160 ms, Pc = 0.9)",
-        ["estimator", "clients", "failure prob", "redundancy", "response ms"],
-        rows,
-    )
-
-
-if __name__ == "__main__":
-    main()
+EXPERIMENT = Experiment(
+    key="A11",
+    title="A11 queue scaling",
+    point=point,
+    grid=grid(),
+    seeds=(0, 1),
+    quick_grid=grid(client_counts=(2, 6), num_requests=15),
+    quick_seeds=(0,),
+    tables=(
+        Table(
+            "Queue-scaled estimation under load (deadline 160 ms, Pc = 0.9)",
+            (
+                ("estimator", "estimator"),
+                ("clients", "num_clients"),
+                ("failure prob", "failure_probability"),
+                ("redundancy", "mean_redundancy"),
+                ("response ms", "mean_response_ms"),
+            ),
+        ),
+    ),
+)

@@ -12,116 +12,75 @@ routes to the single best replica and retries after half the deadline
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, Sequence, Tuple
 
-from ..core.qos import QoSSpec
 from ..gateway.handlers.retransmit import RetransmittingClientHandler
-from ..workload.scenarios import Scenario, ScenarioConfig
-from .harness import average, print_table
+from ..gateway.handlers.timing_fault import TimingFaultClientHandler
+from ..workload.scenarios import ScenarioConfig
+from .harness import run_clients, summary_metrics
+from .registry import Experiment, Table, cartesian
 
-__all__ = ["RetransmissionPoint", "run_one", "run", "main"]
+__all__ = ["DEADLINES_MS", "STRATEGIES", "grid", "point", "EXPERIMENT"]
 
 DEADLINES_MS = (140.0, 180.0, 240.0)
+#: Table label → client handler class.
+STRATEGIES = {
+    "dynamic (paper)": TimingFaultClientHandler,
+    "retransmit (related work)": RetransmittingClientHandler,
+}
+MIN_PROBABILITY = 0.9
+CRASH_AT_MS = 8_000.0
 
 
-@dataclass(frozen=True)
-class RetransmissionPoint:
-    """Averaged metrics for one (strategy, deadline) cell."""
-
-    strategy: str
-    deadline_ms: float
-    failure_probability: float
-    timeout_fraction: float
-    messages_per_request: float
-    runs: int
+def grid(
+    deadlines_ms: Sequence[float] = DEADLINES_MS, num_requests: int = 40
+) -> Tuple[dict, ...]:
+    """Both strategies across the deadline sweep."""
+    return cartesian(
+        strategy=STRATEGIES, deadline_ms=deadlines_ms, num_requests=[num_requests]
+    )
 
 
-def run_one(
-    retransmitting: bool,
-    deadline_ms: float,
-    min_probability: float = 0.9,
-    seeds: Sequence[int] = (0, 1, 2),
-    num_requests: int = 40,
-    crash_at_ms: float = 8_000.0,
-) -> RetransmissionPoint:
+def point(params: dict, seed: int, repetition: int) -> Dict[str, float]:
     """One strategy at one deadline, with the best replica crashing."""
-    failures, timeouts, messages = [], [], []
-    for seed in seeds:
-        scenario = Scenario(
-            ScenarioConfig(seed=seed, response_timeout_factor=4.0)
-        )
-        kwargs = {}
-        if retransmitting:
-            kwargs["handler_cls"] = RetransmittingClientHandler
-        client = scenario.add_client(
-            "client-1",
-            QoSSpec(scenario.config.service, deadline_ms, min_probability),
-            num_requests=num_requests,
-            **kwargs,
-        )
-        scenario.schedule_crash("replica-1", at_ms=crash_at_ms)
-        scenario.run_to_completion()
-        summary = client.summary()
-        failures.append(summary.failure_probability)
-        timeouts.append(summary.timeouts / summary.requests)
-        handler = scenario.handlers["client-1"]
-        extra = getattr(handler, "retransmissions", 0)
-        messages.append(
+    scenario, (client,) = run_clients(
+        ScenarioConfig(seed=seed, response_timeout_factor=4.0),
+        1,
+        params["deadline_ms"],
+        MIN_PROBABILITY,
+        params["num_requests"],
+        crash_at_ms=CRASH_AT_MS,
+        handler_cls=STRATEGIES[params["strategy"]],
+    )
+    extra = getattr(scenario.handlers["client-1"], "retransmissions", 0)
+    return {
+        **summary_metrics(client.summary()),
+        "messages_per_request": (
             (sum(o.redundancy for o in client.outcomes) + extra)
             / len(client.outcomes)
-        )
-    return RetransmissionPoint(
-        strategy="retransmit (related work)" if retransmitting else "dynamic (paper)",
-        deadline_ms=deadline_ms,
-        failure_probability=average(failures),
-        timeout_fraction=average(timeouts),
-        messages_per_request=average(messages),
-        runs=len(seeds),
-    )
+        ),
+    }
 
 
-def run(
-    deadlines_ms: Sequence[float] = DEADLINES_MS,
-    seeds: Sequence[int] = (0, 1, 2),
-    num_requests: int = 40,
-) -> List[RetransmissionPoint]:
-    """Both strategies across the deadline sweep."""
-    points = []
-    for retransmitting in (False, True):
-        for deadline in deadlines_ms:
-            points.append(
-                run_one(
-                    retransmitting,
-                    deadline,
-                    seeds=seeds,
-                    num_requests=num_requests,
-                )
-            )
-    return points
-
-
-def main() -> None:
-    """Print the redundancy-vs-retransmission table."""
-    points = run()
-    rows = [
-        (
-            p.strategy,
-            p.deadline_ms,
-            p.failure_probability,
-            p.timeout_fraction,
-            p.messages_per_request,
-        )
-        for p in points
-    ]
-    print_table(
-        "Concurrent redundancy vs. retransmission "
-        "(best replica crashes at t=8 s; Pc = 0.9)",
-        ["strategy", "deadline ms", "failure prob", "timeout frac",
-         "msgs/request"],
-        rows,
-    )
-
-
-if __name__ == "__main__":
-    main()
+EXPERIMENT = Experiment(
+    key="A13",
+    title="A13 redundancy vs retransmission",
+    point=point,
+    grid=grid(),
+    seeds=(0, 1, 2),
+    quick_grid=grid(deadlines_ms=(140.0,), num_requests=25),
+    quick_seeds=(0,),
+    tables=(
+        Table(
+            "Concurrent redundancy vs. retransmission "
+            "(best replica crashes at t=8 s; Pc = 0.9)",
+            (
+                ("strategy", "strategy"),
+                ("deadline ms", "deadline_ms"),
+                ("failure prob", "failure_probability"),
+                ("timeout frac", "timeout_fraction"),
+                ("msgs/request", "messages_per_request"),
+            ),
+        ),
+    ),
+)

@@ -11,151 +11,91 @@ per issued client request).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Dict, Sequence, Tuple
 
-from ..core.baselines import AllReplicasPolicy, SingleFastestPolicy
-from ..core.qos import QoSSpec
-from ..core.selection import SelectionPolicy
-from ..workload.scenarios import Scenario, ScenarioConfig
-from .harness import average, print_table
+from ..sim.random import Exponential
+from ..workload.scenarios import ScenarioConfig
+from .harness import pooled_metrics, run_clients
+from .registry import Experiment, Table, cartesian
 
-__all__ = ["ScalabilityPoint", "run_client_count", "run", "main"]
+__all__ = ["POLICIES", "grid", "point", "EXPERIMENT"]
 
-
-@dataclass(frozen=True)
-class ScalabilityPoint:
-    """Averaged metrics for one (policy, client count) cell."""
-
-    policy: str
-    num_clients: int
-    failure_probability: float
-    mean_redundancy: float
-    mean_response_ms: float
-    #: Requests *serviced* per replica per issued request (the historic
-    #: column): copies dropped on the wire or shed before dispatch never
-    #: reach a servant, so this understates the offered load.
-    server_load_amplification: float
-    #: Copies *offered* to the server tier (multicast copies plus
-    #: retransmitted copies) per admitted request (issued minus shed) —
-    #: a shedding policy cannot game this one by dropping work.
-    effective_load_amplification: float
-    runs: int
+POLICIES = ("dynamic (paper)", "all-replicas", "single-fastest")
+DEADLINE_MS, MIN_PROBABILITY = 160.0, 0.9
+THINK_MEAN_MS = 1000.0
 
 
-def run_client_count(
-    policy_factory: Optional[Callable[[], SelectionPolicy]],
-    policy_name: str,
-    num_clients: int,
-    deadline_ms: float = 160.0,
-    min_probability: float = 0.9,
-    seeds: Sequence[int] = (0, 1),
-    num_requests: int = 30,
-    think_mean_ms: float = 1000.0,
-) -> ScalabilityPoint:
-    """One cell of the scalability sweep."""
-    from ..sim.random import Exponential
-
-    failures, redundancy, response, amplification = [], [], [], []
-    effective = []
-    for seed in seeds:
-        scenario = Scenario(ScenarioConfig(seed=seed))
-        clients = [
-            scenario.add_client(
-                f"client-{i + 1}",
-                QoSSpec(
-                    scenario.config.service,
-                    deadline_ms=deadline_ms,
-                    min_probability=min_probability,
-                ),
-                policy=policy_factory() if policy_factory else None,
-                num_requests=num_requests,
-                think_time=Exponential(think_mean_ms),
-            )
-            for i in range(num_clients)
-        ]
-        scenario.run_to_completion()
-        summaries = [c.summary() for c in clients]
-        total_requests = sum(s.requests for s in summaries)
-        total_failures = sum(s.timing_failures for s in summaries)
-        served = sum(
-            scenario.manager.handler_on(host).app.requests_served
-            for host in scenario.config.replica_hosts()
-        )
-        failures.append(total_failures / total_requests)
-        redundancy.append(
-            sum(s.mean_redundancy * s.requests for s in summaries) / total_requests
-        )
-        response.append(
-            sum(s.mean_response_ms * s.requests for s in summaries) / total_requests
-        )
-        amplification.append(served / total_requests)
-        # Offered copies: every multicast copy of every admitted request
-        # (mean_redundancy is measured over non-shed outcomes) plus every
-        # retransmitted copy, over the issued-minus-shed denominator.
-        copies = sum(s.mean_redundancy * s.admitted for s in summaries)
-        retransmitted = sum(
-            getattr(handler, "retransmissions", 0)
-            for handler in scenario.handlers.values()
-        )
-        admitted = sum(s.admitted for s in summaries)
-        effective.append((copies + retransmitted) / max(admitted, 1))
-    return ScalabilityPoint(
-        policy=policy_name,
-        num_clients=num_clients,
-        failure_probability=average(failures),
-        mean_redundancy=average(redundancy),
-        mean_response_ms=average(response),
-        server_load_amplification=average(amplification),
-        effective_load_amplification=average(effective),
-        runs=len(seeds),
+def grid(
+    client_counts: Sequence[int] = (1, 2, 4, 8, 16), num_requests: int = 30
+) -> Tuple[dict, ...]:
+    """Every policy at every client count."""
+    return cartesian(
+        policy=POLICIES, num_clients=client_counts, num_requests=[num_requests]
     )
 
 
-def run(
-    client_counts: Sequence[int] = (1, 2, 4, 8, 16),
-    seeds: Sequence[int] = (0, 1),
-    num_requests: int = 30,
-) -> List[ScalabilityPoint]:
-    """Sweep client counts for dynamic, all-replicas and single-fastest."""
-    policies: List = [
-        (None, "dynamic (paper)"),
-        (AllReplicasPolicy, "all-replicas"),
-        (SingleFastestPolicy, "single-fastest"),
-    ]
-    points = []
-    for factory, name in policies:
-        for count in client_counts:
-            points.append(
-                run_client_count(
-                    factory, name, count, seeds=seeds, num_requests=num_requests
-                )
-            )
-    return points
+def point(params: dict, seed: int, repetition: int) -> Dict[str, float]:
+    """One run of ``num_clients`` closed-loop clients under one policy.
 
-
-def main() -> None:
-    """Print the scalability table."""
-    points = run()
-    rows = [
-        (
-            p.policy,
-            p.num_clients,
-            p.failure_probability,
-            p.mean_redundancy,
-            p.mean_response_ms,
-            p.server_load_amplification,
-            p.effective_load_amplification,
-        )
-        for p in points
-    ]
-    print_table(
-        "Scalability with concurrent clients (deadline 160 ms, Pc = 0.9)",
-        ["policy", "clients", "failure prob", "mean redundancy",
-         "mean response ms", "replica msgs/request", "offered copies/admitted"],
-        rows,
+    ``server_load_amplification`` is requests *serviced* per replica per
+    issued request (the historic column): copies dropped on the wire or
+    shed before dispatch never reach a servant, so it understates the
+    offered load.  ``effective_load_amplification`` is copies *offered*
+    to the server tier (multicast copies plus retransmitted copies) per
+    admitted request (issued minus shed) — a shedding policy cannot game
+    that one by dropping work.
+    """
+    scenario, clients = run_clients(
+        ScenarioConfig(seed=seed),
+        params["num_clients"],
+        DEADLINE_MS,
+        MIN_PROBABILITY,
+        params["num_requests"],
+        policy=params["policy"],
+        think_time=Exponential(THINK_MEAN_MS),
     )
+    summaries = [c.summary() for c in clients]
+    total_requests = sum(s.requests for s in summaries)
+    served = sum(
+        scenario.manager.handler_on(host).app.requests_served
+        for host in scenario.config.replica_hosts()
+    )
+    # Offered copies: every multicast copy of every admitted request
+    # (mean_redundancy is measured over non-shed outcomes) plus every
+    # retransmitted copy, over the issued-minus-shed denominator.
+    copies = sum(s.mean_redundancy * s.admitted for s in summaries)
+    retransmitted = sum(
+        getattr(handler, "retransmissions", 0)
+        for handler in scenario.handlers.values()
+    )
+    admitted = sum(s.admitted for s in summaries)
+    return {
+        **pooled_metrics(summaries),
+        "server_load_amplification": served / total_requests,
+        "effective_load_amplification": (copies + retransmitted) / max(admitted, 1),
+    }
 
 
-if __name__ == "__main__":
-    main()
+EXPERIMENT = Experiment(
+    key="A5",
+    title="A5 scalability",
+    point=point,
+    grid=grid(),
+    seeds=(0, 1),
+    quick_grid=grid(client_counts=(1, 4), num_requests=15),
+    quick_seeds=(0,),
+    tables=(
+        Table(
+            "Scalability with concurrent clients (deadline 160 ms, Pc = 0.9)",
+            (
+                ("policy", "policy"),
+                ("clients", "num_clients"),
+                ("failure prob", "failure_probability"),
+                ("mean redundancy", "mean_redundancy"),
+                ("mean response ms", "mean_response_ms"),
+                ("replica msgs/request", "server_load_amplification"),
+                ("offered copies/admitted", "effective_load_amplification"),
+            ),
+        ),
+    ),
+)

@@ -9,99 +9,71 @@ load steps up mid-run — where a too-large window should visibly lag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, Sequence, Tuple
 
-from ..replica.load import ConstantLoad, StepLoad
+from ..replica.load import ConstantLoad, LoadModel, StepLoad
 from ..workload.scenarios import ScenarioConfig
-from .harness import average, print_table, run_two_client_experiment
+from .harness import run_two_client_experiment, summary_metrics
+from .registry import Experiment, Table, cartesian
 
-__all__ = ["WindowResult", "run", "main", "WINDOW_SIZES"]
+__all__ = ["WINDOW_SIZES", "grid", "point", "EXPERIMENT"]
 
 WINDOW_SIZES = (2, 5, 10, 20, 50)
+DEADLINE_MS, MIN_PROBABILITY = 140.0, 0.9
 
 
-@dataclass(frozen=True)
-class WindowResult:
-    """Averaged metrics for one window size."""
-
-    window_size: int
-    workload: str
-    failure_probability: float
-    mean_redundancy: float
-    runs: int
+def _step_load(host: str) -> LoadModel:
+    """Replicas 1-3 become 3x slower at t = 20 s."""
+    if host in ("replica-1", "replica-2", "replica-3"):
+        return StepLoad([(20_000.0, 3.0)], initial=1.0)
+    return ConstantLoad(1.0)
 
 
-def _step_load_config(seed: int, window_size: int) -> ScenarioConfig:
-    """Fig. 4 workload but replicas 1-3 become 3x slower at t = 20 s."""
-
-    def load_factory(host: str):
-        if host in ("replica-1", "replica-2", "replica-3"):
-            return StepLoad([(20_000.0, 3.0)], initial=1.0)
-        return ConstantLoad(1.0)
-
-    return ScenarioConfig(
-        seed=seed, window_size=window_size, load_factory=load_factory
+def grid(
+    window_sizes: Sequence[int] = WINDOW_SIZES, num_requests: int = 50
+) -> Tuple[dict, ...]:
+    """l swept on the stationary and the load-step workloads."""
+    return cartesian(
+        workload=("stationary", "load-step"),
+        window_size=window_sizes,
+        num_requests=[num_requests],
     )
 
 
-def run(
-    window_sizes: Sequence[int] = WINDOW_SIZES,
-    deadline_ms: float = 140.0,
-    min_probability: float = 0.9,
-    seeds: Sequence[int] = (0, 1, 2),
-    num_requests: int = 50,
-) -> List[WindowResult]:
-    """Sweep l on the stationary and the load-step workloads."""
-    results = []
-    for workload in ("stationary", "load-step"):
-        for window_size in window_sizes:
-            per_seed = []
-            for seed in seeds:
-                config: Optional[ScenarioConfig]
-                if workload == "load-step":
-                    config = _step_load_config(seed, window_size)
-                else:
-                    config = ScenarioConfig(seed=seed, window_size=window_size)
-                per_seed.append(
-                    run_two_client_experiment(
-                        deadline_ms=deadline_ms,
-                        min_probability=min_probability,
-                        seed=seed,
-                        num_requests=num_requests,
-                        window_size=window_size,
-                        config=config,
-                    )
-                )
-            results.append(
-                WindowResult(
-                    window_size=window_size,
-                    workload=workload,
-                    failure_probability=average(
-                        [r.failure_probability for r in per_seed]
-                    ),
-                    mean_redundancy=average(
-                        [r.client2.mean_redundancy for r in per_seed]
-                    ),
-                    runs=len(per_seed),
-                )
-            )
-    return results
-
-
-def main() -> None:
-    """Print the window-sensitivity table."""
-    results = run()
-    rows = [
-        (r.workload, r.window_size, r.failure_probability, r.mean_redundancy)
-        for r in results
-    ]
-    print_table(
-        "Sliding-window sensitivity (deadline 140 ms, Pc = 0.9)",
-        ["workload", "window l", "failure prob", "mean redundancy"],
-        rows,
+def point(params: dict, seed: int, repetition: int) -> Dict[str, float]:
+    """One Fig. 4 run at window size l, optionally with the load step."""
+    result = run_two_client_experiment(
+        DEADLINE_MS,
+        MIN_PROBABILITY,
+        num_requests=params["num_requests"],
+        config=ScenarioConfig(
+            seed=seed,
+            window_size=params["window_size"],
+            load_factory=(
+                _step_load if params["workload"] == "load-step" else None
+            ),
+        ),
     )
+    return summary_metrics(result.client2)
 
 
-if __name__ == "__main__":
-    main()
+EXPERIMENT = Experiment(
+    key="A3",
+    title="A3 window sensitivity",
+    point=point,
+    grid=grid(),
+    seeds=(0, 1, 2),
+    quick_grid=grid(window_sizes=(2, 20), num_requests=20),
+    quick_seeds=(0,),
+    tables=(
+        Table(
+            "Sliding-window sensitivity (deadline 140 ms, Pc = 0.9)",
+            (
+                ("workload", "workload"),
+                ("window l", "window_size"),
+                ("failure prob", "failure_probability"),
+                ("mean redundancy", "mean_redundancy"),
+            ),
+        ),
+    ),
+)

@@ -25,37 +25,33 @@ the smallest fault subset that still reproduces the failure.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-from ..core.qos import QoSSpec
-from ..gateway.gateway import Gateway
-from ..gateway.handlers.timing_fault import (
-    TimingFaultClientHandler,
-    TimingFaultServerHandler,
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
 )
-from ..group.ensemble import GroupCommunication
-from ..group.failure_detector import FailureDetector
+
+from ..gateway.handlers.timing_fault import TimingFaultClientHandler
 from ..health import HealthConfig
-from ..net.lan import LanModel, LinkProfile
 from ..net.message import reset_message_ids
-from ..net.transport import Transport
-from ..orb.iiop import MarshallingModel
-from ..orb.orb import Orb
-from ..replica.load import ServiceProfile
-from ..replica.server import ReplicaApplication
 from ..rng import RNGManager, derive_entity_seed
-from ..sim.hostclock import ClockRegistry
-from ..sim.kernel import Simulator
-from ..sim.random import Constant, RandomStreams
-from .auditor import LifecycleAuditor
+from ..sim.random import Constant
 from .clock import ClockDriver
 from .drivers import LifecycleFaultDriver
 from .overload import OverloadDriver
 from .partition import PartitionDriver
 from .schedule import FaultSchedule, random_fault_schedule
-from .transport import FaultyTransport
+
+if TYPE_CHECKING:
+    from ..workload.ministack import MiniStack
 
 __all__ = [
     "CampaignConfig",
@@ -74,17 +70,7 @@ SERVICE = "search"
 METHOD = "process"
 
 #: Every schedule family ddmin shrinks over, in FaultSchedule order.
-_FAMILIES = (
-    "drops",
-    "delays",
-    "duplicates",
-    "crashes",
-    "churn",
-    "degradations",
-    "overloads",
-    "partitions",
-    "clocks",
-)
+_FAMILIES = tuple(f.name for f in dataclasses.fields(FaultSchedule))
 
 
 @dataclass(frozen=True)
@@ -251,152 +237,82 @@ class CampaignResult:
         return not self.failures
 
 
-class _ChaosStack:
-    """One scenario's deployment: mini AQuA stack + every fault driver."""
+_HEALTH = HealthConfig(
+    suspect_after=2,
+    quarantine_after=1,
+    recover_after=2,
+    probation_after=2,
+    backoff_initial_ms=200.0,
+    backoff_factor=2.0,
+    backoff_max_ms=1600.0,
+    unreachable_after=3,
+    clock_anomaly_after=3,
+)
 
-    def __init__(
-        self,
-        cfg: CampaignConfig,
-        schedule: FaultSchedule,
-        scenario_seed: int,
-        wire_seed: int,
-        handler_cls: type = TimingFaultClientHandler,
-    ) -> None:
-        # Imported here, not at module scope: workload.scenarios itself
-        # imports the auditor, and a module-level import would close an
-        # import cycle through the faultinject package __init__.
-        from ..workload.scenarios import IntegerServant, make_interface
 
-        self.cfg = cfg
-        self.sim = Simulator()
-        self.clock_registry = ClockRegistry(self.sim)
-        self.streams = RandomStreams(seed=scenario_seed)
-        profile = LinkProfile(
-            stack_ms=1.0, per_kb_ms=0.0, per_member_ms=0.0, jitter=Constant(0.0)
-        )
-        self.lan = LanModel(self.streams, default_profile=profile)
-        self.transport = FaultyTransport(
-            Transport(self.sim, self.lan),
-            schedule=schedule,
-            streams=RNGManager(wire_seed),
-        )
-        detector = FailureDetector(
-            self.sim,
-            self.lan,
-            poll_interval_ms=10.0,
-            confirm_polls=2,
-            vantage=cfg.client_hosts[0],
-        )
-        self.group_comm = GroupCommunication(
-            self.sim,
-            self.lan,
-            self.transport,
-            notify_delay_ms=1.0,
-            failure_detector=detector,
-        )
-        marshalling = MarshallingModel(
-            base_ms=0.0, per_kb_ms=0.0, envelope_bytes=0
-        )
-        interface = make_interface(SERVICE, METHOD)
-        self.auditor = LifecycleAuditor()
-        self.auditor.set_schedule(schedule)
-        self.servers: Dict[str, TimingFaultServerHandler] = {}
-        for host in cfg.replica_hosts:
-            self.lan.add_host(host)
-            app = ReplicaApplication(
-                host=host,
-                servant=IntegerServant(interface, METHOD),
-                profile=ServiceProfile(default=Constant(cfg.service_ms)),
-                streams=self.streams,
-            )
-            server = TimingFaultServerHandler(
-                sim=self.sim,
-                app=app,
-                transport=self.transport,
-                marshalling=marshalling,
-                clock=self.clock_registry.clock(host),
-            )
-            Gateway(host, self.sim, self.transport).load_handler(server)
-            self.group_comm.join(SERVICE, host, watch=True)
-            self.servers[host] = server
-            self.auditor.watch_server(server)
+def _build_stack(
+    cfg: CampaignConfig,
+    schedule: FaultSchedule,
+    scenario_seed: int,
+    wire_seed: int,
+    handler_cls: type,
+) -> "MiniStack":
+    """One scenario's deployment: a mini stack plus every fault driver."""
+    # Imported here, not at module scope: the workload package imports
+    # the auditor, and a module-level import would close an import cycle
+    # through the faultinject package __init__.
+    from ..workload.ministack import MiniStack
 
-        health = HealthConfig(
-            suspect_after=2,
-            quarantine_after=1,
-            recover_after=2,
-            probation_after=2,
-            backoff_initial_ms=200.0,
-            backoff_factor=2.0,
-            backoff_max_ms=1600.0,
-            unreachable_after=3,
-            clock_anomaly_after=3,
+    stack = MiniStack(seed=scenario_seed, schedule=schedule, wire_seed=wire_seed)
+    # Observe from the first client, so a partition evicts like a crash.
+    stack.detector.vantage = cfg.client_hosts[0]
+    for host in cfg.replica_hosts:
+        stack.add_server(host, service_time=Constant(cfg.service_ms))
+    for host in cfg.client_hosts:
+        stack.add_client(
+            host,
+            deadline_ms=cfg.deadline_ms,
+            min_probability=cfg.min_probability,
+            handler_cls=handler_cls,
+            response_timeout_factor=3.0,
+            probe_interval_ms=50.0,
+            health_config=_HEALTH,
         )
-        self.stubs: Dict[str, Any] = {}
-        self.clients: Dict[str, TimingFaultClientHandler] = {}
-        for host in cfg.client_hosts:
-            self.lan.add_host(host)
-            client = handler_cls(
-                sim=self.sim,
-                host=host,
-                transport=self.transport,
-                group_comm=self.group_comm,
-                interface=interface,
-                qos=QoSSpec(SERVICE, cfg.deadline_ms, cfg.min_probability),
-                marshalling=marshalling,
-                selection_charge_ms=0.0,
-                rng=self.streams.stream(f"client.{host}.policy"),
-                response_timeout_factor=3.0,
-                probe_interval_ms=50.0,
-                health_config=health,
-                clock=self.clock_registry.clock(host),
-            )
-            Gateway(host, self.sim, self.transport).load_handler(client)
-            self.auditor.watch_client(client)
-            self.clients[host] = client
-            orb = Orb()
-            orb.register_interface(interface)
-            orb.bind_interceptor(SERVICE, client)
-            self.stubs[host] = orb.stub(SERVICE)
-
-        self.lifecycle_driver = LifecycleFaultDriver(
-            sim=self.sim,
-            lan=self.lan,
-            group_comm=self.group_comm,
-            service=SERVICE,
-            servers=self.servers,
-        )
-        self.partition_driver = PartitionDriver(
-            sim=self.sim,
-            lan=self.lan,
-            group_comm=self.group_comm,
-            service=SERVICE,
-            replicas=cfg.replica_hosts,
-        )
-        self.overload_driver = OverloadDriver(
-            sim=self.sim,
-            submitters={
-                host: (
-                    lambda arg, stub=self.stubs[host]: stub.invoke(METHOD, arg)
-                )
-                for host in cfg.client_hosts
-            },
-        )
-        self.clock_driver = ClockDriver(
-            sim=self.sim,
-            clocks=self.clock_registry.clocks(),
-            streams=RNGManager(derive_entity_seed(wire_seed, "chaos.clock", 0, 0)),
-        )
-        self.lifecycle_driver.apply(schedule)
-        self.partition_driver.apply(schedule)
-        self.overload_driver.apply(schedule)
-        self.clock_driver.apply(schedule)
+    LifecycleFaultDriver(
+        sim=stack.sim,
+        lan=stack.lan,
+        group_comm=stack.group_comm,
+        service=SERVICE,
+        servers=stack.servers,
+    ).apply(schedule)
+    PartitionDriver(
+        sim=stack.sim,
+        lan=stack.lan,
+        group_comm=stack.group_comm,
+        service=SERVICE,
+        replicas=cfg.replica_hosts,
+    ).apply(schedule)
+    OverloadDriver(
+        sim=stack.sim,
+        submitters={
+            host: (lambda arg, stub=stack.stubs[host]: stub.invoke(METHOD, arg))
+            for host in cfg.client_hosts
+        },
+    ).apply(schedule)
+    ClockDriver(
+        sim=stack.sim,
+        clocks=stack.clocks.clocks(),
+        streams=RNGManager(derive_entity_seed(wire_seed, "chaos.clock", 0, 0)),
+    ).apply(schedule)
+    return stack
 
 
 def _closed_loop(
-    stack: _ChaosStack, host: str, outcomes: List[Tuple[float, Any]]
+    cfg: CampaignConfig,
+    stack: "MiniStack",
+    host: str,
+    outcomes: List[Tuple[float, Any]],
 ) -> Any:
-    cfg = stack.cfg
     stub = stack.stubs[host]
     for i in range(cfg.requests_per_client):
         t0 = stack.sim.now
@@ -427,7 +343,7 @@ def run_scenario(
         schedule = draw_composed_schedule(cfg, index)
     digest = schedule_digest(schedule)
     replay = cfg.replay_line(index, digest)
-    stack = _ChaosStack(
+    stack = _build_stack(
         cfg,
         schedule,
         scenario_seed=cfg.scenario_seed(index),
@@ -438,7 +354,7 @@ def run_scenario(
     outcomes: List[Tuple[float, Any]] = []
     for host in cfg.client_hosts:
         stack.sim.spawn(
-            _closed_loop(stack, host, outcomes), name=f"load.{host}"
+            _closed_loop(cfg, stack, host, outcomes), name=f"load.{host}"
         )
     stack.sim.run()
     # Let detector polls / re-admission probes settle past the horizon so

@@ -1,8 +1,8 @@
 """Fault schedules: declarative descriptions of hostile conditions.
 
-A :class:`FaultSchedule` bundles the five fault families the request path
-must survive (ISSUE 2 / paper §3's "occasional periods of high traffic"
-plus the crash and churn behaviours of §5.3.2):
+A :class:`FaultSchedule` bundles the nine fault families the request path
+must survive (paper §3's "occasional periods of high traffic" plus the
+crash and churn behaviours of §5.3.2, and the planes added since):
 
 * **message drops** (:class:`DropRule`) — omission faults on the wire,
 * **delay spikes** (:class:`DelayRule`) — transient congestion,
@@ -12,6 +12,9 @@ plus the crash and churn behaviours of §5.3.2):
   optionally coming back as a fresh incarnation,
 * **view churn** (:class:`ChurnFault`) — graceful leaves/rejoins that
   reshape the membership view under traffic,
+* **persistent degradation** (:class:`DegradationFault`) — a live host
+  that slows down or drops its traffic,
+* **overload surges** (:class:`OverloadFault`) — open-loop flash crowds,
 * **network partitions** (:class:`~repro.faultinject.partition.PartitionFault`)
   — split-brain, one-way and grey connectivity cuts,
 * **clock faults** (:class:`~repro.faultinject.clock.ClockFault`) —
@@ -21,14 +24,16 @@ Rules are pure data; :class:`~repro.faultinject.transport.FaultyTransport`
 interprets the message-level rules,
 :class:`~repro.faultinject.drivers.LifecycleFaultDriver` the host-level
 ones and :class:`~repro.faultinject.partition.PartitionDriver` the
-connectivity cuts.  :func:`random_fault_schedule` draws a randomized schedule from a
-``numpy`` generator — the workhorse of the ``tests/faults`` suite.
+connectivity cuts.  :func:`random_fault_schedule` draws a randomized
+schedule from an :class:`~repro.rng.RNGManager`, one named substream per
+fault window — the workhorse of the ``tests/faults`` suite and the
+chaos campaign.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, fields
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -261,36 +266,20 @@ class FaultSchedule:
     def merged(self, other: "FaultSchedule") -> "FaultSchedule":
         """Union of two schedules (composable scenarios)."""
         return FaultSchedule(
-            drops=self.drops + other.drops,
-            delays=self.delays + other.delays,
-            duplicates=self.duplicates + other.duplicates,
-            crashes=self.crashes + other.crashes,
-            churn=self.churn + other.churn,
-            degradations=self.degradations + other.degradations,
-            overloads=self.overloads + other.overloads,
-            partitions=self.partitions + other.partitions,
-            clocks=self.clocks + other.clocks,
+            **{
+                f.name: getattr(self, f.name) + getattr(other, f.name)
+                for f in fields(self)
+            }
         )
 
     def __len__(self) -> int:
-        return (
-            len(self.drops)
-            + len(self.delays)
-            + len(self.duplicates)
-            + len(self.crashes)
-            + len(self.churn)
-            + len(self.degradations)
-            + len(self.overloads)
-            + len(self.partitions)
-            + len(self.clocks)
-        )
+        return sum(len(getattr(self, f.name)) for f in fields(self))
 
     def __repr__(self) -> str:
-        # Hand-rolled to stay byte-identical with the pre-partition
-        # dataclass repr when the partition family is empty: the frozen
-        # legacy schedule digests (tests/faults/test_schedule_streams.py)
-        # are sha256 over this repr.
-        fields = [
+        # Hand-rolled, and frozen: schedule digests (every campaign
+        # replay line, the A17 digest) are sha256 over this repr, which
+        # omits the two newest families while they are empty.
+        parts = [
             f"drops={self.drops!r}",
             f"delays={self.delays!r}",
             f"duplicates={self.duplicates!r}",
@@ -300,10 +289,10 @@ class FaultSchedule:
             f"overloads={self.overloads!r}",
         ]
         if self.partitions:
-            fields.append(f"partitions={self.partitions!r}")
+            parts.append(f"partitions={self.partitions!r}")
         if self.clocks:
-            fields.append(f"clocks={self.clocks!r}")
-        return f"FaultSchedule({', '.join(fields)})"
+            parts.append(f"clocks={self.clocks!r}")
+        return f"FaultSchedule({', '.join(parts)})"
 
 
 def _draw_window(
@@ -412,7 +401,7 @@ def _draw_clock_fault(
 
 
 def random_fault_schedule(
-    rng: Union[np.random.Generator, RNGManager],
+    streams: RNGManager,
     horizon_ms: float,
     replicas: Sequence[str],
     drop_windows: int = 3,
@@ -446,182 +435,57 @@ def random_fault_schedule(
     overload windows always end by 85% of the horizon, so a drained run
     has recovered.
 
-    ``rng`` selects one of two seeding disciplines:
-
-    * an :class:`~repro.rng.RNGManager` (preferred) draws each fault
-      window from its own named substream — ``("faults.<family>", i)``
-      for window ``i`` of ``<family>`` — so every window is independent
-      of every other: changing any family's window count, or adding an
-      entirely new fault family, never perturbs the windows other
-      families draw (docs/REPRODUCIBILITY.md);
-    * a plain :class:`numpy.random.Generator` reproduces the **legacy
-      sequential path** bit-for-bit: families draw in fixed order from
-      the single generator, with ``degradations`` and then
-      ``overload_windows`` drawn last so historic schedules with the
-      default counts stay byte-identical for a given seed.  This path is
-      frozen — new fault families must draw via the manager discipline,
-      and the legacy order is pinned by a regression test.
+    Each fault window draws from its own named substream of ``streams``
+    — ``("faults.<family>", i)`` for window ``i`` of ``<family>`` — so
+    every window is independent of every other: changing any family's
+    window count, or adding an entirely new fault family, never perturbs
+    the windows other families draw (docs/REPRODUCIBILITY.md).
     """
     if horizon_ms <= 0:
         raise ValueError(f"horizon_ms must be > 0, got {horizon_ms}")
     if not replicas:
         raise ValueError("need at least one replica to inject faults into")
 
-    if isinstance(rng, RNGManager):
-        # Named-substream discipline: one independent generator per
-        # (family, window index) key; draw order is irrelevant.
-        drops = []
-        for i in range(drop_windows):
-            g = rng.substream("faults.drops", i)
-            start, end = _draw_window(g, horizon_ms, window_fraction)
-            drops.append(
-                DropRule(
-                    start_ms=start, end_ms=end, probability=drop_probability
-                )
-            )
-        delays = []
-        for i in range(delay_windows):
-            g = rng.substream("faults.delays", i)
-            start, end = _draw_window(g, horizon_ms, window_fraction)
-            delays.append(
-                DelayRule(
-                    start_ms=start,
-                    end_ms=end,
-                    extra_ms=g.uniform(1.0, max_extra_ms),
-                )
-            )
-        duplicates = []
-        for i in range(duplicate_windows):
-            g = rng.substream("faults.duplicates", i)
-            start, end = _draw_window(g, horizon_ms, window_fraction)
-            duplicates.append(
-                DuplicateRule(
-                    start_ms=start,
-                    end_ms=end,
-                    probability=duplicate_probability,
-                    copies=int(g.integers(1, 3)),
-                    late_by_ms=g.uniform(0.0, max_late_by_ms),
-                )
-            )
-        crashes = []
-        for i in range(crash_restarts):
-            g = rng.substream("faults.crashes", i)
-            host, crash_at, restart_at = _draw_host_window(
-                g, replicas, horizon_ms
-            )
-            crashes.append(
-                CrashRestartFault(
-                    host=host, crash_at_ms=crash_at, restart_at_ms=restart_at
-                )
-            )
-        churn = []
-        for i in range(churn_events):
-            g = rng.substream("faults.churn", i)
-            member, leave_at, rejoin_at = _draw_host_window(
-                g, replicas, horizon_ms
-            )
-            churn.append(
-                ChurnFault(
-                    member=member, leave_at_ms=leave_at, rejoin_at_ms=rejoin_at
-                )
-            )
-        degraded = []
-        for i in range(degradations):
-            g = rng.substream("faults.degradations", i)
-            host = str(g.choice(list(replicas)))
-            start, end = _draw_drained_window(g, horizon_ms, window_fraction)
-            degraded.append(
-                DegradationFault(
-                    host=host,
-                    start_ms=start,
-                    end_ms=end,
-                    slow_factor=float(g.uniform(1.5, max_slow_factor)),
-                    omission_probability=degradation_omission_probability,
-                )
-            )
-        overloads = []
-        for i in range(overload_windows):
-            g = rng.substream("faults.overloads", i)
-            start, end = _draw_drained_window(g, horizon_ms, window_fraction)
-            overloads.append(
-                OverloadFault(
-                    start_ms=start,
-                    end_ms=end,
-                    surge_interarrival_ms=surge_interarrival_ms,
-                )
-            )
-        partitions = []
-        for i in range(partition_windows):
-            g = rng.substream("faults.partition", i)
-            partitions.append(
-                _draw_partition(
-                    g,
-                    replicas,
-                    horizon_ms,
-                    window_fraction,
-                    partition_flap_probability,
-                    partition_grey_probability,
-                )
-            )
-        clocks = []
-        for i in range(clock_windows):
-            g = rng.substream("faults.clock", i)
-            clocks.append(
-                _draw_clock_fault(
-                    g,
-                    replicas,
-                    horizon_ms,
-                    window_fraction,
-                    max_clock_skew_ms,
-                    max_clock_drift_ppm,
-                )
-            )
-        return FaultSchedule(
-            drops=tuple(drops),
-            delays=tuple(delays),
-            duplicates=tuple(duplicates),
-            crashes=tuple(crashes),
-            churn=tuple(churn),
-            degradations=tuple(degraded),
-            overloads=tuple(overloads),
-            partitions=tuple(partitions),
-            clocks=tuple(clocks),
-        )
-
-    # Legacy sequential path: one generator, fixed family order.  Frozen;
-    # pinned bit-for-bit by tests/faults/test_schedule_streams.py.
+    # Named-substream discipline: one independent generator per
+    # (family, window index) key; draw order is irrelevant.
     drops = []
-    for _ in range(drop_windows):
-        start, end = _draw_window(rng, horizon_ms, window_fraction)
+    for i in range(drop_windows):
+        g = streams.substream("faults.drops", i)
+        start, end = _draw_window(g, horizon_ms, window_fraction)
         drops.append(
-            DropRule(start_ms=start, end_ms=end, probability=drop_probability)
+            DropRule(
+                start_ms=start, end_ms=end, probability=drop_probability
+            )
         )
     delays = []
-    for _ in range(delay_windows):
-        start, end = _draw_window(rng, horizon_ms, window_fraction)
+    for i in range(delay_windows):
+        g = streams.substream("faults.delays", i)
+        start, end = _draw_window(g, horizon_ms, window_fraction)
         delays.append(
             DelayRule(
                 start_ms=start,
                 end_ms=end,
-                extra_ms=rng.uniform(1.0, max_extra_ms),
+                extra_ms=g.uniform(1.0, max_extra_ms),
             )
         )
     duplicates = []
-    for _ in range(duplicate_windows):
-        start, end = _draw_window(rng, horizon_ms, window_fraction)
+    for i in range(duplicate_windows):
+        g = streams.substream("faults.duplicates", i)
+        start, end = _draw_window(g, horizon_ms, window_fraction)
         duplicates.append(
             DuplicateRule(
                 start_ms=start,
                 end_ms=end,
                 probability=duplicate_probability,
-                copies=int(rng.integers(1, 3)),
-                late_by_ms=rng.uniform(0.0, max_late_by_ms),
+                copies=int(g.integers(1, 3)),
+                late_by_ms=g.uniform(0.0, max_late_by_ms),
             )
         )
     crashes = []
-    for _ in range(crash_restarts):
+    for i in range(crash_restarts):
+        g = streams.substream("faults.crashes", i)
         host, crash_at, restart_at = _draw_host_window(
-            rng, replicas, horizon_ms
+            g, replicas, horizon_ms
         )
         crashes.append(
             CrashRestartFault(
@@ -629,31 +493,34 @@ def random_fault_schedule(
             )
         )
     churn = []
-    for _ in range(churn_events):
+    for i in range(churn_events):
+        g = streams.substream("faults.churn", i)
         member, leave_at, rejoin_at = _draw_host_window(
-            rng, replicas, horizon_ms
+            g, replicas, horizon_ms
         )
         churn.append(
-            ChurnFault(member=member, leave_at_ms=leave_at, rejoin_at_ms=rejoin_at)
+            ChurnFault(
+                member=member, leave_at_ms=leave_at, rejoin_at_ms=rejoin_at
+            )
         )
     degraded = []
-    # Drawn last so degradations=0 reproduces historic schedules exactly.
-    for _ in range(degradations):
-        host = str(rng.choice(list(replicas)))
-        start, end = _draw_drained_window(rng, horizon_ms, window_fraction)
+    for i in range(degradations):
+        g = streams.substream("faults.degradations", i)
+        host = str(g.choice(list(replicas)))
+        start, end = _draw_drained_window(g, horizon_ms, window_fraction)
         degraded.append(
             DegradationFault(
                 host=host,
                 start_ms=start,
                 end_ms=end,
-                slow_factor=float(rng.uniform(1.5, max_slow_factor)),
+                slow_factor=float(g.uniform(1.5, max_slow_factor)),
                 omission_probability=degradation_omission_probability,
             )
         )
     overloads = []
-    # Also drawn last, after degradations, for the same determinism.
-    for _ in range(overload_windows):
-        start, end = _draw_drained_window(rng, horizon_ms, window_fraction)
+    for i in range(overload_windows):
+        g = streams.substream("faults.overloads", i)
+        start, end = _draw_drained_window(g, horizon_ms, window_fraction)
         overloads.append(
             OverloadFault(
                 start_ms=start,
@@ -662,12 +529,11 @@ def random_fault_schedule(
             )
         )
     partitions = []
-    # Appended after every earlier family so partition_windows=0 keeps
-    # historic schedules byte-identical.
-    for _ in range(partition_windows):
+    for i in range(partition_windows):
+        g = streams.substream("faults.partition", i)
         partitions.append(
             _draw_partition(
-                rng,
+                g,
                 replicas,
                 horizon_ms,
                 window_fraction,
@@ -676,12 +542,11 @@ def random_fault_schedule(
             )
         )
     clocks = []
-    # Newest family, appended after *everything* (partitions included)
-    # so clock_windows=0 keeps historic schedules byte-identical.
-    for _ in range(clock_windows):
+    for i in range(clock_windows):
+        g = streams.substream("faults.clock", i)
         clocks.append(
             _draw_clock_fault(
-                rng,
+                g,
                 replicas,
                 horizon_ms,
                 window_fraction,

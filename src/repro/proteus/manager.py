@@ -27,9 +27,9 @@ from ..orb.object import Servant
 from ..replica.faults import FaultInjector
 from ..replica.load import HostActivity, ServiceProfile
 from ..replica.server import ReplicaApplication
+from ..rng import RNGManager
 from ..sim.hostclock import ClockRegistry
 from ..sim.kernel import Simulator
-from ..sim.random import RandomStreams
 from ..sim.trace import NullTracer, Tracer
 
 __all__ = ["ServiceSpec", "DependabilityManager"]
@@ -73,7 +73,7 @@ class DependabilityManager:
         lan: LanModel,
         transport: Transport,
         group_comm: GroupCommunication,
-        streams: RandomStreams,
+        streams: RNGManager,
         marshalling: Optional[MarshallingModel] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsCollector] = None,

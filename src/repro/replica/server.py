@@ -16,7 +16,7 @@ import numpy as np
 
 from ..orb.dii import DynamicInvoker
 from ..orb.object import MethodRequest, Servant
-from ..sim.random import RandomStreams
+from ..rng import RNGManager
 from .load import HostActivity, ServiceProfile
 
 __all__ = ["ReplicaApplication"]
@@ -43,7 +43,7 @@ class ReplicaApplication:
         host: str,
         servant: Servant,
         profile: ServiceProfile,
-        streams: RandomStreams,
+        streams: RNGManager,
         activity: Optional["HostActivity"] = None,
     ):
         self.host = host

@@ -18,10 +18,7 @@ function of the key:
 * interleaving draws across entity substreams never changes the
   sequence any single entity sees.
 
-The single-part form ``derive_seed(s, name)`` hashes ``f"{s}:{name}"`` —
-byte-identical to the historic ``repro.sim.random`` derivation, so
-rebasing :class:`~repro.sim.random.RandomStreams` on
-:class:`RNGManager` changed no simulation result.
+The single-part form ``derive_seed(s, name)`` hashes ``f"{s}:{name}"``.
 """
 
 from __future__ import annotations
@@ -134,11 +131,6 @@ class RNGManager:
         """Root every stream this manager hands out at ``base_seed``."""
         self.base_seed = int(base_seed)
         self._streams: Dict[Tuple[KeyPart, ...], np.random.Generator] = {}
-
-    @property
-    def seed(self) -> int:
-        """The base seed (legacy alias used by the sim layer)."""
-        return self.base_seed
 
     def child_seed(
         self,

@@ -3,8 +3,8 @@
 This package provides the simulated "machines and wires" on which the
 reproduction runs: an event-driven kernel with a millisecond clock
 (:class:`Simulator`), generator-based processes (:class:`Process`),
-reproducible named random streams (:class:`RandomStreams`) and structured
-tracing (:class:`Tracer`).
+sampling distributions with a uniform ``sample(rng)`` interface and
+structured tracing (:class:`Tracer`).
 """
 
 from .events import AllOf, AnyOf, Event, EventState, Interrupt, SimulationError, Timeout
@@ -21,7 +21,6 @@ from .random import (
     Mixture,
     Normal,
     Pareto,
-    RandomStreams,
     TruncatedNormal,
     Uniform,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "AllOf",
     "Interrupt",
     "SimulationError",
-    "RandomStreams",
     "Distribution",
     "Constant",
     "Uniform",

@@ -6,12 +6,10 @@ changing how often one component draws does not perturb the variates seen
 by the others — the classic "common random numbers" discipline used in
 simulation studies.
 
-Seeding is delegated to :mod:`repro.rng` (the repository's single
-seeding authority): :class:`RandomStreams` is the simulation-facing
-alias of :class:`repro.rng.RNGManager`, kept for the established stream
-naming convention (``"lan.<src>-><dst>"``, ``"client.<host>.think"``,
-…).  The derivation is byte-identical to the historic in-module scheme,
-so the migration changed no simulation result.
+Seeding belongs to :mod:`repro.rng` (the repository's single seeding
+authority): deployments hand every component one
+:class:`repro.rng.RNGManager` and components name their streams
+(``"lan.<src>-><dst>"``, ``"client.<host>.think"``, …).
 
 Distributions used by the reproduction (normal/truncated-normal service
 delays, exponential think times, bursty link delays) are exposed as small
@@ -27,10 +25,7 @@ from typing import Sequence
 import numpy as np
 import numpy.typing as npt
 
-from ..rng import RNGManager
-
 __all__ = [
-    "RandomStreams",
     "Distribution",
     "Constant",
     "Uniform",
@@ -45,27 +40,19 @@ __all__ = [
 ]
 
 
-class RandomStreams(RNGManager):
-    """A family of independent, named random substreams.
+class Distribution:
+    """Base class for one-dimensional sampling distributions.
 
-    A thin subclass of :class:`repro.rng.RNGManager` that pins the
-    simulation layer's seeding to the shared derivation scheme
-    (docs/REPRODUCIBILITY.md).  ``seed`` is the legacy alias for
-    ``base_seed``; ``stream``/``substream``/``fork`` come from the
-    manager unchanged.
+    Every distribution draws from the generator it is handed — in a
+    deployment, a named stream of the shared manager:
 
-    >>> streams = RandomStreams(seed=42)
-    >>> rng = streams.stream("replica-3.service")
-    >>> rng is streams.stream("replica-3.service")
+    >>> from repro.rng import RNGManager
+    >>> rng = RNGManager(base_seed=42).stream("replica-3.service")
+    >>> Constant(8.0).sample(rng)
+    8.0
+    >>> 0.0 <= Uniform(0.0, 2.0).sample(rng) < 2.0
     True
     """
-
-    def __init__(self, seed: int = 0) -> None:
-        super().__init__(base_seed=seed)
-
-
-class Distribution:
-    """Base class for one-dimensional sampling distributions."""
 
     def sample(self, rng: np.random.Generator) -> float:
         """Draw one variate."""

@@ -3,8 +3,8 @@
 A :class:`Scenario` wires kernel, LAN, transport, group communication,
 ORB, Proteus manager, replicas and clients together with one shared seed,
 so experiments and examples only describe *what* varies.  All randomness
-flows through one named-stream :class:`~repro.sim.random.RandomStreams`
-manager (the ``repro.rng`` discipline, docs/REPRODUCIBILITY.md), so a
+flows through one named-stream :class:`~repro.rng.RNGManager` (the
+``repro.rng`` discipline, docs/REPRODUCIBILITY.md), so a
 scenario is replayable from ``config.seed`` alone and adding a component
 never perturbs the draws of existing ones.  The defaults
 reproduce the paper's §6 testbed: seven replicas on distinct hosts, an
@@ -29,53 +29,20 @@ from ..net.lan import LanModel, LinkProfile, bursty_jitter
 from ..net.transport import Transport
 from ..orb.iiop import MarshallingModel
 from ..overload import OverloadConfig
-from ..orb.object import MethodSignature, Servant, ServiceInterface
+from ..orb.object import MethodSignature
 from ..orb.orb import Orb
 from ..proteus.manager import DependabilityManager, ServiceSpec
 from ..replica.faults import CrashSchedule, FaultInjector
 from ..replica.load import ConstantLoad, LoadModel, ServiceProfile
+from ..rng import RNGManager
 from ..sim.hostclock import ClockRegistry
 from ..sim.kernel import Simulator
-from ..sim.random import Constant, Distribution, Normal, RandomStreams
+from ..sim.random import Constant, Distribution, Normal
 from ..sim.trace import NullTracer, Tracer
 from .client import ClosedLoopClient, OpenLoopClient
+from .ministack import IntegerServant, make_interface
 
 __all__ = ["IntegerServant", "ScenarioConfig", "Scenario", "make_interface"]
-
-
-def make_interface(
-    service: str = "search",
-    method: str = "process",
-    request_bytes: int = 64,
-    reply_bytes: int = 64,
-) -> ServiceInterface:
-    """A single-method interface, as the paper assumes (§8: one method)."""
-    interface = ServiceInterface(service)
-    interface.add_method(
-        MethodSignature(
-            name=method, request_bytes=request_bytes, reply_bytes=reply_bytes
-        )
-    )
-    return interface
-
-
-class IntegerServant(Servant):
-    """Replies with integer data, like the paper's test servers (§6).
-
-    Accepts every method on its interface (the reply value is the echoed
-    request index either way); the *duration* differences between methods
-    live in the replica's :class:`ServiceProfile`.
-    """
-
-    def __init__(self, interface: ServiceInterface, method: str = "process"):
-        super().__init__(interface)
-        self._method = method
-
-    def dispatch(self, method: str, args) -> int:
-        if method not in self.interface:
-            raise KeyError(f"unknown method {method!r}")
-        index = args[0] if args else 0
-        return int(index)
 
 
 @dataclass
@@ -142,7 +109,7 @@ class Scenario:
         # One virtual clock per host; handlers stamp on their own host's
         # clock so the clock-fault plane can de-synchronize them.
         self.clocks = ClockRegistry(self.sim)
-        self.streams = RandomStreams(seed=cfg.seed)
+        self.streams = RNGManager(base_seed=cfg.seed)
         self.tracer = Tracer() if cfg.trace else NullTracer()
         self.metrics = MetricsCollector(keep_samples=cfg.keep_samples)
 

@@ -7,7 +7,7 @@ import pytest
 from repro.net.lan import LanModel
 from repro.net.transport import Transport
 from repro.sim.kernel import Simulator
-from repro.sim.random import RandomStreams
+from repro.rng import RNGManager
 from repro.sim.trace import Tracer
 
 
@@ -18,9 +18,9 @@ def sim() -> Simulator:
 
 
 @pytest.fixture
-def streams() -> RandomStreams:
+def streams() -> RNGManager:
     """Deterministic random streams for tests."""
-    return RandomStreams(seed=1234)
+    return RNGManager(base_seed=1234)
 
 
 @pytest.fixture

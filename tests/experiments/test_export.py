@@ -1,9 +1,9 @@
-"""Tests for the CSV figure-data exporter."""
+"""Tests for the CSV export of experiment rows (``--csv DIR``)."""
 
 import csv
 
-
-from repro.experiments.export import export_all, write_csv
+from repro.experiments.__main__ import main
+from repro.experiments.export import write_csv
 
 
 def test_write_csv_roundtrip(tmp_path):
@@ -17,26 +17,23 @@ def test_write_csv_roundtrip(tmp_path):
 
 
 def test_export_all_quick(tmp_path):
-    written = export_all(tmp_path / "figures", quick=True)
-    names = {p.name for p in written}
-    assert names == {
-        "fig3_overhead.csv",
-        "fig4_replicas_selected.csv",
-        "fig5_timing_failures.csv",
+    outdir = tmp_path / "figures"
+    code = main(["fig45", "min_response", "A1", "--quick", "--csv", str(outdir)])
+    assert code == 0
+    assert {p.name for p in outdir.iterdir()} == {
+        "fig45.csv",
         "min_response.csv",
-        "policy_comparison.csv",
+        "A1.csv",
     }
-    for path in written:
-        assert path.exists()
+    for path in outdir.iterdir():
         with open(path) as handle:
             rows = list(csv.reader(handle))
         assert len(rows) >= 2  # header + at least one data row
 
 
 def test_fig4_csv_has_full_sweep(tmp_path):
-    written = export_all(tmp_path, quick=True)
-    fig4 = next(p for p in written if p.name == "fig4_replicas_selected.csv")
-    with open(fig4) as handle:
+    main(["fig45", "--quick", "--csv", str(tmp_path)])
+    with open(tmp_path / "fig45.csv") as handle:
         rows = list(csv.DictReader(handle))
     # 6 deadlines x 3 probabilities.
     assert len(rows) == 18

@@ -12,15 +12,14 @@ import math
 import pytest
 
 from repro.experiments.parallel import (
-    SMOKE_POINTS,
     TaskResult,
     _build_tasks,
-    _smoke_sweep,
     canonical,
     merge_summaries,
     run_sweep,
     sweep_digest,
 )
+from repro.experiments.smoke import SMOKE_POINTS, _smoke_sweep
 from repro.rng import derive_entity_seed
 from repro.workload.client import ClientSummary
 

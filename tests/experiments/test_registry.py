@@ -1,0 +1,128 @@
+"""The experiment registry's contracts.
+
+Every registered sweep inherits the parallel engine's 1-vs-N digest
+equality; every row carries every declared column; keys are unique and
+resolve lazily; the ``--list`` table is the one EXPERIMENTS.md prints;
+``--check-digests`` names the experiment whose digest moved.
+"""
+
+import json
+import re
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+from repro.core import selection
+from repro.experiments import MODULES, load
+from repro.experiments.__main__ import DIGESTS_FILE, list_table, main
+from repro.experiments.registry import Experiment, run
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+SWEEPS = [key for key in MODULES if isinstance(load(key), Experiment)]
+
+
+@pytest.fixture
+def frozen_overhead_clock(monkeypatch):
+    """Pin the policy's measured overhead δ (§5.3.3) to zero.
+
+    δ is a host ``perf_counter`` reading; a scheduling hiccup that moves
+    it across a 1 ms lattice step can flip a borderline selection, which
+    is host noise, not merge order.  Forked workers inherit the stub.
+    """
+    monkeypatch.setattr(
+        selection, "time", types.SimpleNamespace(perf_counter=lambda: 0.0)
+    )
+
+
+@pytest.mark.parametrize("key", SWEEPS)
+def test_quick_sweep_is_worker_invariant_and_fills_every_column(
+    key, frozen_overhead_clock
+):
+    experiment = load(key)
+    serial, fanned = (
+        run(
+            experiment,
+            grid=experiment.quick_grid,
+            seeds=experiment.quick_seeds,
+            workers=workers,
+        )
+        for workers in (1, 2)
+    )
+    assert fanned.digest == serial.digest
+    assert fanned.rows == serial.rows
+    assert serial.rows
+    for table in experiment.tables:
+        for row in serial.rows:
+            for _header, column in table.columns:
+                assert column in row, (key, column)
+
+
+def test_keys_are_unique_and_match_their_entries():
+    entries = [load(key) for key in MODULES]
+    assert [entry.key for entry in entries] == list(MODULES)
+    assert len({entry.title for entry in entries}) == len(entries)
+    assert len(set(MODULES.values())) == len(MODULES)
+
+
+def test_list_matches_experiments_md(capsys):
+    assert main(["--list"]) == 0
+    printed = [line.rstrip() for line in capsys.readouterr().out.splitlines()]
+    assert printed == [line.rstrip() for line in list_table().splitlines()]
+    document = (REPO_ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    block = re.search(r"```text\n(key +experiment.*?)```", document, re.S)
+    assert block, "EXPERIMENTS.md lost its registry table"
+    assert [line.rstrip() for line in block.group(1).splitlines()] == printed
+
+
+def test_importing_one_experiment_imports_no_sibling():
+    code = (
+        "import sys, repro.experiments.overload_collapse;"
+        "print('repro.experiments.fig45_selection' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code],
+        env={"PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_pinned_digests_name_registered_sweeps():
+    pinned = json.loads((REPO_ROOT / DIGESTS_FILE).read_text())
+    assert pinned and set(pinned) <= set(SWEEPS)
+
+
+def test_check_digests_names_the_offending_key(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    digest = run(load("min_response")).digest
+    Path(DIGESTS_FILE).write_text(json.dumps({"min_response": digest}))
+    assert main(["min_response", "--check-digests"]) == 0
+    Path(DIGESTS_FILE).write_text(json.dumps({"min_response": "0" * 64}))
+    capsys.readouterr()
+    assert main(["min_response", "--check-digests"]) == 1
+    assert "DIGEST MISMATCH min_response" in capsys.readouterr().out
+
+
+def test_json_export_carries_rows_and_digest(tmp_path, capsys):
+    artifact = tmp_path / "rows.json"
+    assert main(["min_response", "A15", "--quick", "--json", str(artifact)]) == 0
+    payload = json.loads(artifact.read_text())
+    assert set(payload) == {"min_response", "A15"}
+    assert payload["A15"]["digest"]
+    assert {row["variant"] for row in payload["A15"]["points"]} == {
+        "health",
+        "no-health",
+    }
+
+
+def test_type_errors_inside_an_experiment_surface():
+    # A quick/reduced run must never fall back to another sweep when a
+    # point function raises: the error surfaces.
+    with pytest.raises(TypeError):
+        run(load("min_response"), grid=({"requests": "fifty"},), seeds=(0,))

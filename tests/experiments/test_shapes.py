@@ -9,6 +9,7 @@ import pytest
 
 from repro.experiments import fig3_overhead, fig45_selection, min_response
 from repro.experiments.harness import run_two_client_experiment
+from repro.experiments.registry import run
 
 
 class TestFig3Shape:
@@ -41,52 +42,55 @@ class TestFig3Shape:
 class TestFig45Shape:
     @pytest.fixture(scope="class")
     def rows(self):
+        result = run(
+            fig45_selection.EXPERIMENT,
+            grid=fig45_selection.grid(
+                deadlines_ms=(100.0, 200.0), probabilities=(0.9, 0.0)
+            ),
+            seeds=(0,),
+        )
         return {
-            (p.min_probability, p.deadline_ms): p
-            for p in fig45_selection.run(
-                deadlines_ms=(100.0, 200.0),
-                probabilities=(0.9, 0.0),
-                seeds=(0,),
-            )
+            (row["min_probability"], row["deadline_ms"]): row
+            for row in result.rows
         }
 
     def test_redundancy_decreases_with_deadline(self, rows):
         assert (
-            rows[(0.9, 100.0)].avg_replicas_selected
-            > rows[(0.9, 200.0)].avg_replicas_selected
+            rows[(0.9, 100.0)]["mean_redundancy"]
+            > rows[(0.9, 200.0)]["mean_redundancy"]
         )
 
     def test_redundancy_decreases_with_lower_probability(self, rows):
         assert (
-            rows[(0.9, 100.0)].avg_replicas_selected
-            > rows[(0.0, 100.0)].avg_replicas_selected
+            rows[(0.9, 100.0)]["mean_redundancy"]
+            > rows[(0.0, 100.0)]["mean_redundancy"]
         )
 
     def test_pc_zero_floors_at_two_replicas(self, rows):
         # 50 requests: 1 bootstrap (7 replicas) + 49 at the floor of 2.
         floor = (7 + 49 * 2) / 50
-        assert rows[(0.0, 200.0)].avg_replicas_selected == pytest.approx(
+        assert rows[(0.0, 200.0)]["mean_redundancy"] == pytest.approx(
             floor, abs=0.15
         )
 
     def test_failure_probability_within_client_budget(self, rows):
-        assert rows[(0.9, 100.0)].failure_probability <= 0.1
-        assert rows[(0.9, 200.0)].failure_probability <= 0.1
+        assert rows[(0.9, 100.0)]["failure_probability"] <= 0.1
+        assert rows[(0.9, 200.0)]["failure_probability"] <= 0.1
 
     def test_failures_decrease_with_deadline(self, rows):
         assert (
-            rows[(0.0, 100.0)].failure_probability
-            >= rows[(0.0, 200.0)].failure_probability
+            rows[(0.0, 100.0)]["failure_probability"]
+            >= rows[(0.0, 200.0)]["failure_probability"]
         )
 
 
 class TestMinResponseFloor:
     def test_floor_is_a_few_milliseconds(self):
-        result = min_response.run(num_requests=50)
+        floor = min_response.point({"requests": 50}, seed=0, repetition=0)
         # Paper: ~3.5 ms on their testbed.  Ours is calibrated to land in
         # the same band; the reproduction claim is "low single digits".
-        assert 1.0 <= result.min_response_ms <= 6.0
-        assert result.min_response_ms <= result.mean_response_ms
+        assert 1.0 <= floor["min_response_ms"] <= 6.0
+        assert floor["min_response_ms"] <= floor["mean_response_ms"]
 
 
 class TestTwoClientHarness:

@@ -1,48 +1,26 @@
 """Mini AQuA stack wired through the fault-injection layer.
 
-Like the gateway suite's ``MiniStack`` but every component sends through a
-:class:`FaultyTransport`, the stack owns a :class:`LifecycleAuditor`
-watching every client, and a :class:`LifecycleFaultDriver` can apply
-crash/restart and churn faults to its servers.
+:class:`repro.workload.MiniStack` with a (possibly empty) fault
+schedule, so every component sends through a :class:`FaultyTransport`;
+the stack owns a :class:`LifecycleAuditor` watching every client, and a
+:class:`LifecycleFaultDriver` can apply crash/restart and churn faults
+to its servers.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
-import numpy as np
 import pytest
 
-from repro.core.qos import QoSSpec
-from repro.faultinject import (
-    FaultSchedule,
-    FaultyTransport,
-    LifecycleAuditor,
-    LifecycleFaultDriver,
-)
-from repro.gateway.gateway import Gateway
-from repro.gateway.handlers.timing_fault import (
-    TimingFaultClientHandler,
-    TimingFaultServerHandler,
-)
-from repro.group.ensemble import GroupCommunication
-from repro.group.failure_detector import FailureDetector
-from repro.net.lan import LanModel, LinkProfile
-from repro.net.transport import Transport
-from repro.orb.iiop import MarshallingModel
-from repro.orb.orb import Orb
-from repro.replica.load import ServiceProfile
-from repro.replica.server import ReplicaApplication
-from repro.sim.kernel import Simulator
-from repro.sim.random import Constant, Distribution, RandomStreams
-from repro.workload.scenarios import IntegerServant, make_interface
+from repro.faultinject import FaultSchedule, LifecycleFaultDriver
+from repro.workload.ministack import METHOD, SERVICE, MiniStack
 
-SERVICE = "search"
-METHOD = "process"
+__all__ = ["METHOD", "SERVICE", "FaultStack", "stack"]
 
 
-class FaultStack:
-    """A deterministic deployment whose wire is fault-injectable."""
+class FaultStack(MiniStack):
+    """A deterministic deployment whose wire is always fault-injectable."""
 
     def __init__(
         self,
@@ -50,91 +28,9 @@ class FaultStack:
         schedule: Optional[FaultSchedule] = None,
         fault_seed: int = 0,
     ):
-        self.sim = Simulator()
-        self.streams = RandomStreams(seed=seed)
-        profile = LinkProfile(
-            stack_ms=1.0, per_kb_ms=0.0, per_member_ms=0.0, jitter=Constant(0.0)
+        super().__init__(
+            seed=seed, schedule=schedule or FaultSchedule(), wire_seed=fault_seed
         )
-        self.lan = LanModel(self.streams, default_profile=profile)
-        self.inner_transport = Transport(self.sim, self.lan)
-        self.transport = FaultyTransport(
-            self.inner_transport,
-            schedule=schedule or FaultSchedule(),
-            rng=np.random.default_rng(fault_seed),
-        )
-        detector = FailureDetector(
-            self.sim, self.lan, poll_interval_ms=10.0, confirm_polls=2
-        )
-        self.group_comm = GroupCommunication(
-            self.sim,
-            self.lan,
-            self.transport,
-            notify_delay_ms=1.0,
-            failure_detector=detector,
-        )
-        self.marshalling = MarshallingModel(
-            base_ms=0.0, per_kb_ms=0.0, envelope_bytes=0
-        )
-        self.interface = make_interface(SERVICE, METHOD)
-        self.auditor = LifecycleAuditor()
-        self.servers: Dict[str, TimingFaultServerHandler] = {}
-        self.clients: Dict[str, TimingFaultClientHandler] = {}
-        self.stubs: Dict[str, object] = {}
-
-    # -- topology ----------------------------------------------------------
-    def add_server(
-        self,
-        host: str,
-        service_time: Optional[Distribution] = None,
-    ) -> TimingFaultServerHandler:
-        self.lan.add_host(host)
-        app = ReplicaApplication(
-            host=host,
-            servant=IntegerServant(self.interface, METHOD),
-            profile=ServiceProfile(default=service_time or Constant(10.0)),
-            streams=self.streams,
-        )
-        handler = TimingFaultServerHandler(
-            sim=self.sim,
-            app=app,
-            transport=self.transport,
-            marshalling=self.marshalling,
-        )
-        Gateway(host, self.sim, self.transport).load_handler(handler)
-        self.group_comm.join(SERVICE, host, watch=True)
-        self.servers[host] = handler
-        self.auditor.watch_server(handler)
-        return handler
-
-    def add_client(
-        self,
-        host: str,
-        deadline_ms: float = 100.0,
-        min_probability: float = 0.0,
-        handler_cls=TimingFaultClientHandler,
-        **handler_kwargs,
-    ) -> TimingFaultClientHandler:
-        self.lan.add_host(host)
-        handler = handler_cls(
-            sim=self.sim,
-            host=host,
-            transport=self.transport,
-            group_comm=self.group_comm,
-            interface=self.interface,
-            qos=QoSSpec(SERVICE, deadline_ms, min_probability),
-            marshalling=self.marshalling,
-            selection_charge_ms=handler_kwargs.pop("selection_charge_ms", 0.0),
-            rng=self.streams.stream(f"client.{host}.policy"),
-            **handler_kwargs,
-        )
-        Gateway(host, self.sim, self.transport).load_handler(handler)
-        self.auditor.watch_client(handler)
-        orb = Orb()
-        orb.register_interface(self.interface)
-        orb.bind_interceptor(SERVICE, handler)
-        self.clients[host] = handler
-        self.stubs[host] = orb.stub(SERVICE)
-        return handler
 
     def make_driver(self) -> LifecycleFaultDriver:
         """A host-level fault driver over the current server set."""
@@ -145,11 +41,6 @@ class FaultStack:
             service=SERVICE,
             servers=self.servers,
         )
-
-    # -- driving -----------------------------------------------------------
-    def invoke(self, client_host: str, arg: int = 0):
-        """Fire one request through the client's stub; returns the event."""
-        return self.stubs[client_host].invoke(METHOD, arg)
 
 
 @pytest.fixture

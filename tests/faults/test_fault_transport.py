@@ -16,8 +16,9 @@ from repro.faultinject import (
 from repro.net.lan import LanModel, LinkProfile
 from repro.net.message import Message
 from repro.net.transport import Transport
+from repro.rng import RNGManager
 from repro.sim.kernel import Simulator
-from repro.sim.random import Constant, RandomStreams
+from repro.sim.random import Constant
 
 
 class Wire:
@@ -25,7 +26,7 @@ class Wire:
 
     def __init__(self, schedule=None, rng=None):
         self.sim = Simulator()
-        streams = RandomStreams(seed=0)
+        streams = RNGManager(base_seed=0)
         profile = LinkProfile(
             stack_ms=1.0, per_kb_ms=0.0, per_member_ms=0.0, jitter=Constant(0.0)
         )
@@ -217,7 +218,7 @@ def test_schedule_merge_and_len():
 
 
 def test_random_fault_schedule_shape():
-    rng = np.random.default_rng(3)
+    rng = RNGManager(3)
     replicas = ["r1", "r2", "r3"]
     schedule = random_fault_schedule(rng, horizon_ms=1000.0, replicas=replicas)
     assert len(schedule.drops) == 3
@@ -238,7 +239,7 @@ def test_random_fault_schedule_shape():
 
 
 def test_random_fault_schedule_validation():
-    rng = np.random.default_rng(0)
+    rng = RNGManager(0)
     with pytest.raises(ValueError):
         random_fault_schedule(rng, horizon_ms=0.0, replicas=["r1"])
     with pytest.raises(ValueError):

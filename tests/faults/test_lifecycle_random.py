@@ -16,11 +16,11 @@ counts and the schedule horizon — the nightly CI job runs at 5×.
 
 import os
 
-import numpy as np
 import pytest
 
 from repro.faultinject import random_fault_schedule
 from repro.gateway.handlers.retransmit import RetransmittingClientHandler
+from repro.rng import RNGManager
 from repro.sim.random import Constant
 
 from .conftest import FaultStack
@@ -63,7 +63,7 @@ def test_randomized_fault_schedule_drains_clean(seed, fault_seed, schedule_seed)
     )
 
     schedule = random_fault_schedule(
-        np.random.default_rng(schedule_seed),
+        RNGManager(schedule_seed),
         horizon_ms=4000.0 * SCALE,
         replicas=REPLICAS,
     )
@@ -112,7 +112,7 @@ def test_same_seed_same_outcome():
             stack.add_server(host, service_time=Constant(8.0))
         stack.add_client("c-1", deadline_ms=80.0, response_timeout_factor=3.0)
         schedule = random_fault_schedule(
-            np.random.default_rng(13), horizon_ms=600.0, replicas=REPLICAS[:3]
+            RNGManager(13), horizon_ms=600.0, replicas=REPLICAS[:3]
         )
         stack.transport.schedule = schedule
         driver = stack.make_driver()

@@ -27,8 +27,6 @@ from repro.faultinject import (
     grey_partition,
 )
 from repro.gateway.handlers.timing_fault import MSG_PROBE
-from repro.group.ensemble import GroupCommunication
-from repro.group.failure_detector import FailureDetector
 from repro.net.message import Message
 from repro.sim.random import Constant
 
@@ -252,10 +250,10 @@ class TestFaultyTransportEnforcement:
         from repro.net.lan import LanModel
         from repro.net.transport import Transport
         from repro.sim.kernel import Simulator
-        from repro.sim.random import RandomStreams
+        from repro.rng import RNGManager
 
         sim = Simulator()
-        lan = LanModel(RandomStreams(seed=0))
+        lan = LanModel(RNGManager(base_seed=0))
         for host in ("c-1", "s-1"):
             lan.add_host(host)
         inner = Transport(sim, lan)
@@ -464,24 +462,11 @@ class TestPartitionDriver:
 def _vantage_stack():
     """A stack whose detector observes from the client's vantage."""
     stack = FaultStack()
-    detector = FailureDetector(
-        stack.sim,
-        stack.lan,
-        poll_interval_ms=10.0,
-        confirm_polls=2,
-        vantage="c-1",
-    )
-    stack.group_comm = GroupCommunication(
-        stack.sim,
-        stack.lan,
-        stack.transport,
-        notify_delay_ms=1.0,
-        failure_detector=detector,
-    )
+    stack.detector.vantage = "c-1"
     stack.add_client("c-1")
     stack.add_server("s-1")
     stack.add_server("s-2")
-    return stack, detector
+    return stack, stack.detector
 
 
 class TestHealReconciliation:

@@ -1,20 +1,11 @@
-"""Seeding discipline of ``random_fault_schedule`` (ISSUE 6 satellite).
+"""Seeding discipline of ``random_fault_schedule``.
 
-Two contracts:
-
-* the **legacy path** (plain ``numpy`` generator) is frozen — historic
-  schedules reproduce bit-for-bit under their historic seeds, pinned
-  here by digests and spot-checked fields captured from the pre-ISSUE-6
-  implementation;
-* the **streamed path** (:class:`~repro.rng.RNGManager`) draws every
-  fault window from its own named substream, so no family's windows can
-  be perturbed by another family's count — the seed-stability footgun
-  the satellite fixes.
+Every fault window draws from its own named substream of the
+:class:`~repro.rng.RNGManager`, so no family's windows can be perturbed
+by another family's count — and every family's windows heal in time for
+the drain-time audit.
 """
 
-import hashlib
-
-import numpy as np
 import pytest
 
 from repro.faultinject.schedule import (
@@ -27,22 +18,6 @@ from repro.rng import RNGManager
 REPLICAS = ["s-1", "s-2", "s-3"]
 HORIZON_MS = 4000.0
 
-#: sha256(repr(schedule)) for the legacy path with every family enabled
-#: (degradations=2, overload_windows=2), captured from the frozen
-#: implementation.  A digest change here means historic fault scenarios
-#: silently re-randomized.
-LEGACY_DIGESTS = {
-    7: "a6c4b50a91f42e0b66e316abdb67aa732986e4186dccb46ef8698436ac33f86d",
-    13: "d116bd804ac728d52183902ce4c89f38ccabca0b4e1310f1b34826f173ea2201",
-    29: "4a0fa44afd64e4c4a2fd4220c61df738a0bced4c6c30636588689c5dd7b5cdf9",
-}
-
-
-def _legacy(seed, **kwargs):
-    return random_fault_schedule(
-        np.random.default_rng(seed), HORIZON_MS, REPLICAS, **kwargs
-    )
-
 
 def _streamed(seed, **kwargs):
     return random_fault_schedule(
@@ -51,29 +26,13 @@ def _streamed(seed, **kwargs):
 
 
 class TestLegacyPathFrozen:
-    @pytest.mark.parametrize("seed", sorted(LEGACY_DIGESTS))
-    def test_full_schedule_digest_pinned(self, seed):
-        schedule = _legacy(seed, degradations=2, overload_windows=2)
-        digest = hashlib.sha256(repr(schedule).encode()).hexdigest()
-        assert digest == LEGACY_DIGESTS[seed]
-
-    def test_seed7_spot_values_pinned(self):
-        # Readable anchors in case the digest ever breaks: exact draws
-        # from the frozen sequential order under the default families.
-        schedule = _legacy(7)
-        drop = schedule.drops[0]
-        assert drop.start_ms == pytest.approx(2983.1844958506954, abs=0)
-        assert drop.end_ms == pytest.approx(3658.241775813495, abs=0)
-        crash = schedule.crashes[0]
-        assert crash.host == "s-2"
-        assert crash.crash_at_ms == pytest.approx(688.9878343539167, abs=0)
-        assert crash.restart_at_ms == pytest.approx(953.0726478970545, abs=0)
+    """The guarantee the retired sequential generator gave by draw order."""
 
     def test_trailing_families_do_not_perturb_core_families(self):
-        # The legacy guarantee: degradations/overloads draw last, so
-        # enabling them leaves the first five families byte-identical.
-        plain = _legacy(13)
-        extended = _legacy(13, degradations=2, overload_windows=2)
+        # Enabling degradations/overloads leaves the first five families
+        # byte-identical.
+        plain = _streamed(13)
+        extended = _streamed(13, degradations=2, overload_windows=2)
         for family in ("drops", "delays", "duplicates", "crashes", "churn"):
             assert getattr(extended, family) == getattr(plain, family)
 
@@ -84,8 +43,8 @@ class TestStreamedPathIndependence:
         assert repr(_streamed(7)) != repr(_streamed(8))
 
     def test_family_counts_are_independent(self):
-        # THE footgun fix: changing one family's window count must not
-        # re-randomize any other family (the legacy path cannot do this).
+        # Changing one family's window count must not re-randomize any
+        # other family.
         base = _streamed(29, degradations=1, overload_windows=1)
         more_drops = _streamed(
             29, drop_windows=7, degradations=1, overload_windows=1
@@ -134,10 +93,10 @@ class TestPartitionFamily:
     """Seeding discipline of the newest family (partitions)."""
 
     def test_repr_omits_empty_partition_family(self):
-        # The frozen legacy digests hash repr(schedule); a schedule with
+        # Published schedule digests hash repr(schedule); a schedule with
         # no partitions must render byte-identically to the pre-partition
         # dataclass repr.
-        schedule = _legacy(7)
+        schedule = _streamed(7)
         assert schedule.partitions == ()
         assert "partitions=" not in repr(schedule)
 
@@ -147,11 +106,9 @@ class TestPartitionFamily:
         assert "partitions=" in repr(schedule)
 
     def test_legacy_partitions_draw_after_every_other_family(self):
-        # Same guarantee degradations/overloads got: partitions draw
-        # last on the sequential path, so enabling them leaves every
-        # earlier family byte-identical.
-        plain = _legacy(13, degradations=2, overload_windows=2)
-        extended = _legacy(
+        # Enabling partitions leaves every earlier family byte-identical.
+        plain = _streamed(13, degradations=2, overload_windows=2)
+        extended = _streamed(
             13, degradations=2, overload_windows=2, partition_windows=2
         )
         for family in (
@@ -208,26 +165,23 @@ class TestPartitionFamily:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_partitions_are_valid_and_drained(self, seed):
-        for schedule in (
-            _streamed(seed, partition_windows=3),
-            _legacy(seed, partition_windows=3),
-        ):
-            assert len(schedule.partitions) == 3
-            for fault in schedule.partitions:
-                assert set(fault.side) <= set(REPLICAS)
-                assert fault.mode in ("symmetric", "outbound", "inbound")
-                assert fault.end_ms <= HORIZON_MS * 0.85
-                assert fault.start_ms < fault.end_ms
+        schedule = _streamed(seed, partition_windows=3)
+        assert len(schedule.partitions) == 3
+        for fault in schedule.partitions:
+            assert set(fault.side) <= set(REPLICAS)
+            assert fault.mode in ("symmetric", "outbound", "inbound")
+            assert fault.end_ms <= HORIZON_MS * 0.85
+            assert fault.start_ms < fault.end_ms
 
 
 class TestClockFamily:
     """Seeding discipline of the clock-fault family (ISSUE 10)."""
 
     def test_repr_omits_empty_clock_family(self):
-        # The frozen legacy digests hash repr(schedule); a schedule with
+        # Published schedule digests hash repr(schedule); a schedule with
         # no clock windows must render byte-identically to the
         # pre-clock-plane dataclass repr.
-        schedule = _legacy(7)
+        schedule = _streamed(7)
         assert schedule.clocks == ()
         assert "clocks=" not in repr(schedule)
 
@@ -237,13 +191,12 @@ class TestClockFamily:
         assert "clocks=" in repr(schedule)
 
     def test_legacy_clocks_draw_after_every_other_family(self):
-        # The legacy guarantee every late family gets: clocks draw LAST
-        # on the sequential path, so enabling them leaves every earlier
-        # family — including partitions — byte-identical.
-        plain = _legacy(
+        # Enabling clock windows leaves every earlier family — including
+        # partitions — byte-identical.
+        plain = _streamed(
             13, degradations=2, overload_windows=2, partition_windows=2
         )
-        extended = _legacy(
+        extended = _streamed(
             13,
             degradations=2,
             overload_windows=2,
@@ -316,27 +269,19 @@ class TestClockFamily:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_clocks_are_valid_and_drained(self, seed):
-        for schedule in (
-            _streamed(seed, clock_windows=3),
-            _legacy(seed, clock_windows=3),
-        ):
-            assert len(schedule.clocks) == 3
-            for fault in schedule.clocks:
-                assert fault.host in REPLICAS
-                assert fault.kind in (
-                    "skew", "drift", "step", "freeze", "jitter"
-                )
-                assert fault.end_ms <= HORIZON_MS * 0.85
-                assert fault.start_ms < fault.end_ms
+        schedule = _streamed(seed, clock_windows=3)
+        assert len(schedule.clocks) == 3
+        for fault in schedule.clocks:
+            assert fault.host in REPLICAS
+            assert fault.kind in ("skew", "drift", "step", "freeze", "jitter")
+            assert fault.end_ms <= HORIZON_MS * 0.85
+            assert fault.start_ms < fault.end_ms
 
 
 class TestDrainedWindows:
     @pytest.mark.parametrize("seed", range(20))
     def test_degradations_and_overloads_end_by_85_percent(self, seed):
-        for schedule in (
-            _streamed(seed, degradations=3, overload_windows=3),
-            _legacy(seed, degradations=3, overload_windows=3),
-        ):
-            for fault in schedule.degradations + schedule.overloads:
-                assert fault.end_ms <= HORIZON_MS * 0.85
-                assert fault.start_ms < fault.end_ms
+        schedule = _streamed(seed, degradations=3, overload_windows=3)
+        for fault in schedule.degradations + schedule.overloads:
+            assert fault.end_ms <= HORIZON_MS * 0.85
+            assert fault.start_ms < fault.end_ms

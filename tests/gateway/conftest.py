@@ -1,121 +1,17 @@
-"""Hand-wired mini AQuA stack for gateway-level tests.
+"""The ``stack`` fixture of the gateway-level tests.
 
-Smaller and more controllable than :class:`repro.workload.Scenario`:
-deterministic zero-jitter links, constant service times by default, and
-direct access to every layer.
+:class:`repro.workload.MiniStack` — smaller and more controllable than
+:class:`repro.workload.Scenario`: deterministic zero-jitter links,
+constant service times by default, and direct access to every layer.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 import pytest
 
-from repro.core.qos import QoSSpec
-from repro.gateway.gateway import Gateway
-from repro.gateway.handlers.timing_fault import (
-    TimingFaultClientHandler,
-    TimingFaultServerHandler,
-)
-from repro.group.ensemble import GroupCommunication
-from repro.group.failure_detector import FailureDetector
-from repro.net.lan import LanModel, LinkProfile
-from repro.net.transport import Transport
-from repro.orb.iiop import MarshallingModel
-from repro.orb.orb import Orb
-from repro.replica.load import ServiceProfile
-from repro.replica.server import ReplicaApplication
-from repro.sim.kernel import Simulator
-from repro.sim.random import Constant, Distribution, RandomStreams
-from repro.workload.scenarios import IntegerServant, make_interface
+from repro.workload.ministack import METHOD, SERVICE, MiniStack
 
-SERVICE = "search"
-METHOD = "process"
-
-
-class MiniStack:
-    """A minimal deterministic deployment for handler tests."""
-
-    def __init__(self, seed: int = 0):
-        self.sim = Simulator()
-        self.streams = RandomStreams(seed=seed)
-        profile = LinkProfile(
-            stack_ms=1.0, per_kb_ms=0.0, per_member_ms=0.0, jitter=Constant(0.0)
-        )
-        self.lan = LanModel(self.streams, default_profile=profile)
-        self.transport = Transport(self.sim, self.lan)
-        detector = FailureDetector(
-            self.sim, self.lan, poll_interval_ms=10.0, confirm_polls=2
-        )
-        self.group_comm = GroupCommunication(
-            self.sim,
-            self.lan,
-            self.transport,
-            notify_delay_ms=1.0,
-            failure_detector=detector,
-        )
-        self.marshalling = MarshallingModel(
-            base_ms=0.0, per_kb_ms=0.0, envelope_bytes=0
-        )
-        self.interface = make_interface(SERVICE, METHOD)
-        self.servers: Dict[str, TimingFaultServerHandler] = {}
-        self.clients: Dict[str, TimingFaultClientHandler] = {}
-        self.stubs: Dict[str, object] = {}
-
-    def add_server(
-        self,
-        host: str,
-        service_time: Optional[Distribution] = None,
-    ) -> TimingFaultServerHandler:
-        self.lan.add_host(host)
-        app = ReplicaApplication(
-            host=host,
-            servant=IntegerServant(self.interface, METHOD),
-            profile=ServiceProfile(default=service_time or Constant(10.0)),
-            streams=self.streams,
-        )
-        handler = TimingFaultServerHandler(
-            sim=self.sim,
-            app=app,
-            transport=self.transport,
-            marshalling=self.marshalling,
-        )
-        Gateway(host, self.sim, self.transport).load_handler(handler)
-        self.group_comm.join(SERVICE, host, watch=True)
-        self.servers[host] = handler
-        return handler
-
-    def add_client(
-        self,
-        host: str,
-        deadline_ms: float = 100.0,
-        min_probability: float = 0.0,
-        **handler_kwargs,
-    ) -> TimingFaultClientHandler:
-        self.lan.add_host(host)
-        handler = TimingFaultClientHandler(
-            sim=self.sim,
-            host=host,
-            transport=self.transport,
-            group_comm=self.group_comm,
-            interface=self.interface,
-            qos=QoSSpec(SERVICE, deadline_ms, min_probability),
-            marshalling=self.marshalling,
-            selection_charge_ms=handler_kwargs.pop("selection_charge_ms", 0.0),
-            rng=self.streams.stream(f"client.{host}.policy"),
-            **handler_kwargs,
-        )
-        Gateway(host, self.sim, self.transport).load_handler(handler)
-        orb = Orb()
-        orb.register_interface(self.interface)
-        orb.bind_interceptor(SERVICE, handler)
-        self.clients[host] = handler
-        self.stubs[host] = orb.stub(SERVICE)
-        return handler
-
-    def invoke(self, client_host: str, arg: int = 0):
-        """Fire one request through the client's stub; returns the event."""
-        return self.stubs[client_host].invoke(METHOD, arg)
+__all__ = ["METHOD", "SERVICE", "MiniStack", "stack"]
 
 
 @pytest.fixture

@@ -5,7 +5,8 @@ import pytest
 from repro.net.lan import LanModel, LinkProfile
 from repro.net.message import Message
 from repro.net.transport import Transport
-from repro.sim.random import Constant, RandomStreams
+from repro.rng import RNGManager
+from repro.sim.random import Constant
 
 
 def _lan(streams, loss=0.0, shared=None):
@@ -59,7 +60,7 @@ class TestSharedCongestion:
     def test_shared_component_adds_delay(self, streams):
         quiet = _lan(streams, shared=None)
         congested = _lan(
-            RandomStreams(seed=99), shared=Constant(25.0)
+            RNGManager(base_seed=99), shared=Constant(25.0)
         )
         base = quiet.one_way_delay("a", "b")
         loaded = congested.one_way_delay("a", "b")
@@ -74,7 +75,7 @@ class TestSharedCongestion:
             Constant(0.0), Constant(50.0),
             p_enter_burst=0.2, p_exit_burst=0.2,
         )
-        lan = _lan(RandomStreams(seed=3), shared=shared)
+        lan = _lan(RNGManager(base_seed=3), shared=shared)
         lan.add_host("c")
         delays_ab = []
         delays_ac = []

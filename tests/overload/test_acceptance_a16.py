@@ -15,28 +15,35 @@ import os
 
 import pytest
 
-from repro.experiments.overload_collapse import run_one
+from repro.experiments.overload_collapse import point
 
 SCALE = max(1, int(os.environ.get("FAULT_ACCEPTANCE_SCALE", "1")))
 SEEDS = (0,) if SCALE == 1 else (0, 1)
 
 
+def _knee(variant, seed):
+    """One run at the knee: eight clients, forty requests each."""
+    return point(
+        {"variant": variant, "num_clients": 8, "num_requests": 40}, seed, 0
+    )
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_ungoverned_collapses_at_the_knee(seed):
-    timely, _adm, shed, redundancy, _resp = run_one(
-        governed=False, num_clients=8, seed=seed
-    )
+    run = _knee("ungoverned", seed)
+    timely = run["timely_fraction"]
     assert timely < 0.5, f"expected collapse, got timely={timely:.3f}"
-    assert shed == 0.0  # nothing sheds without the subsystem
+    assert run["shed_fraction"] == 0.0  # nothing sheds without the subsystem
     # The collapse mechanism on display: hedging escalated to select-all.
-    assert redundancy > 4.5
+    assert run["mean_redundancy"] > 4.5
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_governed_sustains_admitted_timeliness(seed):
-    timely, admitted_timely, shed, redundancy, _resp = run_one(
-        governed=True, num_clients=8, seed=seed
-    )
+    run = _knee("governed", seed)
+    timely = run["timely_fraction"]
+    admitted_timely = run["admitted_timely_fraction"]
+    shed = run["shed_fraction"]
     assert admitted_timely >= 0.9, (
         f"governed admitted timeliness {admitted_timely:.3f} < 0.9"
     )
@@ -44,7 +51,7 @@ def test_governed_sustains_admitted_timeliness(seed):
     # Sheds are metered, so the issued-requests view stays honest:
     # timely = admitted_timely * (1 - shed).
     assert timely == pytest.approx(admitted_timely * (1.0 - shed), abs=1e-9)
-    assert redundancy < 3.0  # the governor held hedging down
+    assert run["mean_redundancy"] < 3.0  # the governor held hedging down
 
 
 @pytest.mark.skipif(

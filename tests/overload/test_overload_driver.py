@@ -2,7 +2,6 @@
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.faultinject import (
@@ -12,6 +11,7 @@ from repro.faultinject import (
     random_fault_schedule,
 )
 from repro.overload import AdmissionConfig, LoadConfig, OverloadConfig
+from repro.rng import RNGManager
 from repro.sim.random import Constant
 
 from ..faults.conftest import FaultStack
@@ -67,10 +67,10 @@ def test_overload_windows_draw_after_existing_families():
     # Adding overload windows to a randomized schedule must not disturb
     # any previously drawn fault: same seed, same drops/delays/crashes.
     base = random_fault_schedule(
-        np.random.default_rng(7), horizon_ms=4000.0, replicas=REPLICAS
+        RNGManager(7), horizon_ms=4000.0, replicas=REPLICAS
     )
     extended = random_fault_schedule(
-        np.random.default_rng(7),
+        RNGManager(7),
         horizon_ms=4000.0,
         replicas=REPLICAS,
         overload_windows=2,
@@ -108,7 +108,7 @@ def test_randomized_schedule_with_surges_and_shedding_audits_clean():
         ),
     )
     schedule = random_fault_schedule(
-        np.random.default_rng(29),
+        RNGManager(29),
         horizon_ms=2000.0,
         replicas=REPLICAS,
         overload_windows=2,

@@ -7,7 +7,8 @@ from repro.net.lan import LanModel, LinkProfile
 from repro.net.message import Message
 from repro.net.transport import Transport
 from repro.sim.kernel import Simulator
-from repro.sim.random import Constant, RandomStreams
+from repro.rng import RNGManager
+from repro.sim.random import Constant
 
 delays = st.lists(
     st.floats(min_value=0.0, max_value=1000.0, allow_nan=False),
@@ -64,7 +65,7 @@ def test_run_until_is_exact_boundary(delay_list, horizon):
 def test_transport_conservation(num_messages, loss, seed):
     """sent == delivered + dropped + lost after the run drains."""
     sim = Simulator()
-    streams = RandomStreams(seed=seed)
+    streams = RNGManager(base_seed=seed)
     profile = LinkProfile(jitter=Constant(0.0), loss_probability=loss)
     lan = LanModel(streams, default_profile=profile)
     lan.add_host("a")

@@ -10,14 +10,15 @@ from repro.proteus.manager import DependabilityManager, ServiceSpec
 from repro.replica.faults import CrashSchedule, FaultInjector
 from repro.replica.load import ServiceProfile
 from repro.sim.kernel import Simulator
-from repro.sim.random import Constant, RandomStreams
+from repro.rng import RNGManager
+from repro.sim.random import Constant
 from repro.workload.scenarios import IntegerServant, make_interface
 
 
 class ManagerFixture:
     def __init__(self, num_hosts=4):
         self.sim = Simulator()
-        self.streams = RandomStreams(seed=0)
+        self.streams = RNGManager(base_seed=0)
         profile = LinkProfile(jitter=Constant(0.0))
         self.lan = LanModel(self.streams, default_profile=profile)
         self.hosts = [f"replica-{i + 1}" for i in range(num_hosts)]

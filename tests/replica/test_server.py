@@ -6,7 +6,8 @@ from repro.orb.dii import InvocationError
 from repro.orb.object import MethodRequest
 from repro.replica.load import ServiceProfile, StepLoad
 from repro.replica.server import ReplicaApplication
-from repro.sim.random import Constant, RandomStreams
+from repro.rng import RNGManager
+from repro.sim.random import Constant
 from repro.workload.scenarios import IntegerServant, make_interface
 
 
@@ -57,7 +58,7 @@ def test_service_duration_reflects_load(streams):
 def test_replicas_draw_from_distinct_streams():
     from repro.sim.random import Normal
 
-    streams = RandomStreams(seed=5)
+    streams = RNGManager(base_seed=5)
     interface = make_interface()
 
     def build(host):

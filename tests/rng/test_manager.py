@@ -13,7 +13,6 @@ from repro.rng import (
     derive_seed,
     seed_sequence,
 )
-from repro.sim.random import RandomStreams
 
 
 class TestDeriveSeed:
@@ -29,8 +28,8 @@ class TestDeriveSeed:
 
     def test_single_part_matches_legacy_sim_derivation(self):
         # The historic repro.sim.random scheme hashed f"{seed}:{name}" the
-        # same way; this equality is what kept every simulation result
-        # unchanged when RandomStreams was rebased onto RNGManager.
+        # same way; this equality is what keeps every published
+        # simulation result reproducible.
         for seed, name in [(0, "lan.a->b"), (7, "service.s-1"), (123, "x")]:
             digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
             assert derive_seed(seed, name) == int.from_bytes(
@@ -142,26 +141,6 @@ class TestRNGManager:
         assert child.base_seed == derive_seed(6, "fork:stage2")
         assert child.base_seed != parent.base_seed
         assert parent.fork("stage2").base_seed == child.base_seed
-
-    def test_legacy_seed_alias(self):
-        assert RNGManager(base_seed=17).seed == 17
-
-
-class TestRandomStreamsCompat:
-    def test_randomstreams_is_an_rng_manager(self):
-        assert isinstance(RandomStreams(seed=0), RNGManager)
-
-    def test_stream_sequences_match_plain_manager(self):
-        # The sim layer's streams and a bare manager with the same base
-        # seed are the same streams — RandomStreams adds distributions,
-        # not derivation.
-        legacy = RandomStreams(seed=33)
-        manager = RNGManager(base_seed=33)
-        for name in ("lan.c->s-1", "service.s-2", "client-1.policy"):
-            assert (
-                legacy.stream(name).uniform(size=3).tolist()
-                == manager.stream(name).uniform(size=3).tolist()
-            )
 
 
 class TestRNGRegistry:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.rng import RNGManager
 from repro.sim.random import (
     Constant,
     Empirical,
@@ -14,7 +15,6 @@ from repro.sim.random import (
     Mixture,
     Normal,
     Pareto,
-    RandomStreams,
     TruncatedNormal,
     Uniform,
 )
@@ -22,27 +22,27 @@ from repro.sim.random import (
 
 class TestRandomStreams:
     def test_same_name_returns_same_stream(self):
-        streams = RandomStreams(seed=1)
+        streams = RNGManager(base_seed=1)
         assert streams.stream("a") is streams.stream("a")
 
     def test_streams_are_reproducible_across_instances(self):
-        a = RandomStreams(seed=7).stream("x").random(5)
-        b = RandomStreams(seed=7).stream("x").random(5)
+        a = RNGManager(base_seed=7).stream("x").random(5)
+        b = RNGManager(base_seed=7).stream("x").random(5)
         assert np.array_equal(a, b)
 
     def test_different_names_give_different_sequences(self):
-        streams = RandomStreams(seed=7)
+        streams = RNGManager(base_seed=7)
         a = streams.stream("a").random(5)
         b = streams.stream("b").random(5)
         assert not np.array_equal(a, b)
 
     def test_different_seeds_give_different_sequences(self):
-        a = RandomStreams(seed=1).stream("x").random(5)
-        b = RandomStreams(seed=2).stream("x").random(5)
+        a = RNGManager(base_seed=1).stream("x").random(5)
+        b = RNGManager(base_seed=2).stream("x").random(5)
         assert not np.array_equal(a, b)
 
     def test_fork_is_independent_of_parent(self):
-        parent = RandomStreams(seed=1)
+        parent = RNGManager(base_seed=1)
         child = parent.fork("child")
         a = parent.stream("x").random(5)
         b = child.stream("x").random(5)
