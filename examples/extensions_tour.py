@@ -71,11 +71,16 @@ def main() -> None:
     print(f"  performance classes : {handler.request_classes()}")
 
     print("\nPer-class view of replica-2 (an analyze-specialist):")
+    models = handler.engine.models
     for class_key in ("process", "analyze"):
-        estimator = handler._estimators.get(class_key)
-        if estimator is None or "replica-2" not in handler._repositories[class_key]:
+        if (
+            class_key not in models.classes()
+            or "replica-2" not in models.repository_for(class_key)
+        ):
             continue
-        probability = estimator.probability_by("replica-2", 140.0)
+        probability = models.estimator_for(class_key).probability_by(
+            "replica-2", 140.0
+        )
         shown = "no data yet" if probability is None else f"{probability:.3f}"
         print(f"  F_replica-2(140 ms | {class_key:<8}) = {shown}")
 

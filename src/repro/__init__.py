@@ -44,8 +44,6 @@ from .core import (
     subset_timeliness_probability,
 )
 from .gateway import (
-    ActiveReplicationClientHandler,
-    PassiveReplicationClientHandler,
     ReplyOutcome,
     TimingFaultClientHandler,
     TimingFaultServerHandler,
@@ -82,8 +80,6 @@ __all__ = [
     # middleware
     "TimingFaultClientHandler",
     "TimingFaultServerHandler",
-    "ActiveReplicationClientHandler",
-    "PassiveReplicationClientHandler",
     "ReplyOutcome",
     # workload
     "Scenario",

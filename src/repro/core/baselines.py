@@ -4,8 +4,9 @@ Section 1 of the paper surveys selection schemes that "assign a single
 replica to each client": nearest-replica by a distance metric
 (Heidemann & Visweswaraiah), best historical average response time
 (Sayal et al.), and load/delay-monitoring estimators (Fei et al.).  The
-active-replication handler of prior AQuA work corresponds to sending to
-*all* replicas.  These are implemented here behind the same
+active and passive replication handlers of prior AQuA work correspond to
+sending to *all* replicas and to the view's *primary*.  These are
+implemented here behind the same
 :class:`~repro.core.selection.SelectionPolicy` interface so the experiment
 harness can compare them head-to-head with the paper's dynamic policy.
 """
@@ -18,6 +19,7 @@ from .selection import SelectionContext, SelectionDecision, SelectionPolicy
 
 __all__ = [
     "AllReplicasPolicy",
+    "PrimaryBackupPolicy",
     "SingleFastestPolicy",
     "FixedRedundancyPolicy",
     "RandomPolicy",
@@ -50,6 +52,26 @@ class AllReplicasPolicy(SelectionPolicy):
 
     def decide(self, ctx: SelectionContext) -> SelectionDecision:
         return SelectionDecision(selected=tuple(ctx.replicas))
+
+
+class PrimaryBackupPolicy(SelectionPolicy):
+    """Passive replication (Rubel [17]): every request goes to the primary.
+
+    The primary is the first member (in name order) of the live replica
+    list, so all clients converge on the same primary without
+    coordination, and promotion on eviction is automatic — for the
+    stateless services the paper targets it needs no state transfer.
+    While a crashed primary is not yet evicted from the view, every
+    request is lost: the availability gap the paper motivates.
+    """
+
+    name = "primary-backup"
+
+    def decide(self, ctx: SelectionContext) -> SelectionDecision:
+        if not ctx.replicas:
+            return SelectionDecision(selected=())
+        primary = min(ctx.replicas)
+        return SelectionDecision(selected=(primary,), meta={"primary": primary})
 
 
 class SingleFastestPolicy(SelectionPolicy):

@@ -1,0 +1,41 @@
+"""The timing-fault client logic, free of simulator, network and ORB.
+
+One owner per job: :class:`RequestBook` (lifecycle records),
+:class:`EvidenceAdmission` (which reported timings enter the model),
+:class:`ClassModels` (per-class repositories and estimators) and
+:class:`TimingFaultEngine` (decide → send → mine → account), which drives
+the outside world through one :class:`EnginePort`.  The simulator adapter
+is :class:`repro.gateway.handlers.timing_fault.TimingFaultClientHandler`.
+"""
+
+from .admission import EvidenceAdmission
+from .book import RequestBook, RequestRecord
+from .engine import TimingFaultEngine
+from .models import ClassModels
+from .plans import ProbePlan, RetryPlan
+from .types import (
+    DEFAULT_CLASS,
+    EnginePort,
+    OutcomeKind,
+    PerformanceUpdate,
+    ReplyOutcome,
+    RequestClassifier,
+    method_classifier,
+)
+
+__all__ = [
+    "ClassModels",
+    "DEFAULT_CLASS",
+    "EnginePort",
+    "EvidenceAdmission",
+    "OutcomeKind",
+    "PerformanceUpdate",
+    "ProbePlan",
+    "ReplyOutcome",
+    "RequestBook",
+    "RequestClassifier",
+    "RequestRecord",
+    "RetryPlan",
+    "TimingFaultEngine",
+    "method_classifier",
+]

@@ -49,11 +49,8 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core.estimator import QueueScaledEstimator
 from ..core.selection import DynamicSelectionPolicy
 from ..faultinject import ClockDriver, ClockFault, FaultSchedule
-from ..gateway.handlers.timing_fault import (
-    PerformanceUpdate,
-    TimingFaultClientHandler,
-    _PendingRequest,
-)
+from ..engine import EvidenceAdmission, PerformanceUpdate
+from ..gateway.handlers.timing_fault import TimingFaultClientHandler
 from ..health import HealthConfig, HealthState
 from ..sim.random import Constant
 from ..workload.ministack import MiniStack
@@ -83,31 +80,15 @@ INTERARRIVAL_MS = 3.3
 VARIANTS = ("naive", "same-clock", "tolerant")
 
 
-class NaiveAbsoluteTimestampClient(TimingFaultClientHandler):
-    """The A18 baseline: trusts replica-reported absolute timestamps.
-
-    Three classic synchronized-clock assumptions, each a one-method
-    departure from the tolerant handler:
-
-    * the gateway delay is derived from the replica's absolute reply
-      stamp (``t4 − sent_at``) — a cross-clock subtraction;
-    * physically impossible durations are *sanitized* instead of
-      rejected — negatives clamped to zero, implausibly large ones
-      dropped as outliers — so a faulty clock's flattering reports
-      still enter the windows while its one honest-looking giant
-      sample (the duration straddling the 10 s step) is thrown away;
-    * no coherence check at all — every surviving report is taken at
-      face value.
-    """
+class _NaiveAdmission(EvidenceAdmission):
+    """Evidence admission that assumes synchronized clocks."""
 
     #: Reports above this are discarded as "obvious outliers" — the
     #: sanitizer that looks responsible and is exactly what blinds the
     #: naive stack to the step it should have been alarmed by.
     OUTLIER_MS = 1_000.0
 
-    def _admit_perf_sample(
-        self, perf: PerformanceUpdate
-    ) -> Optional[PerformanceUpdate]:
+    def admit(self, perf: PerformanceUpdate) -> Optional[PerformanceUpdate]:
         if (
             perf.service_time_ms > self.OUTLIER_MS
             or perf.queue_delay_ms > self.OUTLIER_MS
@@ -121,19 +102,35 @@ class NaiveAbsoluteTimestampClient(TimingFaultClientHandler):
             )
         return perf
 
-    def _reply_coherent(
-        self, pending: _PendingRequest, perf: PerformanceUpdate, t4: float
-    ) -> bool:
+    def coherent(self, perf: PerformanceUpdate, t1: float, t4: float) -> bool:
         return True
 
-    def _gateway_delay_sample(
-        self, pending: _PendingRequest, perf: PerformanceUpdate, t4: float
-    ) -> float:
+    def gateway_delay(self, perf: PerformanceUpdate, t1: float, t4: float) -> float:
         # Cross-clock: the reply leg by the replica's own send stamp.  A
         # stepped/frozen replica clock makes this wildly wrong, and the
         # repository's non-negativity clamp turns "wrong" into "zero" —
         # the estimator then predicts an instant replica forever.
         return max(0.0, t4 - perf.sent_at_ms)
+
+
+class NaiveAbsoluteTimestampClient(TimingFaultClientHandler):
+    """The A18 baseline: trusts replica-reported absolute timestamps.
+
+    Three classic synchronized-clock assumptions, each a one-method
+    departure from the tolerant evidence admission:
+
+    * the gateway delay is derived from the replica's absolute reply
+      stamp (``t4 − sent_at``) — a cross-clock subtraction;
+    * physically impossible durations are *sanitized* instead of
+      rejected — negatives clamped to zero, implausibly large ones
+      dropped as outliers — so a faulty clock's flattering reports
+      still enter the windows while its one honest-looking giant
+      sample (the duration straddling the 10 s step) is thrown away;
+    * no coherence check at all — every surviving report is taken at
+      face value.
+    """
+
+    evidence_cls = _NaiveAdmission
 
 
 def clock_fault_schedule() -> FaultSchedule:

@@ -21,13 +21,13 @@ from ..core.baselines import (
     FixedRedundancyPolicy,
     LowestMeanPolicy,
     NearestPolicy,
+    PrimaryBackupPolicy,
     ProbeEstimatePolicy,
     RandomPolicy,
     RoundRobinPolicy,
     SingleFastestPolicy,
 )
 from ..core.selection import DynamicSelectionPolicy, SelectionPolicy
-from ..gateway.handlers.passive import PrimaryBackupPolicy
 from .harness import two_client_point
 from .registry import Cell, Experiment, Row, Table, cartesian, mean_rows
 

@@ -9,8 +9,8 @@ invariants that must hold no matter what faults were injected:
    fired exactly once, with a reply XOR a timeout XOR a shed (never two
    of them, never none).
 2. **No leaked bookkeeping**: each handler's ``lifecycle_leaks()`` is
-   empty — no ``_pending`` records, no retransmission ``_aliases``, no
-   ``_probes_in_flight`` entries survive the drain.
+   empty — no request record, no retransmitted copy, no probe survives
+   the drain in the :class:`~repro.engine.RequestBook`.
 3. **No resurrection**: no client repository holds a replica that is not
    in the handler's current membership view (a stale performance push
    must not bring an evicted replica back).

@@ -2,11 +2,8 @@
 
 from .gateway import Gateway, GatewayError, ProtocolHandler
 from .handlers import (
-    ActiveReplicationClientHandler,
     OutcomeKind,
-    PassiveReplicationClientHandler,
     PerformanceUpdate,
-    PrimaryBackupPolicy,
     ReplyOutcome,
     TimingFaultClientHandler,
     TimingFaultServerHandler,
@@ -18,9 +15,6 @@ __all__ = [
     "ProtocolHandler",
     "TimingFaultClientHandler",
     "TimingFaultServerHandler",
-    "ActiveReplicationClientHandler",
-    "PassiveReplicationClientHandler",
-    "PrimaryBackupPolicy",
     "OutcomeKind",
     "PerformanceUpdate",
     "ReplyOutcome",

@@ -1,7 +1,5 @@
 """Protocol handlers loaded into AQuA gateways."""
 
-from .active import ActiveReplicationClientHandler
-from .passive import PassiveReplicationClientHandler, PrimaryBackupPolicy
 from .retransmit import BestSinglePolicy, RetransmittingClientHandler
 from .timing_fault import (
     DEFAULT_CLASS,
@@ -23,9 +21,6 @@ from .timing_fault import (
 __all__ = [
     "TimingFaultClientHandler",
     "TimingFaultServerHandler",
-    "ActiveReplicationClientHandler",
-    "PassiveReplicationClientHandler",
-    "PrimaryBackupPolicy",
     "RetransmittingClientHandler",
     "BestSinglePolicy",
     "OutcomeKind",

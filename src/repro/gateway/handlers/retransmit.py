@@ -17,7 +17,7 @@ avoids.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from ...core.selection import (
     SelectionContext,
@@ -25,11 +25,8 @@ from ...core.selection import (
     SelectionMeta,
     SelectionPolicy,
 )
-from ...net.message import Message
-from ...orb.iiop import MarshalledCall
-from ...orb.object import MethodRequest
-from ...sim.events import Event
-from .timing_fault import MSG_REQUEST, TimingFaultClientHandler
+from ...engine import RetryPlan
+from .timing_fault import TimingFaultClientHandler
 
 __all__ = ["RetransmittingClientHandler", "BestSinglePolicy"]
 
@@ -64,6 +61,11 @@ class BestSinglePolicy(SelectionPolicy):
 class RetransmittingClientHandler(TimingFaultClientHandler):
     """Single-replica routing with timeout-driven retransmission.
 
+    The base handler with :class:`BestSinglePolicy` and the engine's
+    :class:`~repro.engine.RetryPlan` switched on: the request book files
+    each retransmitted copy under its original request, so a copy's reply
+    completes that request and is measured from the copy's own send time.
+
     Parameters (beyond the base handler's)
     --------------------------------------
     retry_timeout_ms:
@@ -91,227 +93,16 @@ class RetransmittingClientHandler(TimingFaultClientHandler):
         retry_timeout_cap_ms: Optional[float] = None,
         **kwargs: Any,
     ) -> None:
-        if "policy" in kwargs and kwargs["policy"] is not None:
+        if kwargs.get("policy") is not None:
             raise ValueError(
                 "RetransmittingClientHandler fixes its policy; do not pass one"
             )
-        if retry_timeout_ms is not None and retry_timeout_ms <= 0:
-            raise ValueError(
-                f"retry_timeout_ms must be > 0, got {retry_timeout_ms}"
-            )
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if retry_backoff_factor < 1.0:
-            raise ValueError(
-                f"retry_backoff_factor must be >= 1, got {retry_backoff_factor}"
-            )
-        if retry_timeout_cap_ms is not None and retry_timeout_cap_ms <= 0:
-            raise ValueError(
-                f"retry_timeout_cap_ms must be > 0, got {retry_timeout_cap_ms}"
-            )
         kwargs["policy"] = BestSinglePolicy()
+        self.retry_plan = RetryPlan(
+            retry_timeout_ms, int(max_retries), float(retry_backoff_factor),
+            retry_timeout_cap_ms,
+        )
         super().__init__(*args, **kwargs)
-        self.retry_timeout_ms = retry_timeout_ms
-        self.max_retries = int(max_retries)
-        self.retry_backoff_factor = float(retry_backoff_factor)
-        self.retry_timeout_cap_ms = retry_timeout_cap_ms
-        self.retransmissions = 0
-        # msg_id of a retransmitted copy -> (original msg_id, copy sent at).
-        # Entries are popped when the copy's reply folds back and when the
-        # original request is forgotten, so the map is bounded by the
-        # copies of currently in-flight requests.
-        self._aliases: Dict[int, Tuple[int, float]] = {}
-        # original msg_id -> copy msg_ids, for cleanup on forget.
-        self._copies: Dict[int, List[int]] = {}
-
-    def _effective_retry_timeout(self, attempt: int = 1) -> float:
-        """Wait before retransmission number ``attempt`` (1-based).
-
-        Exponential backoff: ``base × factor^(attempt−1)``, bounded by
-        ``retry_timeout_cap_ms`` (default: whichever of the base timeout
-        and the deadline is larger).
-        """
-        base = (
-            self.retry_timeout_ms
-            if self.retry_timeout_ms is not None
-            else self.qos.deadline_ms / 2.0
-        )
-        cap = (
-            self.retry_timeout_cap_ms
-            if self.retry_timeout_cap_ms is not None
-            else max(base, self.qos.deadline_ms)
-        )
-        return min(base * self.retry_backoff_factor ** (attempt - 1), cap)
-
-    # -- request path ----------------------------------------------------------
-    def _dispatch(
-        self,
-        request: MethodRequest,
-        call: MarshalledCall,
-        t0: float,
-        outcome_event: Event,
-    ) -> int:
-        msg_id = super()._dispatch(request, call, t0, outcome_event)
-        # Arm the retry chain on the request just created (the id is
-        # threaded through; inferring it from the _pending keys is racy).
-        pending = self._pending.get(msg_id)
-        if pending is None:
-            return msg_id  # already failed fast (empty view)
-        ranking = list(pending.decision.meta.get("ranking", []))
-        tried = list(pending.decision.selected)
-        self._arm_retry(msg_id, call, ranking, tried, attempt=1)
-        return msg_id
-
-    def _arm_retry(
-        self,
-        msg_id: int,
-        call: MarshalledCall,
-        ranking: List[str],
-        tried: List[str],
-        attempt: int,
-    ) -> None:
-        if attempt > self.max_retries:
-            return
-        self.sim.call_in(
-            self._effective_retry_timeout(attempt),
-            lambda: self._maybe_retransmit(msg_id, call, ranking, tried, attempt),
-        )
-
-    def _maybe_retransmit(
-        self,
-        msg_id: int,
-        call: MarshalledCall,
-        ranking: List[str],
-        tried: List[str],
-        attempt: int,
-    ) -> None:
-        pending = self._pending.get(msg_id)
-        if pending is None or pending.completed:
-            return
-        if self.admission is not None and self.admission.suppress_hedging(
-            self.system_load()
-        ):
-            # Under pressure hedged copies are the first load to cut: skip
-            # this retransmission but keep the chain armed — a later
-            # attempt fires normally if the load has receded by then.
-            self.tracer.emit(
-                self.clock.kernel_now, f"client.{self.host}", "client.hedge_suppressed",
-                msg_id=msg_id, attempt=attempt,
-            )
-            self._arm_retry(msg_id, call, ranking, tried, attempt + 1)
-            return
-        if self.health is not None:
-            # A retry timeout is omission evidence against every replica
-            # addressed so far that stayed silent; the `faulted` set keeps
-            # the final response timeout from billing the same silence.
-            for silent in sorted(
-                pending.expected - pending.replied - pending.faulted
-            ):
-                pending.faulted.add(silent)
-                self.health.record_fault(silent, self.clock.now, kind="omission")
-        live = set(self._members)
-        if self.health is not None:
-            usable = {r for r in live if not self.health.is_quarantined(r)}
-            if usable:  # all-quarantined: fall through with the full view
-                live = usable
-        # Replicas billed as silent this round are the likely dark side of
-        # a partition: retransmitting into them resurrects traffic a cut
-        # already killed.  Prefer fresh targets, then responsive retried
-        # ones; if every live replica is known-silent, skip this attempt
-        # (the chain stays armed — a heal makes them eligible again).
-        silent = pending.faulted
-        candidates = [
-            r for r in ranking
-            if r in live and r not in tried and r not in silent
-        ]
-        if not candidates:
-            candidates = [r for r in ranking if r in live and r not in silent]
-        if not candidates:
-            if any(r in live for r in ranking):
-                # Every live replica is known-silent: skip the attempt
-                # rather than pour copies into the dark side, but keep
-                # the chain armed — a reply that sneaks through after a
-                # heal still completes the request normally.
-                self._arm_retry(msg_id, call, ranking, tried, attempt + 1)
-            return
-        target = candidates[0]
-        tried.append(target)
-        copy = Message(
-            sender=self.host,
-            destination=target,
-            kind=MSG_REQUEST,
-            payload={"service": self.service, "call": call, "client": self.host},
-            size_bytes=call.size_bytes,
-        )
-        self._aliases[copy.msg_id] = (msg_id, self.clock.now)
-        self._copies.setdefault(msg_id, []).append(copy.msg_id)
-        # The retransmission target may now reply too; keep the record
-        # until it has been heard from (or the response timeout fires).
-        pending.expected.add(target)
-        self.retransmissions += 1
-        self.transport.send(copy)
-        self.tracer.emit(
-            self.clock.kernel_now, f"client.{self.host}", "client.retransmit",
-            msg_id=msg_id, attempt=attempt, replica=target,
-        )
-        self._arm_retry(msg_id, call, ranking, tried, attempt + 1)
-
-    # -- reply path -------------------------------------------------------------
-    def handle_message(self, message: Message) -> None:
-        # Replies to retransmitted copies correlate to the copy's msg_id;
-        # fold them back onto the original request.  The gateway delay of
-        # such a reply must be measured from the *copy's* transmission
-        # time, so t1 is swapped for the duration of the fold.
-        alias = self._aliases.pop(message.correlation_id, None)
-        if alias is None:
-            super().handle_message(message)
-            return
-        original_id, copy_sent_at = alias
-        copies = self._copies.get(original_id)
-        if copies is not None:
-            try:
-                copies.remove(message.correlation_id)
-            except ValueError:
-                pass
-            if not copies:
-                del self._copies[original_id]
-        folded = Message(
-            sender=message.sender,
-            destination=message.destination,
-            kind=message.kind,
-            payload=message.payload,
-            size_bytes=message.size_bytes,
-            correlation_id=original_id,
-            headers=message.headers,
-        )
-        pending = self._pending.get(original_id)
-        if pending is None:
-            super().handle_message(folded)
-            return
-        saved_t1 = pending.t1
-        pending.t1 = copy_sent_at
-        try:
-            super().handle_message(folded)
-        finally:
-            pending.t1 = saved_t1
-
-    # -- lifecycle -------------------------------------------------------------
-    def _on_request_forgotten(self, msg_id: int) -> None:
-        """Drop the aliases of a request's copies when the request goes.
-
-        Copies whose replies never arrive (crashed replica, lost message)
-        would otherwise leak their alias entries forever.
-        """
-        for copy_id in self._copies.pop(msg_id, ()):
-            self._aliases.pop(copy_id, None)
-
-    def lifecycle_leaks(self) -> Dict[str, List[Any]]:
-        leaks = super().lifecycle_leaks()
-        if self._aliases:
-            leaks["aliases"] = sorted(self._aliases)
-        if self._copies:
-            leaks["alias_copies"] = sorted(self._copies)
-        return leaks
 
     def __repr__(self) -> str:
         return (

@@ -150,7 +150,7 @@ class LoadTracker:
             return 0.0
         return depth / self.config.target_queue_depth
 
-    def inflight_copies(self) -> int:
+    def awaiting_replies(self) -> int:
         """Request copies the gateway is currently awaiting replies for."""
         if self.inflight_provider is None:
             return 0
@@ -174,7 +174,7 @@ class LoadTracker:
         )
         capacity = len(pool) * self.config.target_queue_depth
         inflight_component = (
-            self.config.inflight_weight * self.inflight_copies() / capacity
+            self.config.inflight_weight * self.awaiting_replies() / capacity
         )
         return queue_component + inflight_component
 

@@ -13,10 +13,21 @@ from typing import Optional
 
 import pytest
 
+from repro.core.selection import SelectionDecision
+from repro.engine import RequestRecord
 from repro.faultinject import FaultSchedule, LifecycleFaultDriver
+from repro.orb.object import MethodRequest
 from repro.workload.ministack import METHOD, SERVICE, MiniStack
 
-__all__ = ["METHOD", "SERVICE", "FaultStack", "stack"]
+__all__ = ["METHOD", "SERVICE", "FaultStack", "stack", "stray_record"]
+
+
+def stray_record(completed: bool = False) -> RequestRecord:
+    """A request record no request owns — seeds a leak via ``book.open``."""
+    return RequestRecord(
+        MethodRequest(SERVICE, METHOD), "", 0.0, 0.0, None,
+        SelectionDecision(selected=()), completed=completed,
+    )
 
 
 class FaultStack(MiniStack):

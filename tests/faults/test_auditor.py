@@ -8,7 +8,7 @@ from repro.faultinject import (
 )
 from repro.gateway.handlers.timing_fault import ReplyOutcome
 
-from .conftest import FaultStack
+from .conftest import FaultStack, stray_record
 
 
 def _outcome(timed_out, replica):
@@ -51,7 +51,7 @@ def test_timeout_counts_as_completion():
     report = stack.auditor.assert_clean()
     assert report.replies == 0
     assert report.timeouts == 1
-    assert client._pending == {}
+    assert client.pending == {}
 
 
 def test_leaked_pending_entry_is_reported():
@@ -60,7 +60,7 @@ def test_leaked_pending_entry_is_reported():
     client = stack.add_client("c-1")
     stack.invoke("c-1")
     stack.sim.run()
-    client._pending[999] = None  # seed a leak behind the handler's back
+    client.engine.book.open(999, stray_record())  # seed a leak
     report = stack.auditor.audit()
     assert not report.clean
     assert any("pending" in v and "999" in v for v in report.violations)
@@ -74,7 +74,7 @@ def test_leaked_probe_entry_is_reported():
     client = stack.add_client("c-1")
     stack.invoke("c-1")
     stack.sim.run()
-    client._probes_in_flight[123] = 0.0
+    client.engine.book.open_probe(123, "s-1", 0.0)
     report = stack.auditor.audit()
     assert any("probes_in_flight" in v for v in report.violations)
 
@@ -86,7 +86,7 @@ def test_resurrected_replica_is_reported():
     stack.invoke("c-1")
     stack.sim.run()
     # The repository still models s-1 but the view no longer has it.
-    client._members = []
+    client.engine.models.members = []
     report = stack.auditor.audit()
     assert any("resurrected_replicas" in v for v in report.violations)
 

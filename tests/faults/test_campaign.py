@@ -11,8 +11,8 @@ Four contracts:
   replay recipe;
 * **minimization** — ``shrink_schedule`` is classic ddmin: the result
   still fails and is 1-minimal;
-* **bug capture** — a deliberately seeded lifecycle bug (a client that
-  leaks its pending record on timeout) is caught by the campaign and
+* **bug capture** — a deliberately seeded lifecycle bug (a request book
+  that leaks its record on timeout) is caught by the campaign and
   shrunk to a handful of fault windows.
 """
 
@@ -36,6 +36,7 @@ from repro.faultinject.schedule import (
     FaultSchedule,
     PartitionFault,
 )
+from repro.engine import EvidenceAdmission, RequestBook
 from repro.experiments import chaos_campaign
 from repro.gateway.handlers.timing_fault import TimingFaultClientHandler
 
@@ -49,48 +50,79 @@ SMALL = CampaignConfig(schedules=8, base_seed=0)
 CLOCKED = CampaignConfig(schedules=8, base_seed=0, max_clock_windows=2)
 
 
-class LeakyTimeoutClient(TimingFaultClientHandler):
-    """Deliberately buggy client: timeout expiry leaks the request record.
+class _LeakyBook(RequestBook):
+    """Deliberately buggy book: a record with a silent replica is never dropped.
 
-    ``_expire`` pops the pending record and completes it; this subclass
-    puts the record back afterwards, so any request that *times out* (a
-    replica addressed under a partition, crash or drop window never
-    replies) stays in ``_pending`` forever.  Clean scenarios never
-    trigger it — the record is already forgotten by reply time — which
-    is exactly what makes it a good seeded bug: only the campaign's
-    fault schedules expose it, and only via the auditor's leak invariant.
+    ``forget`` hands the record back (so the timeout still completes the
+    request) but leaves it in the book whenever a replica it expected
+    never answered — i.e. on every response timeout (a replica addressed
+    under a partition, crash or drop window never replies).  Clean
+    scenarios never trigger it — every expected reply arrived, the record
+    is dropped normally — which is exactly what makes it a good seeded
+    bug: only the campaign's fault schedules expose it, and only via the
+    auditor's leak invariant.
     """
 
-    def _expire(self, msg_id: int) -> None:
-        pending = self._pending.get(msg_id)
-        super()._expire(msg_id)
-        if pending is not None and msg_id not in self._pending:
-            self._pending[msg_id] = pending
+    def forget(self, msg_id):
+        record = self.pending.get(msg_id)
+        if record is not None and not record.expected <= record.replied:
+            return record  # the bug: handed out, never removed
+        return super().forget(msg_id)
+
+
+class LeakyTimeoutClient(TimingFaultClientHandler):
+    """Seeded lifecycle bug: substitutes the leaky request book."""
+
+    book_cls = _LeakyBook
+
+
+class _StampTrustingAdmission(EvidenceAdmission):
+    """Deliberately buggy admission: it trusts replica send timestamps.
+
+    Every report's ``sent_at_ms`` — an absolute reading of the *replica's*
+    clock — ratchets a freshness watermark, which the client then compares
+    with its own clock (see :class:`ClockTrustingClient`).
+    """
+
+    watermark_ms = 0.0
+
+    def admit(self, perf):
+        self.watermark_ms = max(self.watermark_ms, perf.sent_at_ms)
+        return super().admit(perf)
+
+
+class _PatientBook(RequestBook):
+    """Keeps every record while "a fresher reply is still in flight"."""
+
+    fresher_reply_due = staticmethod(lambda: False)
+
+    def forget(self, msg_id):
+        if self.fresher_reply_due():
+            return None  # the bug: the record is neither dropped nor expired
+        return super().forget(msg_id)
 
 
 class ClockTrustingClient(TimingFaultClientHandler):
-    """Deliberately buggy client: it trusts replica send timestamps.
+    """Seeded clock-trust bug, built from two substituted owners.
 
-    Every reply's ``sent_at_ms`` — an absolute reading of the *replica's*
-    clock — ratchets a freshness watermark, and a request record is only
-    forgotten once the local clock has passed that watermark ("a fresher
-    reply might still be in flight").  Pristine replicas always stamp in
-    the past, so clean scenarios never trigger it; one forward-stepped or
-    positively-skewed replica pushes the watermark ahead of the local
-    clock and every record dropped in that interval leaks — the
-    cross-clock trust bug the clock plane's auditor invariants catch.
+    A request record is only forgotten once the local clock has passed
+    the admission's replica-stamped watermark.  Pristine replicas always
+    stamp in the past, so clean scenarios never trigger it; one
+    forward-stepped or positively-skewed replica pushes the watermark
+    ahead of the local clock and every record dropped in that interval
+    leaks — the cross-clock trust bug the clock plane's auditor
+    invariants catch.
     """
 
-    _watermark_ms = 0.0
+    book_cls = _PatientBook
+    evidence_cls = _StampTrustingAdmission
 
-    def _admit_perf_sample(self, perf):
-        self._watermark_ms = max(self._watermark_ms, perf.sent_at_ms)
-        return super()._admit_perf_sample(perf)
-
-    def _forget(self, msg_id):
-        if self.clock.now < self._watermark_ms:
-            return None  # "a fresher reply is still in flight" — the bug
-        return super()._forget(msg_id)
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        evidence, clock = self.engine.evidence, self.clock
+        self.engine.book.fresher_reply_due = (
+            lambda: clock.now < evidence.watermark_ms
+        )
 
 
 class TestCampaignConfig:

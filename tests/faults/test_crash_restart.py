@@ -137,5 +137,5 @@ def test_churned_member_is_not_resurrected_by_stale_pushes():
     stack.sim.run()
     assert not event.value.timed_out
     assert "s-2" not in client.repository
-    assert client._members == ["s-1"]
+    assert client.members == ["s-1"]
     stack.auditor.assert_clean()

@@ -5,8 +5,8 @@ Three closed-loop clients (two timing-fault handlers, one retransmitting
 strawman) fire 500 requests at five replicas while the schedule injects
 message drops, delay spikes, duplicated/late replies, crash-mid-service
 with restart, and view churn.  Afterwards the LifecycleAuditor must find
-every request completed exactly once and zero leaked ``_pending`` /
-``_aliases`` / ``_probes_in_flight`` entries anywhere.
+every request completed exactly once and zero leaked request-record /
+retransmitted-copy / probe entries anywhere.
 
 The test runs over a small seed matrix; every assertion message carries
 ``(seed, fault_seed)`` so a failing combination can be replayed directly.
@@ -96,10 +96,10 @@ def test_randomized_fault_schedule_drains_clean(seed, fault_seed, schedule_seed)
     assert report.replies > 0, tag  # useful work happened despite faults
     # Zero leaked entries, spelled out for the acceptance criterion:
     for client in stack.clients.values():
-        assert client._pending == {}, f"pending leak in {client.host} {tag}"
-        assert client._probes_in_flight == {}, f"probe leak in {client.host} {tag}"
-    assert stack.clients["c-3"]._aliases == {}, f"alias leak {tag}"
-    assert stack.clients["c-3"]._copies == {}, f"copy leak {tag}"
+        assert client.pending == {}, f"pending leak in {client.host} {tag}"
+        assert client.probes == {}, f"probe leak in {client.host} {tag}"
+        # ...and the copy book too (only c-3 retransmits).
+        assert client.lifecycle_leaks() == {}, f"leak in {client.host} {tag}"
 
 
 def test_same_seed_same_outcome():

@@ -2,18 +2,16 @@
 
 Each test pins one of the lifecycle fixes:
 
-* retransmission aliases are popped on fold-back AND when the original
-  request is forgotten (crashed target, lost reply),
-* completed ``_pending`` records are dropped as soon as no redundant
+* a retransmitted copy's book entry is consumed by its reply AND dropped
+  when the original request is forgotten (crashed target, lost reply),
+* completed request records are dropped as soon as no redundant
   reply can arrive any more (not at the 10×deadline response timeout),
 * the retry chain is armed on the request's own msg_id, not on
-  ``max(self._pending)``,
+  the largest pending id,
 * a request that reaches zero replicas (empty view, stale view) fails
   fast as a timeout instead of burning the full response timeout,
 * probe bookkeeping is bounded when probe replies are lost.
 """
-
-from types import SimpleNamespace
 
 import pytest
 
@@ -22,7 +20,7 @@ from repro.gateway.handlers.retransmit import RetransmittingClientHandler
 from repro.gateway.handlers.timing_fault import MSG_PROBE_REPLY
 from repro.sim.random import Constant
 
-from .conftest import SERVICE, FaultStack
+from .conftest import SERVICE, FaultStack, stray_record
 
 
 def _retrans_stack(servers=2, **client_kwargs):
@@ -43,9 +41,8 @@ def test_alias_popped_when_copy_reply_folds_back():
     assert not event.value.timed_out
     assert handler.retransmissions == 1
     # Both the original and the copy replied; nothing may survive.
-    assert handler._aliases == {}
-    assert handler._copies == {}
-    assert handler._pending == {}
+    assert handler.lifecycle_leaks() == {}
+    assert handler.pending == {}
     stack.auditor.assert_clean()
 
 
@@ -65,9 +62,8 @@ def test_alias_dropped_when_original_request_expires():
     stack.sim.run()
     assert event.value.timed_out
     assert handler.retransmissions >= 1  # copies were created, then leaked?
-    assert handler._aliases == {}  # ...no: expiry cleaned them up
-    assert handler._copies == {}
-    assert handler._pending == {}
+    assert handler.lifecycle_leaks() == {}  # ...no: expiry cleaned them up
+    assert handler.pending == {}
     report = stack.auditor.assert_clean()
     assert report.timeouts == 1
 
@@ -78,19 +74,18 @@ def test_retry_chain_is_armed_on_the_threaded_msg_id():
     # the failure detector never evicts it).
     stack.servers["s-1"].crash()
     # A decoy pending entry with a huge msg_id: code that infers "the
-    # request I just created" via max(_pending) picks this one instead
+    # request I just created" via the largest pending id picks this one
     # and never retransmits.
     decoy_id = 10**9
-    handler._pending[decoy_id] = SimpleNamespace(completed=True)
+    handler.engine.book.open(decoy_id, stray_record(completed=True))
     event = stack.invoke("c-1", 0)
     stack.sim.run()
     outcome = event.value
     assert not outcome.timed_out
     assert outcome.replica == "s-2"
     assert handler.retransmissions >= 1
-    del handler._pending[decoy_id]
-    assert handler._pending == {}
-    assert handler._aliases == {}
+    handler.engine.book.forget(decoy_id)
+    assert handler.lifecycle_leaks() == {}
 
 
 def test_pending_dropped_once_all_expected_replies_arrived():
@@ -104,7 +99,7 @@ def test_pending_dropped_once_all_expected_replies_arrived():
     stack.sim.run(until=60.0)
     assert event.processed
     assert not event.value.timed_out
-    assert client._pending == {}
+    assert client.pending == {}
     stack.sim.run()
     stack.auditor.assert_clean()
 
@@ -121,7 +116,7 @@ def test_empty_view_fails_fast_as_timeout():
     # The whole run drained long before even one deadline, let alone the
     # 10×deadline response timeout the old code waited for.
     assert stack.sim.now < 100.0
-    assert client._pending == {}
+    assert client.pending == {}
     report = stack.auditor.assert_clean()
     assert report.timeouts == 1
 
@@ -138,14 +133,14 @@ def test_stale_view_membership_error_fails_fast():
     group = stack.group_comm.membership.get(SERVICE)
     group.leave("s-1")
     group.leave("s-2")
-    assert client._members  # stale on purpose
+    assert client.members  # stale on purpose
     start = stack.sim.now
     event = stack.invoke("c-1", 0)
     stack.sim.run()
     outcome = event.value
     assert outcome.timed_out
     assert stack.sim.now - start < 100.0
-    assert client._pending == {}
+    assert client.pending == {}
 
 
 def test_probe_bookkeeping_is_bounded_when_replies_are_lost():
@@ -163,4 +158,4 @@ def test_probe_bookkeeping_is_bounded_when_replies_are_lost():
     # Every lost probe was given up on after one interval; without the
     # expiry the in-flight map grows by one entry per tick forever.
     assert client.probes_expired >= client.probes_sent - 2
-    assert len(client._probes_in_flight) <= 2
+    assert len(client.probes) <= 2

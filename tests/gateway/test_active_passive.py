@@ -1,13 +1,8 @@
-"""Tests for the active and passive replication handlers."""
-
-import pytest
+"""Active and passive replication: the timing fault handler under
+:class:`AllReplicasPolicy` / :class:`PrimaryBackupPolicy`."""
 
 from repro.core.qos import QoSSpec
-from repro.gateway.handlers.active import ActiveReplicationClientHandler
-from repro.gateway.handlers.passive import (
-    PassiveReplicationClientHandler,
-    PrimaryBackupPolicy,
-)
+from repro.core.baselines import AllReplicasPolicy, PrimaryBackupPolicy
 from repro.sim.random import Constant
 from repro.workload.scenarios import Scenario, ScenarioConfig
 
@@ -33,31 +28,19 @@ class TestActiveHandler:
         client = scenario.add_client(
             "c1",
             _qos(scenario),
-            handler_cls=ActiveReplicationClientHandler,
+            policy=AllReplicasPolicy(),
             num_requests=5,
             think_time=Constant(50.0),
         )
         scenario.run_to_completion()
         assert all(o.redundancy == 3 for o in client.outcomes)
 
-    def test_rejects_custom_policy(self):
-        from repro.core.baselines import RandomPolicy
-
-        scenario = _scenario()
-        with pytest.raises(ValueError):
-            scenario.add_client(
-                "c1",
-                _qos(scenario),
-                handler_cls=ActiveReplicationClientHandler,
-                policy=RandomPolicy(1),
-            )
-
     def test_survives_any_single_crash_without_timeouts(self):
         scenario = _scenario()
         client = scenario.add_client(
             "c1",
             _qos(scenario),
-            handler_cls=ActiveReplicationClientHandler,
+            policy=AllReplicasPolicy(),
             num_requests=20,
             think_time=Constant(100.0),
         )
@@ -72,7 +55,7 @@ class TestPassiveHandler:
         client = scenario.add_client(
             "c1",
             _qos(scenario),
-            handler_cls=PassiveReplicationClientHandler,
+            policy=PrimaryBackupPolicy(),
             num_requests=5,
             think_time=Constant(50.0),
         )
@@ -81,23 +64,12 @@ class TestPassiveHandler:
         assert replicas == {"replica-1"}  # lowest name is primary
         assert all(o.redundancy == 1 for o in client.outcomes)
 
-    def test_primary_property(self):
-        scenario = _scenario()
-        scenario.add_client(
-            "c1",
-            _qos(scenario),
-            handler_cls=PassiveReplicationClientHandler,
-            num_requests=1,
-        )
-        handler = scenario.handlers["c1"]
-        assert handler.primary == "replica-1"
-
     def test_backup_promoted_after_primary_crash(self):
         scenario = _scenario(seed=1, response_timeout_factor=2.0)
         client = scenario.add_client(
             "c1",
             _qos(scenario, deadline=300.0),
-            handler_cls=PassiveReplicationClientHandler,
+            policy=PrimaryBackupPolicy(),
             num_requests=20,
             think_time=Constant(150.0),
         )

@@ -65,8 +65,8 @@ class TestRequestClassification:
             event = stub.invoke("heavy", i)
             stack.sim.run()
         assert set(client.request_classes()) == {DEFAULT_CLASS, "process", "heavy"}
-        cheap = client._repositories["process"].record("replica-1")
-        costly = client._repositories["heavy"].record("replica-1")
+        cheap = client.engine.models.repository_for("process").record("replica-1")
+        costly = client.engine.models.repository_for("heavy").record("replica-1")
         assert max(cheap.service_times.values()) < 20.0
         assert min(costly.service_times.values()) > 100.0
 
@@ -81,8 +81,8 @@ class TestRequestClassification:
             stack.sim.run()
             event = stub.invoke("heavy", i)
             stack.sim.run()
-        fast = client._estimators["process"].probability_by("replica-1", 50.0)
-        slow = client._estimators["heavy"].probability_by("replica-1", 50.0)
+        fast = client.engine.models.estimator_for("process").probability_by("replica-1", 50.0)
+        slow = client.engine.models.estimator_for("heavy").probability_by("replica-1", 50.0)
         assert fast == pytest.approx(1.0)
         assert slow == pytest.approx(0.0)
 

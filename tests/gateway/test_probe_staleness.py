@@ -23,10 +23,10 @@ class TestInFlightGuard:
         # Cold record -> infinitely stale -> due.  The first tick sends
         # exactly one probe; while it is in flight (no reply processed,
         # the simulator never ran) a second tick must not send another.
-        client._probe_tick()
+        client.engine.probe_tick()
         assert client.probes_sent == 1
-        assert len(client._probes_in_flight) == 1
-        client._probe_tick()
+        assert len(client.probes) == 1
+        client.engine.probe_tick()
         assert client.probes_sent == 1
 
     def test_health_due_probe_is_not_duplicated_while_in_flight(self):
@@ -43,11 +43,11 @@ class TestInFlightGuard:
             client.health.record_fault("replica-1", at)
         assert client.health.state("replica-1") is HealthState.QUARANTINED
         client.health.record_for("replica-1").next_probe_at_ms = 0.0
-        client._probe_tick()
+        client.engine.probe_tick()
         assert client.probes_sent == 1
         # Force the replica due again: even so, the in-flight guard wins.
         client.health.record_for("replica-1").next_probe_at_ms = 0.0
-        client._probe_tick()
+        client.engine.probe_tick()
         assert client.probes_sent == 1
 
     def test_both_paths_due_still_yield_a_single_probe(self):
@@ -62,7 +62,7 @@ class TestInFlightGuard:
         )
         client.health.record_fault("replica-1", 1.0)  # SUSPECTED: due every tick
         assert client.health.state("replica-1") is HealthState.SUSPECTED
-        client._probe_tick()
+        client.engine.probe_tick()
         assert client.probes_sent == 1
 
     def test_in_flight_probe_does_not_refresh_the_record(self):
@@ -73,7 +73,7 @@ class TestInFlightGuard:
         stack.sim.run()
         record = client.repository.record("replica-1")
         updated_at = record.last_update_ms
-        client._send_probe("replica-1")
+        client.engine.send_probe("replica-1")
         # Only the probe *reply* refreshes the window; the send must not.
         assert record.last_update_ms == updated_at
 
@@ -81,12 +81,12 @@ class TestInFlightGuard:
         stack = MiniStack()
         stack.add_server("replica-1", service_time=Constant(10.0))
         client = probing_client(stack)
-        client._probe_tick()
+        client.engine.probe_tick()
         assert client.probes_sent == 1
-        (msg_id,) = client._probes_in_flight
-        client._expire_probe(msg_id)
-        assert client._probes_in_flight == {}
-        client._probe_tick()
+        (msg_id,) = client.probes
+        client.engine.expire_probe(msg_id)
+        assert client.probes == {}
+        client.engine.probe_tick()
         assert client.probes_sent == 2
 
     def test_probe_expiry_feeds_health_as_probe_failure(self):
@@ -102,7 +102,7 @@ class TestInFlightGuard:
         for at in (1.0, 2.0):
             client.health.record_fault("replica-1", at)
         assert client.health.state("replica-1") is HealthState.SUSPECTED
-        client._probe_tick()  # suspected replicas are probed every tick
-        (msg_id,) = client._probes_in_flight
-        client._expire_probe(msg_id)
+        client.engine.probe_tick()  # suspected replicas are probed every tick
+        (msg_id,) = client.probes
+        client.engine.expire_probe(msg_id)
         assert client.health.state("replica-1") is HealthState.QUARANTINED

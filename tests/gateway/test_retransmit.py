@@ -124,7 +124,7 @@ def test_rejects_custom_policy():
 def test_default_retry_timeout_is_half_deadline():
     stack = _stack_with()
     handler = _add_retry_client(stack, deadline=300.0)
-    assert handler._effective_retry_timeout() == pytest.approx(150.0)
+    assert handler.retry_plan.wait_ms(1, handler.qos.deadline_ms) == pytest.approx(150.0)
 
 
 def test_retry_backoff_doubles_up_to_the_cap():
@@ -136,7 +136,7 @@ def test_retry_backoff_doubles_up_to_the_cap():
         retry_backoff_factor=2.0,
         retry_timeout_cap_ms=100.0,
     )
-    waits = [handler._effective_retry_timeout(attempt) for attempt in (1, 2, 3, 4)]
+    waits = [handler.retry_plan.wait_ms(attempt, 300.0) for attempt in (1, 2, 3, 4)]
     assert waits == pytest.approx([25.0, 50.0, 100.0, 100.0])
 
 
@@ -145,15 +145,15 @@ def test_backoff_factor_one_restores_fixed_intervals():
     handler = _add_retry_client(
         stack, deadline=300.0, retry_timeout_ms=30.0, retry_backoff_factor=1.0
     )
-    assert handler._effective_retry_timeout(1) == pytest.approx(30.0)
-    assert handler._effective_retry_timeout(7) == pytest.approx(30.0)
+    assert handler.retry_plan.wait_ms(1, 300.0) == pytest.approx(30.0)
+    assert handler.retry_plan.wait_ms(7, 300.0) == pytest.approx(30.0)
 
 
 def test_backoff_cap_defaults_to_the_deadline():
     stack = _stack_with()
     handler = _add_retry_client(stack, deadline=300.0, retry_timeout_ms=50.0)
     # 50 × 2^9 ≫ 300; the implicit cap is max(base, deadline) = 300.
-    assert handler._effective_retry_timeout(10) == pytest.approx(300.0)
+    assert handler.retry_plan.wait_ms(10, 300.0) == pytest.approx(300.0)
 
 
 def test_backoff_parameter_validation():

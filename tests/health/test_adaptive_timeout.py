@@ -30,7 +30,7 @@ class TestAdaptiveTimeout:
         )
         assert handler.adaptive_timeout_quantile is None
         warm_up(stack)
-        assert handler._response_timeout_ms(("s-1",), "") == 1000.0
+        assert handler.engine.response_timeout_ms(("s-1",), "") == 1000.0
 
     def test_cold_model_keeps_the_legacy_ceiling(self, stack: MiniStack):
         stack.add_server("s-1", service_time=Constant(8.0))
@@ -42,7 +42,7 @@ class TestAdaptiveTimeout:
         )
         assert handler.adaptive_timeout_quantile == 0.99
         # No requests yet: no pmf for s-1 -> generous legacy wait.
-        assert handler._response_timeout_ms(("s-1",), "") == 1000.0
+        assert handler.engine.response_timeout_ms(("s-1",), "") == 1000.0
 
     def test_warm_model_clamps_up_to_the_deadline(self, stack: MiniStack):
         # Predicted responses (~10 ms) sit far below the 100 ms deadline:
@@ -55,7 +55,7 @@ class TestAdaptiveTimeout:
             health_config=HealthConfig(),
         )
         warm_up(stack)
-        assert handler._response_timeout_ms(("s-1",), "") == 100.0
+        assert handler.engine.response_timeout_ms(("s-1",), "") == 100.0
 
     def test_warm_model_between_deadline_and_ceiling(self, stack: MiniStack):
         # Predicted responses (~84 ms) exceed the 50 ms deadline: the
@@ -68,7 +68,7 @@ class TestAdaptiveTimeout:
             health_config=HealthConfig(),
         )
         warm_up(stack)
-        timeout = handler._response_timeout_ms(("s-1",), "")
+        timeout = handler.engine.response_timeout_ms(("s-1",), "")
         assert 50.0 < timeout < 150.0
 
     def test_worst_selected_replica_dominates(self, stack: MiniStack):
@@ -81,8 +81,8 @@ class TestAdaptiveTimeout:
             health_config=HealthConfig(),
         )
         warm_up(stack, requests=4)
-        both = handler._response_timeout_ms(("s-1", "s-2"), "")
-        fast_only = handler._response_timeout_ms(("s-1",), "")
+        both = handler.engine.response_timeout_ms(("s-1", "s-2"), "")
+        fast_only = handler.engine.response_timeout_ms(("s-1",), "")
         assert both > fast_only
 
     def test_any_cold_member_reverts_to_the_ceiling(self, stack: MiniStack):
@@ -94,7 +94,7 @@ class TestAdaptiveTimeout:
             health_config=HealthConfig(),
         )
         warm_up(stack)
-        assert handler._response_timeout_ms(("s-1", "ghost"), "") == 1000.0
+        assert handler.engine.response_timeout_ms(("s-1", "ghost"), "") == 1000.0
 
     def test_explicit_quantile_works_without_health(self, stack: MiniStack):
         stack.add_server("s-1", service_time=Constant(8.0))
@@ -106,7 +106,7 @@ class TestAdaptiveTimeout:
         )
         assert handler.health is None
         warm_up(stack)
-        assert handler._response_timeout_ms(("s-1",), "") == 100.0
+        assert handler.engine.response_timeout_ms(("s-1",), "") == 100.0
 
     def test_invalid_quantile_rejected(self, stack: MiniStack):
         stack.add_server("s-1")

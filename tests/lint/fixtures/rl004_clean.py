@@ -1,7 +1,7 @@
 """RL004 clean: read-only inspection of the lifecycle books."""
 
 
-def leak_count(handler) -> int:
-    pending = len(handler._pending)
-    copies = sorted(handler._copies)
+def leak_count(book) -> int:
+    pending = len(book._requests)
+    copies = sorted(book._copy_of)
     return pending + len(copies)

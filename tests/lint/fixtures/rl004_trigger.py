@@ -1,8 +1,8 @@
-"""RL004 trigger: lifecycle book mutations outside ``gateway/handlers/``."""
+"""RL004 trigger: lifecycle book mutations outside ``engine/book.py``."""
 
 
 class Meddler:
-    def reset(self, handler) -> None:
-        handler._pending.clear()
-        del handler._aliases[0]
-        handler._copies = {}
+    def reset(self, book) -> None:
+        book._requests.clear()
+        del book._copy_of[0]
+        book._probes = {}

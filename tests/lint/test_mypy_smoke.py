@@ -20,6 +20,7 @@ STRICT_PACKAGES = [
     "repro.sim",
     "repro.rng",
     "repro.gateway",
+    "repro.engine",
     "repro.overload",
     "repro.health",
     "repro.faultinject",

@@ -60,15 +60,11 @@ class TestScoping:
     def test_rl003_exempt_in_distribution_module(self):
         assert _lint("rl003_trigger.py", "RL003", "src/repro/core/distribution.py") == []
 
-    def test_rl004_allowed_inside_gateway_handlers(self):
-        assert (
-            _lint(
-                "rl004_trigger.py",
-                "RL004",
-                "src/repro/gateway/handlers/timing_fault.py",
-            )
-            == []
-        )
+    def test_rl004_allowed_only_in_the_request_book_module(self):
+        assert _lint("rl004_trigger.py", "RL004", "src/repro/engine/book.py") == []
+        # The old exempt path is held to the rule like everyone else.
+        handlers = "src/repro/gateway/handlers/timing_fault.py"
+        assert len(_lint("rl004_trigger.py", "RL004", handlers)) == 3
 
     def test_rl005_scoped_to_hot_files(self):
         assert _lint("rl005_trigger.py", "RL005", "src/repro/core/selection.py") == []

@@ -1,7 +1,7 @@
 """The shed path through the client handler and the lifecycle auditor.
 
 A shed is the third completion outcome (reply XOR timeout XOR shed): the
-client's event fires immediately, no copy hits the wire, no ``_pending``
+client's event fires immediately, no copy hits the wire, no request-book
 record exists, and the response-time statistics stay untouched — load
 control is not a timing fault.
 """
@@ -66,7 +66,7 @@ def test_shed_outcome_is_failfast_and_audited():
 
     assert handler.sheds == 1
     assert handler.admission.sheds == 1
-    assert handler._pending == {}  # never registered: nothing to leak
+    assert handler.pending == {}  # never registered: nothing to leak
     # Sheds stay out of the QoS statistics (only request 1 was served).
     assert handler.stats.responses == 1
     assert (

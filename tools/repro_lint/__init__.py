@@ -1,6 +1,6 @@
 """repro-lint: the repository's custom determinism/lifecycle lint pack.
 
-Five AST-based rules encode the invariants that keep the reproduction
+Six AST-based rules encode the invariants that keep the reproduction
 deterministic and its request lifecycle auditable — properties a general
 linter cannot know about:
 
@@ -15,9 +15,9 @@ linter cannot know about:
 * **RL003** — no bare float ``==``/``!=`` on pmf/time-valued
   expressions; exact comparisons belong to the grid-tolerance helpers in
   ``core/distribution.py``.
-* **RL004** — the request-lifecycle books (``_pending``, ``_aliases``,
-  ``_probes_in_flight``, ``_copies``) are mutated only inside
-  ``gateway/handlers/`` (the single-writer invariant the
+* **RL004** — the request-lifecycle books (``_requests``, ``_copy_of``,
+  ``_probes``) are mutated only inside ``engine/book.py``, the module
+  that defines ``RequestBook`` (the single-writer invariant the
   :class:`~repro.faultinject.auditor.LifecycleAuditor` relies on).
 * **RL005** — hot-path dataclasses in ``net/message.py`` and
   ``sim/events.py`` must declare ``slots=True``.

@@ -262,12 +262,14 @@ class FloatEquality(Rule):
 
 
 class LifecycleSingleWriter(Rule):
-    """RL004 — lifecycle books are written only in ``gateway/handlers/``."""
+    """RL004 — lifecycle books are written only in ``engine/book.py``."""
 
     rule_id = "RL004"
     title = "lifecycle bookkeeping has a single writer"
 
-    BOOKS = frozenset({"_pending", "_aliases", "_probes_in_flight", "_copies"})
+    BOOKS = frozenset({"_requests", "_copy_of", "_probes"})
+    #: The one module that defines (and may write) the books.
+    OWNER = "/engine/book.py"
     MUTATORS = frozenset(
         {
             "add",
@@ -285,7 +287,7 @@ class LifecycleSingleWriter(Rule):
     )
 
     def applies_to(self, path: str) -> bool:
-        return _in_repro(path) and "/gateway/handlers/" not in path
+        return _in_repro(path) and not path.endswith(self.OWNER)
 
     def _is_book(self, node: ast.AST) -> bool:
         return isinstance(node, ast.Attribute) and node.attr in self.BOOKS
@@ -311,7 +313,7 @@ class LifecycleSingleWriter(Rule):
                     path,
                     node,
                     f"{how} of lifecycle bookkeeping outside "
-                    "gateway/handlers/ breaks the single-writer "
+                    "engine/book.py (RequestBook) breaks the single-writer "
                     "invariant the LifecycleAuditor audits",
                 )
             )
