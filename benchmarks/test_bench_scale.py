@@ -2,7 +2,9 @@
 
 CI smoke for ISSUE 7's scale targets: one *cached* selection over a
 1024-replica fleet must stay under 1 ms, and the slotted event queue
-must sustain a healthy dispatch rate.  ``test_scale_bench_exported``
+must sustain a healthy dispatch rate; and for ISSUE 14's: a selection
+after one replica pushed an update (what a live request pays) costs at
+most 2.5x the nothing-changed one.  ``test_scale_bench_exported``
 writes the full grid (n ∈ {64, 256, 1024}, l ∈ {60, 240}) plus the
 kernel throughput points to ``BENCH_scale.json`` at the repository root
 (format documented in docs/PERFORMANCE.md §7) so the numbers are
@@ -25,6 +27,12 @@ from repro.experiments.bench_scale import (
 from repro.experiments.fig3_overhead import build_loaded_repository
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+#: One dirty replica must cost O(one row), not O(fleet): the ratio to the
+#: nothing-changed selection at n = 1024 (measured ~1.2; ~7 if a write
+#: invalidates the whole matrix).  A ratio of two same-run timings, so
+#: host speed cancels.
+DIRTY1_OVER_CACHED_CEILING = 2.5
 
 #: Generous floor for the slotted queue: it clocks >300k events/sec on a
 #: developer laptop; 50k trips only on a genuine regression, not on a
@@ -92,6 +100,12 @@ def test_scale_bench_exported(benchmark):
         assert point.cached_us < 1000.0, (
             f"cached selection at n=1024, l={point.window_size} took "
             f"{point.cached_us:.0f} us (budget: 1000 us)"
+        )
+        ratio = point.dirty1_us / point.cached_us
+        assert ratio <= DIRTY1_OVER_CACHED_CEILING, (
+            f"one dirty replica at n=1024, l={point.window_size} costs "
+            f"{point.dirty1_us:.0f} us, {ratio:.1f}x the cached "
+            f"{point.cached_us:.0f} us (ceiling: {DIRTY1_OVER_CACHED_CEILING}x)"
         )
     benchmark.extra_info["cached_us"] = {
         f"n={p.num_replicas},l={p.window_size}": round(p.cached_us, 1)

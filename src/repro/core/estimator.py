@@ -23,15 +23,16 @@ reports in Fig. 3, so the estimator runs an *incremental pipeline*
   ``(S-version, W-version, T_i, bin_width)`` — a gateway-delay update
   alone re-shifts the cached convolution instead of rebuilding it;
 * :meth:`batch_probability_by` evaluates ``F_{R_i}(t)`` for *all*
-  replicas in one vectorized pass over a padded (values, cumulative)
-  matrix that is itself cached while every per-replica pmf is unchanged.
+  replicas in one vectorized pass over a resident padded (values,
+  cumulative) matrix; between calls only the rows of replicas the
+  repository's change log names are re-derived and overwritten in place.
 
-With unchanged windows, a full selection therefore costs dictionary
-lookups plus one vectorized comparison — the measured Fig. 3 ``δ``
-collapses, which directly loosens the ``t − δ`` compensation of
-Algorithm 1 (§5.3.3).  Construct with ``incremental=False`` to restore
-the paper's rebuild-every-request behaviour (the benchmarks use it as
-the uncached baseline).
+A selection therefore costs one vectorized comparison plus work
+proportional to the rows that changed since the previous one — the
+measured Fig. 3 ``δ`` collapses, which directly loosens the ``t − δ``
+compensation of Algorithm 1 (§5.3.3).  Construct with
+``incremental=False`` to restore the paper's rebuild-every-request
+behaviour (the benchmarks use it as the uncached baseline).
 """
 
 from __future__ import annotations
@@ -39,11 +40,67 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import numpy.typing as npt
 
 from .distribution import DiscretePMF, batch_convolve
 from .repository import InformationRepository, ReplicaRecord, SlidingWindow
 
 __all__ = ["ResponseTimeEstimator", "QueueScaledEstimator"]
+
+# (record, S version, W version): the record itself is part of the key
+# because a replica that leaves and re-joins gets a fresh record whose
+# window versions restart at 0 and may collide with the old ones.
+_ConvKey = Tuple[ReplicaRecord, int, int]
+
+
+def _conv_key(record: ReplicaRecord) -> _ConvKey:
+    return (record, record.service_times.version, record.queue_delays.version)
+
+
+class _BatchState:
+    """The resident CDF matrix of one replica tuple, one row per replica.
+
+    Row ``i`` holds ``pmfs[i]``'s support in ``values[i, :sizes[i]]``
+    (padded with ``inf``) and its running sum in ``cumulative`` (padded
+    with 1); rows in ``missing`` have no history (``pmfs[i] is None``)
+    and are all padding.  Everything reflects the repository as of
+    ``version``.  A new state has no history in any row.
+    """
+
+    def __init__(self, replicas: Tuple[str, ...], width: int) -> None:
+        count = len(replicas)
+        self.replicas = replicas
+        self.version = 0
+        self.rows = {name: row for row, name in enumerate(replicas)}
+        self.pmfs: List[Optional[DiscretePMF]] = [None] * count
+        self.missing = set(range(count))
+        self.values: npt.NDArray[np.float64] = np.full((count, width), np.inf)
+        self.cumulative: npt.NDArray[np.float64] = np.ones((count, width))
+        self.tolerances: npt.NDArray[np.float64] = np.zeros(count)
+        self.sizes: npt.NDArray[np.intp] = np.zeros(count, dtype=np.intp)
+
+    def write_row(self, row: int, pmf: Optional[DiscretePMF]) -> None:
+        """Overwrite ``row`` with ``pmf``, widening the matrix if needed."""
+        size = 0 if pmf is None else pmf.support_size
+        grow = size - self.values.shape[1]
+        if grow > 0:
+            self.values = np.pad(
+                self.values, ((0, 0), (0, grow)), constant_values=np.inf
+            )
+            self.cumulative = np.pad(
+                self.cumulative, ((0, 0), (0, grow)), constant_values=1.0
+            )
+        self.values[row, size:] = np.inf
+        self.cumulative[row, size:] = 1.0
+        if pmf is None:
+            self.missing.add(row)
+        else:
+            self.missing.discard(row)
+            self.values[row, :size] = pmf.values
+            self.cumulative[row, :size] = pmf.cumulative_probs()
+            self.tolerances[row] = pmf.dust_tolerance()
+        self.sizes[row] = size
+        self.pmfs[row] = pmf
 
 
 class ResponseTimeEstimator:
@@ -78,17 +135,15 @@ class ResponseTimeEstimator:
         self.incremental = bool(incremental)
         # replica -> (cache key, final response-time pmf).
         self._cache: Dict[str, Tuple[tuple, DiscretePMF]] = {}
-        # replica -> ((S version, W version), S ⊛ W pmf).
-        self._conv_cache: Dict[str, Tuple[Tuple[int, int], DiscretePMF]] = {}
-        # (pmf tuple, padded values, cumulative, tolerances, sizes) for the
-        # batched F(t) evaluation; valid while every pmf object is reused.
-        self._batch_cache: Optional[tuple] = None
-        # (replica tuple, repository version, pmf list): skips the whole
-        # per-replica cache walk when nothing in the repository moved —
-        # the fleet-scale steady state costs one integer compare.
-        self._pmf_list_cache: Optional[tuple] = None
+        # replica -> (convolution key, S ⊛ W pmf).
+        self._conv_cache: Dict[str, Tuple[_ConvKey, DiscretePMF]] = {}
+        # The batched F(t) evaluation's resident matrix, kept in step with
+        # the repository through its change log (see _synced_batch).
+        self._batch: Optional[_BatchState] = None
         self.cache_hits = 0
         self.cache_misses = 0
+        self.matrix_builds = 0
+        self.rows_patched = 0
 
     # -- model construction ----------------------------------------------------
     def response_time_pmf(self, replica: str) -> Optional[DiscretePMF]:
@@ -117,12 +172,7 @@ class ResponseTimeEstimator:
             t_key: object = ("window", record.gateway_delays.version)
         else:
             t_key = ("point", record.gateway_delay_ms)
-        return (
-            record.service_times.version,
-            record.queue_delays.version,
-            t_key,
-            self.bin_width_ms,
-        )
+        return (*_conv_key(record), t_key, self.bin_width_ms)
 
     def _window_pmf(self, window: SlidingWindow) -> DiscretePMF:
         """One window's empirical pmf, via the incremental path when on."""
@@ -132,7 +182,7 @@ class ResponseTimeEstimator:
 
     def _base_pmf(self, record: ReplicaRecord) -> DiscretePMF:
         """``S_i ⊛ W_i``, cached on the pair of window versions."""
-        key = (record.service_times.version, record.queue_delays.version)
+        key = _conv_key(record)
         cached = self._conv_cache.get(record.name)
         if cached is not None and cached[0] == key:
             return cached[1]
@@ -155,14 +205,14 @@ class ResponseTimeEstimator:
         rebuilt by the scalar path on first use — results are identical
         either way.
         """
-        stale: List[Tuple[str, Tuple[int, int], DiscretePMF, DiscretePMF]] = []
+        stale: List[Tuple[str, _ConvKey, DiscretePMF, DiscretePMF]] = []
         for name in replicas:
             if name not in self.repository:
                 continue
             record = self.repository.record(name)
             if not record.has_history:
                 continue
-            key = (record.service_times.version, record.queue_delays.version)
+            key = _conv_key(record)
             cached = self._conv_cache.get(name)
             if cached is not None and cached[0] == key:
                 continue
@@ -217,91 +267,92 @@ class ResponseTimeEstimator:
         """``F_{R_i}(deadline)`` for ``replicas`` in one vectorized pass.
 
         Per-replica entries are ``None`` without history, exactly as
-        :meth:`probability_by`.  When every pmf object is unchanged since
-        the previous call, evaluation is a single comparison over a cached
-        padded matrix — the hot path of ``DynamicSelectionPolicy``.  When
-        windows *did* move, the stale ``S ⊛ W`` convolutions are first
-        refreshed in one batched FFT pass (:meth:`_refresh_convolutions`).
+        :meth:`probability_by`.  Evaluation is a single comparison over
+        the resident padded matrix — the hot path of
+        ``DynamicSelectionPolicy`` — after :meth:`_synced_batch` has
+        re-derived the rows whose replicas changed since the last call.
         """
-        pmfs = self._batch_pmfs(replicas)
-        results: List[Optional[float]] = [None] * len(pmfs)
+        state = self._synced_batch(replicas)
+        results: List[Optional[float]]
         if deadline_ms <= 0:
-            for index, pmf in enumerate(pmfs):
-                if pmf is not None:
-                    results[index] = 0.0
-            return results
-        known = [(index, pmf) for index, pmf in enumerate(pmfs) if pmf is not None]
-        if not known:
-            return results
-        probabilities = self._batch_cdf(
-            tuple(pmf for _, pmf in known), float(deadline_ms)
-        )
-        for (index, _), probability in zip(known, probabilities):
-            results[index] = probability
+            results = [0.0] * len(state.pmfs)
+        else:
+            values, sizes = state.values, state.sizes
+            counts = (
+                values <= float(deadline_ms) + state.tolerances[:, None]
+            ).sum(axis=1)
+            indices = np.clip(counts - 1, 0, values.shape[1] - 1)
+            probabilities = np.clip(
+                state.cumulative[np.arange(sizes.size), indices], 0.0, 1.0
+            )
+            # Mirror the scalar cdf's exact end points.
+            probabilities[counts == 0] = 0.0
+            probabilities[counts >= sizes] = 1.0
+            results = probabilities.tolist()
+        for row in state.missing:
+            results[row] = None
         return results
 
-    def _batch_pmfs(
-        self, replicas: Sequence[str]
-    ) -> List[Optional[DiscretePMF]]:
-        """Per-replica response-time pmfs, version-gated for the fleet.
+    def _synced_batch(self, replicas: Sequence[str]) -> _BatchState:
+        """The resident matrix for ``replicas``, brought up to date.
 
-        The steady state at fleet scale must not pay an O(n) python walk
-        over per-replica cache keys per request, so the full pmf list is
-        cached against ``repository.version`` — a single integer that
-        moves on *any* record or membership mutation routed through the
-        repository/record APIs (the only mutation paths production code
-        uses; mutating a window object directly bypasses the gate).
+        One invalidation rule: a row is re-derived iff the repository's
+        change log names its replica since the version the matrix
+        reflects; a membership change, another replica tuple,
+        :meth:`invalidate` or :meth:`prune` rebuild every row.  (Only
+        mutations routed through the repository/record APIs are logged —
+        the only paths production code uses; mutating a window object
+        directly bypasses the gate.)  Re-derivation goes through
+        :meth:`_refresh_convolutions` and :meth:`response_time_pmf`, so
+        the per-replica caches see the traffic a whole-fleet walk would
+        give them: rows the log does not name are necessarily hits.
+        ``incremental=False`` treats every row as changed on every call.
         """
-        version = getattr(self.repository, "version", None)
-        replicas_key = tuple(replicas)
-        if self.incremental and version is not None:
-            cached = self._pmf_list_cache
-            if (
-                cached is not None
-                and cached[1] == version
-                and cached[0] == replicas_key
-            ):
-                return cached[2]
+        key = tuple(replicas)
+        version = self.repository.version
+        state = self._batch
+        changed: Optional[List[str]] = None
+        # (A tuple naming a replica twice has no row-by-name index: it is
+        # rebuilt on every call.)
+        if (
+            state is not None
+            and state.replicas == key
+            and len(state.rows) == len(key)
+        ):
+            if not self.incremental:
+                changed = list(key)
+            elif state.version == version:
+                return state
+            else:
+                changed = self.repository.changed_since(state.version)
+        if state is None or changed is None:
+            pmfs = self._derive(key)
+            width = max(
+                (pmf.support_size for pmf in pmfs if pmf is not None), default=1
+            )
+            state = self._batch = _BatchState(key, width)
+            for row, pmf in enumerate(pmfs):
+                if pmf is not None:
+                    state.write_row(row, pmf)
+            self.matrix_builds += 1
+        else:
+            rows = state.rows
+            dirty = sorted(rows[name] for name in changed if name in rows)
+            self.cache_hits += len(key) - len(state.missing) - sum(
+                state.pmfs[row] is not None for row in dirty
+            )
+            for row, pmf in zip(dirty, self._derive([key[row] for row in dirty])):
+                if pmf is not state.pmfs[row]:
+                    state.write_row(row, pmf)
+                    self.rows_patched += 1
+        state.version = version
+        return state
+
+    def _derive(self, replicas: Sequence[str]) -> List[Optional[DiscretePMF]]:
+        """Current pmfs of ``replicas``, through the per-replica caches."""
         if self.incremental and len(replicas) > 1:
             self._refresh_convolutions(replicas)
-        pmfs = [self.response_time_pmf(replica) for replica in replicas]
-        if self.incremental and version is not None:
-            self._pmf_list_cache = (replicas_key, version, pmfs)
-        return pmfs
-
-    def _batch_cdf(
-        self, pmfs: Tuple[DiscretePMF, ...], t: float
-    ) -> List[float]:
-        cache = self._batch_cache
-        if (
-            cache is None
-            or len(cache[0]) != len(pmfs)
-            or any(a is not b for a, b in zip(cache[0], pmfs))
-        ):
-            count = len(pmfs)
-            width = max(pmf.support_size for pmf in pmfs)
-            values = np.full((count, width), np.inf)
-            cumulative = np.ones((count, width))
-            tolerances = np.empty(count)
-            sizes = np.empty(count, dtype=np.intp)
-            for row, pmf in enumerate(pmfs):
-                size = pmf.support_size
-                values[row, :size] = pmf.values
-                cumulative[row, :size] = pmf.cumulative_probs()
-                tolerances[row] = pmf.dust_tolerance()
-                sizes[row] = size
-            cache = (pmfs, values, cumulative, tolerances, sizes)
-            self._batch_cache = cache
-        _, values, cumulative, tolerances, sizes = cache
-        counts = (values <= t + tolerances[:, None]).sum(axis=1)
-        indices = np.clip(counts - 1, 0, values.shape[1] - 1)
-        probabilities = np.clip(
-            cumulative[np.arange(sizes.size), indices], 0.0, 1.0
-        )
-        # Mirror the scalar cdf's exact end points.
-        probabilities[counts == 0] = 0.0
-        probabilities[counts >= sizes] = 1.0
-        return probabilities.tolist()
+        return [self.response_time_pmf(replica) for replica in replicas]
 
     def expected_response_time(self, replica: str) -> Optional[float]:
         """Mean of the modeled response time (used by mean-based baselines)."""
@@ -319,8 +370,7 @@ class ResponseTimeEstimator:
         else:
             self._cache.pop(replica, None)
             self._conv_cache.pop(replica, None)
-        self._batch_cache = None
-        self._pmf_list_cache = None
+        self._batch = None
 
     def prune(self, keep: Sequence[str]) -> None:
         """Drop cache entries for replicas not in ``keep`` (view changes)."""
@@ -331,15 +381,20 @@ class ResponseTimeEstimator:
         for name in list(self._conv_cache):
             if name not in keep_set:
                 del self._conv_cache[name]
-        self._batch_cache = None
-        self._pmf_list_cache = None
+        self._batch = None
 
     def cache_info(self) -> Dict[str, int]:
-        """Hit/miss counters of the final-pmf cache (for benchmarks)."""
+        """Counters of the final-pmf cache and the resident batch matrix.
+
+        ``matrix_builds`` counts whole-matrix (re)builds, ``rows_patched``
+        rows overwritten in place in a matrix that was kept.
+        """
         return {
             "hits": self.cache_hits,
             "misses": self.cache_misses,
             "entries": len(self._cache),
+            "matrix_builds": self.matrix_builds,
+            "rows_patched": self.rows_patched,
         }
 
     def __repr__(self) -> str:

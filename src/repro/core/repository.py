@@ -124,7 +124,7 @@ class ReplicaRecord:
         name: str,
         window_size: int,
         gateway_window_size: Optional[int] = None,
-        on_mutate: Optional[Callable[[], None]] = None,
+        on_mutate: Optional[Callable[[str], None]] = None,
     ) -> None:
         self.name = name
         self.service_times = SlidingWindow(window_size)
@@ -138,10 +138,11 @@ class ReplicaRecord:
         self._queue_length = 0
         self.last_update_ms: Optional[float] = None
         self._version = 0
-        # Owner notification (the repository's global version bump): lets
-        # batch consumers invalidate on *any* record mutation — including
-        # direct ``record.queue_length = n`` writes from probe replies —
-        # without scanning every per-record version.
+        # Owner notification, called with this record's name (the
+        # repository's version bump and change-log entry): lets batch
+        # consumers see *any* record mutation — including direct
+        # ``record.queue_length = n`` writes from probe replies — without
+        # scanning every per-record version.
         self._on_mutate = on_mutate
 
     @property
@@ -154,7 +155,7 @@ class ReplicaRecord:
         self._queue_length = int(value)
         self._version += 1
         if self._on_mutate is not None:
-            self._on_mutate()
+            self._on_mutate(self.name)
 
     @property
     def has_history(self) -> bool:
@@ -202,7 +203,7 @@ class ReplicaRecord:
         self.last_update_ms = float(now_ms)
         self._version += 1
         if self._on_mutate is not None:
-            self._on_mutate()
+            self._on_mutate(self.name)
 
     def staleness(self, now_ms: float) -> float:
         """Milliseconds since the last update (``inf`` if never updated).
@@ -246,6 +247,10 @@ class InformationRepository:
         self.gateway_window_size = gateway_window_size
         self._records: Dict[str, ReplicaRecord] = {}
         self._version = 0
+        # The change log: replica -> version of its newest mutation,
+        # most-recent-last.  One entry per tracked replica at most.
+        self._changes: Dict[str, int] = {}
+        self._membership_version = 0
 
     @property
     def version(self) -> int:
@@ -254,13 +259,39 @@ class InformationRepository:
         Membership changes and record updates (windows, gateway delays,
         live queue depths) all bump it, so one integer comparison tells a
         batch consumer whether anything it derived from this repository
-        could have changed — the gate on the estimator's fleet-wide pmf
-        cache (``ResponseTimeEstimator.batch_probability_by``).
+        could have changed; :meth:`changed_since` then tells it *what*.
         """
         return self._version
 
-    def _bump(self) -> None:
+    def changed_since(self, version: int) -> Optional[List[str]]:
+        """Replicas mutated after ``version``, most recent first.
+
+        ``None`` means the membership itself changed after ``version``
+        (a replica joined, left, or left and re-joined with a fresh
+        record): everything derived per replica must be rebuilt.  A
+        read-only query — any number of consumers, each holding the
+        version it last synchronised at, can ask independently.
+        """
+        if self._membership_version > version:
+            return None
+        names: List[str] = []
+        for name, changed_at in reversed(self._changes.items()):
+            if changed_at <= version:
+                break
+            names.append(name)
+        return names
+
+    def _record_mutated(self, name: str) -> None:
+        if name not in self._records:
+            return  # a write through a stale handle on an evicted record
         self._version += 1
+        self._changes.pop(name, None)  # re-insert: most-recent-last
+        self._changes[name] = self._version
+
+    def _membership_changed(self, name: str) -> None:
+        self._version += 1
+        self._membership_version = self._version
+        self._changes.pop(name, None)
 
     # -- membership ----------------------------------------------------------
     def add_replica(self, name: str) -> ReplicaRecord:
@@ -271,24 +302,23 @@ class InformationRepository:
                 name,
                 self.window_size,
                 self.gateway_window_size,
-                on_mutate=self._bump,
+                on_mutate=self._record_mutated,
             )
             self._records[name] = record
-            self._bump()
+            self._membership_changed(name)
         return record
 
     def remove_replica(self, name: str) -> None:
         """Forget a replica (idempotent) — e.g. on a crash notification."""
         if self._records.pop(name, None) is not None:
-            self._bump()
+            self._membership_changed(name)
 
     def sync_members(self, members: Iterable[str]) -> None:
         """Reconcile tracked replicas with a new group view."""
         members = set(members)
         for name in list(self._records):
             if name not in members:
-                del self._records[name]
-                self._bump()
+                self.remove_replica(name)
         for name in members:
             self.add_replica(name)
 

@@ -477,7 +477,8 @@ class DynamicSelectionPolicy(SelectionPolicy):
                 r for r in replicas if ctx.health.is_quarantined(r)
             )
             if quarantined:
-                active = [r for r in replicas if r not in set(quarantined)]
+                excluded = set(quarantined)
+                active = [r for r in replicas if r not in excluded]
                 if active:
                     replicas = active
                 else:

@@ -47,7 +47,12 @@ class ScalePoint:
 
     num_replicas: int
     window_size: int
+    #: Nothing changed since the previous selection.
     cached_us: float
+    #: One / eight replicas pushed an update since the previous selection
+    #: (a live run: every reply dirties one).
+    dirty1_us: float
+    dirty8_us: float
     uncached_us: float
 
     @property
@@ -80,7 +85,7 @@ def measure_selection_scale(
     cached_iterations: int = 50,
     uncached_iterations: int = 3,
 ) -> List[ScalePoint]:
-    """Cached and uncached selection cost over the fleet-scale grid.
+    """Cached, k-dirty and uncached selection cost over the fleet-scale grid.
 
     Reuses the Fig. 3 harness (same repository builder, same two-phase
     measurement) so the numbers are directly comparable with
@@ -98,17 +103,23 @@ def measure_selection_scale(
                 iterations=uncached_iterations,
                 cached=False,
             )
-            cached = measure_overhead(
-                num_replicas,
-                window_size,
-                iterations=cached_iterations,
-                cached=True,
+            cached, dirty1, dirty8 = (
+                measure_overhead(
+                    num_replicas,
+                    window_size,
+                    iterations=cached_iterations,
+                    cached=True,
+                    dirty=dirty,
+                )
+                for dirty in (0, 1, 8)
             )
             points.append(
                 ScalePoint(
                     num_replicas=num_replicas,
                     window_size=window_size,
                     cached_us=cached.total_us,
+                    dirty1_us=dirty1.total_us,
+                    dirty8_us=dirty8.total_us,
                     uncached_us=uncached.total_us,
                 )
             )
@@ -157,8 +168,9 @@ def export_scale_bench(
         "benchmark": "scale-kernel",
         "description": (
             "Fleet-scale selection overhead (lattice/FFT convolution + "
-            "batched refresh + padded-matrix CDF) and raw event-kernel "
-            "dispatch throughput (slotted EventQueue)."
+            "batched refresh + resident padded-matrix CDF patched per "
+            "changed row) and raw event-kernel dispatch throughput "
+            "(slotted EventQueue)."
         ),
         "selection": {
             "unit": "microseconds per selection (mean over iterations)",
@@ -167,6 +179,8 @@ def export_scale_bench(
                     "num_replicas": p.num_replicas,
                     "window_size": p.window_size,
                     "cached_us": round(p.cached_us, 3),
+                    "dirty1_us": round(p.dirty1_us, 3),
+                    "dirty8_us": round(p.dirty8_us, 3),
                     "uncached_us": round(p.uncached_us, 3),
                     "speedup": round(p.speedup, 2),
                 }
@@ -201,9 +215,11 @@ def main(argv: Sequence[str] = ()) -> int:
         selection = measure_selection_scale()
     print_table(
         "Fleet-scale selection overhead (microseconds per selection)",
-        ["window l", "replicas n", "cached us", "uncached us", "speedup"],
+        ["window l", "replicas n", "cached us", "1-dirty us", "8-dirty us",
+         "uncached us", "speedup"],
         [
-            (p.window_size, p.num_replicas, p.cached_us, p.uncached_us, p.speedup)
+            (p.window_size, p.num_replicas, p.cached_us, p.dirty1_us,
+             p.dirty8_us, p.uncached_us, p.speedup)
             for p in selection
         ],
     )

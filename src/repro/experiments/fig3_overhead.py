@@ -59,6 +59,19 @@ class OverheadPoint:
         return self.distribution_us / self.total_us
 
 
+def _push_measurement(
+    repository: InformationRepository, name: str, rng: np.random.Generator,
+    now_ms: float,
+) -> None:
+    """One realistic performance update for ``name``."""
+    service = max(0.0, rng.normal(100.0, 50.0))
+    queueing = max(0.0, rng.exponential(20.0))
+    repository.record_performance(
+        name, service, queueing, queue_length=int(rng.integers(0, 4)),
+        now_ms=now_ms,
+    )
+
+
 def build_loaded_repository(
     num_replicas: int, window_size: int, seed: int = 0
 ) -> InformationRepository:
@@ -69,12 +82,7 @@ def build_loaded_repository(
         name = f"replica-{index + 1}"
         repository.add_replica(name)
         for step in range(window_size):
-            service = max(0.0, rng.normal(100.0, 50.0))
-            queueing = max(0.0, rng.exponential(20.0))
-            repository.record_performance(
-                name, service, queueing, queue_length=int(rng.integers(0, 4)),
-                now_ms=float(step),
-            )
+            _push_measurement(repository, name, rng, float(step))
         repository.record_gateway_delay(
             name, max(0.0, rng.normal(3.0, 0.5)), now_ms=float(window_size)
         )
@@ -89,6 +97,7 @@ def measure_overhead(
     iterations: int = 200,
     seed: int = 0,
     cached: bool = False,
+    dirty: int = 0,
 ) -> OverheadPoint:
     """Time the two phases of one selection over ``iterations`` repeats.
 
@@ -97,8 +106,11 @@ def measure_overhead(
     on every request because fresh measurements arrive with every reply.
     With ``cached=True`` the incremental estimator pipeline is active and
     the windows are unchanged between iterations — the steady-state hot
-    path of the cached handler, where a selection costs cache lookups plus
-    one vectorized pass.
+    path of the cached handler, where a selection costs one vectorized
+    pass.  ``dirty`` pushes that many performance updates (round-robin
+    over the replicas, outside the timed region) before each iteration: in
+    a live run every reply dirties one replica, so ``dirty=1`` — not
+    ``dirty=0`` — is the cost a request actually pays.
     """
     repository = build_loaded_repository(num_replicas, window_size, seed=seed)
     estimator = ResponseTimeEstimator(repository, incremental=cached)
@@ -107,11 +119,17 @@ def measure_overhead(
     if cached:
         estimator.batch_probability_by(replicas, deadline_ms)  # warm
 
+    rng = seeded_generator(seed + 1)
     distribution_s = 0.0
     selection_s = 0.0
-    for _ in range(iterations):
+    for iteration in range(iterations):
         if not cached:
             estimator.invalidate()
+        for push in range(iteration * dirty, (iteration + 1) * dirty):
+            _push_measurement(
+                repository, replicas[push % num_replicas], rng,
+                float(window_size + 1 + push),
+            )
         started = time.perf_counter()
         probabilities = np.asarray(
             estimator.batch_probability_by(replicas, deadline_ms), dtype=float

@@ -124,7 +124,13 @@ class TestIncrementalPipeline:
         estimator.response_time_pmf("r1")
         estimator.response_time_pmf("r1")
         info = estimator.cache_info()
-        assert info == {"hits": 1, "misses": 1, "entries": 1}
+        assert info == {
+            "hits": 1,
+            "misses": 1,
+            "entries": 1,
+            "matrix_builds": 0,  # no batch call yet
+            "rows_patched": 0,
+        }
 
     def test_gateway_delay_update_reuses_convolution(self, repo):
         # A new T_i must re-shift the cached S ⊛ W, not rebuild it.
@@ -157,16 +163,40 @@ class TestIncrementalPipeline:
             for name, probability in zip(replicas, batched):
                 assert probability == estimator.probability_by(name, deadline)
 
-    def test_batch_reuses_matrix_across_calls(self, repo):
+    def test_batch_accepts_a_replica_named_twice(self, repo):
         _feed(repo, "r1", services=[100] * 5, queues=[0] * 5, gateway=3.0)
         estimator = ResponseTimeEstimator(repo)
-        estimator.batch_probability_by(["r1"], 100.0)
-        matrix = estimator._batch_cache
-        estimator.batch_probability_by(["r1"], 200.0)
-        assert estimator._batch_cache is matrix  # unchanged pmfs: reused
-        repo.record_performance("r1", 150.0, 0.0, 0, now_ms=1.0)
-        estimator.batch_probability_by(["r1"], 200.0)
-        assert estimator._batch_cache is not matrix
+        assert estimator.batch_probability_by(["r1", "r1"], 150.0) == [1.0, 1.0]
+        repo.record_gateway_delay("r1", 80.0, now_ms=1.0)  # both rows move
+        assert estimator.batch_probability_by(["r1", "r1"], 150.0) == [0.0, 0.0]
+
+    def test_batch_reuses_matrix_across_calls(self, repo):
+        for name in ("r1", "r2", "r3"):
+            _feed(repo, name, services=[100] * 5, queues=[0] * 5, gateway=3.0)
+        estimator = ResponseTimeEstimator(repo)
+        replicas = repo.replicas()
+
+        def matrix_counters():
+            info = estimator.cache_info()
+            return info["matrix_builds"], info["rows_patched"]
+
+        estimator.batch_probability_by(replicas, 100.0)
+        assert matrix_counters() == (1, 0)
+        estimator.batch_probability_by(replicas, 200.0)
+        assert matrix_counters() == (1, 0)  # nothing changed: reused as is
+        # Each reply dirties one row: one patch per decision, never a build.
+        for step, name in enumerate(["r1", "r2", "r1", "r3"], start=1):
+            repo.record_performance(name, 150.0 + step, 0.0, 0, now_ms=1.0)
+            estimator.batch_probability_by(replicas, 200.0)
+            assert matrix_counters() == (1, step)
+        # A write the pmf does not depend on re-derives the row (a cache
+        # hit) but leaves the matrix alone.
+        repo.record("r2").queue_length = 4
+        estimator.batch_probability_by(replicas, 200.0)
+        assert matrix_counters() == (1, 4)
+        repo.add_replica("r4")  # membership: the one full-rebuild rule
+        estimator.batch_probability_by(replicas, 200.0)
+        assert matrix_counters() == (2, 4)
 
 
 class TestQueueScaledEstimator:
@@ -276,6 +306,43 @@ class TestBatchedFleetPipeline:
         before = repo.version
         repo.remove_replica("r1")
         assert repo.version > before
+        with pytest.raises(KeyError):  # not the departed replica's old row
+            estimator.batch_probability_by(["r1"], 150.0)
+
+
+@pytest.mark.parametrize("estimator_cls", [ResponseTimeEstimator, QueueScaledEstimator])
+@pytest.mark.parametrize(
+    "evict",
+    [
+        lambda repo: repo.remove_replica("r1"),
+        lambda repo: repo.sync_members(["r2"]),
+    ],
+    ids=["remove_replica", "sync_members"],
+)
+def test_rejoined_replica_is_never_served_its_old_row(repo, evict, estimator_cls):
+    """A restarted replica's record starts its window versions over.
+
+    Pushing as many samples as before the eviction makes every version the
+    cache keys are built from collide with the pre-eviction ones; neither
+    the per-replica caches nor the resident matrix row may survive that.
+    """
+    _feed(repo, "r1", services=[100] * 5, queues=[0] * 5, gateway=3.0)
+    _feed(repo, "r2", services=[100] * 5, queues=[0] * 5, gateway=3.0)
+    estimator = estimator_cls(repo)
+    replicas = ["r1", "r2"]
+    assert estimator.batch_probability_by(replicas, 150.0) == [1.0, 1.0]
+    old = repo.record("r1")
+    evict(repo)
+    _feed(repo, "r1", services=[300] * 5, queues=[0] * 5, gateway=3.0)
+    new = repo.record("r1")
+    assert new is not old
+    assert (
+        new.service_times.version, new.queue_delays.version, new.gateway_delay_ms
+    ) == (old.service_times.version, old.queue_delays.version, old.gateway_delay_ms)
+    fresh = estimator_cls(repo, incremental=False)
+    assert fresh.batch_probability_by(replicas, 150.0) == [0.0, 1.0]
+    assert estimator.batch_probability_by(replicas, 150.0) == [0.0, 1.0]
+    assert estimator.probability_by("r1", 150.0) == 0.0
 
 
 @pytest.mark.timeout(60)

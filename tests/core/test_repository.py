@@ -170,3 +170,77 @@ class TestInformationRepository:
 
     def test_all_have_history_empty_repo_is_false(self):
         assert not InformationRepository().all_have_history()
+
+
+class TestChangeLog:
+    """``changed_since``: which replicas moved after a given version."""
+
+    def _repo(self, *names):
+        repo = InformationRepository()
+        for name in names:
+            repo.add_replica(name)
+        return repo
+
+    def test_names_every_kind_of_record_write_most_recent_first(self):
+        repo = self._repo("r1", "r2", "r3")
+        start = repo.version
+        repo.record_performance("r1", 10.0, 1.0, 0, now_ms=0.0)
+        repo.record_gateway_delay("r2", 3.0, now_ms=0.0)
+        repo.record("r3").queue_length = 4  # a probe reply's direct write
+        assert repo.changed_since(start) == ["r3", "r2", "r1"]
+        repo.record_gateway_delay("r1", 3.0, now_ms=1.0)
+        assert repo.changed_since(start) == ["r1", "r3", "r2"]  # once each
+
+    def test_is_a_query_not_a_drain(self):
+        repo = self._repo("r1", "r2")
+        start = repo.version
+        repo.record_gateway_delay("r1", 3.0, now_ms=0.0)
+        middle = repo.version
+        repo.record_gateway_delay("r2", 3.0, now_ms=0.0)
+        # Two consumers at different versions, asked repeatedly.
+        for _ in range(2):
+            assert repo.changed_since(start) == ["r2", "r1"]
+            assert repo.changed_since(middle) == ["r2"]
+            assert repo.changed_since(repo.version) == []
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda repo: repo.add_replica("r9"),
+            lambda repo: repo.remove_replica("r1"),
+            lambda repo: repo.sync_members(["r2"]),
+            lambda repo: repo.record_performance("r9", 1.0, 1.0, 0, now_ms=0.0),
+        ],
+        ids=["add", "remove", "sync", "first-push"],
+    )
+    def test_membership_change_asks_for_a_full_rebuild(self, change):
+        repo = self._repo("r1", "r2")
+        start = repo.version
+        change(repo)
+        assert repo.changed_since(start) is None
+        assert repo.changed_since(repo.version) == []
+
+    @pytest.mark.parametrize(
+        "evict",
+        [
+            lambda repo: repo.remove_replica("r1"),
+            lambda repo: repo.sync_members(["r2"]),
+        ],
+        ids=["remove_replica", "sync_members"],
+    )
+    def test_leaver_is_dropped_from_the_log(self, evict):
+        repo = self._repo("r1", "r2")
+        leaver = repo.record("r1")
+        repo.record_gateway_delay("r1", 3.0, now_ms=0.0)
+        repo.record_gateway_delay("r2", 3.0, now_ms=0.0)
+        evict(repo)
+        after = repo.version
+        # A late write through the evicted record's handle is not a change
+        # to anything the repository tracks: no version bump, no entry.
+        leaver.queue_length = 7
+        assert repo.version == after
+        assert repo.changed_since(after) == []
+        # Re-joining is a membership change, not a row change.
+        repo.add_replica("r1")
+        assert repo.changed_since(after) is None
+        assert repo.changed_since(repo.version) == []
