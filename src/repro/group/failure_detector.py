@@ -1,17 +1,26 @@
 """Crash failure detection.
 
 Maestro/Ensemble detects member crashes and announces membership changes.
-Our analog is a heartbeat-style detector: it samples each watched host's
-liveness every ``poll_interval_ms`` and declares a crash after the host has
-been observed down for ``confirm_polls`` consecutive samples.  The product
-of the two is the *detection latency* — the window during which the paper's
-selection algorithm must survive on redundancy alone, which is exactly why
+Our analog is a heartbeat-style detector: every watched host has a *poll
+chain* — one liveness sample every ``poll_interval_ms``, starting one
+interval after the host was first watched — and a crash is declared after
+``confirm_polls`` consecutive "down" samples.  The product of the two is
+the *detection latency* — the window during which the paper's selection
+algorithm must survive on redundancy alone, which is exactly why
 Algorithm 1 over-provisions by one replica.
+
+The chain is materialized lazily.  A sample that finds a host up with no
+suspicion on record changes nothing, and what a sample reads changes only
+when the LAN is mutated, so the detector subscribes to
+:meth:`LanModel.on_change` and holds a kernel timer for a host only while
+the host looks down.  A host that stays up costs no kernel event; the
+samples that do run fall on the very instants an always-on loop would
+have used (see :meth:`FailureDetector._wake`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..net.lan import LanModel
 from ..sim.kernel import Simulator
@@ -22,8 +31,28 @@ __all__ = ["FailureDetector"]
 CrashListener = Callable[[str], None]
 
 
+class _Chain:
+    """Poll chain of one watched host.
+
+    ``due`` is the next chain instant that has not been sampled; while
+    the chain is dormant (``armed`` false) it may lie in the past and is
+    fast-forwarded on the next wake.  ``rank`` orders the chains that
+    share an instant (see :meth:`FailureDetector._fire`).  A fresh object
+    per ``watch`` is what retires the timer of an unwatched chain.
+    """
+
+    __slots__ = ("host", "down_samples", "due", "armed", "rank")
+
+    def __init__(self, host: str, due: float, rank: Tuple[float, int]) -> None:
+        self.host = host
+        self.down_samples = 0
+        self.due = due
+        self.armed = False
+        self.rank = rank
+
+
 class FailureDetector:
-    """Periodically polls host liveness and reports confirmed crashes.
+    """Samples host liveness on a fixed chain and reports confirmed crashes.
 
     Parameters
     ----------
@@ -39,7 +68,13 @@ class FailureDetector:
         a watched host severed from it (in either direction — probes out
         or replies back) samples as down, so partitions produce the same
         eviction path as crashes.  ``None`` (the default) keeps the
-        legacy oracle behaviour: only ``lan.is_up`` matters.
+        legacy oracle behaviour: only ``lan.is_up`` matters.  Assignable
+        after construction; takes effect at the next chain instant.
+
+    Only samples that can change something are run: a host's timer exists
+    from the LAN change that makes it look down until the first sample
+    that sees it up again.  Tie rule: a LAN change that lands exactly on
+    a chain instant is seen by that instant's sample.
     """
 
     def __init__(
@@ -59,36 +94,58 @@ class FailureDetector:
         self.lan = lan
         self.poll_interval_ms = float(poll_interval_ms)
         self.confirm_polls = int(confirm_polls)
-        self.vantage = vantage
+        self._vantage = vantage
         self.tracer = tracer if tracer is not None else NullTracer()
         self._listeners: List[CrashListener] = []
-        self._watched: Dict[str, int] = {}  # host -> consecutive down samples
+        self._chains: Dict[str, _Chain] = {}
         self._declared: Dict[str, float] = {}  # host -> time of declaration
+        self._batches: Dict[float, List[_Chain]] = {}  # instant -> armed for it
+        self._watch_count = 0
+        self._polls_fired = 0
+        lan.on_change(self._on_lan_change)
 
     @property
     def detection_latency_ms(self) -> float:
         """Worst-case time from crash to declaration."""
         return self.poll_interval_ms * (self.confirm_polls + 1)
 
+    @property
+    def vantage(self) -> Optional[str]:
+        """Host the detector observes from (``None``: liveness only)."""
+        return self._vantage
+
+    @vantage.setter
+    def vantage(self, host_name: Optional[str]) -> None:
+        self._vantage = host_name
+        self._on_lan_change(tuple(self._chains))
+
+    @property
+    def polls_fired(self) -> int:
+        """Liveness samples taken so far, over all watched hosts."""
+        return self._polls_fired
+
     # -- wiring --------------------------------------------------------------
     def watch(self, host_name: str) -> None:
         """Start monitoring ``host_name`` (idempotent)."""
         self.lan.host(host_name)  # validate
-        if host_name in self._watched:
+        chain = self._chains.get(host_name)
+        if chain is not None:
             # A re-watch (member rejoin) is a fresh sighting: suspicion
             # accumulated before a partition cut must not carry across
             # it, or the next blip confirms a "crash" in fewer polls
             # than the detector promises.
-            self._watched[host_name] = 0
+            chain.down_samples = 0
             return
-        self._watched[host_name] = 0
-        self.sim.call_in(
-            self.poll_interval_ms, lambda: self._poll(host_name), daemon=True
+        now = self.sim.now
+        self._watch_count += 1
+        chain = self._chains[host_name] = _Chain(
+            host_name, now + self.poll_interval_ms, rank=(-now, self._watch_count)
         )
+        self._wake(chain)
 
     def unwatch(self, host_name: str) -> None:
         """Stop monitoring ``host_name`` (idempotent)."""
-        self._watched.pop(host_name, None)
+        self._chains.pop(host_name, None)
 
     def on_crash(self, listener: CrashListener) -> Callable[[], None]:
         """Call ``listener(host_name)`` when a crash is confirmed.
@@ -116,6 +173,10 @@ class FailureDetector:
         """Map of declared-crashed hosts to the declaration time."""
         return dict(self._declared)
 
+    def consecutive_down(self, host_name: str) -> int:
+        """Consecutive "down" samples on record for a watched host."""
+        return self._chains[host_name].down_samples
+
     def forget(self, host_name: str) -> None:
         """Clear a crash declaration (call when the host recovers)."""
         self.sight(host_name)
@@ -124,13 +185,14 @@ class FailureDetector:
         """Register a fresh sighting of ``host_name``.
 
         A heal after a partition (or any other positive liveness
-        evidence from outside the poll loop) clears both the crash
+        evidence from outside the poll chain) clears both the crash
         declaration and the consecutive-down count: suspicion gathered
         before the cut must not survive it.
         """
         self._declared.pop(host_name, None)
-        if host_name in self._watched:
-            self._watched[host_name] = 0
+        chain = self._chains.get(host_name)
+        if chain is not None:
+            chain.down_samples = 0
 
     def _observes_up(self, host_name: str) -> bool:
         """One liveness sample: up, and reachable from the vantage point
@@ -139,39 +201,95 @@ class FailureDetector:
         nothing)."""
         if not self.lan.is_up(host_name):
             return False
-        if self.vantage is None or self.vantage == host_name:
+        if self._vantage is None or self._vantage == host_name:
             return True
         return self.lan.reachable(
-            self.vantage, host_name
-        ) and self.lan.reachable(host_name, self.vantage)
+            self._vantage, host_name
+        ) and self.lan.reachable(host_name, self._vantage)
 
     # -- engine ------------------------------------------------------------
-    def _poll(self, host_name: str) -> None:
-        if host_name not in self._watched:
-            return  # unwatched in the meantime
+    def _on_lan_change(self, hosts: Tuple[str, ...]) -> None:
+        # What a sample of h reads is h's up flag and its links to and
+        # from the vantage; every change to either names h.
+        for host_name in hosts:
+            chain = self._chains.get(host_name)
+            if chain is not None:
+                self._wake(chain)
+
+    def _wake(self, chain: _Chain) -> None:
+        """Arm the chain's next instant unless its sample would be a no-op.
+
+        A sample that sees the host up clears the down count and the
+        declaration; with neither on record it changes nothing.  A
+        dormant chain has a zero count (only samples raise it), so it
+        may sleep while the host looks up and is not declared.  The
+        chain resumes on the first instant ``>= now``, reached by the
+        same ``+= poll_interval_ms`` accumulation that re-arming performs
+        — declaration stamps are chain instants and feed pinned digests,
+        so the float must be the one the always-on loop reaches.  The
+        timer is pushed now, hence runs after the change that caused it,
+        even when the two share an instant.
+        """
+        if chain.armed or (
+            chain.host not in self._declared and self._observes_up(chain.host)
+        ):
+            return
+        due, now, interval = chain.due, self.sim.now, self.poll_interval_ms
+        while due < now:
+            due += interval
+        chain.due = due
+        self._arm(chain)
+
+    def _arm(self, chain: _Chain) -> None:
+        # One kernel timer per instant, shared by every chain due then,
+        # so that hosts declared at one instant are declared in a fixed
+        # order (see _fire) whichever of them went dark first.
+        chain.armed = True
+        due = chain.due
+        batch = self._batches.get(due)
+        if batch is None:
+            batch = self._batches[due] = []
+            self.sim.call_at_exact(due, lambda: self._fire(due), daemon=True)
+        batch.append(chain)
+
+    def _fire(self, due: float) -> None:
+        # Sample in the order an always-on loop's timers would leave the
+        # kernel queue: chains begun at one instant in watch order, and a
+        # chain begun later first (a watch that lands on a chain instant
+        # runs before that instant's polls, so its first timer is queued
+        # ahead of their re-arms).
+        for chain in sorted(self._batches.pop(due), key=lambda c: c.rank):
+            if self._chains.get(chain.host) is chain:
+                self._poll(chain)
+
+    def _poll(self, chain: _Chain) -> None:
+        host_name = chain.host
+        self._polls_fired += 1
+        chain.armed = False
+        chain.due = self.sim.now + self.poll_interval_ms
         if self._observes_up(host_name):
-            self._watched[host_name] = 0
-            if host_name in self._declared:
-                # Recovered without an explicit forget(); treat as rejoin.
-                self._declared.pop(host_name)
-        else:
-            self._watched[host_name] += 1
-            if (
-                self._watched[host_name] >= self.confirm_polls
-                and host_name not in self._declared
-            ):
-                self._declared[host_name] = self.sim.now
-                self.tracer.emit(
-                    self.sim.now, "failure-detector", "fd.crash", host=host_name
-                )
-                for listener in list(self._listeners):
-                    listener(host_name)
-        self.sim.call_in(
-            self.poll_interval_ms, lambda: self._poll(host_name), daemon=True
-        )
+            chain.down_samples = 0
+            # Recovered without an explicit forget(); treat as rejoin.
+            self._declared.pop(host_name, None)
+            return  # dormant until the next LAN change
+        chain.down_samples += 1
+        if (
+            chain.down_samples >= self.confirm_polls
+            and host_name not in self._declared
+        ):
+            self._declared[host_name] = self.sim.now
+            self.tracer.emit(
+                self.sim.now, "failure-detector", "fd.crash", host=host_name
+            )
+            for listener in list(self._listeners):
+                listener(host_name)
+        # Still down: keep the chain going, unless a listener unwatched
+        # the host or a LAN change it made has re-armed the chain already.
+        if self._chains.get(host_name) is chain and not chain.armed:
+            self._arm(chain)
 
     def __repr__(self) -> str:
         return (
-            f"<FailureDetector watched={len(self._watched)} "
+            f"<FailureDetector watched={len(self._chains)} "
             f"declared={len(self._declared)}>"
         )

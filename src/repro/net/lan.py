@@ -20,12 +20,14 @@ manifest at the network layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..rng import RNGManager
 from ..sim.random import Distribution, MarkovModulated, Normal
 
 __all__ = ["Host", "LanModel", "LinkProfile", "bursty_jitter"]
+
+ChangeListener = Callable[[Tuple[str, ...]], None]
 
 
 @dataclass
@@ -124,6 +126,7 @@ class LanModel:
         # the independence assumption of the paper's Equation 1 — used by
         # the model-calibration ablation, not by the base reproduction.
         self.shared_congestion = shared_congestion
+        self._change_listeners: List[ChangeListener] = []
 
     # -- topology ----------------------------------------------------------
     def add_host(self, name: str, zone: str = "default") -> Host:
@@ -159,14 +162,33 @@ class LanModel:
         """Profile in effect for the ordered pair (default if no override)."""
         return self._profiles.get((src, dst), self.default_profile)
 
+    # -- change notification -------------------------------------------------
+    def on_change(self, listener: ChangeListener) -> None:
+        """Call ``listener(hosts)`` after every availability or
+        connectivity mutation, with the hosts it touched.
+
+        ``mark_down``/``mark_up`` report ``(name,)``, ``sever_link``/
+        ``heal_link`` report ``(src, dst)`` — the only four ways the
+        answers of :meth:`is_up` and :meth:`reachable` can change, so a
+        subscriber (the failure detector) need not sample between calls.
+        The listener runs synchronously, after the state has changed.
+        """
+        self._change_listeners.append(listener)
+
+    def _changed(self, *hosts: str) -> None:
+        for listener in self._change_listeners:
+            listener(hosts)
+
     # -- availability --------------------------------------------------------
     def mark_down(self, name: str) -> None:
         """Crash a host: future deliveries to it are dropped."""
         self.host(name).up = False
+        self._changed(name)
 
     def mark_up(self, name: str) -> None:
         """Bring a host back (recovery)."""
         self.host(name).up = True
+        self._changed(name)
 
     def is_up(self, name: str) -> bool:
         """Whether the host is currently up."""
@@ -179,6 +201,7 @@ class LanModel:
         self.host(dst)
         key = (src, dst)
         self._severed[key] = self._severed.get(key, 0) + 1
+        self._changed(src, dst)
 
     def heal_link(self, src: str, dst: str) -> None:
         """Undo one severance of ``src`` → ``dst`` (idempotent at zero)."""
@@ -188,6 +211,7 @@ class LanModel:
             self._severed.pop(key, None)
         else:
             self._severed[key] = count - 1
+        self._changed(src, dst)
 
     def reachable(self, src: str, dst: str) -> bool:
         """Whether traffic ``src`` → ``dst`` can currently cross the LAN.

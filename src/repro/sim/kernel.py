@@ -25,7 +25,7 @@ import struct
 from array import array
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
-from .events import AllOf, AnyOf, Event, SimulationError, Timeout
+from .events import AllOf, AnyOf, Event, EventState, SimulationError, Timeout
 from .process import Process
 
 __all__ = ["EventQueue", "Simulator"]
@@ -197,6 +197,30 @@ class Simulator:
                 f"cannot schedule at {when} ms: clock already at {self._now} ms"
             )
         event = self.timeout(when - self._now)
+        event.add_callback(lambda _event: callback())
+        return event
+
+    def call_at_exact(
+        self, when: float, callback: Callable[[], None], daemon: bool = False
+    ) -> Event:
+        """Run ``callback()`` at the float ``when`` itself.
+
+        :meth:`call_at` goes through a delay, so its event fires at
+        ``now + (when - now)``, which can sit one ulp off ``when``.  A
+        caller that resumes a float-accumulated chain of instants (the
+        failure detector's polls) needs the chain's own value: this
+        pushes ``when`` untouched.  ``daemon`` is as for :meth:`call_in`.
+        """
+        if when < self._now:
+            raise SimulationError(
+                f"cannot schedule at {when} ms: clock already at {self._now} ms"
+            )
+        event = Event(self)
+        event._ok = True
+        event._state = EventState.TRIGGERED
+        if not daemon:
+            self._pending_live += 1
+        self._queue.push(when, event, daemon)
         event.add_callback(lambda _event: callback())
         return event
 

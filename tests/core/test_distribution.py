@@ -203,6 +203,23 @@ class TestSampleCounts:
         with pytest.raises(ValueError):
             SampleCounts(0.0)
 
+    @pytest.mark.parametrize("width", [1.0, 2.0, 0.5, 0.25, 0.1, 1e-3, 3e-7, 1e-9])
+    def test_bin_keys_are_the_floats_quantize_returns(self, width):
+        # The counter hoists quantize's per-call decimals out of the
+        # sample loop; the keys must stay bit-identical, because pmf
+        # support values are compared and hashed as floats downstream.
+        rng = np.random.default_rng(11)
+        samples = (rng.uniform(-5.0, 400.0, size=500) * width).tolist()
+        counter = SampleCounts(width, samples)
+        expected = {}
+        for sample in samples:
+            key = quantize(sample, width)
+            expected[key] = expected.get(key, 0) + 1
+        assert counter.counts() == expected
+        assert [k.hex() for k in sorted(counter.counts())] == [
+            k.hex() for k in sorted(expected)
+        ]
+
 
 class TestFromCounts:
     def test_from_counts_matches_from_samples(self):

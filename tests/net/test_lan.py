@@ -46,6 +46,43 @@ class TestAvailability:
         assert quiet_lan.is_up("a")
 
 
+class TestChangeNotification:
+    def test_every_mutator_reports_the_hosts_it_touched(self, quiet_lan):
+        seen = []
+        quiet_lan.on_change(seen.append)
+        quiet_lan.mark_down("b")
+        quiet_lan.mark_up("b")
+        quiet_lan.sever_link("a", "b")
+        quiet_lan.sever_link("a", "b")  # refcount 2
+        quiet_lan.heal_link("a", "b")
+        quiet_lan.heal_link("a", "b")
+        quiet_lan.heal_link("a", "b")  # idempotent at zero, still reported
+        assert seen == [("b",), ("b",)] + [("a", "b")] * 5
+
+    def test_listener_sees_the_new_state(self, quiet_lan):
+        states = []
+        quiet_lan.on_change(
+            lambda hosts: states.append(
+                (quiet_lan.is_up("b"), quiet_lan.reachable("a", "b"))
+            )
+        )
+        quiet_lan.mark_down("b")
+        quiet_lan.sever_link("a", "b")
+        quiet_lan.heal_link("a", "b")
+        quiet_lan.mark_up("b")
+        assert states == [(False, True), (False, False), (False, True), (True, True)]
+
+    def test_reads_and_topology_edits_report_nothing(self, quiet_lan):
+        seen = []
+        quiet_lan.on_change(seen.append)
+        quiet_lan.add_host("d")
+        quiet_lan.is_up("a")
+        quiet_lan.reachable("a", "b")
+        quiet_lan.one_way_delay("a", "b")
+        quiet_lan.set_link_profile("a", "b", LinkProfile())
+        assert seen == []
+
+
 class TestDelays:
     def test_delay_components_add_up(self, quiet_lan):
         # stack 1.0 + 1024 bytes * 0.5/kb + no members + no jitter = 1.5

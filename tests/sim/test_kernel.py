@@ -127,6 +127,42 @@ class TestCallHelpers:
         with pytest.raises(SimulationError):
             sim.call_at(5.0, lambda: None)
 
+    def test_call_at_exact_fires_on_the_float_it_was_given(self, sim):
+        # From now = 0.2, call_at reaches 0.9 through a delay and lands
+        # one ulp low; call_at_exact pushes 0.9 itself.
+        seen = []
+        sim.call_at(0.2, lambda: sim.call_at(0.9, lambda: seen.append(sim.now)))
+        sim.call_at(0.2, lambda: sim.call_at_exact(0.9, lambda: seen.append(sim.now)))
+        sim.run()
+        assert seen == [0.2 + (0.9 - 0.2), 0.9]
+        assert seen[0] < seen[1]
+
+    def test_call_at_exact_is_fifo_among_equal_instants(self, sim):
+        seen = []
+        sim.call_at(5.0, lambda: seen.append("at"))
+        sim.call_at_exact(5.0, lambda: seen.append("exact"))
+        sim.call_in(5.0, lambda: seen.append("in"))
+        sim.run()
+        assert seen == ["at", "exact", "in"]
+
+    def test_call_at_exact_in_past_raises(self, sim):
+        sim.timeout(10.0)
+        sim.run()
+        with pytest.raises(SimulationError):
+            sim.call_at_exact(5.0, lambda: None)
+
+    def test_call_at_exact_daemon_does_not_keep_run_alive(self, sim):
+        seen = []
+        sim.call_at_exact(50.0, lambda: seen.append(sim.now), daemon=True)
+        assert sim.pending_live == 0
+        sim.run()
+        assert seen == [] and sim.now == 0.0
+        sim.call_at_exact(20.0, lambda: seen.append(sim.now))
+        assert sim.pending_live == 1
+        sim.run(until=100.0)
+        assert seen == [20.0, 50.0]
+        assert sim.pending_live == 0
+
     def test_run_until_event_returns_value(self, sim):
         event = sim.timeout(3.0, "payload")
         sim.timeout(100.0)  # later noise
