@@ -88,7 +88,7 @@ def _build_scenario(seed: int) -> Scenario:
         response_timeout_factor=2.0,
         rng=scenario.streams.stream("batch-client.policy"),
     )
-    scenario.manager.gateway_for("batch-client").load_handler(batch_handler)
+    scenario.gateway_for("batch-client").load_handler(batch_handler)
     batch_orb = Orb()
     batch_orb.register_interface(batch_interface)
     batch_orb.bind_interceptor("batch", batch_handler)

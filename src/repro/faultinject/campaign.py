@@ -45,7 +45,6 @@ from ..net.message import reset_message_ids
 from ..rng import RNGManager, derive_entity_seed
 from ..sim.random import Constant
 from .clock import ClockDriver
-from .drivers import LifecycleFaultDriver
 from .overload import OverloadDriver
 from .partition import PartitionDriver
 from .schedule import FaultSchedule, random_fault_schedule
@@ -278,13 +277,7 @@ def _build_stack(
             probe_interval_ms=50.0,
             health_config=_HEALTH,
         )
-    LifecycleFaultDriver(
-        sim=stack.sim,
-        lan=stack.lan,
-        group_comm=stack.group_comm,
-        service=SERVICE,
-        servers=stack.servers,
-    ).apply(schedule)
+    stack.faults.apply(schedule)
     PartitionDriver(
         sim=stack.sim,
         lan=stack.lan,

@@ -4,14 +4,23 @@ Message-level faults live in :class:`~repro.faultinject.transport
 .FaultyTransport`; this module applies the two fault families that touch
 hosts and membership instead of messages:
 
-* :class:`CrashRestartFault` — the host drops off the LAN (in-flight
-  deliveries to it are lost), its server handler's queue is cleared and
-  its service loop interrupted (crash-mid-service), and — if a restart is
-  scheduled — the host comes back as a fresh incarnation, the failure
-  detector's declaration is cleared and the member rejoins its group.
+* :class:`CrashRestartFault` — fail-stop: the host drops off the LAN
+  (in-flight deliveries to it are lost) and, at the same instant, every
+  replica on it has its queue cleared and its service loop interrupted
+  (crash-mid-service); the failure detector eventually evicts it from
+  its groups.  If a restart is scheduled the host comes back as a fresh
+  incarnation, the detector's declaration is cleared and each replica
+  rejoins its group.  This is how the paper's §5.3.2 guarantee (the
+  selected set still meets ``Pc(t)`` after one member crashes) is
+  exercised.
 * :class:`ChurnFault` — a graceful leave (the member stays up but
   vanishes from the view) followed by an optional rejoin, exercising the
   client handlers' view-tracking and repository eviction under traffic.
+* :class:`DegradationFault` — the slow-factor half of a degradation
+  window (the omission half is interpreted on the wire).
+
+A host may run replicas of several services (paper §3); every fault
+applies to all of them, each in its own service's group.
 
 Both are idempotent against racing membership changes: a churned member
 that was concurrently evicted by the failure detector is simply skipped.
@@ -19,7 +28,7 @@ that was concurrently evicted by the failure detector is simply skipped.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -62,16 +71,15 @@ class _SlowedProfile:
 
 
 class LifecycleFaultDriver:
-    """Applies crash/restart and churn faults to a running deployment.
+    """Applies crash/restart, churn and degradation to a running deployment.
 
     Parameters
     ----------
     sim, lan, group_comm:
         Simulation substrate the deployment runs on.
-    service:
-        Group name the replicas belong to.
-    servers:
-        Host name -> server handler, for queue clearing and restart.
+    replicas:
+        Host name -> the server handlers running on it (the deployment's
+        live book: replicas started later are seen when a fault fires).
     """
 
     def __init__(
@@ -79,15 +87,13 @@ class LifecycleFaultDriver:
         sim: Simulator,
         lan: LanModel,
         group_comm: GroupCommunication,
-        service: str,
-        servers: Dict[str, TimingFaultServerHandler],
+        replicas: Mapping[str, Sequence[TimingFaultServerHandler]],
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.sim = sim
         self.lan = lan
         self.group_comm = group_comm
-        self.service = service
-        self.servers = servers
+        self.replicas = replicas
         self.tracer = tracer if tracer is not None else NullTracer()
         self.crashes_applied = 0
         self.restarts_applied = 0
@@ -107,8 +113,8 @@ class LifecycleFaultDriver:
             self.apply_degradation(fault)
 
     def apply_crash(self, fault: CrashRestartFault) -> None:
-        if fault.host not in self.servers:
-            raise KeyError(f"no server handler for host {fault.host!r}")
+        """Arm one crash (and its optional restart)."""
+        self.lan.host(fault.host)  # unknown hosts fail here, not mid-run
         self.sim.call_at(fault.crash_at_ms, lambda: self.crash_now(fault.host))
         if fault.restart_at_ms is not None:
             self.sim.call_at(
@@ -129,7 +135,7 @@ class LifecycleFaultDriver:
         :class:`~repro.faultinject.transport.FaultyTransport` (the same
         schedule object must be handed to both).
         """
-        if fault.host not in self.servers:
+        if fault.host not in self.replicas:
             raise KeyError(f"no server handler for host {fault.host!r}")
         if fault.slow_factor > 1.0:
             self.sim.call_at(
@@ -139,11 +145,16 @@ class LifecycleFaultDriver:
 
     # -- crash / restart -------------------------------------------------------
     def crash_now(self, host: str) -> None:
-        """Fail-stop ``host`` at the current instant (idempotent)."""
+        """Fail-stop ``host`` at the current instant (idempotent).
+
+        Queue draining stops at the same instant deliveries start being
+        dropped.
+        """
         if not self.lan.is_up(host):
             return
         self.lan.mark_down(host)
-        self.servers[host].crash()
+        for handler in self.replicas.get(host, ()):
+            handler.crash()
         self.crashes_applied += 1
         self.tracer.emit(self.sim.now, "faultinject", "fault.crash", host=host)
 
@@ -152,19 +163,21 @@ class LifecycleFaultDriver:
         if self.lan.is_up(host):
             return
         self.lan.mark_up(host)
-        self.servers[host].restart()
-        detector = self.group_comm.failure_detector
-        detector.forget(host)
-        if host not in self.group_comm.view(self.service):
-            self.group_comm.join(self.service, host, watch=True)
+        for handler in self.replicas.get(host, ()):
+            handler.restart()
+            self.group_comm.failure_detector.forget(host)
+            if host not in self.group_comm.view(handler.service):
+                self.group_comm.join(handler.service, host, watch=True)
         self.restarts_applied += 1
         self.tracer.emit(self.sim.now, "faultinject", "fault.restart", host=host)
 
     # -- degradation -----------------------------------------------------------
     def degrade_now(self, fault: DegradationFault) -> None:
-        """Wrap the host's service profile with the slow factor."""
-        app = self.servers[fault.host].app
-        app.profile = _SlowedProfile(app.profile, fault.slow_factor)
+        """Wrap the service profile of every replica on the host."""
+        for handler in self.replicas[fault.host]:
+            handler.app.profile = _SlowedProfile(
+                handler.app.profile, fault.slow_factor
+            )
         self.degradations_applied += 1
         self.tracer.emit(
             self.sim.now, "faultinject", "fault.degrade",
@@ -173,9 +186,12 @@ class LifecycleFaultDriver:
 
     def recover_now(self, fault: DegradationFault) -> None:
         """Unwrap one layer of slowdown (overlapping windows nest)."""
-        app = self.servers[fault.host].app
-        if isinstance(app.profile, _SlowedProfile):
-            app.profile = app.profile._inner
+        lifted = False
+        for handler in self.replicas[fault.host]:
+            if isinstance(handler.app.profile, _SlowedProfile):
+                handler.app.profile = handler.app.profile._inner
+                lifted = True
+        if lifted:
             self.degradations_lifted += 1
             self.tracer.emit(
                 self.sim.now, "faultinject", "fault.degrade-end",
@@ -184,26 +200,28 @@ class LifecycleFaultDriver:
 
     # -- view churn ------------------------------------------------------------
     def leave_now(self, member: str) -> None:
-        """Remove a live member from the view (skipped if already gone)."""
-        if member not in self.group_comm.view(self.service):
-            return
-        self.group_comm.leave(self.service, member)
-        self.leaves_applied += 1
-        self.tracer.emit(
-            self.sim.now, "faultinject", "fault.leave", member=member
-        )
+        """Remove a live member from its views (skipped where already gone)."""
+        for handler in self.replicas.get(member, ()):
+            if member not in self.group_comm.view(handler.service):
+                continue
+            self.group_comm.leave(handler.service, member)
+            self.leaves_applied += 1
+            self.tracer.emit(
+                self.sim.now, "faultinject", "fault.leave", member=member
+            )
 
     def rejoin_now(self, member: str) -> None:
         """Rejoin a previously churned member (skipped if down/present)."""
         if not self.lan.is_up(member):
             return  # crashed in the meantime; the restart path rejoins it
-        if member in self.group_comm.view(self.service):
-            return
-        self.group_comm.join(self.service, member, watch=True)
-        self.rejoins_applied += 1
-        self.tracer.emit(
-            self.sim.now, "faultinject", "fault.rejoin", member=member
-        )
+        for handler in self.replicas.get(member, ()):
+            if member in self.group_comm.view(handler.service):
+                continue
+            self.group_comm.join(handler.service, member, watch=True)
+            self.rejoins_applied += 1
+            self.tracer.emit(
+                self.sim.now, "faultinject", "fault.rejoin", member=member
+            )
 
     def __repr__(self) -> str:
         return (

@@ -2,35 +2,29 @@
 
 In AQuA, "the Proteus dependability manager manages the replication level
 for different applications based on their dependability requirements"
-(paper §2).  Here the manager deploys replicas of a service onto hosts
-(building the per-host gateway, application and server handler, and
-joining the service's group), wires crash/recovery hooks to a
-:class:`~repro.replica.faults.FaultInjector`, and can optionally maintain
-the replication level by starting replicas on spare hosts after members
-are evicted.
+(paper §2).  Here the manager decides *what* runs *where* on a
+:class:`~repro.workload.ministack.Deployment`: it deploys a service's
+replicas onto hosts (a host may run replicas of several services, which
+then share a :class:`~repro.replica.load.HostActivity`), optionally keeps
+the replication level up by starting replicas on spare hosts after
+members are evicted, and aggregates the health transitions the client
+gateways report.  Starting a replica, and crashing or restarting a host,
+are the deployment's own paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from ..gateway.gateway import Gateway
 from ..gateway.handlers.timing_fault import TimingFaultServerHandler
-from ..group.ensemble import GroupCommunication
 from ..group.membership import GroupView
 from ..metrics.collector import MetricsCollector
-from ..net.lan import LanModel
-from ..net.transport import Transport
-from ..orb.iiop import MarshallingModel
 from ..orb.object import Servant
-from ..replica.faults import FaultInjector
 from ..replica.load import HostActivity, ServiceProfile
-from ..replica.server import ReplicaApplication
-from ..rng import RNGManager
-from ..sim.hostclock import ClockRegistry
-from ..sim.kernel import Simulator
-from ..sim.trace import NullTracer, Tracer
+
+if TYPE_CHECKING:
+    from ..workload.ministack import Deployment
 
 __all__ = ["ServiceSpec", "DependabilityManager"]
 
@@ -65,39 +59,18 @@ class ServiceSpec:
 
 
 class DependabilityManager:
-    """Deploys and maintains replicated services."""
+    """Deploys and maintains replicated services on one deployment."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        lan: LanModel,
-        transport: Transport,
-        group_comm: GroupCommunication,
-        streams: RNGManager,
-        marshalling: Optional[MarshallingModel] = None,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsCollector] = None,
-        clocks: Optional[ClockRegistry] = None,
-    ):
-        self.sim = sim
-        # Per-host virtual clocks; replicas started later (including
-        # spares promoted by maintain_replication) stamp on the same
-        # clock objects the clock-fault drivers manipulate.
-        self.clocks = clocks if clocks is not None else ClockRegistry(sim)
-        self.lan = lan
-        self.transport = transport
-        self.group_comm = group_comm
-        self.streams = streams
-        self.marshalling = marshalling or MarshallingModel()
-        self.tracer = tracer if tracer is not None else NullTracer()
-        self.metrics = metrics or MetricsCollector(keep_samples=False)
-        self._gateways: Dict[str, Gateway] = {}
+    def __init__(self, stack: "Deployment"):
+        self.stack = stack
+        self.sim = stack.sim
+        self.tracer = stack.tracer
+        self.metrics = stack.metrics or MetricsCollector(keep_samples=False)
         self._specs: Dict[str, ServiceSpec] = {}
-        # (service, host) -> handler; a host may run replicas of several
-        # services (paper §3: "a machine may host multiple replicas").
-        self._handlers: Dict[tuple, TimingFaultServerHandler] = {}
         self._spares: Dict[str, List[str]] = {}
-        self._injector: Optional[FaultInjector] = None
+        # service -> spare starts maintain_replication has scheduled that
+        # have not fired yet; they already cover that much of a deficit.
+        self._pending_starts: Dict[str, int] = {}
         # Shared co-location activity, consumed by CoupledLoad profiles.
         self.host_activity = HostActivity()
         self.replicas_started = 0
@@ -105,21 +78,6 @@ class DependabilityManager:
         # (service, HealthEvent) in arrival order — AQuA's fault
         # notification path: gateways observe, Proteus aggregates.
         self.health_reports: List[tuple] = []
-
-    # -- infrastructure ------------------------------------------------------
-    def gateway_for(self, host: str) -> Gateway:
-        """The gateway of ``host``, creating (and binding) it if needed."""
-        gateway = self._gateways.get(host)
-        if gateway is None:
-            gateway = Gateway(host, self.sim, self.transport, tracer=self.tracer)
-            self._gateways[host] = gateway
-        return gateway
-
-    def attach_injector(self, injector: FaultInjector) -> None:
-        """Wire crash/recovery hooks for all current and future replicas."""
-        self._injector = injector
-        for key in self._handlers:
-            self._wire_faults(key)
 
     # -- deployment ------------------------------------------------------------
     def deploy(self, spec: ServiceSpec, hosts: List[str]) -> List[str]:
@@ -137,6 +95,7 @@ class DependabilityManager:
         self._specs[spec.service] = spec
         active = hosts[: spec.replication_level]
         self._spares[spec.service] = list(hosts[spec.replication_level:])
+        self._pending_starts[spec.service] = 0
         for host in active:
             self.start_replica(spec.service, host)
         return active
@@ -150,41 +109,30 @@ class DependabilityManager:
         algorithm assumes independent.
         """
         spec = self._specs[service]
-        key = (service, host)
-        if key in self._handlers:
+        if self._runs(service, host):
             raise ValueError(
                 f"host {host!r} already runs a replica of {service!r}"
             )
-        app = ReplicaApplication(
-            host=host,
-            servant=spec.servant_factory(),
-            profile=spec.profile_factory(host),
-            streams=self.streams,
-            activity=self.host_activity,
-        )
-        if app.service != service:
+        servant = spec.servant_factory()
+        if servant.interface.name != service:
             raise ValueError(
-                f"servant implements {app.service!r}, expected {service!r}"
+                f"servant implements {servant.interface.name!r}, "
+                f"expected {service!r}"
             )
-        handler = TimingFaultServerHandler(
-            sim=self.sim,
-            app=app,
-            transport=self.transport,
-            marshalling=self.marshalling,
-            tracer=self.tracer,
-            metrics=self.metrics,
-            clock=self.clocks.clock(host),
+        handler = self.stack.start_server(
+            host, servant, spec.profile_factory(host), activity=self.host_activity
         )
-        self.gateway_for(host).load_handler(handler)
-        self._handlers[key] = handler
-        self.group_comm.join(service, host, watch=True)
         self.replicas_started += 1
         self.tracer.emit(
             self.sim.now, "proteus", "proteus.start", service=service, host=host
         )
-        if self._injector is not None:
-            self._wire_faults(key)
         return handler
+
+    def _runs(self, service: str, host: str) -> bool:
+        return any(
+            handler.service == service
+            for handler in self.stack.replicas.get(host, ())
+        )
 
     def handler_on(
         self, host: str, service: Optional[str] = None
@@ -193,32 +141,18 @@ class DependabilityManager:
 
         ``service`` may be omitted when the host runs exactly one replica.
         """
-        if service is not None:
-            return self._handlers[(service, host)]
         matches = [
             handler
-            for (_svc, handler_host), handler in self._handlers.items()
-            if handler_host == host
+            for handler in self.stack.replicas.get(host, ())
+            if service is None or handler.service == service
         ]
         if not matches:
-            raise KeyError(f"no replica on host {host!r}")
+            raise KeyError(f"no replica of {service or 'any service'} on {host!r}")
         if len(matches) > 1:
             raise KeyError(
                 f"host {host!r} runs several replicas; pass service="
             )
         return matches[0]
-
-    def hosts_of(self, service: str) -> List[str]:
-        """Hosts currently running replicas of ``service`` (live view)."""
-        return list(self.group_comm.view(service).members)
-
-    def all_handlers(self) -> List[TimingFaultServerHandler]:
-        """Every server handler ever started, in start order.
-
-        Includes evicted/crashed replicas — exactly what a drain-time
-        lifecycle audit needs to inspect.
-        """
-        return list(self._handlers.values())
 
     # -- health notifications ------------------------------------------------
     def report_health_event(self, service: str, event) -> None:
@@ -248,27 +182,6 @@ class DependabilityManager:
         """A per-service callback suitable for ``health_listener=``."""
         return lambda event: self.report_health_event(service, event)
 
-    # -- fault wiring --------------------------------------------------------
-    def _wire_faults(self, key: tuple) -> None:
-        assert self._injector is not None
-        service, host = key
-        handler = self._handlers[key]
-        self._injector.on_crash(host, handler.crash)
-        self._injector.on_recover(host, lambda: self._recover(key))
-
-    def _recover(self, key: tuple) -> None:
-        handler = self._handlers.get(key)
-        if handler is None:
-            return
-        service, host = key
-        handler.restart()
-        self.group_comm.failure_detector.forget(host)
-        if host not in self.group_comm.view(service):
-            self.group_comm.join(service, host, watch=True)
-        self.tracer.emit(
-            self.sim.now, "proteus", "proteus.recover", service=service, host=host
-        )
-
     # -- replication maintenance ---------------------------------------------
     def maintain_replication(
         self, service: str, start_delay_ms: float = 500.0
@@ -284,25 +197,31 @@ class DependabilityManager:
         spec = self._specs[service]
 
         def on_view(view: GroupView) -> None:
-            missing = spec.replication_level - len(view.members)
+            missing = (
+                spec.replication_level
+                - len(view.members)
+                - self._pending_starts[service]
+            )
             spares = self._spares[service]
             while missing > 0 and spares:
                 spare = spares.pop(0)
                 missing -= 1
+                self._pending_starts[service] += 1
                 self.sim.call_in(
                     start_delay_ms,
                     lambda host=spare: self._start_if_absent(service, host),
                 )
 
-        self.group_comm.on_view_change(service, "proteus-manager", on_view)
+        self.stack.group_comm.on_view_change(service, "proteus-manager", on_view)
 
     def _start_if_absent(self, service: str, host: str) -> None:
-        if (service, host) in self._handlers or not self.lan.is_up(host):
+        self._pending_starts[service] -= 1
+        if self._runs(service, host) or not self.stack.lan.is_up(host):
             return
         self.start_replica(service, host)
 
     def __repr__(self) -> str:
         return (
             f"<DependabilityManager services={sorted(self._specs)} "
-            f"replicas={len(self._handlers)}>"
+            f"replicas={self.replicas_started}>"
         )

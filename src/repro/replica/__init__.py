@@ -1,6 +1,5 @@
-"""Replica-side components: applications, load models, fault injection."""
+"""Replica-side components: applications and service-time/host-load models."""
 
-from .faults import CrashSchedule, FaultInjector
 from .load import (
     ConstantLoad,
     CoupledLoad,
@@ -23,6 +22,4 @@ __all__ = [
     "HostActivity",
     "CoupledLoad",
     "paper_service_model",
-    "CrashSchedule",
-    "FaultInjector",
 ]

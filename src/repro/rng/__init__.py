@@ -21,26 +21,19 @@ Key derivation is ``numpy.random.SeedSequence``-style keyed hashing:
 the key tuple ``(base_seed, stream_name, entity_id, repetition)`` is
 canonically joined and SHA-256 hashed down to 64 bits of entropy (see
 :func:`derive_seed`).  :class:`RNGManager` memoizes named streams over
-one base seed; :class:`RNGRegistry` adds scenario/worker/repetition
-scoping with disjoint shards.
+one base seed.
 """
 
 from .manager import (
     RNGManager,
-    RNGRegistry,
     derive_entity_seed,
-    derive_repetition_seed,
     derive_seed,
-    seed_sequence,
     seeded_generator,
 )
 
 __all__ = [
     "RNGManager",
-    "RNGRegistry",
     "derive_seed",
     "derive_entity_seed",
-    "derive_repetition_seed",
-    "seed_sequence",
     "seeded_generator",
 ]

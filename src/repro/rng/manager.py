@@ -30,11 +30,8 @@ import numpy as np
 
 __all__ = [
     "RNGManager",
-    "RNGRegistry",
     "derive_seed",
     "derive_entity_seed",
-    "derive_repetition_seed",
-    "seed_sequence",
 ]
 
 #: Types accepted as key parts: anything with a stable ``str()``.
@@ -75,29 +72,6 @@ def derive_entity_seed(
     if repetition is not None:
         parts += (f"rep={int(repetition)}",)
     return derive_seed(base_seed, *parts)
-
-
-def derive_repetition_seed(base_seed: int, repetition: int) -> int:
-    """A stable per-repetition scenario seed from one experiment seed.
-
-    This is the seed handed to repetition ``repetition`` of a sweep when
-    the caller does not enumerate seeds explicitly — the parallel runner
-    records it next to the merged metrics so any single repetition can be
-    replayed in isolation.
-    """
-    if repetition < 0:
-        raise ValueError(f"repetition must be >= 0, got {repetition}")
-    return derive_seed(base_seed, "rep", int(repetition))
-
-
-def seed_sequence(base_seed: int, *parts: KeyPart) -> np.random.SeedSequence:
-    """A :class:`numpy.random.SeedSequence` over the derived entropy.
-
-    For callers that want to keep spawning numpy-style (e.g. to seed a
-    third-party library expecting a ``SeedSequence``); streams created
-    from it match ``np.random.default_rng(derive_seed(...))``.
-    """
-    return np.random.SeedSequence(derive_seed(base_seed, *parts))
 
 
 def seeded_generator(seed: int = 0) -> np.random.Generator:
@@ -178,10 +152,6 @@ class RNGManager:
             self._streams[key] = rng
         return rng
 
-    def fork(self, name: str) -> "RNGManager":
-        """A child manager whose streams are independent of this one's."""
-        return type(self)(derive_seed(self.base_seed, f"fork:{name}"))
-
     def reset(self) -> None:
         """Drop all stream state; the same names replay identically."""
         self._streams.clear()
@@ -191,52 +161,4 @@ class RNGManager:
         return (
             f"<{type(self).__name__} base_seed={self.base_seed} "
             f"streams={len(self._streams)}>"
-        )
-
-
-class RNGRegistry(RNGManager):
-    """An :class:`RNGManager` scoped to a scenario / worker / repetition.
-
-    The scope parts fold into the effective base seed, giving each
-    ``(scenario, worker, repetition)`` combination a disjoint stream
-    shard: two registries with different scopes share *no* variates,
-    while equal scopes reproduce each other exactly.
-
-    The parallel sweep runner deliberately does **not** key task
-    randomness on ``worker`` — task streams derive from the task's own
-    ``(base_seed, point, repetition)`` so results cannot depend on which
-    worker ran the task.  The ``worker`` scope exists for worker-local
-    auxiliary randomness (e.g. jittered polling in a live gateway) that
-    must be disjoint across shards without being part of any result.
-    """
-
-    def __init__(
-        self,
-        base_seed: int,
-        scenario: Optional[str] = None,
-        worker: Optional[int] = None,
-        repetition: Optional[int] = None,
-    ) -> None:
-        """Fold the ``(scenario, worker, repetition)`` scope into the seed."""
-        self.scenario = scenario
-        self.worker = worker
-        self.repetition = repetition
-        parts: Tuple[KeyPart, ...] = ()
-        if scenario is not None:
-            parts += (f"scenario={scenario}",)
-        if worker is not None:
-            parts += (f"worker={int(worker)}",)
-        if repetition is not None:
-            parts += (f"rep={int(repetition)}",)
-        effective = derive_seed(base_seed, *parts) if parts else int(base_seed)
-        super().__init__(effective)
-        #: The unscoped seed the scope was folded into (for provenance).
-        self.root_seed = int(base_seed)
-
-    def __repr__(self) -> str:
-        """Debugging form carrying the scope triple."""
-        return (
-            f"<RNGRegistry root_seed={self.root_seed} "
-            f"scenario={self.scenario!r} worker={self.worker} "
-            f"repetition={self.repetition}>"
         )

@@ -16,12 +16,9 @@ from .random import (
     Distribution,
     Empirical,
     Exponential,
-    LogNormal,
     MarkovModulated,
-    Mixture,
     Normal,
     Pareto,
-    TruncatedNormal,
     Uniform,
 )
 from .trace import NullTracer, TraceRecord, Tracer
@@ -43,11 +40,8 @@ __all__ = [
     "Uniform",
     "Exponential",
     "Normal",
-    "TruncatedNormal",
-    "LogNormal",
     "Pareto",
     "Empirical",
-    "Mixture",
     "MarkovModulated",
     "Tracer",
     "NullTracer",

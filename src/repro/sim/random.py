@@ -11,8 +11,8 @@ authority): deployments hand every component one
 :class:`repro.rng.RNGManager` and components name their streams
 (``"lan.<src>-><dst>"``, ``"client.<host>.think"``, …).
 
-Distributions used by the reproduction (normal/truncated-normal service
-delays, exponential think times, bursty link delays) are exposed as small
+Distributions used by the reproduction (clipped-normal service delays,
+exponential think times, bursty link delays) are exposed as small
 wrapper classes with a uniform ``sample()`` interface so scenario files can
 configure them declaratively.
 """
@@ -31,11 +31,8 @@ __all__ = [
     "Uniform",
     "Exponential",
     "Normal",
-    "TruncatedNormal",
-    "LogNormal",
     "Pareto",
     "Empirical",
-    "Mixture",
     "MarkovModulated",
 ]
 
@@ -169,90 +166,6 @@ class Normal(Distribution):
         return f"Normal(mu={self.mu}, sigma={self.sigma})"
 
 
-class TruncatedNormal(Distribution):
-    """Normal(mu, sigma) resampled until it lands in ``[low, high]``."""
-
-    def __init__(
-        self,
-        mu: float,
-        sigma: float,
-        low: float = 0.0,
-        high: float = math.inf,
-    ) -> None:
-        if sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {sigma}")
-        if low >= high:
-            raise ValueError(f"need low < high, got [{low}, {high}]")
-        self.mu = float(mu)
-        self.sigma = float(sigma)
-        self.low = float(low)
-        self.high = float(high)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        for _ in range(1000):
-            x = float(rng.normal(self.mu, self.sigma))
-            if self.low <= x <= self.high:
-                return x
-        # Pathological truncation window: fall back to clipping.
-        return min(max(float(rng.normal(self.mu, self.sigma)), self.low), self.high)
-
-    def mean(self) -> float:
-        # Standard truncated-normal mean formula.
-        a = (self.low - self.mu) / self.sigma
-        b = (self.high - self.mu) / self.sigma
-
-        def phi(x: float) -> float:
-            return math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
-
-        def cdf(x: float) -> float:
-            if math.isinf(x):
-                return 1.0 if x > 0 else 0.0
-            return 0.5 * (1 + math.erf(x / math.sqrt(2)))
-
-        denom = cdf(b) - cdf(a)
-        phi_b = 0.0 if math.isinf(b) else phi(b)
-        return self.mu + self.sigma * (phi(a) - phi_b) / denom
-
-    def __repr__(self) -> str:
-        return (
-            f"TruncatedNormal(mu={self.mu}, sigma={self.sigma}, "
-            f"low={self.low}, high={self.high})"
-        )
-
-
-class LogNormal(Distribution):
-    """Log-normal parameterized by the *underlying* normal's mu/sigma."""
-
-    def __init__(self, mu: float, sigma: float) -> None:
-        if sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {sigma}")
-        self.mu = float(mu)
-        self.sigma = float(sigma)
-
-    @classmethod
-    def from_mean_cv(cls, mean: float, cv: float) -> "LogNormal":
-        """Build from the distribution's mean and coefficient of variation."""
-        if mean <= 0:
-            raise ValueError(f"mean must be > 0, got {mean}")
-        sigma2 = math.log(1.0 + cv * cv)
-        mu = math.log(mean) - sigma2 / 2.0
-        return cls(mu, math.sqrt(sigma2))
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.lognormal(self.mu, self.sigma))
-
-    def mean(self) -> float:
-        return math.exp(self.mu + self.sigma * self.sigma / 2.0)
-
-    def sample_many(
-        self, rng: np.random.Generator, n: int
-    ) -> npt.NDArray[np.float64]:
-        return rng.lognormal(self.mu, self.sigma, size=n)
-
-    def __repr__(self) -> str:
-        return f"LogNormal(mu={self.mu}, sigma={self.sigma})"
-
-
 class Pareto(Distribution):
     """Pareto with scale ``xm`` and shape ``alpha`` (heavy-tailed delays)."""
 
@@ -295,36 +208,6 @@ class Empirical(Distribution):
 
     def __repr__(self) -> str:
         return f"Empirical(n={len(self.values)})"
-
-
-class Mixture(Distribution):
-    """Probabilistic mixture of component distributions.
-
-    Useful for bimodal service times (fast cache hits / slow misses).
-    """
-
-    def __init__(self, components: Sequence[Distribution], weights: Sequence[float]) -> None:
-        if len(components) != len(weights):
-            raise ValueError("components and weights must have equal length")
-        if not components:
-            raise ValueError("mixture needs at least one component")
-        total = float(sum(weights))
-        if total <= 0:
-            raise ValueError("weights must sum to a positive value")
-        self.components = list(components)
-        self.weights = np.asarray([w / total for w in weights], dtype=float)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        index = int(rng.choice(len(self.components), p=self.weights))
-        return self.components[index].sample(rng)
-
-    def mean(self) -> float:
-        return float(
-            sum(w * c.mean() for w, c in zip(self.weights, self.components))
-        )
-
-    def __repr__(self) -> str:
-        return f"Mixture(k={len(self.components)})"
 
 
 class MarkovModulated(Distribution):

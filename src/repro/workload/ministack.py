@@ -1,28 +1,32 @@
-"""The mini AQuA stack: a bare, fully controllable deployment.
+"""The one deployment wiring, and its bare preset.
 
-:class:`~repro.workload.scenarios.Scenario` assembles the paper's §6
-testbed behind a config object (Proteus manager, realistic LAN jitter,
-marshalling costs).  A :class:`MiniStack` is the other builder: the same
-layers wired directly — zero-jitter 1 ms links, free marshalling,
-constant service times, a fast failure detector — with every layer
-exposed as an attribute, servers and clients added one call at a time.
-The fault experiments (A15, A17, A18) and the handler-level test suites
-all deploy through it, so a new plane (clocks, partitions, …) is
-threaded through one place.
+:class:`Deployment` is the only place the AQuA layers are assembled:
+kernel, per-host clocks, named RNG streams, LAN, transport (optionally
+fault-injectable), failure detector, group communication, marshalling,
+lifecycle auditor, one gateway per host, and the two paths that start a
+replica (:meth:`Deployment.start_server`) and bind a client
+(:meth:`Deployment.bind_client`).  What differs between deployments is a
+:class:`Wiring` of values, not code: :class:`MiniStack` keeps the bare
+defaults (the fault experiments A15/A17/A18 and the handler-level test
+suites run on it) and :class:`~repro.workload.scenarios.Scenario` is the
+paper's §6 testbed preset.
 
-Hand it a :class:`~repro.faultinject.schedule.FaultSchedule` and the
+Hand a stack a :class:`~repro.faultinject.schedule.FaultSchedule` and the
 wire becomes a :class:`~repro.faultinject.transport.FaultyTransport`
-drawing from its own ``wire_seed``; host-level drivers
-(:mod:`repro.faultinject.drivers` and friends) attach to the exposed
-``sim``/``lan``/``group_comm``/``servers``/``clocks``.
+drawing from its own ``wire_seed``; host-level crash/restart, churn and
+degradation go through the deployment's one ``faults`` driver, and the
+partition, overload and clock drivers attach to the exposed
+``sim``/``lan``/``group_comm``/``clocks``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.qos import QoSSpec
 from ..faultinject.auditor import LifecycleAuditor
+from ..faultinject.drivers import LifecycleFaultDriver
 from ..faultinject.schedule import FaultSchedule
 from ..faultinject.transport import FaultyTransport
 from ..gateway.gateway import Gateway
@@ -32,20 +36,30 @@ from ..gateway.handlers.timing_fault import (
 )
 from ..group.ensemble import GroupCommunication
 from ..group.failure_detector import FailureDetector
+from ..metrics.collector import MetricsCollector
 from ..net.lan import LanModel, LinkProfile
 from ..net.transport import Transport
 from ..orb.iiop import MarshallingModel
 from ..orb.object import MethodSignature, Servant, ServiceInterface
-from ..orb.orb import Orb
-from ..replica.load import ServiceProfile
+from ..orb.orb import Orb, Stub
+from ..replica.load import HostActivity, ServiceProfile
 from ..replica.server import ReplicaApplication
 from ..rng import RNGManager
 from ..sim.events import Event
 from ..sim.hostclock import ClockRegistry
 from ..sim.kernel import Simulator
 from ..sim.random import Constant, Distribution
+from ..sim.trace import NullTracer, Tracer
 
-__all__ = ["IntegerServant", "MiniStack", "make_interface", "SERVICE", "METHOD"]
+__all__ = [
+    "Deployment",
+    "IntegerServant",
+    "MiniStack",
+    "Wiring",
+    "make_interface",
+    "SERVICE",
+    "METHOD",
+]
 
 SERVICE = "search"
 METHOD = "process"
@@ -86,15 +100,189 @@ class IntegerServant(Servant):
         return int(index)
 
 
-class MiniStack:
-    """A minimal deterministic deployment, wired layer by layer.
+@dataclass(frozen=True)
+class Wiring:
+    """The values one deployment is wired with.
+
+    The defaults are the bare stack: zero-jitter 1 ms links, free
+    marshalling, a 10 ms x 2 failure detector, nothing traced, one
+    private metrics collector per handler.
+    """
+
+    link: LinkProfile = field(
+        default_factory=lambda: LinkProfile(
+            stack_ms=1.0, per_kb_ms=0.0, per_member_ms=0.0, jitter=Constant(0.0)
+        )
+    )
+    # Optional LAN-wide correlated congestion (breaks Eq. 1 independence).
+    shared_congestion: Optional[Distribution] = None
+    marshalling: MarshallingModel = field(
+        default_factory=lambda: MarshallingModel(
+            base_ms=0.0, per_kb_ms=0.0, envelope_bytes=0
+        )
+    )
+    fd_poll_interval_ms: float = 10.0
+    fd_confirm_polls: int = 2
+    notify_delay_ms: float = 1.0
+    tracer: Tracer = field(default_factory=NullTracer)
+    metrics: Optional[MetricsCollector] = None
+
+
+class Deployment:
+    """The AQuA stack wired layer by layer, every layer an attribute.
 
     ``seed`` roots every deployment stream (one
     :class:`~repro.rng.RNGManager`).  With a ``schedule`` the wire is
     fault-injectable and draws from ``RNGManager(wire_seed)``; without
-    one it is the plain transport.  The stack owns a
-    :class:`~repro.faultinject.auditor.LifecycleAuditor` watching every
-    server and client it adds.
+    one it is the plain transport.  Servers and clients are started one
+    call at a time; every one is watched by the deployment's
+    :class:`~repro.faultinject.auditor.LifecycleAuditor`, and ``faults``
+    (the one :class:`~repro.faultinject.drivers.LifecycleFaultDriver`)
+    crashes, restarts, churns and degrades whatever runs on a host.
+    """
+
+    def __init__(
+        self,
+        seed: int,
+        wiring: Wiring,
+        interface: ServiceInterface,
+        schedule: Optional[FaultSchedule] = None,
+        wire_seed: int = 0,
+    ) -> None:
+        self.sim = Simulator()
+        # One virtual clock per host, handed to that host's handlers, so
+        # the clock-fault plane can de-synchronize them.
+        self.clocks = ClockRegistry(self.sim)
+        self.streams = RNGManager(base_seed=seed)
+        self.tracer = wiring.tracer
+        self.metrics = wiring.metrics
+        self.lan = LanModel(
+            self.streams,
+            default_profile=wiring.link,
+            shared_congestion=wiring.shared_congestion,
+        )
+        self.transport: Any = Transport(self.sim, self.lan, tracer=self.tracer)
+        if schedule is not None:
+            self.transport = FaultyTransport(
+                self.transport, schedule=schedule, streams=RNGManager(wire_seed)
+            )
+        self.detector = FailureDetector(
+            self.sim,
+            self.lan,
+            poll_interval_ms=wiring.fd_poll_interval_ms,
+            confirm_polls=wiring.fd_confirm_polls,
+            tracer=self.tracer,
+        )
+        self.group_comm = GroupCommunication(
+            self.sim,
+            self.lan,
+            self.transport,
+            notify_delay_ms=wiring.notify_delay_ms,
+            failure_detector=self.detector,
+            tracer=self.tracer,
+        )
+        self.marshalling = wiring.marshalling
+        self.interface = interface
+        self.auditor = LifecycleAuditor()
+        if schedule is not None:
+            self.auditor.set_schedule(schedule)
+        self._gateways: Dict[str, Gateway] = {}
+        # host -> every replica started on it, in start order (a host may
+        # run replicas of several services; paper §3).
+        self.replicas: Dict[str, List[TimingFaultServerHandler]] = {}
+        self.faults = LifecycleFaultDriver(
+            self.sim, self.lan, self.group_comm, self.replicas, tracer=self.tracer
+        )
+
+    def gateway_for(self, host: str) -> Gateway:
+        """The gateway of ``host``, creating (and binding) it if needed."""
+        gateway = self._gateways.get(host)
+        if gateway is None:
+            gateway = Gateway(host, self.sim, self.transport, tracer=self.tracer)
+            self._gateways[host] = gateway
+        return gateway
+
+    def start_server(
+        self,
+        host: str,
+        servant: Servant,
+        profile: ServiceProfile,
+        activity: Optional[HostActivity] = None,
+    ) -> TimingFaultServerHandler:
+        """Start a replica of ``servant``'s service on ``host``.
+
+        Builds the application and its server handler, loads the handler
+        in the host's gateway and joins the service's group (watched by
+        the failure detector).
+        """
+        if not self.lan.has_host(host):
+            self.lan.add_host(host)
+        app = ReplicaApplication(
+            host=host,
+            servant=servant,
+            profile=profile,
+            streams=self.streams,
+            activity=activity,
+        )
+        handler = TimingFaultServerHandler(
+            sim=self.sim,
+            app=app,
+            transport=self.transport,
+            marshalling=self.marshalling,
+            tracer=self.tracer,
+            metrics=self.metrics,
+            clock=self.clocks.clock(host),
+        )
+        self.gateway_for(host).load_handler(handler)
+        self.replicas.setdefault(host, []).append(handler)
+        self.group_comm.join(handler.service, host, watch=True)
+        self.auditor.watch_server(handler)
+        return handler
+
+    def bind_client(
+        self,
+        host: str,
+        qos: QoSSpec,
+        handler_cls: type = TimingFaultClientHandler,
+        **handler_kwargs: Any,
+    ) -> Tuple[TimingFaultClientHandler, Stub]:
+        """Load a client gateway handler on new host ``host``; bind its stub.
+
+        ``handler_kwargs`` go to the handler verbatim, over the
+        deployment's own marshalling, policy stream, host clock, tracer
+        and metrics.  Each client process gets its own ORB, like
+        separate CORBA applications on separate hosts.
+        """
+        self.lan.add_host(host)
+        handler = handler_cls(
+            sim=self.sim,
+            host=host,
+            transport=self.transport,
+            group_comm=self.group_comm,
+            interface=self.interface,
+            qos=qos,
+            **{
+                "marshalling": self.marshalling,
+                "rng": self.streams.stream(f"client.{host}.policy"),
+                "clock": self.clocks.clock(host),
+                "tracer": self.tracer,
+                "metrics": self.metrics,
+                **handler_kwargs,
+            },
+        )
+        self.gateway_for(host).load_handler(handler)
+        self.auditor.watch_client(handler)
+        orb = Orb()
+        orb.register_interface(self.interface)
+        orb.bind_interceptor(qos.service, handler)
+        return handler, orb.stub(qos.service)
+
+
+class MiniStack(Deployment):
+    """The bare preset: one ``search`` service, constant service times.
+
+    Every layer keeps the :class:`Wiring` defaults, so a run is exact
+    arithmetic on the schedule it is given.
     """
 
     def __init__(
@@ -103,66 +291,23 @@ class MiniStack:
         schedule: Optional[FaultSchedule] = None,
         wire_seed: int = 0,
     ) -> None:
-        self.sim = Simulator()
-        # One virtual clock per host, handed to that host's handler, so
-        # the clock-fault plane can de-synchronize them.
-        self.clocks = ClockRegistry(self.sim)
-        self.streams = RNGManager(base_seed=seed)
-        profile = LinkProfile(
-            stack_ms=1.0, per_kb_ms=0.0, per_member_ms=0.0, jitter=Constant(0.0)
+        super().__init__(
+            seed, Wiring(), make_interface(SERVICE, METHOD), schedule, wire_seed
         )
-        self.lan = LanModel(self.streams, default_profile=profile)
-        self.inner_transport = Transport(self.sim, self.lan)
-        self.transport: Any = self.inner_transport
-        if schedule is not None:
-            self.transport = FaultyTransport(
-                self.inner_transport,
-                schedule=schedule,
-                streams=RNGManager(wire_seed),
-            )
-        self.detector = FailureDetector(
-            self.sim, self.lan, poll_interval_ms=10.0, confirm_polls=2
-        )
-        self.group_comm = GroupCommunication(
-            self.sim,
-            self.lan,
-            self.transport,
-            notify_delay_ms=1.0,
-            failure_detector=self.detector,
-        )
-        self.marshalling = MarshallingModel(
-            base_ms=0.0, per_kb_ms=0.0, envelope_bytes=0
-        )
-        self.interface = make_interface(SERVICE, METHOD)
-        self.auditor = LifecycleAuditor()
-        if schedule is not None:
-            self.auditor.set_schedule(schedule)
         self.servers: Dict[str, TimingFaultServerHandler] = {}
         self.clients: Dict[str, TimingFaultClientHandler] = {}
-        self.stubs: Dict[str, Any] = {}
+        self.stubs: Dict[str, Stub] = {}
 
     def add_server(
         self, host: str, service_time: Optional[Distribution] = None
     ) -> TimingFaultServerHandler:
         """Start a replica on ``host`` (default service time 10 ms)."""
-        self.lan.add_host(host)
-        app = ReplicaApplication(
-            host=host,
-            servant=IntegerServant(self.interface, METHOD),
-            profile=ServiceProfile(default=service_time or Constant(10.0)),
-            streams=self.streams,
+        handler = self.start_server(
+            host,
+            IntegerServant(self.interface, METHOD),
+            ServiceProfile(default=service_time or Constant(10.0)),
         )
-        handler = TimingFaultServerHandler(
-            sim=self.sim,
-            app=app,
-            transport=self.transport,
-            marshalling=self.marshalling,
-            clock=self.clocks.clock(host),
-        )
-        Gateway(host, self.sim, self.transport).load_handler(handler)
-        self.group_comm.join(SERVICE, host, watch=True)
         self.servers[host] = handler
-        self.auditor.watch_server(handler)
         return handler
 
     def add_client(
@@ -178,27 +323,14 @@ class MiniStack:
         ``handler_kwargs`` go to the handler verbatim; the selection
         charge defaults to zero (the stack is cost-free by default).
         """
-        self.lan.add_host(host)
         handler_kwargs.setdefault("selection_charge_ms", 0.0)
-        handler = handler_cls(
-            sim=self.sim,
-            host=host,
-            transport=self.transport,
-            group_comm=self.group_comm,
-            interface=self.interface,
-            qos=QoSSpec(SERVICE, deadline_ms, min_probability),
-            marshalling=self.marshalling,
-            rng=self.streams.stream(f"client.{host}.policy"),
-            clock=self.clocks.clock(host),
+        handler, self.stubs[host] = self.bind_client(
+            host,
+            QoSSpec(SERVICE, deadline_ms, min_probability),
+            handler_cls,
             **handler_kwargs,
         )
-        Gateway(host, self.sim, self.transport).load_handler(handler)
-        self.auditor.watch_client(handler)
-        orb = Orb()
-        orb.register_interface(self.interface)
-        orb.bind_interceptor(SERVICE, handler)
         self.clients[host] = handler
-        self.stubs[host] = orb.stub(SERVICE)
         return handler
 
     def invoke(self, client_host: str, arg: int = 0) -> Event:

@@ -1,15 +1,17 @@
-"""Scenario builder: assemble the full AQuA stack in a few lines.
+"""Scenario: the paper's §6 testbed as a preset of the one deployment.
 
-A :class:`Scenario` wires kernel, LAN, transport, group communication,
-ORB, Proteus manager, replicas and clients together with one shared seed,
-so experiments and examples only describe *what* varies.  All randomness
-flows through one named-stream :class:`~repro.rng.RNGManager` (the
-``repro.rng`` discipline, docs/REPRODUCIBILITY.md), so a
-scenario is replayable from ``config.seed`` alone and adding a component
-never perturbs the draws of existing ones.  The defaults
-reproduce the paper's §6 testbed: seven replicas on distinct hosts, an
-integer-returning servant, and service delays drawn from
-Normal(100 ms, 50 ms).
+A :class:`Scenario` is a :class:`~repro.workload.ministack.Deployment`
+wired with the testbed's values (LAN jitter/loss/shared congestion, stock
+marshalling costs, a 50 ms x 2 failure detector, tracer and metrics) from
+one :class:`ScenarioConfig`, plus what is its own: a Proteus manager
+deploying the configured replicas, closed/open-loop clients, scripted
+crashes and a bounded run-to-completion.  All randomness flows through
+one named-stream :class:`~repro.rng.RNGManager` (the ``repro.rng``
+discipline, docs/REPRODUCIBILITY.md), so a scenario is replayable from
+``config.seed`` alone and adding a component never perturbs the draws of
+existing ones.  The defaults reproduce the paper's testbed: seven
+replicas on distinct hosts, an integer-returning servant, and service
+delays drawn from Normal(100 ms, 50 ms).
 """
 
 from __future__ import annotations
@@ -19,28 +21,22 @@ from typing import Callable, Dict, List, Optional
 
 from ..core.qos import QoSSpec
 from ..core.selection import SelectionPolicy
-from ..faultinject.auditor import AuditReport, LifecycleAuditor
+from ..faultinject.auditor import AuditReport
+from ..faultinject.schedule import CrashRestartFault
 from ..gateway.handlers.timing_fault import TimingFaultClientHandler
-from ..group.ensemble import GroupCommunication
-from ..group.failure_detector import FailureDetector
 from ..health import HealthConfig
 from ..metrics.collector import MetricsCollector
-from ..net.lan import LanModel, LinkProfile, bursty_jitter
-from ..net.transport import Transport
+from ..net.lan import LinkProfile, bursty_jitter
 from ..orb.iiop import MarshallingModel
-from ..overload import OverloadConfig
 from ..orb.object import MethodSignature
-from ..orb.orb import Orb
+from ..orb.orb import Stub
+from ..overload import OverloadConfig
 from ..proteus.manager import DependabilityManager, ServiceSpec
-from ..replica.faults import CrashSchedule, FaultInjector
 from ..replica.load import ConstantLoad, LoadModel, ServiceProfile
-from ..rng import RNGManager
-from ..sim.hostclock import ClockRegistry
-from ..sim.kernel import Simulator
 from ..sim.random import Constant, Distribution, Normal
 from ..sim.trace import NullTracer, Tracer
 from .client import ClosedLoopClient, OpenLoopClient
-from .ministack import IntegerServant, make_interface
+from .ministack import Deployment, IntegerServant, Wiring, make_interface
 
 __all__ = ["IntegerServant", "ScenarioConfig", "Scenario", "make_interface"]
 
@@ -98,75 +94,25 @@ class ScenarioConfig:
         return [f"replica-{i + 1}" for i in range(self.num_replicas)]
 
 
-class Scenario:
-    """A fully wired simulated AQuA deployment."""
+class Scenario(Deployment):
+    """The paper's testbed: a deployment wired from a :class:`ScenarioConfig`."""
 
     def __init__(self, config: Optional[ScenarioConfig] = None):
         self.config = config or ScenarioConfig()
         cfg = self.config
-
-        self.sim = Simulator()
-        # One virtual clock per host; handlers stamp on their own host's
-        # clock so the clock-fault plane can de-synchronize them.
-        self.clocks = ClockRegistry(self.sim)
-        self.streams = RNGManager(base_seed=cfg.seed)
-        self.tracer = Tracer() if cfg.trace else NullTracer()
-        self.metrics = MetricsCollector(keep_samples=cfg.keep_samples)
-
-        profile = LinkProfile(
-            jitter=bursty_jitter() if cfg.bursty_network else Normal(0.3, 0.15),
-            loss_probability=cfg.loss_probability,
-        )
-        self.lan = LanModel(
-            self.streams,
-            default_profile=profile,
-            shared_congestion=cfg.shared_congestion,
-        )
-        self.transport = Transport(self.sim, self.lan, tracer=self.tracer)
-        detector = FailureDetector(
-            self.sim,
-            self.lan,
-            poll_interval_ms=cfg.fd_poll_interval_ms,
-            confirm_polls=cfg.fd_confirm_polls,
-            tracer=self.tracer,
-        )
-        self.group_comm = GroupCommunication(
-            self.sim,
-            self.lan,
-            self.transport,
-            notify_delay_ms=cfg.notify_delay_ms,
-            failure_detector=detector,
-            tracer=self.tracer,
-        )
-        self.marshalling = MarshallingModel()
-        self.interface = make_interface(
+        interface = make_interface(
             cfg.service, cfg.method, cfg.request_bytes, cfg.reply_bytes
         )
         for name in (cfg.extra_methods or {}):
-            self.interface.add_method(
+            interface.add_method(
                 MethodSignature(
                     name=name,
                     request_bytes=cfg.request_bytes,
                     reply_bytes=cfg.reply_bytes,
                 )
             )
-
-        self.manager = DependabilityManager(
-            self.sim,
-            self.lan,
-            self.transport,
-            self.group_comm,
-            self.streams,
-            marshalling=self.marshalling,
-            tracer=self.tracer,
-            metrics=self.metrics,
-            clocks=self.clocks,
-        )
-        self.injector = FaultInjector(self.sim, self.lan, tracer=self.tracer)
-        self.manager.attach_injector(self.injector)
-
-        for host in cfg.replica_hosts():
-            self.lan.add_host(host)
+        super().__init__(cfg.seed, self._wiring(), interface)
+        self.manager = DependabilityManager(self)
         spec = ServiceSpec(
             service=cfg.service,
             servant_factory=lambda: IntegerServant(self.interface, cfg.method),
@@ -177,9 +123,23 @@ class Scenario:
         self.clients: Dict[str, ClosedLoopClient] = {}
         self.open_clients: Dict[str, OpenLoopClient] = {}
         self.handlers: Dict[str, TimingFaultClientHandler] = {}
-        # Tracks every client submission so experiments can assert the
-        # request-lifecycle invariants after the run (see audit_lifecycle).
-        self.auditor = LifecycleAuditor()
+
+    def _wiring(self) -> Wiring:
+        """The testbed's values for the layers every deployment has."""
+        cfg = self.config
+        return Wiring(
+            link=LinkProfile(
+                jitter=bursty_jitter() if cfg.bursty_network else Normal(0.3, 0.15),
+                loss_probability=cfg.loss_probability,
+            ),
+            shared_congestion=cfg.shared_congestion,
+            marshalling=MarshallingModel(),
+            fd_poll_interval_ms=cfg.fd_poll_interval_ms,
+            fd_confirm_polls=cfg.fd_confirm_polls,
+            notify_delay_ms=cfg.notify_delay_ms,
+            tracer=Tracer() if cfg.trace else NullTracer(),
+            metrics=MetricsCollector(keep_samples=cfg.keep_samples),
+        )
 
     # -- replica profiles ------------------------------------------------------
     def _profile_for(self, host: str) -> ServiceProfile:
@@ -219,13 +179,13 @@ class Scenario:
         (e.g. ``classifier=``, ``probe_staleness_ms=``,
         ``gateway_window_size=`` for the §8 extensions).
         """
-        handler, orb = self._make_handler(
-            name, qos, policy, handler_cls, window_size, violation_callback,
-            handler_kwargs or {},
+        stub = self._bind(
+            name, qos, handler_cls, window_size, policy=policy,
+            violation_callback=violation_callback, **(handler_kwargs or {}),
         )
         client = ClosedLoopClient(
             sim=self.sim,
-            stub=orb.stub(self.config.service),
+            stub=stub,
             host=name,
             streams=self.streams,
             method=self.config.method,
@@ -234,7 +194,6 @@ class Scenario:
             method_chooser=method_chooser,
         )
         self.clients[name] = client
-        self.handlers[name] = handler
         return client
 
     def add_open_loop_client(
@@ -247,12 +206,12 @@ class Scenario:
         window_size: Optional[int] = None,
     ) -> OpenLoopClient:
         """Add an open-loop client firing on ``interarrival`` gaps."""
-        handler, orb = self._make_handler(
-            name, qos, policy, TimingFaultClientHandler, window_size, None, {}
+        stub = self._bind(
+            name, qos, TimingFaultClientHandler, window_size, policy=policy
         )
         client = OpenLoopClient(
             sim=self.sim,
-            stub=orb.stub(self.config.service),
+            stub=stub,
             host=name,
             streams=self.streams,
             interarrival=interarrival,
@@ -260,64 +219,41 @@ class Scenario:
             num_requests=num_requests,
         )
         self.open_clients[name] = client
-        self.handlers[name] = handler
         return client
 
-    def _make_handler(
-        self, name, qos, policy, handler_cls, window_size, violation_callback,
-        handler_kwargs,
-    ):
+    def _bind(
+        self, name: str, qos: QoSSpec, handler_cls: type,
+        window_size: Optional[int], **options,
+    ) -> Stub:
+        """Bind ``name``'s handler: the config's client options under ``options``."""
         cfg = self.config
         if qos.service != cfg.service:
             raise ValueError(
                 f"QoS is for service {qos.service!r}, scenario runs {cfg.service!r}"
             )
-        self.lan.add_host(name)
-        gateway = self.manager.gateway_for(name)
-        handler_kwargs = dict(handler_kwargs)
-        if cfg.health_config is not None:
-            handler_kwargs.setdefault("health_config", cfg.health_config)
-            handler_kwargs.setdefault(
-                "health_listener", self.manager.health_listener(cfg.service)
-            )
-        if cfg.overload_config is not None:
-            handler_kwargs.setdefault("overload_config", cfg.overload_config)
-        handler_kwargs.setdefault("clock", self.clocks.clock(name))
-        handler = handler_cls(
-            sim=self.sim,
-            host=name,
-            transport=self.transport,
-            group_comm=self.group_comm,
-            interface=self.interface,
-            qos=qos,
-            policy=policy,
+        defaults = dict(
             window_size=window_size if window_size is not None else cfg.window_size,
             bin_width_ms=cfg.bin_width_ms,
-            marshalling=self.marshalling,
             selection_charge_ms=cfg.selection_charge_ms,
             response_timeout_factor=cfg.response_timeout_factor,
-            violation_callback=violation_callback,
-            rng=self.streams.stream(f"client.{name}.policy"),
             distance=lambda replica: self.lan.zone_distance(name, replica),
-            tracer=self.tracer,
-            metrics=self.metrics,
-            **handler_kwargs,
         )
-        gateway.load_handler(handler)
-        self.auditor.watch_client(handler)
-        # Each client process gets its own ORB, like separate CORBA
-        # applications on separate hosts.
-        orb = Orb()
-        orb.register_interface(self.interface)
-        orb.bind_interceptor(cfg.service, handler)
-        return handler, orb
+        if cfg.health_config is not None:
+            defaults["health_config"] = cfg.health_config
+            defaults["health_listener"] = self.manager.health_listener(cfg.service)
+        if cfg.overload_config is not None:
+            defaults["overload_config"] = cfg.overload_config
+        self.handlers[name], stub = self.bind_client(
+            name, qos, handler_cls, **{**defaults, **options}
+        )
+        return stub
 
     # -- faults -----------------------------------------------------------
     def schedule_crash(
         self, host: str, at_ms: float, recover_at_ms: Optional[float] = None
     ) -> None:
         """Crash ``host`` at ``at_ms`` (optionally recovering later)."""
-        self.injector.schedule(CrashSchedule(host, at_ms, recover_at_ms))
+        self.faults.apply_crash(CrashRestartFault(host, at_ms, recover_at_ms))
 
     # -- running ------------------------------------------------------------
     def run(self, until: Optional[float] = None) -> None:
@@ -327,40 +263,35 @@ class Scenario:
     def run_to_completion(self, limit_ms: float = 10_000_000.0) -> None:
         """Run until every client finished (bounded by ``limit_ms``)."""
         self.sim.run()
-        unfinished = [
-            c.host
-            for c in list(self.clients.values()) + list(self.open_clients.values())
-            if not c.done
-        ]
-        if unfinished and self.sim.now < limit_ms:
-            # Live events drained while clients still wait (e.g. replies
-            # lost to a crash): let daemon activity (failure detection)
-            # unblock them, then continue.
-            while unfinished and self.sim.now < limit_ms:
-                self.sim.run(until=min(limit_ms, self.sim.now + 1000.0))
-                self.sim.run()
-                unfinished = [
-                    c.host
-                    for c in list(self.clients.values())
-                    + list(self.open_clients.values())
-                    if not c.done
-                ]
+        # Live events drained while clients still wait (e.g. replies lost
+        # to a crash): let daemon activity (failure detection) unblock
+        # them, then continue.
+        while self._unfinished() and self.sim.now < limit_ms:
+            self.sim.run(until=min(limit_ms, self.sim.now + 1000.0))
+            self.sim.run()
+        unfinished = self._unfinished()
         if unfinished:
             raise RuntimeError(
                 f"clients {unfinished} did not finish before {limit_ms} ms"
             )
 
+    def _unfinished(self) -> List[str]:
+        return [
+            client.host
+            for client in (*self.clients.values(), *self.open_clients.values())
+            if not client.done
+        ]
+
     # -- lifecycle auditing ------------------------------------------------
     def audit_lifecycle(self) -> AuditReport:
         """Assert the request-lifecycle invariants after a drained run.
 
-        Registers every replica ever started (crashed ones included) and
-        raises :class:`~repro.faultinject.auditor.LifecycleViolation` on
-        leaked pending/alias/probe state, resurrection, or a request that
-        did not complete exactly once.
+        Covers every client bound and every replica ever started (crashed
+        ones included); raises
+        :class:`~repro.faultinject.auditor.LifecycleViolation` on leaked
+        pending/alias/probe state, resurrection, or a request that did
+        not complete exactly once.
         """
-        for handler in self.manager.all_handlers():
-            self.auditor.watch_server(handler)
         return self.auditor.assert_clean()
 
     def __repr__(self) -> str:

@@ -2,9 +2,9 @@
 
 :class:`repro.workload.MiniStack` with a (possibly empty) fault
 schedule, so every component sends through a :class:`FaultyTransport`;
-the stack owns a :class:`LifecycleAuditor` watching every client, and a
-:class:`LifecycleFaultDriver` can apply crash/restart and churn faults
-to its servers.
+the stack owns a :class:`LifecycleAuditor` watching every client, and
+its ``LifecycleFaultDriver`` (``stack.faults``) applies crash/restart
+and churn faults to its servers.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.selection import SelectionDecision
 from repro.engine import RequestRecord
-from repro.faultinject import FaultSchedule, LifecycleFaultDriver
+from repro.faultinject import FaultSchedule
 from repro.orb.object import MethodRequest
 from repro.workload.ministack import METHOD, SERVICE, MiniStack
 
@@ -41,16 +41,6 @@ class FaultStack(MiniStack):
     ):
         super().__init__(
             seed=seed, schedule=schedule or FaultSchedule(), wire_seed=fault_seed
-        )
-
-    def make_driver(self) -> LifecycleFaultDriver:
-        """A host-level fault driver over the current server set."""
-        return LifecycleFaultDriver(
-            sim=self.sim,
-            lan=self.lan,
-            group_comm=self.group_comm,
-            service=SERVICE,
-            servers=self.servers,
         )
 
 

@@ -43,7 +43,7 @@ def test_timeout_counts_as_completion():
     stack = FaultStack()
     stack.add_server("s-1")
     client = stack.add_client("c-1", response_timeout_factor=2.0)
-    driver = stack.make_driver()
+    driver = stack.faults
     driver.crash_now("s-1")  # down before the request hits the wire
     event = stack.invoke("c-1")
     stack.sim.run()

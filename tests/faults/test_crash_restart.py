@@ -16,7 +16,7 @@ def test_crash_mid_service_loses_reply_exactly_once():
     stack = FaultStack()
     stack.add_server("s-1", service_time=Constant(10.0))
     stack.add_client("c-1", deadline_ms=100.0, response_timeout_factor=3.0)
-    driver = stack.make_driver()
+    driver = stack.faults
     event = stack.invoke("c-1", 0)
     # The request is in service from t=1 to t=11; crash in the middle.
     stack.sim.call_at(5.0, lambda: driver.crash_now("s-1"))
@@ -33,7 +33,7 @@ def test_restart_services_new_requests_exactly_once():
     stack = FaultStack()
     server = stack.add_server("s-1", service_time=Constant(10.0))
     stack.add_client("c-1", deadline_ms=100.0, response_timeout_factor=3.0)
-    driver = stack.make_driver()
+    driver = stack.faults
     driver.apply_crash(CrashRestartFault("s-1", crash_at_ms=5.0, restart_at_ms=50.0))
     first = stack.invoke("c-1", 0)
     later = []
@@ -55,7 +55,7 @@ def test_old_service_loop_cannot_drain_the_new_queue():
     stack = FaultStack()
     server = stack.add_server("s-1", service_time=Constant(50.0))
     stack.add_client("c-1", deadline_ms=100.0, response_timeout_factor=3.0)
-    driver = stack.make_driver()
+    driver = stack.faults
     first = stack.invoke("c-1", 1)
     second = stack.invoke("c-1", 2)  # queued behind the first
     old_process = server._process
@@ -80,7 +80,7 @@ def test_restart_replaces_the_wakeup_event():
     stack = FaultStack()
     server = stack.add_server("s-1", service_time=Constant(10.0))
     stack.add_client("c-1", deadline_ms=100.0, response_timeout_factor=3.0)
-    driver = stack.make_driver()
+    driver = stack.faults
     stack.sim.run(until=5.0)  # let the idle loop block on its wakeup
     old_wakeup = server._wakeup
     assert old_wakeup is not None
@@ -101,7 +101,7 @@ def test_restart_replaces_the_wakeup_event():
 def test_driver_crash_restart_churn_are_idempotent():
     stack = FaultStack()
     stack.add_server("s-1")
-    driver = stack.make_driver()
+    driver = stack.faults
     driver.crash_now("s-1")
     driver.crash_now("s-1")  # already down: no-op
     assert driver.crashes_applied == 1
@@ -119,7 +119,7 @@ def test_driver_crash_restart_churn_are_idempotent():
 def test_driver_rejects_unknown_host():
     stack = FaultStack()
     stack.add_server("s-1")
-    driver = stack.make_driver()
+    driver = stack.faults
     with pytest.raises(KeyError):
         driver.apply_crash(CrashRestartFault("ghost", crash_at_ms=1.0))
 
@@ -129,7 +129,7 @@ def test_churned_member_is_not_resurrected_by_stale_pushes():
     stack.add_server("s-1", service_time=Constant(10.0))
     stack.add_server("s-2", service_time=Constant(10.0))
     client = stack.add_client("c-1", deadline_ms=100.0)
-    driver = stack.make_driver()
+    driver = stack.faults
     event = stack.invoke("c-1", 0)
     # s-2 leaves the view while its reply (and perf push) is still being
     # produced: the late data must not re-create its repository record.

@@ -68,7 +68,7 @@ def test_randomized_fault_schedule_drains_clean(seed, fault_seed, schedule_seed)
         replicas=REPLICAS,
     )
     stack.transport.schedule = schedule
-    driver = stack.make_driver()
+    driver = stack.faults
     driver.apply(schedule)
 
     loads = [
@@ -115,7 +115,7 @@ def test_same_seed_same_outcome():
             RNGManager(13), horizon_ms=600.0, replicas=REPLICAS[:3]
         )
         stack.transport.schedule = schedule
-        driver = stack.make_driver()
+        driver = stack.faults
         driver.apply(schedule)
         _closed_loop(stack, "c-1", 40, think_ms=4.0)
         stack.sim.run()

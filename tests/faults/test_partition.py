@@ -577,7 +577,7 @@ class TestFlapCrashRestartComposition:
             service=SERVICE,
             replicas=["s-1", "s-2"],
         )
-        lifecycle = stack.make_driver()
+        lifecycle = stack.faults
         # Flap [50, 230), 60ms period, 50% duty: cuts at [50, 80),
         # [110, 140), [170, 200).  The host genuinely dies during the
         # second cut and comes back long after the window.

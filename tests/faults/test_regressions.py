@@ -53,7 +53,7 @@ def test_alias_dropped_when_original_request_expires():
         max_retries=2,
         response_timeout_factor=3.0,
     )
-    driver = stack.make_driver()
+    driver = stack.faults
     # Both replicas fail-stop after the first send but before any reply:
     # the retransmitted copies can never be answered.
     stack.sim.call_at(2.0, lambda: driver.crash_now("s-1"))

@@ -114,7 +114,7 @@ def test_randomized_schedule_with_surges_and_shedding_audits_clean():
         overload_windows=2,
     )
     stack.transport.schedule = schedule
-    stack.make_driver().apply(schedule)
+    stack.faults.apply(schedule)
     surge = OverloadDriver(
         stack.sim, {"c-1": lambda arg: stack.invoke("c-1", arg)}
     )

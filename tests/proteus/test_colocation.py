@@ -97,11 +97,31 @@ class TestColocatedServices:
     def test_crash_takes_down_all_colocated_replicas(self):
         scenario = Scenario(ScenarioConfig(seed=0, num_replicas=2))
         self._deploy_second_service(scenario, scenario.config.replica_hosts())
-        scenario.injector.crash_now("replica-1")
+        scenario.faults.crash_now("replica-1")
         search = scenario.manager.handler_on("replica-1", service="search")
         billing = scenario.manager.handler_on("replica-1", service="billing")
         assert search.crashed
         assert billing.crashed
+
+    def test_crash_and_restart_cover_both_services_of_a_host(self):
+        scenario = Scenario(ScenarioConfig(seed=0, num_replicas=2))
+        self._deploy_second_service(scenario, scenario.config.replica_hosts())
+        search = scenario.manager.handler_on("replica-1", service="search")
+        billing = scenario.manager.handler_on("replica-1", service="billing")
+        scenario.schedule_crash("replica-1", at_ms=100.0, recover_at_ms=1_000.0)
+        scenario.run(until=900.0)
+        # Both handlers stopped at the crash; the detector evicted the
+        # host from both groups.
+        assert search.crashed and billing.crashed
+        for service in ("search", "billing"):
+            assert scenario.group_comm.view(service).members == ("replica-2",)
+        scenario.run(until=1_100.0)
+        # One restart: both are fresh incarnations, back in their groups.
+        assert not search.crashed and not billing.crashed
+        for service in ("search", "billing"):
+            assert "replica-1" in scenario.group_comm.view(service)
+        assert scenario.faults.crashes_applied == 1
+        assert scenario.faults.restarts_applied == 1
 
     def test_coupled_load_slows_busy_neighbours(self):
         # One host runs both services; the second service's duration is
@@ -125,7 +145,7 @@ class TestColocatedServices:
             marshalling=scenario.marshalling,
             rng=scenario.streams.stream("billing-client.policy"),
         )
-        scenario.manager.gateway_for("billing-client").load_handler(handler)
+        scenario.gateway_for("billing-client").load_handler(handler)
         orb = Orb()
         orb.register_interface(interface)
         orb.bind_interceptor("billing", handler)

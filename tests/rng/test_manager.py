@@ -2,17 +2,9 @@
 
 import hashlib
 
-import numpy as np
 import pytest
 
-from repro.rng import (
-    RNGManager,
-    RNGRegistry,
-    derive_entity_seed,
-    derive_repetition_seed,
-    derive_seed,
-    seed_sequence,
-)
+from repro.rng import RNGManager, derive_entity_seed, derive_seed
 
 
 class TestDeriveSeed:
@@ -64,20 +56,6 @@ class TestEntityAndRepetitionSeeds:
         with_rep = derive_entity_seed(3, "sweep", 0, repetition=1)
         assert base != with_rep
         assert with_rep == derive_seed(3, "sweep", "entity=0", "rep=1")
-
-    def test_repetition_seed_rejects_negative(self):
-        with pytest.raises(ValueError):
-            derive_repetition_seed(0, -1)
-
-    def test_repetition_seeds_are_distinct(self):
-        seeds = [derive_repetition_seed(5, r) for r in range(32)]
-        assert len(set(seeds)) == 32
-
-    def test_seed_sequence_wraps_derived_entropy(self):
-        seq = seed_sequence(9, "probe")
-        direct = np.random.default_rng(derive_seed(9, "probe"))
-        via_seq = np.random.default_rng(seq)
-        assert via_seq.uniform() == direct.uniform()
 
 
 class TestRNGManager:
@@ -134,40 +112,3 @@ class TestRNGManager:
         before = manager.stream("a").uniform(size=4).tolist()
         manager.reset()
         assert manager.stream("a").uniform(size=4).tolist() == before
-
-    def test_fork_is_independent_and_deterministic(self):
-        parent = RNGManager(base_seed=6)
-        child = parent.fork("stage2")
-        assert child.base_seed == derive_seed(6, "fork:stage2")
-        assert child.base_seed != parent.base_seed
-        assert parent.fork("stage2").base_seed == child.base_seed
-
-
-class TestRNGRegistry:
-    def test_no_scope_equals_plain_manager(self):
-        assert RNGRegistry(21).base_seed == RNGManager(21).base_seed
-
-    def test_scope_folds_into_base_seed(self):
-        scoped = RNGRegistry(5, scenario="a15", worker=1, repetition=2)
-        assert scoped.root_seed == 5
-        assert scoped.base_seed == derive_seed(
-            5, "scenario=a15", "worker=1", "rep=2"
-        )
-
-    def test_equal_scopes_reproduce(self):
-        one = RNGRegistry(9, scenario="s", worker=0, repetition=1)
-        two = RNGRegistry(9, scenario="s", worker=0, repetition=1)
-        assert one.stream("x").uniform() == two.stream("x").uniform()
-
-    def test_scopes_are_disjoint(self):
-        base = RNGRegistry(9, scenario="s", worker=0, repetition=0)
-        seeds = {
-            base.base_seed,
-            RNGRegistry(9, scenario="s", worker=1, repetition=0).base_seed,
-            RNGRegistry(9, scenario="s", worker=0, repetition=1).base_seed,
-            RNGRegistry(9, scenario="t", worker=0, repetition=0).base_seed,
-        }
-        assert len(seeds) == 4
-
-    def test_fork_preserves_registry_type(self):
-        assert isinstance(RNGRegistry(1).fork("x"), RNGRegistry)

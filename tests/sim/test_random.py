@@ -10,12 +10,9 @@ from repro.sim.random import (
     Constant,
     Empirical,
     Exponential,
-    LogNormal,
     MarkovModulated,
-    Mixture,
     Normal,
     Pareto,
-    TruncatedNormal,
     Uniform,
 )
 
@@ -39,13 +36,6 @@ class TestRandomStreams:
     def test_different_seeds_give_different_sequences(self):
         a = RNGManager(base_seed=1).stream("x").random(5)
         b = RNGManager(base_seed=2).stream("x").random(5)
-        assert not np.array_equal(a, b)
-
-    def test_fork_is_independent_of_parent(self):
-        parent = RNGManager(base_seed=1)
-        child = parent.fork("child")
-        a = parent.stream("x").random(5)
-        b = child.stream("x").random(5)
         assert not np.array_equal(a, b)
 
 
@@ -89,22 +79,6 @@ class TestDistributions:
         samples = dist.sample_many(rng, 50_000)
         assert samples.mean() == pytest.approx(dist.mean(), rel=0.02)
 
-    def test_truncated_normal_respects_bounds(self, rng):
-        dist = TruncatedNormal(0.0, 1.0, low=-0.5, high=0.5)
-        samples = [dist.sample(rng) for _ in range(500)]
-        assert all(-0.5 <= s <= 0.5 for s in samples)
-
-    def test_truncated_normal_mean(self, rng):
-        dist = TruncatedNormal(100.0, 50.0, low=0.0)
-        samples = np.array([dist.sample(rng) for _ in range(20_000)])
-        assert samples.mean() == pytest.approx(dist.mean(), rel=0.02)
-
-    def test_lognormal_from_mean_cv(self, rng):
-        dist = LogNormal.from_mean_cv(mean=100.0, cv=0.5)
-        assert dist.mean() == pytest.approx(100.0)
-        samples = dist.sample_many(rng, 50_000)
-        assert samples.mean() == pytest.approx(100.0, rel=0.05)
-
     def test_pareto_mean(self, rng):
         dist = Pareto(xm=10.0, alpha=3.0)
         assert dist.mean() == pytest.approx(15.0)
@@ -124,16 +98,6 @@ class TestDistributions:
     def test_empirical_rejects_empty(self):
         with pytest.raises(ValueError):
             Empirical([])
-
-    def test_mixture_mean_is_weighted(self, rng):
-        dist = Mixture([Constant(0.0), Constant(10.0)], weights=[3, 1])
-        assert dist.mean() == pytest.approx(2.5)
-        samples = [dist.sample(rng) for _ in range(2000)]
-        assert sum(samples) / len(samples) == pytest.approx(2.5, abs=0.5)
-
-    def test_mixture_validates_lengths(self):
-        with pytest.raises(ValueError):
-            Mixture([Constant(1.0)], weights=[1, 2])
 
 
 class TestMarkovModulated:
