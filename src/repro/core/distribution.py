@@ -12,7 +12,7 @@ Continuous measurements are quantized onto a bin grid before counting so
 the convolution support stays bounded (``O(l²)`` points for window size
 ``l``), which is also what makes the Fig. 3 overhead curve meaningful.
 
-Two pieces serve the incremental estimator pipeline (see
+Two pieces keep the estimator's per-write work small (see
 docs/PERFORMANCE.md):
 
 * :class:`SampleCounts` maintains the bin counts of a stream under
@@ -221,8 +221,8 @@ class DiscretePMF:
 
         This is exactly the paper's estimator: "we first compute the
         probability mass function of S_i and W_i based on the relative
-        frequency of their values recorded in the sliding window".  For
-        incremental maintenance under add/evict, keep a
+        frequency of their values recorded in the sliding window".  To
+        maintain the counts under add/evict, keep a
         :class:`SampleCounts` instead of re-invoking this constructor.
         """
         if len(samples) == 0:
@@ -389,22 +389,12 @@ class DiscretePMF:
         * untagged (or lattice-hostile, see :data:`_DENSE_BUDGET_FACTOR`)
           operands take the exact pairwise outer-product path.
         """
-        if other._values.size == 1:
-            return self.shift(float(other._values[0]))
-        if self._values.size == 1:
-            return other.shift(float(self._values[0]))
-        if self._bin_width is not None and other._bin_width is not None:
-            if not math.isclose(
-                self._bin_width, other._bin_width, rel_tol=1e-9, abs_tol=0.0
-            ):
-                raise BinWidthMismatchError(
-                    f"cannot convolve pmfs on different grids: bin widths "
-                    f"{self._bin_width} and {other._bin_width}"
-                )
-            dense = self._convolve_lattice(other)
-            if dense is not None:
-                return dense
-        return self._convolve_pairwise(other)
+        settled, lattice = _dense_admission(self, other)
+        if settled is not None:
+            return settled
+        if lattice is None:
+            return self._convolve_pairwise(other)
+        return self._convolve_lattice(other, *lattice)
 
     def _convolve_pairwise(self, other: "DiscretePMF") -> "DiscretePMF":
         """Exact ``O(L²)`` pairwise-sum convolution (the general path)."""
@@ -432,22 +422,17 @@ class DiscretePMF:
             return None
         return indices.astype(np.int64)
 
-    def _convolve_lattice(self, other: "DiscretePMF") -> Optional["DiscretePMF"]:
-        """Dense same-grid convolution; ``None`` defers to the pairwise path."""
+    def _convolve_lattice(
+        self,
+        other: "DiscretePMF",
+        ia: npt.NDArray[np.int64],
+        ib: npt.NDArray[np.int64],
+    ) -> "DiscretePMF":
+        """Dense same-grid convolution of a :func:`_dense_admission` pair."""
         width = self._bin_width
-        ia = self._lattice_indices()
-        ib = other._lattice_indices()
-        if ia is None or ib is None:
-            return None
         len_a = int(ia[-1]) + 1
         len_b = int(ib[-1]) + 1
         out_len = len_a + len_b - 1
-        if out_len > _DENSE_SLOT_CAP or (
-            out_len > 4096
-            and out_len
-            > _DENSE_BUDGET_FACTOR * self._values.size * other._values.size
-        ):
-            return None
         dense_a = np.zeros(len_a)
         dense_a[ia] = self._probs
         dense_b = np.zeros(len_b)
@@ -497,6 +482,45 @@ def _fft_convolve(
     return np.fft.irfft(product, size)[:out_len]
 
 
+_Lattice = Tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]
+
+
+def _dense_admission(
+    a: "DiscretePMF", b: "DiscretePMF"
+) -> Tuple[Optional["DiscretePMF"], Optional[_Lattice]]:
+    """How ``a ⊛ b`` is computed: ``(settled result, lattice indices)``.
+
+    A singleton operand settles the convolution as a shift.  Otherwise
+    the pair is admitted to the dense path — and its integer lattice
+    offsets returned — when both operands carry the same grid tag
+    (differing tags raise :class:`BinWidthMismatchError`), every atom
+    sits on that grid and the output lattice is within the slot budget.
+    ``(None, None)`` leaves the exact pairwise path.
+    """
+    if b._values.size == 1:
+        return a.shift(float(b._values[0])), None
+    if a._values.size == 1:
+        return b.shift(float(a._values[0])), None
+    if a._bin_width is None or b._bin_width is None:
+        return None, None
+    if not math.isclose(a._bin_width, b._bin_width, rel_tol=1e-9, abs_tol=0.0):
+        raise BinWidthMismatchError(
+            f"cannot convolve pmfs on different grids: bin widths "
+            f"{a._bin_width} and {b._bin_width}"
+        )
+    ia = a._lattice_indices()
+    ib = b._lattice_indices()
+    if ia is None or ib is None:
+        return None, None
+    out_len = int(ia[-1]) + int(ib[-1]) + 1
+    if out_len > _DENSE_SLOT_CAP or (
+        out_len > 4096
+        and out_len > _DENSE_BUDGET_FACTOR * a._values.size * b._values.size
+    ):
+        return None, None
+    return None, (ia, ib)
+
+
 def batch_convolve(
     pairs: Sequence[Tuple["DiscretePMF", "DiscretePMF"]],
 ) -> List[Optional["DiscretePMF"]]:
@@ -509,58 +533,27 @@ def batch_convolve(
     :class:`DiscretePMF` (FFT noise clamped, mass renormalized by the
     constructor — same guarantees as :meth:`DiscretePMF.convolve`).
 
-    Returns a list aligned with ``pairs``.  Singleton operands are
-    handled by the shift fast path; pairs that cannot take the dense
-    lattice path (untagged, off-grid, or over the slot budget) come back
-    as ``None`` so the caller can fall back to pairwise ``convolve`` —
-    mismatched grid tags raise :class:`BinWidthMismatchError` exactly
-    like the scalar method.
+    Returns a list aligned with ``pairs``.  :func:`_dense_admission`
+    decides each pair exactly as it does for the scalar method; pairs it
+    leaves to the pairwise path come back as ``None`` so the caller can
+    fall back to ``convolve``.
     """
     results: List[Optional[DiscretePMF]] = [None] * len(pairs)
-    rows: List[
-        Tuple[
-            int,
-            DiscretePMF,
-            DiscretePMF,
-            npt.NDArray[np.int64],
-            npt.NDArray[np.int64],
-        ]
-    ] = []
+    rows: List[Tuple[int, DiscretePMF, DiscretePMF, _Lattice]] = []
     for index, (a, b) in enumerate(pairs):
-        if b._values.size == 1:
-            results[index] = a.shift(float(b._values[0]))
-            continue
-        if a._values.size == 1:
-            results[index] = b.shift(float(a._values[0]))
-            continue
-        if a._bin_width is None or b._bin_width is None:
-            continue
-        if not math.isclose(a._bin_width, b._bin_width, rel_tol=1e-9, abs_tol=0.0):
-            raise BinWidthMismatchError(
-                f"cannot convolve pmfs on different grids: bin widths "
-                f"{a._bin_width} and {b._bin_width}"
-            )
-        ia = a._lattice_indices()
-        ib = b._lattice_indices()
-        if ia is None or ib is None:
-            continue
-        out_len = int(ia[-1]) + int(ib[-1]) + 1
-        if out_len > _DENSE_SLOT_CAP or (
-            out_len > 4096
-            and out_len > _DENSE_BUDGET_FACTOR * a._values.size * b._values.size
-        ):
-            continue
-        rows.append((index, a, b, ia, ib))
+        results[index], lattice = _dense_admission(a, b)
+        if lattice is not None:
+            rows.append((index, a, b, lattice))
     if not rows:
         return results
 
-    len_a = max(int(ia[-1]) + 1 for _, _, _, ia, _ in rows)
-    len_b = max(int(ib[-1]) + 1 for _, _, _, _, ib in rows)
+    len_a = max(int(ia[-1]) + 1 for _, _, _, (ia, _) in rows)
+    len_b = max(int(ib[-1]) + 1 for _, _, _, (_, ib) in rows)
     out_len = len_a + len_b - 1
     size = 1 << max(0, out_len - 1).bit_length()
     dense_a = np.zeros((len(rows), len_a))
     dense_b = np.zeros((len(rows), len_b))
-    for row, (_, a, b, ia, ib) in enumerate(rows):
+    for row, (_, a, b, (ia, ib)) in enumerate(rows):
         dense_a[row, ia] = a._probs
         dense_b[row, ib] = b._probs
     full = np.fft.irfft(
@@ -569,7 +562,7 @@ def batch_convolve(
         axis=1,
     )
     floor = size * np.finfo(float).eps
-    for row, (index, a, b, ia, ib) in enumerate(rows):
+    for row, (index, a, b, (ia, ib)) in enumerate(rows):
         row_len = int(ia[-1]) + int(ib[-1]) + 1
         dense = full[row, :row_len]
         keep = np.nonzero(dense > floor)[0]

@@ -10,51 +10,54 @@ contents, and ``T_i`` (two-way gateway delay) enters as its most recent
 measured value.  ``F_{R_i}(t)`` is then read off the convolved pmf.
 
 Computing the distribution is ~90 % of the selection cost the paper
-reports in Fig. 3, so the estimator runs an *incremental pipeline*
-(docs/PERFORMANCE.md describes it end to end):
+reports in Fig. 3, and between two requests only the replicas that
+answered the last one have new measurements.  The estimator therefore
+keeps **one entry per replica** — the record it was derived from, the
+``S_i ⊛ W_i`` base with the two window versions it was built at, and the
+final pmf — under **one rule**: an entry is current iff the repository's
+change log has not named its replica since the entry was derived and its
+record is still the one the repository tracks.  Re-deriving an entry
+reuses its base while both window versions stand (a ``T_i``-only or
+queue-only write re-shifts it); two or more stale bases asked for
+together share one batched FFT, a lone one takes the scalar kernel.
 
-* each sliding window caches its own empirical pmf, rebuilt from
-  incrementally maintained bin counts only when the window's version
-  moved (``SlidingWindow.pmf``);
-* the ``S_i ⊛ W_i`` convolution is cached per replica, keyed on the pair
-  of window versions — the expensive O(l²) outer product only reruns
-  when a performance update arrived;
-* the final response-time pmf is cached per replica, keyed on
-  ``(S-version, W-version, T_i, bin_width)`` — a gateway-delay update
-  alone re-shifts the cached convolution instead of rebuilding it;
-* :meth:`batch_probability_by` evaluates ``F_{R_i}(t)`` for *all*
-  replicas in one vectorized pass over a resident padded (values,
-  cumulative) matrix; between calls only the rows of replicas the
-  repository's change log names are re-derived and overwritten in place.
-
-A selection therefore costs one vectorized comparison plus work
-proportional to the rows that changed since the previous one — the
-measured Fig. 3 ``δ`` collapses, which directly loosens the ``t − δ``
-compensation of Algorithm 1 (§5.3.3).  Construct with
-``incremental=False`` to restore the paper's rebuild-every-request
-behaviour (the benchmarks use it as the uncached baseline).
+:meth:`ResponseTimeEstimator.batch_probability_by` evaluates
+``F_{R_i}(t)`` for *all* replicas in one vectorized pass over the array
+view of those entries, a resident padded (values, cumulative) matrix in
+which only the rows of replicas the change log names are overwritten
+between calls.  A selection costs one comparison plus work proportional
+to the rows that changed — the measured Fig. 3 ``δ`` collapses, which
+directly loosens the ``t − δ`` compensation of Algorithm 1 (§5.3.3).
+:meth:`ResponseTimeEstimator.invalidate` forgets every entry; calling it
+before each selection is the uncached arm of ``BENCH_estimator.json``.
+docs/PERFORMANCE.md §1–2 has the details.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
 
 from .distribution import DiscretePMF, batch_convolve
-from .repository import InformationRepository, ReplicaRecord, SlidingWindow
+from .repository import InformationRepository, ReplicaRecord
 
 __all__ = ["ResponseTimeEstimator", "QueueScaledEstimator"]
 
-# (record, S version, W version): the record itself is part of the key
-# because a replica that leaves and re-joins gets a fresh record whose
-# window versions restart at 0 and may collide with the old ones.
-_ConvKey = Tuple[ReplicaRecord, int, int]
+
+class _Entry(NamedTuple):
+    """What an estimator remembers about one replica."""
+
+    record: ReplicaRecord  # the one everything below was read from
+    versions: Tuple[int, int]  # (S, W) window versions ``base`` was built at
+    base: DiscretePMF  # S_i + W_i
+    pmf: DiscretePMF  # base + T_i
+    derived_at: int  # repository version ``pmf`` reflects
 
 
-def _conv_key(record: ReplicaRecord) -> _ConvKey:
-    return (record, record.service_times.version, record.queue_delays.version)
+def _window_versions(record: ReplicaRecord) -> Tuple[int, int]:
+    return (record.service_times.version, record.queue_delays.version)
 
 
 class _BatchState:
@@ -114,31 +117,18 @@ class ResponseTimeEstimator:
         Quantization grid for the empirical pmfs.  The paper convolves raw
         measured values; a 1 ms grid keeps the convolution support bounded
         while staying well below the deadline scales of interest.
-    incremental:
-        When ``True`` (default) the versioned-window cache pipeline is
-        active.  ``False`` rebuilds every pmf from the raw window samples
-        on every (non-memoized) call — the paper's original cost model,
-        kept for the Fig. 3 uncached baseline and for the property tests
-        that check the cached path against a from-scratch rebuild.
     """
 
     def __init__(
-        self,
-        repository: InformationRepository,
-        bin_width_ms: float = 1.0,
-        incremental: bool = True,
+        self, repository: InformationRepository, bin_width_ms: float = 1.0
     ) -> None:
         if bin_width_ms <= 0:
             raise ValueError(f"bin_width_ms must be > 0, got {bin_width_ms}")
         self.repository = repository
         self.bin_width_ms = float(bin_width_ms)
-        self.incremental = bool(incremental)
-        # replica -> (cache key, final response-time pmf).
-        self._cache: Dict[str, Tuple[tuple, DiscretePMF]] = {}
-        # replica -> (convolution key, S ⊛ W pmf).
-        self._conv_cache: Dict[str, Tuple[_ConvKey, DiscretePMF]] = {}
-        # The batched F(t) evaluation's resident matrix, kept in step with
-        # the repository through its change log (see _synced_batch).
+        self._entries: Dict[str, _Entry] = {}
+        # The array view of the entries for the replica tuple last asked
+        # about (see _synced_batch).
         self._batch: Optional[_BatchState] = None
         self.cache_hits = 0
         self.cache_misses = 0
@@ -148,95 +138,84 @@ class ResponseTimeEstimator:
     # -- model construction ----------------------------------------------------
     def response_time_pmf(self, replica: str) -> Optional[DiscretePMF]:
         """The pmf of ``R_i`` for ``replica``; ``None`` without history."""
-        record = self.repository.record(replica)
-        if not record.has_history:
-            return None
-        key = self._cache_key(record)
-        cached = self._cache.get(replica)
-        if cached is not None and cached[0] == key:
-            self.cache_hits += 1
-            return cached[1]
-        self.cache_misses += 1
-        pmf = self._build_pmf(record)
-        self._cache[replica] = (key, pmf)
-        return pmf
+        return self._derive([replica])[0]
 
-    def _cache_key(self, record: ReplicaRecord) -> tuple:
-        """Everything the final pmf depends on (docs/PERFORMANCE.md).
+    def _derive(self, replicas: Sequence[str]) -> List[Optional[DiscretePMF]]:
+        """Current pmfs of ``replicas`` — the one place the rule is applied.
 
-        A window version bump (the repository's push) changes the key and
-        therefore invalidates; so does a new ``T_i`` value — but a ``T_i``
-        change alone leaves the ``S ⊛ W`` convolution cache intact.
+        Entries the rule finds stale (or that do not exist yet) are
+        re-derived together and stamped with the repository version they
+        now reflect; the others are served as they are.  Only mutations
+        routed through the repository/record APIs reach the change log —
+        the only paths production code uses.
         """
-        if record.gateway_delays is not None:
-            t_key: object = ("window", record.gateway_delays.version)
-        else:
-            t_key = ("point", record.gateway_delay_ms)
-        return (*_conv_key(record), t_key, self.bin_width_ms)
-
-    def _window_pmf(self, window: SlidingWindow) -> DiscretePMF:
-        """One window's empirical pmf, via the incremental path when on."""
-        if self.incremental:
-            return window.pmf(self.bin_width_ms)
-        return DiscretePMF.from_samples(window.values(), self.bin_width_ms)
-
-    def _base_pmf(self, record: ReplicaRecord) -> DiscretePMF:
-        """``S_i ⊛ W_i``, cached on the pair of window versions."""
-        key = _conv_key(record)
-        cached = self._conv_cache.get(record.name)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        conv = self._window_pmf(record.service_times).convolve(
-            self._window_pmf(record.queue_delays)
-        )
-        if self.incremental:
-            self._conv_cache[record.name] = (key, conv)
-        return conv
-
-    def _refresh_convolutions(self, replicas: Sequence[str]) -> None:
-        """Rebuild every stale ``S_i ⊛ W_i`` in one padded FFT pass.
-
-        The per-replica convolution cache is consulted first; replicas
-        whose window versions moved since the cached entry contribute one
-        row each to :func:`repro.core.distribution.batch_convolve`, so a
-        fleet-wide measurement burst costs one batched array kernel
-        instead of ``n`` independent ``O(L²)`` products.  Rows the dense
-        kernel declines (off-grid, over budget) simply stay stale and are
-        rebuilt by the scalar path on first use — results are identical
-        either way.
-        """
-        stale: List[Tuple[str, _ConvKey, DiscretePMF, DiscretePMF]] = []
-        for name in replicas:
-            if name not in self.repository:
-                continue
-            record = self.repository.record(name)
-            if not record.has_history:
-                continue
-            key = _conv_key(record)
-            cached = self._conv_cache.get(name)
-            if cached is not None and cached[0] == key:
-                continue
-            stale.append(
-                (
-                    name,
-                    key,
-                    self._window_pmf(record.service_times),
-                    self._window_pmf(record.queue_delays),
-                )
+        repository, entries = self.repository, self._entries
+        records = [repository.record(name) for name in replicas]
+        stale: Dict[str, ReplicaRecord] = {}
+        for record in records:
+            entry = entries.get(record.name)
+            if entry is not None and entry.record is not record:
+                # Left and re-joined: the fresh record's window versions
+                # restart at 0 and may collide, so nothing is reusable.
+                del entries[record.name]
+                entry = None
+            if entry is not None and (
+                repository.changed_at(record.name) <= entry.derived_at
+            ):
+                self.cache_hits += 1
+            elif record.has_history:
+                stale[record.name] = record
+        self.cache_misses += len(stale)
+        rebuilt = list(stale.values())
+        for record, base in zip(rebuilt, self._sums(rebuilt)):
+            entries[record.name] = _Entry(
+                record,
+                _window_versions(record),
+                base,
+                self._add_gateway_delay(record, base),
+                repository.version,
             )
-        if len(stale) < 2:
-            return
-        convolved = batch_convolve([(s, w) for _, _, s, w in stale])
-        for (name, key, _, _), pmf in zip(stale, convolved):
-            if pmf is not None:
-                self._conv_cache[name] = (key, pmf)
+        # (Only a record with history has an entry.)
+        return [
+            None if (entry := entries.get(record.name)) is None else entry.pmf
+            for record in records
+        ]
 
-    def _build_pmf(self, record: ReplicaRecord) -> DiscretePMF:
-        base = self._base_pmf(record)
-        # §5.3.1 extension: with a gateway-delay window, T_i enters as a
-        # distribution (its own empirical pmf) rather than a point shift.
+    def _sums(self, records: Sequence[ReplicaRecord]) -> List[DiscretePMF]:
+        """``S_i + W_i`` of each record — the part of the model variants override.
+
+        A stored base whose two window versions stand is reused; stale
+        ones are convolved in one padded FFT pass when there are several
+        (a fleet-wide measurement burst costs one array kernel, not ``n``
+        ``O(L²)`` products) and by the scalar kernel when there is one or
+        the dense kernel declines (off-grid, over budget).
+        """
+        width = self.bin_width_ms
+        sums: Dict[str, DiscretePMF] = {}
+        pairs: Dict[str, Tuple[DiscretePMF, DiscretePMF]] = {}
+        for record in records:
+            entry = self._entries.get(record.name)
+            if entry is not None and entry.versions == _window_versions(record):
+                sums[record.name] = entry.base
+            else:
+                pairs[record.name] = (
+                    record.service_times.pmf(width),
+                    record.queue_delays.pmf(width),
+                )
+        convolved: List[Optional[DiscretePMF]] = [None] * len(pairs)
+        if len(pairs) > 1:
+            convolved = batch_convolve(list(pairs.values()))
+        for (name, (service, queue)), base in zip(pairs.items(), convolved):
+            sums[name] = service.convolve(queue) if base is None else base
+        return [sums[record.name] for record in records]
+
+    def _add_gateway_delay(
+        self, record: ReplicaRecord, base: DiscretePMF
+    ) -> DiscretePMF:
+        """``base + T_i``: a point shift, or (§5.3.1 extension) a
+        convolution with the gateway-delay window's empirical pmf."""
         if record.gateway_delays is not None and len(record.gateway_delays):
-            return base.convolve(self._window_pmf(record.gateway_delays))
+            return base.convolve(record.gateway_delays.pmf(self.bin_width_ms))
         assert record.gateway_delay_ms is not None  # guarded by has_history
         return base.shift(record.gateway_delay_ms)
 
@@ -296,17 +275,11 @@ class ResponseTimeEstimator:
     def _synced_batch(self, replicas: Sequence[str]) -> _BatchState:
         """The resident matrix for ``replicas``, brought up to date.
 
-        One invalidation rule: a row is re-derived iff the repository's
-        change log names its replica since the version the matrix
-        reflects; a membership change, another replica tuple,
-        :meth:`invalidate` or :meth:`prune` rebuild every row.  (Only
-        mutations routed through the repository/record APIs are logged —
-        the only paths production code uses; mutating a window object
-        directly bypasses the gate.)  Re-derivation goes through
-        :meth:`_refresh_convolutions` and :meth:`response_time_pmf`, so
-        the per-replica caches see the traffic a whole-fleet walk would
-        give them: rows the log does not name are necessarily hits.
-        ``incremental=False`` treats every row as changed on every call.
+        Rows of replicas the change log names since the version the
+        matrix reflects are re-read from their entries; a membership
+        change, another replica tuple or :meth:`invalidate` re-reads
+        every row (entries of retained replicas stay current, so only
+        the rows that have to be are re-derived).
         """
         key = tuple(replicas)
         version = self.repository.version
@@ -319,13 +292,15 @@ class ResponseTimeEstimator:
             and state.replicas == key
             and len(state.rows) == len(key)
         ):
-            if not self.incremental:
-                changed = list(key)
-            elif state.version == version:
+            if state.version == version:
                 return state
-            else:
-                changed = self.repository.changed_since(state.version)
+            changed = self.repository.changed_since(state.version)
         if state is None or changed is None:
+            self._entries = {  # forget the replicas that left
+                name: entry
+                for name, entry in self._entries.items()
+                if name in self.repository
+            }
             pmfs = self._derive(key)
             width = max(
                 (pmf.support_size for pmf in pmfs if pmf is not None), default=1
@@ -338,6 +313,7 @@ class ResponseTimeEstimator:
         else:
             rows = state.rows
             dirty = sorted(rows[name] for name in changed if name in rows)
+            # Rows the log does not name are served without a look.
             self.cache_hits += len(key) - len(state.missing) - sum(
                 state.pmfs[row] is not None for row in dirty
             )
@@ -348,12 +324,6 @@ class ResponseTimeEstimator:
         state.version = version
         return state
 
-    def _derive(self, replicas: Sequence[str]) -> List[Optional[DiscretePMF]]:
-        """Current pmfs of ``replicas``, through the per-replica caches."""
-        if self.incremental and len(replicas) > 1:
-            self._refresh_convolutions(replicas)
-        return [self.response_time_pmf(replica) for replica in replicas]
-
     def expected_response_time(self, replica: str) -> Optional[float]:
         """Mean of the modeled response time (used by mean-based baselines)."""
         pmf = self.response_time_pmf(replica)
@@ -362,37 +332,23 @@ class ResponseTimeEstimator:
         return pmf.mean()
 
     # -- cache control -------------------------------------------------------
-    def invalidate(self, replica: Optional[str] = None) -> None:
-        """Drop memoized pmfs (all replicas when ``replica`` is None)."""
-        if replica is None:
-            self._cache.clear()
-            self._conv_cache.clear()
-        else:
-            self._cache.pop(replica, None)
-            self._conv_cache.pop(replica, None)
-        self._batch = None
-
-    def prune(self, keep: Sequence[str]) -> None:
-        """Drop cache entries for replicas not in ``keep`` (view changes)."""
-        keep_set = set(keep)
-        for name in list(self._cache):
-            if name not in keep_set:
-                del self._cache[name]
-        for name in list(self._conv_cache):
-            if name not in keep_set:
-                del self._conv_cache[name]
+    def invalidate(self) -> None:
+        """Forget every derived pmf."""
+        self._entries.clear()
         self._batch = None
 
     def cache_info(self) -> Dict[str, int]:
-        """Counters of the final-pmf cache and the resident batch matrix.
+        """Counters of the per-replica entries and the resident matrix.
 
-        ``matrix_builds`` counts whole-matrix (re)builds, ``rows_patched``
-        rows overwritten in place in a matrix that was kept.
+        ``hits`` counts rows and queries served without re-derivation,
+        ``misses`` re-derivations; ``matrix_builds`` whole-matrix
+        (re)builds, ``rows_patched`` rows overwritten in place in a
+        matrix that was kept.
         """
         return {
             "hits": self.cache_hits,
             "misses": self.cache_misses,
-            "entries": len(self._cache),
+            "entries": len(self._entries),
             "matrix_builds": self.matrix_builds,
             "rows_patched": self.rows_patched,
         }
@@ -400,7 +356,7 @@ class ResponseTimeEstimator:
     def __repr__(self) -> str:
         return (
             f"<{type(self).__name__} bin={self.bin_width_ms}ms "
-            f"replicas={len(self.repository)} incremental={self.incremental}>"
+            f"replicas={len(self.repository)}>"
         )
 
 
@@ -418,26 +374,19 @@ class QueueScaledEstimator(ResponseTimeEstimator):
     window's mean queuing delay divided by the window's mean service time.
     It is **not** part of the paper's algorithm; it exists for the ablation
     that quantifies how much the simple windowed model leaves on the table.
+    The scaled sum depends on the live queue depth, so it is never reused:
+    every write to a replica (all reach the change log) rebuilds it.
     """
 
-    def _cache_key(self, record: ReplicaRecord) -> tuple:
-        # The scaled pmf also depends on the live queue depth, which can
-        # change without a window version bump (e.g. probe replies).
-        return super()._cache_key(record) + (record.queue_length,)
-
-    def _refresh_convolutions(self, replicas: Sequence[str]) -> None:
-        # The queue-scaled build path rescales W_i before convolving, so
-        # the plain S ⊛ W convolution cache is never consulted — batching
-        # it would be pure wasted work.
-        return None
-
-    def _build_pmf(self, record: ReplicaRecord) -> DiscretePMF:
-        service_pmf = self._window_pmf(record.service_times)
-        queue_pmf = self._window_pmf(record.queue_delays)
-        mean_service = service_pmf.mean()
-        if mean_service > 0:
-            implied_hist_depth = queue_pmf.mean() / mean_service
-            factor = (record.queue_length + 1.0) / (implied_hist_depth + 1.0)
-            queue_pmf = queue_pmf.scale(factor)
-        assert record.gateway_delay_ms is not None
-        return service_pmf.convolve(queue_pmf).shift(record.gateway_delay_ms)
+    def _sums(self, records: Sequence[ReplicaRecord]) -> List[DiscretePMF]:
+        sums = []
+        for record in records:
+            service_pmf = record.service_times.pmf(self.bin_width_ms)
+            queue_pmf = record.queue_delays.pmf(self.bin_width_ms)
+            mean_service = service_pmf.mean()
+            if mean_service > 0:
+                implied_hist_depth = queue_pmf.mean() / mean_service
+                factor = (record.queue_length + 1.0) / (implied_hist_depth + 1.0)
+                queue_pmf = queue_pmf.scale(factor)
+            sums.append(service_pmf.convolve(queue_pmf))
+        return sums

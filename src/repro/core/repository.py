@@ -17,7 +17,7 @@ information service.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional
 
 from .distribution import DiscretePMF, SampleCounts
 
@@ -28,11 +28,11 @@ class SlidingWindow:
     """Fixed-capacity window over the most recent measurements.
 
     Besides the raw values, the window maintains — lazily, one per
-    requested bin width — incremental :class:`SampleCounts` so that a
-    push/evict updates bin counts in O(1) and :meth:`pmf` can serve the
-    window's empirical pmf without an O(l) recount.  The monotone
-    :attr:`version` (bumped on every mutation) is the cache-invalidation
-    signal estimators key on; see docs/ARCHITECTURE.md.
+    requested bin width — :class:`SampleCounts` updated in place, so that
+    a push/evict costs O(1) and :meth:`pmf` builds the window's empirical
+    pmf without an O(l) recount.  The monotone :attr:`version` (bumped on
+    every push) tells an estimator whether a stored ``S ⊛ W`` still
+    reflects the window; see docs/ARCHITECTURE.md §3.
     """
 
     def __init__(self, size: int) -> None:
@@ -40,13 +40,9 @@ class SlidingWindow:
             raise ValueError(f"window size must be >= 1, got {size}")
         self.size = int(size)
         self._values: Deque[float] = deque(maxlen=self.size)
-        # Monotone version, bumped on every append; estimators use it to
-        # cache derived pmfs.
         self.version = 0
-        # bin_width -> incrementally maintained counts of the window.
+        # bin_width -> counts of the window, updated on every push.
         self._counters: Dict[float, SampleCounts] = {}
-        # bin_width -> (version the pmf was built at, pmf).
-        self._pmf_cache: Dict[float, Tuple[int, DiscretePMF]] = {}
 
     def append(self, value: float) -> None:
         """Push one measurement, evicting the oldest if full."""
@@ -71,32 +67,17 @@ class SlidingWindow:
         """Whether the window has reached capacity."""
         return len(self._values) == self.size
 
-    def clear(self) -> None:
-        """Drop all measurements."""
-        self._values.clear()
-        self.version += 1
-        self._counters.clear()
-        self._pmf_cache.clear()
-
     def counts(self, bin_width: float) -> Dict[float, int]:
         """Bin counts of the current contents on a ``bin_width`` grid."""
         return self._counter(bin_width).counts()
 
     def pmf(self, bin_width: float) -> DiscretePMF:
-        """Empirical pmf of the window on a ``bin_width`` grid, cached.
+        """Empirical pmf of the window on a ``bin_width`` grid.
 
-        The pmf is rebuilt (from the incrementally maintained counts, not
-        from the raw samples) only when :attr:`version` has moved since
-        the last call; an unchanged window returns the cached object.
+        Built from the maintained counts, not from the raw samples.
         Raises ``ValueError`` while the window is empty.
         """
-        bin_width = float(bin_width)
-        cached = self._pmf_cache.get(bin_width)
-        if cached is not None and cached[0] == self.version:
-            return cached[1]
-        pmf = self._counter(bin_width).pmf()
-        self._pmf_cache[bin_width] = (self.version, pmf)
-        return pmf
+        return self._counter(bin_width).pmf()
 
     def _counter(self, bin_width: float) -> SampleCounts:
         bin_width = float(bin_width)
@@ -137,12 +118,10 @@ class ReplicaRecord:
         )
         self._queue_length = 0
         self.last_update_ms: Optional[float] = None
-        self._version = 0
         # Owner notification, called with this record's name (the
-        # repository's version bump and change-log entry): lets batch
-        # consumers see *any* record mutation — including direct
-        # ``record.queue_length = n`` writes from probe replies — without
-        # scanning every per-record version.
+        # repository's version bump and change-log entry): lets consumers
+        # see *any* record mutation — including direct
+        # ``record.queue_length = n`` writes from probe replies.
         self._on_mutate = on_mutate
 
     @property
@@ -153,7 +132,6 @@ class ReplicaRecord:
     @queue_length.setter
     def queue_length(self, value: int) -> None:
         self._queue_length = int(value)
-        self._version += 1
         if self._on_mutate is not None:
             self._on_mutate(self.name)
 
@@ -170,11 +148,6 @@ class ReplicaRecord:
             and self.gateway_delay_ms is not None
         )
 
-    @property
-    def version(self) -> int:
-        """Monotone version covering every mutable field (cache key)."""
-        return self._version
-
     def record_performance(
         self,
         service_time_ms: float,
@@ -187,9 +160,8 @@ class ReplicaRecord:
             raise ValueError(f"queue_length must be >= 0, got {queue_length}")
         self.service_times.append(service_time_ms)
         self.queue_delays.append(queue_delay_ms)
-        self.queue_length = int(queue_length)  # setter bumps + notifies
+        self.queue_length = int(queue_length)  # setter notifies
         self.last_update_ms = float(now_ms)
-        self._version += 1
 
     def record_gateway_delay(self, delay_ms: float, now_ms: float) -> None:
         """Store a freshly measured two-way gateway-to-gateway delay."""
@@ -201,7 +173,6 @@ class ReplicaRecord:
         if self.gateway_delays is not None:
             self.gateway_delays.append(float(delay_ms))
         self.last_update_ms = float(now_ms)
-        self._version += 1
         if self._on_mutate is not None:
             self._on_mutate(self.name)
 
@@ -280,6 +251,10 @@ class InformationRepository:
                 break
             names.append(name)
         return names
+
+    def changed_at(self, name: str) -> int:
+        """Version of ``name``'s newest mutation (0: none since it joined)."""
+        return self._changes.get(name, 0)
 
     def _record_mutated(self, name: str) -> None:
         if name not in self._records:

@@ -502,17 +502,11 @@ class DynamicSelectionPolicy(SelectionPolicy):
                 else self.last_overhead_ms
             )
             deadline = max(0.0, deadline - delta)
-        # One batched pass over all replicas where the estimator supports
-        # it (cache-hot requests then cost a single vectorized compare);
-        # per-replica queries otherwise.
-        batch = getattr(ctx.estimator, "batch_probability_by", None)
-        if batch is not None and replicas:
-            probabilities = batch(replicas, deadline)
-        else:
-            probabilities = [
-                ctx.estimator.probability_by(replica, deadline)
-                for replica in replicas
-            ]
+        # One batched pass over all replicas (requests that find every
+        # row current cost a single vectorized compare).
+        probabilities: Sequence[Optional[float]] = ()
+        if replicas:
+            probabilities = ctx.estimator.batch_probability_by(replicas, deadline)
         missing_history = any(p is None for p in probabilities)
 
         cap = ctx.max_redundancy
@@ -533,8 +527,8 @@ class DynamicSelectionPolicy(SelectionPolicy):
         # probabilities describe the past, not the present.  Delegate to
         # the static fallback rather than trusting a dead model.
         if self.stale_after_ms is not None:
-            repository = getattr(ctx.estimator, "repository", None)
-            if repository is not None and all(
+            repository = ctx.estimator.repository
+            if all(
                 repository.staleness(ctx.now_ms, name) > self.stale_after_ms
                 for name in replicas
             ):

@@ -305,9 +305,9 @@ class TimingFaultEngine:
         decision = self.policy.decide(ctx)
         if class_key != DEFAULT_CLASS:
             decision.meta["request_class"] = class_key
-        # The wall-clock δ of this decision (paper Fig. 3 / §5.3.3): with
-        # the incremental estimator cache hot, this is the number that
-        # should collapse — export it so experiments can watch it.
+        # The wall-clock δ of this decision (paper Fig. 3 / §5.3.3): the
+        # number the estimator's stored pmfs exist to shrink — export it
+        # so experiments can watch it.
         overhead_ms = decision.meta.get("overhead_ms")
         if overhead_ms is not None:
             self.metrics.observe(

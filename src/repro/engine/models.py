@@ -80,16 +80,15 @@ class ClassModels:
 
     # -- membership ------------------------------------------------------------
     def sync(self, members: Sequence[str]) -> None:
-        """Adopt a new view: add joiners, evict leavers, prune caches.
+        """Adopt a new view: add joiners, evict leavers.
 
-        The estimators' versioned caches follow the view: entries for
-        evicted replicas must not survive a re-join with a fresh
-        (restarted) record whose versions start over.
+        The estimators follow through the repositories' change logs: a
+        re-joined replica has a fresh record and is never served the pmf
+        of its evicted one.
         """
         self.members = list(members)
-        for class_key, repo in self._repositories.items():
+        for repo in self._repositories.values():
             repo.sync_members(self.members)
-            self._estimators[class_key].prune(self.members)
 
     # -- evidence --------------------------------------------------------------
     def record(self, perf: PerformanceUpdate, now_ms: float) -> bool:

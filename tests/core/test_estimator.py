@@ -5,6 +5,13 @@ import pytest
 from repro.core.estimator import QueueScaledEstimator, ResponseTimeEstimator
 from repro.core.repository import InformationRepository
 
+from . import estimator_oracle
+
+
+def from_scratch(repo, cls=ResponseTimeEstimator):
+    """The parent design's rebuild-from-raw-samples arm over ``repo``."""
+    return getattr(estimator_oracle, cls.__name__)(repo, incremental=False)
+
 
 @pytest.fixture
 def repo():
@@ -113,9 +120,7 @@ class TestIncrementalPipeline:
         _feed(repo, "r1", services=[100, 110, 120, 130, 140],
               queues=[0, 5, 10, 15, 20], gateway=3.0)
         cached = ResponseTimeEstimator(repo).response_time_pmf("r1")
-        fresh = ResponseTimeEstimator(
-            repo, incremental=False
-        ).response_time_pmf("r1")
+        fresh = from_scratch(repo).response_time_pmf("r1")
         assert cached.allclose(fresh)
 
     def test_cache_info_counts_hits_and_misses(self, repo):
@@ -133,23 +138,26 @@ class TestIncrementalPipeline:
         }
 
     def test_gateway_delay_update_reuses_convolution(self, repo):
-        # A new T_i must re-shift the cached S ⊛ W, not rebuild it.
+        # A new T_i must re-shift the stored S ⊛ W, not rebuild it.
         _feed(repo, "r1", services=[100] * 5, queues=[0] * 5, gateway=3.0)
         estimator = ResponseTimeEstimator(repo)
         estimator.response_time_pmf("r1")
-        conv_before = estimator._conv_cache["r1"]
+        base_before = estimator._entries["r1"].base
         repo.record_gateway_delay("r1", 9.0, now_ms=1.0)
         after = estimator.response_time_pmf("r1")
-        assert estimator._conv_cache["r1"] is conv_before
+        assert estimator._entries["r1"].base is base_before
         assert after.min() == pytest.approx(109.0)
 
     def test_prune_drops_departed_replicas(self, repo):
+        # Membership is in the change log: the first batch read after a
+        # view change releases the leavers' entries.
         _feed(repo, "r1", services=[100] * 5, queues=[0] * 5, gateway=3.0)
         _feed(repo, "r2", services=[100] * 5, queues=[0] * 5, gateway=3.0)
         estimator = ResponseTimeEstimator(repo)
-        estimator.response_time_pmf("r1")
-        estimator.response_time_pmf("r2")
-        estimator.prune(["r2"])
+        estimator.batch_probability_by(["r1", "r2"], 150.0)
+        assert estimator.cache_info()["entries"] == 2
+        repo.remove_replica("r1")
+        estimator.batch_probability_by(["r2"], 150.0)
         assert estimator.cache_info()["entries"] == 1
 
     def test_batch_matches_scalar(self, repo):
@@ -189,14 +197,17 @@ class TestIncrementalPipeline:
             repo.record_performance(name, 150.0 + step, 0.0, 0, now_ms=1.0)
             estimator.batch_probability_by(replicas, 200.0)
             assert matrix_counters() == (1, step)
-        # A write the pmf does not depend on re-derives the row (a cache
-        # hit) but leaves the matrix alone.
+        # One rule: any logged write re-derives the row, even one the pmf
+        # does not depend on (the stored base is re-shifted).
+        misses = estimator.cache_misses
         repo.record("r2").queue_length = 4
         estimator.batch_probability_by(replicas, 200.0)
-        assert matrix_counters() == (1, 4)
-        repo.add_replica("r4")  # membership: the one full-rebuild rule
+        assert matrix_counters() == (1, 5)
+        assert estimator.cache_misses == misses + 1
+        repo.add_replica("r4")  # membership: every row re-read, none re-derived
         estimator.batch_probability_by(replicas, 200.0)
-        assert matrix_counters() == (2, 4)
+        assert matrix_counters() == (2, 5)
+        assert estimator.cache_misses == misses + 1
 
 
 class TestQueueScaledEstimator:
@@ -219,7 +230,7 @@ class TestQueueScaledEstimator:
 
     def test_cache_tracks_probe_queue_updates(self, repo):
         # Probe replies write queue_length directly, without a window
-        # version bump; the scaled estimator's cache key must still see it.
+        # version bump; the change log must still name the replica.
         _feed(repo, "r1", services=[100] * 5, queues=[100] * 5, gateway=0.0)
         estimator = QueueScaledEstimator(repo)
         record = repo.record("r1")
@@ -229,6 +240,19 @@ class TestQueueScaledEstimator:
         after = estimator.response_time_pmf("r1")
         assert after is not before
         assert after.mean() > before.mean()
+
+
+    def test_gateway_delay_window_is_convolved_not_point_shifted(self):
+        # §5.3.1 extension: with a gateway-delay window T_i is a
+        # distribution for every estimator, not just the base one.
+        repo = InformationRepository(window_size=5, gateway_window_size=3)
+        for delay in (0.0, 50.0, 100.0):
+            _feed(repo, "r1", services=[100] * 2, queues=[100] * 2, gateway=delay)
+        repo.record("r1").queue_length = 1  # the depth the history implies
+        base = ResponseTimeEstimator(repo).response_time_pmf("r1")
+        scaled = QueueScaledEstimator(repo).response_time_pmf("r1")
+        assert base.items() == [(200.0, 1 / 3), (250.0, 1 / 3), (300.0, 1 / 3)]
+        assert scaled.items() == base.items()
 
 
 class TestBatchedFleetPipeline:
@@ -258,7 +282,7 @@ class TestBatchedFleetPipeline:
         repository = self._fleet()
         replicas = repository.replicas()
         batched = ResponseTimeEstimator(repository)
-        scalar = ResponseTimeEstimator(repository, incremental=False)
+        scalar = from_scratch(repository)
         fast = batched.batch_probability_by(replicas, 150.0)
         slow = [scalar.probability_by(name, 150.0) for name in replicas]
         assert fast == pytest.approx(slow, abs=1e-12)
@@ -272,7 +296,7 @@ class TestBatchedFleetPipeline:
             repository.record_performance(
                 name, 180.0, 25.0, queue_length=2, now_ms=1.0
             )
-        fresh = ResponseTimeEstimator(repository, incremental=False)
+        fresh = from_scratch(repository)
         fast = estimator.batch_probability_by(replicas, 150.0)
         slow = [fresh.probability_by(name, 150.0) for name in replicas]
         assert fast == pytest.approx(slow, abs=1e-12)
@@ -322,9 +346,9 @@ class TestBatchedFleetPipeline:
 def test_rejoined_replica_is_never_served_its_old_row(repo, evict, estimator_cls):
     """A restarted replica's record starts its window versions over.
 
-    Pushing as many samples as before the eviction makes every version the
-    cache keys are built from collide with the pre-eviction ones; neither
-    the per-replica caches nor the resident matrix row may survive that.
+    Pushing as many samples as before the eviction makes every window
+    version collide with the pre-eviction ones; neither the replica's
+    entry nor its resident matrix row may survive that.
     """
     _feed(repo, "r1", services=[100] * 5, queues=[0] * 5, gateway=3.0)
     _feed(repo, "r2", services=[100] * 5, queues=[0] * 5, gateway=3.0)
@@ -339,7 +363,7 @@ def test_rejoined_replica_is_never_served_its_old_row(repo, evict, estimator_cls
     assert (
         new.service_times.version, new.queue_delays.version, new.gateway_delay_ms
     ) == (old.service_times.version, old.queue_delays.version, old.gateway_delay_ms)
-    fresh = estimator_cls(repo, incremental=False)
+    fresh = from_scratch(repo, estimator_cls)
     assert fresh.batch_probability_by(replicas, 150.0) == [0.0, 1.0]
     assert estimator.batch_probability_by(replicas, 150.0) == [0.0, 1.0]
     assert estimator.probability_by("r1", 150.0) == 0.0

@@ -33,23 +33,6 @@ class TestSlidingWindow:
         window.append(1.0)
         assert window.version == v0 + 1
 
-    def test_clear(self):
-        window = SlidingWindow(3)
-        window.append(1.0)
-        window.clear()
-        assert len(window) == 0
-        assert not window.full
-
-    def test_pmf_cached_while_version_unchanged(self):
-        window = SlidingWindow(3)
-        window.append(10.0)
-        window.append(20.0)
-        first = window.pmf(1.0)
-        assert window.pmf(1.0) is first  # same version: cached object
-        window.append(30.0)
-        second = window.pmf(1.0)
-        assert second is not first  # version bump invalidated
-
     def test_pmf_tracks_eviction(self):
         window = SlidingWindow(2)
         for value in (10.0, 20.0, 30.0):
@@ -69,14 +52,6 @@ class TestSlidingWindow:
     def test_pmf_on_empty_window_rejected(self):
         with pytest.raises(ValueError):
             SlidingWindow(3).pmf(1.0)
-
-    def test_clear_resets_counters(self):
-        window = SlidingWindow(3)
-        window.append(10.0)
-        assert window.counts(1.0) == {10.0: 1}
-        window.clear()
-        window.append(20.0)
-        assert window.counts(1.0) == {20.0: 1}
 
 
 class TestReplicaRecord:
@@ -100,15 +75,6 @@ class TestReplicaRecord:
         record = ReplicaRecord("r1", window_size=5)
         with pytest.raises(ValueError):
             record.record_performance(1.0, 1.0, -1, now_ms=0.0)
-
-    def test_version_covers_both_update_kinds(self):
-        record = ReplicaRecord("r1", window_size=5)
-        v0 = record.version
-        record.record_performance(1.0, 1.0, 0, now_ms=0.0)
-        v1 = record.version
-        record.record_gateway_delay(3.0, now_ms=1.0)
-        v2 = record.version
-        assert v0 < v1 < v2
 
 
 class TestInformationRepository:

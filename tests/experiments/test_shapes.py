@@ -38,6 +38,23 @@ class TestFig3Shape:
         for p in points:
             assert p.distribution_fraction > 0.8
 
+    def test_paper_cost_model_computes_the_estimators_values(self):
+        # The figure times a from-the-raw-windows reference; it must be
+        # computing the same F as the estimator that ships.
+        from repro.core.estimator import ResponseTimeEstimator
+
+        repository = fig3_overhead.build_loaded_repository(5, 20, seed=3)
+        replicas = repository.replicas()
+        for deadline in (90.0, 150.0, 400.0):
+            assert fig3_overhead.paper_model_probabilities(
+                repository, replicas, deadline
+            ) == pytest.approx(
+                ResponseTimeEstimator(repository).batch_probability_by(
+                    replicas, deadline
+                ),
+                abs=1e-12,
+            )
+
 
 class TestFig45Shape:
     @pytest.fixture(scope="class")

@@ -33,8 +33,8 @@ class FixedEstimator:
     def __init__(self, probabilities):
         self.probabilities = probabilities
 
-    def probability_by(self, replica, deadline_ms):
-        return self.probabilities[replica]
+    def batch_probability_by(self, replicas, deadline_ms):
+        return [self.probabilities[replica] for replica in replicas]
 
 
 class RecordingPolicy(SelectionPolicy):

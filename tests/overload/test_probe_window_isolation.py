@@ -6,7 +6,7 @@ no service time and no queuing delay.  Folding it into the service-time /
 queuing-delay windows would corrupt the very model the probes exist to
 keep fresh.  The regression: run traffic, snapshot every window, let a
 burst of staleness probes fire over an idle period, and require the
-windows — values, versions, and the cached pmf objects — bit-identical.
+windows — values, versions, and the pmfs built from them — bit-identical.
 """
 
 from repro.sim.random import Constant
@@ -26,8 +26,8 @@ def _window_state(handler):
             tuple(record.queue_delays.values()),
             record.service_times.version,
             record.queue_delays.version,
-            record.service_times.pmf(BIN_WIDTH),
-            record.queue_delays.pmf(BIN_WIDTH),
+            record.service_times.pmf(BIN_WIDTH).items(),
+            record.queue_delays.pmf(BIN_WIDTH).items(),
         )
     return state
 
@@ -74,10 +74,8 @@ def test_probe_burst_leaves_window_pmfs_bit_identical():
         assert after[name][1] == values_q, name
         assert after[name][2] == ver_s, name
         assert after[name][3] == ver_q, name
-        # Unchanged version means the cached pmf object itself survives:
-        # bit-identical is literal.
-        assert after[name][4] is pmf_s, name
-        assert after[name][5] is pmf_q, name
+        assert after[name][4] == pmf_s, name  # float ==: bit-identical
+        assert after[name][5] == pmf_q, name
     stack.auditor.assert_clean()
 
 

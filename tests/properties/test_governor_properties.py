@@ -45,8 +45,8 @@ class FixedEstimator:
     def __init__(self, table):
         self.table = table
 
-    def probability_by(self, replica, deadline_ms):
-        return self.table[replica]
+    def batch_probability_by(self, replicas, deadline_ms):
+        return [self.table[replica] for replica in replicas]
 
 
 def governed(probs, load, crash_tolerance=1):

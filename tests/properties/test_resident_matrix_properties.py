@@ -1,19 +1,27 @@
-"""Property test for the resident CDF matrix (``batch_probability_by``).
+"""Property test: the one-entry estimator against the design it replaced.
 
-The estimator re-derives only the rows the repository's change log names
-and patches them into a matrix it keeps; the design it replaced walked
-the whole fleet whenever the repository version moved.  For any
-interleaving of writes, membership changes and queries the two must
-agree **exactly** (``==``) — same floats, same hit/miss accounting — so
-the whole-fleet walk is kept here as the reference implementation.
+The estimator keeps one entry per replica under one rule (current iff the
+change log has not named the replica since the entry was derived and its
+record is still the tracked one) and patches the rows the log names into
+a resident CDF matrix.  The estimator it replaced — four version-keyed
+caches plus the same matrix — is kept verbatim in
+``tests/core/estimator_oracle.py``.  For any interleaving of writes,
+membership changes, invalidations, batch queries and direct reads the two
+must agree **bitwise**: every ``F`` and every pmf's ``values`` / ``probs``
+arrays.  That is stricter than it sounds: a batched FFT's size, hence a
+row's last bits, depends on which stale rows are convolved *together*, so
+the two estimators must also agree on what is stale when.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.estimator import QueueScaledEstimator, ResponseTimeEstimator
 from repro.core.repository import InformationRepository
+
+from ..core import estimator_oracle
 
 NAMES = ["r1", "r2", "r3", "r4"]
 names = st.sampled_from(NAMES)
@@ -24,7 +32,8 @@ name_lists = st.lists(names, unique=True, min_size=1)  # a subset, in any order
 # event they are in a run.
 KINDS = (
     ["perf"] * 8 + ["gateway"] * 4 + ["queue"] * 3 + ["query"] * 10
-    + ["add", "remove", "sync"]  # a push after "remove" re-joins afresh
+    + ["direct"] * 4
+    + ["add", "remove", "sync", "rejoin", "invalidate"]
 )
 steps = st.fixed_dictionaries(
     {
@@ -32,7 +41,8 @@ steps = st.fixed_dictionaries(
         "name": names,
         "names": name_lists,
         # A query mostly passes the caller's usual ``repository.replicas()``,
-        # so the matrix stays resident between membership changes.
+        # so the matrix stays resident between membership changes; a subset
+        # is what a quarantine makes of the tuple.
         "subset": st.sampled_from([False] * 5 + [True]),
         # A wide range makes supports outgrow the matrix as windows fill;
         # the repeated values shrink them again when a duplicate slides in.
@@ -51,30 +61,6 @@ steps = st.fixed_dictionaries(
 )
 
 
-def whole_fleet_walk(estimator_cls):
-    """``estimator_cls`` with the batch path of the parent design."""
-
-    class WholeFleetWalk(estimator_cls):
-        _gate = None
-        _pmfs = ()
-
-        def batch_probability_by(self, replicas, deadline_ms):
-            gate = (tuple(replicas), self.repository.version)
-            if gate != self._gate:
-                if len(replicas) > 1:
-                    self._refresh_convolutions(replicas)
-                self._pmfs = [self.response_time_pmf(r) for r in replicas]
-                self._gate = gate
-            return [
-                None if pmf is None
-                else 0.0 if deadline_ms <= 0
-                else pmf.cdf(deadline_ms)
-                for pmf in self._pmfs
-            ]
-
-    return WholeFleetWalk
-
-
 def write(repo, step, now):
     kind, name = step["kind"], step["name"]
     if kind == "perf":
@@ -89,9 +75,32 @@ def write(repo, step, now):
     elif kind == "add":
         repo.add_replica(name)
     elif kind == "remove":
-        repo.remove_replica(name)
-    else:
+        repo.remove_replica(name)  # a later push re-joins it afresh
+    elif kind == "sync":
         repo.sync_members(step["names"])
+    elif name in repo:
+        # "rejoin": evict, then push as many samples as the old record
+        # saw, so the fresh record's window versions (and its T_i) collide
+        # with the ones every stored pmf was built at.
+        old = repo.record(name)
+        repo.remove_replica(name)
+        for _ in range(old.service_times.version):
+            repo.record_performance(
+                name, step["service"], step["delay"], step["depth"], now_ms=now
+            )
+        if old.gateway_delay_ms is not None:
+            repo.record_gateway_delay(name, old.gateway_delay_ms, now_ms=now)
+
+
+def same_pmf(ours, theirs):
+    """Bitwise equality of two optional pmfs."""
+    if ours is None or theirs is None:
+        return ours is theirs
+    return (
+        ours.bin_width == theirs.bin_width
+        and np.array_equal(ours.values, theirs.values)
+        and np.array_equal(ours.probs, theirs.probs)
+    )
 
 
 @pytest.mark.parametrize(
@@ -111,43 +120,62 @@ def test_resident_matrix_equals_whole_fleet_walk(
     estimator_cls, gateway_window, drawn, window_size
 ):
     repo = InformationRepository(window_size, gateway_window_size=gateway_window)
-    reference_cls = whole_fleet_walk(estimator_cls)
+    oracle_cls = getattr(estimator_oracle, estimator_cls.__name__)
     # Two consumers of one repository, asking at different cadences: the
     # change log must answer each from the version *it* last saw.
-    consumers = [(estimator_cls(repo), reference_cls(repo)) for _ in range(2)]
+    consumers = [(estimator_cls(repo), oracle_cls(repo)) for _ in range(2)]
     # Start from a resident matrix over replicas that all have history, so
     # the interleaving lands on the patch path.
     fixed = {"service": 100.0, "delay": 3.0, "depth": 1, "subset": False}
+    fixed |= {"deadline": 120.5, "both": True}
     warm_up = [{"kind": "perf", "name": name, **fixed} for name in NAMES]
     warm_up += [{"kind": "gateway", "name": name, **fixed} for name in NAMES]
-    warm_up += [{"kind": "query", "deadline": 120.5, "both": True, **fixed}]
+    warm_up += [{"kind": "query", **fixed}]
     for now, step in enumerate(warm_up + drawn):
-        if step["kind"] != "query":
+        kind, deadline = step["kind"], step["deadline"]
+        asking = consumers[: 1 + step["both"]]
+        if kind == "invalidate":
+            for estimator in asking[-1]:
+                estimator.invalidate()
+        elif kind == "direct":
+            # A direct read derives and stores that replica alone.
+            for name in (n for n in step["names"] if n in repo):
+                for ours, oracle in asking:
+                    assert same_pmf(
+                        ours.response_time_pmf(name), oracle.response_time_pmf(name)
+                    )
+                    assert ours.probability_by(name, deadline) == (
+                        oracle.probability_by(name, deadline)
+                    )
+        elif kind != "query":
             write(repo, step, float(now))
-            continue
-        deadline = step["deadline"]
-        if step["subset"]:
-            replicas = [name for name in step["names"] if name in repo]
         else:
-            replicas = repo.replicas()
-        fresh = estimator_cls(repo, incremental=False).batch_probability_by(
-            replicas, deadline
-        )
-        for resident, reference in consumers[: 1 + step["both"]]:
-            batched = resident.batch_probability_by(replicas, deadline)
-            assert batched == reference.batch_probability_by(replicas, deadline)
-            for estimator in (resident, reference):  # keeps their caches in step
-                assert batched == [
-                    estimator.probability_by(name, deadline) for name in replicas
-                ]
-            # A from-scratch rebuild convolves directly where the batched
-            # refresh uses one padded FFT: equal to round-off, not bitwise.
-            assert [p is None for p in batched] == [p is None for p in fresh]
-            assert [p or 0.0 for p in batched] == pytest.approx(
-                [p or 0.0 for p in fresh], abs=1e-12
+            if step["subset"]:
+                replicas = [name for name in step["names"] if name in repo]
+            else:
+                replicas = repo.replicas()
+            fresh = oracle_cls(repo, incremental=False).batch_probability_by(
+                replicas, deadline
             )
-    for resident, reference in consumers:
-        assert (resident.cache_hits, resident.cache_misses) == (
-            reference.cache_hits,
-            reference.cache_misses,
-        )
+            for ours, oracle in asking:
+                batched = ours.batch_probability_by(replicas, deadline)
+                assert batched == oracle.batch_probability_by(replicas, deadline)
+                assert all(map(same_pmf, ours._batch.pmfs, oracle._batch.pmfs))
+                assert batched == [  # batch == scalar, per query
+                    ours.probability_by(name, deadline) for name in replicas
+                ]
+                # A from-scratch rebuild convolves directly where the batched
+                # refresh uses one padded FFT: equal to round-off, not bitwise.
+                assert [p is None for p in batched] == [p is None for p in fresh]
+                assert [p or 0.0 for p in batched] == pytest.approx(
+                    [p or 0.0 for p in fresh], abs=1e-12
+                )
+    for ours, oracle in consumers:
+        replicas = repo.replicas()
+        batched = ours.batch_probability_by(replicas, 120.5)
+        assert batched == oracle.batch_probability_by(replicas, 120.5)
+        assert batched == [ours.probability_by(name, 120.5) for name in replicas]
+        for name in replicas:
+            assert same_pmf(
+                ours.response_time_pmf(name), oracle.response_time_pmf(name)
+            )
