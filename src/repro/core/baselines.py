@@ -13,7 +13,7 @@ harness can compare them head-to-head with the paper's dynamic policy.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Callable, Tuple
 
 from .selection import SelectionContext, SelectionDecision, SelectionPolicy
 
@@ -28,17 +28,36 @@ __all__ = [
     "NearestPolicy",
     "ProbeEstimatePolicy",
     "StaticMinResponsePolicy",
+    "probability_key",
 ]
 
 
-def _ordered_by_probability(ctx: SelectionContext) -> List[str]:
-    """Replicas sorted by decreasing F(t); unknowns rank last (prob −1)."""
+def _probability_score(ctx: SelectionContext, replica: str) -> float:
+    """``−F(t)`` of ``replica``; unknowns rank last (prob −1)."""
+    probability = ctx.estimator.probability_by(replica, ctx.qos.deadline_ms)
+    return -(probability if probability is not None else -1.0)
 
-    def key(replica: str) -> Tuple[float, str]:
-        probability = ctx.estimator.probability_by(replica, ctx.qos.deadline_ms)
-        return (-(probability if probability is not None else -1.0), replica)
 
-    return sorted(ctx.replicas, key=key)
+def probability_key(ctx: SelectionContext) -> Callable[[str], Tuple[float, str]]:
+    """Sort key ranking replicas by decreasing F(t), ties by name."""
+    return lambda replica: (_probability_score(ctx, replica), replica)
+
+
+class _RankedPrefixPolicy(SelectionPolicy):
+    """Send to the ``redundancy`` replicas of lowest ``score`` (ties by name)."""
+
+    def __init__(self, redundancy: int = 1) -> None:
+        if redundancy < 1:
+            raise ValueError(f"redundancy must be >= 1, got {redundancy}")
+        self.redundancy = int(redundancy)
+
+    def score(self, ctx: SelectionContext, replica: str) -> float:
+        """The rank of ``replica``, lower is better; ``−F(t)`` unless overridden."""
+        return _probability_score(ctx, replica)
+
+    def decide(self, ctx: SelectionContext) -> SelectionDecision:
+        ordered = sorted(ctx.replicas, key=lambda r: (self.score(ctx, r), r))
+        return SelectionDecision(selected=tuple(ordered[: self.redundancy]))
 
 
 class AllReplicasPolicy(SelectionPolicy):
@@ -74,7 +93,7 @@ class PrimaryBackupPolicy(SelectionPolicy):
         return SelectionDecision(selected=(primary,), meta={"primary": primary})
 
 
-class SingleFastestPolicy(SelectionPolicy):
+class SingleFastestPolicy(_RankedPrefixPolicy):
     """Send to the one replica most likely to meet the deadline.
 
     The "choose the best server, no redundancy" family of related work;
@@ -84,12 +103,11 @@ class SingleFastestPolicy(SelectionPolicy):
 
     name = "single-fastest"
 
-    def decide(self, ctx: SelectionContext) -> SelectionDecision:
-        ordered = _ordered_by_probability(ctx)
-        return SelectionDecision(selected=(ordered[0],) if ordered else ())
+    def __init__(self) -> None:
+        super().__init__(1)
 
 
-class FixedRedundancyPolicy(SelectionPolicy):
+class FixedRedundancyPolicy(_RankedPrefixPolicy):
     """Always send to the ``k`` individually best replicas.
 
     A static middle ground between single-fastest and all-replicas; the
@@ -100,14 +118,8 @@ class FixedRedundancyPolicy(SelectionPolicy):
     name = "fixed-k"
 
     def __init__(self, redundancy: int) -> None:
-        if redundancy < 1:
-            raise ValueError(f"redundancy must be >= 1, got {redundancy}")
-        self.redundancy = int(redundancy)
+        super().__init__(redundancy)
         self.name = f"fixed-{self.redundancy}"
-
-    def decide(self, ctx: SelectionContext) -> SelectionDecision:
-        ordered = _ordered_by_probability(ctx)
-        return SelectionDecision(selected=tuple(ordered[: self.redundancy]))
 
 
 class RandomPolicy(SelectionPolicy):
@@ -154,7 +166,7 @@ class RoundRobinPolicy(SelectionPolicy):
         return SelectionDecision(selected=tuple(picked))
 
 
-class LowestMeanPolicy(SelectionPolicy):
+class LowestMeanPolicy(_RankedPrefixPolicy):
     """Best historical average response time (Sayal et al. style).
 
     Ranks replicas by the *mean* of the modeled response time instead of
@@ -165,42 +177,27 @@ class LowestMeanPolicy(SelectionPolicy):
     name = "lowest-mean"
 
     def __init__(self, redundancy: int = 1) -> None:
-        if redundancy < 1:
-            raise ValueError(f"redundancy must be >= 1, got {redundancy}")
-        self.redundancy = int(redundancy)
+        super().__init__(redundancy)
         if self.redundancy != 1:
             self.name = f"lowest-mean-{self.redundancy}"
 
-    def decide(self, ctx: SelectionContext) -> SelectionDecision:
-        def key(replica: str) -> Tuple[float, str]:
-            mean = ctx.estimator.expected_response_time(replica)
-            return (mean if mean is not None else float("inf"), replica)
-
-        ordered = sorted(ctx.replicas, key=key)
-        return SelectionDecision(selected=tuple(ordered[: self.redundancy]))
+    def score(self, ctx: SelectionContext, replica: str) -> float:
+        mean = ctx.estimator.expected_response_time(replica)
+        return mean if mean is not None else float("inf")
 
 
-class NearestPolicy(SelectionPolicy):
+class NearestPolicy(_RankedPrefixPolicy):
     """Smallest static distance metric (Heidemann-style nearest server)."""
 
     name = "nearest"
 
-    def __init__(self, redundancy: int = 1) -> None:
-        if redundancy < 1:
-            raise ValueError(f"redundancy must be >= 1, got {redundancy}")
-        self.redundancy = int(redundancy)
-
-    def decide(self, ctx: SelectionContext) -> SelectionDecision:
-        if ctx.distance is None:
-            # Without a topology metric, distance degenerates to name
-            # order — deterministic, and documented as such.
-            ordered = sorted(ctx.replicas)
-        else:
-            ordered = sorted(ctx.replicas, key=lambda r: (ctx.distance(r), r))
-        return SelectionDecision(selected=tuple(ordered[: self.redundancy]))
+    def score(self, ctx: SelectionContext, replica: str) -> float:
+        # Without a topology metric, distance degenerates to name
+        # order — deterministic, and documented as such.
+        return ctx.distance(replica) if ctx.distance is not None else 0.0
 
 
-class ProbeEstimatePolicy(SelectionPolicy):
+class ProbeEstimatePolicy(_RankedPrefixPolicy):
     """Load + delay point estimate (Fei et al. style).
 
     Estimates each replica's next response time as
@@ -215,28 +212,17 @@ class ProbeEstimatePolicy(SelectionPolicy):
 
     name = "probe-estimate"
 
-    def __init__(self, redundancy: int = 1) -> None:
-        if redundancy < 1:
-            raise ValueError(f"redundancy must be >= 1, got {redundancy}")
-        self.redundancy = int(redundancy)
-
-    def decide(self, ctx: SelectionContext) -> SelectionDecision:
-        repository = ctx.estimator.repository
-
-        def estimate(replica: str) -> float:
-            record = repository.record(replica)
-            if not record.has_history:
-                return float("inf")
-            service_values = record.service_times.values()
-            mean_service = sum(service_values) / len(service_values)
-            assert record.gateway_delay_ms is not None
-            return record.gateway_delay_ms + (record.queue_length + 1) * mean_service
-
-        ordered = sorted(ctx.replicas, key=lambda r: (estimate(r), r))
-        return SelectionDecision(selected=tuple(ordered[: self.redundancy]))
+    def score(self, ctx: SelectionContext, replica: str) -> float:
+        record = ctx.estimator.repository.record(replica)
+        if not record.has_history:
+            return float("inf")
+        service_values = record.service_times.values()
+        mean_service = sum(service_values) / len(service_values)
+        assert record.gateway_delay_ms is not None
+        return record.gateway_delay_ms + (record.queue_length + 1) * mean_service
 
 
-class StaticMinResponsePolicy(SelectionPolicy):
+class StaticMinResponsePolicy(_RankedPrefixPolicy):
     """Rank by the static response-time *floor*; the starvation fallback.
 
     Estimates each replica's best case as ``T_i + min(S_i window)`` —
@@ -254,24 +240,19 @@ class StaticMinResponsePolicy(SelectionPolicy):
     name = "static-min-response"
 
     def __init__(self, redundancy: int = 2) -> None:
-        if redundancy < 1:
-            raise ValueError(f"redundancy must be >= 1, got {redundancy}")
-        self.redundancy = int(redundancy)
+        super().__init__(redundancy)
+
+    def score(self, ctx: SelectionContext, replica: str) -> float:
+        repository = ctx.estimator.repository
+        if replica not in repository:
+            return float("inf")
+        record = repository.record(replica)
+        if not record.has_history:
+            return float("inf")
+        assert record.gateway_delay_ms is not None
+        return record.gateway_delay_ms + min(record.service_times.values())
 
     def decide(self, ctx: SelectionContext) -> SelectionDecision:
-        repository = ctx.estimator.repository
-
-        def floor(replica: str) -> float:
-            if replica not in repository:
-                return float("inf")
-            record = repository.record(replica)
-            if not record.has_history:
-                return float("inf")
-            assert record.gateway_delay_ms is not None
-            return record.gateway_delay_ms + min(record.service_times.values())
-
-        ordered = sorted(ctx.replicas, key=lambda r: (floor(r), r))
-        return SelectionDecision(
-            selected=tuple(ordered[: self.redundancy]),
-            meta={"policy": self.name},
-        )
+        decision = super().decide(ctx)
+        decision.meta["policy"] = self.name
+        return decision

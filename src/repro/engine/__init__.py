@@ -1,6 +1,7 @@
 """The timing-fault client logic, free of simulator, network and ORB.
 
-One owner per job: :class:`RequestBook` (lifecycle records),
+One owner per job: :class:`EngineConfig` (every behaviour option, its
+default and its validity), :class:`RequestBook` (lifecycle records),
 :class:`EvidenceAdmission` (which reported timings enter the model),
 :class:`ClassModels` (per-class repositories and estimators) and
 :class:`TimingFaultEngine` (decide → send → mine → account), which drives
@@ -10,9 +11,10 @@ is :class:`repro.gateway.handlers.timing_fault.TimingFaultClientHandler`.
 
 from .admission import EvidenceAdmission
 from .book import RequestBook, RequestRecord
+from .config import EngineConfig
 from .engine import TimingFaultEngine
 from .models import ClassModels
-from .plans import ProbePlan, RetryPlan
+from .plans import RetryPlan
 from .types import (
     DEFAULT_CLASS,
     EnginePort,
@@ -26,11 +28,11 @@ from .types import (
 __all__ = [
     "ClassModels",
     "DEFAULT_CLASS",
+    "EngineConfig",
     "EnginePort",
     "EvidenceAdmission",
     "OutcomeKind",
     "PerformanceUpdate",
-    "ProbePlan",
     "ReplyOutcome",
     "RequestBook",
     "RequestClassifier",

@@ -17,39 +17,25 @@ to the :class:`~repro.engine.models.ClassModels`.
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..core.qos import QoSSpec, QoSViolationCallback, TimingFailureStats
+from ..core.qos import QoSSpec, TimingFailureStats
 from ..core.selection import (
+    DynamicSelectionPolicy,
     SelectionContext,
     SelectionDecision,
     SelectionMeta,
     SelectionPolicy,
 )
-from ..health import HealthConfig, HealthListener, HealthMonitor
+from ..health import HealthMonitor
 from ..orb.object import MethodRequest
-from ..overload import (
-    AdmissionController,
-    GovernedSelectionPolicy,
-    LoadTracker,
-    OverloadConfig,
-)
+from ..overload import AdmissionController, GovernedSelectionPolicy, LoadTracker
 from .admission import EvidenceAdmission
 from .book import RequestBook, RequestRecord
+from .config import EngineConfig
 from .models import ClassModels
-from .plans import ProbePlan, RetryPlan
 from .types import (
     DEFAULT_CLASS,
     EnginePort,
@@ -67,69 +53,45 @@ __all__ = ["TimingFaultEngine"]
 class TimingFaultEngine:
     """Client-side timing-fault logic behind one :class:`EnginePort`.
 
+    Every behaviour option comes from the one :class:`EngineConfig`.
     ``health``, ``load_tracker`` and ``admission`` are ``None`` unless
     their configs were given (docs/ARCHITECTURE.md §5/§6); ``policy`` is
     the configured policy, wrapped in the redundancy governor when the
-    overload config asks for one.
+    overload config asks for one.  ``book`` and ``evidence`` are the
+    owners a variant may substitute.
     """
 
     def __init__(
         self,
         port: EnginePort,
         qos: QoSSpec,
-        policy: SelectionPolicy,
-        models: ClassModels,
-        book: RequestBook,
-        evidence: EvidenceAdmission,
+        config: EngineConfig,
         members: Sequence[str],
         *,
         rng: np.random.Generator,
         trace: TraceSink,
         metrics: MetricsCollector,
         labels: Dict[str, str],
-        distance: Optional[Callable[[str], float]] = None,
-        response_timeout_factor: float = 10.0,
-        adaptive_timeout_quantile: Optional[float] = None,
-        violation_callback: Optional[QoSViolationCallback] = None,
-        min_violation_samples: int = 10,
-        probing: ProbePlan = ProbePlan(),
-        retry: Optional[RetryPlan] = None,
-        health_config: Optional[HealthConfig] = None,
-        health_listener: Optional[HealthListener] = None,
-        overload_config: Optional[OverloadConfig] = None,
+        book: Optional[RequestBook] = None,
+        evidence: Optional[EvidenceAdmission] = None,
     ) -> None:
         """Wire the owners together and adopt the initial view ``members``."""
-        if response_timeout_factor <= 1:
-            raise ValueError(
-                "response_timeout_factor must exceed 1 (the deadline itself), "
-                f"got {response_timeout_factor}"
-            )
-        if adaptive_timeout_quantile is None and health_config is not None:
-            adaptive_timeout_quantile = health_config.adaptive_timeout_quantile
-        if adaptive_timeout_quantile is not None and not (
-            0.0 < adaptive_timeout_quantile <= 1.0
-        ):
-            raise ValueError(
-                "adaptive_timeout_quantile must be in (0, 1], got "
-                f"{adaptive_timeout_quantile}"
-            )
         self.port = port
         self.qos = qos
-        self.policy = policy
-        self.models = models
-        self.book = book
-        self.evidence = evidence
+        self.config = config
+        self.policy: SelectionPolicy = config.policy or DynamicSelectionPolicy(
+            crash_tolerance=1,
+            compensate_overhead=True,
+            fixed_overhead_ms=config.selection_charge_ms,
+        )
+        self.models = ClassModels(config)
+        self.book = book or RequestBook()
+        self.evidence = evidence or EvidenceAdmission(config.health_config)
         self.rng = rng
         self.trace = trace
         self.metrics = metrics
         self.labels = labels
-        self.distance = distance
-        self.response_timeout_factor = float(response_timeout_factor)
-        self.adaptive_timeout_quantile = adaptive_timeout_quantile
-        self.violation_callback = violation_callback
-        self.probing = probing
-        self.retry = retry
-        self.stats = TimingFailureStats(min_samples=min_violation_samples)
+        self.stats = TimingFailureStats()
         self._violation_reported = False
         self.sheds = 0
         self.probes_sent = 0
@@ -140,29 +102,35 @@ class TimingFaultEngine:
         # quarantined replica.  Must stay empty; surfaced as a lifecycle
         # leak so the fault-injection auditor enforces the invariant.
         self.quarantined_traffic: List[Tuple[int, Tuple[str, ...]]] = []
-        models.sync(members)
+        self.models.sync(members)
         self.health: Optional[HealthMonitor] = None
-        if health_config is not None:
-            self.health = HealthMonitor(health_config, listener=health_listener)
-            self.health.sync_members(models.members, port.now)
+        #: Quantile of the adaptive response timeout (``None``: fixed).
+        self.adaptive_timeout_quantile: Optional[float] = None
+        health = config.health_config
+        if health is not None:
+            self.health = HealthMonitor(health, listener=config.health_listener)
+            self.health.sync_members(self.models.members, port.now)
+            self.adaptive_timeout_quantile = health.adaptive_timeout_quantile
         self.load_tracker: Optional[LoadTracker] = None
         self.admission: Optional[AdmissionController] = None
-        if overload_config is not None:
+        overload = config.overload_config
+        if overload is not None:
             self.load_tracker = LoadTracker(
-                overload_config.load, inflight_provider=book.awaiting_replies
+                overload.load, inflight_provider=self.book.awaiting_replies
             )
-            if overload_config.governor is not None:
+            if overload.governor is not None:
                 self.policy = GovernedSelectionPolicy(
-                    policy, self.load_tracker, overload_config.governor
+                    self.policy, self.load_tracker, overload.governor
                 )
-            if overload_config.admission is not None:
-                self.admission = AdmissionController(overload_config.admission)
+            if overload.admission is not None:
+                self.admission = AdmissionController(overload.admission)
 
     def start(self) -> None:
         """Arm the probe tick and the bootstrap round, when configured."""
-        if self.probing.staleness_ms is not None or self.health is not None:
-            self.port.arm(self.probing.interval_ms, self.probe_tick, daemon=True)
-        if self.probing.bootstrap:
+        config = self.config
+        if config.probe_staleness_ms is not None or self.health is not None:
+            self.port.arm(config.probe_interval_ms, self.probe_tick, daemon=True)
+        if config.bootstrap_probes:
             self.port.arm(0.0, self._probe_all, daemon=True)
 
     # -- membership ------------------------------------------------------------
@@ -219,8 +187,8 @@ class TimingFaultEngine:
         if failed:
             self.metrics.increment("tf.timing_failures", labels=self.labels)
         if self.stats.violates(self.qos):
-            if not self._violation_reported and self.violation_callback:
-                self.violation_callback(
+            if not self._violation_reported and self.config.violation_callback:
+                self.config.violation_callback(
                     self.qos.service,
                     self.stats.observed_timely_probability,
                     self.qos,
@@ -285,7 +253,7 @@ class TimingFaultEngine:
             self.response_timeout_ms(sent_to, class_key) if sent_to else 0.0,
             self.expire, msg_id,
         )
-        if self.retry is not None:
+        if self.config.retry is not None:
             ranking = list(decision.meta.get("ranking", []))
             self._arm_retry(msg_id, call, ranking, list(decision.selected), 1)
         return msg_id
@@ -299,7 +267,7 @@ class TimingFaultEngine:
             qos=self.qos,
             now_ms=self.port.now,
             rng=self.rng,
-            distance=self.distance,
+            distance=self.config.distance,
             health=self.health,
         )
         decision = self.policy.decide(ctx)
@@ -327,7 +295,7 @@ class TimingFaultEngine:
         the deadline has actually passed, never wait longer than the
         fixed timeout.
         """
-        ceiling = self.qos.deadline_ms * self.response_timeout_factor
+        ceiling = self.qos.deadline_ms * self.config.response_timeout_factor
         if self.adaptive_timeout_quantile is None or not selected:
             return ceiling
         estimator = self.models.estimator_for(class_key)
@@ -497,7 +465,7 @@ class TimingFaultEngine:
         self, msg_id: int, call: Any, ranking: List[str], tried: List[str],
         attempt: int,
     ) -> None:
-        retry = self.retry
+        retry = self.config.retry
         if retry is not None and attempt <= retry.max_retries:
             self.port.arm(
                 retry.wait_ms(attempt, self.qos.deadline_ms),
@@ -555,15 +523,16 @@ class TimingFaultEngine:
     def probe_tick(self) -> None:
         """Probe every stale or health-due replica without one in flight."""
         due: Set[str] = set()
-        if self.probing.staleness_ms is not None:
-            due = self.models.stale(self.port.now, self.probing.staleness_ms)
+        staleness_ms = self.config.probe_staleness_ms
+        if staleness_ms is not None:
+            due = self.models.stale(self.port.now, staleness_ms)
         if self.health is not None:
             due.update(self.health.due_probes(self.port.now))
         # A replica with a probe already in flight is not probed again —
         # neither by the staleness path (its window going stale mid-probe
         # must not double-probe it) nor by the health path.
         self._probe(due)
-        self.port.arm(self.probing.interval_ms, self.probe_tick, daemon=True)
+        self.port.arm(self.config.probe_interval_ms, self.probe_tick, daemon=True)
 
     def _probe_all(self) -> None:
         """Probe every member once, unconditionally (startup baseline)."""
@@ -584,7 +553,7 @@ class TimingFaultEngine:
         # give up on it after one probe interval (it will be re-probed if
         # the replica stays stale), keeping the book bounded.
         self.port.arm(
-            self.probing.interval_ms, self.expire_probe, msg_id, daemon=True
+            self.config.probe_interval_ms, self.expire_probe, msg_id, daemon=True
         )
         self.trace("client.probe", replica=replica)
 

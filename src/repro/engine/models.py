@@ -9,35 +9,23 @@ class, so they are shared across classes.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..core.estimator import ResponseTimeEstimator
 from ..core.repository import InformationRepository
 from ..orb.object import MethodRequest
-from .types import DEFAULT_CLASS, PerformanceUpdate, RequestClassifier
+from .config import EngineConfig
+from .types import DEFAULT_CLASS, PerformanceUpdate
 
-__all__ = ["ClassModels", "EstimatorFactory"]
-
-EstimatorFactory = Callable[[InformationRepository], ResponseTimeEstimator]
+__all__ = ["ClassModels"]
 
 
 class ClassModels:
     """Repositories and estimators by request class, kept in step with the view."""
 
-    def __init__(
-        self,
-        window_size: int = 5,
-        gateway_window_size: Optional[int] = None,
-        bin_width_ms: float = 1.0,
-        estimator_factory: Optional[EstimatorFactory] = None,
-        classifier: Optional[RequestClassifier] = None,
-    ) -> None:
+    def __init__(self, config: EngineConfig) -> None:
         """Create the default class; other classes appear on first use."""
-        self.window_size = int(window_size)
-        self.gateway_window_size = gateway_window_size
-        self.bin_width_ms = float(bin_width_ms)
-        self.estimator_factory = estimator_factory
-        self.classifier = classifier
+        self.config = config
         self.members: List[str] = []
         self._repositories: Dict[str, InformationRepository] = {}
         self._estimators: Dict[str, ResponseTimeEstimator] = {}
@@ -48,9 +36,10 @@ class ClassModels:
     # -- per-class access ------------------------------------------------------
     def classify(self, request: Optional[MethodRequest]) -> str:
         """The class key whose history models ``request``."""
-        if self.classifier is None or request is None:
+        classifier = self.config.classifier
+        if classifier is None or request is None:
             return DEFAULT_CLASS
-        return self.classifier(request)
+        return classifier(request)
 
     def classes(self) -> List[str]:
         """Class keys with performance state (always includes default)."""
@@ -61,16 +50,12 @@ class ClassModels:
         repo = self._repositories.get(class_key)
         if repo is None:
             repo = InformationRepository(
-                window_size=self.window_size,
-                gateway_window_size=self.gateway_window_size,
+                window_size=self.config.window_size,
+                gateway_window_size=self.config.gateway_window_size,
             )
             repo.sync_members(self.members)
             self._repositories[class_key] = repo
-            self._estimators[class_key] = (
-                self.estimator_factory(repo)
-                if self.estimator_factory is not None
-                else ResponseTimeEstimator(repo, bin_width_ms=self.bin_width_ms)
-            )
+            self._estimators[class_key] = self.config.build_estimator(repo)
         return repo
 
     def estimator_for(self, class_key: str) -> ResponseTimeEstimator:

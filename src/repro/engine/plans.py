@@ -1,46 +1,25 @@
-"""The engine's two timing plans, each validated where its numbers live."""
+"""The engine's retransmission plan, validated where its numbers live."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["ProbePlan", "RetryPlan"]
-
-
-@dataclass(frozen=True)
-class ProbePlan:
-    """When the engine probes replica gateways out of band (§8 extension).
-
-    ``staleness_ms``: replicas whose records are older than this are
-    probed every ``interval_ms`` (``None``: no staleness probing).
-    ``bootstrap``: probe every member once at startup.  A probe whose
-    reply is lost is given up on after one interval.
-    """
-
-    staleness_ms: Optional[float] = None
-    interval_ms: float = 200.0
-    bootstrap: bool = False
-
-    def __post_init__(self) -> None:
-        """Reject non-positive thresholds."""
-        if self.staleness_ms is not None and self.staleness_ms <= 0:
-            raise ValueError(
-                f"probe_staleness_ms must be > 0, got {self.staleness_ms}"
-            )
-        if self.interval_ms <= 0:
-            raise ValueError(
-                f"probe_interval_ms must be > 0, got {self.interval_ms}"
-            )
+__all__ = ["RetryPlan"]
 
 
 @dataclass(frozen=True)
 class RetryPlan:
     """Timeout-driven retransmission to the next-best replica.
 
-    The four numbers are the ``retry_*``/``max_retries`` keywords of
-    :class:`~repro.gateway.handlers.retransmit.RetransmittingClientHandler`,
-    documented there.
+    ``timeout_ms``: wait before the *first* retransmission (``None``:
+    half the QoS deadline, a common rule of thumb).  ``max_retries``:
+    retransmissions per request after the initial send.
+    ``backoff_factor``: each successive retransmission waits this many
+    times longer than the previous one (1.0: fixed interval).
+    ``timeout_cap_ms``: upper bound on any single wait (``None``:
+    ``max(base timeout, deadline)`` — backing off past the deadline only
+    delays the inevitable timeout accounting).
     """
 
     timeout_ms: Optional[float] = None
@@ -51,18 +30,16 @@ class RetryPlan:
     def __post_init__(self) -> None:
         """Reject waits that are not positive and backoff that shrinks."""
         if self.timeout_ms is not None and self.timeout_ms <= 0:
-            raise ValueError(
-                f"retry_timeout_ms must be > 0, got {self.timeout_ms}"
-            )
+            raise ValueError(f"timeout_ms must be > 0, got {self.timeout_ms}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.backoff_factor < 1.0:
             raise ValueError(
-                f"retry_backoff_factor must be >= 1, got {self.backoff_factor}"
+                f"backoff_factor must be >= 1, got {self.backoff_factor}"
             )
         if self.timeout_cap_ms is not None and self.timeout_cap_ms <= 0:
             raise ValueError(
-                f"retry_timeout_cap_ms must be > 0, got {self.timeout_cap_ms}"
+                f"timeout_cap_ms must be > 0, got {self.timeout_cap_ms}"
             )
 
     def wait_ms(self, attempt: int, deadline_ms: float) -> float:

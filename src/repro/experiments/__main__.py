@@ -5,7 +5,8 @@ presentation order, ``--list`` prints the registry.  ``--quick`` runs
 each sweep's declared smoke grid, ``--workers N`` fans sweeps across N
 processes (tables and digests are bit-identical for any N), ``--json
 FILE`` / ``--csv DIR`` export the rows, and ``--check-digests`` compares
-every full-grid sweep digest with ``experiments_digests.json``.
+every full-grid sweep digest with ``experiments_digests.json`` (a sweep
+without a pin fails).
 """
 
 from __future__ import annotations
@@ -123,9 +124,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         }
         if args.csv:
             print(f"wrote {export_rows(Path(args.csv), key, result.rows)}")
-        if key in pinned and pinned[key] != result.digest:
+        if args.check_digests and pinned.get(key) != result.digest:
             mismatches.append(
-                f"{key}: digest {result.digest} != pinned {pinned[key]}"
+                f"{key}: digest {result.digest} != pinned {pinned.get(key)}"
             )
     if len(keys) > 1:
         print(

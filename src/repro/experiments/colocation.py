@@ -18,6 +18,7 @@ from typing import Dict, Tuple
 
 from ..core.baselines import AllReplicasPolicy
 from ..core.qos import QoSSpec
+from ..engine import EngineConfig
 from ..gateway.handlers.timing_fault import TimingFaultClientHandler
 from ..orb.orb import Orb
 from ..proteus.manager import ServiceSpec
@@ -83,9 +84,8 @@ def _build_scenario(seed: int) -> Scenario:
         group_comm=scenario.group_comm,
         interface=batch_interface,
         qos=QoSSpec("batch", 5_000.0, 0.0),
-        policy=AllReplicasPolicy(),
+        config=EngineConfig(policy=AllReplicasPolicy(), response_timeout_factor=2.0),
         marshalling=scenario.marshalling,
-        response_timeout_factor=2.0,
         rng=scenario.streams.stream("batch-client.policy"),
     )
     scenario.gateway_for("batch-client").load_handler(batch_handler)

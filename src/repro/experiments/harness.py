@@ -35,11 +35,17 @@ __all__ = [
 
 
 #: The selection policies the ablations compare, by table label
-#: (``None``: the handler's default — the paper's dynamic policy).
+#: (``None``: the handler's default — the paper's dynamic policy).  The
+#: hedge variants charge the scenario's 0.3 ms selection cost as ``δ``,
+#: like the default, so a run is a pure function of its seed.
 POLICIES: Dict[str, Optional[Callable[[], SelectionPolicy]]] = {
     "dynamic (paper)": None,
-    "dynamic, no crash hedge": lambda: DynamicSelectionPolicy(crash_tolerance=0),
-    "dynamic, 2-crash hedge": lambda: DynamicSelectionPolicy(crash_tolerance=2),
+    "dynamic, no crash hedge": lambda: DynamicSelectionPolicy(
+        crash_tolerance=0, fixed_overhead_ms=0.3
+    ),
+    "dynamic, 2-crash hedge": lambda: DynamicSelectionPolicy(
+        crash_tolerance=2, fixed_overhead_ms=0.3
+    ),
     "all-replicas": AllReplicasPolicy,
     "single-fastest": SingleFastestPolicy,
     "random-2 (load-blind)": lambda: RandomPolicy(redundancy=2),

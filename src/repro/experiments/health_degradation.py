@@ -69,7 +69,7 @@ def point(params: dict, seed: int, repetition: int) -> Dict[str, float]:
         "client-1",
         deadline_ms=100.0,
         min_probability=0.9,
-        policy=DynamicSelectionPolicy(crash_tolerance=0),
+        policy=DynamicSelectionPolicy(crash_tolerance=0, fixed_overhead_ms=0.0),
         response_timeout_factor=3.0,
         probe_interval_ms=200.0,
         **({"health_config": HEALTH} if VARIANTS[params["variant"]] else {}),

@@ -8,24 +8,26 @@ with specific time constraints."
 
 :class:`RetransmittingClientHandler` implements that strategy faithfully
 so the claim can be measured: each request goes to *one* replica (the
-individually best); if no reply arrives within ``retry_timeout_ms`` the
-request is retransmitted to the next-best replica not yet tried, up to
-``max_retries`` times.  Every retransmission burns a chunk of the
-deadline — the structural disadvantage the paper's concurrent redundancy
-avoids.
+individually best); if no reply arrives within the
+:class:`~repro.engine.RetryPlan`'s timeout the request is retransmitted
+to the next-best replica not yet tried, up to its ``max_retries`` times.
+Every retransmission burns a chunk of the deadline — the structural
+disadvantage the paper's concurrent redundancy avoids.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from dataclasses import replace
+from typing import Any
 
+from ...core.baselines import probability_key
 from ...core.selection import (
     SelectionContext,
     SelectionDecision,
     SelectionMeta,
     SelectionPolicy,
 )
-from ...engine import RetryPlan
+from ...engine import EngineConfig, RetryPlan
 from .timing_fault import TimingFaultClientHandler
 
 __all__ = ["RetransmittingClientHandler", "BestSinglePolicy"]
@@ -37,12 +39,6 @@ class BestSinglePolicy(SelectionPolicy):
     name = "best-single"
 
     def decide(self, ctx: SelectionContext) -> SelectionDecision:
-        def key(replica: str) -> Tuple[float, str]:
-            probability = ctx.estimator.probability_by(
-                replica, ctx.qos.deadline_ms
-            )
-            return (-(probability if probability is not None else -1.0), replica)
-
         replicas = list(ctx.replicas)
         meta: SelectionMeta = {}
         if ctx.health is not None:
@@ -53,7 +49,7 @@ class BestSinglePolicy(SelectionPolicy):
                 # Every replica quarantined: trying one beats refusing to
                 # serve; flag the override so the audit exempts it.
                 meta["quarantine_override"] = True
-        ranking = sorted(replicas, key=key)
+        ranking = sorted(replicas, key=probability_key(ctx))
         meta["ranking"] = ranking
         return SelectionDecision(selected=tuple(ranking[:1]), meta=meta)
 
@@ -61,48 +57,24 @@ class BestSinglePolicy(SelectionPolicy):
 class RetransmittingClientHandler(TimingFaultClientHandler):
     """Single-replica routing with timeout-driven retransmission.
 
-    The base handler with :class:`BestSinglePolicy` and the engine's
-    :class:`~repro.engine.RetryPlan` switched on: the request book files
-    each retransmitted copy under its original request, so a copy's reply
+    The base handler with :class:`BestSinglePolicy` forced and
+    ``config.retry`` defaulting to the stock
+    :class:`~repro.engine.RetryPlan`: the request book files each
+    retransmitted copy under its original request, so a copy's reply
     completes that request and is measured from the copy's own send time.
-
-    Parameters (beyond the base handler's)
-    --------------------------------------
-    retry_timeout_ms:
-        How long to wait for a reply before the *first* retransmission.
-        ``None`` defaults to half the QoS deadline — a common rule of
-        thumb.
-    max_retries:
-        Retransmissions per request after the initial send.
-    retry_backoff_factor:
-        Each successive retransmission of the same request waits
-        ``factor`` times longer than the previous one (classic
-        exponential backoff; 1.0 restores the fixed-interval strategy).
-    retry_timeout_cap_ms:
-        Upper bound on any single retry wait.  ``None`` defaults to
-        ``max(base timeout, deadline)`` — backing off past the deadline
-        only delays the inevitable timeout accounting.
     """
 
     def __init__(
-        self,
-        *args: Any,
-        retry_timeout_ms: Optional[float] = None,
-        max_retries: int = 2,
-        retry_backoff_factor: float = 2.0,
-        retry_timeout_cap_ms: Optional[float] = None,
-        **kwargs: Any,
+        self, *args: Any, config: EngineConfig = EngineConfig(), **kwargs: Any
     ) -> None:
-        if kwargs.get("policy") is not None:
+        if config.policy is not None:
             raise ValueError(
                 "RetransmittingClientHandler fixes its policy; do not pass one"
             )
-        kwargs["policy"] = BestSinglePolicy()
-        self.retry_plan = RetryPlan(
-            retry_timeout_ms, int(max_retries), float(retry_backoff_factor),
-            retry_timeout_cap_ms,
+        config = replace(
+            config, policy=BestSinglePolicy(), retry=config.retry or RetryPlan()
         )
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, config=config, **kwargs)
 
     def __repr__(self) -> str:
         return (

@@ -18,8 +18,8 @@ All interval end-points are measured on a single simulated host, so no
 clock synchronization is assumed — exactly as in the paper.
 
 The paper's §8 extensions (request classification, active probing,
-gateway-delay windows) are keywords of the client handler, all off by
-default; its ``Parameters`` section documents them.
+gateway-delay windows) are fields of the client's
+:class:`~repro.engine.EngineConfig`, all off by default.
 """
 
 from __future__ import annotations
@@ -42,35 +42,28 @@ from typing import (
 
 import numpy as np
 
-from ...core.estimator import ResponseTimeEstimator
-from ...core.qos import QoSSpec, QoSViolationCallback
-from ...core.repository import InformationRepository
-from ...core.selection import DynamicSelectionPolicy, SelectionPolicy
+from ...core.qos import QoSSpec
 from ...engine import (
     DEFAULT_CLASS,
-    ClassModels,
+    EngineConfig,
     EvidenceAdmission,
     OutcomeKind,
     PerformanceUpdate,
-    ProbePlan,
     ReplyOutcome,
     RequestBook,
     RequestClassifier,
     RequestRecord,
-    RetryPlan,
     TimingFaultEngine,
     method_classifier,
 )
 from ...group.ensemble import GroupCommunication
 from ...group.membership import GroupView, MembershipError
-from ...health import HealthConfig, HealthListener
 from ...metrics.collector import MetricsCollector
 from ...net.message import Message
 from ...net.transport import TransportAPI
 from ...orb.iiop import MarshalledCall, MarshalledReply, MarshallingModel
 from ...orb.object import MethodRequest, ServiceInterface
 from ...orb.orb import RequestInterceptor
-from ...overload import OverloadConfig
 from ...replica.server import ReplicaApplication
 from ...rng import seeded_generator
 from ...sim.events import Event
@@ -359,8 +352,8 @@ class TimingFaultClientHandler(ProtocolHandler, RequestInterceptor):
     unpacks messages, marshals and demarshals, and implements the
     engine's port (``now``, ``send_*``, ``decode``, ``arm``, ``complete``)
     on the simulation substrate.  Variants substitute one of the engine's
-    owners through a class attribute — ``book_cls``, ``evidence_cls``,
-    ``retry_plan`` — never a method of this class.
+    owners through a class attribute — ``book_cls``, ``evidence_cls`` —
+    never a method of this class.
 
     Parameters
     ----------
@@ -370,104 +363,31 @@ class TimingFaultClientHandler(ProtocolHandler, RequestInterceptor):
         Interface of the replicated service (for marshalling sizes).
     qos:
         The client's QoS specification.
-    policy:
-        Replica-selection policy; defaults to the paper's
-        :class:`DynamicSelectionPolicy` with single-crash tolerance and
-        overhead compensation.
-    window_size:
-        The repository's sliding-window size ``l`` (paper default 5).
-    bin_width_ms:
-        Quantization grid of the empirical pmfs.
+    config:
+        Every behaviour option (:class:`~repro.engine.EngineConfig`, the
+        option reference); one config per client.
     marshalling:
         The :class:`~repro.orb.iiop.MarshallingModel` pricing request and
         reply (de)marshalling; defaults to the stock model.
-    selection_charge_ms:
-        Simulated CPU time charged between request interception and
-        transmission (covers marshalling + selection).  Also used as the
-        ``δ`` for deadline compensation, keeping runs deterministic.
-    response_timeout_factor:
-        A request with no reply after ``factor × deadline`` completes as a
-        timed-out failure (the paper's clients wait forever; a closed-loop
-        simulation must not).  With an adaptive timeout quantile in
-        effect, ``factor × deadline`` becomes the *ceiling* of the
-        adaptive timeout instead.
-    violation_callback:
-        Invoked as ``callback(service, observed_probability, spec)`` when
-        the observed timely frequency first drops below the QoS minimum.
-    min_violation_samples:
-        Responses to observe before a violation may be reported.
     rng:
         Random generator handed to stochastic policies.
-    distance:
-        Optional static replica distance, for nearest-replica baselines.
-    classifier:
-        Optional request classifier (§8 extension): performance history
-        and models are kept per class key.  ``None`` keeps the paper's
-        one-model-per-service design.
-    gateway_window_size:
-        When set, keep a sliding window of gateway delays per replica and
-        model ``T_i`` as a distribution (§5.3.1 extension).
-    probe_staleness_ms:
-        When set, replicas whose records are older than this are probed
-        out of band every ``probe_interval_ms`` (§8 extension).
-    probe_interval_ms:
-        Period of the probe tick; also how long a probe may stay
-        unanswered before it is given up on.
-    bootstrap_probes:
-        When true, every group member is probed once at startup so each
-        replica has a baseline round trip measured on this gateway's own
-        clock before any replica-reported timing is trusted — the
-        reference the clock-sanity deflation test compares against.
-        Off by default (no extra traffic in legacy configurations).
-    estimator_factory:
-        Builds the estimator over each class's repository (e.g.
-        :class:`~repro.core.estimator.QueueScaledEstimator`); defaults to
-        :class:`~repro.core.estimator.ResponseTimeEstimator`.
-    health_config:
-        When set, the engine runs a per-replica
-        :class:`~repro.health.HealthMonitor` fed by reply outcomes,
-        omission timeouts, probe results and crash declarations; the
-        selection context then carries the health view (quarantine
-        exclusion + trust discounts) and the probe tick also serves the
-        monitor's verification/re-admission probes.  Its clock-sanity
-        fields configure evidence admission.
-    health_listener:
-        Optional callback receiving every
-        :class:`~repro.health.HealthEvent` (scenarios wire this to the
-        Proteus manager — the paper's fault-notification path).
-    adaptive_timeout_quantile:
-        Quantile of the selected replicas' predicted ``R_i`` pmfs used as
-        the response timeout, clamped to
-        ``[deadline, factor × deadline]``.  ``None`` inherits the
-        ``health_config`` default (and stays disabled without one), so
-        legacy configurations keep the fixed timeout bit-for-bit.
-    overload_config:
-        When set, the engine runs the overload subsystem
-        (docs/ARCHITECTURE.md §6): a :class:`~repro.overload.LoadTracker`
-        fed from the queue evidence on every reply/push/probe, the
-        selection policy wrapped in a
-        :class:`~repro.overload.GovernedSelectionPolicy` (redundancy
-        cap), and an :class:`~repro.overload.AdmissionController` that
-        fail-fast sheds hopeless requests and suppresses hedged
-        retransmissions under pressure.
-    tracer, metrics:
-        Sinks for the ``client.*`` trace records and ``tf.*`` metrics;
-        default to a null tracer and a sample-free collector.
     clock:
         The :class:`~repro.sim.hostclock.HostClock` of this gateway's
         host.  Every timestamp the engine takes (``t0``/``t1``/``t4``,
         probe send/receive times, staleness reads, health evidence) is
         read from it; scheduling stays on the kernel.  Defaults to a
         pristine clock, which reads identically to the kernel.
+    tracer, metrics:
+        Sinks for the ``client.*`` trace records and ``tf.*`` metrics;
+        default to a null tracer and a sample-free collector.
     """
 
     message_kinds = (MSG_REPLY, MSG_PERF, MSG_PROBE_REPLY)
 
     #: The engine owners a variant may substitute (A18's naive baseline and
-    #: the campaign's seeded-bug drills do; retransmission sets the plan).
+    #: the campaign's seeded-bug drills do).
     book_cls: Type[RequestBook] = RequestBook
     evidence_cls: Type[EvidenceAdmission] = EvidenceAdmission
-    retry_plan: Optional[RetryPlan] = None
 
     def __init__(
         self,
@@ -477,40 +397,18 @@ class TimingFaultClientHandler(ProtocolHandler, RequestInterceptor):
         group_comm: GroupCommunication,
         interface: ServiceInterface,
         qos: QoSSpec,
-        policy: Optional[SelectionPolicy] = None,
-        window_size: int = 5,
-        bin_width_ms: float = 1.0,
+        config: EngineConfig = EngineConfig(),
+        *,
         marshalling: Optional[MarshallingModel] = None,
-        selection_charge_ms: float = 0.3,
-        response_timeout_factor: float = 10.0,
-        violation_callback: Optional[QoSViolationCallback] = None,
-        min_violation_samples: int = 10,
         rng: Optional[np.random.Generator] = None,
-        distance: Optional[Callable[[str], float]] = None,
-        classifier: Optional[RequestClassifier] = None,
-        gateway_window_size: Optional[int] = None,
-        probe_staleness_ms: Optional[float] = None,
-        probe_interval_ms: float = 200.0,
-        bootstrap_probes: bool = False,
-        estimator_factory: Optional[
-            Callable[[InformationRepository], ResponseTimeEstimator]
-        ] = None,
-        health_config: Optional[HealthConfig] = None,
-        health_listener: Optional[HealthListener] = None,
-        adaptive_timeout_quantile: Optional[float] = None,
-        overload_config: Optional[OverloadConfig] = None,
+        clock: Optional[HostClock] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsCollector] = None,
-        clock: Optional[HostClock] = None,
     ) -> None:
         if qos.service != interface.name:
             raise ValueError(
                 f"QoS names service {qos.service!r} but the interface is "
                 f"{interface.name!r}"
-            )
-        if selection_charge_ms < 0:
-            raise ValueError(
-                f"selection_charge_ms must be >= 0, got {selection_charge_ms}"
             )
         self.sim = sim
         self.clock = clock if clock is not None else HostClock(sim, host=host)
@@ -520,7 +418,7 @@ class TimingFaultClientHandler(ProtocolHandler, RequestInterceptor):
         self.interface = interface
         self.service = interface.name
         self.marshalling = marshalling or MarshallingModel()
-        self.selection_charge_ms = float(selection_charge_ms)
+        self.selection_charge_ms = config.selection_charge_ms
         self.tracer = tracer if tracer is not None else NullTracer()
         self.metrics = metrics or MetricsCollector(keep_samples=False)
         self._source = f"client.{host}"
@@ -533,32 +431,14 @@ class TimingFaultClientHandler(ProtocolHandler, RequestInterceptor):
         self.engine = TimingFaultEngine(
             self,
             qos,
-            policy or DynamicSelectionPolicy(
-                crash_tolerance=1,
-                compensate_overhead=True,
-                fixed_overhead_ms=self.selection_charge_ms,
-            ),
-            ClassModels(
-                window_size, gateway_window_size, bin_width_ms,
-                estimator_factory, classifier,
-            ),
-            self.book_cls(),
-            self.evidence_cls(health_config),
+            config,
             self._mgroup.members(),
             rng=rng if rng is not None else seeded_generator(0),
             trace=self._trace,
             metrics=self.metrics,
             labels={"client": host, "service": self.service},
-            distance=distance,
-            response_timeout_factor=response_timeout_factor,
-            adaptive_timeout_quantile=adaptive_timeout_quantile,
-            violation_callback=violation_callback,
-            min_violation_samples=min_violation_samples,
-            probing=ProbePlan(probe_staleness_ms, probe_interval_ms, bootstrap_probes),
-            retry=self.retry_plan,
-            health_config=health_config,
-            health_listener=health_listener,
-            overload_config=overload_config,
+            book=self.book_cls(),
+            evidence=self.evidence_cls(config.health_config),
         )
         self.repository = self.engine.models.repository
         self.estimator = self.engine.models.estimator
@@ -576,7 +456,6 @@ class TimingFaultClientHandler(ProtocolHandler, RequestInterceptor):
     load_tracker = _engine_view("load_tracker")
     admission = _engine_view("admission")
     quarantined_traffic = _engine_view("quarantined_traffic")
-    response_timeout_factor = _engine_view("response_timeout_factor")
     adaptive_timeout_quantile = _engine_view("adaptive_timeout_quantile")
     sheds = _engine_view("sheds")
     probes_sent = _engine_view("probes_sent")

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.qos import QoSSpec
+from ..engine import EngineConfig
 from ..faultinject.auditor import LifecycleAuditor
 from ..faultinject.drivers import LifecycleFaultDriver
 from ..faultinject.schedule import FaultSchedule
@@ -244,16 +245,27 @@ class Deployment:
         host: str,
         qos: QoSSpec,
         handler_cls: type = TimingFaultClientHandler,
-        **handler_kwargs: Any,
+        **options: Any,
     ) -> Tuple[TimingFaultClientHandler, Stub]:
         """Load a client gateway handler on new host ``host``; bind its stub.
 
-        ``handler_kwargs`` go to the handler verbatim, over the
-        deployment's own marshalling, policy stream, host clock, tracer
-        and metrics.  Each client process gets its own ORB, like
-        separate CORBA applications on separate hosts.
+        ``options`` are the fields of the client's
+        :class:`~repro.engine.EngineConfig` — the one place flat keywords
+        become a config — except the five substrate keywords, which
+        override the deployment's own marshalling, policy stream, host
+        clock, tracer and metrics.  Each client process gets its own ORB,
+        like separate CORBA applications on separate hosts.
         """
         self.lan.add_host(host)
+        substrate = {
+            "marshalling": self.marshalling,
+            "rng": self.streams.stream(f"client.{host}.policy"),
+            "clock": self.clocks.clock(host),
+            "tracer": self.tracer,
+            "metrics": self.metrics,
+        }
+        for key in substrate.keys() & options.keys():
+            substrate[key] = options.pop(key)
         handler = handler_cls(
             sim=self.sim,
             host=host,
@@ -261,14 +273,8 @@ class Deployment:
             group_comm=self.group_comm,
             interface=self.interface,
             qos=qos,
-            **{
-                "marshalling": self.marshalling,
-                "rng": self.streams.stream(f"client.{host}.policy"),
-                "clock": self.clocks.clock(host),
-                "tracer": self.tracer,
-                "metrics": self.metrics,
-                **handler_kwargs,
-            },
+            config=EngineConfig(**options),
+            **substrate,
         )
         self.gateway_for(host).load_handler(handler)
         self.auditor.watch_client(handler)
@@ -316,19 +322,19 @@ class MiniStack(Deployment):
         deadline_ms: float = 100.0,
         min_probability: float = 0.0,
         handler_cls: type = TimingFaultClientHandler,
-        **handler_kwargs: Any,
+        **options: Any,
     ) -> TimingFaultClientHandler:
         """Load a client gateway handler on ``host`` and bind its stub.
 
-        ``handler_kwargs`` go to the handler verbatim; the selection
-        charge defaults to zero (the stack is cost-free by default).
+        ``options`` go to :meth:`bind_client`; the selection charge
+        defaults to zero (the stack is cost-free by default).
         """
-        handler_kwargs.setdefault("selection_charge_ms", 0.0)
+        options.setdefault("selection_charge_ms", 0.0)
         handler, self.stubs[host] = self.bind_client(
             host,
             QoSSpec(SERVICE, deadline_ms, min_probability),
             handler_cls,
-            **handler_kwargs,
+            **options,
         )
         self.clients[host] = handler
         return handler

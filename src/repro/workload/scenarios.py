@@ -175,9 +175,10 @@ class Scenario(Deployment):
     ) -> ClosedLoopClient:
         """Add a closed-loop client named ``name`` with the given QoS.
 
-        ``handler_kwargs`` forwards extra options to the client handler
-        (e.g. ``classifier=``, ``probe_staleness_ms=``,
-        ``gateway_window_size=`` for the §8 extensions).
+        ``handler_kwargs`` are further fields of the client's
+        :class:`~repro.engine.EngineConfig` (e.g. ``classifier=``,
+        ``probe_staleness_ms=``, ``gateway_window_size=`` for the §8
+        extensions).
         """
         stub = self._bind(
             name, qos, handler_cls, window_size, policy=policy,

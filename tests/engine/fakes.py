@@ -13,7 +13,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.core.qos import QoSSpec
 from repro.core.selection import SelectionContext, SelectionDecision, SelectionPolicy
 from repro.engine import (
-    ClassModels,
+    EngineConfig,
     EvidenceAdmission,
     PerformanceUpdate,
     ReplyOutcome,
@@ -134,24 +134,24 @@ def make_engine(
     deadline_ms: float = 100.0,
     book: Optional[RequestBook] = None,
     evidence: Optional[EvidenceAdmission] = None,
-    models: Optional[ClassModels] = None,
-    **kwargs: Any,
+    **options: Any,
 ) -> TimingFaultEngine:
-    """An engine on ``port`` with quiet sinks and sensible small defaults."""
-    kwargs.setdefault("response_timeout_factor", 3.0)
+    """An engine on ``port`` with quiet sinks and sensible small defaults.
+
+    ``options`` are :class:`EngineConfig` fields.
+    """
+    options.setdefault("response_timeout_factor", 3.0)
     engine = TimingFaultEngine(
         port,
         QoSSpec(SERVICE, deadline_ms, 0.0),
-        policy or RankedPolicy(),
-        models or ClassModels(),
-        book or RequestBook(),
-        evidence or EvidenceAdmission(kwargs.get("health_config")),
+        EngineConfig(policy=policy or RankedPolicy(), **options),
         members,
         rng=seeded_generator(0),
         trace=lambda kind, **fields: None,
         metrics=MetricsCollector(keep_samples=False),
         labels={"client": "c-1", "service": SERVICE},
-        **kwargs,
+        book=book,
+        evidence=evidence,
     )
     engine.start()
     return engine

@@ -1,19 +1,19 @@
 """ClassModels: per-class history, shared T_i, view sync and leak checks."""
 
-from repro.engine import DEFAULT_CLASS, ClassModels, method_classifier
+from repro.engine import DEFAULT_CLASS, ClassModels, EngineConfig, method_classifier
 from repro.orb.object import MethodRequest
 
 from .fakes import REPLICAS, SERVICE, perf
 
 
 def classified() -> ClassModels:
-    models = ClassModels(window_size=3, classifier=method_classifier)
+    models = ClassModels(EngineConfig(window_size=3, classifier=method_classifier))
     models.sync(REPLICAS)
     return models
 
 
 def test_default_class_always_exists_and_is_the_public_alias():
-    models = ClassModels()
+    models = ClassModels(EngineConfig())
     assert models.classes() == [DEFAULT_CLASS]
     assert models.repository is models.repository_for(DEFAULT_CLASS)
     assert models.estimator is models.estimator_for(DEFAULT_CLASS)

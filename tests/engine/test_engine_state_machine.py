@@ -18,7 +18,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.engine import ProbePlan, RetryPlan
+from repro.engine import RetryPlan
 from repro.health import HealthConfig
 from repro.overload import AdmissionConfig, OverloadConfig
 
@@ -37,7 +37,9 @@ class RequestLifecycle(RuleBasedStateMachine):
             policy=self.policy,
             deadline_ms=50.0,
             retry=RetryPlan(timeout_ms=10.0, max_retries=2),
-            probing=ProbePlan(staleness_ms=40.0, interval_ms=25.0, bootstrap=True),
+            probe_staleness_ms=40.0,
+            probe_interval_ms=25.0,
+            bootstrap_probes=True,
             health_config=HealthConfig(clock_anomaly_after=3, unreachable_after=4),
             overload_config=OverloadConfig(
                 admission=AdmissionConfig(

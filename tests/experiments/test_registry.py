@@ -10,12 +10,10 @@ import json
 import re
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import pytest
 
-from repro.core import selection
 from repro.experiments import MODULES, load
 from repro.experiments.__main__ import DIGESTS_FILE, list_table, main
 from repro.experiments.registry import Experiment, run
@@ -24,23 +22,8 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 SWEEPS = [key for key in MODULES if isinstance(load(key), Experiment)]
 
 
-@pytest.fixture
-def frozen_overhead_clock(monkeypatch):
-    """Pin the policy's measured overhead δ (§5.3.3) to zero.
-
-    δ is a host ``perf_counter`` reading; a scheduling hiccup that moves
-    it across a 1 ms lattice step can flip a borderline selection, which
-    is host noise, not merge order.  Forked workers inherit the stub.
-    """
-    monkeypatch.setattr(
-        selection, "time", types.SimpleNamespace(perf_counter=lambda: 0.0)
-    )
-
-
 @pytest.mark.parametrize("key", SWEEPS)
-def test_quick_sweep_is_worker_invariant_and_fills_every_column(
-    key, frozen_overhead_clock
-):
+def test_quick_sweep_is_worker_invariant_and_fills_every_column(key):
     experiment = load(key)
     serial, fanned = (
         run(
@@ -95,7 +78,7 @@ def test_importing_one_experiment_imports_no_sibling():
 
 def test_pinned_digests_name_registered_sweeps():
     pinned = json.loads((REPO_ROOT / DIGESTS_FILE).read_text())
-    assert pinned and set(pinned) <= set(SWEEPS)
+    assert set(pinned) == set(SWEEPS)
 
 
 def test_check_digests_names_the_offending_key(tmp_path, monkeypatch, capsys):
@@ -107,6 +90,9 @@ def test_check_digests_names_the_offending_key(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(["min_response", "--check-digests"]) == 1
     assert "DIGEST MISMATCH min_response" in capsys.readouterr().out
+    Path(DIGESTS_FILE).write_text("{}")  # a sweep without a pin fails too
+    assert main(["min_response", "--check-digests"]) == 1
+    assert "pinned None" in capsys.readouterr().out
 
 
 def test_json_export_carries_rows_and_digest(tmp_path, capsys):

@@ -18,6 +18,7 @@ import os
 
 import pytest
 
+from repro.engine import RetryPlan
 from repro.faultinject import random_fault_schedule
 from repro.gateway.handlers.retransmit import RetransmittingClientHandler
 from repro.rng import RNGManager
@@ -57,8 +58,7 @@ def test_randomized_fault_schedule_drains_clean(seed, fault_seed, schedule_seed)
         "c-3",
         deadline_ms=100.0,
         handler_cls=RetransmittingClientHandler,
-        retry_timeout_ms=25.0,
-        max_retries=2,
+        retry=RetryPlan(timeout_ms=25.0, max_retries=2),
         response_timeout_factor=3.0,
     )
 

@@ -15,6 +15,7 @@ Each test pins one of the lifecycle fixes:
 
 import pytest
 
+from repro.engine import RetryPlan
 from repro.faultinject import DropRule, FaultSchedule
 from repro.gateway.handlers.retransmit import RetransmittingClientHandler
 from repro.gateway.handlers.timing_fault import MSG_PROBE_REPLY
@@ -35,7 +36,7 @@ def _retrans_stack(servers=2, **client_kwargs):
 
 
 def test_alias_popped_when_copy_reply_folds_back():
-    stack, handler = _retrans_stack(retry_timeout_ms=5.0, max_retries=1)
+    stack, handler = _retrans_stack(retry=RetryPlan(timeout_ms=5.0, max_retries=1))
     event = stack.invoke("c-1", 0)
     stack.sim.run()
     assert not event.value.timed_out
@@ -49,8 +50,7 @@ def test_alias_popped_when_copy_reply_folds_back():
 def test_alias_dropped_when_original_request_expires():
     stack, handler = _retrans_stack(
         deadline_ms=100.0,
-        retry_timeout_ms=5.0,
-        max_retries=2,
+        retry=RetryPlan(timeout_ms=5.0, max_retries=2),
         response_timeout_factor=3.0,
     )
     driver = stack.faults
@@ -69,7 +69,7 @@ def test_alias_dropped_when_original_request_expires():
 
 
 def test_retry_chain_is_armed_on_the_threaded_msg_id():
-    stack, handler = _retrans_stack(retry_timeout_ms=20.0, max_retries=2)
+    stack, handler = _retrans_stack(retry=RetryPlan(timeout_ms=20.0, max_retries=2))
     # Preferred replica goes silent (still in the view: the LAN is up, so
     # the failure detector never evicts it).
     stack.servers["s-1"].crash()

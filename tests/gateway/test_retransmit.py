@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import EngineConfig, RetryPlan
 from repro.gateway.handlers.retransmit import RetransmittingClientHandler
 from repro.sim.random import Constant
 
@@ -17,7 +18,7 @@ def _stack_with(handler_kwargs=None, servers=2, service_time=None):
     return stack
 
 
-def _add_retry_client(stack, deadline=200.0, **kwargs):
+def _add_retry_client(stack, deadline=200.0, tracer=None, **options):
     from repro.core.qos import QoSSpec
     from repro.gateway.gateway import Gateway
     from repro.orb.orb import Orb
@@ -30,10 +31,10 @@ def _add_retry_client(stack, deadline=200.0, **kwargs):
         group_comm=stack.group_comm,
         interface=stack.interface,
         qos=QoSSpec("search", deadline, 0.0),
+        config=EngineConfig(selection_charge_ms=0.0, **options),
         marshalling=stack.marshalling,
-        selection_charge_ms=0.0,
         rng=stack.streams.stream("client-1.policy"),
-        **kwargs,
+        tracer=tracer,
     )
     Gateway("client-1", stack.sim, stack.transport).load_handler(handler)
     orb = Orb()
@@ -42,6 +43,10 @@ def _add_retry_client(stack, deadline=200.0, **kwargs):
     stack.clients["client-1"] = handler
     stack.stubs["client-1"] = orb.stub("search")
     return handler
+
+
+def _wait_ms(handler, attempt, deadline_ms):
+    return handler.engine.config.retry.wait_ms(attempt, deadline_ms)
 
 
 def test_sends_to_single_replica_after_bootstrap():
@@ -57,7 +62,9 @@ def test_sends_to_single_replica_after_bootstrap():
 
 def test_retransmits_when_replica_is_silent():
     stack = _stack_with(servers=2, service_time=Constant(10.0))
-    handler = _add_retry_client(stack, deadline=400.0, retry_timeout_ms=50.0)
+    handler = _add_retry_client(
+        stack, deadline=400.0, retry=RetryPlan(timeout_ms=50.0)
+    )
     # Warm up the model so routing is single-replica.
     event = stack.invoke("client-1", 0)
     stack.sim.run()
@@ -77,7 +84,7 @@ def test_retransmits_when_replica_is_silent():
 def test_gives_up_after_max_retries():
     stack = _stack_with(servers=2)
     handler = _add_retry_client(
-        stack, deadline=100.0, retry_timeout_ms=30.0, max_retries=1
+        stack, deadline=100.0, retry=RetryPlan(timeout_ms=30.0, max_retries=1)
     )
     stack.invoke("client-1", 0)
     stack.sim.run()
@@ -93,7 +100,9 @@ def test_duplicate_replies_after_retransmit_are_discarded():
     # Slow service + aggressive retry: the original reply and the
     # retransmitted reply both arrive; only one outcome is delivered.
     stack = _stack_with(servers=2, service_time=Constant(80.0))
-    handler = _add_retry_client(stack, deadline=1000.0, retry_timeout_ms=20.0)
+    handler = _add_retry_client(
+        stack, deadline=1000.0, retry=RetryPlan(timeout_ms=20.0)
+    )
     stack.invoke("client-1", 0)
     stack.sim.run()
     outcomes = []
@@ -107,10 +116,10 @@ def test_duplicate_replies_after_retransmit_are_discarded():
 def test_parameter_validation():
     stack = _stack_with()
     with pytest.raises(ValueError):
-        _add_retry_client(stack, retry_timeout_ms=0.0)
+        _add_retry_client(stack, retry=RetryPlan(timeout_ms=0.0))
     stack2 = _stack_with()
     with pytest.raises(ValueError):
-        _add_retry_client(stack2, max_retries=-1)
+        _add_retry_client(stack2, retry=RetryPlan(max_retries=-1))
 
 
 def test_rejects_custom_policy():
@@ -124,7 +133,7 @@ def test_rejects_custom_policy():
 def test_default_retry_timeout_is_half_deadline():
     stack = _stack_with()
     handler = _add_retry_client(stack, deadline=300.0)
-    assert handler.retry_plan.wait_ms(1, handler.qos.deadline_ms) == pytest.approx(150.0)
+    assert _wait_ms(handler, 1, handler.qos.deadline_ms) == pytest.approx(150.0)
 
 
 def test_retry_backoff_doubles_up_to_the_cap():
@@ -132,37 +141,37 @@ def test_retry_backoff_doubles_up_to_the_cap():
     handler = _add_retry_client(
         stack,
         deadline=300.0,
-        retry_timeout_ms=25.0,
-        retry_backoff_factor=2.0,
-        retry_timeout_cap_ms=100.0,
+        retry=RetryPlan(timeout_ms=25.0, backoff_factor=2.0, timeout_cap_ms=100.0),
     )
-    waits = [handler.retry_plan.wait_ms(attempt, 300.0) for attempt in (1, 2, 3, 4)]
+    waits = [_wait_ms(handler, attempt, 300.0) for attempt in (1, 2, 3, 4)]
     assert waits == pytest.approx([25.0, 50.0, 100.0, 100.0])
 
 
 def test_backoff_factor_one_restores_fixed_intervals():
     stack = _stack_with()
     handler = _add_retry_client(
-        stack, deadline=300.0, retry_timeout_ms=30.0, retry_backoff_factor=1.0
+        stack, deadline=300.0, retry=RetryPlan(timeout_ms=30.0, backoff_factor=1.0)
     )
-    assert handler.retry_plan.wait_ms(1, 300.0) == pytest.approx(30.0)
-    assert handler.retry_plan.wait_ms(7, 300.0) == pytest.approx(30.0)
+    assert _wait_ms(handler, 1, 300.0) == pytest.approx(30.0)
+    assert _wait_ms(handler, 7, 300.0) == pytest.approx(30.0)
 
 
 def test_backoff_cap_defaults_to_the_deadline():
     stack = _stack_with()
-    handler = _add_retry_client(stack, deadline=300.0, retry_timeout_ms=50.0)
+    handler = _add_retry_client(
+        stack, deadline=300.0, retry=RetryPlan(timeout_ms=50.0)
+    )
     # 50 × 2^9 ≫ 300; the implicit cap is max(base, deadline) = 300.
-    assert handler.retry_plan.wait_ms(10, 300.0) == pytest.approx(300.0)
+    assert _wait_ms(handler, 10, 300.0) == pytest.approx(300.0)
 
 
 def test_backoff_parameter_validation():
     stack = _stack_with()
     with pytest.raises(ValueError):
-        _add_retry_client(stack, retry_backoff_factor=0.5)
+        _add_retry_client(stack, retry=RetryPlan(backoff_factor=0.5))
     stack2 = _stack_with()
     with pytest.raises(ValueError):
-        _add_retry_client(stack2, retry_timeout_cap_ms=0.0)
+        _add_retry_client(stack2, retry=RetryPlan(timeout_cap_ms=0.0))
 
 
 def test_backoff_spreads_retransmissions_exponentially():
@@ -173,9 +182,7 @@ def test_backoff_spreads_retransmissions_exponentially():
     _add_retry_client(
         stack,
         deadline=1000.0,
-        retry_timeout_ms=10.0,
-        retry_backoff_factor=2.0,
-        max_retries=3,
+        retry=RetryPlan(timeout_ms=10.0, backoff_factor=2.0, max_retries=3),
         tracer=tracer,
     )
     stack.invoke("client-1", 0)

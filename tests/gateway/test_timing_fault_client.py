@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.estimator import QueueScaledEstimator
 from repro.core.qos import QoSSpec
 from repro.sim.random import Constant
 
@@ -91,7 +92,8 @@ def test_expiry_when_no_replica_replies(stack):
     outcome = event.value
     assert outcome.timed_out
     assert outcome.timely is False
-    assert outcome.response_time_ms >= 20.0 * client.response_timeout_factor - 1
+    factor = client.engine.config.response_timeout_factor
+    assert outcome.response_time_ms >= 20.0 * factor - 1
     assert client.stats.timing_failures == 1
 
 
@@ -129,11 +131,12 @@ def test_violation_callback_fires_once_per_episode(stack):
         deadline_ms=50.0,
         min_probability=0.9,
         violation_callback=lambda svc, p, spec: violations.append((svc, p)),
-        min_violation_samples=3,
     )
-    for i in range(5):
+    for i in range(12):
         event = stack.invoke("client-1", i)
         stack.sim.run()
+        # Never before 10 responses were observed, whatever the ratio.
+        assert len(violations) == (0 if i < 9 else 1)
     assert len(violations) == 1  # edge-triggered, not once per failure
     assert violations[0][0] == SERVICE
     assert violations[0][1] < 0.9
@@ -158,6 +161,21 @@ def test_constructor_validation(stack):
         stack.add_client("client-x", deadline_ms=100.0, response_timeout_factor=1.0)
     with pytest.raises(ValueError):
         stack.add_client("client-y", deadline_ms=100.0, selection_charge_ms=-1.0)
+    # Accepted silently before EngineConfig: a listener nothing would call,
+    # a grid the factory ignores, a negative grid the factory hides.
+    with pytest.raises(ValueError, match="health_listener"):
+        stack.add_client("client-z", health_listener=lambda event: None)
+    for width in (0.25, -1.0):
+        with pytest.raises(ValueError, match="bin_width_ms"):
+            stack.add_client(
+                f"client-{width}",
+                bin_width_ms=width,
+                estimator_factory=lambda repo: QueueScaledEstimator(
+                    repo, bin_width_ms=1.0
+                ),
+            )
+    with pytest.raises(TypeError, match="window_sise"):
+        stack.add_client("client-v", window_sise=3)
 
 
 def test_stale_perf_push_does_not_resurrect_evicted_replica(stack):

@@ -96,19 +96,6 @@ class TestAdaptiveTimeout:
         warm_up(stack)
         assert handler.engine.response_timeout_ms(("s-1", "ghost"), "") == 1000.0
 
-    def test_explicit_quantile_works_without_health(self, stack: MiniStack):
-        stack.add_server("s-1", service_time=Constant(8.0))
-        handler = stack.add_client(
-            "c-1",
-            deadline_ms=100.0,
-            response_timeout_factor=10.0,
-            adaptive_timeout_quantile=0.5,
-        )
-        assert handler.health is None
-        warm_up(stack)
-        assert handler.engine.response_timeout_ms(("s-1",), "") == 100.0
-
-    def test_invalid_quantile_rejected(self, stack: MiniStack):
-        stack.add_server("s-1")
-        with pytest.raises(ValueError):
-            stack.add_client("c-1", adaptive_timeout_quantile=1.5)
+    def test_invalid_quantile_rejected(self):
+        with pytest.raises(ValueError, match="adaptive_timeout_quantile"):
+            HealthConfig(adaptive_timeout_quantile=1.5)

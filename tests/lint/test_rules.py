@@ -23,6 +23,7 @@ CASES = [
     ("RL004", "rl004_trigger.py", "rl004_clean.py", "src/repro/overload/meddler.py", 3),
     ("RL005", "rl005_trigger.py", "rl005_clean.py", "src/repro/sim/events.py", 1),
     ("RL006", "rl006_trigger.py", "rl006_clean.py", "src/repro/gateway/handlers/sample.py", 2),
+    ("RL007", "rl007_trigger.py", "rl007_clean.py", "src/repro/experiments/sweep.py", 3),
 ]
 
 
@@ -74,6 +75,11 @@ class TestScoping:
         # `sim.now` legitimately — only host-level handler code is held
         # to the host-clock discipline.
         assert _lint("rl006_trigger.py", "RL006", "src/repro/sim/kernel.py") == []
+
+    def test_rl007_exempt_where_the_measured_overhead_is_the_point(self):
+        # The engine's default and the library's own users may measure;
+        # only code that builds simulated runs must pin.
+        assert _lint("rl007_trigger.py", "RL007", "src/repro/core/selection.py") == []
 
 
 def test_every_rule_has_a_fixture_pair():

@@ -6,6 +6,7 @@ record exists, and the response-time statistics stay untouched — load
 control is not a timing fault.
 """
 
+from repro.engine import RetryPlan
 from repro.gateway.handlers.retransmit import RetransmittingClientHandler
 from repro.overload import (
     AdmissionConfig,
@@ -132,8 +133,7 @@ def test_hedged_retransmissions_are_suppressed_first():
             "c-1",
             deadline_ms=100.0,
             handler_cls=RetransmittingClientHandler,
-            retry_timeout_ms=5.0,
-            max_retries=2,
+            retry=RetryPlan(timeout_ms=5.0, max_retries=2),
             response_timeout_factor=3.0,
             overload_config=config,
         )

@@ -83,5 +83,5 @@ def test_handler_kwargs_reach_the_handler():
         handler_kwargs={"gateway_window_size": 7},
     )
     handler = scenario.handlers["c1"]
-    assert handler.engine.models.gateway_window_size == 7
+    assert handler.engine.config.gateway_window_size == 7
     assert handler.repository.gateway_window_size == 7

@@ -1,6 +1,6 @@
 """repro-lint: the repository's custom determinism/lifecycle lint pack.
 
-Six AST-based rules encode the invariants that keep the reproduction
+Seven AST-based rules encode the invariants that keep the reproduction
 deterministic and its request lifecycle auditable — properties a general
 linter cannot know about:
 
@@ -10,8 +10,8 @@ linter cannot know about:
 * **RL002** — the simulation layers tell time only through the sim
   clock: no ``time.time``/``time.monotonic``/``datetime.now`` inside
   ``sim/``, ``core/``, ``gateway/``, ``overload/``, ``health/``
-  (``time.perf_counter`` is exempt: it measures host CPU overhead, not
-  simulated time — see docs/STATIC_ANALYSIS.md).
+  (``time.perf_counter`` is exempt: it measures host CPU overhead —
+  RL007 keeps that measurement out of simulated runs).
 * **RL003** — no bare float ``==``/``!=`` on pmf/time-valued
   expressions; exact comparisons belong to the grid-tolerance helpers in
   ``core/distribution.py``.
@@ -21,6 +21,12 @@ linter cannot know about:
   :class:`~repro.faultinject.auditor.LifecycleAuditor` relies on).
 * **RL005** — hot-path dataclasses in ``net/message.py`` and
   ``sim/events.py`` must declare ``slots=True``.
+* **RL006** — gateway handlers stamp on their host clock
+  (``self.clock.now``), never ``sim.now``.
+* **RL007** — ``experiments/``, ``workload/`` and ``faultinject/`` build
+  ``DynamicSelectionPolicy`` with ``fixed_overhead_ms=`` (or
+  ``compensate_overhead=False``), so no wall-clock ``δ`` enters a
+  simulated deadline.
 
 Run as ``python -m repro_lint src/`` (exits non-zero on violations) or
 through the pytest suite in ``tests/lint/``.  Suppress a finding with a

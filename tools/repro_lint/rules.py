@@ -1,4 +1,4 @@
-"""The six repro-lint rules (RL001–RL006).
+"""The seven repro-lint rules (RL001–RL007).
 
 Each rule documents the invariant it guards and the sanctioned escape
 hatch; the full catalog with rationale lives in docs/STATIC_ANALYSIS.md.
@@ -20,6 +20,7 @@ __all__ = [
     "LifecycleSingleWriter",
     "SlottedHotPath",
     "HostClockDiscipline",
+    "PinnedSelectionOverhead",
     "rule_by_id",
 ]
 
@@ -154,8 +155,8 @@ class SimClockOnly(Rule):
     SCOPES = ("/sim/", "/core/", "/gateway/", "/overload/", "/health/")
 
     #: Wall-clock reads.  ``time.perf_counter`` is deliberately exempt —
-    #: it measures host CPU overhead (paper §5.3.3's delta), never
-    #: simulated time; docs/STATIC_ANALYSIS.md records the exemption.
+    #: it measures host CPU overhead (paper §5.3.3's delta); RL007 keeps
+    #: that measurement out of simulated runs.
     BANNED = frozenset(
         {
             "time.time",
@@ -435,6 +436,59 @@ class HostClockDiscipline(Rule):
         return findings
 
 
+class PinnedSelectionOverhead(Rule):
+    """RL007 — simulated runs pin the dynamic policy's overhead ``δ``.
+
+    ``DynamicSelectionPolicy`` compensates the deadline by the *measured
+    wall-clock* cost of its previous decision unless it is told
+    otherwise, so an experiment that builds one bare lets host timing
+    shift a simulated deadline and its sweep digest wobbles between
+    runs.  Code that builds simulated runs must pass
+    ``fixed_overhead_ms=`` (the deployment's selection charge) or
+    ``compensate_overhead=False``.
+    """
+
+    rule_id = "RL007"
+    title = "simulated runs pin the dynamic policy's overhead"
+
+    SCOPES = ("/experiments/", "/workload/", "/faultinject/")
+
+    def applies_to(self, path: str) -> bool:
+        return _in_repro(path) and any(scope in path for scope in self.SCOPES)
+
+    def check(self, tree: ast.Module, path: str) -> List[Violation]:
+        findings: List[Violation] = []
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _dotted_name(node.func)
+            if name is None or name.rpartition(".")[2] != "DynamicSelectionPolicy":
+                continue
+            pinned = any(
+                keyword.arg is None  # **kwargs: cannot tell, trust it
+                or keyword.arg == "fixed_overhead_ms"
+                or (
+                    keyword.arg == "compensate_overhead"
+                    and isinstance(keyword.value, ast.Constant)
+                    and keyword.value.value is False
+                )
+                for keyword in node.keywords
+            )
+            if not pinned:
+                findings.append(
+                    self.violation(
+                        path,
+                        node,
+                        "DynamicSelectionPolicy(...) without "
+                        "`fixed_overhead_ms=` charges its measured "
+                        "wall-clock overhead into simulated time; pass the "
+                        "deployment's selection charge (or "
+                        "`compensate_overhead=False`)",
+                    )
+                )
+        return findings
+
+
 ALL_RULES: Sequence[Rule] = (
     RngDiscipline(),
     SimClockOnly(),
@@ -442,6 +496,7 @@ ALL_RULES: Sequence[Rule] = (
     LifecycleSingleWriter(),
     SlottedHotPath(),
     HostClockDiscipline(),
+    PinnedSelectionOverhead(),
 )
 
 
