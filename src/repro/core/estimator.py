@@ -99,8 +99,8 @@ class _BatchState:
             self.missing.add(row)
         else:
             self.missing.discard(row)
-            self.values[row, :size] = pmf.values
-            self.cumulative[row, :size] = pmf.cumulative_probs()
+            self.values[row, :size] = pmf._values
+            pmf._probs.cumsum(out=self.cumulative[row, :size])
             self.tolerances[row] = pmf.dust_tolerance()
         self.sizes[row] = size
         self.pmfs[row] = pmf
@@ -172,7 +172,8 @@ class ResponseTimeEstimator:
                 record,
                 _window_versions(record),
                 base,
-                self._add_gateway_delay(record, base),
+                # (The one sign/mass check a re-derived row pays.)
+                self._add_gateway_delay(record, base).validated(),
                 repository.version,
             )
         # (Only a record with history has an entry.)
@@ -260,9 +261,10 @@ class ResponseTimeEstimator:
             counts = (
                 values <= float(deadline_ms) + state.tolerances[:, None]
             ).sum(axis=1)
-            indices = np.clip(counts - 1, 0, values.shape[1] - 1)
-            probabilities = np.clip(
-                state.cumulative[np.arange(sizes.size), indices], 0.0, 1.0
+            # (minimum ∘ maximum is np.clip without its dispatch layers.)
+            indices = np.minimum(np.maximum(counts - 1, 0), values.shape[1] - 1)
+            probabilities = np.minimum(
+                np.maximum(state.cumulative[np.arange(sizes.size), indices], 0.0), 1.0
             )
             # Mirror the scalar cdf's exact end points.
             probabilities[counts == 0] = 0.0

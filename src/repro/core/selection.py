@@ -269,7 +269,8 @@ def select_replicas_arrays(
     names = names[order]
     # Running product of (1 - F) in selection order; prefix k of it is the
     # miss probability of the k best replicas.
-    miss = np.cumprod(1.0 - probabilities[order])
+    complement = 1.0 - probabilities[order]
+    miss = complement.cumprod()
 
     # Line 4 (generalized): always protect the best `crash_tolerance`
     # replicas; they join the result but not the acceptance test.
@@ -285,9 +286,7 @@ def select_replicas_arrays(
     # Lines 6-14: the candidate set X is the smallest prefix of the
     # remainder whose combined probability covers Pc.
     if protected_count:
-        remainder_miss = np.cumprod(
-            1.0 - probabilities[order][protected_count:]
-        )
+        remainder_miss = complement[protected_count:].cumprod()
     else:
         remainder_miss = miss
     covered = 1.0 - remainder_miss

@@ -121,7 +121,7 @@ class RNGManager:
 
     def stream(self, name: str) -> np.random.Generator:
         """Return (creating if needed) the named substream ``name``."""
-        return self._get((name,), self.child_seed(name))
+        return self._get((name,), name)
 
     def substream(
         self,
@@ -138,18 +138,20 @@ class RNGManager:
         key: Tuple[KeyPart, ...] = (name, f"entity={entity_id}")
         if repetition is not None:
             key += (f"rep={int(repetition)}",)
-        return self._get(
-            key, self.child_seed(name, entity_id=entity_id, repetition=repetition)
-        )
+        return self._get(key, name, entity_id, repetition)
 
     def _get(
-        self, key: Tuple[KeyPart, ...], seed: int
+        self,
+        key: Tuple[KeyPart, ...],
+        name: str,
+        entity_id: Optional[KeyPart] = None,
+        repetition: Optional[int] = None,
     ) -> np.random.Generator:
-        """Memoized generator lookup for a fully derived key/seed pair."""
+        """Memoized generator lookup; the seed is derived only on a miss."""
         rng = self._streams.get(key)
         if rng is None:
-            rng = np.random.default_rng(seed)
-            self._streams[key] = rng
+            seed = self.child_seed(name, entity_id=entity_id, repetition=repetition)
+            rng = self._streams[key] = np.random.default_rng(seed)
         return rng
 
     def reset(self) -> None:

@@ -1,27 +1,21 @@
-"""Empirical discrete distributions and their convolution.
+"""Reference pmf algebra: every pmf through the validating constructor.
 
-The heart of the paper's online model (§5.3.1): the pmfs of the service
-time ``S_i`` and queuing delay ``W_i`` are estimated from the relative
-frequency of the values in a sliding window, and the response-time pmf is
-their *discrete convolution* shifted by the most recent gateway-to-gateway
-delay ``T_i``:
+This is ``repro.core.distribution`` as the repository shipped it before
+derived pmfs got a private construction path: ``SampleCounts.pmf``,
+``shift``, ``scale`` and the three convolution kernels all hand their
+arrays to ``DiscretePMF(...)``, which re-validates, re-sorts, clamps and
+renormalizes them, and ``resolution()`` is an ``np.diff`` pass.  The
+module body is verbatim; only this header changed, plus **one marked
+difference** (search for ``MARKED``): a grid-tagged singleton takes its
+rounding decimals and dust tolerance from its ``bin_width`` instead of
+from the ``inf`` gap of a one-atom support — the bug fixed in the same
+change, bit-identical on every grid >= 1e-6.
 
-    R_i = S_i + W_i + T_i          (Equation 2)
-
-Continuous measurements are quantized onto a bin grid before counting so
-the convolution support stays bounded (``O(l²)`` points for window size
-``l``), which is also what makes the Fig. 3 overhead curve meaningful.
-
-Two pieces keep the estimator's per-write work small (see
-docs/PERFORMANCE.md):
-
-* :class:`SampleCounts` maintains the bin counts of a stream under
-  single-sample add/evict, so a sliding window that replaces one sample
-  costs two dict updates instead of an ``O(l)`` recount.
-* All float tolerances (quantization rounding, CDF dust absorption,
-  convolution key aggregation) are derived from the grid resolution
-  instead of being hard-coded, so microsecond- and nanosecond-scale bins
-  behave exactly like millisecond ones.
+It lives under ``tests/`` as the ``==`` oracle of
+``tests/properties/test_distribution_oracle.py`` (every array, bitwise)
+and as the pmf algebra of ``tests/core/estimator_oracle.py``, so that
+the shipped estimator is compared against an implementation that shares
+no pmf code with it.
 """
 
 from __future__ import annotations
@@ -81,15 +75,6 @@ def _grid_decimals(resolution: float) -> int:
     if resolution <= 0 or not math.isfinite(resolution):
         return _KEY_DECIMALS
     return max(_KEY_DECIMALS, min(15, 3 - int(math.floor(math.log10(resolution)))))
-
-
-def _check_mass(probs: npt.NDArray[np.float64]) -> None:
-    """Reject negative probabilities and a total mass that is not 1."""
-    if (probs < -1e-12).any():
-        raise ValueError("probabilities must be non-negative")
-    total = float(probs.sum())
-    if not math.isclose(total, 1.0, rel_tol=1e-6, abs_tol=1e-6):
-        raise ValueError(f"probabilities must sum to 1, got {total}")
 
 
 def quantize(value: float, bin_width: float) -> float:
@@ -160,12 +145,7 @@ class SampleCounts:
 
     def pmf(self) -> "DiscretePMF":
         """The relative-frequency pmf of the counted samples."""
-        counts, total = self._counts, self._total
-        if not counts:
-            raise ValueError("cannot build a pmf from zero samples")
-        values = sorted(counts)
-        probs = np.array([counts[v] / total for v in values])
-        return DiscretePMF._derived(np.array(values), probs, self.bin_width)
+        return DiscretePMF.from_counts(self._counts, bin_width=self.bin_width)
 
     def __repr__(self) -> str:
         return (
@@ -207,7 +187,11 @@ class DiscretePMF:
             raise ValueError(f"bin_width must be > 0, got {bin_width}")
         values_arr = np.asarray(values, dtype=float)
         probs_arr = np.asarray(probs, dtype=float)
-        _check_mass(probs_arr)
+        if np.any(probs_arr < -1e-12):
+            raise ValueError("probabilities must be non-negative")
+        total = float(probs_arr.sum())
+        if not math.isclose(total, 1.0, rel_tol=1e-6, abs_tol=1e-6):
+            raise ValueError(f"probabilities must sum to 1, got {total}")
         order = np.argsort(values_arr)
         self._values = values_arr[order]
         self._probs = np.maximum(probs_arr[order], 0.0)
@@ -219,32 +203,9 @@ class DiscretePMF:
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def _derived(
-        cls,
-        values: npt.NDArray[np.float64],
-        probs: npt.NDArray[np.float64],
-        bin_width: Optional[float],
-    ) -> "DiscretePMF":
-        """A pmf over arrays this module computed itself (RL008 keeps it so):
-        sorted values and non-negative probs are not re-sorted or re-scanned.
-        The renormalising division fixes last bits; ``x / 1.0`` is ``x``."""
-        pmf = cls.__new__(cls)
-        total = probs.sum()
-        pmf._values = values
-        pmf._probs = probs if total == 1.0 else probs / total
-        pmf._cum = pmf._gap = None
-        pmf._bin_width = bin_width
-        return pmf
-
-    def validated(self) -> "DiscretePMF":
-        """``self``, once it passes the constructor's sign/mass check."""
-        _check_mass(self._probs)
-        return self
-
-    @classmethod
     def degenerate(cls, value: float) -> "DiscretePMF":
         """The pmf of a constant."""
-        return cls._derived(np.array([float(value)]), np.array([1.0]), None)
+        return cls([float(value)], [1.0])
 
     @classmethod
     def from_samples(
@@ -306,7 +267,7 @@ class DiscretePMF:
     def cumulative_probs(self) -> npt.NDArray[np.float64]:
         """``P(X <= values[k])`` per atom, cached (read-only view)."""
         if self._cum is None:
-            self._cum = self._probs.cumsum()
+            self._cum = np.cumsum(self._probs)
         view = self._cum.view()
         view.flags.writeable = False
         return view
@@ -314,12 +275,15 @@ class DiscretePMF:
     def resolution(self) -> float:
         """Smallest gap between adjacent atoms (``inf`` for a singleton)."""
         if self._gap is None:
-            gaps = self._values[1:] - self._values[:-1]
-            self._gap = float(gaps.min()) if gaps.size else math.inf
+            if self._values.size > 1:
+                self._gap = float(np.min(np.diff(self._values)))
+            else:
+                self._gap = math.inf
         return self._gap
 
     def _spacing(self) -> float:
-        """What tolerances derive from: the gap, or a singleton's grid tag."""
+        # MARKED: the one difference from the parent.  A singleton has no
+        # gap; when it carries a grid tag, that is its spacing.
         if self._values.size == 1 and self._bin_width is not None:
             return self._bin_width
         return self.resolution()
@@ -332,7 +296,7 @@ class DiscretePMF:
         never be conflated).  Millisecond-scale grids keep the historical
         1e-9.
         """
-        gap = self._spacing()
+        gap = self._spacing()  # MARKED
         tol = 10.0 ** (-_grid_decimals(gap))
         if math.isfinite(gap):
             tol = min(tol, 0.5 * gap)
@@ -391,9 +355,9 @@ class DiscretePMF:
         A translation keeps the atom spacing, so the grid tag survives
         (the offset moves, which the lattice convolution handles).
         """
-        decimals = _grid_decimals(self._spacing())
-        values = (self._values + float(delta)).round(decimals)
-        return DiscretePMF._derived(values, self._probs, self._bin_width)
+        decimals = _grid_decimals(self._spacing())  # MARKED
+        values = np.round(self._values + float(delta), decimals)
+        return DiscretePMF(values, self._probs, bin_width=self._bin_width)
 
     def scale(self, factor: float) -> "DiscretePMF":
         """The pmf of ``factor · X`` (used by queue-scaling extensions).
@@ -407,11 +371,11 @@ class DiscretePMF:
             raise ValueError(f"scale factor must be >= 0, got {factor}")
         if factor == 0:
             return DiscretePMF.degenerate(0.0)
-        decimals = _grid_decimals(self._spacing() * float(factor))
-        values = (self._values * float(factor)).round(decimals)
+        decimals = _grid_decimals(self._spacing() * float(factor))  # MARKED
+        values = np.round(self._values * float(factor), decimals)
         # Scaling cannot merge distinct atoms (it is injective for f>0),
         # so values stay unique.
-        return DiscretePMF._derived(values, self._probs, None)
+        return DiscretePMF(values, self._probs)
 
     def convolve(self, other: "DiscretePMF") -> "DiscretePMF":
         """The pmf of the sum of two independent variables.
@@ -437,14 +401,14 @@ class DiscretePMF:
         """Exact ``O(L²)`` pairwise-sum convolution (the general path)."""
         sums = np.add.outer(self._values, other._values).ravel()
         weights = np.multiply.outer(self._probs, other._probs).ravel()
-        decimals = _grid_decimals(min(self._spacing(), other._spacing()))
+        decimals = _grid_decimals(min(self._spacing(), other._spacing()))  # MARKED
         keys = np.round(sums, decimals)
         unique, inverse = np.unique(keys, return_inverse=True)
         probs = np.bincount(inverse, weights=weights)
         width = None
         if self._bin_width is not None and other._bin_width is not None:
             width = self._bin_width
-        return DiscretePMF._derived(unique, probs, width)
+        return DiscretePMF(unique, probs, bin_width=width)
 
     def _lattice_indices(self) -> Optional[npt.NDArray[np.int64]]:
         """Integer lattice offsets of the atoms, or ``None`` off-grid.
@@ -477,8 +441,8 @@ class DiscretePMF:
         if min(len_a, len_b) >= _FFT_CROSSOVER:
             full = _fft_convolve(dense_a, dense_b, out_len)
             # FFT round-off leaves ± noise in empty slots and drifts the
-            # total mass; drop the noise floor, negatives with it (the
-            # surviving mass is renormalized to exactly 1).
+            # total mass; clamp negatives and drop the noise floor (the
+            # constructor renormalizes the surviving mass to exactly 1).
             floor = out_len * np.finfo(float).eps
         else:
             full = np.convolve(dense_a, dense_b)
@@ -487,7 +451,7 @@ class DiscretePMF:
         offset = float(self._values[0]) + float(other._values[0])
         decimals = _grid_decimals(width)
         values = np.round(offset + keep * width, decimals)
-        return DiscretePMF._derived(values, full[keep], width)
+        return DiscretePMF(values, full[keep], bin_width=width)
 
     def __add__(self, other: "DiscretePMF") -> "DiscretePMF":
         if not isinstance(other, DiscretePMF):
@@ -567,8 +531,8 @@ def batch_convolve(
     refresh: every lattice-compatible pair contributes one row to a pair
     of zero-padded dense matrices, a single ``rfft``/``irfft`` along the
     row axis convolves them all, and each row is pruned back to a sparse
-    :class:`DiscretePMF` (FFT noise dropped, mass renormalized — same
-    guarantees as :meth:`DiscretePMF.convolve`).
+    :class:`DiscretePMF` (FFT noise clamped, mass renormalized by the
+    constructor — same guarantees as :meth:`DiscretePMF.convolve`).
 
     Returns a list aligned with ``pairs``.  :func:`_dense_admission`
     decides each pair exactly as it does for the scalar method; pairs it
@@ -606,5 +570,5 @@ def batch_convolve(
         width = a._bin_width
         offset = float(a._values[0]) + float(b._values[0])
         values = np.round(offset + keep * width, _grid_decimals(width))
-        results[index] = DiscretePMF._derived(values, dense[keep], width)
+        results[index] = DiscretePMF(values, dense[keep], bin_width=width)
     return results

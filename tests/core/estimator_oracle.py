@@ -7,10 +7,16 @@ width[, queue length])``, an ``S ⊛ W`` cache keyed on ``(record,
 S-version, W-version)``, the resident CDF matrix on the change log, and
 ``incremental=False`` as the from-scratch arm that rebuilds every pmf
 from the raw window samples.  The class bodies are verbatim; only this
-header and the imports changed.  It lives under ``tests/`` as the ``==``
-oracle of ``tests/properties/test_resident_matrix_properties.py`` (every
-``F`` and every pmf array, bitwise) and as the from-scratch reference of
-the estimator unit tests.
+header, the imports and ``_window_pmf`` changed: every pmf here is built
+by ``tests/core/distribution_oracle.py`` (the pmf algebra as shipped
+before derived pmfs skipped the validating constructor), window pmfs
+included — from ``window.counts(width)``, which is what
+``SlidingWindow.pmf`` handed ``from_counts`` — so the shipped estimator
+is compared against code that shares no pmf construction with it.  It
+lives under ``tests/`` as the ``==`` oracle of
+``tests/properties/test_resident_matrix_properties.py`` (every ``F`` and
+every pmf array, bitwise) and as the from-scratch reference of the
+estimator unit tests.
 
 One known defect is kept on purpose: ``QueueScaledEstimator`` ignores a
 gateway-delay window (it point-shifts by the last ``T_i``); the shipped
@@ -24,8 +30,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import numpy.typing as npt
 
-from repro.core.distribution import DiscretePMF, batch_convolve
 from repro.core.repository import InformationRepository, ReplicaRecord, SlidingWindow
+
+from .distribution_oracle import DiscretePMF, batch_convolve
 
 __all__ = ["ResponseTimeEstimator", "QueueScaledEstimator"]
 
@@ -158,9 +165,10 @@ class ResponseTimeEstimator:
 
     def _window_pmf(self, window: SlidingWindow) -> DiscretePMF:
         """One window's empirical pmf, via the incremental path when on."""
+        width = self.bin_width_ms
         if self.incremental:
-            return window.pmf(self.bin_width_ms)
-        return DiscretePMF.from_samples(window.values(), self.bin_width_ms)
+            return DiscretePMF.from_counts(window.counts(width), bin_width=width)
+        return DiscretePMF.from_samples(window.values(), width)
 
     def _base_pmf(self, record: ReplicaRecord) -> DiscretePMF:
         """``S_i ⊛ W_i``, cached on the pair of window versions."""

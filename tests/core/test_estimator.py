@@ -115,6 +115,39 @@ def test_binning_groups_noisy_samples(repo):
     assert pmf.support_size == 1  # everything collapses to 100 + 0 + 3
 
 
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (lambda probs: probs.__setitem__(0, -0.25), "non-negative"),
+        (lambda probs: probs.__setitem__(0, float("nan")), "sum to 1"),
+    ],
+)
+def test_a_row_whose_final_pmf_is_not_a_pmf_is_refused(
+    repo, monkeypatch, spoil, message
+):
+    # Derived pmfs skip the constructor's checks; the one that would reach
+    # the matrix does not.  A kernel gone wrong stops the decision with the
+    # constructor's own ValueError and leaves no entry behind.
+    from repro.core.distribution import DiscretePMF
+
+    _feed(repo, "r1", services=[100, 110], queues=[0, 5], gateway=3.0)
+    shift = DiscretePMF.shift
+
+    def broken_shift(self, delta):
+        shifted = shift(self, delta)
+        shifted._probs = shifted._probs.copy()
+        spoil(shifted._probs)
+        return shifted
+
+    monkeypatch.setattr(DiscretePMF, "shift", broken_shift)
+    estimator = ResponseTimeEstimator(repo)
+    with pytest.raises(ValueError, match=message):
+        estimator.batch_probability_by(["r1"], 150.0)
+    with pytest.raises(ValueError, match=message):
+        estimator.response_time_pmf("r1")
+    assert estimator.cache_info()["entries"] == 0
+
+
 class TestIncrementalPipeline:
     def test_incremental_matches_from_scratch(self, repo):
         _feed(repo, "r1", services=[100, 110, 120, 130, 140],

@@ -15,9 +15,15 @@ from repro.experiments.registry import run
 class TestFig3Shape:
     @pytest.fixture(scope="class")
     def points(self):
-        return fig3_overhead.run(
-            replica_counts=(2, 8), window_sizes=(5, 20), iterations=30
-        )
+        # Host timing on a shared machine: a stall only ever adds time,
+        # so each (n, l) cell keeps the fastest of three reduced sweeps.
+        sweeps = [
+            fig3_overhead.run(
+                replica_counts=(2, 8), window_sizes=(5, 20), iterations=30
+            )
+            for _ in range(3)
+        ]
+        return [min(cell, key=lambda point: point.total_us) for cell in zip(*sweeps)]
 
     def test_overhead_grows_with_replica_count(self, points):
         by_window = {}

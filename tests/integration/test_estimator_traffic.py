@@ -3,16 +3,25 @@
 The §6 testbed (7 replicas, l = 5, two closed-loop clients) with each
 client's estimator watched: a decision must re-derive exactly the rows
 the repository's change log named since that estimator last read — none
-twice, none the log did not name.  Plus the structural guard that the
-memo layers the single entry replaced stay gone from ``src/``.
+twice, none the log did not name.  And what one re-derived row is made
+of, as exact counts (host timing cannot flake them): inside ``decide``
+no pmf goes through the validating constructor, a row costs at most four
+derived constructions and exactly one sign/mass check, and the traffic
+itself — hits, misses, convolutions per decision — is the parent
+commit's, literally.  Plus the structural guard that the memo layers the
+single entry replaced stay gone from ``src/``.
 """
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from repro.core import estimator as estimator_module
+from repro.core.distribution import DiscretePMF
 from repro.core.estimator import ResponseTimeEstimator
 from repro.core.qos import QoSSpec
+from repro.core.selection import DynamicSelectionPolicy
 from repro.workload.scenarios import Scenario, ScenarioConfig
 
 REQUESTS = 40
@@ -59,9 +68,9 @@ class WatchedEstimator(ResponseTimeEstimator):
         return result
 
 
-@pytest.fixture(scope="module")
-def estimators():
-    scenario = Scenario(ScenarioConfig(seed=4, num_replicas=7, window_size=5))
+def run_testbed(seed, estimator_factory):
+    """The §6 testbed to completion; returns its clients' estimators."""
+    scenario = Scenario(ScenarioConfig(seed=seed, num_replicas=7, window_size=5))
     for name, deadline, probability in (
         ("client-1", 200.0, 0.0),
         ("client-2", 160.0, 0.9),
@@ -70,10 +79,15 @@ def estimators():
             name,
             QoSSpec(scenario.config.service, deadline, probability),
             num_requests=REQUESTS,
-            handler_kwargs={"estimator_factory": WatchedEstimator},
+            handler_kwargs={"estimator_factory": estimator_factory},
         )
     scenario.run_to_completion()
     return [handler.estimator for handler in scenario.handlers.values()]
+
+
+@pytest.fixture(scope="module")
+def estimators():
+    return run_testbed(4, WatchedEstimator)
 
 
 def test_a_decision_rederives_exactly_the_rows_the_log_named(estimators):
@@ -99,6 +113,72 @@ def test_every_rederivation_is_a_miss_and_nothing_else_is(estimators):
         assert info["misses"] == estimator.total_derived
         assert info["hits"] > 0
         assert info["entries"] == 7
+
+
+# -- what a re-derived row is made of ------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def constructions():
+    """Seed 0 with every pmf construction inside ``decide`` counted.
+
+    Returns ``(counts, convolutions per decision, estimators)``.
+    """
+    counts, convolutions, inside = Counter(), [], []
+
+    def counting(owner, name, weigh=lambda *args: 1):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            if inside:
+                counts[name] += weigh(*args)
+            return original(*args, **kwargs)
+
+        # (``_derived`` is looked up on the class: hand it back unbound.)
+        is_classmethod = hasattr(original, "__self__")
+        patch.setattr(owner, name, staticmethod(counted) if is_classmethod else counted)
+
+    def decide(self, ctx, original=DynamicSelectionPolicy.decide):
+        before = counts["convolve"] + counts["batch_convolve"]
+        inside.append(True)
+        try:
+            return original(self, ctx)
+        finally:
+            inside.pop()
+            convolutions.append(
+                counts["convolve"] + counts["batch_convolve"] - before
+            )
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("__init__", "_derived", "validated", "convolve"):
+            counting(DiscretePMF, name)
+        counting(estimator_module, "batch_convolve", weigh=len)  # one per pair
+        patch.setattr(DynamicSelectionPolicy, "decide", decide)
+        estimators = run_testbed(0, ResponseTimeEstimator)
+    return counts, convolutions, estimators
+
+
+def test_no_validated_construction_on_the_decision_path(constructions):
+    counts, _, estimators = constructions
+    misses = sum(estimator.cache_misses for estimator in estimators)
+    assert counts["__init__"] == 0  # outside input only; decide holds none
+    # S_i, W_i, S ⊛ W, + T_i: each derived once, through the private path.
+    assert misses < counts["_derived"] <= 4 * misses
+    # The check the constructor made on every one of them is paid once,
+    # on the pmf that reaches the matrix.
+    assert counts["validated"] == misses
+
+
+def test_the_traffic_is_the_parent_commits(constructions):
+    _, convolutions, estimators = constructions
+    assert [
+        (estimator.cache_hits, estimator.cache_misses) for estimator in estimators
+    ] == [(148, 125), (151, 122)]
+    # ``convolve`` calls plus batched pairs, per decision (both clients,
+    # in decision order): which stale rows share a batch fixes FFT sizes.
+    assert len(convolutions) == 2 * REQUESTS
+    assert sum(convolutions) == 247
+    assert convolutions[:20] == [0, 0, 7, 7, 2, 2, 3, 3, 5, 5, 3, 3, 3, 3, 2, 2, 3, 3, 4, 4]
 
 
 # -- structural guard ----------------------------------------------------------

@@ -24,6 +24,7 @@ CASES = [
     ("RL005", "rl005_trigger.py", "rl005_clean.py", "src/repro/sim/events.py", 1),
     ("RL006", "rl006_trigger.py", "rl006_clean.py", "src/repro/gateway/handlers/sample.py", 2),
     ("RL007", "rl007_trigger.py", "rl007_clean.py", "src/repro/experiments/sweep.py", 3),
+    ("RL008", "rl008_trigger.py", "rl008_clean.py", "src/repro/core/estimator.py", 3),
 ]
 
 
@@ -80,6 +81,13 @@ class TestScoping:
         # The engine's default and the library's own users may measure;
         # only code that builds simulated runs must pin.
         assert _lint("rl007_trigger.py", "RL007", "src/repro/core/selection.py") == []
+
+    def test_rl008_allowed_only_in_the_distribution_module(self):
+        home = "src/repro/core/distribution.py"
+        assert _lint("rl008_trigger.py", "RL008", home) == []
+        # A namesake elsewhere in the package is not the home.
+        other = "src/repro/analysis/distribution.py"
+        assert len(_lint("rl008_trigger.py", "RL008", other)) == 3
 
 
 def test_every_rule_has_a_fixture_pair():

@@ -5,7 +5,10 @@ change log has not named the replica since the entry was derived and its
 record is still the tracked one) and patches the rows the log names into
 a resident CDF matrix.  The estimator it replaced — four version-keyed
 caches plus the same matrix — is kept verbatim in
-``tests/core/estimator_oracle.py``.  For any interleaving of writes,
+``tests/core/estimator_oracle.py``, over the pmf algebra of
+``tests/core/distribution_oracle.py`` (every pmf through the validating
+constructor): the oracle shares no pmf code with what it checks.  For
+any interleaving of writes,
 membership changes, invalidations, batch queries and direct reads the two
 must agree **bitwise**: every ``F`` and every pmf's ``values`` / ``probs``
 arrays.  That is stricter than it sounds: a batched FFT's size, hence a
@@ -13,7 +16,6 @@ row's last bits, depends on which stale rows are convolved *together*, so
 the two estimators must also agree on what is stale when.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -98,8 +100,8 @@ def same_pmf(ours, theirs):
         return ours is theirs
     return (
         ours.bin_width == theirs.bin_width
-        and np.array_equal(ours.values, theirs.values)
-        and np.array_equal(ours.probs, theirs.probs)
+        and ours.values.tobytes() == theirs.values.tobytes()
+        and ours.probs.tobytes() == theirs.probs.tobytes()
     )
 
 

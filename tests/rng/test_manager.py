@@ -2,9 +2,12 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro.rng import RNGManager, derive_entity_seed, derive_seed
+from repro.rng import manager as manager_module
+from repro.workload.ministack import MiniStack
 
 
 class TestDeriveSeed:
@@ -112,3 +115,57 @@ class TestRNGManager:
         before = manager.stream("a").uniform(size=4).tolist()
         manager.reset()
         assert manager.stream("a").uniform(size=4).tolist() == before
+
+
+class TestSeedsAreDerivedOnceAStream:
+    """The memo is consulted before the key is hashed.
+
+    ``LanModel.one_way_delay`` asks for its stream once per message;
+    formatting and SHA-256-hashing the key on every memoised lookup cost
+    forty times the dict hit it preceded.
+    """
+
+    @pytest.fixture
+    def hashes(self, monkeypatch):
+        calls = []
+
+        def counting(base_seed, *parts):
+            calls.append(parts)
+            return derive_seed(base_seed, *parts)
+
+        monkeypatch.setattr(manager_module, "derive_seed", counting)
+        return calls
+
+    def test_a_memoised_lookup_does_not_hash(self, hashes):
+        manager = RNGManager(base_seed=5)
+        first = manager.stream("a")
+        for _ in range(3):
+            assert manager.stream("a") is first
+        sub = manager.substream("svc", "x", repetition=2)
+        assert manager.substream("svc", "x", repetition=2) is sub
+        assert hashes == [("a",), ("svc", "entity=x", "rep=2")]
+
+    def test_one_hash_per_distinct_stream_over_a_run(self, hashes):
+        stack = MiniStack(seed=3)
+        for index in range(3):
+            stack.add_server(f"replica-{index + 1}")
+        stack.add_client("client-1", 40.0, 0.9)
+        for _ in range(30):
+            stack.invoke("client-1")
+            stack.sim.run()
+        assert stack.transport.sent_count > 10 * len(hashes)  # asked per message
+        assert len(hashes) == len(set(hashes)) == len(stack.streams._streams)
+
+    def test_same_generators_as_deriving_eagerly(self):
+        manager = RNGManager(base_seed=9)
+        for key, rng in (
+            (("a",), manager.stream("a")),
+            (("svc", "x"), manager.substream("svc", "x")),
+            (("svc", "x", 1), manager.substream("svc", "x", repetition=1)),
+        ):
+            twin = np.random.default_rng(manager.child_seed(*key))
+            assert rng.uniform(size=3).tolist() == twin.uniform(size=3).tolist()
+
+    def test_an_empty_name_is_still_rejected(self):
+        with pytest.raises(ValueError):
+            RNGManager(0).stream("")

@@ -1,6 +1,6 @@
 """repro-lint: the repository's custom determinism/lifecycle lint pack.
 
-Seven AST-based rules encode the invariants that keep the reproduction
+Eight AST-based rules encode the invariants that keep the reproduction
 deterministic and its request lifecycle auditable — properties a general
 linter cannot know about:
 
@@ -27,6 +27,10 @@ linter cannot know about:
   ``DynamicSelectionPolicy`` with ``fixed_overhead_ms=`` (or
   ``compensate_overhead=False``), so no wall-clock ``δ`` enters a
   simulated deadline.
+* **RL008** — ``DiscretePMF._derived``, the pmf construction that skips
+  the constructor's sorting and sign/mass checks, is referenced only
+  inside ``core/distribution.py``; everything else holds outside input
+  and builds through ``DiscretePMF(...)`` / ``from_counts``.
 
 Run as ``python -m repro_lint src/`` (exits non-zero on violations) or
 through the pytest suite in ``tests/lint/``.  Suppress a finding with a

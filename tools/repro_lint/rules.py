@@ -1,4 +1,4 @@
-"""The seven repro-lint rules (RL001–RL007).
+"""The eight repro-lint rules (RL001–RL008).
 
 Each rule documents the invariant it guards and the sanctioned escape
 hatch; the full catalog with rationale lives in docs/STATIC_ANALYSIS.md.
@@ -21,6 +21,7 @@ __all__ = [
     "SlottedHotPath",
     "HostClockDiscipline",
     "PinnedSelectionOverhead",
+    "DerivedPmfConstruction",
     "rule_by_id",
 ]
 
@@ -489,6 +490,39 @@ class PinnedSelectionOverhead(Rule):
         return findings
 
 
+class DerivedPmfConstruction(Rule):
+    """RL008 — unvalidated pmf construction stays inside its module.
+
+    ``DiscretePMF._derived`` builds a pmf without sorting, sign or mass
+    checks.  That is sound only for its callers inside
+    ``core/distribution.py``, which hand it arrays they computed
+    themselves (values sorted, probabilities non-negative by
+    construction).  Anywhere else an array is outside input and goes
+    through ``DiscretePMF(...)`` / ``from_counts``, which check it.
+    """
+
+    rule_id = "RL008"
+    title = "derived pmf construction is private to core/distribution.py"
+
+    HOME = "core/distribution.py"
+
+    def applies_to(self, path: str) -> bool:
+        return _in_repro(path) and not path.endswith(self.HOME)
+
+    def check(self, tree: ast.Module, path: str) -> List[Violation]:
+        return [
+            self.violation(
+                path,
+                node,
+                "`_derived` skips every pmf check and is private to "
+                "core/distribution.py; build pmfs from outside arrays "
+                "with `DiscretePMF(...)` or `DiscretePMF.from_counts(...)`",
+            )
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_derived"
+        ]
+
+
 ALL_RULES: Sequence[Rule] = (
     RngDiscipline(),
     SimClockOnly(),
@@ -497,6 +531,7 @@ ALL_RULES: Sequence[Rule] = (
     SlottedHotPath(),
     HostClockDiscipline(),
     PinnedSelectionOverhead(),
+    DerivedPmfConstruction(),
 )
 
 
