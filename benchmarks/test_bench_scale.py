@@ -1,7 +1,7 @@
 """Benchmark — fleet-scale selection and event-kernel throughput.
 
 CI smoke for ISSUE 7's scale targets: one *cached* selection over a
-1024-replica fleet must stay under 1 ms, and the slotted event queue
+1024-replica fleet must stay under 1 ms, and the kernel's event queue
 must sustain a healthy dispatch rate; and for ISSUE 14's: a selection
 after one replica pushed an update (what a live request pays) costs at
 most 2.5x the nothing-changed one.  ``test_scale_bench_exported``
@@ -34,7 +34,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 #: host speed cancels.
 DIRTY1_OVER_CACHED_CEILING = 2.5
 
-#: Generous floor for the slotted queue: it clocks >300k events/sec on a
+#: Generous floor for the event queue: it clocks >300k events/sec on a
 #: developer laptop; 50k trips only on a genuine regression, not on a
 #: noisy CI runner.
 KERNEL_EVENTS_PER_SEC_FLOOR = 50_000.0
@@ -65,7 +65,7 @@ def test_cached_selection_at_scale(benchmark, num_replicas):
 
 
 def test_kernel_throughput_floor(benchmark):
-    """The slotted event queue sustains the minimum dispatch rate."""
+    """The kernel's event queue sustains the minimum dispatch rate."""
     point = benchmark.pedantic(
         lambda: measure_kernel_throughput(
             pending_timers=512, target_events=100_000

@@ -5,8 +5,8 @@ presentation order, ``--list`` prints the registry.  ``--quick`` runs
 each sweep's declared smoke grid, ``--workers N`` fans sweeps across N
 processes (tables and digests are bit-identical for any N), ``--json
 FILE`` / ``--csv DIR`` export the rows, and ``--check-digests`` compares
-every full-grid sweep digest with ``experiments_digests.json`` (a sweep
-without a pin fails).
+every full-grid sweep digest, and the A17 campaign's, with
+``experiments_digests.json`` (an entry without its pin fails).
 """
 
 from __future__ import annotations
@@ -21,10 +21,7 @@ from typing import Dict, List, Optional, Sequence
 from . import MODULES, load
 from .export import export_rows
 from .harness import format_table
-from .registry import Command, print_tables, run
-
-#: Pinned ``sweep_digest`` per deterministic experiment (full grid).
-DIGESTS_FILE = "experiments_digests.json"
+from .registry import DIGESTS_FILE, Command, print_tables, run
 
 
 def list_table() -> str:
@@ -70,7 +67,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--check-digests",
         action="store_true",
-        help=f"fail unless full-grid sweep digests match {DIGESTS_FILE}",
+        help=f"fail unless full-grid digests match {DIGESTS_FILE}",
     )
     args, extra = parser.parse_known_args(argv)
 
@@ -89,6 +86,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--check-digests needs the full grids, not --quick")
 
     shared = ["--quick"] * args.quick + ["--workers", str(args.workers)]
+    shared += ["--check-digests"] * args.check_digests
     if args.json and len(keys) == 1:
         shared += ["--json", args.json]
     exported: Dict[str, dict] = {}

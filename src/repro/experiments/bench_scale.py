@@ -6,7 +6,7 @@ says nothing about whether the gateway can pick replicas out of a fleet.
 This benchmark extends the measurement to n ∈ {64, 256, 1024} replicas
 and windows up to l = 240, and adds an end-to-end event-kernel
 throughput figure (events/sec through :class:`repro.sim.Simulator`'s
-slotted queue), exported together as ``BENCH_scale.json`` so CI tracks
+event queue), exported together as ``BENCH_scale.json`` so CI tracks
 both numbers PR over PR.
 
 Acceptance target (ISSUE 7): one cached selection over 1024 replicas in
@@ -170,7 +170,7 @@ def export_scale_bench(
             "Fleet-scale selection overhead (lattice/FFT convolution + "
             "batched refresh + resident padded-matrix CDF patched per "
             "changed row) and raw event-kernel dispatch throughput "
-            "(slotted EventQueue)."
+            "(heapq EventQueue)."
         ),
         "selection": {
             "unit": "microseconds per selection (mean over iterations)",

@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+from pathlib import Path
 from typing import List, Optional, Sequence
 
 from ..faultinject.campaign import (
@@ -33,7 +34,7 @@ from ..faultinject.campaign import (
     shrink_schedule,
 )
 from .harness import print_table
-from .registry import Command
+from .registry import DIGESTS_FILE, Command
 
 __all__ = ["main", "EXPERIMENT"]
 
@@ -125,6 +126,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ),
     )
     parser.add_argument(
+        "--check-digests",
+        action="store_true",
+        help=(
+            f"fail unless the campaign digest matches its pin in {DIGESTS_FILE} "
+            "(the pin is the default campaign's: 200 schedules, seed 0)"
+        ),
+    )
+    parser.add_argument(
         "--clock-windows",
         type=int,
         default=0,
@@ -178,6 +187,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         workers=args.workers,
     )
     report_lines = _summarize(result)
+    mismatch = False
+    if args.check_digests:
+        pinned = json.loads(Path(DIGESTS_FILE).read_text()).get(EXPERIMENT.key)
+        mismatch = result.digest != pinned
+        if mismatch:
+            report_lines.append(
+                f"DIGEST MISMATCH {EXPERIMENT.key}: digest {result.digest} "
+                f"!= pinned {pinned}"
+            )
     print("\n".join(report_lines))
 
     rows = [
@@ -251,7 +269,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"[A17 campaign: {time.perf_counter() - started:.1f}s "
         f"with {result.workers} worker(s)]"
     )
-    return 1 if result.failures else 0
+    return 1 if result.failures or mismatch else 0
 
 
 EXPERIMENT = Command(key="A17", title="A17 chaos campaign", main=main)

@@ -48,7 +48,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.estimator import QueueScaledEstimator
 from ..core.selection import DynamicSelectionPolicy
-from ..faultinject import ClockDriver, ClockFault, FaultSchedule
+from ..faultinject import ClockFault, FaultSchedule
 from ..engine import EvidenceAdmission, PerformanceUpdate
 from ..gateway.handlers.timing_fault import TimingFaultClientHandler
 from ..health import HealthConfig, HealthState
@@ -230,7 +230,7 @@ def build_stack(seed: int, variant: str) -> MiniStack:
         bootstrap_probes=True,
         **({"health_config": health} if health is not None else {}),
     )
-    ClockDriver(stack.sim, stack.clocks.clocks()).apply(clock_fault_schedule())
+    stack.faults.apply(clock_fault_schedule())
     return stack
 
 

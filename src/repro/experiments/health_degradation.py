@@ -62,7 +62,7 @@ def point(params: dict, seed: int, repetition: int) -> Dict[str, float]:
             ),
         )
     )
-    stack = MiniStack(seed=seed, schedule=schedule, wire_seed=WIRE_SEED)
+    stack = MiniStack(seed=seed, faulty_wire=True, wire_seed=WIRE_SEED)
     for host in REPLICAS:
         stack.add_server(host, service_time=Constant(8.0))
     client = stack.add_client(
@@ -74,6 +74,7 @@ def point(params: dict, seed: int, repetition: int) -> Dict[str, float]:
         probe_interval_ms=200.0,
         **({"health_config": HEALTH} if VARIANTS[params["variant"]] else {}),
     )
+    stack.faults.apply(schedule)
     sim = stack.sim
     outcomes = []
 

@@ -37,6 +37,7 @@ from .harness import average, print_table
 from .parallel import SweepFn, run_sweep
 
 __all__ = [
+    "DIGESTS_FILE",
     "Table",
     "Experiment",
     "Command",
@@ -47,6 +48,9 @@ __all__ = [
     "run",
     "print_tables",
 ]
+
+#: Pinned full-run digests, one per deterministic registry entry.
+DIGESTS_FILE = "experiments_digests.json"
 
 #: One output row: grid parameters ∪ reduced metrics ∪ ``runs``.
 Row = Dict[str, Any]
@@ -127,8 +131,10 @@ class Command:
     """A registered entry that is not a seeded sweep.
 
     ``main(argv)`` receives the shared flags the command line was given
-    (``--quick``, ``--workers N``, ``--json FILE``) plus, when it is the
-    only entry selected, any flags of its own.
+    (``--quick``, ``--workers N``, ``--json FILE``, ``--check-digests``)
+    plus, when it is the only entry selected, any flags of its own.  A
+    command with a reproducible digest (A17) compares it with its pin in
+    :data:`DIGESTS_FILE` under ``--check-digests``; the others ignore it.
     """
 
     key: str

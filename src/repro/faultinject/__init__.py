@@ -1,17 +1,17 @@
 """Fault injection and lifecycle auditing for the request path.
 
-Three composable layers:
+Four composable layers:
 
-* :mod:`~repro.faultinject.schedule` — declarative fault schedules
-  (drops, delay spikes, duplicated/late replies, crash+restart, view
-  churn, persistent degradation, network partitions, clock faults) plus
-  a randomized-schedule generator;
-* :mod:`~repro.faultinject.transport` /
-  :mod:`~repro.faultinject.drivers` /
-  :mod:`~repro.faultinject.partition` /
-  :mod:`~repro.faultinject.clock` — interpreters that apply a schedule
-  to a running deployment (message level, host level, connectivity
-  level and clock level respectively);
+* :mod:`~repro.faultinject.schedule` (with
+  :mod:`~repro.faultinject.partition` and :mod:`~repro.faultinject.clock`)
+  — declarative fault schedules (drops, delay spikes, duplicated/late
+  replies, crash+restart, view churn, persistent degradation, overload
+  surges, network partitions, clock faults) plus a randomized-schedule
+  generator;
+* :mod:`~repro.faultinject.plane` — the deployment's one
+  :class:`FaultPlane`, whose ``apply(schedule)`` injects all nine
+  families (the message-level ones through
+  :mod:`~repro.faultinject.transport`'s :class:`FaultyTransport`);
 * :mod:`~repro.faultinject.auditor` — the drain-time
   :class:`LifecycleAuditor` asserting the request-lifecycle invariants
   (exactly-once completion, no leaked bookkeeping, no resurrected
@@ -40,15 +40,9 @@ from .campaign import (
     run_scenario,
     shrink_schedule,
 )
-from .clock import CLOCK_FAULT_KINDS, ClockDriver, ClockFault
-from .drivers import LifecycleFaultDriver
-from .overload import OverloadDriver
-from .partition import (
-    PROBE_EXEMPT_KINDS,
-    PartitionDriver,
-    PartitionFault,
-    grey_partition,
-)
+from .clock import CLOCK_FAULT_KINDS, ClockFault
+from .partition import PROBE_EXEMPT_KINDS, PartitionFault, grey_partition
+from .plane import FaultPlane
 from .schedule import (
     ChurnFault,
     CrashRestartFault,
@@ -68,22 +62,19 @@ __all__ = [
     "CampaignConfig",
     "CampaignResult",
     "ChurnFault",
-    "ClockDriver",
     "ClockFault",
     "CrashRestartFault",
     "DegradationFault",
     "DelayRule",
     "DropRule",
     "DuplicateRule",
+    "FaultPlane",
     "FaultSchedule",
     "FaultyTransport",
     "LifecycleAuditor",
-    "LifecycleFaultDriver",
     "LifecycleViolation",
-    "OverloadDriver",
     "OverloadFault",
     "PROBE_EXEMPT_KINDS",
-    "PartitionDriver",
     "PartitionFault",
     "ScheduleOutcome",
     "SubmissionRecord",

@@ -25,7 +25,6 @@ the smallest fault subset that still reproduces the failure.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from dataclasses import dataclass
 from typing import (
@@ -44,10 +43,7 @@ from ..health import HealthConfig
 from ..net.message import reset_message_ids
 from ..rng import RNGManager, derive_entity_seed
 from ..sim.random import Constant
-from .clock import ClockDriver
-from .overload import OverloadDriver
-from .partition import PartitionDriver
-from .schedule import FaultSchedule, random_fault_schedule
+from .schedule import FAMILIES, FaultSchedule, random_fault_schedule
 
 if TYPE_CHECKING:
     from ..workload.ministack import MiniStack
@@ -65,69 +61,60 @@ __all__ = [
     "shrink_schedule",
 ]
 
-SERVICE = "search"
 METHOD = "process"
 
-#: Every schedule family ddmin shrinks over, in FaultSchedule order.
-_FAMILIES = tuple(f.name for f in dataclasses.fields(FaultSchedule))
+# One scenario's deployment and workload: constants, not config fields,
+# because every published campaign digest is for exactly these values.
+#: Replica and client host names of every scenario deployment.
+REPLICA_HOSTS = tuple(f"s-{i + 1}" for i in range(5))
+CLIENT_HOSTS = ("client-1", "client-2")
+#: Faults are drawn over [0, HORIZON_MS); the run settles until twice that.
+HORIZON_MS = 3000.0
+#: Each client's closed loop: requests, think time, QoS; replica service time.
+REQUESTS_PER_CLIENT = 25
+THINK_MS = 4.0
+DEADLINE_MS = 100.0
+MIN_PROBABILITY = 0.0
+SERVICE_MS = 8.0
+#: Cap of each family's window count in a composed schedule, keyed by
+#: :func:`random_fault_schedule`'s keyword, in ``campaign.mix`` draw order
+#: (frozen: schedule digests sit on it).  The clock family's cap is the
+#: one per-campaign setting and is drawn last.
+MAX_WINDOWS = {
+    "drop_windows": 2,
+    "delay_windows": 2,
+    "duplicate_windows": 2,
+    "crash_restarts": 2,
+    "churn_events": 1,
+    "degradations": 1,
+    "overload_windows": 1,
+    "partition_windows": 2,
+}
+#: Gap between a surging client's open-loop requests.
+SURGE_INTERARRIVAL_MS = 10.0
+#: Campaign-level QoS floors: a scenario below either counts as failed
+#: even when every lifecycle invariant held.
+MIN_REPLY_FRACTION = 0.3
+MIN_TIMELY_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Every knob of one chaos campaign (pure data, picklable).
+    """What distinguishes one chaos campaign from another (picklable).
 
-    The per-family ``max_*`` counts bound the *composed* schedule drawn
-    for each scenario; the actual counts are drawn uniformly in
-    ``[0, max]`` from the scenario's own ``campaign.mix`` substream, so
-    scenarios range from calm to everything-at-once.  ``min_reply_fraction``
-    and ``min_timely_fraction`` are the campaign-level QoS floors; a
-    scenario below either floor counts as failed even when every
-    lifecycle invariant held.
+    ``max_clock_windows`` caps the opt-in clock family (0 keeps the
+    historic digests); each family's actual count is drawn uniformly in
+    ``[0, cap]`` from the scenario's own ``campaign.mix`` substream, so
+    scenarios range from calm to everything-at-once.
     """
 
     schedules: int = 200
     base_seed: int = 0
-    horizon_ms: float = 3000.0
-    replicas: int = 5
-    clients: int = 2
-    requests_per_client: int = 25
-    think_ms: float = 4.0
-    deadline_ms: float = 100.0
-    min_probability: float = 0.0
-    service_ms: float = 8.0
-    max_drop_windows: int = 2
-    max_delay_windows: int = 2
-    max_duplicate_windows: int = 2
-    max_crash_restarts: int = 2
-    max_churn_events: int = 1
-    max_degradations: int = 1
-    max_overload_windows: int = 1
-    max_partition_windows: int = 2
     max_clock_windows: int = 0
-    drop_probability: float = 0.3
-    surge_interarrival_ms: float = 10.0
-    min_reply_fraction: float = 0.3
-    min_timely_fraction: float = 0.05
 
     def __post_init__(self) -> None:
         if self.schedules < 1:
             raise ValueError(f"schedules must be >= 1, got {self.schedules}")
-        if self.replicas < 2:
-            raise ValueError(f"replicas must be >= 2, got {self.replicas}")
-        if self.clients < 1:
-            raise ValueError(f"clients must be >= 1, got {self.clients}")
-        if self.horizon_ms <= 0:
-            raise ValueError(f"horizon_ms must be > 0, got {self.horizon_ms}")
-
-    @property
-    def replica_hosts(self) -> Tuple[str, ...]:
-        """The replica host names of every scenario deployment."""
-        return tuple(f"s-{i + 1}" for i in range(self.replicas))
-
-    @property
-    def client_hosts(self) -> Tuple[str, ...]:
-        """The client host names of every scenario deployment."""
-        return tuple(f"client-{i + 1}" for i in range(self.clients))
 
     # -- per-scenario seed derivation ---------------------------------------
     def scenario_seed(self, index: int) -> int:
@@ -174,21 +161,16 @@ def draw_composed_schedule(cfg: CampaignConfig, index: int) -> FaultSchedule:
     """
     manager = RNGManager(cfg.schedule_seed(index))
     mix = manager.substream("campaign.mix", 0)
+    caps = {**MAX_WINDOWS, "clock_windows": cfg.max_clock_windows}
     return random_fault_schedule(
         manager,
-        horizon_ms=cfg.horizon_ms,
-        replicas=cfg.replica_hosts,
-        drop_windows=int(mix.integers(0, cfg.max_drop_windows + 1)),
-        drop_probability=cfg.drop_probability,
-        delay_windows=int(mix.integers(0, cfg.max_delay_windows + 1)),
-        duplicate_windows=int(mix.integers(0, cfg.max_duplicate_windows + 1)),
-        crash_restarts=int(mix.integers(0, cfg.max_crash_restarts + 1)),
-        churn_events=int(mix.integers(0, cfg.max_churn_events + 1)),
-        degradations=int(mix.integers(0, cfg.max_degradations + 1)),
-        overload_windows=int(mix.integers(0, cfg.max_overload_windows + 1)),
-        surge_interarrival_ms=cfg.surge_interarrival_ms,
-        partition_windows=int(mix.integers(0, cfg.max_partition_windows + 1)),
-        clock_windows=int(mix.integers(0, cfg.max_clock_windows + 1)),
+        horizon_ms=HORIZON_MS,
+        replicas=REPLICA_HOSTS,
+        surge_interarrival_ms=SURGE_INTERARRIVAL_MS,
+        **{
+            keyword: int(mix.integers(0, cap + 1))
+            for keyword, cap in caps.items()
+        },
     )
 
 
@@ -250,70 +232,49 @@ _HEALTH = HealthConfig(
 
 
 def _build_stack(
-    cfg: CampaignConfig,
     schedule: FaultSchedule,
     scenario_seed: int,
     wire_seed: int,
     handler_cls: type,
 ) -> "MiniStack":
-    """One scenario's deployment: a mini stack plus every fault driver."""
+    """One scenario's deployment, with ``schedule`` applied."""
     # Imported here, not at module scope: the workload package imports
     # the auditor, and a module-level import would close an import cycle
     # through the faultinject package __init__.
     from ..workload.ministack import MiniStack
 
-    stack = MiniStack(seed=scenario_seed, schedule=schedule, wire_seed=wire_seed)
+    stack = MiniStack(seed=scenario_seed, faulty_wire=True, wire_seed=wire_seed)
     # Observe from the first client, so a partition evicts like a crash.
-    stack.detector.vantage = cfg.client_hosts[0]
-    for host in cfg.replica_hosts:
-        stack.add_server(host, service_time=Constant(cfg.service_ms))
-    for host in cfg.client_hosts:
+    stack.detector.vantage = CLIENT_HOSTS[0]
+    for host in REPLICA_HOSTS:
+        stack.add_server(host, service_time=Constant(SERVICE_MS))
+    for host in CLIENT_HOSTS:
         stack.add_client(
             host,
-            deadline_ms=cfg.deadline_ms,
-            min_probability=cfg.min_probability,
+            deadline_ms=DEADLINE_MS,
+            min_probability=MIN_PROBABILITY,
             handler_cls=handler_cls,
             response_timeout_factor=3.0,
             probe_interval_ms=50.0,
             health_config=_HEALTH,
         )
     stack.faults.apply(schedule)
-    PartitionDriver(
-        sim=stack.sim,
-        lan=stack.lan,
-        group_comm=stack.group_comm,
-        service=SERVICE,
-        replicas=cfg.replica_hosts,
-    ).apply(schedule)
-    OverloadDriver(
-        sim=stack.sim,
-        submitters={
-            host: (lambda arg, stub=stack.stubs[host]: stub.invoke(METHOD, arg))
-            for host in cfg.client_hosts
-        },
-    ).apply(schedule)
-    ClockDriver(
-        sim=stack.sim,
-        clocks=stack.clocks.clocks(),
-        streams=RNGManager(derive_entity_seed(wire_seed, "chaos.clock", 0, 0)),
-    ).apply(schedule)
     return stack
 
 
 def _closed_loop(
-    cfg: CampaignConfig,
     stack: "MiniStack",
     host: str,
     outcomes: List[Tuple[float, Any]],
 ) -> Any:
     stub = stack.stubs[host]
-    for i in range(cfg.requests_per_client):
+    for i in range(REQUESTS_PER_CLIENT):
         t0 = stack.sim.now
         event = stub.invoke(METHOD, i)
         yield event
         if event.ok:
             outcomes.append((t0, event.value))
-        yield stack.sim.timeout(cfg.think_ms)
+        yield stack.sim.timeout(THINK_MS)
 
 
 def run_scenario(
@@ -337,7 +298,6 @@ def run_scenario(
     digest = schedule_digest(schedule)
     replay = cfg.replay_line(index, digest)
     stack = _build_stack(
-        cfg,
         schedule,
         scenario_seed=cfg.scenario_seed(index),
         wire_seed=cfg.wire_seed(index),
@@ -345,17 +305,17 @@ def run_scenario(
     )
     stack.auditor.set_replay(replay)
     outcomes: List[Tuple[float, Any]] = []
-    for host in cfg.client_hosts:
+    for host in CLIENT_HOSTS:
         stack.sim.spawn(
-            _closed_loop(cfg, stack, host, outcomes), name=f"load.{host}"
+            _closed_loop(stack, host, outcomes), name=f"load.{host}"
         )
     stack.sim.run()
     # Let detector polls / re-admission probes settle past the horizon so
     # every fault window has healed before the audit, then expire probes
     # still in flight (staleness probing never stops, so an arbitrary
     # cutoff would otherwise race the daemon expiry timers).
-    stack.sim.run(until=max(stack.sim.now, cfg.horizon_ms * 2.0))
-    for host in cfg.client_hosts:
+    stack.sim.run(until=max(stack.sim.now, HORIZON_MS * 2.0))
+    for host in CLIENT_HOSTS:
         stack.clients[host].quiesce_probes()
     report = stack.auditor.audit()
 
@@ -366,15 +326,15 @@ def run_scenario(
     timely_fraction = (
         sum(timely) / len(timely) if timely else 1.0
     )
-    if reply_fraction < cfg.min_reply_fraction:
+    if reply_fraction < MIN_REPLY_FRACTION:
         violations.append(
             f"qos floor: reply fraction {reply_fraction:.3f} < "
-            f"{cfg.min_reply_fraction} ({replay})"
+            f"{MIN_REPLY_FRACTION} ({replay})"
         )
-    if timely_fraction < cfg.min_timely_fraction:
+    if timely_fraction < MIN_TIMELY_FRACTION:
         violations.append(
             f"qos floor: timely fraction {timely_fraction:.3f} < "
-            f"{cfg.min_timely_fraction} ({replay})"
+            f"{MIN_TIMELY_FRACTION} ({replay})"
         )
     return ScheduleOutcome(
         index=index,
@@ -438,18 +398,18 @@ def run_campaign(
 def flatten_schedule(schedule: FaultSchedule) -> List[Tuple[str, Any]]:
     """The schedule as a flat ``(family, fault)`` list, family-ordered."""
     items: List[Tuple[str, Any]] = []
-    for family in _FAMILIES:
+    for family in FAMILIES:
         items.extend((family, fault) for fault in getattr(schedule, family))
     return items
 
 
 def rebuild_schedule(items: Sequence[Tuple[str, Any]]) -> FaultSchedule:
     """Reassemble a :class:`FaultSchedule` from ``flatten_schedule`` items."""
-    grouped: Dict[str, List[Any]] = {family: [] for family in _FAMILIES}
+    grouped: Dict[str, List[Any]] = {family: [] for family in FAMILIES}
     for family, fault in items:
         grouped[family].append(fault)
     return FaultSchedule(
-        **{family: tuple(grouped[family]) for family in _FAMILIES}
+        **{family: tuple(faults) for family, faults in grouped.items()}
     )
 
 

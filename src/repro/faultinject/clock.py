@@ -17,28 +17,16 @@ over the :class:`~repro.sim.hostclock.HostClock` plane:
   hardware); readings are no longer monotone.
 
 Every window ends with a ``resync()`` — an external time service
-correcting the host — so a drained run finishes on healthy clocks.
-
-:class:`ClockDriver` arms the windows on a running deployment, mirroring
-the :class:`~repro.faultinject.partition.PartitionDriver` idiom: pure
-data in the schedule, ``call_at`` transitions in the driver, counters
-and trace events for the audits.
+correcting the host — so a drained run finishes on healthy clocks.  The
+deployment's :class:`~repro.faultinject.plane.FaultPlane` arms the
+windows; this module is the pure data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
-from ..rng import RNGManager
-from ..sim.hostclock import HostClock
-from ..sim.kernel import Simulator
-from ..sim.trace import NullTracer, Tracer
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .schedule import FaultSchedule
-
-__all__ = ["CLOCK_FAULT_KINDS", "ClockFault", "ClockDriver"]
+__all__ = ["CLOCK_FAULT_KINDS", "ClockFault"]
 
 #: The declarative clock-fault family, in drawing order.
 CLOCK_FAULT_KINDS = ("skew", "drift", "step", "freeze", "jitter")
@@ -99,104 +87,3 @@ class ClockFault:
     def active(self, now_ms: float) -> bool:
         """Whether the window covers ``now_ms``."""
         return self.start_ms <= now_ms < self.end_ms
-
-
-class ClockDriver:
-    """Applies :class:`ClockFault` windows to live :class:`HostClock` s.
-
-    ``clocks`` maps host name to that host's clock (typically a
-    :class:`~repro.sim.hostclock.ClockRegistry` snapshot); faults naming
-    unknown hosts are ignored, mirroring the other drivers' tolerance of
-    schedules drawn against a larger fleet.
-
-    Overlapping windows on one host compose approximately: when one
-    window ends, the clock is resynced and every still-active window is
-    re-engaged (a re-engaged ``step`` jumps again).  Randomized
-    schedules draw at most a few windows per run, so in practice the
-    windows are disjoint and the semantics exact.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        clocks: Mapping[str, HostClock],
-        tracer: Optional[Tracer] = None,
-        streams: Optional[RNGManager] = None,
-    ) -> None:
-        self.sim = sim
-        self.clocks = dict(clocks)
-        self.tracer = tracer if tracer is not None else NullTracer()
-        self.streams = streams
-        self.engagements = 0
-        self.resyncs = 0
-        self._active: Dict[str, List[ClockFault]] = {}
-
-    # -- scheduling ----------------------------------------------------------
-    def apply(self, schedule: "FaultSchedule") -> None:
-        """Arm every clock window of ``schedule``."""
-        for fault in schedule.clocks:
-            self.apply_fault(fault)
-
-    def apply_fault(self, fault: ClockFault) -> None:
-        """Arm one window's engage/resync transitions."""
-        if fault.host not in self.clocks:
-            return
-        self.sim.call_at(fault.start_ms, lambda: self.engage_now(fault))
-        self.sim.call_at(fault.end_ms, lambda: self.disengage_now(fault))
-
-    # -- transitions ---------------------------------------------------------
-    def _engage(self, clock: HostClock, fault: ClockFault) -> None:
-        if fault.kind == "skew":
-            clock.step(fault.offset_ms)
-        elif fault.kind == "drift":
-            clock.set_rate(fault.rate)
-        elif fault.kind == "step":
-            clock.step(fault.step_ms)
-        elif fault.kind == "freeze":
-            clock.freeze()
-        else:  # jitter
-            streams = self.streams if self.streams is not None else RNGManager(0)
-            clock.set_jitter(
-                fault.jitter_ms,
-                streams.stream(f"faultinject.clock.{fault.host}"),
-            )
-
-    def engage_now(self, fault: ClockFault) -> None:
-        """Apply ``fault`` to its host's clock at the current instant."""
-        clock = self.clocks.get(fault.host)
-        if clock is None:
-            return
-        active = self._active.setdefault(fault.host, [])
-        if fault in active:
-            return  # idempotent: already engaged
-        active.append(fault)
-        self._engage(clock, fault)
-        self.engagements += 1
-        self.tracer.emit(
-            self.sim.now, "faultinject", "fault.clock-engage",
-            host=fault.host, fault_kind=fault.kind,
-        )
-
-    def disengage_now(self, fault: ClockFault) -> None:
-        """End ``fault``'s window: resync, then re-engage survivors."""
-        clock = self.clocks.get(fault.host)
-        active = self._active.get(fault.host)
-        if clock is None or active is None or fault not in active:
-            return
-        active.remove(fault)
-        clock.resync()
-        for survivor in active:
-            self._engage(clock, survivor)
-        if not active:
-            self._active.pop(fault.host, None)
-        self.resyncs += 1
-        self.tracer.emit(
-            self.sim.now, "faultinject", "fault.clock-resync",
-            host=fault.host, fault_kind=fault.kind,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"<ClockDriver engagements={self.engagements} "
-            f"resyncs={self.resyncs} active={sum(map(len, self._active.values()))}>"
-        )

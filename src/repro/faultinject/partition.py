@@ -1,4 +1,4 @@
-"""Partition faults: declarative connectivity cuts and their driver.
+"""Partition faults: declarative connectivity cuts.
 
 The paper treats a timing fault as a *late* response, but the most
 hostile timing fault a LAN can produce is a partition: delay that is
@@ -21,36 +21,28 @@ describes one connectivity cut as pure data:
 
 Enforcement is layered.  :class:`~repro.faultinject.transport
 .FaultyTransport` interprets the rules message-by-message (including
-grey and probabilistic cuts).  :class:`PartitionDriver` additionally
-makes *blackout* cuts visible at the :class:`~repro.net.lan.LanModel`
-layer — severing the ordered host pairs so delayed/duplicated copies
-die on the wire too and the :class:`~repro.group.failure_detector
-.FailureDetector`'s vantage host observes the dark side as unreachable,
-which is what finally exercises view churn under partial connectivity.
-On every heal the driver reconciles: cut-declared "crashes" are
-forgotten (a heal is a fresh sighting), and evicted-but-alive replicas
-rejoin their service group.
+grey and probabilistic cuts).  The :class:`~repro.faultinject.plane
+.FaultPlane` additionally makes *total* cuts visible at the
+:class:`~repro.net.lan.LanModel` layer — severing the ordered host pairs
+so delayed/duplicated copies die on the wire too and the
+:class:`~repro.group.failure_detector.FailureDetector`'s vantage host
+observes the dark side as unreachable, which is what finally exercises
+view churn under partial connectivity.  On every heal it reconciles:
+cut-declared "crashes" are forgotten (a heal is a fresh sighting), and
+evicted-but-alive replicas rejoin their service's group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..gateway.handlers.timing_fault import MSG_PROBE, MSG_PROBE_REPLY
-from ..net.lan import LanModel
 from ..net.message import Message
-from ..sim.kernel import Simulator
-from ..sim.trace import NullTracer, Tracer
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (schedule imports us)
-    from ..group.ensemble import GroupCommunication
-    from .schedule import FaultSchedule
 
 __all__ = [
     "PROBE_EXEMPT_KINDS",
     "PartitionFault",
-    "PartitionDriver",
     "grey_partition",
 ]
 
@@ -198,8 +190,8 @@ class PartitionFault:
     @property
     def lan_visible(self) -> bool:
         """Whether the cut is total per direction — a full link severance
-        the :class:`PartitionDriver` mirrors into the LAN's reachability
-        map.  Grey (kind-exempting) and lossy cuts stay wire-level."""
+        the fault plane mirrors into the LAN's reachability map.  Grey
+        (kind-exempting) and lossy cuts stay wire-level."""
         return self.drop_probability >= 1.0 and not self.exempt_kinds
 
     @property
@@ -226,147 +218,3 @@ def grey_partition(
         mode=mode,
         exempt_kinds=PROBE_EXEMPT_KINDS,
     )
-
-
-class PartitionDriver:
-    """Arms a schedule's partitions against the LAN and membership layer.
-
-    Message-level enforcement happens in
-    :class:`~repro.faultinject.transport.FaultyTransport` regardless;
-    this driver adds the two effects only a stateful interpreter can
-    provide for :attr:`PartitionFault.lan_visible` cuts:
-
-    * the severed ordered pairs are mirrored into the
-      :class:`~repro.net.lan.LanModel` (so deliveries scheduled before
-      the cut die too, and the failure detector's vantage host observes
-      the dark side as down — producing the eviction/view-churn the
-      group layer must survive);
-    * on each heal, cut-declared "crashes" are forgotten (fresh
-      sighting) and evicted-but-alive replicas rejoin ``service``.
-
-    Parameters
-    ----------
-    sim, lan:
-        Simulation substrate.
-    group_comm, service, replicas:
-        Optional membership reconciliation: when all three are given, a
-        heal rejoins replicas the detector evicted during the cut.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        lan: LanModel,
-        group_comm: Optional["GroupCommunication"] = None,
-        service: Optional[str] = None,
-        replicas: Optional[Sequence[str]] = None,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
-        self.sim = sim
-        self.lan = lan
-        self.group_comm = group_comm
-        self.service = service
-        self._replicas = tuple(replicas) if replicas is not None else ()
-        self.tracer = tracer if tracer is not None else NullTracer()
-        self.cuts_applied = 0
-        self.heals_applied = 0
-        self.sightings_applied = 0
-        self.rejoins_applied = 0
-        # Per fault, a stack of severed pair lists (flaps nest naturally).
-        self._active: Dict[PartitionFault, List[List[Tuple[str, str]]]] = {}
-
-    # -- scheduling ----------------------------------------------------------
-    def apply(self, schedule: "FaultSchedule") -> None:
-        """Arm every LAN-visible partition of ``schedule``."""
-        for fault in schedule.partitions:
-            self.apply_partition(fault)
-
-    def apply_partition(self, fault: PartitionFault) -> None:
-        """Arm one partition's cut/heal transitions (no-op for wire-only
-        cuts — grey and lossy partitions never touch the LAN map)."""
-        if not fault.lan_visible:
-            return
-        for cut_at, heal_at in fault.cut_intervals():
-            self.sim.call_at(cut_at, lambda f=fault: self.cut_now(f))
-            self.sim.call_at(heal_at, lambda f=fault: self.heal_now(f))
-
-    # -- transitions ---------------------------------------------------------
-    def _pairs(self, fault: PartitionFault) -> List[Tuple[str, str]]:
-        side = [h for h in fault.side if self.lan.has_host(h)]
-        if fault.far:
-            far = [h for h in fault.far if self.lan.has_host(h)]
-        else:
-            far = [
-                h.name for h in self.lan.hosts() if h.name not in fault.side
-            ]
-        pairs: List[Tuple[str, str]] = []
-        for a in side:
-            for b in far:
-                if fault.mode in ("symmetric", "outbound"):
-                    pairs.append((a, b))
-                if fault.mode in ("symmetric", "inbound"):
-                    pairs.append((b, a))
-        return pairs
-
-    def cut_now(self, fault: PartitionFault) -> None:
-        """Sever the fault's ordered pairs at the current instant."""
-        pairs = self._pairs(fault)
-        for src, dst in pairs:
-            self.lan.sever_link(src, dst)
-        self._active.setdefault(fault, []).append(pairs)
-        self.cuts_applied += 1
-        self.tracer.emit(
-            self.sim.now, "faultinject", "fault.partition-cut",
-            side=list(fault.side), mode=fault.mode, links=len(pairs),
-        )
-
-    def heal_now(self, fault: PartitionFault) -> None:
-        """Heal the most recent cut of ``fault`` and reconcile membership."""
-        stack = self._active.get(fault)
-        if not stack:
-            return
-        for src, dst in stack.pop():
-            self.lan.heal_link(src, dst)
-        if not stack:
-            self._active.pop(fault, None)
-        self.heals_applied += 1
-        self.tracer.emit(
-            self.sim.now, "faultinject", "fault.partition-heal",
-            side=list(fault.side), mode=fault.mode,
-        )
-        self._reconcile(fault)
-
-    def _reconcile(self, fault: PartitionFault) -> None:
-        # A heal is a fresh sighting: clear cut-induced crash declarations
-        # and rejoin replicas that were evicted while unreachable.  Hosts
-        # still severed by an overlapping cut, or genuinely down (real
-        # crash — the restart path owns those), are left alone.
-        if self.group_comm is None:
-            return
-        detector = self.group_comm.failure_detector
-        for host in sorted(set(fault.side) | set(fault.far)):
-            if not self.lan.has_host(host) or not self.lan.is_up(host):
-                continue
-            if any(host in pair for pair in self.lan.severed_links()):
-                continue
-            if not detector.is_declared_crashed(host):
-                continue
-            detector.sight(host)
-            self.sightings_applied += 1
-            if (
-                self.service is not None
-                and host in self._replicas
-                and host not in self.group_comm.view(self.service)
-            ):
-                self.group_comm.join(self.service, host, watch=True)
-                self.rejoins_applied += 1
-                self.tracer.emit(
-                    self.sim.now, "faultinject", "fault.partition-rejoin",
-                    member=host,
-                )
-
-    def __repr__(self) -> str:
-        return (
-            f"<PartitionDriver cuts={self.cuts_applied} "
-            f"heals={self.heals_applied} rejoins={self.rejoins_applied}>"
-        )

@@ -20,11 +20,10 @@ crash and churn behaviours of §5.3.2, and the planes added since):
 * **clock faults** (:class:`~repro.faultinject.clock.ClockFault`) —
   skew/drift/step/freeze/jitter on a host's virtual clock.
 
-Rules are pure data; :class:`~repro.faultinject.transport.FaultyTransport`
-interprets the message-level rules,
-:class:`~repro.faultinject.drivers.LifecycleFaultDriver` the host-level
-ones and :class:`~repro.faultinject.partition.PartitionDriver` the
-connectivity cuts.  :func:`random_fault_schedule` draws a randomized
+Rules are pure data; a deployment's one
+:class:`~repro.faultinject.plane.FaultPlane` applies them (the
+message-level ones through :class:`~repro.faultinject.transport
+.FaultyTransport`).  :func:`random_fault_schedule` draws a randomized
 schedule from an :class:`~repro.rng.RNGManager`, one named substream per
 fault window — the workhorse of the ``tests/faults`` suite and the
 chaos campaign.
@@ -33,7 +32,7 @@ chaos campaign.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +52,7 @@ __all__ = [
     "PartitionFault",
     "ClockFault",
     "FaultSchedule",
+    "FAMILIES",
     "random_fault_schedule",
 ]
 
@@ -183,8 +183,8 @@ class DegradationFault:
     degraded one stays in the view and keeps poisoning the model.
 
     * ``slow_factor`` multiplies its service durations (load/overheat);
-      the :class:`~repro.faultinject.drivers.LifecycleFaultDriver` applies
-      it by wrapping the replica's service profile.
+      the :class:`~repro.faultinject.plane.FaultPlane` applies it by
+      wrapping the replica's service profile.
     * ``omission_probability`` drops messages to/from the host on the
       wire (dying NIC); interpreted by
       :class:`~repro.faultinject.transport.FaultyTransport`.
@@ -225,14 +225,14 @@ class OverloadFault:
     "occasional periods of high traffic", turned hostile).
 
     During ``[start_ms, end_ms)`` the
-    :class:`~repro.faultinject.overload.OverloadDriver` fires extra
-    requests through the registered client handlers every
+    :class:`~repro.faultinject.plane.FaultPlane` fires extra requests
+    through the bound clients' stubs every
     ``surge_interarrival_ms`` — open-loop, so the offered load does not
     shrink when the service slows down (the condition that triggers the
     redundancy→load feedback loop the overload subsystem must break).
 
     ``clients`` limits the surge to those client hosts; empty means every
-    client registered with the driver surges.
+    bound client surges.
     """
 
     start_ms: float
@@ -267,13 +267,13 @@ class FaultSchedule:
         """Union of two schedules (composable scenarios)."""
         return FaultSchedule(
             **{
-                f.name: getattr(self, f.name) + getattr(other, f.name)
-                for f in fields(self)
+                family: getattr(self, family) + getattr(other, family)
+                for family in FAMILIES
             }
         )
 
     def __len__(self) -> int:
-        return sum(len(getattr(self, f.name)) for f in fields(self))
+        return sum(len(getattr(self, family)) for family in FAMILIES)
 
     def __repr__(self) -> str:
         # Hand-rolled, and frozen: schedule digests (every campaign
@@ -295,23 +295,51 @@ class FaultSchedule:
         return f"FaultSchedule({', '.join(parts)})"
 
 
+#: The nine family names, in :class:`FaultSchedule` field order — the one
+#: list merging, counting, flattening and the generator iterate over.
+FAMILIES: Tuple[str, ...] = tuple(f.name for f in fields(FaultSchedule))
+
+# What a randomized schedule draws with: constants, not keywords, because
+# every pinned schedule digest is for exactly these values.
+#: Share of the horizon one window covers (scaled 0.5-1.5x per draw).
+WINDOW_FRACTION = 0.15
+#: Per-message loss probability inside a drop window.
+DROP_PROBABILITY = 0.3
+#: Upper bound of a delay window's extra delay.
+MAX_EXTRA_MS = 40.0
+#: Per-message duplication probability inside a duplicate window.
+DUPLICATE_PROBABILITY = 0.5
+#: Upper bound of how late a duplicate copy is sent.
+MAX_LATE_BY_MS = 60.0
+#: Upper bound of a degradation's service-time multiplier.
+MAX_SLOW_FACTOR = 4.0
+#: Per-message loss probability at a degraded host's NIC.
+DEGRADATION_OMISSION_PROBABILITY = 0.7
+#: Probability that a partition flaps / is a grey (probe-passing) cut.
+PARTITION_FLAP_PROBABILITY = 0.25
+PARTITION_GREY_PROBABILITY = 0.2
+#: Upper bounds of a clock window's skew/step and drift magnitudes.
+MAX_CLOCK_SKEW_MS = 200.0
+MAX_CLOCK_DRIFT_PPM = 800.0
+
+
 def _draw_window(
-    rng: np.random.Generator, horizon_ms: float, window_fraction: float
+    rng: np.random.Generator, horizon_ms: float
 ) -> Tuple[float, float]:
-    length = max(1.0, window_fraction * horizon_ms * rng.uniform(0.5, 1.5))
+    length = max(1.0, WINDOW_FRACTION * horizon_ms * rng.uniform(0.5, 1.5))
     start = rng.uniform(0.0, max(1.0, horizon_ms - length))
     return start, start + length
 
 
 def _draw_drained_window(
-    rng: np.random.Generator, horizon_ms: float, window_fraction: float
+    rng: np.random.Generator, horizon_ms: float
 ) -> Tuple[float, float]:
     # A window guaranteed to end by 85% of the horizon, so the run can
     # recover/drain before the lifecycle audit.
-    start, end = _draw_window(rng, horizon_ms, window_fraction)
+    start, end = _draw_window(rng, horizon_ms)
     end = min(end, horizon_ms * 0.85)
     if end <= start:
-        start = max(0.0, end - max(1.0, window_fraction * horizon_ms))
+        start = max(0.0, end - max(1.0, WINDOW_FRACTION * horizon_ms))
     return start, end
 
 
@@ -328,17 +356,76 @@ def _draw_host_window(
     return host, at, back_at
 
 
+# One draw function per family, all ``(rng, replicas, horizon_ms)``.  The
+# order of the draws inside each is frozen: schedule digests sit on it.
+
+def _draw_drop(
+    rng: np.random.Generator, replicas: Sequence[str], horizon_ms: float
+) -> DropRule:
+    start, end = _draw_window(rng, horizon_ms)
+    return DropRule(start_ms=start, end_ms=end, probability=DROP_PROBABILITY)
+
+
+def _draw_delay(
+    rng: np.random.Generator, replicas: Sequence[str], horizon_ms: float
+) -> DelayRule:
+    start, end = _draw_window(rng, horizon_ms)
+    return DelayRule(
+        start_ms=start, end_ms=end, extra_ms=rng.uniform(1.0, MAX_EXTRA_MS)
+    )
+
+
+def _draw_duplicate(
+    rng: np.random.Generator, replicas: Sequence[str], horizon_ms: float
+) -> DuplicateRule:
+    start, end = _draw_window(rng, horizon_ms)
+    return DuplicateRule(
+        start_ms=start,
+        end_ms=end,
+        probability=DUPLICATE_PROBABILITY,
+        copies=int(rng.integers(1, 3)),
+        late_by_ms=rng.uniform(0.0, MAX_LATE_BY_MS),
+    )
+
+
+def _draw_crash(
+    rng: np.random.Generator, replicas: Sequence[str], horizon_ms: float
+) -> CrashRestartFault:
+    host, crash_at, restart_at = _draw_host_window(rng, replicas, horizon_ms)
+    return CrashRestartFault(
+        host=host, crash_at_ms=crash_at, restart_at_ms=restart_at
+    )
+
+
+def _draw_churn(
+    rng: np.random.Generator, replicas: Sequence[str], horizon_ms: float
+) -> ChurnFault:
+    member, leave_at, rejoin_at = _draw_host_window(rng, replicas, horizon_ms)
+    return ChurnFault(
+        member=member, leave_at_ms=leave_at, rejoin_at_ms=rejoin_at
+    )
+
+
+def _draw_degradation(
+    rng: np.random.Generator, replicas: Sequence[str], horizon_ms: float
+) -> DegradationFault:
+    host = str(rng.choice(list(replicas)))
+    start, end = _draw_drained_window(rng, horizon_ms)
+    return DegradationFault(
+        host=host,
+        start_ms=start,
+        end_ms=end,
+        slow_factor=float(rng.uniform(1.5, MAX_SLOW_FACTOR)),
+        omission_probability=DEGRADATION_OMISSION_PROBABILITY,
+    )
+
+
 def _draw_partition(
-    rng: np.random.Generator,
-    replicas: Sequence[str],
-    horizon_ms: float,
-    window_fraction: float,
-    flap_probability: float,
-    grey_probability: float,
+    rng: np.random.Generator, replicas: Sequence[str], horizon_ms: float
 ) -> PartitionFault:
     # One randomized cut: a replica subset goes dark from everyone else.
     # Drained window — every cut heals by 85% of the horizon.
-    start, end = _draw_drained_window(rng, horizon_ms, window_fraction)
+    start, end = _draw_drained_window(rng, horizon_ms)
     pool = list(replicas)
     size = int(rng.integers(1, max(2, len(pool) // 2 + 1)))
     side = tuple(
@@ -347,11 +434,13 @@ def _draw_partition(
     modes = ("symmetric", "outbound", "inbound")
     mode = modes[int(rng.integers(0, 3))]
     flap_period: Optional[float] = None
-    if rng.random() < flap_probability:
+    if rng.random() < PARTITION_FLAP_PROBABILITY:
         flap_period = float(
             rng.uniform(horizon_ms * 0.02, horizon_ms * 0.08)
         )
-    exempt = PROBE_EXEMPT_KINDS if rng.random() < grey_probability else ()
+    exempt = (
+        PROBE_EXEMPT_KINDS if rng.random() < PARTITION_GREY_PROBABILITY else ()
+    )
     return PartitionFault(
         side=side,
         start_ms=start,
@@ -363,40 +452,35 @@ def _draw_partition(
 
 
 def _draw_clock_fault(
-    rng: np.random.Generator,
-    replicas: Sequence[str],
-    horizon_ms: float,
-    window_fraction: float,
-    max_skew_ms: float,
-    max_drift_ppm: float,
+    rng: np.random.Generator, replicas: Sequence[str], horizon_ms: float
 ) -> ClockFault:
     # One randomized clock window: pick a host, a drained window, a kind
     # and a signed magnitude.  The sign is drawn for every kind so the
     # per-window draw sequence stays uniform across kinds.
     host = str(rng.choice(list(replicas)))
-    start, end = _draw_drained_window(rng, horizon_ms, window_fraction)
+    start, end = _draw_drained_window(rng, horizon_ms)
     kind = CLOCK_FAULT_KINDS[int(rng.integers(0, len(CLOCK_FAULT_KINDS)))]
     sign = 1.0 if rng.random() < 0.5 else -1.0
     if kind == "skew":
         return ClockFault(
             host=host, start_ms=start, end_ms=end, kind=kind,
-            offset_ms=sign * float(rng.uniform(1.0, max_skew_ms)),
+            offset_ms=sign * float(rng.uniform(1.0, MAX_CLOCK_SKEW_MS)),
         )
     if kind == "drift":
         return ClockFault(
             host=host, start_ms=start, end_ms=end, kind=kind,
-            drift_ppm=sign * float(rng.uniform(50.0, max_drift_ppm)),
+            drift_ppm=sign * float(rng.uniform(50.0, MAX_CLOCK_DRIFT_PPM)),
         )
     if kind == "step":
         return ClockFault(
             host=host, start_ms=start, end_ms=end, kind=kind,
-            step_ms=sign * float(rng.uniform(1.0, max_skew_ms)),
+            step_ms=sign * float(rng.uniform(1.0, MAX_CLOCK_SKEW_MS)),
         )
     if kind == "freeze":
         return ClockFault(host=host, start_ms=start, end_ms=end, kind=kind)
     return ClockFault(
         host=host, start_ms=start, end_ms=end, kind="jitter",
-        jitter_ms=float(rng.uniform(0.5, max(1.0, max_skew_ms / 4.0))),
+        jitter_ms=float(rng.uniform(0.5, max(1.0, MAX_CLOCK_SKEW_MS / 4.0))),
     )
 
 
@@ -405,35 +489,24 @@ def random_fault_schedule(
     horizon_ms: float,
     replicas: Sequence[str],
     drop_windows: int = 3,
-    drop_probability: float = 0.3,
     delay_windows: int = 2,
-    max_extra_ms: float = 40.0,
     duplicate_windows: int = 2,
-    duplicate_probability: float = 0.5,
-    max_late_by_ms: float = 60.0,
     crash_restarts: int = 2,
     churn_events: int = 2,
-    window_fraction: float = 0.15,
     degradations: int = 0,
-    max_slow_factor: float = 4.0,
-    degradation_omission_probability: float = 0.7,
     overload_windows: int = 0,
-    surge_interarrival_ms: float = 5.0,
     partition_windows: int = 0,
-    partition_flap_probability: float = 0.25,
-    partition_grey_probability: float = 0.2,
     clock_windows: int = 0,
-    max_clock_skew_ms: float = 200.0,
-    max_clock_drift_ppm: float = 800.0,
+    surge_interarrival_ms: float = 5.0,
 ) -> FaultSchedule:
     """Draw a randomized schedule over ``[0, horizon_ms)``.
 
-    Message-level windows cover about ``window_fraction`` of the horizon
-    each; crashes always restart and churned members always rejoin, so a
-    long-enough run converges back to the full view (the property the
-    lifecycle auditor's drain-time invariants rely on).  Degradation and
-    overload windows always end by 85% of the horizon, so a drained run
-    has recovered.
+    Message-level windows cover about :data:`WINDOW_FRACTION` of the
+    horizon each; crashes always restart and churned members always
+    rejoin, so a long-enough run converges back to the full view (the
+    property the lifecycle auditor's drain-time invariants rely on).
+    Degradation, overload, partition and clock windows always end by 85%
+    of the horizon, so a drained run has recovered.
 
     Each fault window draws from its own named substream of ``streams``
     — ``("faults.<family>", i)`` for window ``i`` of ``<family>`` — so
@@ -446,122 +519,35 @@ def random_fault_schedule(
     if not replicas:
         raise ValueError("need at least one replica to inject faults into")
 
-    # Named-substream discipline: one independent generator per
-    # (family, window index) key; draw order is irrelevant.
-    drops = []
-    for i in range(drop_windows):
-        g = streams.substream("faults.drops", i)
-        start, end = _draw_window(g, horizon_ms, window_fraction)
-        drops.append(
-            DropRule(
-                start_ms=start, end_ms=end, probability=drop_probability
-            )
+    def draw_overload(
+        rng: np.random.Generator, _replicas: Sequence[str], horizon_ms: float
+    ) -> OverloadFault:
+        start, end = _draw_drained_window(rng, horizon_ms)
+        return OverloadFault(
+            start_ms=start,
+            end_ms=end,
+            surge_interarrival_ms=surge_interarrival_ms,
         )
-    delays = []
-    for i in range(delay_windows):
-        g = streams.substream("faults.delays", i)
-        start, end = _draw_window(g, horizon_ms, window_fraction)
-        delays.append(
-            DelayRule(
-                start_ms=start,
-                end_ms=end,
-                extra_ms=g.uniform(1.0, max_extra_ms),
-            )
-        )
-    duplicates = []
-    for i in range(duplicate_windows):
-        g = streams.substream("faults.duplicates", i)
-        start, end = _draw_window(g, horizon_ms, window_fraction)
-        duplicates.append(
-            DuplicateRule(
-                start_ms=start,
-                end_ms=end,
-                probability=duplicate_probability,
-                copies=int(g.integers(1, 3)),
-                late_by_ms=g.uniform(0.0, max_late_by_ms),
-            )
-        )
-    crashes = []
-    for i in range(crash_restarts):
-        g = streams.substream("faults.crashes", i)
-        host, crash_at, restart_at = _draw_host_window(
-            g, replicas, horizon_ms
-        )
-        crashes.append(
-            CrashRestartFault(
-                host=host, crash_at_ms=crash_at, restart_at_ms=restart_at
-            )
-        )
-    churn = []
-    for i in range(churn_events):
-        g = streams.substream("faults.churn", i)
-        member, leave_at, rejoin_at = _draw_host_window(
-            g, replicas, horizon_ms
-        )
-        churn.append(
-            ChurnFault(
-                member=member, leave_at_ms=leave_at, rejoin_at_ms=rejoin_at
-            )
-        )
-    degraded = []
-    for i in range(degradations):
-        g = streams.substream("faults.degradations", i)
-        host = str(g.choice(list(replicas)))
-        start, end = _draw_drained_window(g, horizon_ms, window_fraction)
-        degraded.append(
-            DegradationFault(
-                host=host,
-                start_ms=start,
-                end_ms=end,
-                slow_factor=float(g.uniform(1.5, max_slow_factor)),
-                omission_probability=degradation_omission_probability,
-            )
-        )
-    overloads = []
-    for i in range(overload_windows):
-        g = streams.substream("faults.overloads", i)
-        start, end = _draw_drained_window(g, horizon_ms, window_fraction)
-        overloads.append(
-            OverloadFault(
-                start_ms=start,
-                end_ms=end,
-                surge_interarrival_ms=surge_interarrival_ms,
-            )
-        )
-    partitions = []
-    for i in range(partition_windows):
-        g = streams.substream("faults.partition", i)
-        partitions.append(
-            _draw_partition(
-                g,
-                replicas,
-                horizon_ms,
-                window_fraction,
-                partition_flap_probability,
-                partition_grey_probability,
-            )
-        )
-    clocks = []
-    for i in range(clock_windows):
-        g = streams.substream("faults.clock", i)
-        clocks.append(
-            _draw_clock_fault(
-                g,
-                replicas,
-                horizon_ms,
-                window_fraction,
-                max_clock_skew_ms,
-                max_clock_drift_ppm,
-            )
-        )
+
+    # family -> (substream key, window count, draw); the two newest
+    # families' substream keys are singular, and frozen.
+    table: Dict[str, Tuple[str, int, Callable[..., Any]]] = {
+        "drops": ("drops", drop_windows, _draw_drop),
+        "delays": ("delays", delay_windows, _draw_delay),
+        "duplicates": ("duplicates", duplicate_windows, _draw_duplicate),
+        "crashes": ("crashes", crash_restarts, _draw_crash),
+        "churn": ("churn", churn_events, _draw_churn),
+        "degradations": ("degradations", degradations, _draw_degradation),
+        "overloads": ("overloads", overload_windows, draw_overload),
+        "partitions": ("partition", partition_windows, _draw_partition),
+        "clocks": ("clock", clock_windows, _draw_clock_fault),
+    }
     return FaultSchedule(
-        drops=tuple(drops),
-        delays=tuple(delays),
-        duplicates=tuple(duplicates),
-        crashes=tuple(crashes),
-        churn=tuple(churn),
-        degradations=tuple(degraded),
-        overloads=tuple(overloads),
-        partitions=tuple(partitions),
-        clocks=tuple(clocks),
+        **{
+            family: tuple(
+                draw(streams.substream(f"faults.{key}", i), replicas, horizon_ms)
+                for i in range(count)
+            )
+            for family, (key, count, draw) in table.items()
+        }
     )

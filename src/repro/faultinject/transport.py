@@ -22,11 +22,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from ..net.message import Message
 from ..net.transport import Receiver, Transport
-from ..rng import RNGManager, seeded_generator
+from ..rng import RNGManager
 from ..sim.trace import NullTracer, Tracer
 from .schedule import FaultSchedule
 
@@ -40,17 +38,15 @@ class FaultyTransport:
     ----------
     inner:
         The real transport; performs all actual deliveries.
-    schedule:
-        Message-level fault rules (host-level faults are applied by
-        :class:`~repro.faultinject.drivers.LifecycleFaultDriver`).
-    rng:
-        Generator for the probabilistic rules; deterministic by default.
     streams:
-        Alternative to ``rng``: an :class:`~repro.rng.RNGManager` whose
-        ``"faultinject.wire"`` stream supplies the injection draws —
-        the preferred form, keeping fault randomness on a named
-        substream independent of every other component's draws
-        (docs/REPRODUCIBILITY.md).  Mutually exclusive with ``rng``.
+        The :class:`~repro.rng.RNGManager` whose ``"faultinject.wire"``
+        stream supplies the probabilistic rules' draws, keeping fault
+        randomness on a named substream independent of every other
+        component's draws (docs/REPRODUCIBILITY.md).
+    schedule:
+        The rules in force; a deployment's wire starts empty and is
+        handed its schedule by :meth:`~repro.faultinject.plane
+        .FaultPlane.apply`, which also arms the timed fault families.
     """
 
     #: Named stream the wire-level injection draws come from.
@@ -59,21 +55,15 @@ class FaultyTransport:
     def __init__(
         self,
         inner: Transport,
+        streams: RNGManager,
         schedule: Optional[FaultSchedule] = None,
-        rng: Optional[np.random.Generator] = None,
         tracer: Optional[Tracer] = None,
-        streams: Optional["RNGManager"] = None,
     ) -> None:
-        if rng is not None and streams is not None:
-            raise ValueError("pass either rng or streams, not both")
         self.inner = inner
         self.sim = inner.sim
         self.lan = inner.lan
         self.schedule = schedule or FaultSchedule()
-        if streams is not None:
-            self.rng = streams.stream(self.STREAM_NAME)
-        else:
-            self.rng = rng if rng is not None else seeded_generator(0)
+        self.rng = streams.stream(self.STREAM_NAME)
         self.tracer = tracer if tracer is not None else NullTracer()
         self.injected_drops = 0
         self.injected_delays = 0

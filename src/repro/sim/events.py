@@ -66,7 +66,7 @@ class Event:
         and may not be shared across kernels.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_state", "_queue_slot")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "_state", "_queue_entry")
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -74,9 +74,9 @@ class Event:
         self._value: Any = None
         self._ok: Optional[bool] = None
         self._state = EventState.PENDING
-        # Slot index in the kernel's EventQueue while scheduled (-1
-        # otherwise); lets daemon demotion find the entry in O(1).
-        self._queue_slot = -1
+        # This event's entry in the kernel's EventQueue while scheduled
+        # (None otherwise); lets daemon demotion find it in O(1).
+        self._queue_entry: Optional[List[Any]] = None
 
     # -- inspection ----------------------------------------------------
     @property

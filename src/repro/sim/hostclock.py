@@ -169,7 +169,7 @@ class ClockRegistry:
     """Create-on-demand map of host name -> :class:`HostClock`.
 
     A deployment builds one registry and hands each handler the clock of
-    its owning host; the :class:`~repro.faultinject.clock.ClockDriver`
+    its owning host; the :class:`~repro.faultinject.plane.FaultPlane`
     manipulates the same objects, so a fault on ``s-1`` is visible to
     exactly the code running on ``s-1``.
     """
@@ -185,10 +185,6 @@ class ClockRegistry:
             existing = HostClock(self._sim, host=host)
             self._clocks[host] = existing
         return existing
-
-    def clocks(self) -> Dict[str, HostClock]:
-        """Snapshot of all clocks created so far."""
-        return dict(self._clocks)
 
     def __contains__(self, host: str) -> bool:
         return host in self._clocks

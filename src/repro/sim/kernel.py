@@ -4,14 +4,11 @@
 Time is a ``float`` in **milliseconds** throughout the repository, matching
 the units the paper reports.
 
-The pending set is an :class:`EventQueue` — a slotted, array-friendly
-priority queue that packs each entry's ``(when, seq)`` priority into a
-single integer key, keeps event references in a recycled slot table and
-daemon flags in a flat byte array.  Dispatching an event therefore stops
-allocating a fresh ``(when, seq, daemon, event)`` tuple per hop, and
-daemon demotion is an O(1) flag flip instead of an O(n) heap scan, while
-the pop order stays bit-for-bit identical to the historic tuple heap
-(see ``tests/sim/test_event_queue.py``).
+The pending set is an :class:`EventQueue`: a binary heap of
+``[when, seq, daemon, event]`` entries, popped in ascending
+``(when, seq)`` so same-instant events dispatch strictly FIFO.  Each
+scheduled event keeps a reference to its own entry, which makes daemon
+demotion an O(1) flag flip instead of an O(n) heap scan.
 
 The kernel is deliberately small: events (:mod:`repro.sim.events`),
 processes (:mod:`repro.sim.process`) and everything above them are built
@@ -21,8 +18,6 @@ from ``_schedule`` and the run loop below.
 from __future__ import annotations
 
 import heapq
-import struct
-from array import array
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from .events import AllOf, AnyOf, Event, EventState, SimulationError, Timeout
@@ -30,107 +25,51 @@ from .process import Process
 
 __all__ = ["EventQueue", "Simulator"]
 
-_FLOAT64 = struct.Struct(">d")
-_SIGN_BIT = 0x8000000000000000
-_UINT64_MASK = 0xFFFFFFFFFFFFFFFF
-# Packed key layout: [64 bits ordered when][48 bits seq][32 bits slot].
-_SEQ_BITS = 48
-_SLOT_BITS = 32
-_SLOT_MASK = (1 << _SLOT_BITS) - 1
-_WHEN_SHIFT = _SEQ_BITS + _SLOT_BITS
-
-
-def _time_key(when: float) -> int:
-    """Map a float instant to an integer with the same total order.
-
-    The IEEE-754 bit pattern of a non-negative double is already
-    monotone in its value; negative values are order-reversed and fixed
-    up with the standard sign-flip transform.  Integer comparison of
-    the results is then exactly float comparison of the inputs.
-    """
-    # -0.0 == 0.0 must key identically (the tuple heap tied them and fell
-    # to the sequence number); adding 0.0 canonicalizes the signed zero.
-    bits = int.from_bytes(_FLOAT64.pack(when + 0.0), "big")
-    if bits & _SIGN_BIT:
-        return bits ^ _UINT64_MASK
-    return bits | _SIGN_BIT
-
 
 class EventQueue:
-    """Slotted pending-event queue with heapq-identical ordering.
+    """Pending-event heap with O(1) daemon demotion.
 
-    Entries are single integers on a binary heap: the ordered bit
-    pattern of ``when``, then a monotone FIFO sequence number, then the
-    slot index — so popping compares plain ints (C-speed, no tuple per
-    event).  Slot-indexed side tables hold what the tuple used to:
-    event references (a recycled object list), the exact scheduled
-    instant (a flat ``array('d')``) and the daemon flag (a bytearray).
-
-    Ordering contract: pops come out in ascending ``(when, seq)``, the
-    exact order of the historic ``(when, seq, daemon, event)`` tuple
-    heap — ``seq`` is unique, so the daemon flag never decided a
-    comparison there either.
+    Ordering contract: pops come out in ascending ``(when, seq)``, with
+    ``seq`` assigned in push order.  ``seq`` is unique, so comparing two
+    entries never reaches the daemon flag or the event.
     """
 
-    __slots__ = ("_keys", "_events", "_whens", "_daemon", "_free", "_seq")
+    __slots__ = ("_heap", "_seq")
 
     def __init__(self) -> None:
-        self._keys: List[int] = []
-        self._events: List[Optional[Event]] = []
-        self._whens = array("d")
-        self._daemon = bytearray()
-        self._free: List[int] = []
+        self._heap: List[List[Any]] = []
         self._seq = 0
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._heap)
 
     def push(self, when: float, event: Event, daemon: bool = False) -> None:
         """Enqueue ``event`` at instant ``when`` (FIFO-stable on ties)."""
-        if self._free:
-            slot = self._free.pop()
-            self._events[slot] = event
-            self._whens[slot] = when
-            self._daemon[slot] = 1 if daemon else 0
-        else:
-            slot = len(self._events)
-            if slot > _SLOT_MASK:
-                raise SimulationError("event queue slot table overflow")
-            self._events.append(event)
-            self._whens.append(when)
-            self._daemon.append(1 if daemon else 0)
         self._seq += 1
-        event._queue_slot = slot
-        heapq.heappush(
-            self._keys,
-            (_time_key(when) << _WHEN_SHIFT) | (self._seq << _SLOT_BITS) | slot,
-        )
+        # ``+ 0.0``: the clock reads back a float whatever number was
+        # scheduled, and never a negative zero.
+        entry = [when + 0.0, self._seq, daemon, event]
+        event._queue_entry = entry
+        heapq.heappush(self._heap, entry)
 
     def pop(self) -> Tuple[float, Event, bool]:
         """Dequeue and return ``(when, event, daemon)`` for the next event."""
-        if not self._keys:
+        if not self._heap:
             raise SimulationError("pop() on an empty event queue")
-        slot = heapq.heappop(self._keys) & _SLOT_MASK
-        event = self._events[slot]
-        when = self._whens[slot]
-        daemon = bool(self._daemon[slot])
-        self._events[slot] = None
-        event._queue_slot = -1
-        self._free.append(slot)
+        when, _seq, daemon, event = heapq.heappop(self._heap)
+        event._queue_entry = None
         return when, event, daemon
 
     def peek_when(self) -> float:
         """Instant of the next event, or ``inf`` when empty."""
-        if not self._keys:
-            return float("inf")
-        return self._whens[self._keys[0] & _SLOT_MASK]
+        return self._heap[0][0] if self._heap else float("inf")
 
     def demote(self, event: Event) -> bool:
         """Flag a scheduled ``event`` as daemon; ``True`` if it flipped."""
-        slot = event._queue_slot
-        if slot < 0 or self._events[slot] is not event or self._daemon[slot]:
+        entry = event._queue_entry
+        if entry is None or entry[2]:
             return False
-        self._daemon[slot] = 1
+        entry[2] = True
         return True
 
 

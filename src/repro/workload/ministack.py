@@ -11,12 +11,13 @@ defaults (the fault experiments A15/A17/A18 and the handler-level test
 suites run on it) and :class:`~repro.workload.scenarios.Scenario` is the
 paper's §6 testbed preset.
 
-Hand a stack a :class:`~repro.faultinject.schedule.FaultSchedule` and the
-wire becomes a :class:`~repro.faultinject.transport.FaultyTransport`
-drawing from its own ``wire_seed``; host-level crash/restart, churn and
-degradation go through the deployment's one ``faults`` driver, and the
-partition, overload and clock drivers attach to the exposed
-``sim``/``lan``/``group_comm``/``clocks``.
+Faults enter through one call: ``stack.faults.apply(schedule)`` (the
+deployment's :class:`~repro.faultinject.plane.FaultPlane`), made once the
+servers and clients exist.  A stack built with ``faulty_wire=True`` sends
+through a :class:`~repro.faultinject.transport.FaultyTransport` drawing
+from ``wire_seed`` and can inject all nine fault families; the default
+plain wire pays no per-message rule scan and rejects a schedule holding
+message-level rules.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core.qos import QoSSpec
 from ..engine import EngineConfig
 from ..faultinject.auditor import LifecycleAuditor
-from ..faultinject.drivers import LifecycleFaultDriver
-from ..faultinject.schedule import FaultSchedule
+from ..faultinject.plane import FaultPlane
+from ..faultinject.schedule import CrashRestartFault, FaultSchedule
 from ..faultinject.transport import FaultyTransport
 from ..gateway.gateway import Gateway
 from ..gateway.handlers.timing_fault import (
@@ -133,13 +134,14 @@ class Deployment:
     """The AQuA stack wired layer by layer, every layer an attribute.
 
     ``seed`` roots every deployment stream (one
-    :class:`~repro.rng.RNGManager`).  With a ``schedule`` the wire is
-    fault-injectable and draws from ``RNGManager(wire_seed)``; without
-    one it is the plain transport.  Servers and clients are started one
-    call at a time; every one is watched by the deployment's
+    :class:`~repro.rng.RNGManager`); ``wire_seed`` roots the fault
+    plane's own draws (the ``faulty_wire``'s probabilistic rules, clock
+    jitter), so injecting faults never perturbs the deployment's streams.
+    Servers and clients are started one call at a time; every one is
+    watched by the deployment's
     :class:`~repro.faultinject.auditor.LifecycleAuditor`, and ``faults``
-    (the one :class:`~repro.faultinject.drivers.LifecycleFaultDriver`)
-    crashes, restarts, churns and degrades whatever runs on a host.
+    (the one :class:`~repro.faultinject.plane.FaultPlane`) applies fault
+    schedules to whatever runs on a host.
     """
 
     def __init__(
@@ -147,7 +149,7 @@ class Deployment:
         seed: int,
         wiring: Wiring,
         interface: ServiceInterface,
-        schedule: Optional[FaultSchedule] = None,
+        faulty_wire: bool = False,
         wire_seed: int = 0,
     ) -> None:
         self.sim = Simulator()
@@ -163,10 +165,8 @@ class Deployment:
             shared_congestion=wiring.shared_congestion,
         )
         self.transport: Any = Transport(self.sim, self.lan, tracer=self.tracer)
-        if schedule is not None:
-            self.transport = FaultyTransport(
-                self.transport, schedule=schedule, streams=RNGManager(wire_seed)
-            )
+        if faulty_wire:
+            self.transport = FaultyTransport(self.transport, RNGManager(wire_seed))
         self.detector = FailureDetector(
             self.sim,
             self.lan,
@@ -185,14 +185,23 @@ class Deployment:
         self.marshalling = wiring.marshalling
         self.interface = interface
         self.auditor = LifecycleAuditor()
-        if schedule is not None:
-            self.auditor.set_schedule(schedule)
         self._gateways: Dict[str, Gateway] = {}
         # host -> every replica started on it, in start order (a host may
         # run replicas of several services; paper §3).
         self.replicas: Dict[str, List[TimingFaultServerHandler]] = {}
-        self.faults = LifecycleFaultDriver(
-            self.sim, self.lan, self.group_comm, self.replicas, tracer=self.tracer
+        # client host -> the stub bound for it.
+        self.stubs: Dict[str, Stub] = {}
+        self.faults = FaultPlane(
+            self.sim,
+            self.lan,
+            self.group_comm,
+            self.replicas,
+            self.clocks,
+            self.stubs,
+            self.transport,
+            self.auditor,
+            wire_seed,
+            self.tracer,
         )
 
     def gateway_for(self, host: str) -> Gateway:
@@ -281,7 +290,17 @@ class Deployment:
         orb = Orb()
         orb.register_interface(self.interface)
         orb.bind_interceptor(qos.service, handler)
-        return handler, orb.stub(qos.service)
+        self.stubs[host] = orb.stub(qos.service)
+        return handler, self.stubs[host]
+
+
+    def schedule_crash(
+        self, host: str, at_ms: float, recover_at_ms: Optional[float] = None
+    ) -> None:
+        """Crash ``host`` at ``at_ms`` (optionally recovering later)."""
+        self.faults.apply(
+            FaultSchedule(crashes=(CrashRestartFault(host, at_ms, recover_at_ms),))
+        )
 
 
 class MiniStack(Deployment):
@@ -292,17 +311,13 @@ class MiniStack(Deployment):
     """
 
     def __init__(
-        self,
-        seed: int = 0,
-        schedule: Optional[FaultSchedule] = None,
-        wire_seed: int = 0,
+        self, seed: int = 0, faulty_wire: bool = False, wire_seed: int = 0
     ) -> None:
         super().__init__(
-            seed, Wiring(), make_interface(SERVICE, METHOD), schedule, wire_seed
+            seed, Wiring(), make_interface(SERVICE, METHOD), faulty_wire, wire_seed
         )
         self.servers: Dict[str, TimingFaultServerHandler] = {}
         self.clients: Dict[str, TimingFaultClientHandler] = {}
-        self.stubs: Dict[str, Stub] = {}
 
     def add_server(
         self, host: str, service_time: Optional[Distribution] = None
@@ -330,14 +345,13 @@ class MiniStack(Deployment):
         defaults to zero (the stack is cost-free by default).
         """
         options.setdefault("selection_charge_ms", 0.0)
-        handler, self.stubs[host] = self.bind_client(
+        self.clients[host], _stub = self.bind_client(
             host,
             QoSSpec(SERVICE, deadline_ms, min_probability),
             handler_cls,
             **options,
         )
-        self.clients[host] = handler
-        return handler
+        return self.clients[host]
 
     def invoke(self, client_host: str, arg: int = 0) -> Event:
         """Fire one request through the client's stub; returns the event."""

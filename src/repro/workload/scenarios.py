@@ -22,7 +22,6 @@ from typing import Callable, Dict, List, Optional
 from ..core.qos import QoSSpec
 from ..core.selection import SelectionPolicy
 from ..faultinject.auditor import AuditReport
-from ..faultinject.schedule import CrashRestartFault
 from ..gateway.handlers.timing_fault import TimingFaultClientHandler
 from ..health import HealthConfig
 from ..metrics.collector import MetricsCollector
@@ -248,13 +247,6 @@ class Scenario(Deployment):
             name, qos, handler_cls, **{**defaults, **options}
         )
         return stub
-
-    # -- faults -----------------------------------------------------------
-    def schedule_crash(
-        self, host: str, at_ms: float, recover_at_ms: Optional[float] = None
-    ) -> None:
-        """Crash ``host`` at ``at_ms`` (optionally recovering later)."""
-        self.faults.apply_crash(CrashRestartFault(host, at_ms, recover_at_ms))
 
     # -- running ------------------------------------------------------------
     def run(self, until: Optional[float] = None) -> None:

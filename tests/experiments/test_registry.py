@@ -3,7 +3,8 @@
 Every registered sweep inherits the parallel engine's 1-vs-N digest
 equality; every row carries every declared column; keys are unique and
 resolve lazily; the ``--list`` table is the one EXPERIMENTS.md prints;
-``--check-digests`` names the experiment whose digest moved.
+``--check-digests`` names the experiment whose digest moved, the A17
+campaign included.
 """
 
 import json
@@ -77,8 +78,10 @@ def test_importing_one_experiment_imports_no_sibling():
 
 
 def test_pinned_digests_name_registered_sweeps():
+    # Every sweep, and the one command with a reproducible digest.
     pinned = json.loads((REPO_ROOT / DIGESTS_FILE).read_text())
-    assert set(pinned) == set(SWEEPS)
+    assert set(pinned) == set(SWEEPS) | {"A17"}
+    assert pinned["A17"].startswith("b60ebaafca63f2fd")
 
 
 def test_check_digests_names_the_offending_key(tmp_path, monkeypatch, capsys):
@@ -93,6 +96,28 @@ def test_check_digests_names_the_offending_key(tmp_path, monkeypatch, capsys):
     Path(DIGESTS_FILE).write_text("{}")  # a sweep without a pin fails too
     assert main(["min_response", "--check-digests"]) == 1
     assert "pinned None" in capsys.readouterr().out
+
+
+def test_check_digests_gates_the_a17_campaign(tmp_path, monkeypatch, capsys):
+    # The pin is the default campaign's; a four-schedule one stands in
+    # for it here, pinned in a scratch digests file.
+    from repro.faultinject.campaign import CampaignConfig, run_campaign
+
+    monkeypatch.chdir(tmp_path)
+    digest = run_campaign(CampaignConfig(schedules=4)).digest
+    argv = ["A17", "--check-digests", "--schedules", "4"]
+    Path(DIGESTS_FILE).write_text(json.dumps({"A17": digest}))
+    assert main(argv) == 0
+    assert "DIGEST MISMATCH" not in capsys.readouterr().out
+    perturbed = digest[:-1] + ("0" if digest[-1] != "0" else "1")
+    Path(DIGESTS_FILE).write_text(json.dumps({"A17": perturbed}))
+    assert main(argv) == 1
+    assert f"DIGEST MISMATCH A17: digest {digest}" in capsys.readouterr().out
+    Path(DIGESTS_FILE).write_text("{}")  # no pin at all fails too
+    assert main(argv) == 1
+    assert "pinned None" in capsys.readouterr().out
+    # Without the flag the same run compares nothing.
+    assert main(["A17", "--schedules", "4"]) == 0
 
 
 def test_json_export_carries_rows_and_digest(tmp_path, capsys):

@@ -1,21 +1,18 @@
 """Mini AQuA stack wired through the fault-injection layer.
 
-:class:`repro.workload.MiniStack` with a (possibly empty) fault
-schedule, so every component sends through a :class:`FaultyTransport`;
-the stack owns a :class:`LifecycleAuditor` watching every client, and
-its ``LifecycleFaultDriver`` (``stack.faults``) applies crash/restart
-and churn faults to its servers.
+:class:`repro.workload.MiniStack` on the fault-injecting wire, so every
+component sends through a :class:`FaultyTransport`; the stack owns a
+:class:`LifecycleAuditor` watching every client, and its one fault plane
+(``stack.faults``) applies whole schedules: ``stack.faults.apply(...)``
+once the servers and clients exist.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import pytest
 
 from repro.core.selection import SelectionDecision
 from repro.engine import RequestRecord
-from repro.faultinject import FaultSchedule
 from repro.orb.object import MethodRequest
 from repro.workload.ministack import METHOD, SERVICE, MiniStack
 
@@ -33,15 +30,8 @@ def stray_record(completed: bool = False) -> RequestRecord:
 class FaultStack(MiniStack):
     """A deterministic deployment whose wire is always fault-injectable."""
 
-    def __init__(
-        self,
-        seed: int = 0,
-        schedule: Optional[FaultSchedule] = None,
-        fault_seed: int = 0,
-    ):
-        super().__init__(
-            seed=seed, schedule=schedule or FaultSchedule(), wire_seed=fault_seed
-        )
+    def __init__(self, seed: int = 0, fault_seed: int = 0):
+        super().__init__(seed=seed, faulty_wire=True, wire_seed=fault_seed)
 
 
 @pytest.fixture

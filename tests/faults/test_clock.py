@@ -1,4 +1,4 @@
-"""The clock-fault plane: HostClock, ClockFault windows, and the driver.
+"""The clock-fault plane: HostClock, ClockFault windows, and their arming.
 
 Covers the three layers of ISSUE 10's clock plane:
 
@@ -7,19 +7,21 @@ Covers the three layers of ISSUE 10's clock plane:
   under step/drift/freeze/jitter, and ``resync`` restoring pristineness;
 * :class:`ClockFault` as pure data — validation per kind, the drift
   ``rate`` property, window activity;
-* :class:`ClockDriver` — scheduled engage/resync transitions on live
-  clocks, idempotence, overlap composition, and counters — plus the
-  drain-time auditor invariants the plane feeds (no negative response
-  times, no future-stamped repository records).
+* the fault plane's clock family — scheduled engage/resync transitions
+  on live clocks, idempotence, overlap composition, the seeded jitter
+  stream, and counters — plus the drain-time auditor invariants the
+  plane feeds (no negative response times, no future-stamped repository
+  records).
 """
 
 import numpy as np
 import pytest
 
-from repro.faultinject import ClockDriver, ClockFault, FaultSchedule, SubmissionRecord
+from repro.faultinject import ClockFault, FaultSchedule, SubmissionRecord
 from repro.gateway.handlers.timing_fault import ReplyOutcome
 from repro.sim.hostclock import ClockRegistry, HostClock
 from repro.sim.kernel import Simulator
+from repro.workload.ministack import MiniStack
 
 from .conftest import FaultStack
 
@@ -99,8 +101,7 @@ class TestHostClock:
         registry = ClockRegistry(Simulator())
         assert registry.clock("a") is registry.clock("a")
         assert registry.clock("a") is not registry.clock("b")
-        assert "a" in registry and len(registry) == 2
-        assert set(registry.clocks()) == {"a", "b"}
+        assert "a" in registry and "b" in registry and len(registry) == 2
 
 
 class TestClockFaultValidation:
@@ -145,57 +146,61 @@ class TestClockFaultValidation:
         assert not fault.active(20.0)
 
 
-def _driver(sim, hosts=("h-1", "h-2")):
-    registry = ClockRegistry(sim)
-    clocks = {host: registry.clock(host) for host in hosts}
-    return ClockDriver(sim, clocks), clocks
+def _stack(hosts=("h-1", "h-2"), wire_seed=0):
+    """A plain-wire stack (clock faults need no fault-injecting wire)."""
+    stack = MiniStack(wire_seed=wire_seed)
+    for host in hosts:
+        stack.add_server(host)
+    return stack.sim, stack.faults, stack.clocks.clock(hosts[0])
 
 
 class TestClockDriver:
     def test_window_engages_then_resyncs(self):
-        sim = Simulator()
-        driver, clocks = _driver(sim)
+        sim, plane, clock = _stack()
         fault = ClockFault(
             host="h-1", start_ms=100.0, end_ms=200.0, kind="step",
             step_ms=50.0,
         )
-        driver.apply(FaultSchedule(clocks=(fault,)))
+        plane.apply(FaultSchedule(clocks=(fault,)))
         readings = {}
-        sim.call_at(150.0, lambda: readings.update(mid=clocks["h-1"].now))
-        sim.call_at(250.0, lambda: readings.update(after=clocks["h-1"].now))
+        sim.call_at(150.0, lambda: readings.update(mid=clock.now))
+        sim.call_at(250.0, lambda: readings.update(after=clock.now))
         sim.run()
         assert readings["mid"] == pytest.approx(200.0)  # stepped +50
         assert readings["after"] == 250.0  # resynced, pristine again
-        assert driver.engagements == 1
-        assert driver.resyncs == 1
+        assert plane.engagements == 1
+        assert plane.resyncs == 1
 
     def test_engage_is_idempotent(self):
-        sim = Simulator()
-        driver, clocks = _driver(sim)
+        _sim, plane, clock = _stack()
         fault = ClockFault(
             host="h-1", start_ms=0.0, end_ms=10.0, kind="step", step_ms=5.0
         )
-        driver.engage_now(fault)
-        driver.engage_now(fault)
-        assert driver.engagements == 1
-        assert clocks["h-1"].now == pytest.approx(5.0)  # stepped once
+        plane.engage_now(fault)
+        plane.engage_now(fault)
+        assert plane.engagements == 1
+        assert clock.now == pytest.approx(5.0)  # stepped once
 
     def test_unknown_host_is_ignored(self):
-        sim = Simulator()
-        driver, _clocks = _driver(sim)
-        driver.apply_fault(
-            ClockFault(host="elsewhere", start_ms=0.0, end_ms=10.0,
-                       kind="freeze")
+        # It used to be, silently; one rule for the one plane now: a
+        # fault naming a host the deployment does not have is rejected,
+        # family and host named, before anything is armed.
+        sim, plane, _clock = _stack()
+        known = ClockFault(host="h-1", start_ms=0.0, end_ms=10.0, kind="freeze")
+        ghost = ClockFault(
+            host="elsewhere", start_ms=0.0, end_ms=10.0, kind="freeze"
         )
+        with pytest.raises(ValueError, match="clocks.*'elsewhere'"):
+            plane.apply(FaultSchedule(clocks=(known, ghost)))
         sim.run()
-        assert driver.engagements == 0
+        assert plane.engagements == 0  # the known host's window was not armed
+        assert len(plane.schedule) == 0
 
     def test_overlap_reengages_the_survivor_after_resync(self):
         # drift [0, 300) overlapping freeze [100, 200): when the freeze
         # window ends the clock is resynced and the still-active drift
         # re-engages, so the clock keeps drifting until 300.
-        sim = Simulator()
-        driver, clocks = _driver(sim)
+        sim, plane, clock = _stack()
         drift = ClockFault(
             host="h-1", start_ms=0.0, end_ms=300.0, kind="drift",
             drift_ppm=100_000.0,  # 1.1x: visible over a 100ms span
@@ -203,21 +208,47 @@ class TestClockDriver:
         freeze = ClockFault(
             host="h-1", start_ms=100.0, end_ms=200.0, kind="freeze"
         )
-        driver.apply(FaultSchedule(clocks=(drift, freeze)))
+        plane.apply(FaultSchedule(clocks=(drift, freeze)))
         readings = {}
-        sim.call_at(150.0, lambda: readings.update(frozen=clocks["h-1"].now))
-        sim.call_at(250.0, lambda: readings.update(drifting=clocks["h-1"].now))
-        sim.call_at(350.0, lambda: readings.update(after=clocks["h-1"].now))
+        sim.call_at(150.0, lambda: readings.update(frozen=clock.now))
+        sim.call_at(250.0, lambda: readings.update(drifting=clock.now))
+        sim.call_at(350.0, lambda: readings.update(after=clock.now))
         sim.run()
         frozen = readings["frozen"]
-        assert clocks["h-1"].faulted is False  # drained run ends pristine
+        assert clock.faulted is False  # drained run ends pristine
         # While frozen the reading holds; after the freeze resync the
         # survivor re-engages from kernel time, so the clock drifts
         # +10% over [200, 250] and is pristine after 300.
         assert frozen == pytest.approx(110.0)  # drifted to 110 by t=100
         assert readings["drifting"] == pytest.approx(255.0)
         assert readings["after"] == 350.0
-        assert driver.resyncs == 2
+        assert plane.resyncs == 2
+
+    def test_jitter_stream_is_rooted_in_the_wire_seed(self):
+        # Regression: a driver built without streams fell back to
+        # RNGManager(0), so every deployment armed that way drew the same
+        # jitter whatever its seed.
+        def jittered_readings(wire_seed):
+            sim, plane, clock = _stack(wire_seed=wire_seed)
+            plane.apply(
+                FaultSchedule(
+                    clocks=(
+                        ClockFault(
+                            host="h-1", start_ms=10.0, end_ms=100.0,
+                            kind="jitter", jitter_ms=5.0,
+                        ),
+                    )
+                )
+            )
+            readings = []
+            for at in (20.0, 40.0, 60.0, 80.0):
+                sim.call_at(at, lambda: readings.append(clock.now))
+            sim.run()
+            return readings
+
+        assert jittered_readings(3) == jittered_readings(3)
+        assert jittered_readings(3) != jittered_readings(4)
+        assert jittered_readings(3) != [20.0, 40.0, 60.0, 80.0]
 
 
 class TestAuditorClockInvariants:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.faultinject import CrashRestartFault
 from repro.sim.random import Constant
 
 from .conftest import FaultStack
@@ -34,7 +33,7 @@ def test_restart_services_new_requests_exactly_once():
     server = stack.add_server("s-1", service_time=Constant(10.0))
     stack.add_client("c-1", deadline_ms=100.0, response_timeout_factor=3.0)
     driver = stack.faults
-    driver.apply_crash(CrashRestartFault("s-1", crash_at_ms=5.0, restart_at_ms=50.0))
+    stack.schedule_crash("s-1", at_ms=5.0, recover_at_ms=50.0)
     first = stack.invoke("c-1", 0)
     later = []
     stack.sim.call_at(400.0, lambda: later.append(stack.invoke("c-1", 1)))
@@ -59,7 +58,7 @@ def test_old_service_loop_cannot_drain_the_new_queue():
     first = stack.invoke("c-1", 1)
     second = stack.invoke("c-1", 2)  # queued behind the first
     old_process = server._process
-    driver.apply_crash(CrashRestartFault("s-1", crash_at_ms=20.0, restart_at_ms=60.0))
+    stack.schedule_crash("s-1", at_ms=20.0, recover_at_ms=60.0)
     later = []
     stack.sim.call_at(400.0, lambda: later.append(stack.invoke("c-1", 3)))
     stack.sim.run()
@@ -119,9 +118,8 @@ def test_driver_crash_restart_churn_are_idempotent():
 def test_driver_rejects_unknown_host():
     stack = FaultStack()
     stack.add_server("s-1")
-    driver = stack.faults
-    with pytest.raises(KeyError):
-        driver.apply_crash(CrashRestartFault("ghost", crash_at_ms=1.0))
+    with pytest.raises(ValueError, match="crashes.*'ghost'"):
+        stack.schedule_crash("ghost", at_ms=1.0)
 
 
 def test_churned_member_is_not_resurrected_by_stale_pushes():

@@ -1,6 +1,5 @@
 """Unit tests for the message-level fault injector (FaultyTransport)."""
 
-import numpy as np
 import pytest
 
 from repro.faultinject import (
@@ -24,7 +23,7 @@ from repro.sim.random import Constant
 class Wire:
     """Three hosts on a deterministic 1 ms LAN behind a FaultyTransport."""
 
-    def __init__(self, schedule=None, rng=None):
+    def __init__(self, schedule=None, fault_seed=0):
         self.sim = Simulator()
         streams = RNGManager(base_seed=0)
         profile = LinkProfile(
@@ -32,7 +31,9 @@ class Wire:
         )
         self.lan = LanModel(streams, default_profile=profile)
         self.inner = Transport(self.sim, self.lan)
-        self.transport = FaultyTransport(self.inner, schedule=schedule, rng=rng)
+        self.transport = FaultyTransport(
+            self.inner, RNGManager(fault_seed), schedule=schedule
+        )
         self.received = {}
         for host in ("a", "b", "c"):
             self.lan.add_host(host)
@@ -106,7 +107,7 @@ def test_probabilistic_drop_is_seeded_and_partial():
     schedule = FaultSchedule(
         drops=(DropRule(start_ms=0.0, end_ms=1e9, probability=0.5),)
     )
-    wire = Wire(schedule, rng=np.random.default_rng(42))
+    wire = Wire(schedule, fault_seed=42)
     for _ in range(200):
         wire.transport.send(_msg())
     wire.sim.run()

@@ -67,7 +67,6 @@ def test_randomized_fault_schedule_drains_clean(seed, fault_seed, schedule_seed)
         horizon_ms=4000.0 * SCALE,
         replicas=REPLICAS,
     )
-    stack.transport.schedule = schedule
     driver = stack.faults
     driver.apply(schedule)
 
@@ -114,9 +113,7 @@ def test_same_seed_same_outcome():
         schedule = random_fault_schedule(
             RNGManager(13), horizon_ms=600.0, replicas=REPLICAS[:3]
         )
-        stack.transport.schedule = schedule
-        driver = stack.faults
-        driver.apply(schedule)
+        stack.faults.apply(schedule)
         _closed_loop(stack, "c-1", 40, think_ms=4.0)
         stack.sim.run()
         report = stack.auditor.assert_clean()

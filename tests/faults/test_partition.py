@@ -1,4 +1,4 @@
-"""The partition fault family: rules, wire enforcement, and the driver.
+"""The partition fault family: rules, wire enforcement, and the plane.
 
 Covers the three enforcement layers of ISSUE 9's fault plane:
 
@@ -9,25 +9,24 @@ Covers the three enforcement layers of ISSUE 9's fault plane:
   :class:`LanModel`, the :class:`Transport` partition check that kills
   delayed/duplicated copies, and :class:`FaultyTransport`'s per-message
   interpretation (grey exemptions, lossy cuts, draw-free total cuts);
-* :class:`PartitionDriver` — mirroring blackout cuts into the LAN,
-  failure-detector eviction from a vantage host, and the heal-time
+* the fault plane's partition family — mirroring blackout cuts into the
+  LAN, failure-detector eviction from a vantage host, and the heal-time
   reconciliation that re-sights and rejoins partitioned replicas.
 """
 
-import numpy as np
 import pytest
 
 from repro.faultinject import (
     CrashRestartFault,
     FaultSchedule,
     FaultyTransport,
-    PartitionDriver,
     PartitionFault,
     PROBE_EXEMPT_KINDS,
     grey_partition,
 )
 from repro.gateway.handlers.timing_fault import MSG_PROBE
 from repro.net.message import Message
+from repro.rng import RNGManager
 from repro.sim.random import Constant
 
 from .conftest import SERVICE, FaultStack
@@ -35,6 +34,11 @@ from .conftest import SERVICE, FaultStack
 
 def _msg(src="client-1", dst="server-1", kind="request"):
     return Message(sender=src, destination=dst, kind=kind)
+
+
+def _cut(stack, *faults):
+    """Apply ``faults`` as one partition-only schedule."""
+    stack.faults.apply(FaultSchedule(partitions=faults))
 
 
 class TestPartitionFaultValidation:
@@ -238,10 +242,11 @@ class TestLanConnectivity:
 
 class TestFaultyTransportEnforcement:
     def _wired(self, schedule, fault_seed=0):
-        stack = FaultStack(schedule=schedule, fault_seed=fault_seed)
+        stack = FaultStack(fault_seed=fault_seed)
         stack.add_server("s-1", service_time=Constant(5.0))
         stack.add_server("s-2", service_time=Constant(5.0))
         stack.add_client("c-1", deadline_ms=100.0)
+        stack.faults.apply(schedule)
         return stack
 
     @staticmethod
@@ -250,7 +255,6 @@ class TestFaultyTransportEnforcement:
         from repro.net.lan import LanModel
         from repro.net.transport import Transport
         from repro.sim.kernel import Simulator
-        from repro.rng import RNGManager
 
         sim = Simulator()
         lan = LanModel(RNGManager(base_seed=0))
@@ -258,7 +262,7 @@ class TestFaultyTransportEnforcement:
             lan.add_host(host)
         inner = Transport(sim, lan)
         faulty = FaultyTransport(
-            inner, schedule=schedule, rng=np.random.default_rng(fault_seed)
+            inner, RNGManager(fault_seed), schedule=schedule
         )
         return sim, inner, faulty
 
@@ -326,7 +330,7 @@ class TestFaultyTransportEnforcement:
         dropped = faulty.injected_partition_drops
         # A fair-ish coin: some die, some pass, none of it deterministic.
         assert 0 < dropped < sent
-        rng = np.random.default_rng(3)
+        rng = RNGManager(3).stream(FaultyTransport.STREAM_NAME)
         expected = sum(rng.random() < 0.5 for _ in range(sent))
         assert dropped == expected
 
@@ -343,34 +347,35 @@ class TestFaultyTransportEnforcement:
 
 
 class TestPartitionDriver:
-    def _driver(self, stack, replicas=None):
-        return PartitionDriver(
-            sim=stack.sim,
-            lan=stack.lan,
-            group_comm=stack.group_comm,
-            service=SERVICE,
-            replicas=replicas or list(stack.servers),
-        )
+    def test_unknown_host_is_rejected_before_anything_is_armed(self):
+        # The old driver silently filtered such a host out of its side.
+        stack = FaultStack()
+        stack.add_server("s-1")
+        known = PartitionFault(side=("s-1",), start_ms=1.0, end_ms=50.0)
+        for ghost in (
+            PartitionFault(side=("s-1", "elsewhere"), start_ms=1.0, end_ms=50.0),
+            PartitionFault(
+                side=("s-1",), far=("elsewhere",), start_ms=1.0, end_ms=50.0
+            ),
+        ):
+            with pytest.raises(ValueError, match="partitions.*'elsewhere'"):
+                _cut(stack, known, ghost)
+        stack.sim.run(until=100.0)
+        assert stack.faults.cuts_applied == 0
+        assert len(stack.transport.schedule) == 0
 
     def test_wire_only_cuts_never_touch_the_lan(self):
         stack = FaultStack()
         stack.add_server("s-1")
-        driver = self._driver(stack)
-        driver.apply(
-            FaultSchedule(
-                partitions=(
-                    grey_partition(side=("s-1",), start_ms=1.0, end_ms=50.0),
-                    PartitionFault(
-                        side=("s-1",),
-                        start_ms=1.0,
-                        end_ms=50.0,
-                        drop_probability=0.5,
-                    ),
-                )
-            )
+        _cut(
+            stack,
+            grey_partition(side=("s-1",), start_ms=1.0, end_ms=50.0),
+            PartitionFault(
+                side=("s-1",), start_ms=1.0, end_ms=50.0, drop_probability=0.5
+            ),
         )
         stack.sim.run(until=100.0)
-        assert driver.cuts_applied == 0
+        assert stack.faults.cuts_applied == 0
         assert stack.lan.severed_links() == []
 
     def test_blackout_cut_severs_and_heals_ordered_pairs(self):
@@ -378,9 +383,9 @@ class TestPartitionDriver:
         stack.add_server("s-1")
         stack.add_server("s-2")
         stack.add_client("c-1")
-        driver = self._driver(stack)
+        plane = stack.faults
         fault = PartitionFault(side=("s-1",), start_ms=10.0, end_ms=50.0)
-        driver.apply_partition(fault)
+        _cut(stack, fault)
         stack.sim.run(until=20.0)
         severed = set(stack.lan.severed_links())
         assert ("s-1", "s-2") in severed
@@ -389,18 +394,18 @@ class TestPartitionDriver:
         assert ("c-1", "s-1") in severed
         stack.sim.run(until=60.0)
         assert stack.lan.severed_links() == []
-        assert driver.cuts_applied == 1
-        assert driver.heals_applied == 1
+        assert plane.cuts_applied == 1
+        assert plane.heals_applied == 1
 
     def test_one_way_cut_severs_one_direction_only(self):
         stack = FaultStack()
         stack.add_server("s-1")
         stack.add_client("c-1")
-        driver = self._driver(stack)
+        plane = stack.faults
         fault = PartitionFault(
             side=("s-1",), start_ms=10.0, end_ms=50.0, mode="outbound"
         )
-        driver.apply_partition(fault)
+        _cut(stack, fault)
         stack.sim.run(until=20.0)
         assert stack.lan.severed_links() == [("s-1", "c-1")]
         assert stack.lan.reachable("c-1", "s-1")
@@ -409,7 +414,7 @@ class TestPartitionDriver:
         stack = FaultStack()
         stack.add_server("s-1")
         stack.add_client("c-1")
-        driver = self._driver(stack)
+        plane = stack.faults
         fault = PartitionFault(
             side=("s-1",),
             start_ms=0.0,
@@ -417,7 +422,7 @@ class TestPartitionDriver:
             flap_period_ms=40.0,
             flap_duty=0.5,
         )
-        driver.apply_partition(fault)
+        _cut(stack, fault)
         stack.sim.run(until=10.0)
         assert stack.lan.severed_links() != []
         stack.sim.run(until=30.0)
@@ -426,8 +431,8 @@ class TestPartitionDriver:
         assert stack.lan.severed_links() != []
         stack.sim.run(until=200.0)
         assert stack.lan.severed_links() == []
-        assert driver.cuts_applied == 3  # cycles at 0, 40 and 80 ms
-        assert driver.heals_applied == 3
+        assert plane.cuts_applied == 3  # cycles at 0, 40 and 80 ms
+        assert plane.heals_applied == 3
 
     def test_delayed_copies_die_on_a_cut_applied_after_send(self):
         # A duplicate scheduled before the cut must not cross it: the
@@ -445,18 +450,17 @@ class TestPartitionDriver:
                 PartitionFault(side=("s-1",), start_ms=10.0, end_ms=100.0),
             ),
         )
-        sim, inner, faulty = TestFaultyTransportEnforcement._bare_wire(
-            schedule
-        )
-        driver = PartitionDriver(sim=sim, lan=inner.lan)
-        driver.apply(schedule)
+        stack = FaultStack()
+        for host in ("c-1", "s-1"):
+            stack.lan.add_host(host)  # no handlers: no setup traffic
+        stack.faults.apply(schedule)
         received = []
-        inner.bind("s-1", received.append)
-        faulty.send(_msg("c-1", "s-1"))  # duplicated, copy at ~30ms
-        sim.run(until=200.0)
-        assert faulty.injected_duplicates == 1
+        stack.transport.bind("s-1", received.append)
+        stack.transport.send(_msg("c-1", "s-1"))  # duplicated, copy at ~30ms
+        stack.sim.run(until=200.0)
+        assert stack.transport.injected_duplicates == 1
         assert len(received) == 1  # the original; the late copy died
-        assert inner.lost_count == 1
+        assert stack.transport.lost_count == 1
 
 
 def _vantage_stack():
@@ -475,15 +479,9 @@ class TestHealReconciliation:
 
     def test_partition_evicts_and_heal_rejoins(self):
         stack, detector = self._partitioned_stack()
-        driver = PartitionDriver(
-            sim=stack.sim,
-            lan=stack.lan,
-            group_comm=stack.group_comm,
-            service=SERVICE,
-            replicas=["s-1", "s-2"],
-        )
+        plane = stack.faults
         fault = PartitionFault(side=("s-1",), start_ms=50.0, end_ms=200.0)
-        driver.apply_partition(fault)
+        _cut(stack, fault)
         stack.sim.run(until=150.0)
         # Mid-cut: the vantage host cannot see s-1, so the detector
         # declared it crashed and the group evicted it — view churn.
@@ -494,66 +492,47 @@ class TestHealReconciliation:
         # Post-heal: fresh sighting, membership reconciled.
         assert not detector.is_declared_crashed("s-1")
         assert "s-1" in stack.group_comm.view(SERVICE)
-        assert driver.sightings_applied == 1
-        assert driver.rejoins_applied == 1
+        assert plane.sightings_applied == 1
+        assert plane.heal_rejoins_applied == 1
 
     def test_heal_leaves_hosts_cut_by_an_overlapping_partition(self):
         stack, detector = self._partitioned_stack()
-        driver = PartitionDriver(
-            sim=stack.sim,
-            lan=stack.lan,
-            group_comm=stack.group_comm,
-            service=SERVICE,
-            replicas=["s-1", "s-2"],
-        )
+        plane = stack.faults
         first = PartitionFault(side=("s-1",), start_ms=50.0, end_ms=200.0)
         second = PartitionFault(side=("s-1",), start_ms=100.0, end_ms=300.0)
-        driver.apply_partition(first)
-        driver.apply_partition(second)
+        _cut(stack, first, second)
         stack.sim.run(until=250.0)
         # First heal at 200ms found s-1 still severed by the second cut:
         # no premature rejoin.
         assert "s-1" not in stack.group_comm.view(SERVICE)
-        assert driver.rejoins_applied == 0
+        assert plane.heal_rejoins_applied == 0
         stack.sim.run(until=400.0)
         assert "s-1" in stack.group_comm.view(SERVICE)
-        assert driver.rejoins_applied == 1
+        assert plane.heal_rejoins_applied == 1
 
     def test_heal_never_resurrects_a_genuinely_crashed_host(self):
         stack, detector = self._partitioned_stack()
-        driver = PartitionDriver(
-            sim=stack.sim,
-            lan=stack.lan,
-            group_comm=stack.group_comm,
-            service=SERVICE,
-            replicas=["s-1", "s-2"],
-        )
+        plane = stack.faults
         fault = PartitionFault(side=("s-1",), start_ms=50.0, end_ms=200.0)
-        driver.apply_partition(fault)
+        _cut(stack, fault)
         # The host dies for real mid-cut; the heal must not rejoin it.
         stack.sim.call_at(100.0, lambda: stack.lan.mark_down("s-1"))
         stack.sim.run(until=400.0)
         assert detector.is_declared_crashed("s-1")
         assert "s-1" not in stack.group_comm.view(SERVICE)
-        assert driver.rejoins_applied == 0
+        assert plane.heal_rejoins_applied == 0
 
     def test_heal_without_declaration_is_a_noop(self):
         # Cut too short for the detector to confirm: nothing to reconcile.
         stack, detector = self._partitioned_stack()
-        driver = PartitionDriver(
-            sim=stack.sim,
-            lan=stack.lan,
-            group_comm=stack.group_comm,
-            service=SERVICE,
-            replicas=["s-1", "s-2"],
-        )
+        plane = stack.faults
         fault = PartitionFault(side=("s-1",), start_ms=52.0, end_ms=61.0)
-        driver.apply_partition(fault)
+        _cut(stack, fault)
         stack.sim.run(until=200.0)
         assert not detector.is_declared_crashed("s-1")
         assert "s-1" in stack.group_comm.view(SERVICE)
-        assert driver.sightings_applied == 0
-        assert driver.rejoins_applied == 0
+        assert plane.sightings_applied == 0
+        assert plane.heal_rejoins_applied == 0
 
 
 class TestFlapCrashRestartComposition:
@@ -570,29 +549,26 @@ class TestFlapCrashRestartComposition:
 
     def test_restart_after_flapping_cut_clears_stale_suspicion(self):
         stack, detector = _vantage_stack()
-        partitions = PartitionDriver(
-            sim=stack.sim,
-            lan=stack.lan,
-            group_comm=stack.group_comm,
-            service=SERVICE,
-            replicas=["s-1", "s-2"],
-        )
-        lifecycle = stack.faults
+        plane = stack.faults
         # Flap [50, 230), 60ms period, 50% duty: cuts at [50, 80),
         # [110, 140), [170, 200).  The host genuinely dies during the
         # second cut and comes back long after the window.
-        partitions.apply_partition(
-            PartitionFault(
-                side=("s-1",),
-                start_ms=50.0,
-                end_ms=230.0,
-                flap_period_ms=60.0,
-                flap_duty=0.5,
-            )
-        )
-        lifecycle.apply_crash(
-            CrashRestartFault(
-                host="s-1", crash_at_ms=120.0, restart_at_ms=400.0
+        plane.apply(
+            FaultSchedule(
+                partitions=(
+                    PartitionFault(
+                        side=("s-1",),
+                        start_ms=50.0,
+                        end_ms=230.0,
+                        flap_period_ms=60.0,
+                        flap_duty=0.5,
+                    ),
+                ),
+                crashes=(
+                    CrashRestartFault(
+                        host="s-1", crash_at_ms=120.0, restart_at_ms=400.0
+                    ),
+                ),
             )
         )
 
@@ -609,9 +585,9 @@ class TestFlapCrashRestartComposition:
         assert detector.is_declared_crashed("s-1")
         assert "s-1" not in stack.group_comm.view(SERVICE)
         assert not stack.lan.is_up("s-1")
-        assert partitions.sightings_applied == 1
-        assert partitions.rejoins_applied == 1
-        assert lifecycle.crashes_applied == 1
+        assert plane.sightings_applied == 1
+        assert plane.heal_rejoins_applied == 1
+        assert plane.crashes_applied == 1
 
         # Restart: forget() -> sight() clears the declaration and the
         # ~28 consecutive down samples gathered since the crash, and the
@@ -619,7 +595,7 @@ class TestFlapCrashRestartComposition:
         stack.sim.run(until=405.0)
         assert not detector.is_declared_crashed("s-1")
         assert "s-1" in stack.group_comm.view(SERVICE)
-        assert lifecycle.restarts_applied == 1
+        assert plane.restarts_applied == 1
 
         # The teeth of sight(): a single-poll blip after the restart is
         # one fresh down sample, short of confirm_polls=2.  Had the

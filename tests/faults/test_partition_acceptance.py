@@ -14,11 +14,11 @@ The contract:
   and no acks from the dark side of the cut.
 """
 
-from repro.faultinject import FaultSchedule, PartitionDriver, PartitionFault
+from repro.faultinject import FaultSchedule, PartitionFault
 from repro.health import HealthConfig
 from repro.sim.random import Constant
 
-from .conftest import SERVICE, FaultStack
+from .conftest import FaultStack
 
 CUT_START_MS = 2_000.0
 CUT_END_MS = 32_000.0
@@ -36,7 +36,7 @@ def _build():
             ),
         ),
     )
-    stack = FaultStack(schedule=schedule)
+    stack = FaultStack()
     stack.add_server("s-1", service_time=Constant(4.0))  # the best replica
     stack.add_server("s-2", service_time=Constant(10.0))
     stack.add_server("s-3", service_time=Constant(10.0))
@@ -56,15 +56,8 @@ def _build():
             unreachable_after=3,
         ),
     )
-    driver = PartitionDriver(
-        sim=stack.sim,
-        lan=stack.lan,
-        group_comm=stack.group_comm,
-        service=SERVICE,
-        replicas=("s-1", "s-2", "s-3"),
-    )
-    driver.apply(schedule)
-    return stack, driver
+    stack.faults.apply(schedule)
+    return stack
 
 
 def _closed_loop(stack, outcomes, think_ms=4.0, until_ms=HORIZON_MS):
@@ -86,7 +79,7 @@ def _replies(stack, host):
 
 
 def test_majority_rides_out_a_30s_cut_of_the_best_replica():
-    stack, driver = _build()
+    stack = _build()
     outcomes = []
     stack.sim.spawn(_closed_loop(stack, outcomes), name="load")
     stack.sim.run(until=HORIZON_MS)
@@ -95,8 +88,8 @@ def test_majority_rides_out_a_30s_cut_of_the_best_replica():
 
     # The one-way cut really was one-way: the dark replica kept receiving
     # (and serving) requests whose replies died on the wire.
-    assert driver.cuts_applied == 1
-    assert driver.heals_applied == 1
+    assert stack.faults.cuts_applied == 1
+    assert stack.faults.heals_applied == 1
     assert stack.transport.injected_partition_drops > 0
     assert served_mid_cut > 0
 
@@ -129,6 +122,5 @@ def test_majority_rides_out_a_30s_cut_of_the_best_replica():
     # leaked, and no reply was acknowledged from the dark side.
     for client in stack.clients.values():
         client.quiesce_probes()
-    stack.auditor.set_schedule(stack.transport.schedule)
     stack.auditor.assert_clean()
     assert _replies(stack, "s-1") >= healed_baseline

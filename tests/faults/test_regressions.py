@@ -147,11 +147,12 @@ def test_probe_bookkeeping_is_bounded_when_replies_are_lost():
     schedule = FaultSchedule(
         drops=(DropRule(start_ms=0.0, end_ms=1e9, kinds=(MSG_PROBE_REPLY,)),)
     )
-    stack = FaultStack(schedule=schedule)
+    stack = FaultStack()
     stack.add_server("s-1")
     client = stack.add_client(
         "c-1", probe_staleness_ms=20.0, probe_interval_ms=30.0
     )
+    stack.faults.apply(schedule)
     stack.sim.run(until=400.0)
     assert client.probes_sent >= 5
     assert stack.transport.injected_drops >= 5

@@ -151,12 +151,7 @@ class TestPartitionFamily:
         manager = RNGManager(base_seed=41)
         expected = tuple(
             _draw_partition(
-                manager.substream("faults.partition", i),
-                REPLICAS,
-                HORIZON_MS,
-                window_fraction=0.15,
-                flap_probability=0.25,
-                grey_probability=0.2,
+                manager.substream("faults.partition", i), REPLICAS, HORIZON_MS
             )
             for i in range(2)
         )
@@ -255,12 +250,7 @@ class TestClockFamily:
         manager = RNGManager(base_seed=41)
         expected = tuple(
             _draw_clock_fault(
-                manager.substream("faults.clock", i),
-                REPLICAS,
-                HORIZON_MS,
-                0.15,
-                200.0,
-                800.0,
+                manager.substream("faults.clock", i), REPLICAS, HORIZON_MS
             )
             for i in range(2)
         )

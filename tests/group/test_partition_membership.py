@@ -8,21 +8,20 @@ without duplicate view deliveries.  Multicast keeps its exactly-once-
 per-destination contract under one-way loss and reordering.
 """
 
-import numpy as np
 import pytest
 
 from repro.faultinject import (
     DelayRule,
     FaultSchedule,
     FaultyTransport,
-    PartitionDriver,
     PartitionFault,
 )
-from repro.group.ensemble import GroupCommunication
 from repro.group.failure_detector import FailureDetector
 from repro.group.membership import Group, MembershipError
 from repro.group.multicast import MulticastGroup
 from repro.net.message import Message
+from repro.rng import RNGManager
+from repro.workload.ministack import SERVICE, MiniStack
 
 OBSERVER = "client-1"
 
@@ -126,28 +125,22 @@ class TestStaleSuspicionRegression:
 class TestViewConvergence:
     """Partition → eviction → heal → rejoin, with exactly-once views."""
 
-    def _stack(self, sim, lan, transport):
-        detector = _vantage_detector(sim, lan)
-        comm = GroupCommunication(
-            sim, lan, transport, notify_delay_ms=1.0,
-            failure_detector=detector,
-        )
-        comm.join("svc", "server-1", watch=True)
-        comm.join("svc", "server-2", watch=True)
-        driver = PartitionDriver(
-            sim=sim,
-            lan=lan,
-            group_comm=comm,
-            service="svc",
-            replicas=("server-1", "server-2"),
-        )
-        return comm, driver
+    def _stack(self):
+        # The bare stack's detector polls every 10 ms and confirms on the
+        # second down sample, like _vantage_detector; on its plain wire a
+        # total cut is enforced by the LAN alone.
+        stack = MiniStack()
+        stack.detector.vantage = OBSERVER
+        stack.lan.add_host(OBSERVER)
+        stack.add_server("server-1")
+        stack.add_server("server-2")
+        return stack, stack.group_comm
 
-    def test_views_reconverge_after_the_heal(self, sim, lan, transport):
-        comm, driver = self._stack(sim, lan, transport)
+    def test_views_reconverge_after_the_heal(self):
+        stack, comm = self._stack()
         views = []
-        comm.on_view_change("svc", OBSERVER, views.append)
-        driver.apply(
+        comm.on_view_change(SERVICE, OBSERVER, views.append)
+        stack.faults.apply(
             FaultSchedule(
                 partitions=(
                     PartitionFault(
@@ -156,16 +149,16 @@ class TestViewConvergence:
                 ),
             )
         )
-        sim.run(until=150.0)
+        stack.sim.run(until=150.0)
         assert comm.failure_detector.is_declared_crashed("server-1")
-        assert "server-1" not in comm.view("svc")
-        sim.run(until=400.0)
+        assert "server-1" not in comm.view(SERVICE)
+        stack.sim.run(until=400.0)
         # Healed: sighted, rejoined, and the view converged back.
         assert not comm.failure_detector.is_declared_crashed("server-1")
-        final = comm.view("svc")
+        final = comm.view(SERVICE)
         assert "server-1" in final and "server-2" in final
-        assert driver.sightings_applied == 1
-        assert driver.rejoins_applied == 1
+        assert stack.faults.sightings_applied == 1
+        assert stack.faults.heal_rejoins_applied == 1
         # Exactly-once view delivery, in installation order: some view
         # excludes the dark host, a later one restores it, and no
         # view_id is ever delivered twice.
@@ -174,18 +167,16 @@ class TestViewConvergence:
         assert any("server-1" not in view for view in views)
         assert "server-1" in views[-1]
 
-    def test_member_behind_the_cut_misses_no_final_view(
-        self, sim, lan, transport
-    ):
+    def test_member_behind_the_cut_misses_no_final_view(self):
         # The view callback of the *partitioned* member still fires (the
         # notifier only checks host liveness, not reachability — Ensemble
         # delivers the backlog once the member is reachable again), and
         # after the heal its last view matches the observer's.
-        comm, driver = self._stack(sim, lan, transport)
+        stack, comm = self._stack()
         dark, lit = [], []
-        comm.on_view_change("svc", "server-1", dark.append)
-        comm.on_view_change("svc", OBSERVER, lit.append)
-        driver.apply(
+        comm.on_view_change(SERVICE, "server-1", dark.append)
+        comm.on_view_change(SERVICE, OBSERVER, lit.append)
+        stack.faults.apply(
             FaultSchedule(
                 partitions=(
                     PartitionFault(
@@ -194,7 +185,7 @@ class TestViewConvergence:
                 ),
             )
         )
-        sim.run(until=400.0)
+        stack.sim.run(until=400.0)
         assert dark[-1].members == lit[-1].members
         assert "server-1" in dark[-1]
 
@@ -237,9 +228,7 @@ class TestMulticastUnderPartition:
         schedule = FaultSchedule(
             delays=(DelayRule(start_ms=0.0, end_ms=5.0, extra_ms=30.0),),
         )
-        faulty = FaultyTransport(
-            transport, schedule=schedule, rng=np.random.default_rng(0)
-        )
+        faulty = FaultyTransport(transport, RNGManager(0), schedule=schedule)
         group, mgroup = self._group(faulty)
         received = {"server-1": [], "server-2": []}
         for host in received:

@@ -33,7 +33,7 @@ def run_scenario(with_health: bool):
             ),
         )
     )
-    stack = FaultStack(seed=3, schedule=schedule, fault_seed=11)
+    stack = FaultStack(seed=3, fault_seed=11)
     for host in REPLICAS:
         stack.add_server(host, service_time=Constant(8.0))
 
@@ -54,6 +54,7 @@ def run_scenario(with_health: bool):
         )
         kwargs["probe_interval_ms"] = 200.0
     client = stack.add_client("c-1", **kwargs)
+    stack.faults.apply(schedule)
 
     outcomes = []
 

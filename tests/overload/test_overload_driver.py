@@ -1,4 +1,4 @@
-"""The flash-crowd driver and the OverloadFault schedule family."""
+"""Flash-crowd surges (the fault plane's overload family) and OverloadFault."""
 
 import dataclasses
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.faultinject import (
     FaultSchedule,
-    OverloadDriver,
     OverloadFault,
     random_fault_schedule,
 )
@@ -27,14 +26,24 @@ def test_overload_fault_validation():
 
 
 def test_driver_requires_known_submitters():
+    # A surge needs a bound client to fire through, and every client it
+    # names must be one; both are rejected before anything is armed.
     stack = FaultStack()
-    with pytest.raises(ValueError):
-        OverloadDriver(stack.sim, {})
-    driver = OverloadDriver(stack.sim, {"c-1": lambda arg: None})
-    with pytest.raises(KeyError):
-        driver.apply_overload(
-            OverloadFault(start_ms=0.0, end_ms=10.0, clients=("nope",))
+    everyone = FaultSchedule(overloads=(OverloadFault(start_ms=0.0, end_ms=10.0),))
+    with pytest.raises(ValueError, match="overloads: no client is bound"):
+        stack.faults.apply(everyone)
+    stack.add_server("s-1")
+    stack.add_client("c-1")
+    with pytest.raises(ValueError, match="overloads.*'nope'"):
+        stack.faults.apply(
+            FaultSchedule(
+                overloads=(
+                    OverloadFault(start_ms=0.0, end_ms=10.0, clients=("nope",)),
+                )
+            )
         )
+    stack.sim.run()
+    assert stack.faults.surges_applied == 0
 
 
 def test_surge_requests_flow_through_the_real_client_path():
@@ -42,25 +51,23 @@ def test_surge_requests_flow_through_the_real_client_path():
     for host in REPLICAS[:3]:
         stack.add_server(host, service_time=Constant(8.0))
     stack.add_client("c-1", deadline_ms=100.0, response_timeout_factor=3.0)
-    driver = OverloadDriver(
-        stack.sim, {"c-1": lambda arg: stack.invoke("c-1", arg)}
-    )
     schedule = FaultSchedule(
         overloads=(
             OverloadFault(start_ms=10.0, end_ms=60.0, surge_interarrival_ms=5.0),
         )
     )
-    driver.apply(schedule)
+    plane = stack.faults
+    plane.apply(schedule)
     stack.sim.run()
 
-    assert driver.surges_applied == 1
-    assert driver.surge_requests == 10  # 10, 15, ..., 55
-    assert driver.drained()
+    assert plane.surges_applied == 1
+    assert plane.surge_requests == 10  # 10, 15, ..., 55
+    assert plane.surges_drained()
     # Every surge request was booked by the auditor (it went through the
     # wrapped submit) and completed exactly once.
     report = stack.auditor.assert_clean()
-    assert report.submitted == driver.surge_requests
-    assert report.replies == driver.surge_requests
+    assert report.submitted == plane.surge_requests
+    assert report.replies == plane.surge_requests
 
 
 def test_overload_windows_draw_after_existing_families():
@@ -113,12 +120,8 @@ def test_randomized_schedule_with_surges_and_shedding_audits_clean():
         replicas=REPLICAS,
         overload_windows=2,
     )
-    stack.transport.schedule = schedule
-    stack.faults.apply(schedule)
-    surge = OverloadDriver(
-        stack.sim, {"c-1": lambda arg: stack.invoke("c-1", arg)}
-    )
-    surge.apply(schedule)
+    plane = stack.faults
+    plane.apply(schedule)
 
     def load():
         for i in range(120):
@@ -128,10 +131,10 @@ def test_randomized_schedule_with_surges_and_shedding_audits_clean():
     stack.sim.spawn(load(), name="load")
     stack.sim.run()
 
-    assert surge.surge_requests > 0
-    assert surge.drained()
+    assert plane.surge_requests > 0
+    assert plane.surges_drained()
     report = stack.auditor.assert_clean()
-    assert report.submitted == 120 + surge.surge_requests
+    assert report.submitted == 120 + plane.surge_requests
     assert report.completed == report.submitted
     assert report.sheds > 0  # the admission controller actually engaged
     assert report.replies > 0  # bootstrap / modelless requests got through

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.faultinject import CrashRestartFault
 from repro.proteus.manager import DependabilityManager, ServiceSpec
 from repro.replica.load import ServiceProfile
 from repro.sim.random import Constant
@@ -23,7 +22,7 @@ class ManagerFixture:
         self.manager = DependabilityManager(self.stack)
 
     def crash(self, host, at_ms, recover_at_ms=None):
-        self.stack.faults.apply_crash(CrashRestartFault(host, at_ms, recover_at_ms))
+        self.stack.schedule_crash(host, at_ms, recover_at_ms)
 
     def spec(self, level):
         return ServiceSpec(

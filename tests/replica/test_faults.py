@@ -1,7 +1,7 @@
-"""Scripted host crashes and recoveries, through the one fault driver.
+"""Scripted host crashes and recoveries, through the one fault plane.
 
 Every case that used to run on the replica-side injector runs on
-``MiniStack.faults`` (the deployment's ``LifecycleFaultDriver``) with a
+``MiniStack.faults`` (the deployment's ``FaultPlane``) with a
 ``CrashRestartFault`` as the schedule entry; the class names are kept so
 the test ids stay stable.
 """
@@ -34,7 +34,7 @@ class TestCrashSchedule:
 
 class TestFaultInjector:
     def test_scheduled_crash_marks_host_down(self, stack):
-        stack.faults.apply_crash(CrashRestartFault("server-1", crash_at_ms=50.0))
+        stack.schedule_crash("server-1", at_ms=50.0)
         stack.sim.run(until=40.0)
         assert stack.lan.is_up("server-1")
         stack.sim.run(until=60.0)
@@ -42,9 +42,7 @@ class TestFaultInjector:
         assert stack.faults.crashes_applied == 1
 
     def test_recovery_brings_host_back(self, stack):
-        stack.faults.apply_crash(
-            CrashRestartFault("server-1", crash_at_ms=10.0, restart_at_ms=30.0)
-        )
+        stack.schedule_crash("server-1", at_ms=10.0, recover_at_ms=30.0)
         stack.sim.run(until=20.0)
         assert not stack.lan.is_up("server-1")
         stack.sim.run(until=40.0)
@@ -62,9 +60,7 @@ class TestFaultInjector:
         server.restart = lambda: (
             events.append(("recover", stack.sim.now)), restart()
         )
-        stack.faults.apply_crash(
-            CrashRestartFault("server-1", crash_at_ms=10.0, restart_at_ms=30.0)
-        )
+        stack.schedule_crash("server-1", at_ms=10.0, recover_at_ms=30.0)
         stack.sim.run(until=20.0)
         assert server.crashed
         stack.sim.run(until=50.0)
@@ -81,8 +77,8 @@ class TestFaultInjector:
         assert stack.faults.restarts_applied == 0
 
     def test_unknown_host_rejected_at_schedule_time(self, stack):
-        with pytest.raises(KeyError):
-            stack.faults.apply_crash(CrashRestartFault("ghost", crash_at_ms=1.0))
+        with pytest.raises(ValueError, match="crashes.*'ghost'"):
+            stack.schedule_crash("ghost", at_ms=1.0)
 
     def test_schedule_all(self, stack):
         stack.faults.apply(

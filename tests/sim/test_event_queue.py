@@ -1,12 +1,12 @@
-"""Regression tests for the slotted :class:`EventQueue` (ISSUE 7).
+"""Regression tests for the kernel's :class:`EventQueue`.
 
-The queue replaced a plain ``heapq`` of ``(when, seq, daemon, event)``
-tuples.  Its ordering contract is *bit-for-bit* compatibility with that
-heap: pops come out in ascending ``(when, seq)``, with the sequence
-number assigned in push order — so events scheduled for the same instant
-dispatch strictly FIFO, exactly as before.  The tests here replay dense
-same-tick schedules against an inline tuple-heap reference to lock that
-contract down.
+Its ordering contract is *bit-for-bit* compatibility with a plain
+``heapq`` of ``(when, seq, daemon, event)`` tuples: pops come out in
+ascending ``(when, seq)``, with the sequence number assigned in push
+order — so events scheduled for the same instant dispatch strictly FIFO.
+The tests here replay dense same-tick schedules against an inline
+tuple-heap reference to lock that contract down, and check that daemon
+demotion reaches exactly the entry it was asked for.
 """
 
 import heapq
@@ -15,21 +15,21 @@ import random
 import pytest
 
 from repro.sim.events import Event, SimulationError
-from repro.sim.kernel import EventQueue, Simulator, _time_key
+from repro.sim.kernel import EventQueue, Simulator
 
 
 class _StubEvent:
-    """Minimal stand-in: the queue only touches ``_queue_slot``."""
+    """Minimal stand-in: the queue only touches ``_queue_entry``."""
 
-    __slots__ = ("label", "_queue_slot")
+    __slots__ = ("label", "_queue_entry")
 
     def __init__(self, label):
         self.label = label
-        self._queue_slot = -1
+        self._queue_entry = None
 
 
 class _ReferenceQueue:
-    """The historic tuple heap the slotted queue must reproduce."""
+    """The tuple heap whose pop order the queue must reproduce."""
 
     def __init__(self):
         self._heap = []
@@ -48,14 +48,21 @@ class _ReferenceQueue:
 
 
 def test_time_key_preserves_float_order():
+    # Pop order is float order over the whole line — negative instants,
+    # infinities, neighbours one ulp apart — and the two zeros tie, so
+    # they fall to the sequence number like any other equal instants.
     instants = [
         0.0, -0.0, 1e-12, 0.1, 0.1 + 1e-16, 1.0, 1.5, 2.0, 1e9, 1e300,
         -1e-12, -1.0, -1e9, float("inf"), float("-inf"),
     ]
-    for a in instants:
-        for b in instants:
-            assert (_time_key(a) < _time_key(b)) == (a < b), (a, b)
-            assert (_time_key(a) == _time_key(b)) == (a == b), (a, b)
+    queue = EventQueue()
+    for index, when in enumerate(instants):
+        queue.push(when, _StubEvent(index))
+    popped = [queue.pop() for _ in instants]
+    assert [event.label for _when, event, _daemon in popped] == sorted(
+        range(len(instants)), key=lambda index: (instants[index], index)
+    )
+    assert [when for when, _event, _daemon in popped] == sorted(instants)
 
 
 def test_fifo_on_identical_timestamps():
@@ -99,8 +106,9 @@ def test_randomized_program_with_demotion_matches_reference():
     """Interleaved push/pop/demote runs, checked pop-for-pop.
 
     The reference heap cannot demote in place (that is the point of the
-    slot table), so demotions are mirrored by rebuilding the reference's
-    tuples — the surviving order must still match exactly.
+    event's back-reference to its entry), so demotions are mirrored by
+    rebuilding the reference's tuples — the surviving order must still
+    match exactly.
     """
     rng = random.Random(20260808)
     queue = EventQueue()
@@ -144,8 +152,8 @@ def test_demote_is_single_shot_and_slot_safe():
     assert queue.demote(scheduled) is False  # already daemon
     when, event, daemon = queue.pop()
     assert (when, event.label, daemon) == (1.0, "scheduled", True)
-    # After the pop the slot is recycled; a stale demote must not flip
-    # the slot's new occupant.
+    # After the pop the event no longer owns an entry; a stale demote
+    # must not flip whatever was scheduled since.
     replacement = _StubEvent("replacement")
     queue.push(2.0, replacement)
     assert queue.demote(scheduled) is False
@@ -193,6 +201,6 @@ def test_simulator_event_slot_reset_after_dispatch():
     sim = Simulator()
     event = sim.timeout(1.0)
     assert isinstance(event, Event)
-    assert event._queue_slot >= 0
+    assert event._queue_entry[3] is event
     sim.run()
-    assert event._queue_slot == -1
+    assert event._queue_entry is None

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.qos import QoSSpec
 from repro.core.selection import DynamicSelectionPolicy
-from repro.faultinject import CrashRestartFault
+from repro.faultinject import CrashRestartFault, FaultSchedule
 from repro.sim.random import Constant
 from repro.workload.client import ClosedLoopClient
 from repro.workload.ministack import METHOD, SERVICE, MiniStack, Wiring
@@ -109,7 +109,9 @@ def _through_ministack(seed: int, crash: Crash) -> dict:
         think_time=Constant(50.0),
     )
     if crash is not None:
-        stack.faults.apply_crash(CrashRestartFault(*crash))
+        stack.faults.apply(
+            FaultSchedule(crashes=(CrashRestartFault(*crash),))
+        )
     record = _record(stack, client, views)
     stack.auditor.assert_clean()
     return record
@@ -145,7 +147,11 @@ WIRED_ONCE = {
     "LanModel": "net",
     "Transport": "net",
     "TimingFaultServerHandler": "gateway",
+    "FaultPlane": "faultinject",
 }
+
+#: The per-family fault drivers the one plane replaced.
+RETIRED = ("LifecycleFaultDriver", "PartitionDriver", "ClockDriver", "OverloadDriver")
 
 
 def _modules_constructing(name: str, home: str) -> List[str]:
@@ -168,3 +174,5 @@ def test_each_layer_is_constructed_in_one_module(name, home):
 
 def test_the_replica_side_injector_is_gone():
     assert not (SRC / "replica" / "faults.py").exists()
+    source = "\n".join(path.read_text() for path in SRC.rglob("*.py"))
+    assert [name for name in RETIRED if name in source] == []
