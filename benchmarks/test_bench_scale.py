@@ -2,11 +2,13 @@
 
 CI smoke for ISSUE 7's scale targets: one *cached* selection over a
 1024-replica fleet must stay under 1 ms, and the kernel's event queue
-must sustain a healthy dispatch rate; and for ISSUE 14's: a selection
+must sustain a healthy dispatch rate; for ISSUE 14's: a selection
 after one replica pushed an update (what a live request pays) costs at
-most 2.5x the nothing-changed one.  ``test_scale_bench_exported``
-writes the full grid (n ∈ {64, 256, 1024}, l ∈ {60, 240}) plus the
-kernel throughput points to ``BENCH_scale.json`` at the repository root
+most 2.5x the nothing-changed one; and for ISSUE 21's: one message
+through the untraced message plane stays under a ceiling.
+``test_scale_bench_exported`` writes the full grid (n ∈ {64, 256,
+1024}, l ∈ {60, 240}), the kernel throughput points and the message
+cost to ``BENCH_scale.json`` at the repository root
 (format documented in docs/PERFORMANCE.md §7) so the numbers are
 tracked PR over PR; the ``bench-scale`` CI job uploads it as an
 artifact.
@@ -22,6 +24,7 @@ from repro.core.selection import select_replicas_arrays
 from repro.experiments.bench_scale import (
     export_scale_bench,
     measure_kernel_throughput,
+    measure_message_throughput,
     measure_selection_scale,
 )
 from repro.experiments.fig3_overhead import build_loaded_repository
@@ -38,6 +41,12 @@ DIRTY1_OVER_CACHED_CEILING = 2.5
 #: developer laptop; 50k trips only on a genuine regression, not on a
 #: noisy CI runner.
 KERNEL_EVENTS_PER_SEC_FLOOR = 50_000.0
+
+#: Generous ceiling for one message, construction to (no-op) handler:
+#: ~5.5 us on the host that measured it, 10.4 us before ISSUE 21.  Twenty
+#: trips on a plane that has grown a per-message cost, not on a slow
+#: runner.
+MESSAGE_US_CEILING = 20.0
 
 
 @pytest.mark.parametrize("num_replicas", [64, 256, 1024])
@@ -80,20 +89,37 @@ def test_kernel_throughput_floor(benchmark):
     benchmark.extra_info["events_per_sec"] = round(point.events_per_sec, 1)
 
 
+def test_message_cost_ceiling(benchmark):
+    """One message through net + kernel + gateway routing stays cheap."""
+    point = benchmark.pedantic(
+        lambda: measure_message_throughput(target_messages=50_000),
+        rounds=1,
+        iterations=1,
+    )
+    assert point.us_per_message <= MESSAGE_US_CEILING, (
+        f"a message cost {point.us_per_message:.1f} us "
+        f"(ceiling: {MESSAGE_US_CEILING:.0f})"
+    )
+    benchmark.extra_info["us_per_message"] = round(point.us_per_message, 3)
+
+
 def test_scale_bench_exported(benchmark):
     """Export the full scale grid to ``BENCH_scale.json``."""
-    selection, kernel = benchmark.pedantic(
+    selection, kernel, message = benchmark.pedantic(
         lambda: (
             measure_selection_scale(
                 cached_iterations=20, uncached_iterations=1
             ),
             [measure_kernel_throughput(pending_timers=n, target_events=50_000)
              for n in (64, 512, 4096)],
+            measure_message_throughput(),
         ),
         rounds=1,
         iterations=1,
     )
-    export_scale_bench(selection, kernel, str(REPO_ROOT / "BENCH_scale.json"))
+    export_scale_bench(
+        selection, kernel, message, str(REPO_ROOT / "BENCH_scale.json")
+    )
     largest = [p for p in selection if p.num_replicas == 1024]
     assert largest, "scale grid must include the 1024-replica point"
     for point in largest:

@@ -146,10 +146,25 @@ class SampleCounts:
         self._total -= 1
 
     def replace(self, new_sample: float, evicted: Optional[float] = None) -> None:
-        """Push ``new_sample``, evicting ``evicted`` first when given."""
+        """Push ``new_sample``, evicting ``evicted`` first when given.
+
+        :meth:`evict` then :meth:`add` in one body: the same two
+        ``round`` calls per sample, the same error on an empty bin.
+        """
+        width, decimals, counts = self.bin_width, self._decimals, self._counts
         if evicted is not None:
-            self.evict(evicted)
-        self.add(new_sample)
+            key = round(round(float(evicted) / width) * width, decimals)
+            count = counts.get(key, 0)
+            if count == 0:
+                raise ValueError(f"cannot evict {evicted!r}: bin {key!r} is empty")
+            if count == 1:
+                del counts[key]
+            else:
+                counts[key] = count - 1
+            self._total -= 1
+        key = round(round(float(new_sample) / width) * width, decimals)
+        counts[key] = counts.get(key, 0) + 1
+        self._total += 1
 
     def counts(self) -> Dict[float, int]:
         """Current bin counts (copy)."""

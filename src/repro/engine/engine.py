@@ -339,11 +339,12 @@ class TimingFaultEngine:
     # -- evidence intake -------------------------------------------------------
     def on_perf(self, perf: PerformanceUpdate) -> bool:
         """Mine one performance report (a push, or a reply's embedded copy)."""
+        now = self.port.now  # one read of the host clock per report
         admitted = self.evidence.admit(perf)
         if admitted is None:
-            self._clock_anomaly(perf.replica, self.port.now)
+            self._clock_anomaly(perf.replica, now)
             return False
-        if not self.models.record(admitted, self.port.now):
+        if not self.models.record(admitted, now):
             return False
         if self.load_tracker is not None:
             self.load_tracker.observe_reply(
@@ -351,7 +352,7 @@ class TimingFaultEngine:
                 admitted.queue_length,
                 admitted.queue_delay_ms,
                 admitted.service_time_ms,
-                self.port.now,
+                now,
             )
         return True
 

@@ -6,8 +6,9 @@ says nothing about whether the gateway can pick replicas out of a fleet.
 This benchmark extends the measurement to n ∈ {64, 256, 1024} replicas
 and windows up to l = 240, and adds an end-to-end event-kernel
 throughput figure (events/sec through :class:`repro.sim.Simulator`'s
-event queue), exported together as ``BENCH_scale.json`` so CI tracks
-both numbers PR over PR.
+event queue) and the cost of one message through the message plane
+(``net`` + one kernel event + the gateway's routing), exported together
+as ``BENCH_scale.json`` so CI tracks all three numbers PR over PR.
 
 Acceptance target (ISSUE 7): one cached selection over 1024 replicas in
 under 1 ms.
@@ -20,7 +21,11 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
+from ..gateway.gateway import ProtocolHandler
+from ..net.lan import LinkProfile
+from ..net.message import Message
 from ..sim.kernel import Simulator
+from ..workload.ministack import Deployment, Wiring, make_interface
 from .fig3_overhead import measure_overhead
 from .harness import print_table
 from .registry import Command, flag_value
@@ -28,8 +33,10 @@ from .registry import Command, flag_value
 __all__ = [
     "ScalePoint",
     "KernelPoint",
+    "MessagePoint",
     "measure_selection_scale",
     "measure_kernel_throughput",
+    "measure_message_throughput",
     "export_scale_bench",
     "main",
     "EXPERIMENT",
@@ -77,6 +84,20 @@ class KernelPoint:
         if self.elapsed_s == 0:
             return float("inf")
         return self.events / self.elapsed_s
+
+
+@dataclass(frozen=True)
+class MessagePoint:
+    """Host cost of one message through the untraced message plane."""
+
+    #: Messages in one timed slice, and the fastest slice's wall time.
+    messages: int
+    elapsed_s: float
+
+    @property
+    def us_per_message(self) -> float:
+        """Wall-clock microseconds per message, send to handler."""
+        return self.elapsed_s * 1e6 / self.messages
 
 
 def measure_selection_scale(
@@ -158,9 +179,59 @@ def measure_kernel_throughput(
     )
 
 
+class _Sink(ProtocolHandler):
+    """A handler that does nothing: the probe stops where handlers start."""
+
+    message_kinds = ("probe",)
+
+    def handle_message(self, message: Message) -> None:
+        return
+
+
+def measure_message_throughput(
+    target_messages: int = 100_000, sends_per_drain: int = 16
+) -> MessagePoint:
+    """Microseconds per message through ``net`` + kernel + gateway routing.
+
+    Two hosts of an otherwise empty deployment on the default
+    :class:`~repro.net.lan.LinkProfile`, no tracer, one
+    :class:`~repro.gateway.gateway.Gateway` routing to a no-op handler.
+    Each round constructs and sends ``sends_per_drain`` messages in one
+    instant (a replica's push fan-out at the A16 knee is about that
+    wide) and runs the kernel until they have all been delivered, so a
+    message pays exactly what it pays in a scenario — construction,
+    delay draw, one event, delivery, routing — and nothing of the
+    handlers above.  The messages go through in five equal timed slices
+    and the fastest is reported: a slice that shared the host with a
+    busy neighbour says nothing about the plane.
+    """
+    stack = Deployment(0, Wiring(link=LinkProfile()), make_interface())
+    sim, transport = stack.sim, stack.transport
+    stack.lan.add_host("a")
+    stack.lan.add_host("b")
+    stack.gateway_for("b").load_handler(_Sink())
+    payload = {"service": ""}
+    rounds = max(1, target_messages // (5 * sends_per_drain))
+    fastest = float("inf")
+    for _ in range(5):
+        started = time.perf_counter()
+        for _ in range(rounds):
+            for _ in range(sends_per_drain):
+                transport.send(
+                    Message(sender="a", destination="b", kind="probe",
+                            payload=payload, size_bytes=96)
+                )
+            sim.run()
+        fastest = min(fastest, time.perf_counter() - started)
+    if transport.delivered_count != 5 * rounds * sends_per_drain:
+        raise RuntimeError("message probe lost messages on a reliable link")
+    return MessagePoint(messages=rounds * sends_per_drain, elapsed_s=fastest)
+
+
 def export_scale_bench(
     selection: Sequence[ScalePoint],
     kernel: Sequence[KernelPoint],
+    message: MessagePoint,
     path: str,
 ) -> None:
     """Write ``BENCH_scale.json`` (format: docs/PERFORMANCE.md §7)."""
@@ -169,8 +240,10 @@ def export_scale_bench(
         "description": (
             "Fleet-scale selection overhead (lattice/FFT convolution + "
             "batched refresh + resident padded-matrix CDF patched per "
-            "changed row) and raw event-kernel dispatch throughput "
-            "(heapq EventQueue)."
+            "changed row), raw event-kernel dispatch throughput "
+            "(heapq EventQueue) and the untraced message plane's cost "
+            "per message (Message -> Transport.send -> kernel -> "
+            "Gateway -> no-op handler)."
         ),
         "selection": {
             "unit": "microseconds per selection (mean over iterations)",
@@ -197,6 +270,11 @@ def export_scale_bench(
                 }
                 for p in kernel
             ],
+        },
+        "message": {
+            "unit": "microseconds per message, construction to handler",
+            "messages": message.messages,
+            "us_per_message": round(message.us_per_message, 3),
         },
     }
     with open(path, "w") as handle:
@@ -234,9 +312,15 @@ def main(argv: Sequence[str] = ()) -> int:
         ["pending timers", "events", "events/sec"],
         [(p.pending_timers, p.events, p.events_per_sec) for p in kernel],
     )
+    message = measure_message_throughput(10_000 if quick else 100_000)
+    print_table(
+        "Message plane (untraced, two hosts, no-op handler)",
+        ["messages", "us/message"],
+        [(message.messages, message.us_per_message)],
+    )
     path = flag_value(argv, "--json")
     if path:
-        export_scale_bench(selection, kernel, path)
+        export_scale_bench(selection, kernel, message, path)
         print(f"wrote {path}")
     return 0
 

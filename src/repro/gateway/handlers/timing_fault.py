@@ -35,7 +35,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Type,
 )
@@ -135,7 +134,9 @@ class TimingFaultServerHandler(ProtocolHandler):
         self.service = app.service
         self.host = app.host
         self._queue: Deque[Tuple[Message, float]] = deque()
-        self._subscribers: Set[str] = set()
+        # Insertion-ordered (a dict used as a set): pushes go out in
+        # subscription-arrival order, never in str-hash order.
+        self._subscribers: Dict[str, None] = {}
         self._wakeup: Optional[Event] = None
         self._busy = False
         self.crashed = False
@@ -158,7 +159,7 @@ class TimingFaultServerHandler(ProtocolHandler):
         if self.crashed:
             return
         if message.kind == MSG_SUBSCRIBE:
-            self._subscribers.add(message.payload["client"])
+            self._subscribers[message.payload["client"]] = None
             return
         if message.kind == MSG_PROBE:
             self._answer_probe(message)
@@ -275,7 +276,9 @@ class TimingFaultServerHandler(ProtocolHandler):
             "server.replies", labels={"replica": self.host}
         )
         # Push the fresh performance data to every subscriber except the
-        # requester (whose copy rides inside the reply itself).
+        # requester (whose copy rides inside the reply itself).  One
+        # payload for the whole fan-out: receivers only read it.
+        push = {"service": self.service, "replica": self.host, "perf": perf}
         for subscriber in self._subscribers:
             if subscriber == request_msg.sender:
                 continue
@@ -284,11 +287,7 @@ class TimingFaultServerHandler(ProtocolHandler):
                     sender=self.host,
                     destination=subscriber,
                     kind=MSG_PERF,
-                    payload={
-                        "service": self.service,
-                        "replica": self.host,
-                        "perf": perf,
-                    },
+                    payload=push,
                     size_bytes=96,
                 )
             )

@@ -22,12 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..rng import RNGManager
 from ..sim.random import Distribution, MarkovModulated, Normal
 
 __all__ = ["Host", "LanModel", "LinkProfile", "bursty_jitter"]
 
 ChangeListener = Callable[[Tuple[str, ...]], None]
+_Link = Tuple["LinkProfile", np.random.Generator, Optional[np.random.Generator]]
 
 
 @dataclass
@@ -116,6 +119,10 @@ class LanModel:
         self.default_profile = default_profile or LinkProfile()
         self._hosts: Dict[str, Host] = {}
         self._profiles: Dict[Tuple[str, str], LinkProfile] = {}
+        # Ordered pair -> (profile in effect, jitter stream, loss stream or
+        # None on a reliable link), resolved on the pair's first message.
+        # Only set_link_profile can change what a pair resolves to.
+        self._links: Dict[Tuple[str, str], _Link] = {}
         # Severed ordered pairs -> severance count.  Reference-counted so
         # overlapping partitions compose: a link stays dead until every
         # cut covering it has healed (repro.faultinject.partition).
@@ -157,10 +164,22 @@ class LanModel:
         self.host(src)
         self.host(dst)
         self._profiles[(src, dst)] = profile
+        self._links.pop((src, dst), None)
 
     def link_profile(self, src: str, dst: str) -> LinkProfile:
         """Profile in effect for the ordered pair (default if no override)."""
         return self._profiles.get((src, dst), self.default_profile)
+
+    def _link(self, src: str, dst: str) -> _Link:
+        """Resolve and keep the pair's link record (same named streams)."""
+        profile = self.link_profile(src, dst)
+        lossy = profile.loss_probability > 0.0
+        link = self._links[(src, dst)] = (
+            profile,
+            self._streams.stream(f"lan.{src}->{dst}"),
+            self._streams.stream(f"lan.loss.{src}->{dst}") if lossy else None,
+        )
+        return link
 
     # -- change notification -------------------------------------------------
     def on_change(self, listener: ChangeListener) -> None:
@@ -242,8 +261,7 @@ class LanModel:
         """
         if group_size < 1:
             raise ValueError(f"group_size must be >= 1, got {group_size}")
-        profile = self.link_profile(src, dst)
-        rng = self._streams.stream(f"lan.{src}->{dst}")
+        profile, rng, _loss_rng = self._links.get((src, dst)) or self._link(src, dst)
         jitter = max(0.0, profile.jitter.sample(rng))
         delay = (
             profile.stack_ms
@@ -258,11 +276,10 @@ class LanModel:
 
     def should_drop(self, src: str, dst: str) -> bool:
         """Sample whether a message on (src, dst) is lost in transit."""
-        profile = self.link_profile(src, dst)
-        if profile.loss_probability <= 0.0:
+        profile, _rng, loss_rng = self._links.get((src, dst)) or self._link(src, dst)
+        if loss_rng is None:
             return False
-        rng = self._streams.stream(f"lan.loss.{src}->{dst}")
-        return bool(rng.random() < profile.loss_probability)
+        return bool(loss_rng.random() < profile.loss_probability)
 
     def zone_distance(self, src: str, dst: str) -> float:
         """Static "distance" between hosts, for nearest-replica baselines.

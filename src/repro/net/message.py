@@ -10,7 +10,7 @@ the paper without bit-level encoding.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Tuple
 
 __all__ = ["Message", "next_message_id", "reset_message_ids"]
@@ -78,7 +78,10 @@ class Message:
 
     def with_destination(self, destination: str) -> "Message":
         """A copy addressed to ``destination`` (same msg_id: one multicast)."""
-        return replace(self, destination=destination)
+        return Message(
+            self.sender, destination, self.kind, self.payload, self.size_bytes,
+            self.msg_id, self.correlation_id, self.headers,
+        )
 
     def reply_to(self) -> str:
         """The host a reply should be addressed to."""
@@ -93,7 +96,11 @@ class Message:
 
     def with_header(self, key: str, value: Any) -> "Message":
         """A copy with ``key: value`` appended to the headers."""
-        return replace(self, headers=self.headers + ((key, value),))
+        return Message(
+            self.sender, self.destination, self.kind, self.payload,
+            self.size_bytes, self.msg_id, self.correlation_id,
+            self.headers + ((key, value),),
+        )
 
     def describe(self) -> Dict[str, Any]:
         """Compact dict for tracing."""

@@ -65,7 +65,8 @@ class Transport:
         Latency/topology model.
     tracer:
         Optional structured tracer; emits ``net.sent`` / ``net.delivered`` /
-        ``net.dropped`` records.
+        ``net.dropped`` records.  A tracer that is off (``enabled`` false)
+        costs one attribute test per site: ``describe()`` is not built.
     """
 
     def __init__(
@@ -108,31 +109,33 @@ class Transport:
         delivery instant), in which case it is dropped.
         """
         self.sent_count += 1
-        delay = self.lan.one_way_delay(
-            message.sender,
-            message.destination,
-            size_bytes=message.size_bytes,
-            group_size=group_size,
+        lan, sender, destination = self.lan, message.sender, message.destination
+        delay = lan.one_way_delay(
+            sender, destination, message.size_bytes, group_size
         )
-        if not self.lan.reachable(message.sender, message.destination):
+        if not lan.reachable(sender, destination):
             # The link is severed by a partition: nothing crosses, not
             # even copies a fault injector scheduled before the cut.
             self.lost_count += 1
-            self.tracer.emit(
-                self.sim.now, "transport", "net.partitioned",
-                **message.describe(),
-            )
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    self.sim.now, "transport", "net.partitioned",
+                    **message.describe(),
+                )
             return delay
-        if self.lan.should_drop(message.sender, message.destination):
+        if lan.should_drop(sender, destination):
             # Omission fault: the message vanishes in transit.
             self.lost_count += 1
-            self.tracer.emit(
-                self.sim.now, "transport", "net.lost", **message.describe()
-            )
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    self.sim.now, "transport", "net.lost", **message.describe()
+                )
             return delay
-        self.tracer.emit(
-            self.sim.now, "transport", "net.sent", delay=delay, **message.describe()
-        )
+        if self.tracer.enabled:
+            self.tracer.emit(
+                self.sim.now, "transport", "net.sent",
+                delay=delay, **message.describe(),
+            )
         self.sim.call_in(delay, lambda: self._deliver(message))
         return delay
 
@@ -159,23 +162,26 @@ class Transport:
     def _deliver(self, message: Message) -> None:
         if not self.lan.is_up(message.destination):
             self.dropped_count += 1
-            self.tracer.emit(
-                self.sim.now, "transport", "net.dropped",
-                reason="host-down", **message.describe(),
-            )
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    self.sim.now, "transport", "net.dropped",
+                    reason="host-down", **message.describe(),
+                )
             return
         receiver = self._receivers.get(message.destination)
         if receiver is None:
             self.dropped_count += 1
-            self.tracer.emit(
-                self.sim.now, "transport", "net.dropped",
-                reason="no-receiver", **message.describe(),
-            )
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    self.sim.now, "transport", "net.dropped",
+                    reason="no-receiver", **message.describe(),
+                )
             return
         self.delivered_count += 1
-        self.tracer.emit(
-            self.sim.now, "transport", "net.delivered", **message.describe()
-        )
+        if self.tracer.enabled:
+            self.tracer.emit(
+                self.sim.now, "transport", "net.delivered", **message.describe()
+            )
         receiver(message)
 
     def __repr__(self) -> str:

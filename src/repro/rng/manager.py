@@ -154,10 +154,6 @@ class RNGManager:
             rng = self._streams[key] = np.random.default_rng(seed)
         return rng
 
-    def reset(self) -> None:
-        """Drop all stream state; the same names replay identically."""
-        self._streams.clear()
-
     def __repr__(self) -> str:
         """Short debugging form: base seed plus live stream count."""
         return (

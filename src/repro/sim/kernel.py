@@ -173,10 +173,21 @@ class Simulator:
         not keep an unbounded ``run()`` alive.  Use it for self-reschedul-
         ing activities such as failure-detector polls.
         """
-        event = self.timeout(delay)
-        if daemon:
-            self._demote_to_daemon(event)
-        event.add_callback(lambda _event: callback())
+        if delay < 0:
+            raise ValueError(f"timeout delay must be >= 0, got {delay}")
+        # A Timeout built in one step, not through its constructor: same
+        # fields, same (when, seq), and a daemon is pushed as one rather
+        # than counted live and demoted.
+        event = Timeout.__new__(Timeout)
+        event.sim = self
+        event.delay = delay
+        event.callbacks = [lambda _event: callback()]
+        event._value = None
+        event._ok = True
+        event._state = EventState.TRIGGERED
+        if not daemon:
+            self._pending_live += 1
+        self._queue.push(self._now + delay, event, daemon)
         return event
 
     # -- scheduling ------------------------------------------------------
@@ -184,11 +195,6 @@ class Simulator:
         """Enqueue ``event`` to fire ``delay`` ms from now (FIFO-stable)."""
         self._pending_live += 1
         self._queue.push(self._now + delay, event)
-
-    def _demote_to_daemon(self, event: Event) -> None:
-        """Re-tag an already scheduled event as daemon (kernel-internal)."""
-        if self._queue.demote(event):
-            self._pending_live -= 1
 
     # -- run loop ----------------------------------------------------------
     def peek(self) -> float:
@@ -199,7 +205,10 @@ class Simulator:
         """Fire the single next event, advancing the clock to it."""
         if not self._queue:
             raise SimulationError("step() on an empty event queue")
-        when, event, daemon = self._queue.pop()
+        self._fire(*self._queue.pop())
+
+    def _fire(self, when: float, event: Event, daemon: bool) -> None:
+        """Advance the clock to a dequeued event and run its callbacks."""
         if not daemon:
             self._pending_live -= 1
         self._now = when
@@ -219,14 +228,19 @@ class Simulator:
             raise SimulationError(
                 f"run until {until} ms is in the past (now {self._now} ms)"
             )
-        while self._queue:
-            if until is None and self._pending_live == 0:
-                return
-            when = self._queue.peek_when()
-            if until is not None and when > until:
+        # The queue's own heap, popped here as EventQueue.pop does: the
+        # loop runs once per event and five method calls deep otherwise.
+        heap, heappop, fire = self._queue._heap, heapq.heappop, self._fire
+        while heap:
+            if until is None:
+                if self._pending_live == 0:
+                    return
+            elif heap[0][0] > until:
                 self._now = until
                 return
-            self.step()
+            when, _seq, daemon, event = heappop(heap)
+            event._queue_entry = None
+            fire(when, event, daemon)
         if until is not None:
             self._now = until
 

@@ -1,9 +1,16 @@
 """Unit tests for the server side of the timing fault handler."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
+from repro.gateway.handlers.timing_fault import MSG_PERF
 from repro.sim.random import Constant
-
 
 
 def test_request_is_serviced_and_replied(stack):
@@ -117,3 +124,90 @@ def test_crash_and_restart_are_idempotent(stack):
     server.restart()
     server.restart()
     assert not server.crashed
+
+
+# -- performance pushes (ISSUE 21) ----------------------------------------------
+
+_PUSH_RUN = """
+import json
+from repro.sim.trace import Tracer
+from repro.workload.ministack import MiniStack
+
+stack = MiniStack(seed=3)
+tracer = stack.transport.tracer = Tracer()
+for index in (1, 2):
+    stack.add_server(f"replica-{index}")
+clients = [f"client-{index}" for index in range(1, 9)]
+for client in clients:
+    stack.add_client(client, deadline_ms=500.0)
+stack.sim.run(until=5.0)  # subscriptions land
+for round_ in range(2):
+    for client in clients:
+        stack.invoke(client, round_)
+stack.sim.run()
+print(json.dumps([
+    [r.time, r.data["msg_id"], r.data["from"], r.data["to"]]
+    for r in tracer.of_kind("net.sent")
+]))
+"""
+
+
+def test_push_order_is_independent_of_the_hash_seed():
+    """One seed, two str-hash orders, one ``net.sent`` sequence.
+
+    Zero-jitter links put every push of one reply on the same instant,
+    so which subscriber holds which ``msg_id`` (and kernel ``seq``) is
+    exactly the order the server iterates its subscribers in.
+    """
+    src = str(Path(repro.__file__).resolve().parents[1])
+    runs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _PUSH_RUN],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        runs.append(json.loads(done.stdout))
+    pushes = [row for row in runs[0] if row[2].startswith("replica-")]
+    assert len(pushes) > 100  # 32 replies, each fanned out to 7 subscribers
+    assert runs[0] == runs[1]
+
+
+def test_subscribers_keep_arrival_order_and_report_sorted(stack):
+    server = stack.add_server("replica-1")
+    for name in ("client-b", "client-c", "client-a"):
+        stack.add_client(name)
+    stack.add_client("client-b2")
+    stack.sim.run(until=5.0)
+    assert list(server._subscribers) == ["client-b", "client-c", "client-a", "client-b2"]
+    assert server.subscribers == ["client-a", "client-b", "client-b2", "client-c"]
+
+
+def test_one_reply_shares_one_push_payload_that_nobody_mutates(stack):
+    stack.add_server("replica-1")
+    for index in (1, 2, 3, 4):
+        stack.add_client(f"client-{index}", deadline_ms=500.0)
+    stack.sim.run(until=5.0)
+    sent = []
+    send = stack.transport.send
+
+    def recording_send(message, group_size=1):
+        if message.kind == MSG_PERF:
+            sent.append((message, dict(message.payload)))
+        return send(message, group_size)
+
+    stack.transport.send = recording_send
+    stack.invoke("client-1", 1)
+    stack.sim.run()
+    assert sorted(message.destination for message, _ in sent) == [
+        "client-2", "client-3", "client-4",
+    ]
+    shared = sent[0][0].payload
+    for message, as_sent in sent:
+        assert message.payload is shared
+        # Every receiver has handled its copy by now: still as sent.
+        assert message.payload == as_sent
+        assert message.payload["perf"] is as_sent["perf"]
+    for index in (2, 3, 4):
+        services = stack.clients[f"client-{index}"].repository.record("replica-1")
+        assert len(services.service_times.values()) == 1

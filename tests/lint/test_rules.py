@@ -25,6 +25,7 @@ CASES = [
     ("RL006", "rl006_trigger.py", "rl006_clean.py", "src/repro/gateway/handlers/sample.py", 2),
     ("RL007", "rl007_trigger.py", "rl007_clean.py", "src/repro/experiments/sweep.py", 3),
     ("RL008", "rl008_trigger.py", "rl008_clean.py", "src/repro/core/estimator.py", 3),
+    ("RL009", "rl009_trigger.py", "rl009_clean.py", "src/repro/gateway/handlers/push.py", 4),
 ]
 
 
@@ -88,6 +89,13 @@ class TestScoping:
         # A namesake elsewhere in the package is not the home.
         other = "src/repro/analysis/distribution.py"
         assert len(_lint("rl008_trigger.py", "RL008", other)) == 3
+
+    def test_rl009_scoped_to_the_layers_that_send_and_schedule(self):
+        for layer in ("group", "net", "replica", "engine"):
+            assert len(_lint("rl009_trigger.py", "RL009", f"src/repro/{layer}/x.py")) == 4
+        # Experiments and analysis may loop over sets: their order never
+        # reaches a msg_id or a kernel sequence number.
+        assert _lint("rl009_trigger.py", "RL009", "src/repro/experiments/x.py") == []
 
 
 def test_every_rule_has_a_fixture_pair():

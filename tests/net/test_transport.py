@@ -1,8 +1,19 @@
 """Unit tests for the transport layer."""
 
+import hashlib
+import json
+from collections import Counter
+
 import pytest
 
-from repro.net.message import Message
+from repro.gateway.gateway import Gateway, ProtocolHandler
+from repro.net.lan import LanModel, LinkProfile
+from repro.net.message import Message, reset_message_ids
+from repro.net.transport import Transport
+from repro.rng import RNGManager
+from repro.sim.kernel import Simulator
+from repro.sim.random import Constant, Exponential
+from repro.sim.trace import NullTracer, Tracer
 
 
 def _msg(dest="server-1", **overrides):
@@ -109,3 +120,195 @@ class TestMulticast:
         trio = transport2.multicast(msg, ["s1", "s2", "s3"])
         assert solo[0] == pytest.approx(1.0)
         assert all(d == pytest.approx(2.0) for d in trio)
+
+
+# -- the message plane, pinned --------------------------------------------------
+
+
+class _Inbox(ProtocolHandler):
+    """Records what its gateway routed to it."""
+
+    message_kinds = ("request", "push")
+
+    def __init__(self, host, sim, log):
+        self.host, self.sim, self.log = host, sim, log
+
+    def handle_message(self, message):
+        self.log.append((self.sim.now, self.host, message.msg_id))
+
+
+PLANE_HOSTS = ("c", "s1", "s2", "s3", "s4", "s5", "s6", "s7")
+
+
+def run_scripted_plane(tracer):
+    """Drive kernel + LAN + transport + one gateway per host from a script.
+
+    Scripted rather than driven through the timing-fault handlers so
+    that nothing but ``net`` and the kernel decides the order of sends.
+    Returns ``(transport, streams, inbox)``.
+    """
+    reset_message_ids()
+    sim = Simulator()
+    streams = RNGManager(base_seed=2001)
+    lan = LanModel(streams)
+    for name in PLANE_HOSTS:
+        lan.add_host(name)
+    transport = Transport(sim, lan, tracer=tracer)
+    inbox = []
+    for name in PLANE_HOSTS:
+        Gateway(name, sim, transport, tracer=tracer).load_handler(
+            _Inbox(name, sim, inbox)
+        )
+    servers = PLANE_HOSTS[1:]
+
+    def push_round():
+        # One reply's fan-out: seven unicasts constructed and sent in
+        # one instant, so msg_id and kernel seq both follow this order.
+        for server in servers:
+            transport.send(
+                Message(sender="c", destination=server, kind="push",
+                        payload={"service": ""}, size_bytes=96)
+            )
+
+    # Overrides set before first use: a lossy link, and two links with no
+    # jitter whose pushes therefore land on the same instant (seq decides).
+    lan.set_link_profile("c", "s7", LinkProfile(loss_probability=0.5))
+    still = LinkProfile(jitter=Constant(0.0))
+    lan.set_link_profile("c", "s2", still)
+    lan.set_link_profile("c", "s3", still)
+
+    transport.multicast(
+        Message(sender="s1", destination="", kind="request", payload={}),
+        ["c", "s2", "s3"],
+    )
+    for _ in range(4):
+        push_round()
+    sim.run(until=5.0)
+
+    # An override on a link that has already carried traffic.
+    lan.set_link_profile(
+        "c", "s1", LinkProfile(stack_ms=3.0, jitter=Exponential(0.4))
+    )
+    for _ in range(4):
+        push_round()
+    sim.run(until=10.0)
+
+    lan.sever_link("c", "s4")
+    push_round()
+    lan.heal_link("c", "s4")
+    push_round()
+    sim.run(until=15.0)
+
+    push_round()
+    lan.mark_down("s5")  # six pushes in flight, one to a host now down
+    transport.unbind("s6")
+    sim.run(until=20.0)
+    lan.mark_up("s5")
+    push_round()
+    sim.run()
+    return transport, streams, inbox
+
+
+def plane_digest(tracer):
+    """sha256 over every ``net.*`` record, floats by ``repr``."""
+    rows = [
+        [repr(record.time), record.source, record.kind,
+         sorted((key, repr(value)) for key, value in record.data.items())]
+        for record in tracer.records
+        if record.kind.startswith("net.")
+    ]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+class TestPlanePinned:
+    """Bit-equality for the message plane, computed at PR 20's commit.
+
+    The literals below were taken before ISSUE 21 touched ``net`` or the
+    kernel; they hold only if every link draws from the same stream in
+    the same order and every event keeps its ``(when, seq)``.
+    """
+
+    DIGEST = "3d546c56a7a4172049dac25826c78d372e796e6355396d09594abd493dd322d0"
+    STREAMS = [
+        "lan.c->s1", "lan.c->s2", "lan.c->s3", "lan.c->s4", "lan.c->s5",
+        "lan.c->s6", "lan.c->s7", "lan.loss.c->s7",
+        "lan.s1->c", "lan.s1->s2", "lan.s1->s3",
+    ]
+    KINDS = {
+        "net.sent": 82, "net.lost": 4, "net.partitioned": 1,
+        "net.delivered": 79, "net.dropped": 3,
+    }
+
+    def test_net_records_and_stream_names_are_pinned(self):
+        tracer = Tracer()
+        transport, streams, inbox = run_scripted_plane(tracer)
+        kinds = Counter(
+            r.kind for r in tracer.records if r.kind.startswith("net.")
+        )
+        assert dict(kinds) == self.KINDS
+        assert sorted(key[0] for key in streams._streams) == self.STREAMS
+        assert plane_digest(tracer) == self.DIGEST
+        assert len(inbox) == transport.delivered_count == kinds["net.delivered"]
+
+    @pytest.mark.parametrize(
+        "off", [NullTracer, lambda: Tracer(enabled=False)], ids=["null", "disabled"]
+    )
+    def test_a_tracer_that_is_off_never_builds_describe(self, monkeypatch, off):
+        def boom(self):
+            raise AssertionError("describe() built for a tracer that is off")
+
+        monkeypatch.setattr(Message, "describe", boom)
+        tracer = off()
+        transport, _streams, inbox = run_scripted_plane(tracer)
+        assert len(tracer) == 0
+        # Every branch was walked: sent, lost, partitioned, both drops.
+        assert (transport.sent_count, transport.lost_count) == (87, 5)
+        assert (transport.delivered_count, transport.dropped_count) == (79, 3)
+        assert len(inbox) == 79
+
+
+class _SpyJitter(Constant):
+    """Zero jitter that remembers which generator it was handed."""
+
+    def __init__(self):
+        super().__init__(0.0)
+        self.rngs = []
+
+    def sample(self, rng):
+        self.rngs.append(rng)
+        return super().sample(rng)
+
+
+class TestLinkRecord:
+    def test_override_after_first_send_applies_to_the_next_on_the_same_stream(
+        self, sim, lan, streams, transport
+    ):
+        before, after = _SpyJitter(), _SpyJitter()
+        lan.set_link_profile(
+            "client-1", "server-1", LinkProfile(stack_ms=1.0, per_kb_ms=0.0, jitter=before)
+        )
+        assert transport.send(_msg()) == 1.0
+        lan.set_link_profile(
+            "client-1", "server-1", LinkProfile(stack_ms=7.0, per_kb_ms=0.0, jitter=after)
+        )
+        assert transport.send(_msg()) == 7.0
+        assert transport.send(_msg()) == 7.0
+        assert len(before.rngs) == 1 and len(after.rngs) == 2
+        stream = streams.stream("lan.client-1->server-1")
+        assert all(rng is stream for rng in before.rngs + after.rngs)
+
+    def test_pair_first_used_after_an_override_resolves_to_it(self, lan, transport):
+        transport.send(_msg())  # resolves client-1 -> server-1 only
+        slow = LinkProfile(stack_ms=9.0, per_kb_ms=0.0, jitter=Constant(0.0))
+        lan.set_link_profile("client-1", "server-2", slow)
+        assert transport.send(_msg(dest="server-2")) == 9.0
+        assert lan.link_profile("client-1", "server-1") is lan.default_profile
+
+    def test_loss_turned_on_mid_run_starts_dropping(self, lan):
+        assert not any(lan.should_drop("client-1", "server-1") for _ in range(50))
+        lan.set_link_profile(
+            "client-1", "server-1", LinkProfile(loss_probability=0.9)
+        )
+        drops = sum(lan.should_drop("client-1", "server-1") for _ in range(50))
+        assert drops > 30
+        assert lan.should_drop("server-1", "client-1") is False

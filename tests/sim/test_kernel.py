@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.events import SimulationError
+from repro.sim.events import SimulationError, Timeout
 from repro.sim.kernel import Simulator
 
 
@@ -115,6 +115,34 @@ class TestDaemonEvents:
 
 
 class TestCallHelpers:
+    def test_call_in_returns_a_timeout_that_fires_its_callback_once(self, sim):
+        fired = []
+        event = sim.call_in(2.5, lambda: fired.append(sim.now))
+        assert type(event) is Timeout
+        assert (event.delay, event.triggered, event.processed) == (2.5, True, False)
+        assert sim.pending_live == 1
+        sim.run()
+        assert fired == [2.5]
+        assert event.processed and event.ok and event.value is None
+        assert event.callbacks == [] and sim.pending_live == 0
+        late = []
+        event.add_callback(late.append)  # already fired: runs at once
+        assert late == [event]
+
+    def test_call_in_negative_delay_raises(self, sim):
+        with pytest.raises(ValueError):
+            sim.call_in(-0.001, lambda: None)
+        assert sim.pending_live == 0 and sim.peek() == float("inf")
+
+    def test_call_in_daemon_is_never_counted_live(self, sim):
+        seen = []
+        sim.call_in(5.0, lambda: seen.append("daemon"), daemon=True)
+        assert sim.pending_live == 0
+        sim.call_in(9.0, lambda: seen.append("live"))
+        assert sim.pending_live == 1
+        sim.run()
+        assert seen == ["daemon", "live"] and sim.pending_live == 0
+
     def test_call_at_runs_at_absolute_time(self, sim):
         seen = []
         sim.call_at(12.5, lambda: seen.append(sim.now))

@@ -1,6 +1,6 @@
 """repro-lint: the repository's custom determinism/lifecycle lint pack.
 
-Eight AST-based rules encode the invariants that keep the reproduction
+Nine AST-based rules encode the invariants that keep the reproduction
 deterministic and its request lifecycle auditable — properties a general
 linter cannot know about:
 
@@ -31,6 +31,10 @@ linter cannot know about:
   the constructor's sorting and sign/mass checks, is referenced only
   inside ``core/distribution.py``; everything else holds outside input
   and builds through ``DiscretePMF(...)`` / ``from_counts``.
+* **RL009** — in ``gateway/``, ``group/``, ``net/``, ``replica/`` and
+  ``engine/`` no loop over a set sends a message or arms a timer: the
+  order would depend on ``PYTHONHASHSEED`` and leak into ``msg_id``s and
+  same-instant event order.
 
 Run as ``python -m repro_lint src/`` (exits non-zero on violations) or
 through the pytest suite in ``tests/lint/``.  Suppress a finding with a

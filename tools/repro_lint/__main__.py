@@ -18,7 +18,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run the lint pack over the given paths (default: ``src``)."""
     parser = argparse.ArgumentParser(
         prog="repro_lint",
-        description="repro's determinism/lifecycle lint pack (RL001-RL008)",
+        description="repro's determinism/lifecycle lint pack (RL001-RL009)",
     )
     parser.add_argument(
         "paths",

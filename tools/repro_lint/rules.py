@@ -1,4 +1,4 @@
-"""The eight repro-lint rules (RL001–RL008).
+"""The nine repro-lint rules (RL001–RL009).
 
 Each rule documents the invariant it guards and the sanctioned escape
 hatch; the full catalog with rationale lives in docs/STATIC_ANALYSIS.md.
@@ -22,6 +22,7 @@ __all__ = [
     "HostClockDiscipline",
     "PinnedSelectionOverhead",
     "DerivedPmfConstruction",
+    "OrderedFanOut",
     "rule_by_id",
 ]
 
@@ -523,6 +524,97 @@ class DerivedPmfConstruction(Rule):
         ]
 
 
+class OrderedFanOut(Rule):
+    """RL009 — nothing is sent or scheduled in set-iteration order.
+
+    A ``set`` of strings iterates in an order that depends on
+    ``PYTHONHASHSEED``.  A loop over one that sends a message or arms a
+    timer hands out ``msg_id``s and kernel sequence numbers (which break
+    same-instant ties) in that order, so two runs of one seed differ —
+    the bug ISSUE 21 fixed in the server's performance pushes.  Iterate
+    ``sorted(...)``, or keep the members in an insertion-ordered dict.
+    Only what the module itself shows to be a set is caught: a set
+    literal or comprehension, a ``set(...)`` / ``frozenset(...)`` call,
+    or a name / ``self.`` attribute it annotates ``Set[...]``.
+    """
+
+    rule_id = "RL009"
+    title = "no sends or timers in set-iteration order"
+
+    SCOPES = ("/gateway/", "/group/", "/net/", "/replica/", "/engine/")
+    SET_TYPES = frozenset({"Set", "FrozenSet", "AbstractSet", "set", "frozenset"})
+    #: Calls whose order is visible in msg_ids or kernel sequence numbers.
+    EFFECTS = frozenset({"send", "multicast", "call_in", "call_at", "arm", "Message"})
+
+    def applies_to(self, path: str) -> bool:
+        return _in_repro(path) and any(scope in path for scope in self.SCOPES)
+
+    @staticmethod
+    def _variable(node: ast.AST) -> Optional[str]:
+        """``x`` or ``self.x`` as a key, anything else ``None``."""
+        name = _dotted_name(node)
+        if name is not None and (name.count(".") == 0 or name.startswith("self.")):
+            return name
+        return None
+
+    def _is_set_annotation(self, annotation: ast.AST) -> bool:
+        if isinstance(annotation, ast.Subscript):
+            annotation = annotation.value
+        name = _dotted_name(annotation)
+        return name is not None and name.rpartition(".")[2] in self.SET_TYPES
+
+    def check(self, tree: ast.Module, path: str) -> List[Violation]:
+        annotated = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.AnnAssign) and self._is_set_annotation(
+                node.annotation
+            ):
+                annotated.add(self._variable(node.target))
+            elif (
+                isinstance(node, ast.arg)
+                and node.annotation is not None
+                and self._is_set_annotation(node.annotation)
+            ):
+                annotated.add(node.arg)
+        findings: List[Violation] = []
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.For, ast.AsyncFor)):
+                continue
+            source = node.iter
+            unordered = isinstance(source, (ast.Set, ast.SetComp)) or (
+                isinstance(source, ast.Call)
+                and _dotted_name(source.func) in ("set", "frozenset")
+            )
+            if not unordered:
+                variable = self._variable(source)
+                unordered = variable is not None and variable in annotated
+            if not unordered:
+                continue
+            effect = next(
+                (
+                    name.rpartition(".")[2]
+                    for statement in node.body
+                    for call in ast.walk(statement)
+                    if isinstance(call, ast.Call)
+                    and (name := _dotted_name(call.func)) is not None
+                    and name.rpartition(".")[2] in self.EFFECTS
+                ),
+                None,
+            )
+            if effect is not None:
+                findings.append(
+                    self.violation(
+                        path,
+                        node,
+                        f"`{effect}(...)` inside a loop over a set: the "
+                        "order depends on PYTHONHASHSEED and leaks into "
+                        "msg_ids and same-instant event order; iterate "
+                        "`sorted(...)` or keep an insertion-ordered dict",
+                    )
+                )
+        return findings
+
+
 ALL_RULES: Sequence[Rule] = (
     RngDiscipline(),
     SimClockOnly(),
@@ -532,6 +624,7 @@ ALL_RULES: Sequence[Rule] = (
     HostClockDiscipline(),
     PinnedSelectionOverhead(),
     DerivedPmfConstruction(),
+    OrderedFanOut(),
 )
 
 
