@@ -1,6 +1,6 @@
 """Post-run analyses: stage decomposition and model calibration."""
 
-from .calibration import CalibrationBucket, brier_score, calibration_table
+from .calibration import CalibrationBucket, brier_pairs, bucket_pairs, prediction_pairs
 from .stages import RequestStages, extract_stages, stage_summaries
 
 __all__ = [
@@ -8,6 +8,7 @@ __all__ = [
     "extract_stages",
     "stage_summaries",
     "CalibrationBucket",
-    "calibration_table",
-    "brier_score",
+    "prediction_pairs",
+    "bucket_pairs",
+    "brier_pairs",
 ]

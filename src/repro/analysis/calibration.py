@@ -18,9 +18,7 @@ from ..gateway.handlers.timing_fault import ReplyOutcome
 __all__ = [
     "CalibrationBucket",
     "prediction_pairs",
-    "calibration_table",
     "bucket_pairs",
-    "brier_score",
     "brier_pairs",
 ]
 
@@ -65,17 +63,11 @@ def prediction_pairs(outcomes: Iterable[ReplyOutcome]) -> List[Tuple[float, bool
     return pairs
 
 
-def calibration_table(
-    outcomes: Iterable[ReplyOutcome], num_buckets: int = 10
-) -> List[CalibrationBucket]:
-    """Bucket predictions and compare with observed timely frequencies."""
-    return bucket_pairs(prediction_pairs(outcomes), num_buckets)
-
-
 def bucket_pairs(
     pairs: Sequence[Tuple[float, bool]], num_buckets: int = 10
 ) -> List[CalibrationBucket]:
-    """:func:`calibration_table` over ``(prediction, timely)`` pairs.
+    """Bucket ``(prediction, timely)`` pairs by predicted probability and
+    compare each bucket with its observed timely frequency.
 
     Empty buckets are omitted.
     """
@@ -111,16 +103,11 @@ def bucket_pairs(
     return buckets
 
 
-def brier_score(outcomes: Iterable[ReplyOutcome]) -> float:
-    """Mean squared error of the model's timeliness predictions.
+def brier_pairs(pairs: Sequence[Tuple[float, bool]]) -> float:
+    """Mean squared error of ``(prediction, timely)`` pairs.
 
     0 is perfect; 0.25 is the score of always predicting 0.5.
     """
-    return brier_pairs(prediction_pairs(outcomes))
-
-
-def brier_pairs(pairs: Sequence[Tuple[float, bool]]) -> float:
-    """:func:`brier_score` over ``(prediction, timely)`` pairs."""
     if not pairs:
         raise ValueError("no model-backed outcomes to score")
     errors = [(p - (1.0 if timely else 0.0)) ** 2 for p, timely in pairs]

@@ -27,7 +27,6 @@ from .model import (
     subset_timeliness_from_map,
     subset_timeliness_probability,
 )
-from .negotiation import AdaptiveQoSController
 from .qos import QoSSpec, QoSViolationCallback, TimingFailureStats
 from .repository import InformationRepository, ReplicaRecord, SlidingWindow
 from .selection import (
@@ -57,7 +56,6 @@ __all__ = [
     "QoSSpec",
     "QoSViolationCallback",
     "TimingFailureStats",
-    "AdaptiveQoSController",
     "select_replicas",
     "SelectionResult",
     "ReplicaProbability",

@@ -378,10 +378,6 @@ class DiscretePMF:
             return 0.0
         return min(1.0, max(0.0, float(self.cumulative_probs()[index - 1])))
 
-    def survival(self, t: float) -> float:
-        """``P(X > t) = 1 − F(t)``."""
-        return max(0.0, 1.0 - self.cdf(t))
-
     def quantile(self, q: float) -> float:
         """Smallest value ``v`` with ``F(v) >= q``."""
         if not 0.0 <= q <= 1.0:

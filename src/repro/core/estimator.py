@@ -234,13 +234,6 @@ class ResponseTimeEstimator:
             return 0.0
         return pmf.cdf(deadline_ms)
 
-    def probabilities_by(self, deadline_ms: float) -> Dict[str, Optional[float]]:
-        """``F_{R_i}(deadline)`` for every tracked replica."""
-        replicas = self.repository.replicas()
-        return dict(
-            zip(replicas, self.batch_probability_by(replicas, deadline_ms))
-        )
-
     def batch_probability_by(
         self, replicas: Sequence[str], deadline_ms: float
     ) -> List[Optional[float]]:

@@ -112,11 +112,6 @@ class TimingFailureStats:
             return 1.0
         return self.timely_responses / self.responses
 
-    @property
-    def observed_failure_probability(self) -> float:
-        """Fraction of responses that missed the deadline."""
-        return 1.0 - self.observed_timely_probability
-
     def violates(self, spec: QoSSpec) -> bool:
         """Whether the observed frequency has fallen below the spec."""
         if self.responses < self.min_samples:

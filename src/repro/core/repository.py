@@ -315,10 +315,6 @@ class InformationRepository:
     def __len__(self) -> int:
         return len(self._records)
 
-    def replicas_with_history(self) -> List[str]:
-        """Replicas for which a response-time model can be built."""
-        return [name for name in self.replicas() if self._records[name].has_history]
-
     def staleness(self, now_ms: float, name: Optional[str] = None) -> float:
         """Milliseconds since the last update.
 
@@ -335,12 +331,6 @@ class InformationRepository:
             return float("inf")
         return min(
             record.staleness(now_ms) for record in self._records.values()
-        )
-
-    def all_have_history(self) -> bool:
-        """Whether every tracked replica has usable history."""
-        return bool(self._records) and all(
-            record.has_history for record in self._records.values()
         )
 
     # -- updates (called by the handler) --------------------------------------

@@ -58,7 +58,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metavar="FILE",
         help=(
             "write every selected sweep's rows and digest as JSON (a lone "
-            "command entry such as A17 writes its own outcome table there)"
+            "command entry writes its own payload there: A17 its outcome "
+            "table, fig3 BENCH_estimator.json, scale BENCH_scale.json)"
         ),
     )
     parser.add_argument(

@@ -243,7 +243,10 @@ def export_scale_bench(
             "changed row), raw event-kernel dispatch throughput "
             "(heapq EventQueue) and the untraced message plane's cost "
             "per message (Message -> Transport.send -> kernel -> "
-            "Gateway -> no-op handler)."
+            "Gateway -> no-op handler).  Written only by `python -m "
+            "repro.experiments scale --json FILE`: 50 iterations per "
+            "cached/dirty arm, 3 per uncached, 200,000 kernel events "
+            "(--quick: n = 64 only, 5 / 1 / 20,000)."
         ),
         "selection": {
             "unit": "microseconds per selection (mean over iterations)",

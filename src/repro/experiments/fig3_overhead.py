@@ -37,7 +37,7 @@ from ..core.repository import InformationRepository
 from ..core.selection import select_replicas_arrays
 from ..rng import seeded_generator
 from .harness import print_table
-from .registry import Command
+from .registry import Command, flag_value
 
 __all__ = [
     "OverheadPoint",
@@ -259,7 +259,9 @@ def export_estimator_bench(
             "Algorithm 1.  uncached = the shipped estimator after "
             "invalidate() before every selection (every distribution "
             "recomputed, stale bases through the batched kernel); "
-            "cached = the same estimator with unchanged windows."
+            "cached = the same estimator with unchanged windows.  "
+            "Written only by `python -m repro.experiments fig3 --json "
+            "FILE`: 200 iterations per arm (30 under --quick)."
         ),
         "points": [
             {
@@ -302,7 +304,8 @@ def run(
 
 
 def main(argv: Sequence[str] = ()) -> int:
-    """Print the Figure 3 table and the cached-pipeline comparison."""
+    """Print the Figure 3 table and the cached-pipeline comparison;
+    ``--json FILE`` exports the comparison (BENCH_estimator.json)."""
     iterations = 30 if "--quick" in argv else 200
     points = run(iterations=iterations)
     rows = [
@@ -337,6 +340,10 @@ def main(argv: Sequence[str] = ()) -> int:
             for c in comparisons
         ],
     )
+    path = flag_value(argv, "--json")
+    if path:
+        export_estimator_bench(comparisons, path)
+        print(f"wrote {path}")
     return 0
 
 

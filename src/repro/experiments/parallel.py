@@ -37,14 +37,12 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..rng import derive_entity_seed
-from ..workload.client import ClientSummary
 
 __all__ = [
     "TaskSpec",
     "TaskResult",
     "SweepResult",
     "run_sweep",
-    "merge_summaries",
     "sweep_digest",
     "canonical",
 ]
@@ -135,33 +133,6 @@ def sweep_digest(results: Sequence[TaskResult]) -> str:
         canonical(list(ordered)), sort_keys=True, separators=(",", ":")
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def merge_summaries(summaries: Sequence[ClientSummary]) -> ClientSummary:
-    """Merge per-run :class:`ClientSummary` values into one aggregate.
-
-    Counters add; the means recombine weighted by each run's admitted
-    (served) request count, matching how the per-run means were formed.
-    Reduction happens in the order given — callers pass
-    repetition-sorted sequences (as :meth:`SweepResult.by_point`
-    produces), which makes the floating-point result independent of
-    worker count and completion order.
-    """
-    if not summaries:
-        raise ValueError("cannot merge zero summaries")
-    requests = sum(s.requests for s in summaries)
-    sheds = sum(s.sheds for s in summaries)
-    admitted = sum(s.admitted for s in summaries)
-    response_weighted = sum(s.mean_response_ms * s.admitted for s in summaries)
-    redundancy_weighted = sum(s.mean_redundancy * s.admitted for s in summaries)
-    return ClientSummary(
-        requests=requests,
-        timing_failures=sum(s.timing_failures for s in summaries),
-        timeouts=sum(s.timeouts for s in summaries),
-        mean_response_ms=response_weighted / admitted if admitted else 0.0,
-        mean_redundancy=redundancy_weighted / admitted if admitted else 0.0,
-        sheds=sheds,
-    )
 
 
 def _build_tasks(

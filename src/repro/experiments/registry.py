@@ -135,6 +135,8 @@ class Command:
     plus, when it is the only entry selected, any flags of its own.  A
     command with a reproducible digest (A17) compares it with its pin in
     :data:`DIGESTS_FILE` under ``--check-digests``; the others ignore it.
+    ``--json`` is never ignored: a command writes ``FILE`` or, having
+    nothing to write (the digest smoke), returns a usage error.
     """
 
     key: str

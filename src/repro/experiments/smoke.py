@@ -9,6 +9,7 @@ worker processes; the merged digests must be bit-identical (the
 from __future__ import annotations
 
 import os
+import sys
 from typing import Sequence
 
 from .harness import two_client_point
@@ -47,6 +48,9 @@ def _smoke_sweep(workers: int) -> SweepResult:
 
 def main(argv: Sequence[str] = ()) -> int:
     """Digest smoke: serial vs ``--workers N`` (at least 2) must be bit-identical."""
+    if "--json" in argv:
+        print("smoke: --json is not supported (the smoke has no rows)", file=sys.stderr)
+        return 2
     workers = max(2, int(flag_value(argv, "--workers", 2)))
     serial = _smoke_sweep(workers=1)
     parallel = _smoke_sweep(workers=workers)

@@ -41,7 +41,7 @@ from .campaign import (
     shrink_schedule,
 )
 from .clock import CLOCK_FAULT_KINDS, ClockFault
-from .partition import PROBE_EXEMPT_KINDS, PartitionFault, grey_partition
+from .partition import PROBE_EXEMPT_KINDS, PartitionFault
 from .plane import FaultPlane
 from .schedule import (
     ChurnFault,
@@ -78,7 +78,6 @@ __all__ = [
     "PartitionFault",
     "ScheduleOutcome",
     "SubmissionRecord",
-    "grey_partition",
     "flatten_schedule",
     "random_fault_schedule",
     "rebuild_schedule",

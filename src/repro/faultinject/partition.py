@@ -43,7 +43,6 @@ from ..net.message import Message
 __all__ = [
     "PROBE_EXEMPT_KINDS",
     "PartitionFault",
-    "grey_partition",
 ]
 
 #: Message kinds a grey-failure cut lets through: the health-probe
@@ -200,21 +199,3 @@ class PartitionFault:
         round trip across it can complete — the premise of the auditor's
         "no acks from the dark side" invariant."""
         return self.lan_visible and self.flap_period_ms is None
-
-
-def grey_partition(
-    side: Tuple[str, ...],
-    start_ms: float,
-    end_ms: float,
-    far: Tuple[str, ...] = (),
-    mode: str = "symmetric",
-) -> PartitionFault:
-    """A slow-partition "grey failure": probes pass, data traffic dies."""
-    return PartitionFault(
-        side=side,
-        start_ms=start_ms,
-        end_ms=end_ms,
-        far=far,
-        mode=mode,
-        exempt_kinds=PROBE_EXEMPT_KINDS,
-    )

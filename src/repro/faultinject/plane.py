@@ -255,7 +255,7 @@ class FaultPlane:
         self.lan.mark_up(host)
         for handler in self.replicas.get(host, ()):
             handler.restart()
-            self.group_comm.failure_detector.forget(host)
+            self.group_comm.failure_detector.sight(host)
             if host not in self.group_comm.view(handler.service):
                 self.group_comm.join(handler.service, host, watch=True)
         self.restarts_applied += 1

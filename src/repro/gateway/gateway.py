@@ -79,13 +79,6 @@ class Gateway:
                 )
             self._handlers[key] = handler
 
-    def unload_handler(self, handler: ProtocolHandler) -> None:
-        """Remove ``handler`` from all its routes (idempotent)."""
-        for kind in handler.message_kinds:
-            key = (kind, handler.service)
-            if self._handlers.get(key) is handler:
-                del self._handlers[key]
-
     def handlers(self) -> List[ProtocolHandler]:
         """Distinct handlers currently loaded."""
         seen: List[ProtocolHandler] = []

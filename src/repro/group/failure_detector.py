@@ -177,10 +177,6 @@ class FailureDetector:
         """Consecutive "down" samples on record for a watched host."""
         return self._chains[host_name].down_samples
 
-    def forget(self, host_name: str) -> None:
-        """Clear a crash declaration (call when the host recovers)."""
-        self.sight(host_name)
-
     def sight(self, host_name: str) -> None:
         """Register a fresh sighting of ``host_name``.
 
@@ -269,7 +265,7 @@ class FailureDetector:
         chain.due = self.sim.now + self.poll_interval_ms
         if self._observes_up(host_name):
             chain.down_samples = 0
-            # Recovered without an explicit forget(); treat as rejoin.
+            # Recovered without an explicit sight(); treat as rejoin.
             self._declared.pop(host_name, None)
             return  # dormant until the next LAN change
         chain.down_samples += 1

@@ -60,8 +60,7 @@ class MulticastGroup:
                 f"no live destinations in group {self.group.name!r} "
                 f"(requested {list(members) if members is not None else 'all'})"
             )
-        tagged = message.with_header("group", self.group.name)
-        self.transport.multicast(tagged, targets)
+        self.transport.multicast(message, targets)
         return targets
 
     def __repr__(self) -> str:

@@ -9,7 +9,7 @@ percentile computation — because experiments post-process everything.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .stats import RunningStats, Summary, summarize
 
@@ -47,16 +47,6 @@ class MetricsCollector:
         if self.keep_samples:
             self._samples.setdefault(key, []).append(value)
 
-    def observe_many(
-        self,
-        name: str,
-        values: Iterable[float],
-        labels: Optional[Dict[str, str]] = None,
-    ) -> None:
-        """Record several observations of metric ``name``."""
-        for value in values:
-            self.observe(name, value, labels)
-
     # -- counters ---------------------------------------------------------
     def increment(
         self, name: str, amount: int = 1, labels: Optional[Dict[str, str]] = None
@@ -87,12 +77,6 @@ class MetricsCollector:
     ) -> Summary:
         """Percentile summary of the retained samples for ``name``."""
         return summarize(self.samples(name, labels))
-
-    def metric_names(self) -> List[str]:
-        """Sorted distinct metric names with at least one observation."""
-        names = {name for name, _labels in self._stats}
-        names.update(name for name, _labels in self._counters)
-        return sorted(names)
 
     def label_sets(self, name: str) -> List[Dict[str, str]]:
         """All label combinations observed for metric ``name``."""

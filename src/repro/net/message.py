@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Tuple
+from typing import Any, Dict
 
 __all__ = ["Message", "next_message_id", "reset_message_ids"]
 
@@ -59,8 +59,6 @@ class Message:
         Unique id assigned at construction.
     correlation_id:
         Id tying replies to their request (0 = uncorrelated).
-    headers:
-        Optional extra metadata (e.g. multicast group name).
     """
 
     sender: str
@@ -70,7 +68,6 @@ class Message:
     size_bytes: int = 256
     msg_id: int = field(default_factory=next_message_id)
     correlation_id: int = 0
-    headers: Tuple[Tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
         if self.size_bytes < 0:
@@ -80,26 +77,7 @@ class Message:
         """A copy addressed to ``destination`` (same msg_id: one multicast)."""
         return Message(
             self.sender, destination, self.kind, self.payload, self.size_bytes,
-            self.msg_id, self.correlation_id, self.headers,
-        )
-
-    def reply_to(self) -> str:
-        """The host a reply should be addressed to."""
-        return self.sender
-
-    def header(self, key: str, default: Any = None) -> Any:
-        """Look up a header value by key."""
-        for header_key, value in self.headers:
-            if header_key == key:
-                return value
-        return default
-
-    def with_header(self, key: str, value: Any) -> "Message":
-        """A copy with ``key: value`` appended to the headers."""
-        return Message(
-            self.sender, self.destination, self.kind, self.payload,
-            self.size_bytes, self.msg_id, self.correlation_id,
-            self.headers + ((key, value),),
+            self.msg_id, self.correlation_id,
         )
 
     def describe(self) -> Dict[str, Any]:

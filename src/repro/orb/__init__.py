@@ -3,7 +3,6 @@
 from .dii import DynamicInvoker, InvocationError
 from .iiop import MarshalledCall, MarshalledReply, MarshallingModel
 from .object import (
-    FunctionServant,
     MethodRequest,
     MethodSignature,
     Servant,
@@ -20,7 +19,6 @@ __all__ = [
     "MethodSignature",
     "MethodRequest",
     "Servant",
-    "FunctionServant",
     "DynamicInvoker",
     "InvocationError",
     "MarshallingModel",

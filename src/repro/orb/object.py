@@ -15,7 +15,6 @@ __all__ = [
     "MethodSignature",
     "ServiceInterface",
     "Servant",
-    "FunctionServant",
     "MethodRequest",
 ]
 
@@ -112,30 +111,4 @@ class Servant:
             raise NotImplementedError(
                 f"{type(self).__name__} does not implement {method!r}"
             )
-        return handler(*args)
-
-
-class FunctionServant(Servant):
-    """A servant built from plain callables, for tests and examples."""
-
-    def __init__(
-        self,
-        interface: ServiceInterface,
-        handlers: Dict[str, Callable[..., Any]],
-    ) -> None:
-        super().__init__(interface)
-        unknown = set(handlers) - {m.name for m in interface.methods()}
-        if unknown:
-            raise ValueError(f"handlers for unknown methods: {sorted(unknown)}")
-        self._handlers = dict(handlers)
-
-    def dispatch(self, method: str, args: Tuple[Any, ...]) -> Any:
-        if method not in self.interface:
-            raise KeyError(
-                f"interface {self.interface.name!r} has no method {method!r}"
-            )
-        try:
-            handler = self._handlers[method]
-        except KeyError:
-            raise NotImplementedError(f"no handler bound for {method!r}") from None
         return handler(*args)

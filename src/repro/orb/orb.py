@@ -52,10 +52,6 @@ class Orb:
         except KeyError:
             raise OrbError(f"unknown service {service!r}") from None
 
-    def has_interface(self, service: str) -> bool:
-        """Whether ``service`` has a published interface."""
-        return service in self._interfaces
-
     # -- interception --------------------------------------------------------
     def bind_interceptor(
         self, service: str, interceptor: RequestInterceptor
@@ -64,13 +60,6 @@ class Orb:
         self.interface(service)  # must exist
         if service in self._interceptors:
             raise OrbError(f"service {service!r} already has an interceptor")
-        self._interceptors[service] = interceptor
-
-    def rebind_interceptor(
-        self, service: str, interceptor: RequestInterceptor
-    ) -> None:
-        """Replace the handler for ``service`` (e.g. QoS renegotiation)."""
-        self.interface(service)
         self._interceptors[service] = interceptor
 
     def _intercept(self, request: MethodRequest) -> Event:

@@ -5,10 +5,8 @@ from .load import (
     CoupledLoad,
     HostActivity,
     LoadModel,
-    PeriodicLoad,
     ServiceProfile,
     StepLoad,
-    paper_service_model,
 )
 from .server import ReplicaApplication
 
@@ -18,8 +16,6 @@ __all__ = [
     "LoadModel",
     "ConstantLoad",
     "StepLoad",
-    "PeriodicLoad",
     "HostActivity",
     "CoupledLoad",
-    "paper_service_model",
 ]

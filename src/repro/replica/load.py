@@ -10,29 +10,26 @@ where the base distribution captures the request's intrinsic cost and the
 load factor captures time-varying host contention.  The paper's §6
 experiments "simulated the load on the servers by having each replica
 respond to a request after a delay that was normally distributed with a
-mean of 100 ms and a variance of 50 ms" — :func:`paper_service_model`
-builds exactly that profile.
+mean of 100 ms and a variance of 50 ms" — the profile
+:class:`repro.workload.scenarios.Scenario` builds from its config.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..sim.random import Distribution, Normal
+from ..sim.random import Distribution
 
 __all__ = [
     "LoadModel",
     "ConstantLoad",
     "StepLoad",
-    "PeriodicLoad",
     "HostActivity",
     "CoupledLoad",
     "ServiceProfile",
-    "paper_service_model",
 ]
 
 
@@ -90,41 +87,6 @@ class StepLoad(LoadModel):
 
     def __repr__(self) -> str:
         return f"StepLoad(steps={len(self._starts)})"
-
-
-class PeriodicLoad(LoadModel):
-    """Sinusoidal load oscillation around a mean factor.
-
-    ``factor(t) = mean + amplitude · sin(2π (t + phase) / period)``,
-    clipped at zero.  Models diurnal-style slow oscillation compressed to
-    simulation scale.
-    """
-
-    def __init__(
-        self,
-        mean: float = 1.0,
-        amplitude: float = 0.5,
-        period_ms: float = 60_000.0,
-        phase_ms: float = 0.0,
-    ):
-        if mean < 0 or amplitude < 0:
-            raise ValueError("mean and amplitude must be >= 0")
-        if period_ms <= 0:
-            raise ValueError(f"period must be > 0, got {period_ms}")
-        self.mean = float(mean)
-        self.amplitude = float(amplitude)
-        self.period_ms = float(period_ms)
-        self.phase_ms = float(phase_ms)
-
-    def factor(self, now_ms: float) -> float:
-        angle = 2.0 * math.pi * (now_ms + self.phase_ms) / self.period_ms
-        return max(0.0, self.mean + self.amplitude * math.sin(angle))
-
-    def __repr__(self) -> str:
-        return (
-            f"PeriodicLoad(mean={self.mean}, amp={self.amplitude}, "
-            f"period={self.period_ms}ms)"
-        )
 
 
 class HostActivity:
@@ -228,18 +190,3 @@ class ServiceProfile:
             f"<ServiceProfile default={self.default!r} "
             f"overrides={sorted(self.per_method)} load={self.load!r}>"
         )
-
-
-def paper_service_model(
-    mean_ms: float = 100.0,
-    sigma_ms: float = 50.0,
-    load: Optional[LoadModel] = None,
-) -> ServiceProfile:
-    """The §6 workload: normal service delay, mean 100 ms, "variance" 50 ms.
-
-    The paper's wording is ambiguous between σ=50 ms and σ²=50 ms²;
-    σ=50 ms is the reading consistent with the failure probabilities of
-    Fig. 5 (see DESIGN.md), and is the default here.  Negative samples are
-    clipped at zero, as any physical delay must be.
-    """
-    return ServiceProfile(default=Normal(mean_ms, sigma_ms), load=load)

@@ -7,14 +7,13 @@ sampling distributions with a uniform ``sample(rng)`` interface and
 structured tracing (:class:`Tracer`).
 """
 
-from .events import AllOf, AnyOf, Event, EventState, Interrupt, SimulationError, Timeout
+from .events import Event, EventState, Interrupt, SimulationError, Timeout
 from .hostclock import ClockRegistry, HostClock
 from .kernel import Simulator
 from .process import Process
 from .random import (
     Constant,
     Distribution,
-    Empirical,
     Exponential,
     MarkovModulated,
     Normal,
@@ -31,8 +30,6 @@ __all__ = [
     "Event",
     "EventState",
     "Timeout",
-    "AnyOf",
-    "AllOf",
     "Interrupt",
     "SimulationError",
     "Distribution",
@@ -41,7 +38,6 @@ __all__ = [
     "Exponential",
     "Normal",
     "Pareto",
-    "Empirical",
     "MarkovModulated",
     "Tracer",
     "NullTracer",

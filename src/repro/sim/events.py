@@ -21,8 +21,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 __all__ = [
     "Event",
     "Timeout",
-    "AnyOf",
-    "AllOf",
     "EventState",
     "Interrupt",
     "SimulationError",
@@ -66,7 +64,7 @@ class Event:
         and may not be shared across kernels.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_state", "_queue_entry")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "_state")
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -74,9 +72,6 @@ class Event:
         self._value: Any = None
         self._ok: Optional[bool] = None
         self._state = EventState.PENDING
-        # This event's entry in the kernel's EventQueue while scheduled
-        # (None otherwise); lets daemon demotion find it in O(1).
-        self._queue_entry: Optional[List[Any]] = None
 
     # -- inspection ----------------------------------------------------
     @property
@@ -161,55 +156,3 @@ class Timeout(Event):
         self._value = value
         self._state = EventState.TRIGGERED
         sim._schedule(self, delay)
-
-
-class _CompositeEvent(Event):
-    """Shared machinery for :class:`AnyOf` / :class:`AllOf`."""
-
-    __slots__ = ("events", "_remaining")
-
-    def __init__(self, sim: "Simulator", events: List[Event]) -> None:
-        super().__init__(sim)
-        self.events = list(events)
-        for event in self.events:
-            if event.sim is not sim:
-                raise SimulationError("composite events must share a simulator")
-        self._remaining = len(self.events)
-        if not self.events:
-            self.succeed([])
-        else:
-            for event in self.events:
-                event.add_callback(self._on_child)
-
-    def _on_child(self, event: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AnyOf(_CompositeEvent):
-    """Fires as soon as any child event fires; value is that child's value."""
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event.ok:
-            self.succeed(event.value)
-        else:
-            self.fail(event.value)
-
-
-class AllOf(_CompositeEvent):
-    """Fires once every child event has fired; value is the list of values."""
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([child.value for child in self.events])

@@ -131,14 +131,6 @@ class HostClock:
         self._reanchor()
         self._frozen = True
 
-    def unfreeze(self) -> None:
-        """Resume from the frozen reading (the freeze interval is lost)."""
-        if not self._frozen:
-            return
-        self._anchor_kernel = self._sim.now
-        self._frozen = False
-        self.adjustments += 1
-
     def set_jitter(self, amplitude_ms: float, rng: np.random.Generator) -> None:
         """Add uniform per-read noise of ±``amplitude_ms`` (failing timer)."""
         if amplitude_ms < 0.0:

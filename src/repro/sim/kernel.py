@@ -5,10 +5,8 @@ Time is a ``float`` in **milliseconds** throughout the repository, matching
 the units the paper reports.
 
 The pending set is an :class:`EventQueue`: a binary heap of
-``[when, seq, daemon, event]`` entries, popped in ascending
-``(when, seq)`` so same-instant events dispatch strictly FIFO.  Each
-scheduled event keeps a reference to its own entry, which makes daemon
-demotion an O(1) flag flip instead of an O(n) heap scan.
+``(when, seq, daemon, event)`` entries, popped in ascending
+``(when, seq)`` so same-instant events dispatch strictly FIFO.
 
 The kernel is deliberately small: events (:mod:`repro.sim.events`),
 processes (:mod:`repro.sim.process`) and everything above them are built
@@ -20,14 +18,14 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
-from .events import AllOf, AnyOf, Event, EventState, SimulationError, Timeout
+from .events import Event, EventState, SimulationError, Timeout
 from .process import Process
 
 __all__ = ["EventQueue", "Simulator"]
 
 
 class EventQueue:
-    """Pending-event heap with O(1) daemon demotion.
+    """Pending-event heap.
 
     Ordering contract: pops come out in ascending ``(when, seq)``, with
     ``seq`` assigned in push order.  ``seq`` is unique, so comparing two
@@ -37,7 +35,7 @@ class EventQueue:
     __slots__ = ("_heap", "_seq")
 
     def __init__(self) -> None:
-        self._heap: List[List[Any]] = []
+        self._heap: List[Tuple[float, int, bool, Event]] = []
         self._seq = 0
 
     def __len__(self) -> int:
@@ -48,29 +46,18 @@ class EventQueue:
         self._seq += 1
         # ``+ 0.0``: the clock reads back a float whatever number was
         # scheduled, and never a negative zero.
-        entry = [when + 0.0, self._seq, daemon, event]
-        event._queue_entry = entry
-        heapq.heappush(self._heap, entry)
+        heapq.heappush(self._heap, (when + 0.0, self._seq, daemon, event))
 
     def pop(self) -> Tuple[float, Event, bool]:
         """Dequeue and return ``(when, event, daemon)`` for the next event."""
         if not self._heap:
             raise SimulationError("pop() on an empty event queue")
         when, _seq, daemon, event = heapq.heappop(self._heap)
-        event._queue_entry = None
         return when, event, daemon
 
     def peek_when(self) -> float:
         """Instant of the next event, or ``inf`` when empty."""
         return self._heap[0][0] if self._heap else float("inf")
-
-    def demote(self, event: Event) -> bool:
-        """Flag a scheduled ``event`` as daemon; ``True`` if it flipped."""
-        entry = event._queue_entry
-        if entry is None or entry[2]:
-            return False
-        entry[2] = True
-        return True
 
 
 class Simulator:
@@ -121,14 +108,6 @@ class Simulator:
         """Start a new process from ``generator`` at the current instant."""
         return Process(self, generator, name=name)
 
-    def any_of(self, events: List[Event]) -> AnyOf:
-        """Event firing when the first of ``events`` fires."""
-        return AnyOf(self, events)
-
-    def all_of(self, events: List[Event]) -> AllOf:
-        """Event firing when all of ``events`` have fired."""
-        return AllOf(self, events)
-
     def call_at(self, when: float, callback: Callable[[], None]) -> Event:
         """Run ``callback()`` at absolute simulated time ``when``."""
         if when < self._now:
@@ -176,8 +155,7 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"timeout delay must be >= 0, got {delay}")
         # A Timeout built in one step, not through its constructor: same
-        # fields, same (when, seq), and a daemon is pushed as one rather
-        # than counted live and demoted.
+        # fields, same (when, seq).
         event = Timeout.__new__(Timeout)
         event.sim = self
         event.delay = delay
@@ -239,7 +217,6 @@ class Simulator:
                 self._now = until
                 return
             when, _seq, daemon, event = heappop(heap)
-            event._queue_entry = None
             fire(when, event, daemon)
         if until is not None:
             self._now = until

@@ -20,7 +20,6 @@ configure them declaratively.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -32,7 +31,6 @@ __all__ = [
     "Exponential",
     "Normal",
     "Pareto",
-    "Empirical",
     "MarkovModulated",
 ]
 
@@ -187,29 +185,6 @@ class Pareto(Distribution):
         return f"Pareto(xm={self.xm}, alpha={self.alpha})"
 
 
-class Empirical(Distribution):
-    """Resamples uniformly from a fixed set of observed values."""
-
-    def __init__(self, values: Sequence[float]) -> None:
-        if not values:
-            raise ValueError("empirical distribution needs at least one value")
-        self.values = np.asarray(values, dtype=float)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.choice(self.values))
-
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-    def sample_many(
-        self, rng: np.random.Generator, n: int
-    ) -> npt.NDArray[np.float64]:
-        return rng.choice(self.values, size=n)
-
-    def __repr__(self) -> str:
-        return f"Empirical(n={len(self.values)})"
-
-
 class MarkovModulated(Distribution):
     """Two-state Markov-modulated delay (normal vs. burst periods).
 
@@ -235,11 +210,6 @@ class MarkovModulated(Distribution):
         self.p_enter_burst = float(p_enter_burst)
         self.p_exit_burst = float(p_exit_burst)
         self._in_burst = False
-
-    @property
-    def in_burst(self) -> bool:
-        """Whether the modulating chain is currently in the burst state."""
-        return self._in_burst
 
     def sample(self, rng: np.random.Generator) -> float:
         if self._in_burst:

@@ -63,10 +63,6 @@ class Tracer:
         """All records with exactly this ``kind``."""
         return [r for r in self.records if r.kind == kind]
 
-    def from_source(self, source: str) -> List[TraceRecord]:
-        """All records emitted by ``source``."""
-        return [r for r in self.records if r.source == source]
-
     def select(
         self,
         kind: Optional[str] = None,

@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.analysis.calibration import brier_score, calibration_table
+from repro.analysis.calibration import (
+    brier_pairs,
+    bucket_pairs,
+    prediction_pairs,
+)
 from repro.gateway.handlers.timing_fault import ReplyOutcome
 
 
@@ -30,7 +34,7 @@ class TestCalibrationTable:
             + [_outcome(0.15, False)] * 8
             + [_outcome(0.15, True)] * 2
         )
-        buckets = calibration_table(outcomes, num_buckets=10)
+        buckets = bucket_pairs(prediction_pairs(outcomes), num_buckets=10)
         assert len(buckets) == 2
         low, high = buckets
         assert low.low == pytest.approx(0.1)
@@ -38,37 +42,37 @@ class TestCalibrationTable:
         assert high.observed_timely == pytest.approx(0.9)
 
     def test_prediction_of_one_lands_in_top_bucket(self):
-        buckets = calibration_table([_outcome(1.0, True)], num_buckets=10)
+        buckets = bucket_pairs(prediction_pairs([_outcome(1.0, True)]), num_buckets=10)
         assert len(buckets) == 1
         assert buckets[0].high == pytest.approx(1.0)
 
     def test_bootstrap_outcomes_skipped(self):
         outcomes = [_outcome(0.9, True, bootstrap=True)]
-        assert calibration_table(outcomes) == []
+        assert bucket_pairs(prediction_pairs(outcomes)) == []
 
     def test_missing_prediction_skipped(self):
-        assert calibration_table([_outcome(None, True)]) == []
+        assert bucket_pairs(prediction_pairs([_outcome(None, True)])) == []
 
     def test_overconfidence_sign(self):
-        bucket = calibration_table(
-            [_outcome(0.95, False)] * 3 + [_outcome(0.95, True)]
+        bucket = bucket_pairs(
+            prediction_pairs([_outcome(0.95, False)] * 3 + [_outcome(0.95, True)])
         )[0]
         assert bucket.overconfidence > 0  # promised 0.95, delivered 0.25
 
     def test_bucket_validation(self):
         with pytest.raises(ValueError):
-            calibration_table([], num_buckets=0)
+            bucket_pairs([], num_buckets=0)
 
 
 class TestBrierScore:
     def test_perfect_predictions(self):
         outcomes = [_outcome(1.0, True), _outcome(0.0, False)]
-        assert brier_score(outcomes) == pytest.approx(0.0)
+        assert brier_pairs(prediction_pairs(outcomes)) == pytest.approx(0.0)
 
     def test_coin_flip_predictions(self):
         outcomes = [_outcome(0.5, True), _outcome(0.5, False)]
-        assert brier_score(outcomes) == pytest.approx(0.25)
+        assert brier_pairs(prediction_pairs(outcomes)) == pytest.approx(0.25)
 
     def test_no_scorable_outcomes_raises(self):
         with pytest.raises(ValueError):
-            brier_score([_outcome(None, True)])
+            brier_pairs(prediction_pairs([_outcome(None, True)]))

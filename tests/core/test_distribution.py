@@ -81,10 +81,6 @@ class TestStatistics:
         assert pmf.cdf(3.0) == pytest.approx(1.0)
         assert pmf.cdf(100.0) == 1.0
 
-    def test_survival_complements_cdf(self):
-        pmf = DiscretePMF([1.0, 2.0], [0.4, 0.6])
-        assert pmf.survival(1.0) == pytest.approx(0.6)
-
     def test_quantile(self):
         pmf = DiscretePMF([1.0, 2.0, 3.0], [0.2, 0.3, 0.5])
         assert pmf.quantile(0.1) == 1.0

@@ -64,7 +64,8 @@ def test_probabilities_by_covers_all_replicas(repo):
     _feed(repo, "r1", services=[50] * 5, queues=[0] * 5, gateway=3.0)
     repo.add_replica("r2")  # no history
     estimator = ResponseTimeEstimator(repo)
-    probs = estimator.probabilities_by(100.0)
+    replicas = repo.replicas()
+    probs = dict(zip(replicas, estimator.batch_probability_by(replicas, 100.0)))
     assert probs["r1"] == pytest.approx(1.0)
     assert probs["r2"] is None
 

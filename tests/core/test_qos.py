@@ -58,7 +58,7 @@ class TestTimingFailureStats:
         for tr in (50.0, 150.0, 150.0, 50.0):
             stats.record(tr, deadline_ms=100.0)
         assert stats.observed_timely_probability == pytest.approx(0.5)
-        assert stats.observed_failure_probability == pytest.approx(0.5)
+        assert stats.timing_failures / stats.responses == pytest.approx(0.5)
 
     def test_violation_needs_min_samples(self):
         spec = QoSSpec("s", 100.0, 0.9)

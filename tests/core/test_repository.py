@@ -126,17 +126,6 @@ class TestInformationRepository:
             repo.record_performance("r1", float(i), 0.0, 0, now_ms=float(i))
         assert repo.record("r1").service_times.values() == [3.0, 4.0]
 
-    def test_replicas_with_history(self):
-        repo = InformationRepository()
-        repo.record_performance("r1", 100.0, 5.0, 1, now_ms=0.0)
-        repo.record_gateway_delay("r1", 3.0, now_ms=0.0)
-        repo.add_replica("r2")
-        assert repo.replicas_with_history() == ["r1"]
-        assert not repo.all_have_history()
-
-    def test_all_have_history_empty_repo_is_false(self):
-        assert not InformationRepository().all_have_history()
-
 
 class TestChangeLog:
     """``changed_since``: which replicas moved after a given version."""

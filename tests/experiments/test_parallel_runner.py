@@ -3,8 +3,7 @@
 The headline property: ``run_sweep`` produces **byte-identical** merged
 results for 1, 2, and 4 workers — same task seeds, same values, same
 canonical digest.  Plus the supporting pieces: deterministic task
-seeding, order-independent summary merging, and the canonical encoding
-the digest is computed over.
+seeding and the canonical encoding the digest is computed over.
 """
 
 import math
@@ -15,13 +14,11 @@ from repro.experiments.parallel import (
     TaskResult,
     _build_tasks,
     canonical,
-    merge_summaries,
     run_sweep,
     sweep_digest,
 )
 from repro.experiments.smoke import SMOKE_POINTS, _smoke_sweep
 from repro.rng import derive_entity_seed
-from repro.workload.client import ClientSummary
 
 
 def _echo_task(params, seed, repetition):
@@ -93,47 +90,6 @@ class TestWorkerInvariance:
         sweep = _smoke_sweep(workers=1)
         assert len(sweep.points) == len(SMOKE_POINTS)
         assert all(r.value is not None for r in sweep.results)
-
-
-class TestMergeSummaries:
-    @staticmethod
-    def _summary(requests, failures, timeouts, resp, red, sheds):
-        return ClientSummary(
-            requests=requests,
-            timing_failures=failures,
-            timeouts=timeouts,
-            mean_response_ms=resp,
-            mean_redundancy=red,
-            sheds=sheds,
-        )
-
-    def test_counters_add_and_means_weight_by_admitted(self):
-        merged = merge_summaries(
-            [
-                self._summary(10, 1, 0, 20.0, 1.5, 2),  # admitted 8
-                self._summary(6, 0, 1, 50.0, 3.0, 2),  # admitted 4
-            ]
-        )
-        assert merged.requests == 16
-        assert merged.timing_failures == 1
-        assert merged.timeouts == 1
-        assert merged.sheds == 4
-        assert merged.admitted == 12
-        assert merged.mean_response_ms == (20.0 * 8 + 50.0 * 4) / 12
-        assert merged.mean_redundancy == (1.5 * 8 + 3.0 * 4) / 12
-
-    def test_all_shed_run_merges_without_dividing_by_zero(self):
-        merged = merge_summaries([self._summary(5, 0, 0, 0.0, 0.0, 5)])
-        assert merged.admitted == 0
-        assert merged.mean_response_ms == 0.0
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            merge_summaries([])
-
-    def test_identity_on_single_summary(self):
-        one = self._summary(9, 2, 1, 33.0, 2.0, 0)
-        assert merge_summaries([one]) == one
 
 
 class TestCanonicalEncoding:

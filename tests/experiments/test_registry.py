@@ -1,7 +1,8 @@
 """The experiment registry's contracts.
 
 Every registered sweep inherits the parallel engine's 1-vs-N digest
-equality; every row carries every declared column; keys are unique and
+equality; every row carries every declared column and the quick rows
+show the paper's shapes (``quick_shapes.py``); keys are unique and
 resolve lazily; the ``--list`` table is the one EXPERIMENTS.md prints;
 ``--check-digests`` names the experiment whose digest moved, the A17
 campaign included.
@@ -18,6 +19,8 @@ import pytest
 from repro.experiments import MODULES, load
 from repro.experiments.__main__ import DIGESTS_FILE, list_table, main
 from repro.experiments.registry import Experiment, run
+
+from .quick_shapes import SHAPES
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SWEEPS = [key for key in MODULES if isinstance(load(key), Experiment)]
@@ -42,6 +45,8 @@ def test_quick_sweep_is_worker_invariant_and_fills_every_column(key):
         for row in serial.rows:
             for _header, column in table.columns:
                 assert column in row, (key, column)
+    if key in SHAPES:
+        SHAPES[key](serial.rows)
 
 
 def test_keys_are_unique_and_match_their_entries():
@@ -130,6 +135,19 @@ def test_json_export_carries_rows_and_digest(tmp_path, capsys):
         "health",
         "no-health",
     }
+
+
+def test_a_lone_command_writes_its_json_or_refuses_the_flag(tmp_path, capsys):
+    # fig3 once printed both tables, exited 0 and wrote nothing.
+    artifact = tmp_path / "estimator.json"
+    assert main(["fig3", "--quick", "--json", str(artifact)]) == 0
+    payload = json.loads(artifact.read_text())
+    assert payload["benchmark"] == "fig3-estimator-overhead"
+    assert len(payload["points"]) == 9
+    refused = tmp_path / "smoke.json"
+    assert main(["smoke", "--json", str(refused)]) == 2
+    assert not refused.exists()
+    assert "--json is not supported" in capsys.readouterr().err
 
 
 def test_type_errors_inside_an_experiment_surface():

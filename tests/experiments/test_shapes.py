@@ -1,7 +1,7 @@
 """Shape tests: the paper's qualitative claims hold on reduced sweeps.
 
 These run the real experiment harnesses with fewer points/seeds than the
-benchmark targets, asserting directions and bounds rather than absolute
+full grids, asserting directions and bounds rather than absolute
 numbers — exactly what a reproduction can promise on different hardware.
 """
 

@@ -58,18 +58,13 @@ class TestHostClock:
         assert clock.now - started == pytest.approx(150.0)
         assert clock.elapsed_since(started, 100.0) == pytest.approx(150.0)
 
-    def test_freeze_stops_and_unfreeze_resumes(self):
+    def test_freeze_stops_the_clock(self):
         sim = Simulator()
         clock = HostClock(sim)
         sim.call_at(10.0, clock.freeze)
         sim.call_at(30.0, lambda: None)
         sim.run()
         assert clock.now == pytest.approx(10.0)  # frozen at the freeze instant
-        clock.unfreeze()
-        sim.call_at(40.0, lambda: None)
-        sim.run()
-        # Resumes from the frozen reading: the 20ms pause is lost.
-        assert clock.now == pytest.approx(20.0)
 
     def test_jitter_is_bounded_and_needs_an_rng(self):
         sim = Simulator()

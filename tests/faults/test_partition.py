@@ -22,7 +22,6 @@ from repro.faultinject import (
     FaultyTransport,
     PartitionFault,
     PROBE_EXEMPT_KINDS,
-    grey_partition,
 )
 from repro.gateway.handlers.timing_fault import MSG_PROBE
 from repro.net.message import Message
@@ -34,6 +33,14 @@ from .conftest import SERVICE, FaultStack
 
 def _msg(src="client-1", dst="server-1", kind="request"):
     return Message(sender=src, destination=dst, kind=kind)
+
+
+def grey_partition(side, start_ms, end_ms):
+    """A grey failure: probes and probe replies cross, data traffic dies."""
+    return PartitionFault(
+        side=side, start_ms=start_ms, end_ms=end_ms,
+        exempt_kinds=PROBE_EXEMPT_KINDS,
+    )
 
 
 def _cut(stack, *faults):

@@ -22,7 +22,7 @@ from repro.faultinject import (
     FaultSchedule,
     OverloadFault,
     PartitionFault,
-    grey_partition,
+    PROBE_EXEMPT_KINDS,
 )
 from repro.faultinject.schedule import FAMILIES
 from repro.gateway.handlers.timing_fault import MSG_REQUEST
@@ -108,7 +108,12 @@ def test_plain_wire_rejects_wire_level_rules_and_takes_the_rest():
     with pytest.raises(ValueError, match="partitions .grey or lossy. need"):
         stack.faults.apply(
             FaultSchedule(
-                partitions=(grey_partition(("s-1",), start_ms=1.0, end_ms=9.0),)
+                partitions=(
+                    PartitionFault(
+                        ("s-1",), start_ms=1.0, end_ms=9.0,
+                        exempt_kinds=PROBE_EXEMPT_KINDS,
+                    ),
+                )
             )
         )
     # Nothing of a rejected schedule is armed, not even its legal half.

@@ -27,14 +27,13 @@ class TestRequestClassification:
 
         from repro.gateway.gateway import Gateway
         from repro.gateway.handlers.timing_fault import TimingFaultServerHandler
-        from repro.orb.object import FunctionServant
+        from repro.orb.object import Servant
         from repro.replica.load import ServiceProfile
         from repro.replica.server import ReplicaApplication
 
-        servant = FunctionServant(
-            stack.interface,
-            {"process": lambda i: i, "heavy": lambda i: -i},
-        )
+        servant = Servant(stack.interface)
+        servant.process = lambda i: i
+        servant.heavy = lambda i: -i
         app = ReplicaApplication(
             host="replica-1",
             servant=servant,

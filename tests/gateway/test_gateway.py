@@ -75,18 +75,6 @@ def test_conflicting_route_rejected(sim, transport):
         gateway.load_handler(RecordingHandler(["req"], service="search"))
 
 
-def test_unload_frees_the_route(sim, transport):
-    gateway = Gateway("server-1", sim, transport)
-    handler = RecordingHandler(["req"], service="search")
-    gateway.load_handler(handler)
-    gateway.unload_handler(handler)
-    replacement = RecordingHandler(["req"], service="search")
-    gateway.load_handler(replacement)
-    _send(transport, sim, "server-1", "req", service="search")
-    assert len(handler.received) == 0
-    assert len(replacement.received) == 1
-
-
 def test_handlers_lists_distinct_handlers(sim, transport):
     gateway = Gateway("server-1", sim, transport)
     multi = RecordingHandler(["a", "b"])

@@ -71,7 +71,7 @@ def replay(detector_cls: type, history: History) -> List[Tuple[Any, ...]]:
         log.append(("crash", host, sim.now))
         if history.reaction == "restart":
             lan.mark_up(host)
-            detector.forget(host)
+            detector.sight(host)
         elif history.reaction == "unwatch":
             detector.unwatch(host)
         elif history.reaction == "rewatch":
@@ -97,7 +97,7 @@ def replay(detector_cls: type, history: History) -> List[Tuple[Any, ...]]:
             probe()
         elif kind == "vantage":
             detector.vantage = args[0]
-        elif kind in ("watch", "unwatch", "sight", "forget"):
+        elif kind in ("watch", "unwatch", "sight"):
             getattr(detector, kind)(*args)
         elif kind in ("mark_down", "mark_up"):
             getattr(lan, kind)(*args)
@@ -163,7 +163,7 @@ def histories(draw: st.DrawFn) -> History:
         lan_call,  # twice: LAN changes are what the detector reacts to
         st.tuples(
             times,
-            st.sampled_from(["watch", "unwatch", "sight", "forget"]),
+            st.sampled_from(["watch", "unwatch", "sight"]),
             st.tuples(host),
         ),
         st.tuples(
@@ -176,7 +176,7 @@ def histories(draw: st.DrawFn) -> History:
     # notice, so most of the script is episodes: an outage or a cut of
     # one host lasting a fraction of, or a few, poll intervals, with the
     # detector poked (re-watch, sight, unwatch, ...) part-way through.
-    detector_call = st.sampled_from(["watch", "unwatch", "sight", "forget"])
+    detector_call = st.sampled_from(["watch", "unwatch", "sight"])
     episode = st.tuples(
         times,
         host,
@@ -387,7 +387,7 @@ class TestWakeUps:
         # inside the declaring poll.  mark_up wakes the chain (still cut,
         # still declared); the poll's own re-arm must then stand down, or
         # every later instant would be sampled twice and the cut, whose
-        # count forget() zeroed, re-confirmed in one interval, not two.
+        # count sight() zeroed, re-confirmed in one interval, not two.
         history = directed(
             [
                 (0.0, "watch", ("a",)),
@@ -403,7 +403,7 @@ class TestWakeUps:
 
     def test_unwatched_while_declared_then_rewatched_up(self):
         # The declaration outlives unwatch(); the new chain's first
-        # sample is what clears it ("recovered without forget()"), so
+        # sample is what clears it ("recovered without sight()"), so
         # that sample must run although the host looks up.
         history = directed(
             [

@@ -56,14 +56,6 @@ def test_entirely_stale_subset_raises(mgroup):
         mgroup.send(_msg())
 
 
-def test_sent_message_carries_group_header(sim, transport, mgroup):
-    received = []
-    transport.bind("server-1", received.append)
-    mgroup.send(_msg(), members=["server-1"])
-    sim.run()
-    assert received[0].header("group") == "svc"
-
-
 def test_members_reflects_current_view(mgroup):
     assert mgroup.members() == ["server-1", "server-2"]
     mgroup.group.leave("server-1")

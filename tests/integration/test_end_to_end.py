@@ -55,7 +55,10 @@ class TestPaperWorkload:
         scenario, _c1, _c2 = result
         for handler in scenario.handlers.values():
             assert len(handler.repository) == 7
-            assert handler.repository.all_have_history()
+            assert all(
+                handler.repository.record(name).has_history
+                for name in handler.repository.replicas()
+            )
 
 
 class TestTightDeadlines:

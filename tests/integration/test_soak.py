@@ -8,7 +8,7 @@ Assertions are about *liveness* and *conservation*, not performance.
 import pytest
 
 from repro.core.qos import QoSSpec
-from repro.replica.load import ConstantLoad, PeriodicLoad, StepLoad
+from repro.replica.load import ConstantLoad, StepLoad
 from repro.sim.random import Exponential
 from repro.workload.scenarios import Scenario, ScenarioConfig
 
@@ -19,7 +19,9 @@ def soak_run():
         if host == "replica-2":
             return StepLoad([(10_000.0, 2.5), (30_000.0, 1.0)])
         if host == "replica-5":
-            return PeriodicLoad(mean=1.0, amplitude=0.6, period_ms=20_000.0)
+            return StepLoad(  # a slow oscillation around 1.0
+                [(0.0, 1.6), (10_000.0, 0.4), (20_000.0, 1.6), (30_000.0, 0.4)]
+            )
         return ConstantLoad(1.0)
 
     config = ScenarioConfig(

@@ -6,7 +6,8 @@ from repro.metrics.collector import MetricsCollector
 
 def test_observe_and_stats():
     collector = MetricsCollector()
-    collector.observe_many("latency", [10.0, 20.0, 30.0])
+    for value in (10.0, 20.0, 30.0):
+        collector.observe("latency", value)
     stats = collector.stats("latency")
     assert stats.count == 3
     assert stats.mean == 20.0
@@ -42,7 +43,8 @@ def test_counters():
 
 def test_samples_retained_by_default():
     collector = MetricsCollector()
-    collector.observe_many("m", [1.0, 2.0])
+    collector.observe("m", 1.0)
+    collector.observe("m", 2.0)
     assert collector.samples("m") == [1.0, 2.0]
     assert collector.summary("m").count == 2
 
@@ -52,13 +54,6 @@ def test_samples_dropped_when_disabled():
     collector.observe("m", 1.0)
     assert collector.samples("m") == []
     assert collector.stats("m").count == 1  # running stats still work
-
-
-def test_metric_names_cover_observations_and_counters():
-    collector = MetricsCollector()
-    collector.observe("b-metric", 1.0)
-    collector.increment("a-counter")
-    assert collector.metric_names() == ["a-counter", "b-metric"]
 
 
 def test_label_sets():

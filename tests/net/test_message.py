@@ -29,17 +29,6 @@ def test_with_destination_preserves_msg_id():
     assert copy.payload == original.payload
 
 
-def test_reply_to_is_the_sender():
-    assert _msg(sender="client-7").reply_to() == "client-7"
-
-
-def test_headers_lookup_and_append():
-    message = _msg().with_header("group", "search")
-    assert message.header("group") == "search"
-    assert message.header("missing") is None
-    assert message.header("missing", "dflt") == "dflt"
-
-
 def test_negative_size_rejected():
     with pytest.raises(ValueError):
         _msg(size_bytes=-1)

@@ -3,14 +3,15 @@
 import pytest
 
 from repro.orb.dii import DynamicInvoker, InvocationError
-from repro.orb.object import FunctionServant, MethodRequest, MethodSignature, ServiceInterface
+from repro.orb.object import MethodRequest, MethodSignature, Servant, ServiceInterface
 
 
 @pytest.fixture
 def invoker():
     interface = ServiceInterface("search")
     interface.add_method(MethodSignature("process"))
-    servant = FunctionServant(interface, {"process": lambda x: x + 1})
+    servant = Servant(interface)
+    servant.process = lambda x: x + 1
     return DynamicInvoker(servant)
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.orb.object import (
-    FunctionServant,
     MethodRequest,
     MethodSignature,
     Servant,
@@ -61,26 +60,6 @@ class TestServant:
         servant = Servant(interface)
         with pytest.raises(NotImplementedError):
             servant.dispatch("process", ())
-
-
-class TestFunctionServant:
-    def test_handlers_are_invoked(self, interface):
-        servant = FunctionServant(interface, {"process": lambda x: x * 2})
-        assert servant.dispatch("process", (5,)) == 10
-
-    def test_unknown_handler_names_rejected(self, interface):
-        with pytest.raises(ValueError):
-            FunctionServant(interface, {"bogus": lambda: None})
-
-    def test_unbound_method_raises(self, interface):
-        servant = FunctionServant(interface, {"process": lambda x: x})
-        with pytest.raises(NotImplementedError):
-            servant.dispatch("status", ())
-
-    def test_dispatch_validates_interface(self, interface):
-        servant = FunctionServant(interface, {})
-        with pytest.raises(KeyError):
-            servant.dispatch("nope", ())
 
 
 def test_method_request_describe():

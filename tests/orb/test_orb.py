@@ -69,16 +69,6 @@ def test_double_bind_rejected(sim, orb):
         orb.bind_interceptor("search", EchoInterceptor(sim))
 
 
-def test_rebind_replaces_interceptor(sim, orb):
-    first = EchoInterceptor(sim)
-    second = EchoInterceptor(sim)
-    orb.bind_interceptor("search", first)
-    orb.rebind_interceptor("search", second)
-    orb.stub("search").invoke("process")
-    assert not first.requests
-    assert len(second.requests) == 1
-
-
 def test_bind_requires_registered_interface(sim):
     orb = Orb()
     with pytest.raises(OrbError):

@@ -5,10 +5,8 @@ import pytest
 
 from repro.replica.load import (
     ConstantLoad,
-    PeriodicLoad,
     ServiceProfile,
     StepLoad,
-    paper_service_model,
 )
 from repro.sim.random import Constant, Normal
 
@@ -52,23 +50,6 @@ class TestStepLoad:
             StepLoad([(0.0, -1.0)])
 
 
-class TestPeriodicLoad:
-    def test_oscillates_around_mean(self):
-        load = PeriodicLoad(mean=1.0, amplitude=0.5, period_ms=1000.0)
-        quarter = load.factor(250.0)  # sin peak
-        three_quarter = load.factor(750.0)  # sin trough
-        assert quarter == pytest.approx(1.5)
-        assert three_quarter == pytest.approx(0.5)
-
-    def test_clipped_at_zero(self):
-        load = PeriodicLoad(mean=0.1, amplitude=1.0, period_ms=1000.0)
-        assert load.factor(750.0) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PeriodicLoad(period_ms=0.0)
-
-
 class TestServiceProfile:
     def test_default_distribution_used(self, rng):
         profile = ServiceProfile(default=Constant(10.0))
@@ -92,17 +73,3 @@ class TestServiceProfile:
         profile = ServiceProfile(default=Normal(0.0, 10.0))
         for _ in range(100):
             assert profile.sample_duration("m", 0.0, rng) >= 0.0
-
-
-class TestPaperServiceModel:
-    def test_defaults_match_paper(self, rng):
-        profile = paper_service_model()
-        dist = profile.distribution_for("process")
-        assert dist.mu == 100.0
-        assert dist.sigma == 50.0
-
-    def test_sampled_mean_is_near_paper_mean(self, rng):
-        profile = paper_service_model()
-        samples = [profile.sample_duration("m", 0.0, rng) for _ in range(20_000)]
-        # Clipping at zero pulls the mean slightly above 100.
-        assert np.mean(samples) == pytest.approx(101.9, abs=1.5)

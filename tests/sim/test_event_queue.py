@@ -5,8 +5,7 @@ Its ordering contract is *bit-for-bit* compatibility with a plain
 ascending ``(when, seq)``, with the sequence number assigned in push
 order — so events scheduled for the same instant dispatch strictly FIFO.
 The tests here replay dense same-tick schedules against an inline
-tuple-heap reference to lock that contract down, and check that daemon
-demotion reaches exactly the entry it was asked for.
+tuple-heap reference to lock that contract down.
 """
 
 import heapq
@@ -14,18 +13,17 @@ import random
 
 import pytest
 
-from repro.sim.events import Event, SimulationError
+from repro.sim.events import SimulationError
 from repro.sim.kernel import EventQueue, Simulator
 
 
 class _StubEvent:
-    """Minimal stand-in: the queue only touches ``_queue_entry``."""
+    """Minimal stand-in: the queue never looks inside an event."""
 
-    __slots__ = ("label", "_queue_entry")
+    __slots__ = ("label",)
 
     def __init__(self, label):
         self.label = label
-        self._queue_entry = None
 
 
 class _ReferenceQueue:
@@ -102,64 +100,6 @@ def test_dense_same_tick_schedule_matches_heapq_reference():
     assert len(queue) == 0
 
 
-def test_randomized_program_with_demotion_matches_reference():
-    """Interleaved push/pop/demote runs, checked pop-for-pop.
-
-    The reference heap cannot demote in place (that is the point of the
-    event's back-reference to its entry), so demotions are mirrored by
-    rebuilding the reference's tuples — the surviving order must still
-    match exactly.
-    """
-    rng = random.Random(20260808)
-    queue = EventQueue()
-    reference = _ReferenceQueue()
-    live = []
-    counter = 0
-    for _round in range(3000):
-        action = rng.random()
-        if action < 0.55 or not len(queue):
-            when = rng.choice([0.0, 0.5, 0.5, 1.0, 3.0])
-            event = _StubEvent(counter)
-            counter += 1
-            queue.push(when, event)
-            reference.push(when, event)
-            live.append(event)
-        elif action < 0.75 and live:
-            victim = rng.choice(live)
-            flipped = queue.demote(victim)
-            if flipped:
-                reference._heap = [
-                    (w, s, True if e is victim else d, e)
-                    for (w, s, d, e) in reference._heap
-                ]
-                heapq.heapify(reference._heap)
-        else:
-            got = queue.pop()
-            expected = reference.pop()
-            assert got == expected
-            live = [e for e in live if e is not got[1]]
-    while len(reference):
-        assert queue.pop() == reference.pop()
-
-
-def test_demote_is_single_shot_and_slot_safe():
-    queue = EventQueue()
-    scheduled = _StubEvent("scheduled")
-    never = _StubEvent("never-scheduled")
-    queue.push(1.0, scheduled)
-    assert queue.demote(never) is False
-    assert queue.demote(scheduled) is True
-    assert queue.demote(scheduled) is False  # already daemon
-    when, event, daemon = queue.pop()
-    assert (when, event.label, daemon) == (1.0, "scheduled", True)
-    # After the pop the event no longer owns an entry; a stale demote
-    # must not flip whatever was scheduled since.
-    replacement = _StubEvent("replacement")
-    queue.push(2.0, replacement)
-    assert queue.demote(scheduled) is False
-    assert queue.pop() == (2.0, replacement, False)
-
-
 def test_pop_empty_raises():
     with pytest.raises(SimulationError):
         EventQueue().pop()
@@ -195,12 +135,3 @@ def test_simulator_same_instant_fifo_with_nested_scheduling():
     sim.call_in(1.0, second)
     sim.run()
     assert order == ["first", "second", "nested"]
-
-
-def test_simulator_event_slot_reset_after_dispatch():
-    sim = Simulator()
-    event = sim.timeout(1.0)
-    assert isinstance(event, Event)
-    assert event._queue_entry[3] is event
-    sim.run()
-    assert event._queue_entry is None

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim.events import SimulationError
-from repro.sim.kernel import Simulator
 
 
 class TestEventLifecycle:
@@ -98,39 +97,3 @@ class TestTimeout:
     def test_negative_delay_rejected(self, sim):
         with pytest.raises(ValueError):
             sim.timeout(-0.1)
-
-
-class TestComposites:
-    def test_any_of_fires_with_first_value(self, sim):
-        slow = sim.timeout(10.0, "slow")
-        fast = sim.timeout(2.0, "fast")
-        first = sim.any_of([slow, fast])
-        sim.run()
-        assert first.value == "fast"
-
-    def test_all_of_collects_values_in_child_order(self, sim):
-        a = sim.timeout(5.0, "a")
-        b = sim.timeout(1.0, "b")
-        both = sim.all_of([a, b])
-        sim.run()
-        assert both.value == ["a", "b"]
-
-    def test_any_of_empty_succeeds_immediately(self, sim):
-        empty = sim.any_of([])
-        sim.run()
-        assert empty.processed
-        assert empty.value == []
-
-    def test_all_of_propagates_failure(self, sim):
-        good = sim.timeout(5.0)
-        bad = sim.event().fail(ValueError("no"), delay=1.0)
-        both = sim.all_of([good, bad])
-        sim.run()
-        assert not both.ok
-        assert isinstance(both.value, ValueError)
-
-    def test_cross_simulator_composite_rejected(self, sim):
-        other = Simulator()
-        foreign = other.timeout(1.0)
-        with pytest.raises(SimulationError):
-            sim.any_of([foreign])

@@ -8,7 +8,6 @@ import pytest
 from repro.rng import RNGManager
 from repro.sim.random import (
     Constant,
-    Empirical,
     Exponential,
     MarkovModulated,
     Normal,
@@ -89,16 +88,6 @@ class TestDistributions:
     def test_pareto_infinite_mean_for_small_alpha(self):
         assert math.isinf(Pareto(xm=1.0, alpha=0.9).mean())
 
-    def test_empirical_resamples_only_observed_values(self, rng):
-        dist = Empirical([1.0, 2.0, 3.0])
-        samples = {dist.sample(rng) for _ in range(100)}
-        assert samples <= {1.0, 2.0, 3.0}
-        assert dist.mean() == 2.0
-
-    def test_empirical_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Empirical([])
-
 
 class TestMarkovModulated:
     def test_stationary_mean(self, rng):
@@ -114,8 +103,7 @@ class TestMarkovModulated:
         dist = MarkovModulated(
             Constant(1.0), Constant(10.0), p_enter_burst=1.0, p_exit_burst=0.0
         )
-        dist.sample(rng)  # enters burst on the first draw
-        assert dist.in_burst
+        assert dist.sample(rng) == 10.0  # enters burst on the first draw
         assert dist.sample(rng) == 10.0
 
     def test_probability_validation(self):

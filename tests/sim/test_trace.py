@@ -19,7 +19,7 @@ def test_of_kind_and_from_source_filter():
     tracer.emit(2.0, "b", "x")
     tracer.emit(3.0, "a", "y")
     assert len(tracer.of_kind("x")) == 2
-    assert len(tracer.from_source("a")) == 2
+    assert len(list(tracer.select(source="a"))) == 2
 
 
 def test_select_time_window():
