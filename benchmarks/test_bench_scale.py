@@ -1,10 +1,11 @@
 """Host-timing gates at fleet scale (CI job ``bench-scale``).
 
 One *cached* selection over a 1024-replica fleet stays under 1 ms
-(ISSUE 7); a selection after one replica pushed an update (what a live
-request pays) costs at most 2.5x the nothing-changed one (ISSUE 14); the
-kernel's event queue sustains a dispatch-rate floor; one message through
-the untraced message plane stays under a ceiling (ISSUE 21).
+(ISSUE 7); what one replica's update adds to a selection does not depend
+on the fleet, and a nothing-changed selection grows sub-linearly with it
+(ISSUEs 14 and 24); the kernel's event queue sustains a dispatch-rate
+floor; one message through the untraced message plane stays under a
+ceiling (ISSUE 21).
 
 These tests only assert.  ``BENCH_scale.json`` has one producer,
 ``python -m repro.experiments scale --json BENCH_scale.json``, which the
@@ -20,11 +21,17 @@ from repro.experiments.bench_scale import (
 #: ISSUE 7's budget for one cached selection, at every grid point.
 CACHED_US_CEILING = 1000.0
 
-#: One dirty replica must cost O(one row), not O(fleet): the ratio to the
-#: nothing-changed selection at n = 1024 (measured ~1.2; ~7 if a write
-#: invalidates the whole matrix).  A ratio of two same-run timings, so
-#: host speed cancels.
-DIRTY1_OVER_CACHED_CEILING = 2.5
+#: One dirty replica must cost O(one row), not O(fleet): what it adds to
+#: the nothing-changed selection (``dirty1 - cached``) at n = 1024 over
+#: the same difference at n = 64 (measured 1.0-1.6; ~5 if a write makes
+#: the next selection re-read every row, more if it rebuilds the matrix).
+#: Ratios of same-run timings, so host speed cancels.
+DIRTY_ROW_COST_GROWTH_CEILING = 2.5
+
+#: A nothing-changed selection is Algorithm 1 over n probabilities, not a
+#: pass over the n x L matrix: n = 1024 over n = 64 (measured 5-7; 16 is
+#: linear, 10-14 with the pass).
+CACHED_GROWTH_CEILING = 8.0
 
 #: Generous floor for the event queue: it clocks >300k events/sec on a
 #: developer laptop; 50k trips only on a genuine regression, not on a
@@ -39,23 +46,41 @@ MESSAGE_US_CEILING = 20.0
 
 
 def test_cached_selection_under_1ms_and_one_dirty_row_stays_cheap():
-    """n ∈ {64, 256, 1024} × l ∈ {60, 240}; the ratio gate at n = 1024."""
-    points = measure_selection_scale(cached_iterations=20, uncached_iterations=1)
-    assert any(p.num_replicas == 1024 for p in points)
-    for point in points:
-        assert point.cached_us < CACHED_US_CEILING, (
-            f"cached selection at n={point.num_replicas}, "
-            f"l={point.window_size} took {point.cached_us:.0f} us "
+    """n ∈ {64, 256, 1024} × l ∈ {60, 240}; the growth gates 64 -> 1024."""
+    # Two sweeps, the smaller reading per cell: a slow spell on a shared
+    # host inflates one reading (1 in 16 cached ones by 2x, measured); a
+    # regression inflates both.
+    sweeps = [
+        measure_selection_scale(cached_iterations=50, uncached_iterations=1)
+        for _ in range(2)
+    ]
+
+    def fastest(arm):
+        return {
+            (a.num_replicas, a.window_size): min(getattr(a, arm), getattr(b, arm))
+            for a, b in zip(*sweeps)
+        }
+
+    cached, dirty1 = fastest("cached_us"), fastest("dirty1_us")
+    for (replicas, window), cost in cached.items():
+        assert cost < CACHED_US_CEILING, (
+            f"cached selection at n={replicas}, l={window} took {cost:.0f} us "
             f"(budget: {CACHED_US_CEILING:.0f} us)"
         )
-        if point.num_replicas == 1024:
-            ratio = point.dirty1_us / point.cached_us
-            assert ratio <= DIRTY1_OVER_CACHED_CEILING, (
-                f"one dirty replica at n=1024, l={point.window_size} costs "
-                f"{point.dirty1_us:.0f} us, {ratio:.1f}x the cached "
-                f"{point.cached_us:.0f} us "
-                f"(ceiling: {DIRTY1_OVER_CACHED_CEILING}x)"
-            )
+    for window in sorted({window for _, window in cached}):
+        small, large = (64, window), (1024, window)
+        row_small = dirty1[small] - cached[small]
+        row_large = dirty1[large] - cached[large]
+        assert row_large <= DIRTY_ROW_COST_GROWTH_CEILING * row_small, (
+            f"one dirty replica at l={window} adds {row_large:.0f} us at "
+            f"n=1024 but {row_small:.0f} us at n=64 "
+            f"(ceiling: {DIRTY_ROW_COST_GROWTH_CEILING}x)"
+        )
+        assert cached[large] <= CACHED_GROWTH_CEILING * cached[small], (
+            f"nothing-changed selection at l={window}: {cached[large]:.0f} us "
+            f"at n=1024, {cached[small]:.0f} us at n=64 "
+            f"(ceiling: {CACHED_GROWTH_CEILING}x)"
+        )
 
 
 def test_kernel_throughput_floor():

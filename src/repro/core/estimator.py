@@ -25,9 +25,9 @@ together share one batched FFT, a lone one takes the scalar kernel.
 ``F_{R_i}(t)`` for *all* replicas in one vectorized pass over the array
 view of those entries, a resident padded (values, cumulative) matrix in
 which only the rows of replicas the change log names are overwritten
-between calls.  A selection costs one comparison plus work proportional
-to the rows that changed — the measured Fig. 3 ``δ`` collapses, which
-directly loosens the ``t − δ`` compensation of Algorithm 1 (§5.3.3).
+between calls, beside the vector of ``F`` at the deadline last asked.
+A selection at that deadline costs work proportional to the rows that
+changed — Fig. 3's ``δ`` collapses, loosening Algorithm 1's ``t − δ``.
 :meth:`ResponseTimeEstimator.invalidate` forgets every entry; calling it
 before each selection is the uncached arm of ``BENCH_estimator.json``.
 docs/PERFORMANCE.md §1–2 has the details.
@@ -35,7 +35,7 @@ docs/PERFORMANCE.md §1–2 has the details.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 import numpy.typing as npt
@@ -68,6 +68,8 @@ class _BatchState:
     with 1); rows in ``missing`` have no history (``pmfs[i] is None``)
     and are all padding.  Everything reflects the repository as of
     ``version``.  A new state has no history in any row.
+    ``probabilities`` is ``F_{R_i}(deadline)`` per row as last read: stale for
+    the ``unread`` rows (written since), for all while ``deadline`` is ``None``.
     """
 
     def __init__(self, replicas: Tuple[str, ...], width: int) -> None:
@@ -81,6 +83,9 @@ class _BatchState:
         self.cumulative: npt.NDArray[np.float64] = np.ones((count, width))
         self.tolerances: npt.NDArray[np.float64] = np.zeros(count)
         self.sizes: npt.NDArray[np.intp] = np.zeros(count, dtype=np.intp)
+        self.deadline: Optional[float] = None
+        self.probabilities: npt.NDArray[np.float64] = np.zeros(count)
+        self.unread: Set[int] = set()
 
     def write_row(self, row: int, pmf: Optional[DiscretePMF]) -> None:
         """Overwrite ``row`` with ``pmf``, widening the matrix if needed."""
@@ -104,6 +109,30 @@ class _BatchState:
             self.tolerances[row] = pmf.dust_tolerance()
         self.sizes[row] = size
         self.pmfs[row] = pmf
+        self.unread.add(row)
+
+    def read_probabilities(self, deadline: float) -> int:
+        """Bring ``probabilities`` to ``F(deadline)``; returns the rows read:
+        all, or at the held deadline the ``unread`` ones (a row's ``F`` reads
+        that row alone; widening pads right of ``sizes[row]``)."""
+        rows: Union[slice, npt.NDArray[np.intp]] = slice(None)
+        if deadline == self.deadline:
+            if not self.unread:
+                return 0
+            rows = np.fromiter(self.unread, np.intp, len(self.unread))
+        values, sizes = self.values[rows], self.sizes[rows]
+        counts = (values <= deadline + self.tolerances[rows, None]).sum(axis=1)
+        # (minimum ∘ maximum is np.clip without its dispatch layers.)
+        indices = np.minimum(np.maximum(counts - 1, 0), values.shape[1] - 1)
+        gathered = self.cumulative[rows][np.arange(sizes.size), indices]
+        probabilities = np.minimum(np.maximum(gathered, 0.0), 1.0)
+        # Mirror the scalar cdf's exact end points.
+        probabilities[counts == 0] = 0.0
+        probabilities[counts >= sizes] = 1.0
+        self.probabilities[rows] = probabilities
+        self.deadline = deadline
+        self.unread.clear()
+        return sizes.size
 
 
 class ResponseTimeEstimator:
@@ -134,6 +163,7 @@ class ResponseTimeEstimator:
         self.cache_misses = 0
         self.matrix_builds = 0
         self.rows_patched = 0
+        self.rows_evaluated = 0
 
     # -- model construction ----------------------------------------------------
     def response_time_pmf(self, replica: str) -> Optional[DiscretePMF]:
@@ -240,29 +270,18 @@ class ResponseTimeEstimator:
         """``F_{R_i}(deadline)`` for ``replicas`` in one vectorized pass.
 
         Per-replica entries are ``None`` without history, exactly as
-        :meth:`probability_by`.  Evaluation is a single comparison over
-        the resident padded matrix — the hot path of
-        ``DynamicSelectionPolicy`` — after :meth:`_synced_batch` has
-        re-derived the rows whose replicas changed since the last call.
+        :meth:`probability_by`.  :meth:`_synced_batch` re-derives the
+        rows whose replicas changed since the last call and evaluation —
+        the hot path of ``DynamicSelectionPolicy`` — reads those rows of
+        the resident matrix (every row at another deadline than the last).
         """
         state = self._synced_batch(replicas)
         results: List[Optional[float]]
         if deadline_ms <= 0:
             results = [0.0] * len(state.pmfs)
         else:
-            values, sizes = state.values, state.sizes
-            counts = (
-                values <= float(deadline_ms) + state.tolerances[:, None]
-            ).sum(axis=1)
-            # (minimum ∘ maximum is np.clip without its dispatch layers.)
-            indices = np.minimum(np.maximum(counts - 1, 0), values.shape[1] - 1)
-            probabilities = np.minimum(
-                np.maximum(state.cumulative[np.arange(sizes.size), indices], 0.0), 1.0
-            )
-            # Mirror the scalar cdf's exact end points.
-            probabilities[counts == 0] = 0.0
-            probabilities[counts >= sizes] = 1.0
-            results = probabilities.tolist()
+            self.rows_evaluated += state.read_probabilities(float(deadline_ms))
+            results = state.probabilities.tolist()
         for row in state.missing:
             results[row] = None
         return results
@@ -338,7 +357,7 @@ class ResponseTimeEstimator:
         ``hits`` counts rows and queries served without re-derivation,
         ``misses`` re-derivations; ``matrix_builds`` whole-matrix
         (re)builds, ``rows_patched`` rows overwritten in place in a
-        matrix that was kept.
+        matrix that was kept, ``rows_evaluated`` rows ``F`` was read off.
         """
         return {
             "hits": self.cache_hits,
@@ -346,6 +365,7 @@ class ResponseTimeEstimator:
             "entries": len(self._entries),
             "matrix_builds": self.matrix_builds,
             "rows_patched": self.rows_patched,
+            "rows_evaluated": self.rows_evaluated,
         }
 
     def __repr__(self) -> str:

@@ -459,6 +459,8 @@ class DynamicSelectionPolicy(SelectionPolicy):
         #: δ from the previous execution, milliseconds (paper measures it
         #: "each time the selection algorithm is executed").
         self.last_overhead_ms = 0.0
+        # The replica list last decided over, as the array Algorithm 1 sorts.
+        self._named: Tuple[List[str], npt.NDArray[np.str_]] = ([], np.empty(0, str))
 
     def decide(self, ctx: SelectionContext) -> SelectionDecision:
         started = time.perf_counter()
@@ -506,7 +508,7 @@ class DynamicSelectionPolicy(SelectionPolicy):
         probabilities: Sequence[Optional[float]] = ()
         if replicas:
             probabilities = ctx.estimator.batch_probability_by(replicas, deadline)
-        missing_history = any(p is None for p in probabilities)
+        missing_history = None in probabilities
 
         cap = ctx.max_redundancy
         if missing_history or not replicas:
@@ -558,7 +560,9 @@ class DynamicSelectionPolicy(SelectionPolicy):
         # arrays — no per-replica ReplicaProbability objects on the hot
         # path (that allocation dominated at fleet scale; see
         # docs/PERFORMANCE.md §6).
-        names = np.asarray(replicas)
+        if replicas != self._named[0]:
+            self._named = (replicas, np.asarray(replicas))
+        names = self._named[1]
         probs = np.asarray(probabilities, dtype=float)
         if ctx.health is not None:
             probs = probs * np.asarray(

@@ -167,10 +167,11 @@ class TimingFaultServerHandler(ProtocolHandler):
         # MSG_REQUEST: record the enqueue time t2 and wake the consumer.
         t2 = self.clock.now
         self._queue.append((message, t2))
-        self.tracer.emit(
-            self.clock.kernel_now, f"server.{self.host}", "server.enqueued",
-            msg_id=message.msg_id, queue=len(self._queue),
-        )
+        if self.tracer.enabled:
+            self.tracer.emit(
+                self.clock.kernel_now, f"server.{self.host}", "server.enqueued",
+                msg_id=message.msg_id, queue=len(self._queue),
+            )
         if self._wakeup is not None and not self._wakeup.triggered:
             self._wakeup.succeed(None)
 
@@ -230,11 +231,12 @@ class TimingFaultServerHandler(ProtocolHandler):
 
             if self.crashed:
                 return  # crashed mid-service: the reply is lost
-            self.tracer.emit(
-                self.clock.kernel_now, f"server.{self.host}", "server.serviced",
-                msg_id=message.msg_id, tq=queue_delay, ts=service_time,
-                demarshal=demarshal_cost, marshal=marshal_cost,
-            )
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    self.clock.kernel_now, f"server.{self.host}", "server.serviced",
+                    msg_id=message.msg_id, tq=queue_delay, ts=service_time,
+                    demarshal=demarshal_cost, marshal=marshal_cost,
+                )
             self._send_reply(
                 message, request, reply, service_time, queue_delay, t2
             )

@@ -36,19 +36,21 @@ class _Chain:
 
     ``due`` is the next chain instant that has not been sampled; while
     the chain is dormant (``armed`` false) it may lie in the past and is
-    fast-forwarded on the next wake.  ``rank`` orders the chains that
-    share an instant (see :meth:`FailureDetector._fire`).  A fresh object
-    per ``watch`` is what retires the timer of an unwatched chain.
+    fast-forwarded on the next wake.  ``begun`` (when it was watched) and
+    ``serial`` (which watch it was) order the chains that share an instant
+    (see :meth:`FailureDetector._fire`).  A fresh object per ``watch`` is
+    what retires the timer of an unwatched chain.
     """
 
-    __slots__ = ("host", "down_samples", "due", "armed", "rank")
+    __slots__ = ("host", "down_samples", "due", "armed", "begun", "serial")
 
-    def __init__(self, host: str, due: float, rank: Tuple[float, int]) -> None:
+    def __init__(self, host: str, begun: float, due: float, serial: int) -> None:
         self.host = host
         self.down_samples = 0
         self.due = due
         self.armed = False
-        self.rank = rank
+        self.begun = begun
+        self.serial = serial
 
 
 class FailureDetector:
@@ -139,7 +141,7 @@ class FailureDetector:
         now = self.sim.now
         self._watch_count += 1
         chain = self._chains[host_name] = _Chain(
-            host_name, now + self.poll_interval_ms, rank=(-now, self._watch_count)
+            host_name, now, now + self.poll_interval_ms, self._watch_count
         )
         self._wake(chain)
 
@@ -249,12 +251,24 @@ class FailureDetector:
         batch.append(chain)
 
     def _fire(self, due: float) -> None:
-        # Sample in the order an always-on loop's timers would leave the
-        # kernel queue: chains begun at one instant in watch order, and a
-        # chain begun later first (a watch that lands on a chain instant
-        # runs before that instant's polls, so its first timer is queued
-        # ahead of their re-arms).
-        for chain in sorted(self._batches.pop(due), key=lambda c: c.rank):
+        # Sample in the order an always-on loop's timers for ``due`` would
+        # leave the kernel queue, i.e. the order they were pushed in: each
+        # by the sample at its chain's previous instant, so by that
+        # instant, then by the order of the samples there, and so on back
+        # to the watches (a watch runs ahead of its instant's polls; two at
+        # one instant in call order).  Chains that share ``due`` need not
+        # share the instant before: 10.0 and 10.000000000000002 both step
+        # to 20.0.  The walk is skipped when all chains began together.
+        batch = self._batches.pop(due)
+        mixed = len({chain.begun for chain in batch}) > 1
+
+        def pushed(chain: _Chain) -> Tuple[List[float], int]:
+            instants = [chain.begun]
+            while mixed and instants[-1] < due:
+                instants.append(instants[-1] + self.poll_interval_ms)
+            return instants[-2::-1], chain.serial
+
+        for chain in sorted(batch, key=pushed):
             if self._chains.get(chain.host) is chain:
                 self._poll(chain)
 

@@ -169,6 +169,7 @@ class TestIncrementalPipeline:
             "entries": 1,
             "matrix_builds": 0,  # no batch call yet
             "rows_patched": 0,
+            "rows_evaluated": 0,
         }
 
     def test_gateway_delay_update_reuses_convolution(self, repo):

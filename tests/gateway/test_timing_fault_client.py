@@ -155,6 +155,32 @@ def test_renegotiation_resets_stats(stack):
     assert event.value.timely  # the new deadline is generous
 
 
+def test_renegotiated_deadline_is_read_by_the_next_decision(stack):
+    # The estimator keeps F at the deadline it was last asked for.  The
+    # replica that sat out the last request has a clean row: its F must
+    # come from the new deadline, not from the kept vector.
+    for i in range(3):
+        stack.add_server(f"replica-{i + 1}", service_time=Constant(40.0))
+    client = stack.add_client("client-1", deadline_ms=1000.0, min_probability=0.9)
+    for i in range(2):  # select-all bootstrap, then two of three
+        event = stack.invoke("client-1", i)
+        stack.sim.run()
+    assert event.value.redundancy == 2
+    assert set(event.value.decision_meta["probabilities"].values()) == {1.0}
+    charge = client.engine.config.selection_charge_ms
+    for deadline, probability in ((20.0, 0.0), (1000.0, 1.0)):
+        client.renegotiate_qos(QoSSpec(SERVICE, deadline, 0.9))
+        event = stack.invoke("client-1", 2)
+        stack.sim.run()
+        meta = event.value.decision_meta
+        assert meta["effective_deadline_ms"] == deadline - charge
+        assert meta["probabilities"] == {
+            name: client.estimator.probability_by(name, deadline - charge)
+            for name in client.repository.replicas()
+        }
+        assert set(meta["probabilities"].values()) == {probability}
+
+
 def test_constructor_validation(stack):
     stack.add_server("replica-1")
     with pytest.raises(ValueError):
