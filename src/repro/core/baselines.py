@@ -27,7 +27,6 @@ __all__ = [
     "LowestMeanPolicy",
     "NearestPolicy",
     "ProbeEstimatePolicy",
-    "StaticMinResponsePolicy",
     "probability_key",
 ]
 
@@ -220,39 +219,3 @@ class ProbeEstimatePolicy(_RankedPrefixPolicy):
         mean_service = sum(service_values) / len(service_values)
         assert record.gateway_delay_ms is not None
         return record.gateway_delay_ms + (record.queue_length + 1) * mean_service
-
-
-class StaticMinResponsePolicy(_RankedPrefixPolicy):
-    """Rank by the static response-time *floor*; the starvation fallback.
-
-    Estimates each replica's best case as ``T_i + min(S_i window)`` —
-    the last measured gateway delay plus the cheapest service time ever
-    seen in the window.  Unlike the pmf model this uses no probability
-    mass and no queue state, so it stays meaningful when the windows have
-    gone stale: network proximity and intrinsic service cost change far
-    more slowly than load.  The selection layer's degradation ladder
-    (docs/ARCHITECTURE.md §5) delegates here when every usable window is
-    older than ``stale_after_ms`` — trusting a static floor beats
-    trusting a dead model.  Replicas without history rank last; with no
-    data at all the order degenerates to name order (deterministic).
-    """
-
-    name = "static-min-response"
-
-    def __init__(self, redundancy: int = 2) -> None:
-        super().__init__(redundancy)
-
-    def score(self, ctx: SelectionContext, replica: str) -> float:
-        repository = ctx.estimator.repository
-        if replica not in repository:
-            return float("inf")
-        record = repository.record(replica)
-        if not record.has_history:
-            return float("inf")
-        assert record.gateway_delay_ms is not None
-        return record.gateway_delay_ms + min(record.service_times.values())
-
-    def decide(self, ctx: SelectionContext) -> SelectionDecision:
-        decision = super().decide(ctx)
-        decision.meta["policy"] = self.name
-        return decision

@@ -315,24 +315,6 @@ class InformationRepository:
     def __len__(self) -> int:
         return len(self._records)
 
-    def staleness(self, now_ms: float, name: Optional[str] = None) -> float:
-        """Milliseconds since the last update.
-
-        With ``name``, the staleness of that replica's record (KeyError if
-        untracked).  Without it, the *minimum* staleness across all
-        records — the age of the freshest information any model built
-        from this repository rests on (``inf`` when no record has ever
-        been updated).  The selection layer's degradation ladder uses
-        this to decide when the model is too stale to trust.
-        """
-        if name is not None:
-            return self.record(name).staleness(now_ms)
-        if not self._records:
-            return float("inf")
-        return min(
-            record.staleness(now_ms) for record in self._records.values()
-        )
-
     # -- updates (called by the handler) --------------------------------------
     def record_performance(
         self,

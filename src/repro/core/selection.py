@@ -19,7 +19,7 @@ measured execution time of the selection itself.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
@@ -104,10 +104,6 @@ class SelectionMeta(TypedDict, total=False):
     overhead_ms: float
     #: Per-replica F_{R_i}(t − δ) the decision was computed from.
     probabilities: Dict[str, float]
-    #: Degradation-ladder rung taken (e.g. ``"stale-model"``).
-    degraded: str
-    #: The ladder threshold that triggered the stale delegation.
-    stale_after_ms: float
     #: Replicas excluded from consideration by the health view.
     quarantined: Tuple[str, ...]
     #: Every replica was quarantined; traffic sent anyway (best effort).
@@ -116,8 +112,6 @@ class SelectionMeta(TypedDict, total=False):
     ranking: List[str]
     #: Primary replica of the passive-replication handler.
     primary: str
-    #: Name of the (fallback) policy that produced the decision.
-    policy: str
     #: QoS class the handler resolved for this request.
     request_class: str
     #: Load index at the moment the admission controller shed.
@@ -248,8 +242,9 @@ def select_replicas_arrays(
     probabilities = np.asarray(probabilities, dtype=float)
     if names.size == 0:
         raise ValueError("select_replicas needs at least one candidate")
-    if probabilities.size and (
-        float(probabilities.min()) < 0.0 or float(probabilities.max()) > 1.0
+    # Written so that NaN (which fails every comparison) fails it too.
+    if probabilities.size and not (
+        probabilities.min() >= 0.0 and probabilities.max() <= 1.0
     ):
         raise ValueError("probabilities must be in [0, 1]")
     if not 0.0 <= min_probability <= 1.0:
@@ -415,16 +410,6 @@ class DynamicSelectionPolicy(SelectionPolicy):
     fixed_overhead_ms:
         Overrides the measured ``δ`` with a constant — useful for
         deterministic tests and for simulating slower selection hosts.
-    stale_after_ms:
-        Degradation-ladder threshold: when *every* usable replica record
-        is older than this, the pmf model is starved (a dead model keeps
-        reporting its last — possibly excellent — probabilities forever)
-        and the decision is delegated to ``stale_fallback`` instead.
-        ``None`` (the default) disables the ladder.
-    stale_fallback:
-        Policy consulted when the model is stale; defaults to the static
-        min-response baseline
-        (:class:`repro.core.baselines.StaticMinResponsePolicy`).
     """
 
     name = "dynamic"
@@ -434,28 +419,14 @@ class DynamicSelectionPolicy(SelectionPolicy):
         crash_tolerance: int = 1,
         compensate_overhead: bool = True,
         fixed_overhead_ms: Optional[float] = None,
-        stale_after_ms: Optional[float] = None,
-        stale_fallback: Optional[SelectionPolicy] = None,
     ) -> None:
         if fixed_overhead_ms is not None and fixed_overhead_ms < 0:
             raise ValueError(
                 f"fixed_overhead_ms must be >= 0, got {fixed_overhead_ms}"
             )
-        if stale_after_ms is not None and stale_after_ms <= 0:
-            raise ValueError(
-                f"stale_after_ms must be > 0, got {stale_after_ms}"
-            )
         self.crash_tolerance = int(crash_tolerance)
         self.compensate_overhead = bool(compensate_overhead)
         self.fixed_overhead_ms = fixed_overhead_ms
-        self.stale_after_ms = stale_after_ms
-        if stale_fallback is None and stale_after_ms is not None:
-            # Local import: baselines imports this module for the policy
-            # interface, so the default fallback must resolve lazily.
-            from .baselines import StaticMinResponsePolicy
-
-            stale_fallback = StaticMinResponsePolicy()
-        self.stale_fallback = stale_fallback
         #: δ from the previous execution, milliseconds (paper measures it
         #: "each time the selection algorithm is executed").
         self.last_overhead_ms = 0.0
@@ -465,8 +436,7 @@ class DynamicSelectionPolicy(SelectionPolicy):
     def decide(self, ctx: SelectionContext) -> SelectionDecision:
         started = time.perf_counter()
 
-        # Health, rung 0 of the degradation ladder: quarantined replicas
-        # receive no client traffic.  Should *every* live replica be
+        # Health: quarantined replicas receive no client traffic.  Should *every* live replica be
         # quarantined, the guarantee is unattainable either way — keep
         # the full set (best effort) and flag the override so the handler
         # exempts this request from the no-traffic-to-quarantined audit.
@@ -522,37 +492,6 @@ class DynamicSelectionPolicy(SelectionPolicy):
                 selected=selected,
                 meta=annotate({"bootstrap": True, "fallback": False}),
             )
-
-        # Rung 2: every usable record is stale — the model is starved
-        # (no updates can arrive from replicas nobody hears from), so its
-        # probabilities describe the past, not the present.  Delegate to
-        # the static fallback rather than trusting a dead model.
-        if self.stale_after_ms is not None:
-            repository = ctx.estimator.repository
-            if all(
-                repository.staleness(ctx.now_ms, name) > self.stale_after_ms
-                for name in replicas
-            ):
-                fallback_ctx = replace(ctx, replicas=replicas)
-                delegated = self.stale_fallback.decide(fallback_ctx)
-                if cap is not None:
-                    delegated = SelectionDecision(
-                        selected=delegated.selected[: max(cap, 1)],
-                        meta=delegated.meta,
-                    )
-                self.last_overhead_ms = (
-                    time.perf_counter() - started
-                ) * 1000.0
-                meta: SelectionMeta = {
-                    **delegated.meta,
-                    "degraded": "stale-model",
-                    "stale_after_ms": self.stale_after_ms,
-                    "bootstrap": False,
-                    "fallback": False,
-                }
-                return SelectionDecision(
-                    selected=delegated.selected, meta=annotate(meta)
-                )
 
         # Health-discounted F_{R_i}(t): suspected/probation replicas keep
         # competing, but with their probability scaled by the monitor's

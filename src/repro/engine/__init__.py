@@ -14,7 +14,6 @@ from .book import RequestBook, RequestRecord
 from .config import EngineConfig
 from .engine import TimingFaultEngine
 from .models import ClassModels
-from .plans import RetryPlan
 from .types import (
     DEFAULT_CLASS,
     EnginePort,
@@ -37,7 +36,6 @@ __all__ = [
     "RequestBook",
     "RequestClassifier",
     "RequestRecord",
-    "RetryPlan",
     "TimingFaultEngine",
     "method_classifier",
 ]

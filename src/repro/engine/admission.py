@@ -5,12 +5,15 @@ gateway's own same-clock observations (docs/ARCHITECTURE.md §10): one
 sample from a faulty clock poisons the sliding windows for the next ``l``
 requests.  Every trusted quantity here — ``t1``, ``t4``, probe round
 trips — was read on the gateway's own clock, so no check assumes
-synchronization.  The slack, deflation factor and on/off switch are the
-:class:`~repro.health.HealthConfig` fields; without a health config its
-defaults apply (clock sanity off).
+synchronization.  The deflation test's factor and on/off switch
+(``clock_anomaly_after``) are :class:`~repro.health.HealthConfig`
+fields; without a health config the test is off and only the inflation
+test runs.  Both tests pad by
+:data:`~repro.health.state.CLOCK_SLACK_MS`.
 
-Variants that deliberately trust faulty reports (the A18 naive baseline,
-the campaign's clock-trust drill) subclass :class:`EvidenceAdmission`.
+A variant that deliberately trusts faulty reports (A18's naive
+baseline, ``experiments/clock_faults.py``) subclasses
+:class:`EvidenceAdmission`.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..health import HealthConfig
+from ..health.state import CLOCK_SLACK_MS
 from .types import PerformanceUpdate
 
 __all__ = ["EvidenceAdmission"]
@@ -27,7 +31,7 @@ class EvidenceAdmission:
     """Admission tests for replica-reported ``(ts, tq)`` and the ``T_i`` sample."""
 
     def __init__(self, config: Optional[HealthConfig] = None) -> None:
-        """Read slack, deflation factor and the clock-sanity switch from ``config``."""
+        """Read the deflation factor and the clock-sanity switch from ``config``."""
         self.config = config if config is not None else HealthConfig()
         # Probe round trips, measured entirely on this host's clock — the
         # trusted T_i baseline the deflation test compares against.
@@ -65,7 +69,7 @@ class EvidenceAdmission:
         """
         config = self.config
         reported = perf.queue_delay_ms + perf.service_time_ms
-        if reported > t4 - t1 + config.clock_slack_ms:
+        if reported > t4 - t1 + CLOCK_SLACK_MS:
             return False
         if config.clock_anomaly_after is not None and reported < 1.0:
             trusted = self._trusted_rtt.get(perf.replica)
@@ -73,7 +77,7 @@ class EvidenceAdmission:
                 implied = t4 - t1 - reported
                 ceiling = (
                     config.clock_deflation_factor * max(trusted, 1.0)
-                    + config.clock_slack_ms
+                    + CLOCK_SLACK_MS
                 )
                 if implied > ceiling:
                     return False

@@ -18,13 +18,15 @@ from ..core.qos import QoSViolationCallback
 from ..core.repository import InformationRepository
 from ..core.selection import SelectionPolicy
 from ..health import HealthConfig, HealthListener
-from ..overload import OverloadConfig
-from .plans import RetryPlan
 from .types import RequestClassifier
 
 __all__ = ["EngineConfig", "EstimatorFactory"]
 
 EstimatorFactory = Callable[[InformationRepository], ResponseTimeEstimator]
+
+#: Quantization grid of every client's empirical pmfs, ms; an
+#: ``estimator_factory`` must build on it.
+BIN_WIDTH_MS = 1.0
 
 
 @dataclass(frozen=True)
@@ -45,9 +47,6 @@ class EngineConfig:
         single-crash tolerance, compensating ``selection_charge_ms``.
     window_size:
         The repository's sliding-window size ``l`` (paper default 5).
-    bin_width_ms:
-        Quantization grid of the empirical pmfs.  An
-        ``estimator_factory`` must build on the same grid.
     gateway_window_size:
         When set, keep a sliding window of gateway delays per replica and
         model ``T_i`` as a distribution (§5.3.1 extension).
@@ -73,7 +72,8 @@ class EngineConfig:
         one-model-per-service design.
     estimator_factory:
         Builds the estimator over each class's repository (e.g.
-        :class:`~repro.core.estimator.QueueScaledEstimator`); defaults to
+        :class:`~repro.core.estimator.QueueScaledEstimator`) on the
+        :data:`BIN_WIDTH_MS` grid; defaults to
         :class:`~repro.core.estimator.ResponseTimeEstimator`.
     probe_staleness_ms:
         When set, replicas whose records are older than this are probed
@@ -88,8 +88,10 @@ class EngineConfig:
         clock before any replica-reported timing is trusted — the
         reference the clock-sanity deflation test compares against.
     retry:
-        When set, an unanswered request is retransmitted to the next-best
-        replica on this :class:`~repro.engine.plans.RetryPlan`'s timeouts.
+        When true, an unanswered request is retransmitted to the
+        next-best untried replica: the first copy after half the
+        deadline, each later one after twice the previous wait (never
+        longer than the deadline), at most two copies after the original.
     health_config:
         When set, the engine runs a per-replica
         :class:`~repro.health.HealthMonitor` fed by reply outcomes,
@@ -103,19 +105,17 @@ class EngineConfig:
         (scenarios wire this to the Proteus manager — the paper's
         fault-notification path).  Needs a ``health_config``.
     overload_config:
-        When set, the engine runs the overload subsystem
+        When true, the engine runs the overload subsystem
         (docs/ARCHITECTURE.md §6): a :class:`~repro.overload.LoadTracker`
         fed from the queue evidence on every reply/push/probe, the
         selection policy wrapped in a
         :class:`~repro.overload.GovernedSelectionPolicy` (redundancy
         cap), and an :class:`~repro.overload.AdmissionController` that
-        fail-fast sheds hopeless requests and suppresses hedged
-        retransmissions under pressure.
+        fail-fast sheds hopeless requests under pressure.
     """
 
     policy: Optional[SelectionPolicy] = None
     window_size: int = 5
-    bin_width_ms: float = 1.0
     gateway_window_size: Optional[int] = None
     selection_charge_ms: float = 0.3
     response_timeout_factor: float = 10.0
@@ -126,17 +126,16 @@ class EngineConfig:
     probe_staleness_ms: Optional[float] = None
     probe_interval_ms: float = 200.0
     bootstrap_probes: bool = False
-    retry: Optional[RetryPlan] = None
+    retry: bool = False
     health_config: Optional[HealthConfig] = None
     health_listener: Optional[HealthListener] = None
-    overload_config: Optional[OverloadConfig] = None
+    overload_config: bool = False
 
     def __post_init__(self) -> None:
         """Reject out-of-range numbers and options that cannot take effect."""
         window, staleness = self.gateway_window_size, self.probe_staleness_ms
         for name, holds, rule in (
             ("window_size", self.window_size >= 1, ">= 1"),
-            ("bin_width_ms", self.bin_width_ms > 0, "> 0"),
             ("gateway_window_size", window is None or window >= 1, ">= 1"),
             ("selection_charge_ms", self.selection_charge_ms >= 0, ">= 0"),
             (
@@ -158,13 +157,13 @@ class EngineConfig:
     def build_estimator(
         self, repository: InformationRepository
     ) -> ResponseTimeEstimator:
-        """The estimator over one class's ``repository``, on this config's grid."""
+        """The estimator over one class's ``repository``, on the client grid."""
         if self.estimator_factory is None:
-            return ResponseTimeEstimator(repository, bin_width_ms=self.bin_width_ms)
+            return ResponseTimeEstimator(repository, bin_width_ms=BIN_WIDTH_MS)
         estimator = self.estimator_factory(repository)
-        if not math.isclose(estimator.bin_width_ms, self.bin_width_ms):
+        if not math.isclose(estimator.bin_width_ms, BIN_WIDTH_MS):
             raise ValueError(
                 f"estimator_factory built a {estimator.bin_width_ms} ms grid "
-                f"but bin_width_ms is {self.bin_width_ms}"
+                f"but the client grid is {BIN_WIDTH_MS} ms"
             )
         return estimator

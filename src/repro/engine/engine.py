@@ -49,16 +49,19 @@ if TYPE_CHECKING:  # passed in, never constructed here
 
 __all__ = ["TimingFaultEngine"]
 
+#: Retransmissions per request after the original send (``retry`` on).
+MAX_RETRIES = 2
+
 
 class TimingFaultEngine:
     """Client-side timing-fault logic behind one :class:`EnginePort`.
 
     Every behaviour option comes from the one :class:`EngineConfig`.
-    ``health``, ``load_tracker`` and ``admission`` are ``None`` unless
-    their configs were given (docs/ARCHITECTURE.md §5/§6); ``policy`` is
-    the configured policy, wrapped in the redundancy governor when the
-    overload config asks for one.  ``book`` and ``evidence`` are the
-    owners a variant may substitute.
+    ``health`` is ``None`` without a health config, ``load_tracker`` and
+    ``admission`` are ``None`` with the overload subsystem off
+    (docs/ARCHITECTURE.md §5/§6); ``policy`` is the configured policy,
+    wrapped in the redundancy governor when the overload subsystem is on.
+    ``book`` and ``evidence`` are the owners a variant may substitute.
     """
 
     def __init__(
@@ -113,17 +116,10 @@ class TimingFaultEngine:
             self.adaptive_timeout_quantile = health.adaptive_timeout_quantile
         self.load_tracker: Optional[LoadTracker] = None
         self.admission: Optional[AdmissionController] = None
-        overload = config.overload_config
-        if overload is not None:
-            self.load_tracker = LoadTracker(
-                overload.load, inflight_provider=self.book.awaiting_replies
-            )
-            if overload.governor is not None:
-                self.policy = GovernedSelectionPolicy(
-                    self.policy, self.load_tracker, overload.governor
-                )
-            if overload.admission is not None:
-                self.admission = AdmissionController(overload.admission)
+        if config.overload_config:
+            self.load_tracker = LoadTracker(self.book.awaiting_replies)
+            self.policy = GovernedSelectionPolicy(self.policy, self.load_tracker)
+            self.admission = AdmissionController()
 
     def start(self) -> None:
         """Arm the probe tick and the bootstrap round, when configured."""
@@ -208,12 +204,10 @@ class TimingFaultEngine:
         """
         class_key = self.models.classify(request)
         decision = self._decide(request, class_key)
-        if self.load_tracker is not None:
+        if self.admission is not None:
             load = self.system_load()
             self.metrics.observe("tf.load_index", load, labels=self.labels)
-            if self.admission is not None and self.admission.should_shed(
-                decision.meta, load
-            ):
+            if self.admission.should_shed(decision.meta, load):
                 self._shed(decision, load, t0, token)
                 return -1
         t1 = self.port.now
@@ -253,7 +247,7 @@ class TimingFaultEngine:
             self.response_timeout_ms(sent_to, class_key) if sent_to else 0.0,
             self.expire, msg_id,
         )
-        if self.config.retry is not None:
+        if self.config.retry:
             ranking = list(decision.meta.get("ranking", []))
             self._arm_retry(msg_id, call, ranking, list(decision.selected), 1)
         return msg_id
@@ -461,15 +455,23 @@ class TimingFaultEngine:
             decision_meta=record.decision.meta.copy(),
         )
 
-    # -- retransmission (the retry plan) ---------------------------------------
+    # -- retransmission -------------------------------------------------------
+    def retry_wait_ms(self, attempt: int) -> float:
+        """Wait before retransmission number ``attempt`` (1-based).
+
+        Half the deadline first, doubling per attempt, capped at the
+        deadline: backing off past it only delays the timeout accounting.
+        """
+        deadline_ms = self.qos.deadline_ms
+        return min(deadline_ms / 2.0 * 2.0 ** (attempt - 1), deadline_ms)
+
     def _arm_retry(
         self, msg_id: int, call: Any, ranking: List[str], tried: List[str],
         attempt: int,
     ) -> None:
-        retry = self.config.retry
-        if retry is not None and attempt <= retry.max_retries:
+        if attempt <= MAX_RETRIES:
             self.port.arm(
-                retry.wait_ms(attempt, self.qos.deadline_ms),
+                self.retry_wait_ms(attempt),
                 self.retransmit, msg_id, call, ranking, tried, attempt,
             )
 
@@ -480,15 +482,6 @@ class TimingFaultEngine:
         """A retry timer fired: send a copy to the next-best untried replica."""
         record = self.book.pending.get(msg_id)
         if record is None or record.completed:
-            return
-        if self.admission is not None and self.admission.suppress_hedging(
-            self.system_load()
-        ):
-            # Under pressure hedged copies are the first load to cut: skip
-            # this retransmission but keep the chain armed — a later
-            # attempt fires normally if the load has receded by then.
-            self.trace("client.hedge_suppressed", msg_id=msg_id, attempt=attempt)
-            self._arm_retry(msg_id, call, ranking, tried, attempt + 1)
             return
         # A retry timeout is omission evidence against every replica
         # addressed so far that stayed silent.

@@ -41,7 +41,6 @@ def point(params: dict, seed: int, repetition: int) -> Dict[str, list]:
             trace=True,
             response_timeout_factor=3.0,
             fd_poll_interval_ms=1000.0,
-            fd_confirm_polls=2,
         ),
         1,
         DEADLINE_MS,

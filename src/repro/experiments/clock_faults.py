@@ -175,13 +175,7 @@ def _health_config(variant: str) -> Optional[HealthConfig]:
     if variant == "naive" or variant == "same-clock":
         return None
     return HealthConfig(
-        suspect_after=2,
-        quarantine_after=1,
-        recover_after=2,
-        probation_after=2,
         backoff_initial_ms=400.0,
-        backoff_factor=2.0,
-        backoff_max_ms=3200.0,
         adaptive_timeout_quantile=None,
         clock_anomaly_after=3,
         # On this jitter-free LAN the probed round trip is a tight

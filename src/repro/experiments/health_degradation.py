@@ -35,14 +35,7 @@ WINDOW_START, WINDOW_END = 500.0, 2500.0
 #: Seed of the wire's injection draws (a total omission never draws).
 WIRE_SEED = 11
 
-HEALTH = HealthConfig(
-    suspect_after=2,
-    quarantine_after=1,
-    probation_after=2,
-    backoff_initial_ms=400.0,
-    backoff_factor=2.0,
-    backoff_max_ms=3200.0,
-)
+HEALTH = HealthConfig(backoff_initial_ms=400.0)
 
 
 def grid(num_requests: int = 150) -> Tuple[dict, ...]:

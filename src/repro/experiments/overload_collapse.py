@@ -31,12 +31,6 @@ from __future__ import annotations
 from typing import Dict, Sequence, Tuple
 
 from ..core.estimator import QueueScaledEstimator
-from ..overload import (
-    AdmissionConfig,
-    GovernorConfig,
-    LoadConfig,
-    OverloadConfig,
-)
 from ..sim.random import Exponential, Normal
 from ..workload.scenarios import ScenarioConfig
 from .harness import run_clients
@@ -53,17 +47,13 @@ SERVICE_SIGMA_MS = 2.0
 THINK_MS = 5.0
 
 
-def default_overload_config() -> OverloadConfig:
-    """The governed variant's knobs (shared with the acceptance tests)."""
-    return OverloadConfig(
-        load=LoadConfig(target_queue_depth=3.0, ewma_alpha=0.4),
-        governor=GovernorConfig(engage_load=0.4, saturate_load=1.2),
-        admission=AdmissionConfig(
-            floor_probability=0.5,
-            engage_load=0.9,
-            hedge_suppress_load=0.7,
-        ),
-    )
+def default_overload_config() -> bool:
+    """The governed variant's ``overload_config``: the subsystem switched on.
+
+    Its thresholds are the constants of :mod:`repro.overload`, tuned to
+    this sweep's knee.
+    """
+    return True
 
 
 def grid(
@@ -95,7 +85,7 @@ def point(params: dict, seed: int, repetition: int) -> Dict[str, float]:
             ),
             response_timeout_factor=3.0,
             keep_samples=False,
-            overload_config=default_overload_config() if governed else None,
+            overload_config=governed,
         ),
         params["num_clients"],
         DEADLINE_MS,

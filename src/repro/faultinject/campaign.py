@@ -219,15 +219,7 @@ class CampaignResult:
 
 
 _HEALTH = HealthConfig(
-    suspect_after=2,
-    quarantine_after=1,
-    recover_after=2,
-    probation_after=2,
-    backoff_initial_ms=200.0,
-    backoff_factor=2.0,
-    backoff_max_ms=1600.0,
-    unreachable_after=3,
-    clock_anomaly_after=3,
+    backoff_initial_ms=200.0, unreachable_after=3, clock_anomaly_after=3
 )
 
 

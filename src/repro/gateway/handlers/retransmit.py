@@ -8,10 +8,10 @@ with specific time constraints."
 
 :class:`RetransmittingClientHandler` implements that strategy faithfully
 so the claim can be measured: each request goes to *one* replica (the
-individually best); if no reply arrives within the
-:class:`~repro.engine.RetryPlan`'s timeout the request is retransmitted
-to the next-best replica not yet tried, up to its ``max_retries`` times.
-Every retransmission burns a chunk of the deadline — the structural
+individually best); if no reply arrives within half the deadline the
+request is retransmitted to the next-best replica not yet tried, and
+once more after twice that wait (capped at the deadline).  Every
+retransmission burns a chunk of the deadline — the structural
 disadvantage the paper's concurrent redundancy avoids.
 """
 
@@ -27,7 +27,7 @@ from ...core.selection import (
     SelectionMeta,
     SelectionPolicy,
 )
-from ...engine import EngineConfig, RetryPlan
+from ...engine import EngineConfig
 from .timing_fault import TimingFaultClientHandler
 
 __all__ = ["RetransmittingClientHandler", "BestSinglePolicy"]
@@ -58,8 +58,7 @@ class RetransmittingClientHandler(TimingFaultClientHandler):
     """Single-replica routing with timeout-driven retransmission.
 
     The base handler with :class:`BestSinglePolicy` forced and
-    ``config.retry`` defaulting to the stock
-    :class:`~repro.engine.RetryPlan`: the request book files each
+    ``config.retry`` switched on: the request book files each
     retransmitted copy under its original request, so a copy's reply
     completes that request and is measured from the copy's own send time.
     """
@@ -71,9 +70,7 @@ class RetransmittingClientHandler(TimingFaultClientHandler):
             raise ValueError(
                 "RetransmittingClientHandler fixes its policy; do not pass one"
             )
-        config = replace(
-            config, policy=BestSinglePolicy(), retry=config.retry or RetryPlan()
-        )
+        config = replace(config, policy=BestSinglePolicy(), retry=True)
         super().__init__(*args, config=config, **kwargs)
 
     def __repr__(self) -> str:

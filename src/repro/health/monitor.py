@@ -27,7 +27,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional
 
-from .state import FaultKind, HealthConfig, HealthEvent, HealthState
+from .state import (
+    BACKOFF_FACTOR,
+    PROBATION_AFTER,
+    PROBATION_DISCOUNT,
+    QUARANTINE_AFTER,
+    RECOVER_AFTER,
+    SUSPECT_AFTER,
+    SUSPECTED_DISCOUNT,
+    FaultKind,
+    HealthConfig,
+    HealthEvent,
+    HealthState,
+)
 
 __all__ = ["ReplicaHealth", "HealthMonitor"]
 
@@ -66,7 +78,8 @@ class HealthMonitor:
     Parameters
     ----------
     config:
-        State-machine thresholds and backoff parameters.
+        The deployment's backoff and shortcut settings (the thresholds
+        are the constants of :mod:`repro.health.state`).
     listener:
         Optional initial transition listener (more via
         :meth:`add_listener`); the handler wires this to the Proteus
@@ -157,9 +170,9 @@ class HealthMonitor:
         if record is None:
             return 1.0
         if record.state is HealthState.SUSPECTED:
-            return self.config.suspected_discount
+            return SUSPECTED_DISCOUNT
         if record.state is HealthState.PROBATION:
-            return self.config.probation_discount
+            return PROBATION_DISCOUNT
         if record.state is HealthState.QUARANTINED:
             return 0.0
         return 1.0
@@ -176,12 +189,12 @@ class HealthMonitor:
         record.consecutive_successes += 1
         if (
             record.state is HealthState.SUSPECTED
-            and record.consecutive_successes >= self.config.recover_after
+            and record.consecutive_successes >= RECOVER_AFTER
         ):
             self._transition(record, HealthState.HEALTHY, now_ms, "success")
         elif (
             record.state is HealthState.PROBATION
-            and record.consecutive_successes >= self.config.probation_after
+            and record.consecutive_successes >= PROBATION_AFTER
         ):
             self._transition(record, HealthState.HEALTHY, now_ms, "success")
         elif record.state is HealthState.QUARANTINED:
@@ -217,13 +230,12 @@ class HealthMonitor:
             return
         if (
             record.state is HealthState.HEALTHY
-            and record.consecutive_faults >= self.config.suspect_after
+            and record.consecutive_faults >= SUSPECT_AFTER
         ):
             self._transition(record, HealthState.SUSPECTED, now_ms, kind)
         elif (
             record.state is HealthState.SUSPECTED
-            and record.consecutive_faults
-            >= self.config.suspect_after + self.config.quarantine_after
+            and record.consecutive_faults >= SUSPECT_AFTER + QUARANTINE_AFTER
         ):
             self._quarantine(record, now_ms, kind)
         elif record.state is HealthState.PROBATION:
@@ -287,7 +299,7 @@ class HealthMonitor:
             self._enter_probation(record, now_ms, "probe-success")
         elif record.state is HealthState.PROBATION:
             record.consecutive_successes += 1
-            if record.consecutive_successes >= self.config.probation_after:
+            if record.consecutive_successes >= PROBATION_AFTER:
                 self._transition(
                     record, HealthState.HEALTHY, now_ms, "probe-success"
                 )
@@ -301,8 +313,7 @@ class HealthMonitor:
             return
         if record.state is HealthState.QUARANTINED:
             record.backoff_ms = min(
-                record.backoff_ms * self.config.backoff_factor,
-                self.config.backoff_max_ms,
+                record.backoff_ms * BACKOFF_FACTOR, self.config.backoff_max_ms
             )
             record.next_probe_at_ms = now_ms + record.backoff_ms
         elif record.state is HealthState.SUSPECTED:
@@ -348,7 +359,7 @@ class HealthMonitor:
             # restarting it — the replica keeps proving itself unstable.
             record.backoff_ms = min(
                 max(record.backoff_ms, self.config.backoff_initial_ms)
-                * self.config.backoff_factor,
+                * BACKOFF_FACTOR,
                 self.config.backoff_max_ms,
             )
         else:
@@ -361,13 +372,10 @@ class HealthMonitor:
         self, record: ReplicaHealth, now_ms: float, reason: str
     ) -> None:
         record.consecutive_faults = 0
-        # The admitting evidence counts as the first probation success.
+        # The admitting evidence counts as the first probation success
+        # (PROBATION_AFTER > 1, so it never re-admits on its own).
         record.consecutive_successes = 1
         self._transition(record, HealthState.PROBATION, now_ms, reason)
-        if record.consecutive_successes >= self.config.probation_after:
-            self._transition(
-                record, HealthState.HEALTHY, now_ms, reason
-            )
 
     def _transition(
         self,

@@ -26,7 +26,7 @@ closes that loop with a small per-replica state machine:
   resolve either way even if selection stops routing to it.
 * **QUARANTINED** — no client traffic at all (auditor-enforced); probed
   on an exponential backoff until a probe gets through.
-* **PROBATION** — probes go through again; a few consecutive successes
+* **PROBATION** — probes go through again; two consecutive successes
   re-admit the replica, any fault re-quarantines it with a doubled
   backoff.
 
@@ -42,6 +42,26 @@ from dataclasses import dataclass
 from typing import Literal, Optional
 
 __all__ = ["FaultKind", "HealthState", "HealthConfig", "HealthEvent"]
+
+#: Consecutive faults that demote HEALTHY → SUSPECTED.
+SUSPECT_AFTER = 2
+#: *Further* consecutive faults that demote SUSPECTED → QUARANTINED.
+QUARANTINE_AFTER = 1
+#: Consecutive request successes that promote SUSPECTED → HEALTHY.
+RECOVER_AFTER = 2
+#: Consecutive successes (probe or request) that promote PROBATION →
+#: HEALTHY; the admitting evidence counts as the first.
+PROBATION_AFTER = 2
+#: Multipliers applied to ``F_{R_i}(t)`` while SUSPECTED / in PROBATION
+#: (quarantined replicas are excluded outright).
+SUSPECTED_DISCOUNT = 0.5
+PROBATION_DISCOUNT = 0.7
+#: Every failed re-admission probe multiplies the gap by this factor ...
+BACKOFF_FACTOR = 2.0
+#: ... up to this many times ``backoff_initial_ms``.
+BACKOFF_MAX_MULTIPLE = 8
+#: Absolute slack of the clock-coherence tests (float residue), ms.
+CLOCK_SLACK_MS = 1.0
 
 
 #: The closed set of fault evidence kinds the monitor accepts.  A
@@ -75,33 +95,24 @@ class HealthEvent:
 
 @dataclass(frozen=True)
 class HealthConfig:
-    """Tuning knobs of the health state machine.
+    """The settings that differ between health-enabled deployments.
+
+    The state machine's thresholds and discounts are the module
+    constants above.
 
     Parameters
     ----------
-    suspect_after:
-        Consecutive faults that demote HEALTHY → SUSPECTED.
-    quarantine_after:
-        *Further* consecutive faults (beyond ``suspect_after``) that
-        demote SUSPECTED → QUARANTINED.
-    recover_after:
-        Consecutive request successes that promote SUSPECTED → HEALTHY.
-    probation_after:
-        Consecutive successes (probe or request) that promote
-        PROBATION → HEALTHY.
-    suspected_discount / probation_discount:
-        Multipliers applied to ``F_{R_i}(t)`` while in the respective
-        state (quarantined replicas are excluded outright).
-    backoff_initial_ms / backoff_factor / backoff_max_ms:
-        Re-admission probe backoff: the first probe goes out
-        ``backoff_initial_ms`` after quarantine entry; every failed probe
-        multiplies the gap by ``backoff_factor``, capped at
-        ``backoff_max_ms``.  A PROBATION → QUARANTINED bounce keeps (and
-        escalates) the previous backoff instead of resetting it.
+    backoff_initial_ms:
+        Re-admission probe backoff: the first probe goes out this long
+        after quarantine entry; every failed probe multiplies the gap by
+        :data:`BACKOFF_FACTOR`, capped at :data:`BACKOFF_MAX_MULTIPLE` ×
+        this (:attr:`backoff_max_ms`).  A PROBATION → QUARANTINED bounce
+        keeps (and escalates) the previous backoff instead of resetting
+        it.
     adaptive_timeout_quantile:
-        Default quantile of the predicted ``R_i`` pmf used for the
-        adaptive response timeout when the handler does not set its own
-        (``None`` disables the adaptive timeout even with health on).
+        Quantile of the predicted ``R_i`` pmf the engine's adaptive
+        response timeout waits for (``None`` keeps the fixed
+        ``response_timeout_factor × deadline`` even with health on).
     unreachable_after:
         Consecutive *reply-loss* faults (omissions and probe failures —
         never timing faults, a late reply is still contact) that
@@ -119,65 +130,23 @@ class HealthConfig:
         default) disables clock-sanity quarantine; the handler's
         inflation rejection (reported intervals exceeding the whole
         round trip) stays on regardless.
-    clock_deflation_factor / clock_slack_ms:
+    clock_deflation_factor:
         The deflation test the handler runs when clock sanity is on: a
         report claiming near-zero server time while the implied
         gateway-side delay exceeds ``clock_deflation_factor`` × the
-        probed round trip (plus ``clock_slack_ms`` absolute slack) is
-        incoherent.  The slack also pads the inflation test against
-        float residue.
+        probed round trip (plus :data:`CLOCK_SLACK_MS`) is incoherent.
     """
 
-    suspect_after: int = 2
-    quarantine_after: int = 1
-    recover_after: int = 2
-    probation_after: int = 3
-    suspected_discount: float = 0.5
-    probation_discount: float = 0.7
     backoff_initial_ms: float = 1000.0
-    backoff_factor: float = 2.0
-    backoff_max_ms: float = 30_000.0
     adaptive_timeout_quantile: Optional[float] = 0.99
     unreachable_after: Optional[int] = None
     clock_anomaly_after: Optional[int] = None
     clock_deflation_factor: float = 6.0
-    clock_slack_ms: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.suspect_after < 1:
-            raise ValueError(
-                f"suspect_after must be >= 1, got {self.suspect_after}"
-            )
-        if self.quarantine_after < 1:
-            raise ValueError(
-                f"quarantine_after must be >= 1, got {self.quarantine_after}"
-            )
-        if self.recover_after < 1:
-            raise ValueError(
-                f"recover_after must be >= 1, got {self.recover_after}"
-            )
-        if self.probation_after < 1:
-            raise ValueError(
-                f"probation_after must be >= 1, got {self.probation_after}"
-            )
-        for label, discount in (
-            ("suspected_discount", self.suspected_discount),
-            ("probation_discount", self.probation_discount),
-        ):
-            if not 0.0 <= discount <= 1.0:
-                raise ValueError(f"{label} must be in [0, 1], got {discount}")
         if self.backoff_initial_ms <= 0:
             raise ValueError(
                 f"backoff_initial_ms must be > 0, got {self.backoff_initial_ms}"
-            )
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        if self.backoff_max_ms < self.backoff_initial_ms:
-            raise ValueError(
-                "backoff_max_ms must be >= backoff_initial_ms, got "
-                f"{self.backoff_max_ms} < {self.backoff_initial_ms}"
             )
         if self.adaptive_timeout_quantile is not None and not (
             0.0 < self.adaptive_timeout_quantile <= 1.0
@@ -199,7 +168,8 @@ class HealthConfig:
                 "clock_deflation_factor must be >= 1, got "
                 f"{self.clock_deflation_factor}"
             )
-        if self.clock_slack_ms < 0.0:
-            raise ValueError(
-                f"clock_slack_ms must be >= 0, got {self.clock_slack_ms}"
-            )
+
+    @property
+    def backoff_max_ms(self) -> float:
+        """Upper bound on any re-admission probe gap."""
+        return BACKOFF_MAX_MULTIPLE * self.backoff_initial_ms

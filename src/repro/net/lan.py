@@ -78,20 +78,15 @@ class LinkProfile:
             )
 
 
-def bursty_jitter(
-    base_mu: float = 0.3,
-    base_sigma: float = 0.15,
-    burst_mu: float = 8.0,
-    burst_sigma: float = 3.0,
-    p_enter_burst: float = 0.005,
-    p_exit_burst: float = 0.15,
-) -> MarkovModulated:
-    """Jitter with occasional high-traffic bursts (paper §3)."""
+def bursty_jitter() -> MarkovModulated:
+    """Jitter with occasional high-traffic bursts (paper §3).
+
+    The testbed's N(0.3, 0.15) ms jitter, with a 0.5 % chance per message
+    of entering an N(8, 3) ms burst that each message leaves with
+    probability 0.15 (bursts of ~7 messages).
+    """
     return MarkovModulated(
-        Normal(base_mu, base_sigma),
-        Normal(burst_mu, burst_sigma),
-        p_enter_burst=p_enter_burst,
-        p_exit_burst=p_exit_burst,
+        Normal(0.3, 0.15), Normal(8.0, 3.0), p_enter_burst=0.005, p_exit_burst=0.15
     )
 
 

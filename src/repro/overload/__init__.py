@@ -10,44 +10,21 @@ The subsystem closes the redundancy→load feedback loop of Algorithm 1
   index rises — full hedging when idle, shrinking toward ``{m0}`` plus
   the minimum crash-guarantee set under saturation;
 * :class:`AdmissionController` fail-fast sheds requests whose best
-  achievable ``F_{R_m0}(t - δ)`` is below a floor, suppressing hedged
-  retransmissions first.
+  achievable ``F_{R_m0}(t - δ)`` is below a floor.
 
-:class:`OverloadConfig` bundles the three knobs for the handler; passing
-it to :class:`~repro.gateway.handlers.timing_fault.TimingFaultClientHandler`
-activates the whole subsystem.
+The subsystem is on or off as a whole: ``EngineConfig(overload_config=
+True)`` (or ``ScenarioConfig(overload_config=True)`` for every client of
+a scenario) makes the :class:`~repro.engine.TimingFaultEngine` run all
+three.  Their thresholds are module constants, A16's one tuning of its
+measured knee.
 """
 
-from dataclasses import dataclass, field
-from typing import Optional
-
-from .admission import AdmissionConfig, AdmissionController
-from .governor import GovernedSelectionPolicy, GovernorConfig
-from .load import LoadConfig, LoadTracker
+from .admission import AdmissionController
+from .governor import GovernedSelectionPolicy
+from .load import LoadTracker
 
 __all__ = [
-    "LoadConfig",
     "LoadTracker",
-    "GovernorConfig",
     "GovernedSelectionPolicy",
-    "AdmissionConfig",
     "AdmissionController",
-    "OverloadConfig",
 ]
-
-
-@dataclass(frozen=True)
-class OverloadConfig:
-    """Bundle of the three overload-defense knobs.
-
-    ``governor=None`` leaves the selection policy un-wrapped;
-    ``admission=None`` disables shedding and hedge suppression.  The
-    load tracker always runs (its observations are passive and cheap)
-    so metrics expose the index even with both defenses off.
-    """
-
-    load: LoadConfig = field(default_factory=LoadConfig)
-    governor: Optional[GovernorConfig] = field(default_factory=GovernorConfig)
-    admission: Optional[AdmissionConfig] = field(
-        default_factory=AdmissionConfig
-    )

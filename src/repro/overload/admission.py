@@ -8,71 +8,30 @@ no extra model — and declares a *shed*: the client gets an immediate
 fail-fast outcome, no copy reaches any replica, and the lifecycle
 auditor books the request as completed-by-shed (exactly one of reply,
 timeout, shed).
-
-Hedged retransmissions are the cheapest load to cut, so they are
-suppressed at a *lower* load threshold than request shedding engages:
-first stop re-sending copies of requests that already have copies in
-flight, only then start rejecting fresh work.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..core.selection import SelectionMeta
 
-__all__ = ["AdmissionConfig", "AdmissionController"]
+__all__ = ["AdmissionController"]
 
-
-@dataclass(frozen=True)
-class AdmissionConfig:
-    """Thresholds of the fail-fast ladder.
-
-    Attributes
-    ----------
-    floor_probability:
-        Minimum best-replica ``F_{R_i}(t - δ)`` a request must have to be
-        admitted while the controller is engaged.
-    engage_load:
-        Load index at or above which shedding is considered at all;
-        below it every request is admitted regardless of its odds.
-    hedge_suppress_load:
-        Load index at or above which hedged retransmissions are
-        suppressed.  Must not exceed ``engage_load`` — hedges are cut
-        before fresh work is rejected.
-    """
-
-    floor_probability: float = 0.2
-    engage_load: float = 1.0
-    hedge_suppress_load: float = 0.8
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.floor_probability <= 1.0:
-            raise ValueError(
-                "floor_probability must be in [0, 1], got "
-                f"{self.floor_probability}"
-            )
-        if self.engage_load < 0:
-            raise ValueError(
-                f"engage_load must be >= 0, got {self.engage_load}"
-            )
-        if self.hedge_suppress_load > self.engage_load:
-            raise ValueError(
-                "hedge_suppress_load must not exceed engage_load "
-                "(hedges shed first), got "
-                f"{self.hedge_suppress_load} > {self.engage_load}"
-            )
+#: Load index at or above which shedding is considered at all; below it
+#: every request is admitted regardless of its odds.
+SHED_LOAD = 0.9
+#: Minimum best-replica ``F_{R_i}(t - δ)`` a request must have to be
+#: admitted at or above :data:`SHED_LOAD`.
+FLOOR_PROBABILITY = 0.5
 
 
 class AdmissionController:
     """Decides, per request, between admit and fail-fast shed."""
 
-    def __init__(self, config: Optional[AdmissionConfig] = None) -> None:
-        self.config = config or AdmissionConfig()
+    def __init__(self) -> None:
         self.admitted = 0
         self.sheds = 0
-        self.hedges_suppressed = 0
 
     @staticmethod
     def best_probability(decision_meta: SelectionMeta) -> Optional[float]:
@@ -95,9 +54,9 @@ class AdmissionController:
     ) -> bool:
         """Admit-or-shed verdict; updates the controller's counters."""
         shed = False
-        if load >= self.config.engage_load:
+        if load >= SHED_LOAD:
             best = self.best_probability(decision_meta)
-            if best is not None and best < self.config.floor_probability:
+            if best is not None and best < FLOOR_PROBABILITY:
                 shed = True
         if shed:
             self.sheds += 1
@@ -105,15 +64,5 @@ class AdmissionController:
             self.admitted += 1
         return shed
 
-    def suppress_hedging(self, load: float) -> bool:
-        """Whether hedged retransmissions should be withheld at ``load``."""
-        suppress = load >= self.config.hedge_suppress_load
-        if suppress:
-            self.hedges_suppressed += 1
-        return suppress
-
     def __repr__(self) -> str:
-        return (
-            f"<AdmissionController admitted={self.admitted} "
-            f"sheds={self.sheds} hedges_suppressed={self.hedges_suppressed}>"
-        )
+        return f"<AdmissionController admitted={self.admitted} sheds={self.sheds}>"

@@ -12,9 +12,9 @@ algorithm: it wraps any :class:`~repro.core.selection.SelectionPolicy`
 and, before each decision, translates the tracker's load index into a
 redundancy cap via a linear ladder —
 
-* ``load <= engage_load``: no cap; the inner policy's decision is
+* ``load <= ENGAGE_LOAD``: no cap; the inner policy's decision is
   bit-for-bit what it would have produced un-wrapped;
-* ``load >= saturate_load``: the floor — ``{m0}`` plus the minimum set
+* ``load >= SATURATE_LOAD``: the floor — ``{m0}`` plus the minimum set
   still satisfying the crash guarantee (``crash_tolerance + 1``
   members), never fewer while requests are being admitted;
 * in between: linear interpolation, rounded up so the cap only bites
@@ -32,8 +32,7 @@ re-amplification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import replace
 
 from ..core.selection import (
     GovernorMeta,
@@ -44,68 +43,32 @@ from ..core.selection import (
 )
 from .load import LoadTracker
 
-__all__ = ["GovernorConfig", "GovernedSelectionPolicy"]
+__all__ = ["GovernedSelectionPolicy"]
 
-
-@dataclass(frozen=True)
-class GovernorConfig:
-    """The cap ladder's thresholds.
-
-    Attributes
-    ----------
-    engage_load:
-        Load index below which the governor is inert (full hedging).
-    saturate_load:
-        Load index at or above which the cap sits at the floor.
-    min_redundancy:
-        The floor itself.  ``None`` derives it from the wrapped policy's
-        ``crash_tolerance`` (``crash_tolerance + 1``: the protected best
-        plus one survivor — the structural single-crash guarantee).
-    """
-
-    engage_load: float = 0.5
-    saturate_load: float = 1.5
-    min_redundancy: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.engage_load < 0:
-            raise ValueError(
-                f"engage_load must be >= 0, got {self.engage_load}"
-            )
-        if self.saturate_load <= self.engage_load:
-            raise ValueError(
-                "saturate_load must exceed engage_load, got "
-                f"{self.saturate_load} <= {self.engage_load}"
-            )
-        if self.min_redundancy is not None and self.min_redundancy < 1:
-            raise ValueError(
-                f"min_redundancy must be >= 1, got {self.min_redundancy}"
-            )
+#: Load index at or below which the governor is inert (full hedging).
+ENGAGE_LOAD = 0.4
+#: Load index at or above which the cap sits at the floor.
+SATURATE_LOAD = 1.2
 
 
 class GovernedSelectionPolicy(SelectionPolicy):
     """Wrap a selection policy with the load-dependent redundancy cap."""
 
-    def __init__(
-        self,
-        inner: SelectionPolicy,
-        tracker: LoadTracker,
-        config: Optional[GovernorConfig] = None,
-    ) -> None:
+    def __init__(self, inner: SelectionPolicy, tracker: LoadTracker) -> None:
         self.inner = inner
         self.tracker = tracker
-        self.config = config or GovernorConfig()
         self.name = f"governed-{inner.name}"
-        #: Load index of the most recent decision (the handler reads this
-        #: for admission control and hedge suppression).
+        #: Load index of the most recent decision (diagnostics).
         self.last_load = 0.0
         #: Decisions where the cap was below the available replica count.
         self.engagements = 0
 
     def floor_redundancy(self) -> int:
-        """The ladder's floor before clamping to the available count."""
-        if self.config.min_redundancy is not None:
-            return self.config.min_redundancy
+        """The ladder's floor before clamping to the available count.
+
+        ``crash_tolerance + 1``: the protected best members plus one
+        survivor, the structural crash guarantee.
+        """
         return int(getattr(self.inner, "crash_tolerance", 1)) + 1
 
     def cap_for(self, load: float, available: int) -> int:
@@ -113,13 +76,11 @@ class GovernedSelectionPolicy(SelectionPolicy):
         if available <= 0:
             return available
         floor_k = min(self.floor_redundancy(), available)
-        if load <= self.config.engage_load:
+        if load <= ENGAGE_LOAD:
             return available
-        if load >= self.config.saturate_load:
+        if load >= SATURATE_LOAD:
             return floor_k
-        fraction = (load - self.config.engage_load) / (
-            self.config.saturate_load - self.config.engage_load
-        )
+        fraction = (load - ENGAGE_LOAD) / (SATURATE_LOAD - ENGAGE_LOAD)
         span = available - floor_k
         return floor_k + int(math.ceil((1.0 - fraction) * span))
 

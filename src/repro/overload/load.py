@@ -8,14 +8,13 @@ traffic — into one dimensionless load index:
 
 * per replica, an EWMA of the *implied queue depth*: the larger of the
   reported queue length and ``tq / ts`` (how many service times the
-  request waited), normalized by ``target_queue_depth``;
+  request waited), normalized by :data:`TARGET_QUEUE_DEPTH`;
 * system-wide, the mean per-replica index over the *active* (non-
   quarantined) replicas plus the gateway's own in-flight copies divided
   by the active capacity.
 
 An index of 0 means idle (no queueing observed anywhere, nothing in
-flight); 1 means every active replica sits at the configured target
-depth.  The index is the single input of the redundancy governor's cap
+flight); 1 means every active replica sits at the target depth.  The index is the single input of the redundancy governor's cap
 ladder and the admission controller's engage thresholds — see
 docs/ARCHITECTURE.md §6.
 
@@ -27,45 +26,15 @@ index *rises* — the governor tightens rather than re-amplifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-__all__ = ["LoadConfig", "LoadTracker"]
+__all__ = ["LoadTracker"]
 
-
-@dataclass(frozen=True)
-class LoadConfig:
-    """Knobs of the load index.
-
-    Attributes
-    ----------
-    target_queue_depth:
-        Per-replica outstanding-request depth considered saturated; the
-        per-replica index is the EWMA'd implied depth divided by this.
-    ewma_alpha:
-        Weight of the newest implied-depth sample (1.0 = no smoothing).
-    inflight_weight:
-        Weight of the gateway in-flight component of the system index
-        (0.0 ignores in-flight work entirely).
-    """
-
-    target_queue_depth: float = 4.0
-    ewma_alpha: float = 0.4
-    inflight_weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.target_queue_depth <= 0:
-            raise ValueError(
-                f"target_queue_depth must be > 0, got {self.target_queue_depth}"
-            )
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError(
-                f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}"
-            )
-        if self.inflight_weight < 0:
-            raise ValueError(
-                f"inflight_weight must be >= 0, got {self.inflight_weight}"
-            )
+#: Per-replica outstanding-request depth read as saturated: the
+#: per-replica index is the EWMA'd implied depth divided by this.
+TARGET_QUEUE_DEPTH = 3.0
+#: Weight of the newest implied-depth sample in the EWMA.
+EWMA_ALPHA = 0.4
 
 
 class LoadTracker:
@@ -80,11 +49,8 @@ class LoadTracker:
     """
 
     def __init__(
-        self,
-        config: Optional[LoadConfig] = None,
-        inflight_provider: Optional[Callable[[], int]] = None,
+        self, inflight_provider: Optional[Callable[[], int]] = None
     ) -> None:
-        self.config = config or LoadConfig()
         self.inflight_provider = inflight_provider
         # replica -> EWMA of the implied queue depth.
         self._depth_ewma: Dict[str, float] = {}
@@ -123,7 +89,7 @@ class LoadTracker:
             raise ValueError(
                 f"implied depth must be >= 0, got {implied_depth}"
             )
-        alpha = self.config.ewma_alpha
+        alpha = EWMA_ALPHA
         previous = self._depth_ewma.get(replica)
         if previous is None:
             self._depth_ewma[replica] = implied_depth
@@ -148,7 +114,7 @@ class LoadTracker:
         depth = self._depth_ewma.get(replica)
         if depth is None:
             return 0.0
-        return depth / self.config.target_queue_depth
+        return depth / TARGET_QUEUE_DEPTH
 
     def awaiting_replies(self) -> int:
         """Request copies the gateway is currently awaiting replies for."""
@@ -172,11 +138,8 @@ class LoadTracker:
         queue_component = sum(self.replica_load(name) for name in pool) / len(
             pool
         )
-        capacity = len(pool) * self.config.target_queue_depth
-        inflight_component = (
-            self.config.inflight_weight * self.awaiting_replies() / capacity
-        )
-        return queue_component + inflight_component
+        capacity = len(pool) * TARGET_QUEUE_DEPTH
+        return queue_component + self.awaiting_replies() / capacity
 
     def __repr__(self) -> str:
         return (

@@ -107,8 +107,10 @@ class Wiring:
     """The values one deployment is wired with.
 
     The defaults are the bare stack: zero-jitter 1 ms links, free
-    marshalling, a 10 ms x 2 failure detector, nothing traced, one
-    private metrics collector per handler.
+    marshalling, a failure detector polling every 10 ms, nothing
+    traced, one private metrics collector per handler.  Every
+    deployment confirms a crash after two missed polls and delivers a
+    view change 1 ms after it (the group layer's defaults).
     """
 
     link: LinkProfile = field(
@@ -124,8 +126,6 @@ class Wiring:
         )
     )
     fd_poll_interval_ms: float = 10.0
-    fd_confirm_polls: int = 2
-    notify_delay_ms: float = 1.0
     tracer: Tracer = field(default_factory=NullTracer)
     metrics: Optional[MetricsCollector] = None
 
@@ -171,14 +171,12 @@ class Deployment:
             self.sim,
             self.lan,
             poll_interval_ms=wiring.fd_poll_interval_ms,
-            confirm_polls=wiring.fd_confirm_polls,
             tracer=self.tracer,
         )
         self.group_comm = GroupCommunication(
             self.sim,
             self.lan,
             self.transport,
-            notify_delay_ms=wiring.notify_delay_ms,
             failure_detector=self.detector,
             tracer=self.tracer,
         )

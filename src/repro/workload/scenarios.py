@@ -29,7 +29,6 @@ from ..net.lan import LinkProfile, bursty_jitter
 from ..orb.iiop import MarshallingModel
 from ..orb.object import MethodSignature
 from ..orb.orb import Stub
-from ..overload import OverloadConfig
 from ..proteus.manager import DependabilityManager, ServiceSpec
 from ..replica.load import ConstantLoad, LoadModel, ServiceProfile
 from ..sim.random import Constant, Distribution, Normal
@@ -56,8 +55,6 @@ class ScenarioConfig:
     service_mean_ms: float = 100.0
     service_sigma_ms: float = 50.0
     window_size: int = 5
-    bin_width_ms: float = 1.0
-    selection_charge_ms: float = 0.3
     request_bytes: int = 64
     reply_bytes: int = 64
     bursty_network: bool = False
@@ -65,9 +62,7 @@ class ScenarioConfig:
     loss_probability: float = 0.0
     # Optional LAN-wide correlated congestion (breaks Eq. 1 independence).
     shared_congestion: Optional[Distribution] = None
-    notify_delay_ms: float = 1.0
     fd_poll_interval_ms: float = 50.0
-    fd_confirm_polls: int = 2
     response_timeout_factor: float = 10.0
     trace: bool = False
     keep_samples: bool = True
@@ -83,10 +78,10 @@ class ScenarioConfig:
     # (suspicion/quarantine/probation; docs/ARCHITECTURE.md §5) and its
     # transitions are reported to the Proteus manager.
     health_config: Optional[HealthConfig] = None
-    # When set, every client handler runs the overload subsystem (load
+    # When true, every client handler runs the overload subsystem (load
     # tracker + redundancy governor + admission control;
     # docs/ARCHITECTURE.md §6).
-    overload_config: Optional[OverloadConfig] = None
+    overload_config: bool = False
 
     def replica_hosts(self) -> List[str]:
         """Host names the replicas run on."""
@@ -134,8 +129,6 @@ class Scenario(Deployment):
             shared_congestion=cfg.shared_congestion,
             marshalling=MarshallingModel(),
             fd_poll_interval_ms=cfg.fd_poll_interval_ms,
-            fd_confirm_polls=cfg.fd_confirm_polls,
-            notify_delay_ms=cfg.notify_delay_ms,
             tracer=Tracer() if cfg.trace else NullTracer(),
             metrics=MetricsCollector(keep_samples=cfg.keep_samples),
         )
@@ -233,16 +226,13 @@ class Scenario(Deployment):
             )
         defaults = dict(
             window_size=window_size if window_size is not None else cfg.window_size,
-            bin_width_ms=cfg.bin_width_ms,
-            selection_charge_ms=cfg.selection_charge_ms,
             response_timeout_factor=cfg.response_timeout_factor,
             distance=lambda replica: self.lan.zone_distance(name, replica),
+            overload_config=cfg.overload_config,
         )
         if cfg.health_config is not None:
             defaults["health_config"] = cfg.health_config
             defaults["health_listener"] = self.manager.health_listener(cfg.service)
-        if cfg.overload_config is not None:
-            defaults["overload_config"] = cfg.overload_config
         self.handlers[name], stub = self.bind_client(
             name, qos, handler_cls, **{**defaults, **options}
         )

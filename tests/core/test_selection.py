@@ -12,6 +12,7 @@ from repro.core.selection import (
     ReplicaProbability,
     SelectionContext,
     select_replicas,
+    select_replicas_arrays,
 )
 
 
@@ -31,6 +32,15 @@ class TestSelectReplicas:
             select_replicas(_candidates([0.5]), 1.5)
         with pytest.raises(ValueError):
             ReplicaProbability("r1", -0.2)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
+    def test_array_path_rejects_what_the_object_path_rejects(self, bad):
+        with pytest.raises(ValueError):
+            ReplicaProbability("b", bad)
+        with pytest.raises(ValueError, match=r"probabilities must be in \[0, 1\]"):
+            select_replicas_arrays(
+                np.array(["a", "b", "c"]), np.array([0.9, bad, 0.5]), 0.9
+            )
 
     def test_minimum_selection_is_two_replicas(self):
         # Pc = 0 is satisfied by any single replica in X, plus the

@@ -20,7 +20,6 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 DEFAULTS = {
     "policy": None,
     "window_size": 5,
-    "bin_width_ms": 1.0,
     "gateway_window_size": None,
     "selection_charge_ms": 0.3,
     "response_timeout_factor": 10.0,
@@ -31,10 +30,10 @@ DEFAULTS = {
     "probe_staleness_ms": None,
     "probe_interval_ms": 200.0,
     "bootstrap_probes": False,
-    "retry": None,
+    "retry": False,
     "health_config": None,
     "health_listener": None,
-    "overload_config": None,
+    "overload_config": False,
 }
 
 
@@ -56,8 +55,6 @@ def test_a_config_is_frozen():
     "field,value",
     [
         ("window_size", 0),
-        ("bin_width_ms", 0.0),
-        ("bin_width_ms", -1.0),
         ("gateway_window_size", 0),
         ("selection_charge_ms", -0.1),
         ("response_timeout_factor", 1.0),
@@ -93,13 +90,18 @@ def test_a_probe_interval_with_nothing_that_probes_is_accepted():
 
 
 def test_an_estimator_factory_must_build_on_the_configured_grid():
-    def factory(repo):
-        return QueueScaledEstimator(repo, bin_width_ms=1.0)
-
-    models = ClassModels(EngineConfig(estimator_factory=factory))
+    models = ClassModels(
+        EngineConfig(estimator_factory=lambda repo: QueueScaledEstimator(repo))
+    )
     assert isinstance(models.estimator, QueueScaledEstimator)
-    with pytest.raises(ValueError, match=r"1\.0 ms grid but bin_width_ms is 0\.25"):
-        ClassModels(EngineConfig(estimator_factory=factory, bin_width_ms=0.25))
+    with pytest.raises(ValueError, match=r"0\.25 ms grid but the client grid is 1\.0"):
+        ClassModels(
+            EngineConfig(
+                estimator_factory=lambda repo: QueueScaledEstimator(
+                    repo, bin_width_ms=0.25
+                )
+            )
+        )
 
 
 # -- one declaration: the options do not grow back as keywords -------------
@@ -135,7 +137,19 @@ def test_no_option_is_a_constructor_keyword(path, cls, most):
     assert not set(names) & set(DEFAULTS)
 
 
-@pytest.mark.parametrize("name", ["ProbePlan", "retry_plan"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "ProbePlan",
+        "retry_plan",
+        "RetryPlan",
+        "StaticMinResponsePolicy",
+        "stale_after_ms",
+        "hedge_suppress",
+        "min_redundancy",
+        "inflight_weight",
+    ],
+)
 def test_the_folded_names_are_gone_from_src(name):
     assert [
         str(path.relative_to(SRC))

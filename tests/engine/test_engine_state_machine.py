@@ -18,9 +18,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.engine import RetryPlan
 from repro.health import HealthConfig
-from repro.overload import AdmissionConfig, OverloadConfig
 
 from .fakes import REPLICAS, REQUEST, FakePort, RankedPolicy, make_engine, perf
 
@@ -36,16 +34,12 @@ class RequestLifecycle(RuleBasedStateMachine):
             self.port,
             policy=self.policy,
             deadline_ms=50.0,
-            retry=RetryPlan(timeout_ms=10.0, max_retries=2),
+            retry=True,
             probe_staleness_ms=40.0,
             probe_interval_ms=25.0,
             bootstrap_probes=True,
             health_config=HealthConfig(clock_anomaly_after=3, unreachable_after=4),
-            overload_config=OverloadConfig(
-                admission=AdmissionConfig(
-                    floor_probability=0.5, engage_load=0.2, hedge_suppress_load=0.2
-                )
-            ),
+            overload_config=True,
         )
         self.tokens = 0
         #: (correlation id, replica) pairs already answered once.

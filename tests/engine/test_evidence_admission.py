@@ -9,6 +9,7 @@ import pytest
 
 from repro.engine import EvidenceAdmission
 from repro.health import HealthConfig
+from repro.health.state import CLOCK_SLACK_MS
 
 from .fakes import perf
 
@@ -51,9 +52,12 @@ class TestInflation:
             assert admission.coherent(sample, 100.0, 100.0 + round_trip) is coherent
 
     def test_slack_is_the_health_configs(self):
-        loose = EvidenceAdmission(HealthConfig(clock_slack_ms=5.0))
-        assert loose.coherent(perf("s-1", ts=16.0, tq=0.0), 0.0, 12.0)
-        assert not loose.coherent(perf("s-1", ts=18.0, tq=0.0), 0.0, 12.0)
+        # One constant of the health module, whatever the config says.
+        for config in (None, HealthConfig(), SANE):
+            admission = EvidenceAdmission(config)
+            edge = 12.0 + CLOCK_SLACK_MS
+            assert admission.coherent(perf("s-1", ts=edge - 0.01, tq=0.0), 0.0, 12.0)
+            assert not admission.coherent(perf("s-1", ts=edge + 0.01, tq=0.0), 0.0, 12.0)
 
 
 class TestDeflation:

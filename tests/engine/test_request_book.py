@@ -8,11 +8,10 @@ The engine runs on a fake port; no simulator is involved.
 import pytest
 
 from repro.core.selection import SelectionDecision
-from repro.engine import RequestBook, RequestRecord, RetryPlan
+from repro.engine import RequestBook, RequestRecord
 from repro.health import HealthConfig
-from repro.overload import AdmissionConfig, OverloadConfig
 
-from .fakes import REQUEST, FakePort, RankedPolicy, make_engine, perf
+from .fakes import REPLICAS, REQUEST, FakePort, RankedPolicy, make_engine, perf
 
 
 def record(*expected: str) -> RequestRecord:
@@ -175,12 +174,10 @@ class TestThroughTheEngine:
     def test_shed_opens_no_record(self):
         port = FakePort()
         engine = make_engine(
-            port,
-            policy=RankedPolicy(probability=0.05),
-            overload_config=OverloadConfig(
-                admission=AdmissionConfig(engage_load=0.0, hedge_suppress_load=0.0)
-            ),
+            port, policy=RankedPolicy(probability=0.05), overload_config=True
         )
+        for replica in REPLICAS:  # queues of 9: load index 3, past the shed load
+            engine.on_perf(perf(replica, queue=9))
         assert self.submit(engine, port) == -1
         outcome = port.outcome("t-1")
         assert outcome.shed and not outcome.timed_out and outcome.request_id == -1
@@ -191,13 +188,11 @@ class TestThroughTheEngine:
     def test_copy_reply_completes_the_request_and_is_timed_from_the_copy(self):
         port = FakePort()
         engine = make_engine(
-            port,
-            policy=RankedPolicy(width=1),
-            retry=RetryPlan(timeout_ms=20.0, max_retries=1),
+            port, policy=RankedPolicy(width=1), deadline_ms=40.0, retry=True
         )
         msg_id = self.submit(engine, port)
         (retry,) = port.armed(engine.retransmit)
-        port.fire(retry)  # at 20 ms: s-1 stayed silent, copy goes to s-2
+        port.fire(retry)  # at 20 ms (half the deadline): copy goes to s-2
         kind, copy_id, targets = port.sent[-1]
         assert (kind, targets) == ("copy", ("s-2",)) and engine.retransmissions == 1
         port.clock = 30.0

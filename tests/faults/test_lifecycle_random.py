@@ -18,7 +18,6 @@ import os
 
 import pytest
 
-from repro.engine import RetryPlan
 from repro.faultinject import random_fault_schedule
 from repro.gateway.handlers.retransmit import RetransmittingClientHandler
 from repro.rng import RNGManager
@@ -58,7 +57,6 @@ def test_randomized_fault_schedule_drains_clean(seed, fault_seed, schedule_seed)
         "c-3",
         deadline_ms=100.0,
         handler_cls=RetransmittingClientHandler,
-        retry=RetryPlan(timeout_ms=25.0, max_retries=2),
         response_timeout_factor=3.0,
     )
 

@@ -45,16 +45,7 @@ def _build():
         deadline_ms=100.0,
         response_timeout_factor=3.0,
         probe_interval_ms=50.0,
-        health_config=HealthConfig(
-            suspect_after=2,
-            quarantine_after=1,
-            recover_after=2,
-            probation_after=2,
-            backoff_initial_ms=200.0,
-            backoff_factor=2.0,
-            backoff_max_ms=1600.0,
-            unreachable_after=3,
-        ),
+        health_config=HealthConfig(backoff_initial_ms=200.0, unreachable_after=3),
     )
     stack.faults.apply(schedule)
     return stack

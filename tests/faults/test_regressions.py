@@ -15,7 +15,6 @@ Each test pins one of the lifecycle fixes:
 
 import pytest
 
-from repro.engine import RetryPlan
 from repro.faultinject import DropRule, FaultSchedule
 from repro.gateway.handlers.retransmit import RetransmittingClientHandler
 from repro.gateway.handlers.timing_fault import MSG_PROBE_REPLY
@@ -36,7 +35,8 @@ def _retrans_stack(servers=2, **client_kwargs):
 
 
 def test_alias_popped_when_copy_reply_folds_back():
-    stack, handler = _retrans_stack(retry=RetryPlan(timeout_ms=5.0, max_retries=1))
+    # Retries at 5 and 15 ms; both 12 ms replies are in by 17 ms.
+    stack, handler = _retrans_stack(deadline_ms=10.0)
     event = stack.invoke("c-1", 0)
     stack.sim.run()
     assert not event.value.timed_out
@@ -48,11 +48,7 @@ def test_alias_popped_when_copy_reply_folds_back():
 
 
 def test_alias_dropped_when_original_request_expires():
-    stack, handler = _retrans_stack(
-        deadline_ms=100.0,
-        retry=RetryPlan(timeout_ms=5.0, max_retries=2),
-        response_timeout_factor=3.0,
-    )
+    stack, handler = _retrans_stack(deadline_ms=10.0, response_timeout_factor=3.0)
     driver = stack.faults
     # Both replicas fail-stop after the first send but before any reply:
     # the retransmitted copies can never be answered.
@@ -69,7 +65,7 @@ def test_alias_dropped_when_original_request_expires():
 
 
 def test_retry_chain_is_armed_on_the_threaded_msg_id():
-    stack, handler = _retrans_stack(retry=RetryPlan(timeout_ms=20.0, max_retries=2))
+    stack, handler = _retrans_stack(deadline_ms=40.0)
     # Preferred replica goes silent (still in the view: the LAN is up, so
     # the failure detector never evicts it).
     stack.servers["s-1"].crash()

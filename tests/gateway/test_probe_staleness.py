@@ -35,9 +35,7 @@ class TestInFlightGuard:
         client = probing_client(
             stack,
             probe_staleness_ms=None,
-            health_config=HealthConfig(
-                suspect_after=2, quarantine_after=1, backoff_initial_ms=50.0
-            ),
+            health_config=HealthConfig(backoff_initial_ms=50.0),
         )
         for at in (1.0, 2.0, 3.0):
             client.health.record_fault("replica-1", at)
@@ -56,11 +54,10 @@ class TestInFlightGuard:
         stack.add_server("replica-1", service_time=Constant(10.0))
         client = probing_client(
             stack,
-            health_config=HealthConfig(
-                suspect_after=1, quarantine_after=1, backoff_initial_ms=50.0
-            ),
+            health_config=HealthConfig(backoff_initial_ms=50.0),
         )
-        client.health.record_fault("replica-1", 1.0)  # SUSPECTED: due every tick
+        for at in (1.0, 2.0):
+            client.health.record_fault("replica-1", at)  # SUSPECTED: due every tick
         assert client.health.state("replica-1") is HealthState.SUSPECTED
         client.engine.probe_tick()
         assert client.probes_sent == 1
@@ -95,9 +92,7 @@ class TestInFlightGuard:
         client = probing_client(
             stack,
             probe_staleness_ms=None,
-            health_config=HealthConfig(
-                suspect_after=2, quarantine_after=1, backoff_initial_ms=50.0
-            ),
+            health_config=HealthConfig(backoff_initial_ms=50.0),
         )
         for at in (1.0, 2.0):
             client.health.record_fault("replica-1", at)

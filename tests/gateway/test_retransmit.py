@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.engine import EngineConfig, RetryPlan
+from repro.engine import EngineConfig
+from repro.engine.engine import MAX_RETRIES
 from repro.gateway.handlers.retransmit import RetransmittingClientHandler
 from repro.sim.random import Constant
 
@@ -45,10 +46,6 @@ def _add_retry_client(stack, deadline=200.0, tracer=None, **options):
     return handler
 
 
-def _wait_ms(handler, attempt, deadline_ms):
-    return handler.engine.config.retry.wait_ms(attempt, deadline_ms)
-
-
 def test_sends_to_single_replica_after_bootstrap():
     stack = _stack_with(servers=3)
     handler = _add_retry_client(stack)
@@ -62,9 +59,7 @@ def test_sends_to_single_replica_after_bootstrap():
 
 def test_retransmits_when_replica_is_silent():
     stack = _stack_with(servers=2, service_time=Constant(10.0))
-    handler = _add_retry_client(
-        stack, deadline=400.0, retry=RetryPlan(timeout_ms=50.0)
-    )
+    handler = _add_retry_client(stack, deadline=100.0)
     # Warm up the model so routing is single-replica.
     event = stack.invoke("client-1", 0)
     stack.sim.run()
@@ -77,15 +72,13 @@ def test_retransmits_when_replica_is_silent():
     assert handler.retransmissions >= 1
     assert not outcome.timed_out
     assert outcome.replica != preferred
-    # The retry burned at least one retry timeout.
+    # The retry burned at least one retry timeout (half the deadline).
     assert outcome.response_time_ms > 50.0
 
 
 def test_gives_up_after_max_retries():
     stack = _stack_with(servers=2)
-    handler = _add_retry_client(
-        stack, deadline=100.0, retry=RetryPlan(timeout_ms=30.0, max_retries=1)
-    )
+    handler = _add_retry_client(stack, deadline=60.0)
     stack.invoke("client-1", 0)
     stack.sim.run()
     for server in stack.servers.values():
@@ -93,16 +86,14 @@ def test_gives_up_after_max_retries():
     event = stack.invoke("client-1", 1)
     stack.sim.run()
     assert event.value.timed_out
-    assert handler.retransmissions == 1  # one retry, then gave up
+    assert handler.retransmissions == MAX_RETRIES  # then gave up
 
 
 def test_duplicate_replies_after_retransmit_are_discarded():
     # Slow service + aggressive retry: the original reply and the
     # retransmitted reply both arrive; only one outcome is delivered.
     stack = _stack_with(servers=2, service_time=Constant(80.0))
-    handler = _add_retry_client(
-        stack, deadline=1000.0, retry=RetryPlan(timeout_ms=20.0)
-    )
+    handler = _add_retry_client(stack, deadline=40.0)
     stack.invoke("client-1", 0)
     stack.sim.run()
     outcomes = []
@@ -111,15 +102,6 @@ def test_duplicate_replies_after_retransmit_are_discarded():
     stack.sim.run()
     assert len(outcomes) == 1
     assert handler.retransmissions >= 1
-
-
-def test_parameter_validation():
-    stack = _stack_with()
-    with pytest.raises(ValueError):
-        _add_retry_client(stack, retry=RetryPlan(timeout_ms=0.0))
-    stack2 = _stack_with()
-    with pytest.raises(ValueError):
-        _add_retry_client(stack2, retry=RetryPlan(max_retries=-1))
 
 
 def test_rejects_custom_policy():
@@ -133,45 +115,21 @@ def test_rejects_custom_policy():
 def test_default_retry_timeout_is_half_deadline():
     stack = _stack_with()
     handler = _add_retry_client(stack, deadline=300.0)
-    assert _wait_ms(handler, 1, handler.qos.deadline_ms) == pytest.approx(150.0)
+    assert handler.engine.retry_wait_ms(1) == pytest.approx(150.0)
 
 
 def test_retry_backoff_doubles_up_to_the_cap():
     stack = _stack_with()
-    handler = _add_retry_client(
-        stack,
-        deadline=300.0,
-        retry=RetryPlan(timeout_ms=25.0, backoff_factor=2.0, timeout_cap_ms=100.0),
-    )
-    waits = [_wait_ms(handler, attempt, 300.0) for attempt in (1, 2, 3, 4)]
-    assert waits == pytest.approx([25.0, 50.0, 100.0, 100.0])
-
-
-def test_backoff_factor_one_restores_fixed_intervals():
-    stack = _stack_with()
-    handler = _add_retry_client(
-        stack, deadline=300.0, retry=RetryPlan(timeout_ms=30.0, backoff_factor=1.0)
-    )
-    assert _wait_ms(handler, 1, 300.0) == pytest.approx(30.0)
-    assert _wait_ms(handler, 7, 300.0) == pytest.approx(30.0)
+    handler = _add_retry_client(stack, deadline=400.0)
+    waits = [handler.engine.retry_wait_ms(attempt) for attempt in (1, 2, 3, 4)]
+    assert waits == pytest.approx([200.0, 400.0, 400.0, 400.0])
 
 
 def test_backoff_cap_defaults_to_the_deadline():
     stack = _stack_with()
-    handler = _add_retry_client(
-        stack, deadline=300.0, retry=RetryPlan(timeout_ms=50.0)
-    )
-    # 50 × 2^9 ≫ 300; the implicit cap is max(base, deadline) = 300.
-    assert _wait_ms(handler, 10, 300.0) == pytest.approx(300.0)
-
-
-def test_backoff_parameter_validation():
-    stack = _stack_with()
-    with pytest.raises(ValueError):
-        _add_retry_client(stack, retry=RetryPlan(backoff_factor=0.5))
-    stack2 = _stack_with()
-    with pytest.raises(ValueError):
-        _add_retry_client(stack2, retry=RetryPlan(timeout_cap_ms=0.0))
+    handler = _add_retry_client(stack, deadline=300.0)
+    # 150 × 2^9 ≫ 300: the cap is the deadline.
+    assert handler.engine.retry_wait_ms(10) == pytest.approx(300.0)
 
 
 def test_backoff_spreads_retransmissions_exponentially():
@@ -179,12 +137,7 @@ def test_backoff_spreads_retransmissions_exponentially():
 
     tracer = Tracer()
     stack = _stack_with(servers=2)
-    _add_retry_client(
-        stack,
-        deadline=1000.0,
-        retry=RetryPlan(timeout_ms=10.0, backoff_factor=2.0, max_retries=3),
-        tracer=tracer,
-    )
+    _add_retry_client(stack, deadline=80.0, tracer=tracer)
     stack.invoke("client-1", 0)
     stack.sim.run()
     for server in stack.servers.values():
@@ -197,7 +150,7 @@ def test_backoff_spreads_retransmissions_exponentially():
         for r in tracer.of_kind("client.retransmit")
         if r.time > crashed_at  # the warm-up request may retry too
     ]
-    assert len(times) == 3
-    gaps = [b - a for a, b in zip(times, times[1:])]
-    # Waits of 10, 20, 40 ms -> successive gaps double.
-    assert gaps == pytest.approx([20.0, 40.0])
+    assert len(times) == MAX_RETRIES
+    # Waits of 40 then 80 ms: the second retransmission waits twice as long.
+    assert times[0] - crashed_at == pytest.approx(40.0)
+    assert times[1] - times[0] == pytest.approx(80.0)

@@ -188,18 +188,16 @@ def test_constructor_validation(stack):
     with pytest.raises(ValueError):
         stack.add_client("client-y", deadline_ms=100.0, selection_charge_ms=-1.0)
     # Accepted silently before EngineConfig: a listener nothing would call,
-    # a grid the factory ignores, a negative grid the factory hides.
+    # a factory building on another grid than the client's.
     with pytest.raises(ValueError, match="health_listener"):
         stack.add_client("client-z", health_listener=lambda event: None)
-    for width in (0.25, -1.0):
-        with pytest.raises(ValueError, match="bin_width_ms"):
-            stack.add_client(
-                f"client-{width}",
-                bin_width_ms=width,
-                estimator_factory=lambda repo: QueueScaledEstimator(
-                    repo, bin_width_ms=1.0
-                ),
-            )
+    with pytest.raises(ValueError, match="client grid"):
+        stack.add_client(
+            "client-w",
+            estimator_factory=lambda repo: QueueScaledEstimator(
+                repo, bin_width_ms=0.25
+            ),
+        )
     with pytest.raises(TypeError, match="window_sise"):
         stack.add_client("client-v", window_sise=3)
 

@@ -44,14 +44,7 @@ def run_scenario(with_health: bool):
         policy=DynamicSelectionPolicy(crash_tolerance=0),
     )
     if with_health:
-        kwargs["health_config"] = HealthConfig(
-            suspect_after=2,
-            quarantine_after=1,
-            probation_after=2,
-            backoff_initial_ms=400.0,
-            backoff_factor=2.0,
-            backoff_max_ms=3200.0,
-        )
+        kwargs["health_config"] = HealthConfig(backoff_initial_ms=400.0)
         kwargs["probe_interval_ms"] = 200.0
     client = stack.add_client("c-1", **kwargs)
     stack.faults.apply(schedule)

@@ -1,41 +1,39 @@
-"""Selection-layer health integration: quarantine exclusion, trust
-discounts, and the graceful-degradation ladder (stale-model fallback)."""
+"""Selection-layer health integration: quarantine exclusion and trust
+discounts."""
 
 import numpy as np
 import pytest
 
-from repro.core.baselines import StaticMinResponsePolicy
 from repro.core.estimator import ResponseTimeEstimator
 from repro.core.qos import QoSSpec
 from repro.core.repository import InformationRepository
 from repro.core.selection import DynamicSelectionPolicy, SelectionContext
 from repro.health import HealthConfig, HealthMonitor, HealthState
+from repro.health.state import SUSPECTED_DISCOUNT
 
 
-def loaded_repo(means, now_ms=0.0):
+def loaded_repo(means):
     repo = InformationRepository(window_size=5)
     for name, mean in means.items():
         for _ in range(5):
-            repo.record_performance(name, mean, 0.0, 0, now_ms=now_ms)
-        repo.record_gateway_delay(name, 3.0, now_ms=now_ms)
+            repo.record_performance(name, mean, 0.0, 0, now_ms=0.0)
+        repo.record_gateway_delay(name, 3.0, now_ms=0.0)
     return repo
 
 
-def context(repo, health=None, deadline=120.0, min_probability=0.9, now_ms=0.0):
+def context(repo, health=None, deadline=120.0, min_probability=0.9):
     return SelectionContext(
         replicas=repo.replicas(),
         estimator=ResponseTimeEstimator(repo),
         qos=QoSSpec("svc", deadline, min_probability),
-        now_ms=now_ms,
+        now_ms=0.0,
         rng=np.random.default_rng(0),
         health=health,
     )
 
 
-def monitor_for(repo, **overrides) -> HealthMonitor:
-    defaults = dict(suspect_after=2, quarantine_after=1, backoff_initial_ms=50.0)
-    defaults.update(overrides)
-    monitor = HealthMonitor(HealthConfig(**defaults))
+def monitor_for(repo) -> HealthMonitor:
+    monitor = HealthMonitor(HealthConfig(backoff_initial_ms=50.0))
     monitor.sync_members(repo.replicas(), now_ms=0.0)
     return monitor
 
@@ -85,76 +83,28 @@ class TestQuarantineExclusion:
 class TestTrustDiscount:
     def test_suspected_replica_probability_is_discounted(self):
         # r1 and r2 are identical; suspecting r1 must scale its F by the
-        # configured discount, visible in the decision's probabilities.
+        # suspicion discount, visible in the decision's probabilities.
         repo = loaded_repo({"r1": 50.0, "r2": 50.0})
-        monitor = monitor_for(repo, suspected_discount=0.5)
+        monitor = monitor_for(repo)
         monitor.record_fault("r1", 1.0)
         monitor.record_fault("r1", 2.0)
         assert monitor.state("r1") is HealthState.SUSPECTED
         decision = DynamicSelectionPolicy().decide(context(repo, monitor))
         probabilities = decision.meta["probabilities"]
-        assert probabilities["r1"] == pytest.approx(0.5 * probabilities["r2"])
+        assert probabilities["r1"] == pytest.approx(
+            SUSPECTED_DISCOUNT * probabilities["r2"]
+        )
 
     def test_discount_changes_the_pick_between_equals(self):
         repo = loaded_repo({"r1": 50.0, "r2": 50.0, "r3": 50.0})
-        monitor = monitor_for(repo, suspected_discount=0.1)
+        monitor = monitor_for(repo)
         monitor.record_fault("r1", 1.0)
         monitor.record_fault("r1", 2.0)
         decision = DynamicSelectionPolicy(crash_tolerance=0).decide(
             context(repo, monitor, min_probability=0.9)
         )
-        # All three meet the deadline with F=1 when healthy; a heavily
-        # discounted r1 must rank behind the two full-trust replicas.
+        # All three meet the deadline with F=1 when healthy; a discounted
+        # r1 must rank behind the two full-trust replicas.
         assert decision.selected[0] in {"r2", "r3"}
         assert "r1" not in decision.selected[:2]
 
-
-class TestStaleModelLadder:
-    def test_all_stale_delegates_to_static_min_response(self):
-        repo = loaded_repo(
-            {"r1": 100.0, "r2": 50.0, "r3": 80.0}, now_ms=0.0
-        )
-        policy = DynamicSelectionPolicy(stale_after_ms=500.0)
-        decision = policy.decide(context(repo, now_ms=2000.0))
-        assert decision.meta["degraded"] == "stale-model"
-        assert decision.meta["policy"] == "static-min-response"
-        # StaticMinResponsePolicy ranks by T_i + min service time.
-        assert decision.selected == ("r2", "r3")
-
-    def test_one_fresh_record_keeps_the_model(self):
-        repo = loaded_repo({"r1": 100.0, "r2": 50.0}, now_ms=0.0)
-        repo.record_gateway_delay("r1", 3.0, now_ms=1900.0)
-        policy = DynamicSelectionPolicy(stale_after_ms=500.0)
-        decision = policy.decide(context(repo, now_ms=2000.0))
-        assert "degraded" not in decision.meta
-
-    def test_ladder_disabled_by_default(self):
-        repo = loaded_repo({"r1": 100.0, "r2": 50.0}, now_ms=0.0)
-        decision = DynamicSelectionPolicy().decide(
-            context(repo, now_ms=1_000_000.0)
-        )
-        assert "degraded" not in decision.meta
-
-    def test_custom_fallback_policy_is_honored(self):
-        class PickFirst(StaticMinResponsePolicy):
-            name = "pick-first"
-
-        repo = loaded_repo({"r1": 100.0, "r2": 50.0}, now_ms=0.0)
-        policy = DynamicSelectionPolicy(
-            stale_after_ms=500.0, stale_fallback=PickFirst(redundancy=1)
-        )
-        decision = policy.decide(context(repo, now_ms=2000.0))
-        assert decision.selected == ("r2",)
-
-    def test_stale_ladder_still_excludes_quarantined(self):
-        repo = loaded_repo({"r1": 100.0, "r2": 50.0, "r3": 80.0}, now_ms=0.0)
-        monitor = monitor_for(repo)
-        quarantine(monitor, "r2")
-        policy = DynamicSelectionPolicy(stale_after_ms=500.0)
-        decision = policy.decide(context(repo, monitor, now_ms=2000.0))
-        assert decision.meta["degraded"] == "stale-model"
-        assert "r2" not in decision.selected
-
-    def test_invalid_stale_after_rejected(self):
-        with pytest.raises(ValueError):
-            DynamicSelectionPolicy(stale_after_ms=0.0)

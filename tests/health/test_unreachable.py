@@ -14,19 +14,11 @@ from repro.health import HealthConfig, HealthMonitor, HealthState
 
 
 def make_monitor(**overrides) -> HealthMonitor:
-    # suspect_after is deliberately high: anything that quarantines in
-    # fewer than five faults below did so via the unreachable fast path,
-    # not the ordinary suspicion ladder.
-    defaults = dict(
-        suspect_after=5,
-        quarantine_after=2,
-        recover_after=2,
-        probation_after=2,
-        backoff_initial_ms=100.0,
-        backoff_factor=2.0,
-        backoff_max_ms=800.0,
-        unreachable_after=3,
-    )
+    # The threshold is deliberately below the ladder's three faults
+    # (SUSPECT_AFTER + QUARANTINE_AFTER): anything that quarantines on two
+    # faults below did so via the unreachable fast path, not the ordinary
+    # suspicion ladder.
+    defaults = dict(backoff_initial_ms=100.0, unreachable_after=2)
     defaults.update(overrides)
     monitor = HealthMonitor(HealthConfig(**defaults))
     monitor.sync_members(["r-1", "r-2"], now_ms=0.0)
@@ -46,20 +38,19 @@ class TestFastPath:
     def test_omission_streak_quarantines_before_the_ladder(self):
         monitor = make_monitor()
         monitor.record_fault("r-1", 10.0, kind="omission")
-        monitor.record_fault("r-1", 20.0, kind="omission")
         assert monitor.state("r-1") is HealthState.HEALTHY
-        monitor.record_fault("r-1", 30.0, kind="omission")
+        monitor.record_fault("r-1", 20.0, kind="omission")
         assert monitor.state("r-1") is HealthState.QUARANTINED
         assert monitor.events[-1].reason == "unreachable"
-        # Three faults < suspect_after: the ladder alone could not have
-        # quarantined yet — this really was the fast path.
-        assert monitor.record_for("r-1").consecutive_faults == 3
+        # Two faults, and straight from HEALTHY: the ladder alone could not
+        # have quarantined yet — this really was the fast path.
+        assert [e.new_state for e in monitor.events] == [HealthState.QUARANTINED]
+        assert monitor.record_for("r-1").consecutive_faults == 2
 
     def test_probe_failures_count_toward_the_streak(self):
         monitor = make_monitor()
         monitor.record_fault("r-1", 10.0, kind="omission")
         monitor.record_fault("r-1", 20.0, kind="probe-failure")
-        monitor.record_fault("r-1", 30.0, kind="omission")
         assert monitor.state("r-1") is HealthState.QUARANTINED
         assert monitor.events[-1].reason == "unreachable"
 
@@ -85,34 +76,30 @@ class TestContactResetsTheStreak:
     def test_a_late_reply_interrupts_the_streak(self):
         monitor = make_monitor()
         monitor.record_fault("r-1", 10.0, kind="omission")
-        monitor.record_fault("r-1", 20.0, kind="omission")
-        monitor.record_fault("r-1", 30.0, kind="timing")  # contact!
-        monitor.record_fault("r-1", 40.0, kind="omission")
-        monitor.record_fault("r-1", 50.0, kind="omission")
-        # Five faults, but never three *consecutive* omissions: the fast
+        monitor.record_fault("r-1", 20.0, kind="timing")  # contact!
+        monitor.record_fault("r-1", 30.0, kind="omission")
+        # Three faults, but never two *consecutive* omissions: the fast
         # path must not fire (the ladder quarantines on its own terms).
-        assert monitor.state("r-1") is HealthState.SUSPECTED
-        assert all(e.reason != "unreachable" for e in monitor.events)
+        assert monitor.state("r-1") is HealthState.QUARANTINED
+        assert [e.reason for e in monitor.events] == ["timing", "omission"]
 
     def test_a_grey_replica_answering_probes_is_never_unreachable(self):
         # The grey-failure signature: data omissions pile up while the
-        # (exempted) probes keep getting answered.
-        monitor = make_monitor(suspect_after=50)
+        # (exempted) probes keep getting answered.  The ladder may act on
+        # the faults; the fast path never does.
+        monitor = make_monitor()
         for t in range(10):
             monitor.record_fault("r-1", float(2 * t), kind="omission")
-            monitor.record_fault("r-1", float(2 * t) + 0.5, kind="omission")
             monitor.record_probe_success("r-1", float(2 * t) + 1.0)
-        assert monitor.state("r-1") is HealthState.HEALTHY
+        assert all(e.reason != "unreachable" for e in monitor.events)
         assert monitor.record_for("r-1").consecutive_omissions == 0
 
     def test_a_timely_reply_resets_the_streak(self):
         monitor = make_monitor()
         monitor.record_fault("r-1", 10.0, kind="omission")
-        monitor.record_fault("r-1", 20.0, kind="omission")
-        monitor.record_success("r-1", 30.0)
-        monitor.record_fault("r-1", 40.0, kind="omission")
-        monitor.record_fault("r-1", 50.0, kind="omission")
-        assert monitor.state("r-1") is not HealthState.QUARANTINED
+        monitor.record_success("r-1", 20.0)
+        monitor.record_fault("r-1", 30.0, kind="omission")
+        assert monitor.state("r-1") is HealthState.HEALTHY
 
 
 class TestReadmission:
@@ -122,7 +109,7 @@ class TestReadmission:
         # identical to any other quarantine, so re-admission probing
         # needs no special casing for partitions.
         monitor = make_monitor()
-        for t in (10.0, 20.0, 30.0):
+        for t in (10.0, 20.0):
             monitor.record_fault("r-1", t, kind="omission")
         assert monitor.is_quarantined("r-1")
         monitor.record_probe_success("r-1", 100.0)

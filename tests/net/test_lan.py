@@ -119,7 +119,7 @@ class TestDelays:
             assert lan.one_way_delay("a", "b") >= 0.0
 
     def test_bursty_jitter_produces_occasional_large_delays(self, streams):
-        profile = LinkProfile(jitter=bursty_jitter(p_enter_burst=0.05))
+        profile = LinkProfile(jitter=bursty_jitter())
         lan = LanModel(streams, default_profile=profile)
         lan.add_host("a")
         lan.add_host("b")

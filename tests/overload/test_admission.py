@@ -1,21 +1,13 @@
 """Unit tests for the admission controller (repro.overload.admission)."""
 
-import pytest
-
-from repro.overload import AdmissionConfig, AdmissionController
+from repro.overload import AdmissionController
+from repro.overload.admission import FLOOR_PROBABILITY, SHED_LOAD
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        AdmissionConfig(floor_probability=1.5)
-    with pytest.raises(ValueError):
-        AdmissionConfig(floor_probability=-0.1)
-    with pytest.raises(ValueError):
-        AdmissionConfig(engage_load=-1.0)
-    with pytest.raises(ValueError):
-        # Hedges must be cut before fresh work is rejected.
-        AdmissionConfig(engage_load=0.5, hedge_suppress_load=0.9)
-    AdmissionConfig(engage_load=0.5, hedge_suppress_load=0.5)
+    # The constants the controller sheds on are a probability and a load.
+    assert 0.0 <= FLOOR_PROBABILITY <= 1.0
+    assert SHED_LOAD >= 0.0
 
 
 def test_best_probability_reads_the_decision_annotations():
@@ -27,44 +19,25 @@ def test_best_probability_reads_the_decision_annotations():
 
 
 def test_admits_everything_below_the_engage_load():
-    controller = AdmissionController(
-        AdmissionConfig(floor_probability=0.9, engage_load=1.0,
-                        hedge_suppress_load=0.8)
-    )
+    controller = AdmissionController()
     meta = {"probabilities": {"s-1": 0.01}}  # hopeless, but not engaged
-    assert controller.should_shed(meta, load=0.99) is False
+    assert controller.should_shed(meta, load=SHED_LOAD - 0.01) is False
     assert controller.admitted == 1
     assert controller.sheds == 0
 
 
 def test_sheds_hopeless_requests_once_engaged():
-    controller = AdmissionController(
-        AdmissionConfig(floor_probability=0.5, engage_load=1.0,
-                        hedge_suppress_load=0.8)
-    )
-    doomed = {"probabilities": {"s-1": 0.1, "s-2": 0.4}}
-    viable = {"probabilities": {"s-1": 0.1, "s-2": 0.6}}
-    assert controller.should_shed(doomed, load=1.0) is True
-    assert controller.should_shed(viable, load=1.0) is False
+    controller = AdmissionController()
+    doomed = {"probabilities": {"s-1": 0.1, "s-2": FLOOR_PROBABILITY - 0.1}}
+    viable = {"probabilities": {"s-1": 0.1, "s-2": FLOOR_PROBABILITY + 0.1}}
+    assert controller.should_shed(doomed, load=SHED_LOAD) is True
+    assert controller.should_shed(viable, load=SHED_LOAD) is False
     assert (controller.admitted, controller.sheds) == (1, 1)
 
 
 def test_modelless_decisions_are_always_admitted():
-    controller = AdmissionController(
-        AdmissionConfig(floor_probability=0.99, engage_load=0.0,
-                        hedge_suppress_load=0.0)
-    )
-    # Bootstrap / static-fallback decisions carry no probabilities:
-    # without evidence of hopelessness, shedding would be guessing.
+    controller = AdmissionController()
+    # Bootstrap decisions carry no probabilities: without evidence of
+    # hopelessness, shedding would be guessing.
     assert controller.should_shed({"bootstrap": True}, load=10.0) is False
     assert controller.admitted == 1
-
-
-def test_hedge_suppression_engages_below_the_shed_threshold():
-    controller = AdmissionController(
-        AdmissionConfig(floor_probability=0.5, engage_load=1.0,
-                        hedge_suppress_load=0.8)
-    )
-    assert controller.suppress_hedging(0.7) is False
-    assert controller.suppress_hedging(0.8) is True
-    assert controller.hedges_suppressed == 1

@@ -1,7 +1,6 @@
 """Unit tests for the redundancy governor (repro.overload.governor)."""
 
 import numpy as np
-import pytest
 
 from repro.core.qos import QoSSpec
 from repro.core.selection import (
@@ -10,7 +9,8 @@ from repro.core.selection import (
     SelectionDecision,
     SelectionPolicy,
 )
-from repro.overload import GovernorConfig, GovernedSelectionPolicy, LoadTracker
+from repro.overload import GovernedSelectionPolicy, LoadTracker
+from repro.overload.governor import ENGAGE_LOAD, SATURATE_LOAD
 
 REPLICAS = [f"s-{i + 1}" for i in range(5)]
 
@@ -67,26 +67,19 @@ def make_ctx(probabilities, min_probability=0.9, max_redundancy=None,
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        GovernorConfig(engage_load=-0.1)
-    with pytest.raises(ValueError):
-        GovernorConfig(engage_load=1.0, saturate_load=1.0)
-    with pytest.raises(ValueError):
-        GovernorConfig(min_redundancy=0)
+    # The ladder has a linear stretch between two non-negative loads.
+    assert 0.0 <= ENGAGE_LOAD < SATURATE_LOAD
 
 
 def test_cap_ladder_endpoints_and_interpolation():
-    policy = GovernedSelectionPolicy(
-        RecordingPolicy(REPLICAS),
-        StubTracker(),
-        GovernorConfig(engage_load=0.5, saturate_load=1.5),
-    )
+    policy = GovernedSelectionPolicy(RecordingPolicy(REPLICAS), StubTracker())
+    midpoint = (ENGAGE_LOAD + SATURATE_LOAD) / 2
     assert policy.floor_redundancy() == 2  # crash_tolerance + 1
     assert policy.cap_for(0.0, 5) == 5  # idle: full hedging
-    assert policy.cap_for(0.5, 5) == 5  # at engage: still uncapped
-    assert policy.cap_for(1.5, 5) == 2  # at saturate: the floor
+    assert policy.cap_for(ENGAGE_LOAD, 5) == 5  # at engage: still uncapped
+    assert policy.cap_for(SATURATE_LOAD, 5) == 2  # at saturate: the floor
     assert policy.cap_for(9.9, 5) == 2  # beyond: never below the floor
-    assert policy.cap_for(1.0, 5) == 4  # midpoint: ceil(0.5 * 3) above floor
+    assert policy.cap_for(midpoint, 5) == 4  # ceil(0.5 * 3) above the floor
     # Monotone non-increasing along the ladder.
     caps = [policy.cap_for(load, 5) for load in np.linspace(0.0, 2.0, 41)]
     assert all(a >= b for a, b in zip(caps, caps[1:]))
@@ -95,21 +88,9 @@ def test_cap_ladder_endpoints_and_interpolation():
     assert policy.cap_for(0.0, 0) == 0
 
 
-def test_min_redundancy_overrides_the_derived_floor():
-    policy = GovernedSelectionPolicy(
-        RecordingPolicy(REPLICAS),
-        StubTracker(),
-        GovernorConfig(min_redundancy=3),
-    )
-    assert policy.floor_redundancy() == 3
-    assert policy.cap_for(99.0, 5) == 3
-
-
 def test_inert_governor_passes_the_context_through_untouched():
     inner = RecordingPolicy(REPLICAS)
-    policy = GovernedSelectionPolicy(
-        inner, StubTracker(load=0.0), GovernorConfig()
-    )
+    policy = GovernedSelectionPolicy(inner, StubTracker(load=0.0))
     ctx = make_ctx({name: 0.9 for name in REPLICAS})
     decision = policy.decide(ctx)
     # The very same object: zero-load decisions are bit-for-bit the
@@ -122,11 +103,7 @@ def test_inert_governor_passes_the_context_through_untouched():
 
 def test_engaged_governor_caps_via_the_context_and_trims_blind_policies():
     inner = RecordingPolicy(REPLICAS)  # ignores max_redundancy entirely
-    policy = GovernedSelectionPolicy(
-        inner,
-        StubTracker(load=5.0),
-        GovernorConfig(engage_load=0.5, saturate_load=1.5),
-    )
+    policy = GovernedSelectionPolicy(inner, StubTracker(load=5.0))
     decision = policy.decide(make_ctx({name: 0.9 for name in REPLICAS}))
     assert inner.contexts[0].max_redundancy == 2
     assert decision.selected == tuple(REPLICAS[:2])  # post-hoc trim
@@ -170,7 +147,6 @@ def test_governed_dynamic_selection_stays_capped_under_load():
     policy = GovernedSelectionPolicy(
         DynamicSelectionPolicy(crash_tolerance=1, compensate_overhead=False),
         tracker,
-        GovernorConfig(engage_load=0.5, saturate_load=1.5),
     )
     # Hopeless probabilities would make ungoverned Algorithm 1 fall back
     # to selecting all five replicas; the governor holds it at the floor.

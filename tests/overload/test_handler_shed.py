@@ -6,13 +6,6 @@ record exists, and the response-time statistics stay untouched — load
 control is not a timing fault.
 """
 
-from repro.engine import RetryPlan
-from repro.gateway.handlers.retransmit import RetransmittingClientHandler
-from repro.overload import (
-    AdmissionConfig,
-    LoadConfig,
-    OverloadConfig,
-)
 from repro.sim.random import Constant
 
 from ..faults.conftest import FaultStack
@@ -20,15 +13,10 @@ from ..faults.conftest import FaultStack
 REPLICAS = ["s-1", "s-2", "s-3"]
 
 
-def shed_everything_config() -> OverloadConfig:
-    """Always engaged, impossible floor: every modeled request sheds."""
-    return OverloadConfig(
-        load=LoadConfig(target_queue_depth=1.0, ewma_alpha=1.0),
-        governor=None,
-        admission=AdmissionConfig(
-            floor_probability=0.99, engage_load=0.0, hedge_suppress_load=0.0
-        ),
-    )
+def saturate(stack: FaultStack) -> None:
+    """Every replica probes at a queue of 9: the load index passes the shed load."""
+    for host in REPLICAS:
+        stack.clients["c-1"].load_tracker.observe_probe(host, 9, stack.sim.now)
 
 
 def make_stack(**client_kwargs) -> FaultStack:
@@ -45,7 +33,7 @@ def make_stack(**client_kwargs) -> FaultStack:
 
 
 def test_shed_outcome_is_failfast_and_audited():
-    stack = make_stack(overload_config=shed_everything_config())
+    stack = make_stack(overload_config=True)
     handler = stack.clients["c-1"]
 
     # Request 1 bootstraps (no model yet -> always admitted) and seeds
@@ -53,6 +41,7 @@ def test_shed_outcome_is_failfast_and_audited():
     first = stack.invoke("c-1", 1)
     stack.sim.run()
     assert first.value.shed is False
+    saturate(stack)
 
     second = stack.invoke("c-1", 2)
     stack.sim.run()
@@ -85,9 +74,7 @@ def test_shed_outcome_is_failfast_and_audited():
 
 
 def test_without_admission_nothing_sheds():
-    stack = make_stack(
-        overload_config=OverloadConfig(governor=None, admission=None)
-    )
+    stack = make_stack(overload_config=False)
     for i in range(3):
         stack.invoke("c-1", i)
         stack.sim.run()
@@ -98,9 +85,10 @@ def test_without_admission_nothing_sheds():
 def test_auditor_flags_contradictory_shed_outcomes():
     from repro.faultinject.auditor import LifecycleAuditor
 
-    stack = make_stack(overload_config=shed_everything_config())
+    stack = make_stack(overload_config=True)
     stack.invoke("c-1", 1)
     stack.sim.run()  # request 1 seeds the model...
+    saturate(stack)
     stack.invoke("c-1", 2)
     stack.sim.run()  # ...so request 2 is shed
     auditor: LifecycleAuditor = stack.auditor
@@ -123,36 +111,3 @@ def test_auditor_flags_contradictory_shed_outcomes():
     report = auditor.audit()
     assert any("shed AND reply" in v for v in report.violations)
 
-
-def test_hedged_retransmissions_are_suppressed_first():
-    def build(config):
-        stack = FaultStack(seed=2)
-        for host in REPLICAS:
-            stack.add_server(host, service_time=Constant(30.0))
-        stack.add_client(
-            "c-1",
-            deadline_ms=100.0,
-            handler_cls=RetransmittingClientHandler,
-            retry=RetryPlan(timeout_ms=5.0, max_retries=2),
-            response_timeout_factor=3.0,
-            overload_config=config,
-        )
-        for i in range(4):
-            stack.invoke("c-1", i)
-            stack.sim.run()
-        stack.auditor.assert_clean()
-        return stack.clients["c-1"]
-
-    # Floor 0.0 never sheds; hedge_suppress_load 0.0 always suppresses.
-    suppressing = OverloadConfig(
-        governor=None,
-        admission=AdmissionConfig(
-            floor_probability=0.0, engage_load=0.0, hedge_suppress_load=0.0
-        ),
-    )
-    baseline = build(None)
-    governed = build(suppressing)
-    assert baseline.retransmissions > 0  # 30 ms service vs 5 ms retry
-    assert governed.retransmissions == 0
-    assert governed.admission.hedges_suppressed > 0
-    assert governed.sheds == 0

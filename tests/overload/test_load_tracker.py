@@ -2,19 +2,14 @@
 
 import pytest
 
-from repro.overload import LoadConfig, LoadTracker
+from repro.overload import LoadTracker
+from repro.overload.load import EWMA_ALPHA, TARGET_QUEUE_DEPTH
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        LoadConfig(target_queue_depth=0.0)
-    with pytest.raises(ValueError):
-        LoadConfig(ewma_alpha=0.0)
-    with pytest.raises(ValueError):
-        LoadConfig(ewma_alpha=1.5)
-    with pytest.raises(ValueError):
-        LoadConfig(inflight_weight=-0.1)
-    LoadConfig(ewma_alpha=1.0)  # no smoothing is a legal edge
+    # A positive saturation depth and an EWMA weight in (0, 1].
+    assert TARGET_QUEUE_DEPTH > 0
+    assert 0.0 < EWMA_ALPHA <= 1.0
 
 
 def test_unseen_replica_and_empty_pool_read_idle():
@@ -27,51 +22,52 @@ def test_unseen_replica_and_empty_pool_read_idle():
 
 
 def test_reply_folds_ewma_of_the_implied_depth():
-    tracker = LoadTracker(LoadConfig(target_queue_depth=4.0, ewma_alpha=0.5))
-    tracker.observe_reply("s-1", queue_length=4, now_ms=1.0)
-    assert tracker.replica_load("s-1") == pytest.approx(1.0)
+    tracker = LoadTracker()
+    tracker.observe_reply("s-1", queue_length=6, now_ms=1.0)
+    assert tracker.replica_load("s-1") == pytest.approx(6 / TARGET_QUEUE_DEPTH)
     tracker.observe_reply("s-1", queue_length=0, now_ms=2.0)
-    # EWMA: 0.5 * 0 + 0.5 * 4 = 2 -> 2 / 4 = 0.5
-    assert tracker.replica_load("s-1") == pytest.approx(0.5)
+    # EWMA: alpha * 0 + (1 - alpha) * 6, over the target depth.
+    assert tracker.replica_load("s-1") == pytest.approx(
+        (1 - EWMA_ALPHA) * 6 / TARGET_QUEUE_DEPTH
+    )
     assert tracker.observations == 2
 
 
 def test_implied_depth_is_max_of_queue_length_and_tq_over_ts():
-    tracker = LoadTracker(LoadConfig(target_queue_depth=2.0, ewma_alpha=1.0))
+    tracker = LoadTracker()
     # Queue reads short but the request waited 6 service times: load.
     tracker.observe_reply(
         "s-1", queue_length=1, queue_delay_ms=30.0, service_time_ms=5.0
     )
-    assert tracker.replica_load("s-1") == pytest.approx(6.0 / 2.0)
+    assert tracker.replica_load("s-1") == pytest.approx(6.0 / TARGET_QUEUE_DEPTH)
     # Unknown service time falls back to the queue length alone.
     tracker.observe_reply(
         "s-2", queue_length=3, queue_delay_ms=30.0, service_time_ms=0.0
     )
-    assert tracker.replica_load("s-2") == pytest.approx(3.0 / 2.0)
+    assert tracker.replica_load("s-2") == pytest.approx(3.0 / TARGET_QUEUE_DEPTH)
 
 
 def test_probe_observation_feeds_the_same_index():
-    tracker = LoadTracker(LoadConfig(target_queue_depth=4.0, ewma_alpha=1.0))
+    tracker = LoadTracker()
     tracker.observe_probe("s-1", queue_length=8, now_ms=10.0)
-    assert tracker.replica_load("s-1") == pytest.approx(2.0)
+    assert tracker.replica_load("s-1") == pytest.approx(8 / TARGET_QUEUE_DEPTH)
 
 
 def test_system_load_averages_over_the_given_pool():
-    tracker = LoadTracker(LoadConfig(target_queue_depth=4.0, ewma_alpha=1.0))
-    tracker.observe_reply("s-1", queue_length=4)
+    tracker = LoadTracker()
+    tracker.observe_reply("s-1", queue_length=6)
     tracker.observe_reply("s-2", queue_length=0)
-    assert tracker.system_load(["s-1", "s-2"]) == pytest.approx(0.5)
+    busy = 6 / TARGET_QUEUE_DEPTH
+    assert tracker.system_load(["s-1", "s-2"]) == pytest.approx(busy / 2)
     # An idle third replica dilutes the mean.
-    assert tracker.system_load(["s-1", "s-2", "s-3"]) == pytest.approx(1 / 3)
+    assert tracker.system_load(["s-1", "s-2", "s-3"]) == pytest.approx(busy / 3)
 
 
 def test_inflight_component_and_quarantine_concentration():
-    calls = {"n": 8}
-    tracker = LoadTracker(
-        LoadConfig(target_queue_depth=4.0, ewma_alpha=1.0, inflight_weight=1.0),
-        inflight_provider=lambda: calls["n"],
-    )
-    # 8 copies over 2 replicas x depth 4 = a full target's worth of work.
+    full = int(2 * TARGET_QUEUE_DEPTH)
+    calls = {"n": full}
+    tracker = LoadTracker(inflight_provider=lambda: calls["n"])
+    # 2 replicas x the target depth in flight = a full target's worth.
     assert tracker.system_load(["s-1", "s-2"]) == pytest.approx(1.0)
     # The same in-flight work over a *shrunken* active set (quarantine)
     # reads as higher load — the governor tightens, not re-amplifies.
@@ -80,15 +76,8 @@ def test_inflight_component_and_quarantine_concentration():
     assert tracker.system_load(["s-1", "s-2"]) == 0.0
 
 
-def test_inflight_weight_zero_ignores_inflight():
-    tracker = LoadTracker(
-        LoadConfig(inflight_weight=0.0), inflight_provider=lambda: 100
-    )
-    assert tracker.system_load(["s-1"]) == 0.0
-
-
 def test_sync_members_drops_departed_state():
-    tracker = LoadTracker(LoadConfig(ewma_alpha=1.0))
+    tracker = LoadTracker()
     tracker.observe_reply("s-1", queue_length=4)
     tracker.observe_reply("s-2", queue_length=4)
     tracker.sync_members(["s-2"])

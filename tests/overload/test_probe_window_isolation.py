@@ -80,8 +80,6 @@ def test_probe_burst_leaves_window_pmfs_bit_identical():
 
 
 def test_probe_replies_do_refresh_queue_length_and_load_index():
-    from repro.overload import OverloadConfig
-
     stack = FaultStack(seed=3)
     for host in REPLICAS:
         stack.add_server(host, service_time=Constant(8.0))
@@ -91,7 +89,7 @@ def test_probe_replies_do_refresh_queue_length_and_load_index():
         response_timeout_factor=3.0,
         probe_staleness_ms=30.0,
         probe_interval_ms=10.0,
-        overload_config=OverloadConfig(governor=None, admission=None),
+        overload_config=True,
     )
     handler = stack.clients["c-1"]
     stack.invoke("c-1", 1)

@@ -21,7 +21,7 @@ from repro.core.selection import (
     SelectionContext,
     select_replicas,
 )
-from repro.overload import GovernorConfig, GovernedSelectionPolicy
+from repro.overload import GovernedSelectionPolicy
 
 probabilities = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
@@ -56,7 +56,6 @@ def governed(probs, load, crash_tolerance=1):
             crash_tolerance=crash_tolerance, compensate_overhead=False
         ),
         StubTracker(load),
-        GovernorConfig(engage_load=0.5, saturate_load=1.5),
     )
     return policy, table
 

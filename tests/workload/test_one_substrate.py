@@ -72,7 +72,6 @@ def _through_scenario(seed: int, crash: Crash) -> dict:
             seed=seed,
             num_replicas=HOSTS,
             service_distribution_factory=lambda host: Constant(10.0),
-            selection_charge_ms=0.0,
             fd_poll_interval_ms=10.0,
         )
     )
@@ -83,6 +82,7 @@ def _through_scenario(seed: int, crash: Crash) -> dict:
         policy=_policy(),
         num_requests=REQUESTS,
         think_time=Constant(50.0),
+        handler_kwargs={"selection_charge_ms": 0.0},  # MiniStack's free selection
     )
     if crash is not None:
         scenario.schedule_crash(*crash)
