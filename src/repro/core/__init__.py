@@ -20,7 +20,7 @@ from .baselines import (
     RoundRobinPolicy,
     SingleFastestPolicy,
 )
-from .distribution import DiscretePMF, quantize
+from .distribution import DiscretePMF
 from .estimator import QueueScaledEstimator, ResponseTimeEstimator
 from .model import (
     min_replicas_needed,
@@ -44,7 +44,6 @@ from .selection import (
 
 __all__ = [
     "DiscretePMF",
-    "quantize",
     "InformationRepository",
     "ReplicaRecord",
     "SlidingWindow",

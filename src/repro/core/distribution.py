@@ -18,10 +18,11 @@ docs/PERFORMANCE.md):
 * :class:`SampleCounts` maintains the bin counts of a stream under
   single-sample add/evict, so a sliding window that replaces one sample
   costs two dict updates instead of an ``O(l)`` recount.
-* All float tolerances (quantization rounding, CDF dust absorption,
-  convolution key aggregation) are derived from the grid resolution
-  instead of being hard-coded, so microsecond- and nanosecond-scale bins
-  behave exactly like millisecond ones.
+* There is one grid, :data:`BIN_WIDTH_MS`, and one tolerance: atoms are
+  rounded to :data:`_KEY_DECIMALS` decimals and ``F(t)`` absorbs
+  :data:`CDF_TOLERANCE` of float dust.  A pmf counted on the lattice is
+  tagged as such; two tagged pmfs convolve on the dense lattice, every
+  other pair on the exact pairwise path.
 """
 
 from __future__ import annotations
@@ -33,54 +34,29 @@ import numpy as np
 import numpy.typing as npt
 
 __all__ = [
-    "BinWidthMismatchError",
+    "BIN_WIDTH_MS",
+    "CDF_TOLERANCE",
     "DiscretePMF",
     "SampleCounts",
     "batch_convolve",
-    "quantize",
 ]
 
-# Sums of bin-aligned values accumulate float dust; keys are rounded when
-# aggregating convolution results.  Nine decimals is the paper-era default
-# for millisecond-scale grids; finer grids get more decimals via
-# :func:`_grid_decimals` so sub-1e-8 bins are not flattened to zero.
+#: Quantization grid of every window pmf, ms.
+BIN_WIDTH_MS = 1.0
+
+# Sums of bin-aligned values accumulate float dust; atoms are rounded to
+# this many decimals whenever they are computed.
 _KEY_DECIMALS = 9
+
+#: Absolute tolerance with which ``F(t)`` counts an atom at ``t``.  The
+#: public constructor keeps atoms more than twice it apart, so it can
+#: never conflate two neighbours.
+CDF_TOLERANCE = 1e-9
 
 # Dense-lattice convolution switches from ``np.convolve`` to an FFT once
 # both operands span at least this many lattice slots; below it the
 # direct product beats the transform setup.
 _FFT_CROSSOVER = 64
-
-# A grid-aligned pmf can still be *sparse* on its lattice (a handful of
-# atoms spread over a huge range, e.g. nanosecond bins under millisecond
-# values).  The dense path is only taken when the output lattice is not
-# grossly larger than the pairwise work it replaces, nor beyond an
-# absolute slot cap; otherwise the exact pairwise path runs.
-_DENSE_BUDGET_FACTOR = 8
-_DENSE_SLOT_CAP = 1 << 22
-
-
-class BinWidthMismatchError(ValueError):
-    """Convolution of two grid-tagged pmfs with different bin widths.
-
-    Summing variables quantized on different grids silently lands the
-    result off either grid: downstream dust tolerances and cache keys
-    assume one lattice, so the misalignment surfaces as wrong CDF reads
-    far from the construction site.  The operation is refused instead;
-    re-bin one operand (or build it untagged) to opt in explicitly.
-    """
-
-
-def _grid_decimals(resolution: float) -> int:
-    """Rounding decimals that preserve a grid of spacing ``resolution``.
-
-    Coarse grids (``resolution >= 1e-6``) keep the historical 9 decimals;
-    finer grids get three decimal orders of headroom below their spacing,
-    capped at 15 (the edge of double precision for O(1) magnitudes).
-    """
-    if resolution <= 0 or not math.isfinite(resolution):
-        return _KEY_DECIMALS
-    return max(_KEY_DECIMALS, min(15, 3 - int(math.floor(math.log10(resolution)))))
 
 
 def _check_mass(probs: npt.NDArray[np.float64]) -> None:
@@ -92,40 +68,27 @@ def _check_mass(probs: npt.NDArray[np.float64]) -> None:
         raise ValueError(f"probabilities must sum to 1, got {total}")
 
 
-def quantize(value: float, bin_width: float) -> float:
-    """Round ``value`` to the nearest multiple of ``bin_width``."""
-    if bin_width <= 0:
-        raise ValueError(f"bin_width must be > 0, got {bin_width}")
-    return round(round(value / bin_width) * bin_width, _grid_decimals(bin_width))
-
-
 class SampleCounts:
     """Incrementally maintained bin counts of a measurement stream.
 
     This is the count-delta backend of :meth:`DiscretePMF.from_samples`:
     a sliding window that pushes one sample and evicts another updates two
-    dictionary entries instead of recounting all ``l`` samples.  The
-    repository's windows own one instance per bin width (see
-    ``SlidingWindow.pmf``).
+    dictionary entries instead of recounting all ``l`` samples.  Each of
+    the repository's windows owns one (see ``SlidingWindow.pmf``).
     """
 
-    __slots__ = ("bin_width", "_decimals", "_counts", "_total")
+    __slots__ = ("_counts", "_total")
 
-    def __init__(self, bin_width: float, samples: Iterable[float] = ()) -> None:
-        if bin_width <= 0:
-            raise ValueError(f"bin_width must be > 0, got {bin_width}")
-        self.bin_width = float(bin_width)
-        self._decimals = _grid_decimals(self.bin_width)
+    def __init__(self, samples: Iterable[float] = ()) -> None:
         self._counts: Dict[float, int] = {}
         self._total = 0
         for sample in samples:
             self.add(sample)
 
-    def _key(self, sample: float) -> float:
-        # quantize(sample, bin_width), minus the log10 it spends per call
-        # on a width that never changes: same two rounds, same float.
-        width = self.bin_width
-        return round(round(float(sample) / width) * width, self._decimals)
+    @staticmethod
+    def _key(sample: float) -> float:
+        """The lattice point ``sample`` is counted at."""
+        return round(round(float(sample) / BIN_WIDTH_MS) * BIN_WIDTH_MS, _KEY_DECIMALS)
 
     def add(self, sample: float) -> None:
         """Count one new sample."""
@@ -151,9 +114,9 @@ class SampleCounts:
         :meth:`evict` then :meth:`add` in one body: the same two
         ``round`` calls per sample, the same error on an empty bin.
         """
-        width, decimals, counts = self.bin_width, self._decimals, self._counts
+        width, counts = BIN_WIDTH_MS, self._counts
         if evicted is not None:
-            key = round(round(float(evicted) / width) * width, decimals)
+            key = round(round(float(evicted) / width) * width, _KEY_DECIMALS)
             count = counts.get(key, 0)
             if count == 0:
                 raise ValueError(f"cannot evict {evicted!r}: bin {key!r} is empty")
@@ -162,7 +125,7 @@ class SampleCounts:
             else:
                 counts[key] = count - 1
             self._total -= 1
-        key = round(round(float(new_sample) / width) * width, decimals)
+        key = round(round(float(new_sample) / width) * width, _KEY_DECIMALS)
         counts[key] = counts.get(key, 0) + 1
         self._total += 1
 
@@ -180,13 +143,10 @@ class SampleCounts:
             raise ValueError("cannot build a pmf from zero samples")
         values = sorted(counts)
         probs = np.array([counts[v] / total for v in values])
-        return DiscretePMF._derived(np.array(values), probs, self.bin_width)
+        return DiscretePMF._derived(np.array(values), probs, True)
 
     def __repr__(self) -> str:
-        return (
-            f"<SampleCounts bins={len(self._counts)} total={self._total} "
-            f"bin_width={self.bin_width}>"
-        )
+        return f"<SampleCounts bins={len(self._counts)} total={self._total}>"
 
 
 class DiscretePMF:
@@ -194,43 +154,38 @@ class DiscretePMF:
 
     Instances are immutable; all operations return new pmfs.  Values are
     kept sorted, probabilities sum to 1 (within float tolerance).  The
-    cumulative-probability array and the grid resolution are computed
-    lazily and cached, so repeated :meth:`cdf` queries cost a binary
-    search.
+    cumulative-probability array is computed lazily and cached, so
+    repeated :meth:`cdf` queries cost a binary search.
 
-    ``bin_width`` optionally tags the pmf as living on a regular grid of
-    that spacing (set automatically by the sample-based constructors).
-    Two pmfs tagged with the *same* width convolve on the dense lattice
-    (direct or FFT, see :meth:`convolve`); tagged with different widths
-    they refuse with :class:`BinWidthMismatchError` rather than silently
-    misaligning the result's support.
+    A pmf counted on the :data:`BIN_WIDTH_MS` lattice (by the sample
+    constructors) carries a tag that :meth:`shift` and the lattice
+    convolution keep; two tagged pmfs convolve on the dense lattice (see
+    :meth:`convolve`).  The tag, not where the atoms happen to sit,
+    decides: :meth:`scale` and the public constructor leave it off.
     """
 
-    __slots__ = ("_values", "_probs", "_cum", "_gap", "_bin_width")
+    __slots__ = ("_values", "_probs", "_cum", "_lattice")
 
-    def __init__(
-        self,
-        values: Sequence[float],
-        probs: Sequence[float],
-        bin_width: Optional[float] = None,
-    ) -> None:
+    def __init__(self, values: Sequence[float], probs: Sequence[float]) -> None:
         if len(values) != len(probs):
             raise ValueError("values and probs must have equal length")
         if len(values) == 0:
             raise ValueError("a pmf needs at least one atom")
-        if bin_width is not None and bin_width <= 0:
-            raise ValueError(f"bin_width must be > 0, got {bin_width}")
         values_arr = np.asarray(values, dtype=float)
         probs_arr = np.asarray(probs, dtype=float)
         _check_mass(probs_arr)
         order = np.argsort(values_arr)
         self._values = values_arr[order]
+        gap = float(np.diff(self._values).min()) if len(values) > 1 else math.inf
+        if gap <= 2 * CDF_TOLERANCE:
+            raise ValueError(
+                f"atoms must be more than {2 * CDF_TOLERANCE} apart, got {gap}"
+            )
         self._probs = np.maximum(probs_arr[order], 0.0)
         # Renormalize away any float dust introduced by clipping.
         self._probs = self._probs / self._probs.sum()
         self._cum = None
-        self._gap = None
-        self._bin_width = float(bin_width) if bin_width is not None else None
+        self._lattice = False
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -238,7 +193,7 @@ class DiscretePMF:
         cls,
         values: npt.NDArray[np.float64],
         probs: npt.NDArray[np.float64],
-        bin_width: Optional[float],
+        lattice: bool,
     ) -> "DiscretePMF":
         """A pmf over arrays this module computed itself (RL008 keeps it so):
         sorted values and non-negative probs are not re-sorted or re-scanned.
@@ -247,8 +202,8 @@ class DiscretePMF:
         total = probs.sum()
         pmf._values = values
         pmf._probs = probs if total == 1.0 else probs / total
-        pmf._cum = pmf._gap = None
-        pmf._bin_width = bin_width
+        pmf._cum = None
+        pmf._lattice = lattice
         return pmf
 
     def validated(self) -> "DiscretePMF":
@@ -259,13 +214,11 @@ class DiscretePMF:
     @classmethod
     def degenerate(cls, value: float) -> "DiscretePMF":
         """The pmf of a constant."""
-        return cls._derived(np.array([float(value)]), np.array([1.0]), None)
+        return cls._derived(np.array([float(value)]), np.array([1.0]), False)
 
     @classmethod
-    def from_samples(
-        cls, samples: Sequence[float], bin_width: float = 1.0
-    ) -> "DiscretePMF":
-        """Relative-frequency pmf of ``samples`` on a ``bin_width`` grid.
+    def from_samples(cls, samples: Sequence[float]) -> "DiscretePMF":
+        """Relative-frequency pmf of ``samples`` on the lattice.
 
         This is exactly the paper's estimator: "we first compute the
         probability mass function of S_i and W_i based on the relative
@@ -275,25 +228,19 @@ class DiscretePMF:
         """
         if len(samples) == 0:
             raise ValueError("cannot build a pmf from zero samples")
-        return SampleCounts(bin_width, samples).pmf()
+        return SampleCounts(samples).pmf()
 
     @classmethod
-    def from_counts(
-        cls, counts: Mapping[float, int], bin_width: Optional[float] = None
-    ) -> "DiscretePMF":
+    def from_counts(cls, counts: Mapping[float, int]) -> "DiscretePMF":
         """Relative-frequency pmf from pre-quantized ``{value: count}``."""
         if not counts:
             raise ValueError("cannot build a pmf from zero samples")
         total = float(sum(counts.values()))
         values = sorted(counts)
         probs = [counts[v] / total for v in values]
-        return cls(values, probs, bin_width=bin_width)
+        return cls(values, probs)
 
     # -- accessors ----------------------------------------------------------
-    @property
-    def bin_width(self) -> Optional[float]:
-        """Grid spacing this pmf is tagged with (``None`` when off-grid)."""
-        return self._bin_width
     @property
     def values(self) -> npt.NDArray[np.float64]:
         """Atom locations, sorted ascending (read-only view)."""
@@ -326,33 +273,6 @@ class DiscretePMF:
         view.flags.writeable = False
         return view
 
-    def resolution(self) -> float:
-        """Smallest gap between adjacent atoms (``inf`` for a singleton)."""
-        if self._gap is None:
-            gaps = self._values[1:] - self._values[:-1]
-            self._gap = float(gaps.min()) if gaps.size else math.inf
-        return self._gap
-
-    def _spacing(self) -> float:
-        """What tolerances derive from: the gap, or a singleton's grid tag."""
-        if self._values.size == 1 and self._bin_width is not None:
-            return self._bin_width
-        return self.resolution()
-
-    def dust_tolerance(self) -> float:
-        """Absolute tolerance that absorbs grid float dust.
-
-        Derived from the atom spacing: one decimal-rounding quantum of the
-        grid, never more than half the spacing (so neighbouring atoms can
-        never be conflated).  Millisecond-scale grids keep the historical
-        1e-9.
-        """
-        gap = self._spacing()
-        tol = 10.0 ** (-_grid_decimals(gap))
-        if math.isfinite(gap):
-            tol = min(tol, 0.5 * gap)
-        return tol
-
     # -- statistics ---------------------------------------------------------
     def mean(self) -> float:
         """Expected value."""
@@ -366,14 +286,13 @@ class DiscretePMF:
     def cdf(self, t: float) -> float:
         """``P(X <= t)`` — the distribution function ``F(t)``.
 
-        A grid-derived tolerance (:meth:`dust_tolerance`) absorbs bin
-        float dust so that ``cdf(value)`` includes the atom at ``value``;
-        the result is clamped to [0, 1] against summation roundoff.
+        :data:`CDF_TOLERANCE` absorbs bin float dust so that
+        ``cdf(value)`` includes the atom at ``value``; the result is
+        clamped to [0, 1] against summation roundoff.
         """
-        tol = self.dust_tolerance()
-        if t >= self._values[-1] - tol:
+        if t >= self._values[-1] - CDF_TOLERANCE:
             return 1.0  # at or beyond the largest atom: certain
-        index = int(np.searchsorted(self._values, t + tol, side="right"))
+        index = int(np.searchsorted(self._values, t + CDF_TOLERANCE, side="right"))
         if index == 0:
             return 0.0
         return min(1.0, max(0.0, float(self.cumulative_probs()[index - 1])))
@@ -399,30 +318,28 @@ class DiscretePMF:
     def shift(self, delta: float) -> "DiscretePMF":
         """The pmf of ``X + delta`` (adding a constant, e.g. ``T_i``).
 
-        A translation keeps the atom spacing, so the grid tag survives
+        A translation keeps the atom spacing, so the lattice tag survives
         (the offset moves, which the lattice convolution handles).
         """
-        decimals = _grid_decimals(self._spacing())
-        values = (self._values + float(delta)).round(decimals)
-        return DiscretePMF._derived(values, self._probs, self._bin_width)
+        values = (self._values + float(delta)).round(_KEY_DECIMALS)
+        return DiscretePMF._derived(values, self._probs, self._lattice)
 
     def scale(self, factor: float) -> "DiscretePMF":
         """The pmf of ``factor · X`` (used by queue-scaling extensions).
 
-        Scaling by an arbitrary factor leaves the estimator's bin grid,
-        so the result is returned *untagged*: a later convolution falls
-        back to the exact pairwise path instead of pretending the atoms
-        still sit on the original lattice.
+        Scaling by an arbitrary factor leaves the lattice, so the result
+        is returned *untagged*: a later convolution takes the exact
+        pairwise path — even when the factor is an integer and the atoms
+        happen to land on lattice points.
         """
         if factor < 0:
             raise ValueError(f"scale factor must be >= 0, got {factor}")
         if factor == 0:
             return DiscretePMF.degenerate(0.0)
-        decimals = _grid_decimals(self._spacing() * float(factor))
-        values = (self._values * float(factor)).round(decimals)
+        values = (self._values * float(factor)).round(_KEY_DECIMALS)
         # Scaling cannot merge distinct atoms (it is injective for f>0),
         # so values stay unique.
-        return DiscretePMF._derived(values, self._probs, None)
+        return DiscretePMF._derived(values, self._probs, False)
 
     def convolve(self, other: "DiscretePMF") -> "DiscretePMF":
         """The pmf of the sum of two independent variables.
@@ -430,54 +347,35 @@ class DiscretePMF:
         The discrete convolution of §5.3.1, dispatched by shape:
 
         * a singleton operand is a constant shift (translation);
-        * two pmfs tagged with the same ``bin_width`` convolve on the
-          dense lattice — ``np.convolve`` below :data:`_FFT_CROSSOVER`
-          slots, FFT above it — in ``O(L log L)`` instead of ``O(L²)``;
-        * differing tags raise :class:`BinWidthMismatchError`;
-        * untagged (or lattice-hostile, see :data:`_DENSE_BUDGET_FACTOR`)
-          operands take the exact pairwise outer-product path.
+        * two lattice-tagged pmfs convolve on the dense lattice —
+          ``np.convolve`` below :data:`_FFT_CROSSOVER` slots, FFT above
+          it — in ``O(L log L)`` instead of ``O(L²)``;
+        * any other pair takes the exact pairwise outer-product path.
         """
-        settled, lattice = _dense_admission(self, other)
-        if settled is not None:
-            return settled
-        if lattice is None:
-            return self._convolve_pairwise(other)
-        return self._convolve_lattice(other, *lattice)
+        shifted = _as_shift(self, other)
+        if shifted is not None:
+            return shifted
+        if self._lattice and other._lattice:
+            return self._convolve_lattice(other)
+        return self._convolve_pairwise(other)
 
     def _convolve_pairwise(self, other: "DiscretePMF") -> "DiscretePMF":
-        """Exact ``O(L²)`` pairwise-sum convolution (the general path)."""
+        """Exact ``O(L²)`` pairwise-sum convolution: an untagged operand's path."""
         sums = np.add.outer(self._values, other._values).ravel()
         weights = np.multiply.outer(self._probs, other._probs).ravel()
-        decimals = _grid_decimals(min(self._spacing(), other._spacing()))
-        keys = np.round(sums, decimals)
+        keys = np.round(sums, _KEY_DECIMALS)
         unique, inverse = np.unique(keys, return_inverse=True)
         probs = np.bincount(inverse, weights=weights)
-        width = None
-        if self._bin_width is not None and other._bin_width is not None:
-            width = self._bin_width
-        return DiscretePMF._derived(unique, probs, width)
+        return DiscretePMF._derived(unique, probs, False)
 
-    def _lattice_indices(self) -> Optional[npt.NDArray[np.int64]]:
-        """Integer lattice offsets of the atoms, or ``None`` off-grid.
+    def _lattice_indices(self) -> npt.NDArray[np.int64]:
+        """Integer lattice offsets of the atoms from the first one."""
+        offsets = (self._values - self._values[0]) / BIN_WIDTH_MS
+        return np.rint(offsets).astype(np.int64)
 
-        Guards the dense path against a stale grid tag: every atom must
-        sit within a relative hair of ``values[0] + k · bin_width``.
-        """
-        width = self._bin_width
-        offsets = (self._values - self._values[0]) / width
-        indices = np.rint(offsets)
-        if not np.all(np.abs(offsets - indices) <= 1e-6):
-            return None
-        return indices.astype(np.int64)
-
-    def _convolve_lattice(
-        self,
-        other: "DiscretePMF",
-        ia: npt.NDArray[np.int64],
-        ib: npt.NDArray[np.int64],
-    ) -> "DiscretePMF":
-        """Dense same-grid convolution of a :func:`_dense_admission` pair."""
-        width = self._bin_width
+    def _convolve_lattice(self, other: "DiscretePMF") -> "DiscretePMF":
+        """Dense convolution of two lattice-tagged pmfs."""
+        ia, ib = self._lattice_indices(), other._lattice_indices()
         len_a = int(ia[-1]) + 1
         len_b = int(ib[-1]) + 1
         out_len = len_a + len_b - 1
@@ -495,10 +393,7 @@ class DiscretePMF:
             full = np.convolve(dense_a, dense_b)
             floor = 0.0
         keep = np.nonzero(full > floor)[0]
-        offset = float(self._values[0]) + float(other._values[0])
-        decimals = _grid_decimals(width)
-        values = np.round(offset + keep * width, decimals)
-        return DiscretePMF._derived(values, full[keep], width)
+        return _on_lattice(self, other, keep, full[keep])
 
     def __add__(self, other: "DiscretePMF") -> "DiscretePMF":
         if not isinstance(other, DiscretePMF):
@@ -530,78 +425,63 @@ def _fft_convolve(
     return np.fft.irfft(product, size)[:out_len]
 
 
-_Lattice = Tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]
-
-
-def _dense_admission(
-    a: "DiscretePMF", b: "DiscretePMF"
-) -> Tuple[Optional["DiscretePMF"], Optional[_Lattice]]:
-    """How ``a ⊛ b`` is computed: ``(settled result, lattice indices)``.
-
-    A singleton operand settles the convolution as a shift.  Otherwise
-    the pair is admitted to the dense path — and its integer lattice
-    offsets returned — when both operands carry the same grid tag
-    (differing tags raise :class:`BinWidthMismatchError`), every atom
-    sits on that grid and the output lattice is within the slot budget.
-    ``(None, None)`` leaves the exact pairwise path.
-    """
+def _as_shift(a: DiscretePMF, b: DiscretePMF) -> Optional[DiscretePMF]:
+    """``a ⊛ b`` when an operand is a singleton (a translation), else ``None``."""
     if b._values.size == 1:
-        return a.shift(float(b._values[0])), None
+        return a.shift(float(b._values[0]))
     if a._values.size == 1:
-        return b.shift(float(a._values[0])), None
-    if a._bin_width is None or b._bin_width is None:
-        return None, None
-    if not math.isclose(a._bin_width, b._bin_width, rel_tol=1e-9, abs_tol=0.0):
-        raise BinWidthMismatchError(
-            f"cannot convolve pmfs on different grids: bin widths "
-            f"{a._bin_width} and {b._bin_width}"
-        )
-    ia = a._lattice_indices()
-    ib = b._lattice_indices()
-    if ia is None or ib is None:
-        return None, None
-    out_len = int(ia[-1]) + int(ib[-1]) + 1
-    if out_len > _DENSE_SLOT_CAP or (
-        out_len > 4096
-        and out_len > _DENSE_BUDGET_FACTOR * a._values.size * b._values.size
-    ):
-        return None, None
-    return None, (ia, ib)
+        return b.shift(float(a._values[0]))
+    return None
+
+
+def _on_lattice(
+    a: DiscretePMF,
+    b: DiscretePMF,
+    keep: npt.NDArray[np.intp],
+    probs: npt.NDArray[np.float64],
+) -> DiscretePMF:
+    """The tagged pmf of ``a ⊛ b`` with mass ``probs`` at lattice slots ``keep``."""
+    offset = float(a._values[0]) + float(b._values[0])
+    values = np.round(offset + keep * BIN_WIDTH_MS, _KEY_DECIMALS)
+    return DiscretePMF._derived(values, probs, True)
+
+
+_Indices = npt.NDArray[np.int64]
 
 
 def batch_convolve(
-    pairs: Sequence[Tuple["DiscretePMF", "DiscretePMF"]],
-) -> List[Optional["DiscretePMF"]]:
-    """Convolve many same-grid pmf pairs in one padded FFT pass.
+    pairs: Sequence[Tuple[DiscretePMF, DiscretePMF]],
+) -> List[Optional[DiscretePMF]]:
+    """Convolve many lattice-tagged pmf pairs in one padded FFT pass.
 
     The array kernel behind the estimator's batched ``S_i ⊛ W_i``
-    refresh: every lattice-compatible pair contributes one row to a pair
-    of zero-padded dense matrices, a single ``rfft``/``irfft`` along the
+    refresh: every tagged pair contributes one row to a pair of
+    zero-padded dense matrices, a single ``rfft``/``irfft`` along the
     row axis convolves them all, and each row is pruned back to a sparse
     :class:`DiscretePMF` (FFT noise dropped, mass renormalized — same
     guarantees as :meth:`DiscretePMF.convolve`).
 
-    Returns a list aligned with ``pairs``.  :func:`_dense_admission`
-    decides each pair exactly as it does for the scalar method; pairs it
-    leaves to the pairwise path come back as ``None`` so the caller can
-    fall back to ``convolve``.
+    Returns a list aligned with ``pairs``.  A pair with a singleton
+    operand is settled as a shift, exactly as the scalar method does; a
+    pair with an untagged operand comes back as ``None`` so the caller
+    can fall back to ``convolve``.
     """
     results: List[Optional[DiscretePMF]] = [None] * len(pairs)
-    rows: List[Tuple[int, DiscretePMF, DiscretePMF, _Lattice]] = []
+    rows: List[Tuple[int, DiscretePMF, DiscretePMF, _Indices, _Indices]] = []
     for index, (a, b) in enumerate(pairs):
-        results[index], lattice = _dense_admission(a, b)
-        if lattice is not None:
-            rows.append((index, a, b, lattice))
+        results[index] = _as_shift(a, b)
+        if results[index] is None and a._lattice and b._lattice:
+            rows.append((index, a, b, a._lattice_indices(), b._lattice_indices()))
     if not rows:
         return results
 
-    len_a = max(int(ia[-1]) + 1 for _, _, _, (ia, _) in rows)
-    len_b = max(int(ib[-1]) + 1 for _, _, _, (_, ib) in rows)
+    len_a = max(int(ia[-1]) + 1 for _, _, _, ia, _ in rows)
+    len_b = max(int(ib[-1]) + 1 for _, _, _, _, ib in rows)
     out_len = len_a + len_b - 1
     size = 1 << max(0, out_len - 1).bit_length()
     dense_a = np.zeros((len(rows), len_a))
     dense_b = np.zeros((len(rows), len_b))
-    for row, (_, a, b, (ia, ib)) in enumerate(rows):
+    for row, (_, a, b, ia, ib) in enumerate(rows):
         dense_a[row, ia] = a._probs
         dense_b[row, ib] = b._probs
     full = np.fft.irfft(
@@ -610,12 +490,8 @@ def batch_convolve(
         axis=1,
     )
     floor = size * np.finfo(float).eps
-    for row, (index, a, b, (ia, ib)) in enumerate(rows):
-        row_len = int(ia[-1]) + int(ib[-1]) + 1
-        dense = full[row, :row_len]
+    for row, (index, a, b, ia, ib) in enumerate(rows):
+        dense = full[row, : int(ia[-1]) + int(ib[-1]) + 1]
         keep = np.nonzero(dense > floor)[0]
-        width = a._bin_width
-        offset = float(a._values[0]) + float(b._values[0])
-        values = np.round(offset + keep * width, _grid_decimals(width))
-        results[index] = DiscretePMF._derived(values, dense[keep], width)
+        results[index] = _on_lattice(a, b, keep, dense[keep])
     return results

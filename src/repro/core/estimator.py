@@ -35,12 +35,13 @@ docs/PERFORMANCE.md §1–2 has the details.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 import numpy.typing as npt
 
-from .distribution import DiscretePMF, batch_convolve
+from .distribution import BIN_WIDTH_MS, CDF_TOLERANCE, DiscretePMF, batch_convolve
 from .repository import InformationRepository, ReplicaRecord
 
 __all__ = ["ResponseTimeEstimator", "QueueScaledEstimator"]
@@ -81,7 +82,6 @@ class _BatchState:
         self.missing = set(range(count))
         self.values: npt.NDArray[np.float64] = np.full((count, width), np.inf)
         self.cumulative: npt.NDArray[np.float64] = np.ones((count, width))
-        self.tolerances: npt.NDArray[np.float64] = np.zeros(count)
         self.sizes: npt.NDArray[np.intp] = np.zeros(count, dtype=np.intp)
         self.deadline: Optional[float] = None
         self.probabilities: npt.NDArray[np.float64] = np.zeros(count)
@@ -106,7 +106,6 @@ class _BatchState:
             self.missing.discard(row)
             self.values[row, :size] = pmf._values
             pmf._probs.cumsum(out=self.cumulative[row, :size])
-            self.tolerances[row] = pmf.dust_tolerance()
         self.sizes[row] = size
         self.pmfs[row] = pmf
         self.unread.add(row)
@@ -121,7 +120,7 @@ class _BatchState:
                 return 0
             rows = np.fromiter(self.unread, np.intp, len(self.unread))
         values, sizes = self.values[rows], self.sizes[rows]
-        counts = (values <= deadline + self.tolerances[rows, None]).sum(axis=1)
+        counts = (values <= deadline + CDF_TOLERANCE).sum(axis=1)
         # (minimum ∘ maximum is np.clip without its dispatch layers.)
         indices = np.minimum(np.maximum(counts - 1, 0), values.shape[1] - 1)
         gathered = self.cumulative[rows][np.arange(sizes.size), indices]
@@ -143,18 +142,21 @@ class ResponseTimeEstimator:
     repository:
         The gateway information repository to read measurements from.
     bin_width_ms:
-        Quantization grid for the empirical pmfs.  The paper convolves raw
-        measured values; a 1 ms grid keeps the convolution support bounded
-        while staying well below the deadline scales of interest.
+        Quantization grid of the empirical pmfs.  The paper convolves raw
+        measured values; the one lattice, :data:`BIN_WIDTH_MS` (1 ms),
+        keeps the convolution support bounded while staying well below the
+        deadline scales of interest.  Any other value is refused.
     """
 
     def __init__(
-        self, repository: InformationRepository, bin_width_ms: float = 1.0
+        self, repository: InformationRepository, bin_width_ms: float = BIN_WIDTH_MS
     ) -> None:
-        if bin_width_ms <= 0:
-            raise ValueError(f"bin_width_ms must be > 0, got {bin_width_ms}")
+        if not math.isclose(bin_width_ms, BIN_WIDTH_MS):
+            raise ValueError(
+                f"bin_width_ms must be the {BIN_WIDTH_MS} ms lattice, "
+                f"got {bin_width_ms}"
+            )
         self.repository = repository
-        self.bin_width_ms = float(bin_width_ms)
         self._entries: Dict[str, _Entry] = {}
         # The array view of the entries for the replica tuple last asked
         # about (see _synced_batch).
@@ -218,10 +220,8 @@ class ResponseTimeEstimator:
         A stored base whose two window versions stand is reused; stale
         ones are convolved in one padded FFT pass when there are several
         (a fleet-wide measurement burst costs one array kernel, not ``n``
-        ``O(L²)`` products) and by the scalar kernel when there is one or
-        the dense kernel declines (off-grid, over budget).
+        ``O(L²)`` products) and by the scalar kernel when there is one.
         """
-        width = self.bin_width_ms
         sums: Dict[str, DiscretePMF] = {}
         pairs: Dict[str, Tuple[DiscretePMF, DiscretePMF]] = {}
         for record in records:
@@ -230,8 +230,8 @@ class ResponseTimeEstimator:
                 sums[record.name] = entry.base
             else:
                 pairs[record.name] = (
-                    record.service_times.pmf(width),
-                    record.queue_delays.pmf(width),
+                    record.service_times.pmf(),
+                    record.queue_delays.pmf(),
                 )
         convolved: List[Optional[DiscretePMF]] = [None] * len(pairs)
         if len(pairs) > 1:
@@ -246,7 +246,7 @@ class ResponseTimeEstimator:
         """``base + T_i``: a point shift, or (§5.3.1 extension) a
         convolution with the gateway-delay window's empirical pmf."""
         if record.gateway_delays is not None and len(record.gateway_delays):
-            return base.convolve(record.gateway_delays.pmf(self.bin_width_ms))
+            return base.convolve(record.gateway_delays.pmf())
         assert record.gateway_delay_ms is not None  # guarded by has_history
         return base.shift(record.gateway_delay_ms)
 
@@ -370,7 +370,7 @@ class ResponseTimeEstimator:
 
     def __repr__(self) -> str:
         return (
-            f"<{type(self).__name__} bin={self.bin_width_ms}ms "
+            f"<{type(self).__name__} bin={BIN_WIDTH_MS}ms "
             f"replicas={len(self.repository)}>"
         )
 
@@ -396,8 +396,8 @@ class QueueScaledEstimator(ResponseTimeEstimator):
     def _sums(self, records: Sequence[ReplicaRecord]) -> List[DiscretePMF]:
         sums = []
         for record in records:
-            service_pmf = record.service_times.pmf(self.bin_width_ms)
-            queue_pmf = record.queue_delays.pmf(self.bin_width_ms)
+            service_pmf = record.service_times.pmf()
+            queue_pmf = record.queue_delays.pmf()
             mean_service = service_pmf.mean()
             if mean_service > 0:
                 implied_hist_depth = queue_pmf.mean() / mean_service

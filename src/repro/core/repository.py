@@ -27,9 +27,9 @@ __all__ = ["SlidingWindow", "ReplicaRecord", "InformationRepository"]
 class SlidingWindow:
     """Fixed-capacity window over the most recent measurements.
 
-    Besides the raw values, the window maintains — lazily, one per
-    requested bin width — :class:`SampleCounts` updated in place, so that
-    a push/evict costs O(1) and :meth:`pmf` builds the window's empirical
+    Besides the raw values, the window maintains — from the first
+    :meth:`pmf` on — :class:`SampleCounts` updated in place, so that a
+    push/evict costs O(1) and :meth:`pmf` builds the window's empirical
     pmf without an O(l) recount.  The monotone :attr:`version` (bumped on
     every push) tells an estimator whether a stored ``S ⊛ W`` still
     reflects the window; see docs/ARCHITECTURE.md §3.
@@ -41,8 +41,8 @@ class SlidingWindow:
         self.size = int(size)
         self._values: Deque[float] = deque(maxlen=self.size)
         self.version = 0
-        # bin_width -> counts of the window, updated on every push.
-        self._counters: Dict[float, SampleCounts] = {}
+        # Counts of the window, updated on every push once asked for.
+        self._counter: Optional[SampleCounts] = None
 
     def append(self, value: float) -> None:
         """Push one measurement, evicting the oldest if full."""
@@ -52,8 +52,8 @@ class SlidingWindow:
         evicted = self._values[0] if len(self._values) == self.size else None
         self._values.append(value)
         self.version += 1
-        for counter in self._counters.values():
-            counter.replace(value, evicted)
+        if self._counter is not None:
+            self._counter.replace(value, evicted)
 
     def values(self) -> List[float]:
         """Current window contents, oldest first (copy)."""
@@ -67,25 +67,22 @@ class SlidingWindow:
         """Whether the window has reached capacity."""
         return len(self._values) == self.size
 
-    def counts(self, bin_width: float) -> Dict[float, int]:
-        """Bin counts of the current contents on a ``bin_width`` grid."""
-        return self._counter(bin_width).counts()
+    def counts(self) -> Dict[float, int]:
+        """Bin counts of the current contents on the lattice."""
+        return self._counts().counts()
 
-    def pmf(self, bin_width: float) -> DiscretePMF:
-        """Empirical pmf of the window on a ``bin_width`` grid.
+    def pmf(self) -> DiscretePMF:
+        """Empirical pmf of the window on the lattice.
 
         Built from the maintained counts, not from the raw samples.
         Raises ``ValueError`` while the window is empty.
         """
-        return self._counter(bin_width).pmf()
+        return self._counts().pmf()
 
-    def _counter(self, bin_width: float) -> SampleCounts:
-        bin_width = float(bin_width)
-        counter = self._counters.get(bin_width)
-        if counter is None:
-            counter = SampleCounts(bin_width, self._values)
-            self._counters[bin_width] = counter
-        return counter
+    def _counts(self) -> SampleCounts:
+        if self._counter is None:
+            self._counter = SampleCounts(self._values)
+        return self._counter
 
     def __repr__(self) -> str:
         return f"<SlidingWindow {len(self._values)}/{self.size}>"

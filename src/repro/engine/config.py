@@ -9,7 +9,6 @@ range-checks them in one ``__post_init__``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -23,10 +22,6 @@ from .types import RequestClassifier
 __all__ = ["EngineConfig", "EstimatorFactory"]
 
 EstimatorFactory = Callable[[InformationRepository], ResponseTimeEstimator]
-
-#: Quantization grid of every client's empirical pmfs, ms; an
-#: ``estimator_factory`` must build on it.
-BIN_WIDTH_MS = 1.0
 
 
 @dataclass(frozen=True)
@@ -72,8 +67,9 @@ class EngineConfig:
         one-model-per-service design.
     estimator_factory:
         Builds the estimator over each class's repository (e.g.
-        :class:`~repro.core.estimator.QueueScaledEstimator`) on the
-        :data:`BIN_WIDTH_MS` grid; defaults to
+        :class:`~repro.core.estimator.QueueScaledEstimator`), which
+        refuses any grid but
+        :data:`~repro.core.distribution.BIN_WIDTH_MS`; defaults to
         :class:`~repro.core.estimator.ResponseTimeEstimator`.
     probe_staleness_ms:
         When set, replicas whose records are older than this are probed
@@ -157,13 +153,7 @@ class EngineConfig:
     def build_estimator(
         self, repository: InformationRepository
     ) -> ResponseTimeEstimator:
-        """The estimator over one class's ``repository``, on the client grid."""
+        """The estimator over one class's ``repository``."""
         if self.estimator_factory is None:
-            return ResponseTimeEstimator(repository, bin_width_ms=BIN_WIDTH_MS)
-        estimator = self.estimator_factory(repository)
-        if not math.isclose(estimator.bin_width_ms, BIN_WIDTH_MS):
-            raise ValueError(
-                f"estimator_factory built a {estimator.bin_width_ms} ms grid "
-                f"but the client grid is {BIN_WIDTH_MS} ms"
-            )
-        return estimator
+            return ResponseTimeEstimator(repository)
+        return self.estimator_factory(repository)

@@ -209,9 +209,7 @@ def build_stack(seed: int, variant: str) -> MiniStack:
         # Queue-scaled F keeps the open-loop load spread across the
         # fleet (A16's governed idiom); the naive variant gets the same
         # estimator, so its collapse is purely the clock-trust bug.
-        estimator_factory=lambda repo: QueueScaledEstimator(
-            repo, bin_width_ms=1.0
-        ),
+        estimator_factory=QueueScaledEstimator,
         response_timeout_factor=3.0,
         probe_interval_ms=200.0,
         # Staleness probes keep every variant's honest signals (probed

@@ -95,13 +95,7 @@ def point(params: dict, seed: int, repetition: int) -> Dict[str, float]:
         # The governed stack needs queue-scaled F (see module docstring);
         # the ungoverned baseline is the paper's stack, untouched.
         handler_kwargs=(
-            {
-                "estimator_factory": lambda repo: QueueScaledEstimator(
-                    repo, bin_width_ms=1.0
-                )
-            }
-            if governed
-            else {}
+            {"estimator_factory": QueueScaledEstimator} if governed else {}
         ),
     )
     scenario.audit_lifecycle()

@@ -44,9 +44,7 @@ def point(params: dict, seed: int, repetition: int) -> Dict[str, float]:
     """One multi-client run; means request-weighted across the clients."""
     handler_kwargs = {}
     if ESTIMATORS[params["estimator"]]:
-        handler_kwargs["estimator_factory"] = (
-            lambda repo: QueueScaledEstimator(repo, bin_width_ms=1.0)
-        )
+        handler_kwargs["estimator_factory"] = QueueScaledEstimator
     _scenario, clients = run_clients(
         ScenarioConfig(seed=seed),
         params["num_clients"],

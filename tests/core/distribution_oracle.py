@@ -9,7 +9,11 @@ module body is verbatim; only this header changed, plus **one marked
 difference** (search for ``MARKED``): a grid-tagged singleton takes its
 rounding decimals and dust tolerance from its ``bin_width`` instead of
 from the ``inf`` gap of a one-atom support — the bug fixed in the same
-change, bit-identical on every grid >= 1e-6.
+change, bit-identical on every grid >= 1e-6.  The shipped module has
+since dropped the grid machinery kept here (per-pmf decimals and dust
+tolerances, float grid tags, the mismatch error, the sparse-lattice
+guard): it keeps the 1 ms lattice, 9 decimals and 1e-9, which is what
+this module derives itself wherever atoms are at least 1e-6 apart.
 
 It lives under ``tests/`` as the ``==`` oracle of
 ``tests/properties/test_distribution_oracle.py`` (every array, bitwise)

@@ -10,7 +10,7 @@ from the raw window samples.  The class bodies are verbatim; only this
 header, the imports and ``_window_pmf`` changed: every pmf here is built
 by ``tests/core/distribution_oracle.py`` (the pmf algebra as shipped
 before derived pmfs skipped the validating constructor), window pmfs
-included — from ``window.counts(width)``, which is what
+included — from ``window.counts()``, which is what
 ``SlidingWindow.pmf`` handed ``from_counts`` — so the shipped estimator
 is compared against code that shares no pmf construction with it.  It
 lives under ``tests/`` as the ``==`` oracle of
@@ -167,7 +167,7 @@ class ResponseTimeEstimator:
         """One window's empirical pmf, via the incremental path when on."""
         width = self.bin_width_ms
         if self.incremental:
-            return DiscretePMF.from_counts(window.counts(width), bin_width=width)
+            return DiscretePMF.from_counts(window.counts(), bin_width=width)
         return DiscretePMF.from_samples(window.values(), width)
 
     def _base_pmf(self, record: ReplicaRecord) -> DiscretePMF:

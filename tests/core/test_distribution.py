@@ -4,26 +4,16 @@ import numpy as np
 import pytest
 
 from repro.core.distribution import (
-    BinWidthMismatchError,
+    CDF_TOLERANCE,
     DiscretePMF,
     SampleCounts,
     batch_convolve,
-    quantize,
 )
 
 
 class TestQuantize:
     def test_rounds_to_bin_grid(self):
-        assert quantize(10.4, 1.0) == 10.0
-        assert quantize(10.6, 1.0) == 11.0
-
-    def test_fractional_bins(self):
-        assert quantize(0.26, 0.5) == 0.5
-        assert quantize(0.24, 0.5) == 0.0
-
-    def test_nonpositive_bin_rejected(self):
-        with pytest.raises(ValueError):
-            quantize(1.0, 0.0)
+        assert SampleCounts([10.4, 10.6]).counts() == {10.0: 1, 11.0: 1}
 
 
 class TestConstruction:
@@ -49,11 +39,11 @@ class TestConstruction:
         assert list(pmf.probs) == [0.5, 0.3, 0.2]
 
     def test_from_samples_relative_frequency(self):
-        pmf = DiscretePMF.from_samples([10, 10, 10, 20], bin_width=1.0)
+        pmf = DiscretePMF.from_samples([10, 10, 10, 20])
         assert pmf.items() == [(10.0, 0.75), (20.0, 0.25)]
 
     def test_from_samples_bins_nearby_values(self):
-        pmf = DiscretePMF.from_samples([9.6, 10.2, 10.4], bin_width=1.0)
+        pmf = DiscretePMF.from_samples([9.6, 10.2, 10.4])
         assert pmf.items() == [(10.0, 1.0)]
 
     def test_from_samples_rejects_empty(self):
@@ -160,11 +150,11 @@ class TestSampleCounts:
 
     def test_matches_from_samples(self):
         samples = [10.2, 10.4, 9.8, 20.1, 20.1]
-        counter = SampleCounts(1.0, samples)
-        assert counter.pmf().allclose(DiscretePMF.from_samples(samples, 1.0))
+        counter = SampleCounts(samples)
+        assert counter.pmf().allclose(DiscretePMF.from_samples(samples))
 
     def test_add_then_evict_restores_counts(self):
-        counter = SampleCounts(1.0, [10.0, 20.0])
+        counter = SampleCounts([10.0, 20.0])
         before = counter.counts()
         counter.add(30.0)
         counter.evict(30.0)
@@ -172,12 +162,12 @@ class TestSampleCounts:
         assert len(counter) == 2
 
     def test_replace_is_evict_plus_add(self):
-        counter = SampleCounts(1.0, [10.0, 20.0])
+        counter = SampleCounts([10.0, 20.0])
         counter.replace(30.0, evicted=10.0)
         assert counter.counts() == {20.0: 1, 30.0: 1}
 
     def test_evict_missing_sample_rejected(self):
-        counter = SampleCounts(1.0, [10.0])
+        counter = SampleCounts([10.0])
         with pytest.raises(ValueError):
             counter.evict(99.0)
 
@@ -186,30 +176,26 @@ class TestSampleCounts:
         rng = np.random.default_rng(3)
         stream = rng.uniform(0.0, 50.0, size=40).tolist()
         window = []
-        counter = SampleCounts(2.0)
+        counter = SampleCounts()
         for sample in stream:
             evicted = window.pop(0) if len(window) == 4 else None
             window.append(sample)
             counter.replace(sample, evicted)
             assert counter.pmf().allclose(
-                DiscretePMF.from_samples(window, 2.0)
+                DiscretePMF.from_samples(window)
             )
 
-    def test_bin_width_validation(self):
-        with pytest.raises(ValueError):
-            SampleCounts(0.0)
-
-    @pytest.mark.parametrize("width", [1.0, 2.0, 0.5, 0.25, 0.1, 1e-3, 3e-7, 1e-9])
-    def test_bin_keys_are_the_floats_quantize_returns(self, width):
-        # The counter hoists quantize's per-call decimals out of the
-        # sample loop; the keys must stay bit-identical, because pmf
-        # support values are compared and hashed as floats downstream.
+    @pytest.mark.parametrize("scale", [1.0, 2.0, 0.5, 0.25, 0.1, 1e-3, 3e-7, 1e-9])
+    def test_bin_keys_are_the_floats_quantize_returns(self, scale):
+        # The keys must stay bit-identical to the two rounds, because pmf
+        # support values are compared and hashed as floats downstream;
+        # samples far below the lattice all count at its origin.
         rng = np.random.default_rng(11)
-        samples = (rng.uniform(-5.0, 400.0, size=500) * width).tolist()
-        counter = SampleCounts(width, samples)
+        samples = (rng.uniform(-5.0, 400.0, size=500) * scale).tolist()
+        counter = SampleCounts(samples)
         expected = {}
         for sample in samples:
-            key = quantize(sample, width)
+            key = round(round(sample / 1.0) * 1.0, 9)  # the 1 ms lattice point
             expected[key] = expected.get(key, 0) + 1
         assert counter.counts() == expected
         assert [k.hex() for k in sorted(counter.counts())] == [
@@ -228,54 +214,70 @@ class TestFromCounts:
 
 
 class TestMicrosecondScaleBins:
-    """Regression: tolerances derive from bin_width, not hard-coded 1e-9.
+    """What the one lattice makes of input finer than itself.
 
-    With the old fixed 9-decimal rounding, grids finer than ~1e-8 were
-    flattened (``quantize(1.4e-10, 1e-10) == 0.0``) and sub-multiples
-    collapsed (``quantize(7.5e-9, 2.5e-9)`` rounded off-grid).
+    Samples are counted on the 1 ms lattice whatever their scale.  Atoms
+    handed to the constructor may sit anywhere, microseconds apart
+    included — but not within ``2 · CDF_TOLERANCE`` of each other, where
+    ``F``'s dust tolerance would conflate them: those are refused.
     """
 
-    def test_quantize_preserves_nano_grid(self):
-        assert quantize(3.14e-9, 1e-9) == pytest.approx(3e-9, abs=1e-15)
-        assert quantize(3.14e-9, 1e-9) != quantize(4.2e-9, 1e-9)
+    def test_constructor_rejects_atoms_the_tolerance_would_merge(self):
+        for values in (
+            [3e-9, 4e-9],
+            [7.5e-9, 7.5e-9],
+            [0.0, 1.0, 1.0 + 1e-9],
+            [0.0, 2 * CDF_TOLERANCE],  # exactly twice apart is still too close
+        ):
+            with pytest.raises(ValueError, match="apart"):
+                DiscretePMF(values, [1.0 / len(values)] * len(values))
+        pmf = DiscretePMF([0.0, 2.5 * CDF_TOLERANCE], [0.5, 0.5])
+        assert pmf.cdf(0.0) == 0.5
+        assert pmf.cdf(2.5 * CDF_TOLERANCE) == 1.0
+        with pytest.raises(ValueError, match="apart"):
+            DiscretePMF.from_counts({1e-10: 1, 2e-10: 1})
 
-    def test_quantize_preserves_sub_1e8_grid(self):
-        # 3 bins of 2.5e-9: must stay at 7.5e-9, not round to 8e-9.
-        assert quantize(7.4e-9, 2.5e-9) == pytest.approx(7.5e-9, rel=1e-6)
-        assert quantize(1.4e-10, 1e-10) == pytest.approx(1e-10, rel=1e-6)
-
-    def test_from_samples_keeps_micro_bins_distinct(self):
-        pmf = DiscretePMF.from_samples([1e-6, 2e-6, 2e-6, 3e-6], 1e-6)
-        assert pmf.support_size == 3
-        assert pmf.probs.tolist() == [0.25, 0.5, 0.25]
+    def test_from_samples_counts_micro_samples_on_the_lattice(self):
+        pmf = DiscretePMF.from_samples([1e-6, 2e-6, 2e-6, 3e-6, 0.7])
+        assert pmf.items() == [(0.0, 0.8), (1.0, 0.2)]
 
     def test_cdf_includes_atom_at_micro_scale(self):
-        pmf = DiscretePMF.from_samples([1e-6, 2e-6], 1e-6)
+        pmf = DiscretePMF([1e-6, 2e-6], [0.5, 0.5])
         assert pmf.cdf(1e-6) == pytest.approx(0.5)
         assert pmf.cdf(0.5e-6) == 0.0
         assert pmf.cdf(2e-6) == 1.0
 
-    def test_cdf_tolerance_scales_with_grid(self):
-        # Dust three orders below the grid is absorbed; half a bin is not.
-        pmf = DiscretePMF.from_samples([1e-6, 2e-6], 1e-6)
-        assert pmf.cdf(1e-6 - 1e-10) == pytest.approx(0.5)
-        assert pmf.cdf(1e-6 - 5e-7) == 0.0
+    def test_cdf_tolerance_is_one_constant(self):
+        # Dust below 1e-9 is absorbed at every scale; 1e-8 is not.
+        for scale in (1e-6, 1.0, 1e3):
+            pmf = DiscretePMF([scale, 2 * scale], [0.5, 0.5])
+            assert pmf.cdf(scale - 0.5 * CDF_TOLERANCE) == 0.5
+            assert pmf.cdf(scale - 10 * CDF_TOLERANCE) == 0.0
 
     def test_convolution_on_micro_grid(self):
-        a = DiscretePMF.from_samples([1e-6, 2e-6], 1e-6)
-        b = DiscretePMF.from_samples([1e-6, 3e-6], 1e-6)
+        a = DiscretePMF([1e-6, 2e-6], [0.5, 0.5])
+        b = DiscretePMF([1e-6, 3e-6], [0.5, 0.5])
         combined = a.convolve(b)
         assert combined.support_size == 4  # 2, 3, 4, 5 microseconds
         assert combined.mean() == pytest.approx(a.mean() + b.mean())
 
     def test_shift_keeps_micro_grid(self):
-        pmf = DiscretePMF.from_samples([1e-6, 2e-6], 1e-6).shift(5e-6)
+        pmf = DiscretePMF([1e-6, 2e-6], [0.5, 0.5]).shift(5e-6)
         assert pmf.min() == pytest.approx(6e-6, rel=1e-9)
         assert pmf.support_size == 2
 
+    def test_singletons_keep_nine_decimals_and_1e9(self):
+        window = DiscretePMF.from_samples([3.0])
+        constant = DiscretePMF.degenerate(0.5)
+        assert window.shift(0.1234567894).values.tolist() == [3.123456789]
+        assert constant.shift(0.1234567894).values.tolist() == [0.623456789]
+        for pmf in (window, constant):
+            assert pmf.cdf(pmf.min() - 0.5 * CDF_TOLERANCE) == 1.0
+            assert pmf.cdf(pmf.min() - 2 * CDF_TOLERANCE) == 0.0
+
     def test_millisecond_grids_keep_historical_tolerance(self):
         # Coarse grids must not loosen: 1e-9 dust absorbed, 1e-4 is not.
-        pmf = DiscretePMF.from_samples([10.0, 20.0], 1.0)
+        pmf = DiscretePMF.from_samples([10.0, 20.0])
         assert pmf.cdf(10.0 - 5e-10) == pytest.approx(0.5)
         assert pmf.cdf(10.0 - 1e-4) == 0.0
 
@@ -312,16 +314,11 @@ def _reference_convolve(a, b):
     return values, [sums[v] for v in values]
 
 
-def _random_grid_pmf(rng, size, bin_width=1.0, spread=None):
-    """A grid-tagged pmf with exactly ``size`` atoms."""
+def _random_grid_pmf(rng, size, spread=None):
+    """A lattice-tagged pmf with exactly ``size`` atoms."""
     spread = spread if spread is not None else max(4 * size, 8)
     lattice = rng.choice(spread, size=size, replace=False)
-    weights = rng.random(size) + 0.05
-    return DiscretePMF(
-        np.sort(lattice) * bin_width,
-        weights / weights.sum(),
-        bin_width=bin_width,
-    )
+    return DiscretePMF.from_samples(np.repeat(lattice, rng.integers(1, 20, size)))
 
 
 def _assert_matches_reference(result, a, b):
@@ -340,18 +337,9 @@ class TestLatticeConvolution:
         # Sweeps straight across the FFT crossover (64 lattice slots):
         # contiguous supports of `size` atoms span exactly `size` slots.
         rng = np.random.default_rng(size)
-        weights_a = rng.random(size) + 0.05
-        weights_b = rng.random(size) + 0.05
-        a = DiscretePMF(
-            np.arange(size, dtype=float),
-            weights_a / weights_a.sum(),
-            bin_width=1.0,
-        )
-        b = DiscretePMF(
-            np.arange(size, dtype=float) + 3.0,
-            weights_b / weights_b.sum(),
-            bin_width=1.0,
-        )
+        slots = np.arange(size)
+        a = DiscretePMF.from_samples(np.repeat(slots, rng.integers(1, 20, size)))
+        b = DiscretePMF.from_samples(np.repeat(slots + 3, rng.integers(1, 20, size)))
         _assert_matches_reference(a.convolve(b), a, b)
 
     @pytest.mark.parametrize("trial", range(20))
@@ -374,9 +362,15 @@ class TestLatticeConvolution:
         _assert_matches_reference(a.convolve(b), a, b)
 
     def test_fractional_grid(self):
-        a = DiscretePMF([0.0, 0.5, 1.5], [0.25, 0.5, 0.25], bin_width=0.5)
-        b = DiscretePMF([0.5, 1.0], [0.5, 0.5], bin_width=0.5)
-        _assert_matches_reference(a.convolve(b), a, b)
+        # A non-integral T_i moves a tagged pmf off the lattice points, not
+        # off the lattice: it still convolves there, bitwise as before.
+        a = DiscretePMF.from_samples([0, 1, 1, 3]).shift(0.5)
+        b = DiscretePMF.from_samples([0, 2]).shift(0.25)
+        result = a.convolve(b)
+        assert result._lattice
+        assert result.values.tobytes() == a._convolve_lattice(b).values.tobytes()
+        assert result.values.tolist() == [0.75, 1.75, 2.75, 3.75, 5.75]
+        _assert_matches_reference(result, a, b)
 
     def test_untagged_pmfs_take_pairwise_path(self):
         # Off-grid atoms (irrational spacing) must still convolve exactly.
@@ -385,15 +379,34 @@ class TestLatticeConvolution:
         _assert_matches_reference(a.convolve(b), a, b)
 
     def test_grid_tag_propagates_through_convolve(self):
-        a = DiscretePMF.from_samples([1, 2, 2, 5], bin_width=1.0)
-        b = DiscretePMF.from_samples([0, 3, 3], bin_width=1.0)
-        assert a.bin_width == 1.0
-        assert a.convolve(b).bin_width == 1.0
+        a = DiscretePMF.from_samples([1, 2, 2, 5])
+        b = DiscretePMF.from_samples([0, 3, 3])
+        assert a._lattice
+        assert a.convolve(b)._lattice
+        assert batch_convolve([(a, b)])[0]._lattice
 
     def test_shift_keeps_tag_scale_drops_it(self):
-        pmf = DiscretePMF.from_samples([1, 2, 4], bin_width=1.0)
-        assert pmf.shift(2.5).bin_width == 1.0
-        assert pmf.scale(1.5).bin_width is None
+        pmf = DiscretePMF.from_samples([1, 2, 4])
+        assert pmf.shift(2.5)._lattice
+        assert not pmf.scale(1.5)._lattice
+        assert not pmf.scale(2.0)._lattice
+        assert not DiscretePMF(pmf.values, pmf.probs)._lattice
+        assert not DiscretePMF.from_counts({1.0: 1, 2.0: 1})._lattice
+
+    def test_the_tag_not_the_atoms_chooses_the_kernel(self):
+        # scale(2.0) lands every atom on a lattice point, yet the result is
+        # untagged: convolving it is the pairwise kernel, bit for bit.
+        rng = np.random.default_rng(5)
+        tagged = _random_grid_pmf(rng, 30, spread=70)
+        doubled = _random_grid_pmf(rng, 25, spread=70).scale(2.0)
+        assert np.array_equal(doubled.values, np.rint(doubled.values))
+        for a, b in ((tagged, doubled), (doubled, tagged), (doubled, doubled)):
+            result = a.convolve(b)
+            pairwise = a._convolve_pairwise(b)
+            assert not result._lattice
+            assert result.values.tobytes() == pairwise.values.tobytes()
+            assert result.probs.tobytes() == pairwise.probs.tobytes()
+        assert batch_convolve([(tagged, doubled)]) == [None]
 
     def test_fft_mass_is_renormalized(self):
         rng = np.random.default_rng(11)
@@ -402,38 +415,6 @@ class TestLatticeConvolution:
         result = a.convolve(b)
         assert result.probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(result.probs >= 0.0)
-
-
-class TestBinWidthMismatch:
-    def test_convolve_refuses_different_grids(self):
-        a = DiscretePMF.from_samples([1, 2, 3], bin_width=1.0)
-        b = DiscretePMF.from_samples([1, 2, 3], bin_width=0.5)
-        with pytest.raises(BinWidthMismatchError):
-            a.convolve(b)
-        with pytest.raises(BinWidthMismatchError):
-            b.convolve(a)
-
-    def test_error_is_a_value_error(self):
-        # Callers that guarded with ValueError keep working.
-        assert issubclass(BinWidthMismatchError, ValueError)
-
-    def test_singleton_operand_bypasses_the_check(self):
-        # A constant shift never misaligns a grid.
-        a = DiscretePMF.from_samples([1, 2, 3], bin_width=1.0)
-        b = DiscretePMF.from_samples([5, 5], bin_width=0.5)
-        assert a.convolve(b).allclose(a.shift(5.0))
-
-    def test_untagged_operand_bypasses_the_check(self):
-        a = DiscretePMF.from_samples([1, 2, 3], bin_width=1.0)
-        b = DiscretePMF([0.25, 1.5], [0.5, 0.5])
-        result = a.convolve(b)
-        _assert_matches_reference(result, a, b)
-
-    def test_batch_convolve_raises_on_mismatch(self):
-        a = DiscretePMF.from_samples([1, 2, 3], bin_width=1.0)
-        b = DiscretePMF.from_samples([1, 2, 3], bin_width=2.0)
-        with pytest.raises(BinWidthMismatchError):
-            batch_convolve([(a, b)])
 
 
 class TestBatchConvolve:
@@ -453,14 +434,14 @@ class TestBatchConvolve:
             _assert_matches_reference(result, a, b)
 
     def test_singletons_become_shifts(self):
-        pmf = DiscretePMF.from_samples([1, 2, 4], bin_width=1.0)
+        pmf = DiscretePMF.from_samples([1, 2, 4])
         single = DiscretePMF.degenerate(3.0)
         left, right = batch_convolve([(single, pmf), (pmf, single)])
         assert left.allclose(pmf.shift(3.0))
         assert right.allclose(pmf.shift(3.0))
 
     def test_untagged_pairs_come_back_none(self):
-        tagged = DiscretePMF.from_samples([1, 2, 4], bin_width=1.0)
+        tagged = DiscretePMF.from_samples([1, 2, 4])
         untagged = DiscretePMF([0.0, 0.3], [0.5, 0.5])
         results = batch_convolve([(tagged, untagged), (tagged, tagged)])
         assert results[0] is None

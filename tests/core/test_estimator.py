@@ -25,8 +25,12 @@ def _feed(repo, name, services, queues, gateway):
 
 
 def test_bin_width_validation(repo):
-    with pytest.raises(ValueError):
-        ResponseTimeEstimator(repo, bin_width_ms=0.0)
+    # Only the one lattice is accepted, by both estimators.
+    for cls in (ResponseTimeEstimator, QueueScaledEstimator):
+        assert cls(repo, bin_width_ms=1.0).cache_info()["entries"] == 0
+        for width in (0.0, 0.5, 0.25, 2.0, 1e-6):
+            with pytest.raises(ValueError, match="1.0 ms lattice"):
+                cls(repo, bin_width_ms=width)
 
 
 def test_no_history_returns_none(repo):
@@ -111,7 +115,7 @@ def test_expected_response_time(repo):
 def test_binning_groups_noisy_samples(repo):
     _feed(repo, "r1", services=[100.2, 99.8, 100.4, 99.6, 100.1],
           queues=[0.1, 0.2, 0.0, 0.1, 0.2], gateway=3.0)
-    estimator = ResponseTimeEstimator(repo, bin_width_ms=1.0)
+    estimator = ResponseTimeEstimator(repo)
     pmf = estimator.response_time_pmf("r1")
     assert pmf.support_size == 1  # everything collapses to 100 + 0 + 3
 
@@ -201,7 +205,8 @@ class TestIncrementalPipeline:
         repo.add_replica("r3")  # no history
         estimator = ResponseTimeEstimator(repo)
         replicas = repo.replicas()
-        for deadline in (-1.0, 0.0, 60.0, 104.0, 500.0):
+        # 53 and 103 minus half the tolerance: F counts the atom there.
+        for deadline in (-1.0, 0.0, 53.0 - 5e-10, 60.0, 103.0 - 5e-10, 104.0, 500.0):
             batched = estimator.batch_probability_by(replicas, deadline)
             for name, probability in zip(replicas, batched):
                 assert probability == estimator.probability_by(name, deadline)

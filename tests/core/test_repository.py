@@ -37,21 +37,21 @@ class TestSlidingWindow:
         window = SlidingWindow(2)
         for value in (10.0, 20.0, 30.0):
             window.append(value)
-        assert window.pmf(1.0).items() == [(20.0, 0.5), (30.0, 0.5)]
+        assert window.pmf().items() == [(20.0, 0.5), (30.0, 0.5)]
 
-    def test_counts_maintained_per_bin_width(self):
+    def test_counts_maintained_under_eviction(self):
         window = SlidingWindow(3)
         for value in (0.6, 1.2, 2.4):
             window.append(value)
-        assert window.counts(1.0) == {1.0: 2, 2.0: 1}
-        assert window.counts(2.0) == {0.0: 1, 2.0: 2}
+        assert window.counts() == {1.0: 2, 2.0: 1}
         window.append(3.1)  # evicts 0.6
-        assert window.counts(1.0) == {1.0: 1, 2.0: 1, 3.0: 1}
-        assert window.counts(2.0) == {2.0: 2, 4.0: 1}
+        assert window.counts() == {1.0: 1, 2.0: 1, 3.0: 1}
+        window.append(2.2)  # evicts 1.2
+        assert window.counts() == {2.0: 2, 3.0: 1}
 
     def test_pmf_on_empty_window_rejected(self):
         with pytest.raises(ValueError):
-            SlidingWindow(3).pmf(1.0)
+            SlidingWindow(3).pmf()
 
 
 class TestReplicaRecord:

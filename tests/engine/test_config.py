@@ -94,7 +94,7 @@ def test_an_estimator_factory_must_build_on_the_configured_grid():
         EngineConfig(estimator_factory=lambda repo: QueueScaledEstimator(repo))
     )
     assert isinstance(models.estimator, QueueScaledEstimator)
-    with pytest.raises(ValueError, match=r"0\.25 ms grid but the client grid is 1\.0"):
+    with pytest.raises(ValueError, match=r"1\.0 ms lattice, got 0\.25"):
         ClassModels(
             EngineConfig(
                 estimator_factory=lambda repo: QueueScaledEstimator(

@@ -191,7 +191,7 @@ def test_constructor_validation(stack):
     # a factory building on another grid than the client's.
     with pytest.raises(ValueError, match="health_listener"):
         stack.add_client("client-z", health_listener=lambda event: None)
-    with pytest.raises(ValueError, match="client grid"):
+    with pytest.raises(ValueError, match="1.0 ms lattice"):
         stack.add_client(
             "client-w",
             estimator_factory=lambda repo: QueueScaledEstimator(

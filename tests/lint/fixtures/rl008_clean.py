@@ -7,8 +7,8 @@ def from_wire(values, probs):
     return DiscretePMF(values, probs)
 
 
-def from_histogram(counts, width):
-    return DiscretePMF.from_counts(counts, bin_width=width)
+def from_histogram(counts):
+    return DiscretePMF.from_counts(counts)
 
 
 def derived(pmf, delay_ms):

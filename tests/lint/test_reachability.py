@@ -21,7 +21,6 @@ from .conftest import REPO_ROOT
 ALLOWED = {
     "subset_timeliness_from_map": "reference: Equation 1 by replica name",
     "min_replicas_needed": "reference: closed form the selection properties check",
-    "quantize": "reference: the per-sample rounding from_samples must equal",
     "select_replicas": "public API: README",
     "mean_confidence_interval": "reserved: ROADMAP item 1",
     "proportion_confidence_interval": "reserved: ROADMAP item 1",
@@ -55,5 +54,5 @@ def test_every_public_name_has_a_production_caller():
                 if other != path and other.name != "__init__.py"
             ):
                 orphans.add(name)
-    assert len(ALLOWED) <= 12
+    assert len(ALLOWED) <= 7
     assert orphans == set(ALLOWED)

@@ -97,11 +97,7 @@ def test_queue_scaled_estimation_alone_does_not_avert_collapse():
             ),
             num_requests=40,
             think_time=Exponential(THINK_MS),
-            handler_kwargs={
-                "estimator_factory": lambda repo: QueueScaledEstimator(
-                    repo, bin_width_ms=1.0
-                )
-            },
+            handler_kwargs={"estimator_factory": QueueScaledEstimator},
         )
         for i in range(16)
     ]

@@ -14,7 +14,6 @@ from repro.sim.random import Constant
 from ..faults.conftest import FaultStack
 
 REPLICAS = ["s-1", "s-2", "s-3"]
-BIN_WIDTH = 1.0
 
 
 def _window_state(handler):
@@ -26,8 +25,8 @@ def _window_state(handler):
             tuple(record.queue_delays.values()),
             record.service_times.version,
             record.queue_delays.version,
-            record.service_times.pmf(BIN_WIDTH).items(),
-            record.queue_delays.pmf(BIN_WIDTH).items(),
+            record.service_times.pmf().items(),
+            record.queue_delays.pmf().items(),
         )
     return state
 

@@ -33,7 +33,6 @@ gateway_ops = st.tuples(
     st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
 )
 op_sequences = st.lists(st.one_of(perf_ops, gateway_ops), min_size=1, max_size=30)
-bin_widths = st.sampled_from([0.5, 1.0, 2.0])
 window_sizes = st.integers(min_value=1, max_value=6)
 
 
@@ -46,18 +45,18 @@ def _apply(repo, op, now):
         repo.record_gateway_delay(name, delay, now_ms=now)
 
 
-@given(op_sequences, bin_widths, window_sizes)
+@given(op_sequences, window_sizes)
 @settings(max_examples=60)
-def test_cached_pmfs_match_from_scratch_rebuild(ops, bin_width, window_size):
+def test_cached_pmfs_match_from_scratch_rebuild(ops, window_size):
     """Random push/evict sequences: cached == uncached, at every step."""
     repo = InformationRepository(window_size=window_size)
-    cached = ResponseTimeEstimator(repo, bin_width_ms=bin_width)
+    cached = ResponseTimeEstimator(repo)
     for step, op in enumerate(ops):
         _apply(repo, op, float(step))
         for name in repo.replicas():
             cached_pmf = cached.response_time_pmf(name)
             fresh = estimator_oracle.ResponseTimeEstimator(
-                repo, bin_width_ms=bin_width, incremental=False
+                repo, incremental=False
             ).response_time_pmf(name)
             if fresh is None:
                 assert cached_pmf is None
@@ -65,19 +64,19 @@ def test_cached_pmfs_match_from_scratch_rebuild(ops, bin_width, window_size):
                 assert cached_pmf.allclose(fresh)
 
 
-@given(op_sequences, bin_widths)
+@given(op_sequences)
 @settings(max_examples=40)
-def test_cached_pmfs_match_with_gateway_windows(ops, bin_width):
+def test_cached_pmfs_match_with_gateway_windows(ops):
     """Same contract with the §5.3.1 T_i-as-distribution extension."""
     repo = InformationRepository(window_size=4, gateway_window_size=3)
-    cached = ResponseTimeEstimator(repo, bin_width_ms=bin_width)
+    cached = ResponseTimeEstimator(repo)
     for step, op in enumerate(ops):
         _apply(repo, op, float(step))
     for name in repo.replicas():
         cached_pmf = cached.response_time_pmf(name)
         cached_pmf = cached.response_time_pmf(name)  # hit the memo too
         fresh = estimator_oracle.ResponseTimeEstimator(
-            repo, bin_width_ms=bin_width, incremental=False
+            repo, incremental=False
         ).response_time_pmf(name)
         if fresh is None:
             assert cached_pmf is None
@@ -85,18 +84,18 @@ def test_cached_pmfs_match_with_gateway_windows(ops, bin_width):
             assert cached_pmf.allclose(fresh)
 
 
-@given(op_sequences, bin_widths)
+@given(op_sequences)
 @settings(max_examples=40)
-def test_queue_scaled_cached_matches_rebuild(ops, bin_width):
+def test_queue_scaled_cached_matches_rebuild(ops):
     """The queue-depth-scaled variant obeys the same cache contract."""
     repo = InformationRepository(window_size=4)
-    cached = QueueScaledEstimator(repo, bin_width_ms=bin_width)
+    cached = QueueScaledEstimator(repo)
     for step, op in enumerate(ops):
         _apply(repo, op, float(step))
         for name in repo.replicas():
             cached_pmf = cached.response_time_pmf(name)
             fresh = estimator_oracle.QueueScaledEstimator(
-                repo, bin_width_ms=bin_width, incremental=False
+                repo, incremental=False
             ).response_time_pmf(name)
             if fresh is None:
                 assert cached_pmf is None
@@ -164,19 +163,18 @@ def test_version_bump_always_invalidates(extra_samples):
         min_size=5,
         max_size=40,
     ),
-    st.sampled_from([0.5, 1.0, 1e-3, 1e-6]),
 )
 @settings(max_examples=60)
-def test_incremental_counts_track_any_window(stream, bin_width):
-    """SampleCounts under sliding eviction == full recount, any bin width."""
+def test_incremental_counts_track_any_window(stream):
+    """SampleCounts under sliding eviction == full recount."""
     window_size = 4
     window = []
-    counter = SampleCounts(bin_width)
+    counter = SampleCounts()
     for sample in stream:
         evicted = window.pop(0) if len(window) == window_size else None
         window.append(sample)
         counter.replace(sample, evicted)
         assert len(counter) == len(window)
         assert counter.pmf().allclose(
-            DiscretePMF.from_samples(window, bin_width)
+            DiscretePMF.from_samples(window)
         )

@@ -14,18 +14,17 @@ samples = st.lists(
     min_size=1,
     max_size=30,
 )
-bin_widths = st.sampled_from([0.5, 1.0, 2.0, 5.0])
 
 
-@given(samples, bin_widths)
-def test_probabilities_sum_to_one(values, bin_width):
-    pmf = DiscretePMF.from_samples(values, bin_width)
+@given(samples)
+def test_probabilities_sum_to_one(values):
+    pmf = DiscretePMF.from_samples(values)
     assert math.isclose(float(pmf.probs.sum()), 1.0, abs_tol=1e-9)
 
 
-@given(samples, bin_widths)
-def test_values_sorted_and_unique(values, bin_width):
-    pmf = DiscretePMF.from_samples(values, bin_width)
+@given(samples)
+def test_values_sorted_and_unique(values):
+    pmf = DiscretePMF.from_samples(values)
     diffs = np.diff(pmf.values)
     assert (diffs > 0).all()
 
@@ -45,9 +44,9 @@ def test_cdf_limits(values):
     assert math.isclose(pmf.cdf(pmf.max()), 1.0, abs_tol=1e-9)
 
 
-@given(samples, bin_widths)
-def test_mean_within_support(values, bin_width):
-    pmf = DiscretePMF.from_samples(values, bin_width)
+@given(samples)
+def test_mean_within_support(values):
+    pmf = DiscretePMF.from_samples(values)
     assert pmf.min() - 1e-9 <= pmf.mean() <= pmf.max() + 1e-9
 
 
@@ -122,24 +121,23 @@ chain_samples = st.lists(
 
 
 @settings(deadline=None, max_examples=40)
-@given(chain_samples, bin_widths)
-def test_convolution_chain_conserves_mass(sample_sets, bin_width):
+@given(chain_samples)
+def test_convolution_chain_conserves_mass(sample_sets):
     """Long S⊛W⊛… chains stay normalized, non-negative and on-grid.
 
     The FFT path leaves ± round-off noise in empty lattice slots; the
     kernel clamps it and renormalizes, so no matter how many convolutions
     are chained the result is still an exact probability vector.
     """
-    pmfs = [DiscretePMF.from_samples(s, bin_width) for s in sample_sets]
+    pmfs = [DiscretePMF.from_samples(s) for s in sample_sets]
     chained = pmfs[0]
     for pmf in pmfs[1:]:
         chained = chained.convolve(pmf)
     assert math.isclose(float(chained.probs.sum()), 1.0, abs_tol=1e-12)
     assert (chained.probs >= 0.0).all()
-    assert chained.bin_width == bin_width
-    # Support stays on the common lattice.
-    offsets = (chained.values - chained.values[0]) / bin_width
-    assert np.allclose(offsets, np.rint(offsets), atol=1e-6)
+    assert chained._lattice
+    # Support stays on the lattice.
+    assert np.array_equal(chained.values, np.rint(chained.values))
     # The chained mean is the sum of the operand means (convolution
     # identity) — a drifting mass would break this first.
     assert math.isclose(
@@ -148,10 +146,10 @@ def test_convolution_chain_conserves_mass(sample_sets, bin_width):
 
 
 @settings(deadline=None, max_examples=30)
-@given(chain_samples, bin_widths)
-def test_chain_matches_pairwise_reference(sample_sets, bin_width):
+@given(chain_samples)
+def test_chain_matches_pairwise_reference(sample_sets):
     """The dense/FFT chain equals the exact pairwise path, fold for fold."""
-    pmfs = [DiscretePMF.from_samples(s, bin_width) for s in sample_sets]
+    pmfs = [DiscretePMF.from_samples(s) for s in sample_sets]
     fast = pmfs[0]
     slow = DiscretePMF(pmfs[0].values, pmfs[0].probs)  # untagged twin
     for pmf in pmfs[1:]:

@@ -131,7 +131,7 @@ def same_pmf(ours, theirs):
     if ours is None or theirs is None:
         return ours is theirs
     return (
-        ours.bin_width == theirs.bin_width
+        ours._lattice == (theirs.bin_width is not None)
         and ours.values.tobytes() == theirs.values.tobytes()
         and ours.probs.tobytes() == theirs.probs.tobytes()
     )

@@ -13,8 +13,8 @@ linter cannot know about:
   (``time.perf_counter`` is exempt: it measures host CPU overhead —
   RL007 keeps that measurement out of simulated runs).
 * **RL003** — no bare float ``==``/``!=`` on pmf/time-valued
-  expressions; exact comparisons belong to the grid-tolerance helpers in
-  ``core/distribution.py``.
+  expressions; compare with ``math.isclose``, ``DiscretePMF.allclose`` or
+  the ``CDF_TOLERANCE`` constant of ``core/distribution.py``.
 * **RL004** — the request-lifecycle books (``_requests``, ``_copy_of``,
   ``_probes``) are mutated only inside ``engine/book.py``, the module
   that defines ``RequestBook`` (the single-writer invariant the

@@ -225,8 +225,8 @@ class FloatEquality(Rule):
     )
 
     def applies_to(self, path: str) -> bool:
-        # core/distribution.py owns the sanctioned grid-tolerance
-        # helpers and compares exact bin widths by design.
+        # core/distribution.py owns the lattice, its tolerance constant
+        # and the sanctioned exact comparisons.
         return _in_repro(path) and not path.endswith("core/distribution.py")
 
     def _suspicious(self, node: ast.expr) -> bool:
@@ -256,8 +256,8 @@ class FloatEquality(Rule):
                             path,
                             node,
                             "bare float equality on a pmf/time value; "
-                            "use math.isclose or the grid-tolerance "
-                            "helpers in core/distribution.py",
+                            "use math.isclose, DiscretePMF.allclose or "
+                            "CDF_TOLERANCE from core/distribution.py",
                         )
                     )
                     break
