@@ -13,10 +13,12 @@ CI job runs first and uploads.
 """
 
 from repro.experiments.bench_scale import (
+    REPLICA_COUNTS,
+    WINDOW_SIZES,
     measure_kernel_throughput,
     measure_message_throughput,
-    measure_selection_scale,
 )
+from repro.experiments.fig3_overhead import measure_selection
 
 #: ISSUE 7's budget for one cached selection, at every grid point.
 CACHED_US_CEILING = 1000.0
@@ -51,7 +53,7 @@ def test_cached_selection_under_1ms_and_one_dirty_row_stays_cheap():
     # host inflates one reading (1 in 16 cached ones by 2x, measured); a
     # regression inflates both.
     sweeps = [
-        measure_selection_scale(cached_iterations=50, uncached_iterations=1)
+        measure_selection(REPLICA_COUNTS, WINDOW_SIZES, 50, 1)
         for _ in range(2)
     ]
 

@@ -16,7 +16,7 @@ These tests only assert.  ``BENCH_estimator.json`` has one producer,
 ``python -m repro.experiments fig3 --json BENCH_estimator.json``.
 """
 
-from repro.experiments.fig3_overhead import measure_overhead, run_cached_comparison
+from repro.experiments.fig3_overhead import measure_overhead, measure_selection
 
 
 def test_distribution_computation_dominates():
@@ -27,10 +27,8 @@ def test_distribution_computation_dominates():
 
 def test_cached_speedup_at_l60():
     """Acceptance: cached δ ≥ 5× lower than uncached at l = 60."""
-    for comparison in run_cached_comparison(
-        replica_counts=(2, 4, 8), window_sizes=(60,), iterations=100
-    ):
-        assert comparison.speedup >= 5.0, (
-            f"cached path only {comparison.speedup:.1f}x faster at "
-            f"n={comparison.num_replicas}, l=60"
+    for point in measure_selection((2, 4, 8), (60,), 100, 100):
+        assert point.speedup >= 5.0, (
+            f"cached path only {point.speedup:.1f}x faster at "
+            f"n={point.num_replicas}, l=60"
         )

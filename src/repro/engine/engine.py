@@ -176,12 +176,7 @@ class TimingFaultEngine:
         self._violation_reported = False
 
     def _account(self, response_time: float) -> None:
-        failed = self.stats.record(response_time, self.qos.deadline_ms)
-        self.metrics.observe(
-            "tf.response_time_ms", response_time, labels=self.labels
-        )
-        if failed:
-            self.metrics.increment("tf.timing_failures", labels=self.labels)
+        self.stats.record(response_time, self.qos.deadline_ms)
         if self.stats.violates(self.qos):
             if not self._violation_reported and self.config.violation_callback:
                 self.config.violation_callback(
@@ -214,9 +209,6 @@ class TimingFaultEngine:
         msg_id, sent_to = self.port.send_request(call, decision.selected)
         if sent_to:
             decision = SelectionDecision(selected=sent_to, meta=decision.meta)
-            self.metrics.observe(
-                "tf.redundancy", len(sent_to), labels=self.labels
-            )
         self.book.open(
             msg_id,
             RequestRecord(
@@ -238,7 +230,6 @@ class TimingFaultEngine:
             "client.sent", msg_id=msg_id, selected=list(sent_to), t0=t0,
             bootstrap=decision.meta.get("bootstrap", False),
         )
-        self.metrics.increment("tf.requests", labels=self.labels)
         # The response timeout also keeps the run alive while a reply is
         # in flight.  A request that reached zero replicas (empty view or
         # a racing eviction) can never be answered: fail fast as a timeout
@@ -267,14 +258,6 @@ class TimingFaultEngine:
         decision = self.policy.decide(ctx)
         if class_key != DEFAULT_CLASS:
             decision.meta["request_class"] = class_key
-        # The wall-clock δ of this decision (paper Fig. 3 / §5.3.3): the
-        # number the estimator's stored pmfs exist to shrink — export it
-        # so experiments can watch it.
-        overhead_ms = decision.meta.get("overhead_ms")
-        if overhead_ms is not None:
-            self.metrics.observe(
-                "tf.selection_overhead_ms", float(overhead_ms), labels=self.labels
-            )
         return decision
 
     def response_timeout_ms(self, selected: Sequence[str], class_key: str) -> float:
@@ -314,7 +297,6 @@ class TimingFaultEngine:
         untouched (a shed is load control, not a timing fault).
         """
         self.sheds += 1
-        self.metrics.increment("tf.sheds", labels=self.labels)
         meta: SelectionMeta = {**decision.meta, "shed_load": load}
         outcome = ReplyOutcome(
             value=None,
@@ -353,7 +335,6 @@ class TimingFaultEngine:
     def _clock_anomaly(self, replica: str, now_ms: float) -> None:
         """One physically impossible / incoherent sample was dropped."""
         self.clock_rejections += 1
-        self.metrics.increment("tf.clock_rejections", labels=self.labels)
         self.trace("client.clock-anomaly", replica=replica)
         if self.health is not None:
             self.health.record_clock_anomaly(replica, now_ms)
@@ -428,7 +409,6 @@ class TimingFaultEngine:
         if not self.book.claim(record):
             return  # normal case: reply already delivered; just forget it
         outcome = self._outcome(msg_id, record, max(0.0, self.port.now - record.t0))
-        self.metrics.increment("tf.timeouts", labels=self.labels)
         self.trace("client.timeout", msg_id=msg_id)
         self.port.complete(record.token, outcome)
 

@@ -3,8 +3,9 @@
 ROADMAP item 2 ("vectorized event kernel + FFT convolution for 100–1000
 replica fleets"): the Fig. 3 curves stop at the paper's n = 8, which
 says nothing about whether the gateway can pick replicas out of a fleet.
-This benchmark extends the measurement to n ∈ {64, 256, 1024} replicas
-and windows up to l = 240, and adds an end-to-end event-kernel
+This benchmark runs Fig. 3's selection loop
+(:func:`~repro.experiments.fig3_overhead.measure_selection`) over
+n ∈ {64, 256, 1024} replicas and windows up to l = 240, and adds an event-kernel
 throughput figure (events/sec through :class:`repro.sim.Simulator`'s
 event queue) and the cost of one message through the message plane
 (``net`` + one kernel event + the gateway's routing), exported together
@@ -19,22 +20,20 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from ..gateway.gateway import ProtocolHandler
 from ..net.lan import LinkProfile
 from ..net.message import Message
 from ..sim.kernel import Simulator
 from ..workload.ministack import Deployment, Wiring, make_interface
-from .fig3_overhead import measure_overhead
+from .fig3_overhead import SelectionPoint, measure_selection
 from .harness import print_table
 from .registry import Command, flag_value
 
 __all__ = [
-    "ScalePoint",
     "KernelPoint",
     "MessagePoint",
-    "measure_selection_scale",
     "measure_kernel_throughput",
     "measure_message_throughput",
     "export_scale_bench",
@@ -46,28 +45,6 @@ __all__ = [
 REPLICA_COUNTS = (64, 256, 1024)
 #: Window sizes, up to the 240-entry ceiling of ISSUE 7.
 WINDOW_SIZES = (60, 240)
-
-
-@dataclass(frozen=True)
-class ScalePoint:
-    """Selection cost at one ``(n, l)`` fleet-scale point."""
-
-    num_replicas: int
-    window_size: int
-    #: Nothing changed since the previous selection.
-    cached_us: float
-    #: One / eight replicas pushed an update since the previous selection
-    #: (a live run: every reply dirties one).
-    dirty1_us: float
-    dirty8_us: float
-    uncached_us: float
-
-    @property
-    def speedup(self) -> float:
-        """Uncached-over-cached cost ratio at this point."""
-        if self.cached_us == 0:
-            return float("inf")
-        return self.uncached_us / self.cached_us
 
 
 @dataclass(frozen=True)
@@ -98,53 +75,6 @@ class MessagePoint:
     def us_per_message(self) -> float:
         """Wall-clock microseconds per message, send to handler."""
         return self.elapsed_s * 1e6 / self.messages
-
-
-def measure_selection_scale(
-    replica_counts: Sequence[int] = REPLICA_COUNTS,
-    window_sizes: Sequence[int] = WINDOW_SIZES,
-    cached_iterations: int = 50,
-    uncached_iterations: int = 3,
-) -> List[ScalePoint]:
-    """Cached, k-dirty and uncached selection cost over the fleet-scale grid.
-
-    Reuses the Fig. 3 harness (same repository builder, same two-phase
-    measurement) so the numbers are directly comparable with
-    ``BENCH_estimator.json``; only the grid is larger.  The uncached arm
-    rebuilds every distribution per request — with the lattice/FFT
-    convolution that is now ``O(n · L log L)`` rather than ``O(n · L²)``
-    — so a handful of iterations suffices for a stable mean.
-    """
-    points = []
-    for window_size in window_sizes:
-        for num_replicas in replica_counts:
-            uncached = measure_overhead(
-                num_replicas,
-                window_size,
-                iterations=uncached_iterations,
-                cached=False,
-            )
-            cached, dirty1, dirty8 = (
-                measure_overhead(
-                    num_replicas,
-                    window_size,
-                    iterations=cached_iterations,
-                    cached=True,
-                    dirty=dirty,
-                )
-                for dirty in (0, 1, 8)
-            )
-            points.append(
-                ScalePoint(
-                    num_replicas=num_replicas,
-                    window_size=window_size,
-                    cached_us=cached.total_us,
-                    dirty1_us=dirty1.total_us,
-                    dirty8_us=dirty8.total_us,
-                    uncached_us=uncached.total_us,
-                )
-            )
-    return points
 
 
 def measure_kernel_throughput(
@@ -229,7 +159,7 @@ def measure_message_throughput(
 
 
 def export_scale_bench(
-    selection: Sequence[ScalePoint],
+    selection: Sequence[SelectionPoint],
     kernel: Sequence[KernelPoint],
     message: MessagePoint,
     path: str,
@@ -289,11 +219,9 @@ def main(argv: Sequence[str] = ()) -> int:
     """Print the fleet-scale tables; ``--json FILE`` exports them (BENCH_scale.json)."""
     quick = "--quick" in argv
     if quick:
-        selection = measure_selection_scale(
-            (64,), (60,), cached_iterations=5, uncached_iterations=1
-        )
+        selection = measure_selection((64,), (60,), 5, 1)
     else:
-        selection = measure_selection_scale()
+        selection = measure_selection(REPLICA_COUNTS, WINDOW_SIZES, 50, 3)
     print_table(
         "Fleet-scale selection overhead (microseconds per selection)",
         ["window l", "replicas n", "cached us", "1-dirty us", "8-dirty us",

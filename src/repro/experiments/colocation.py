@@ -65,7 +65,7 @@ def _build_scenario(seed: int) -> Scenario:
     batch_interface = make_interface("batch", "crunch")
     spec = ServiceSpec(
         service="batch",
-        servant_factory=lambda: IntegerServant(batch_interface, "crunch"),
+        servant_factory=lambda: IntegerServant(batch_interface),
         profile_factory=lambda host: ServiceProfile(
             default=Normal(60.0, 15.0),
             load=CoupledLoad(activity, host, alpha=activity_alpha),

@@ -16,9 +16,10 @@ and the distribution computation dominates.
 The shipped :class:`ResponseTimeEstimator` does not work that way: it
 maintains bin counts per window and convolves all stale rows in one FFT
 sized by the value range, so even from nothing its cost barely moves with
-l.  The second table (``run_cached_comparison``) and ``bench_scale`` time
-that estimator: ``invalidate()`` before every selection (uncached) against
-nothing forgotten (cached).
+l.  The second table and ``bench_scale`` time that estimator with one
+loop (:func:`measure_selection`) over two grids: ``invalidate()`` before
+every selection (uncached), one or eight replicas updated since the last
+selection (dirty) and nothing changed (cached).
 """
 
 from __future__ import annotations
@@ -41,12 +42,12 @@ from .registry import Command, flag_value
 
 __all__ = [
     "OverheadPoint",
-    "CachedComparison",
+    "SelectionPoint",
     "build_loaded_repository",
     "paper_model_probabilities",
     "measure_overhead",
     "run",
-    "run_cached_comparison",
+    "measure_selection",
     "export_estimator_bench",
     "main",
     "EXPERIMENT",
@@ -205,51 +206,67 @@ def measure_overhead(
 
 
 @dataclass(frozen=True)
-class CachedComparison:
-    """Uncached vs cached selection overhead at one (n, l) point."""
+class SelectionPoint:
+    """The shipped estimator's selection cost at one ``(n, l)`` point, µs."""
 
     num_replicas: int
     window_size: int
-    uncached: OverheadPoint
-    cached: OverheadPoint
+    #: Nothing changed since the previous selection.
+    cached_us: float
+    #: One / eight replicas pushed an update since the previous selection
+    #: (a live run: every reply dirties one).
+    dirty1_us: float
+    dirty8_us: float
+    #: ``invalidate()`` before every selection: every distribution rebuilt.
+    uncached_us: float
 
     @property
     def speedup(self) -> float:
         """How many times cheaper the cached steady-state selection is."""
-        if self.cached.total_us == 0:
+        if self.cached_us == 0:
             return float("inf")
-        return self.uncached.total_us / self.cached.total_us
+        return self.uncached_us / self.cached_us
 
 
-def run_cached_comparison(
-    replica_counts: Sequence[int] = (2, 4, 8),
-    window_sizes: Sequence[int] = (5, 20, 60),
-    iterations: int = 200,
-) -> List[CachedComparison]:
-    """Cached-vs-uncached overhead curves (what keeping the entries buys)."""
-    comparisons = []
+def measure_selection(
+    replica_counts: Sequence[int],
+    window_sizes: Sequence[int],
+    cached_iterations: int,
+    uncached_iterations: int,
+) -> List[SelectionPoint]:
+    """Cached, 1-dirty, 8-dirty and uncached cost over an ``(n, l)`` grid.
+
+    The one timing loop of Fig. 3's second table (n ≤ 8) and of the
+    fleet-scale benchmark (n up to 1024), so the two are comparable.
+    """
+    points = []
     for window_size in window_sizes:
         for num_replicas in replica_counts:
-            comparisons.append(
-                CachedComparison(
+            uncached = measure_overhead(
+                num_replicas, window_size,
+                iterations=uncached_iterations, cached=False,
+            )
+            cached, dirty1, dirty8 = (
+                measure_overhead(
+                    num_replicas, window_size,
+                    iterations=cached_iterations, cached=True, dirty=dirty,
+                )
+                for dirty in (0, 1, 8)
+            )
+            points.append(
+                SelectionPoint(
                     num_replicas=num_replicas,
                     window_size=window_size,
-                    uncached=measure_overhead(
-                        num_replicas, window_size,
-                        iterations=iterations, cached=False,
-                    ),
-                    cached=measure_overhead(
-                        num_replicas, window_size,
-                        iterations=iterations, cached=True,
-                    ),
+                    cached_us=cached.total_us,
+                    dirty1_us=dirty1.total_us,
+                    dirty8_us=dirty8.total_us,
+                    uncached_us=uncached.total_us,
                 )
             )
-    return comparisons
+    return points
 
 
-def export_estimator_bench(
-    comparisons: Sequence[CachedComparison], path: str
-) -> None:
+def export_estimator_bench(points: Sequence[SelectionPoint], path: str) -> None:
     """Write ``BENCH_estimator.json`` (format: docs/PERFORMANCE.md)."""
     payload = {
         "benchmark": "fig3-estimator-overhead",
@@ -259,19 +276,22 @@ def export_estimator_bench(
             "Algorithm 1.  uncached = the shipped estimator after "
             "invalidate() before every selection (every distribution "
             "recomputed, stale bases through the batched kernel); "
-            "cached = the same estimator with unchanged windows.  "
-            "Written only by `python -m repro.experiments fig3 --json "
-            "FILE`: 200 iterations per arm (30 under --quick)."
+            "cached = the same estimator with unchanged windows; "
+            "dirty1 / dirty8 = one / eight replicas updated before each "
+            "selection.  Written only by `python -m repro.experiments "
+            "fig3 --json FILE`: 200 iterations per arm (30 under --quick)."
         ),
         "points": [
             {
-                "num_replicas": c.num_replicas,
-                "window_size": c.window_size,
-                "uncached_us": round(c.uncached.total_us, 3),
-                "cached_us": round(c.cached.total_us, 3),
-                "speedup": round(c.speedup, 2),
+                "num_replicas": p.num_replicas,
+                "window_size": p.window_size,
+                "uncached_us": round(p.uncached_us, 3),
+                "cached_us": round(p.cached_us, 3),
+                "dirty1_us": round(p.dirty1_us, 3),
+                "dirty8_us": round(p.dirty8_us, 3),
+                "speedup": round(p.speedup, 2),
             }
-            for c in comparisons
+            for p in points
         ],
     }
     with open(path, "w") as handle:
@@ -325,24 +345,20 @@ def main(argv: Sequence[str] = ()) -> int:
          "algorithm us", "distr. fraction"],
         rows,
     )
-    comparisons = run_cached_comparison(iterations=iterations)
+    selection = measure_selection((2, 4, 8), (5, 20, 60), iterations, iterations)
     print_table(
         "Cached vs uncached selection overhead (uncached: invalidate() per selection)",
-        ["window l", "replicas n", "uncached us", "cached us", "speedup"],
+        ["window l", "replicas n", "uncached us", "cached us", "1-dirty us",
+         "8-dirty us", "speedup"],
         [
-            (
-                c.window_size,
-                c.num_replicas,
-                c.uncached.total_us,
-                c.cached.total_us,
-                c.speedup,
-            )
-            for c in comparisons
+            (p.window_size, p.num_replicas, p.uncached_us, p.cached_us,
+             p.dirty1_us, p.dirty8_us, p.speedup)
+            for p in selection
         ],
     )
     path = flag_value(argv, "--json")
     if path:
-        export_estimator_bench(comparisons, path)
+        export_estimator_bench(selection, path)
         print(f"wrote {path}")
     return 0
 

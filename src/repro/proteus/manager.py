@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..gateway.handlers.timing_fault import TimingFaultServerHandler
 from ..group.membership import GroupView
-from ..metrics.collector import MetricsCollector
 from ..orb.object import Servant
 from ..replica.load import HostActivity, ServiceProfile
 
@@ -65,7 +64,6 @@ class DependabilityManager:
         self.stack = stack
         self.sim = stack.sim
         self.tracer = stack.tracer
-        self.metrics = stack.metrics or MetricsCollector(keep_samples=False)
         self._specs: Dict[str, ServiceSpec] = {}
         self._spares: Dict[str, List[str]] = {}
         # service -> spare starts maintain_replication has scheduled that
@@ -158,9 +156,9 @@ class DependabilityManager:
     def report_health_event(self, service: str, event) -> None:
         """Accept a :class:`~repro.health.HealthEvent` from a client handler.
 
-        The manager records it (``health_reports``), traces it, and counts
-        it per transition — giving experiments and operators one place to
-        see every suspicion/quarantine/re-admission across all clients.
+        The manager records it (``health_reports``) and traces it — giving
+        experiments and operators one place to see every suspicion,
+        quarantine and re-admission across all clients.
         """
         self.health_reports.append((service, event))
         self.tracer.emit(
@@ -168,14 +166,6 @@ class DependabilityManager:
             service=service, replica=event.replica,
             old=event.old_state.value, new=event.new_state.value,
             reason=event.reason,
-        )
-        self.metrics.increment(
-            "proteus.health_transitions",
-            labels={
-                "service": service,
-                "replica": event.replica,
-                "to": event.new_state.value,
-            },
         )
 
     def health_listener(self, service: str):

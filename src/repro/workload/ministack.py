@@ -91,10 +91,6 @@ class IntegerServant(Servant):
     live in the replica's :class:`ServiceProfile`.
     """
 
-    def __init__(self, interface: ServiceInterface, method: str = METHOD):
-        super().__init__(interface)
-        self._method = method
-
     def dispatch(self, method: str, args) -> int:
         if method not in self.interface:
             raise KeyError(f"unknown method {method!r}")
@@ -323,7 +319,7 @@ class MiniStack(Deployment):
         """Start a replica on ``host`` (default service time 10 ms)."""
         handler = self.start_server(
             host,
-            IntegerServant(self.interface, METHOD),
+            IntegerServant(self.interface),
             ServiceProfile(default=service_time or Constant(10.0)),
         )
         self.servers[host] = handler

@@ -109,7 +109,7 @@ class Scenario(Deployment):
         self.manager = DependabilityManager(self)
         spec = ServiceSpec(
             service=cfg.service,
-            servant_factory=lambda: IntegerServant(self.interface, cfg.method),
+            servant_factory=lambda: IntegerServant(self.interface),
             profile_factory=self._profile_for,
             replication_level=cfg.num_replicas,
         )

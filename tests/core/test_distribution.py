@@ -71,6 +71,13 @@ class TestStatistics:
         assert pmf.cdf(3.0) == pytest.approx(1.0)
         assert pmf.cdf(100.0) == 1.0
 
+    def test_cdf_is_exactly_one_from_the_last_atom_on(self):
+        # Ten bins of 1/10 sum to 1 - 1.1e-16: the last atom, and a
+        # deadline within the tolerance below it, read 1.0, not the sum.
+        pmf = DiscretePMF.from_samples([float(k) for k in range(10)])
+        assert pmf.cumulative_probs()[-1] < 1.0
+        assert pmf.cdf(9.0 - CDF_TOLERANCE) == pmf.cdf(9.0) == 1.0
+
     def test_quantile(self):
         pmf = DiscretePMF([1.0, 2.0, 3.0], [0.2, 0.3, 0.5])
         assert pmf.quantile(0.1) == 1.0

@@ -5,12 +5,16 @@ import pytest
 from repro.core.estimator import QueueScaledEstimator, ResponseTimeEstimator
 from repro.core.repository import InformationRepository
 
-from . import estimator_oracle
+from . import spec_model as spec
 
 
-def from_scratch(repo, cls=ResponseTimeEstimator):
-    """The parent design's rebuild-from-raw-samples arm over ``repo``."""
-    return getattr(estimator_oracle, cls.__name__)(repo, incremental=False)
+def specified(repo, deadline, cls=ResponseTimeEstimator):
+    """``F_{R_i}(deadline)`` per replica, from the raw samples by §5.3."""
+    queue_scaled = cls is QueueScaledEstimator
+    return [
+        spec.probability_by(repo.record(name), deadline, queue_scaled)
+        for name in repo.replicas()
+    ]
 
 
 @pytest.fixture
@@ -158,8 +162,7 @@ class TestIncrementalPipeline:
         _feed(repo, "r1", services=[100, 110, 120, 130, 140],
               queues=[0, 5, 10, 15, 20], gateway=3.0)
         cached = ResponseTimeEstimator(repo).response_time_pmf("r1")
-        fresh = from_scratch(repo).response_time_pmf("r1")
-        assert cached.allclose(fresh)
+        assert spec.agrees(cached, spec.response_time(repo.record("r1")))
 
     def test_cache_info_counts_hits_and_misses(self, repo):
         _feed(repo, "r1", services=[100] * 5, queues=[0] * 5, gateway=3.0)
@@ -268,6 +271,14 @@ class TestQueueScaledEstimator:
         scaled = QueueScaledEstimator(repo).response_time_pmf("r1")
         assert scaled.mean() == pytest.approx(base.mean())
 
+    def test_a_one_millisecond_service_mean_still_scales(self, repo):
+        # Any E[S] > 0 scales W_i, a service window on the first bin too.
+        _feed(repo, "r1", services=[1.0] * 5, queues=[10.0] * 5, gateway=0.0)
+        repo.record("r1").queue_length = 5
+        scaled = QueueScaledEstimator(repo).response_time_pmf("r1")
+        assert scaled.max() == pytest.approx(1.0 + 10.0 * 6.0 / 11.0)
+        assert spec.agrees(scaled, spec.response_time(repo.record("r1"), True))
+
     def test_cache_tracks_probe_queue_updates(self, repo):
         # Probe replies write queue_length directly, without a window
         # version bump; the change log must still name the replica.
@@ -321,11 +332,8 @@ class TestBatchedFleetPipeline:
     def test_batch_refresh_matches_scalar_path(self):
         repository = self._fleet()
         replicas = repository.replicas()
-        batched = ResponseTimeEstimator(repository)
-        scalar = from_scratch(repository)
-        fast = batched.batch_probability_by(replicas, 150.0)
-        slow = [scalar.probability_by(name, 150.0) for name in replicas]
-        assert fast == pytest.approx(slow, abs=1e-12)
+        fast = ResponseTimeEstimator(repository).batch_probability_by(replicas, 150.0)
+        assert fast == pytest.approx(specified(repository, 150.0), abs=1e-12)
 
     def test_batch_refresh_matches_after_fleet_wide_burst(self):
         repository = self._fleet()
@@ -336,10 +344,8 @@ class TestBatchedFleetPipeline:
             repository.record_performance(
                 name, 180.0, 25.0, queue_length=2, now_ms=1.0
             )
-        fresh = from_scratch(repository)
         fast = estimator.batch_probability_by(replicas, 150.0)
-        slow = [fresh.probability_by(name, 150.0) for name in replicas]
-        assert fast == pytest.approx(slow, abs=1e-12)
+        assert fast == pytest.approx(specified(repository, 150.0), abs=1e-12)
 
     def test_version_gate_caches_steady_state(self):
         repository = self._fleet()
@@ -403,8 +409,7 @@ def test_rejoined_replica_is_never_served_its_old_row(repo, evict, estimator_cls
     assert (
         new.service_times.version, new.queue_delays.version, new.gateway_delay_ms
     ) == (old.service_times.version, old.queue_delays.version, old.gateway_delay_ms)
-    fresh = from_scratch(repo, estimator_cls)
-    assert fresh.batch_probability_by(replicas, 150.0) == [0.0, 1.0]
+    assert specified(repo, 150.0, estimator_cls) == [0.0, 1.0]
     assert estimator.batch_probability_by(replicas, 150.0) == [0.0, 1.0]
     assert estimator.probability_by("r1", 150.0) == 0.0
 

@@ -2,21 +2,20 @@
 
 The contract (docs/PERFORMANCE.md): for *any* interleaving of performance
 pushes and gateway-delay updates — each push both appends and, once the
-window is full, evicts — the estimator must return pmfs ``allclose`` to a
-rebuild from the raw window samples (the ``incremental=False`` arm of the
-parent design, ``tests/core/estimator_oracle.py``), and a push must always
-replace the stored pmf.
+window is full, evicts — the estimator must return the pmfs §5.3 builds
+from the raw window samples (``tests/core/spec_model.py``, to 1e-12), and
+a push must always replace the stored pmf.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.distribution import DiscretePMF, SampleCounts
+from repro.core.distribution import SampleCounts
 from repro.core.estimator import QueueScaledEstimator, ResponseTimeEstimator
 from repro.core.repository import InformationRepository
 
-from ..core import estimator_oracle
+from ..core import spec_model as spec
 
 # One repository mutation: a replica performance push or a gateway-delay
 # measurement, with millisecond-scale values.
@@ -34,6 +33,12 @@ gateway_ops = st.tuples(
 )
 op_sequences = st.lists(st.one_of(perf_ops, gateway_ops), min_size=1, max_size=30)
 window_sizes = st.integers(min_value=1, max_value=6)
+
+
+def matches(pmf, record, queue_scaled=False):
+    """``pmf`` is the record's §5.3 response-time pmf (``None`` alike)."""
+    expected = spec.response_time(record, queue_scaled)
+    assert pmf is None if expected is None else spec.agrees(pmf, expected)
 
 
 def _apply(repo, op, now):
@@ -54,14 +59,7 @@ def test_cached_pmfs_match_from_scratch_rebuild(ops, window_size):
     for step, op in enumerate(ops):
         _apply(repo, op, float(step))
         for name in repo.replicas():
-            cached_pmf = cached.response_time_pmf(name)
-            fresh = estimator_oracle.ResponseTimeEstimator(
-                repo, incremental=False
-            ).response_time_pmf(name)
-            if fresh is None:
-                assert cached_pmf is None
-            else:
-                assert cached_pmf.allclose(fresh)
+            matches(cached.response_time_pmf(name), repo.record(name))
 
 
 @given(op_sequences)
@@ -73,15 +71,8 @@ def test_cached_pmfs_match_with_gateway_windows(ops):
     for step, op in enumerate(ops):
         _apply(repo, op, float(step))
     for name in repo.replicas():
-        cached_pmf = cached.response_time_pmf(name)
-        cached_pmf = cached.response_time_pmf(name)  # hit the memo too
-        fresh = estimator_oracle.ResponseTimeEstimator(
-            repo, incremental=False
-        ).response_time_pmf(name)
-        if fresh is None:
-            assert cached_pmf is None
-        else:
-            assert cached_pmf.allclose(fresh)
+        cached.response_time_pmf(name)
+        matches(cached.response_time_pmf(name), repo.record(name))  # the memo
 
 
 @given(op_sequences)
@@ -93,14 +84,7 @@ def test_queue_scaled_cached_matches_rebuild(ops):
     for step, op in enumerate(ops):
         _apply(repo, op, float(step))
         for name in repo.replicas():
-            cached_pmf = cached.response_time_pmf(name)
-            fresh = estimator_oracle.QueueScaledEstimator(
-                repo, incremental=False
-            ).response_time_pmf(name)
-            if fresh is None:
-                assert cached_pmf is None
-            else:
-                assert cached_pmf.allclose(fresh)
+            matches(cached.response_time_pmf(name), repo.record(name), True)
 
 
 @given(op_sequences)
@@ -119,6 +103,9 @@ def test_batch_probabilities_match_scalar_queries(ops):
                 assert probability is None
             else:
                 assert probability == pytest.approx(expected, abs=1e-12)
+                assert probability == pytest.approx(
+                    spec.probability_by(repo.record(name), deadline), abs=1e-12
+                )
 
 
 @given(
@@ -150,10 +137,7 @@ def test_version_bump_always_invalidates(extra_samples):
         assert version_after > version_before  # push bumps the version
         current = estimator.response_time_pmf("r1")
         assert current is not previous  # the entry was re-derived
-        fresh = estimator_oracle.ResponseTimeEstimator(
-            repo, incremental=False
-        ).response_time_pmf("r1")
-        assert current.allclose(fresh)
+        matches(current, repo.record("r1"))
         previous = current
 
 
@@ -166,7 +150,7 @@ def test_version_bump_always_invalidates(extra_samples):
 )
 @settings(max_examples=60)
 def test_incremental_counts_track_any_window(stream):
-    """SampleCounts under sliding eviction == full recount."""
+    """SampleCounts under sliding eviction: the window's relative frequencies."""
     window_size = 4
     window = []
     counter = SampleCounts()
@@ -175,6 +159,4 @@ def test_incremental_counts_track_any_window(stream):
         window.append(sample)
         counter.replace(sample, evicted)
         assert len(counter) == len(window)
-        assert counter.pmf().allclose(
-            DiscretePMF.from_samples(window)
-        )
+        assert spec.agrees(counter.pmf(), spec.window_pmf(window))

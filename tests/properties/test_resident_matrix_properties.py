@@ -1,38 +1,19 @@
-"""Property test: the one-entry estimator against the design it replaced.
+"""Property test: the resident matrix answers what §5.3 says, reading only what changed.
 
 The estimator keeps one entry per replica under one rule (current iff the
 change log has not named the replica since the entry was derived and its
 record is still the tracked one) and patches the rows the log names into
-a resident CDF matrix.  The estimator it replaced — four version-keyed
-caches plus the same matrix — is kept verbatim in
-``tests/core/estimator_oracle.py``, over the pmf algebra of
-``tests/core/distribution_oracle.py`` (every pmf through the validating
-constructor): the oracle shares no pmf code with what it checks.  For
-any interleaving of writes,
-membership changes, invalidations, batch queries and direct reads the two
-must agree **bitwise**: every ``F`` and every pmf's ``values`` / ``probs``
-arrays.  That is stricter than it sounds: a batched FFT's size, hence a
-row's last bits, depends on which stale rows are convolved *together*, so
-the two estimators must also agree on what is stale when.
-
-The oracle reads ``F`` off every row of its matrix on every query; the
-estimator keeps the vector of ``F`` at the deadline last asked for and
-reads only the rows written since (ISSUE 24).  The same ``==`` therefore
-also says the kept vector is never stale, and ``rows_evaluated`` says it
-was not simply recomputed.  Seeded mutants these tests kill:
-
-* the vector kept across a deadline change (``read_probabilities``
-  ignoring ``deadline != self.deadline``): the ``==`` against the oracle
-  here, ``test_rows_read_per_query`` and the gateway-level
-  ``test_renegotiated_deadline_is_read_by_the_next_decision``;
-* the mark dropped when the write widens the matrix
-  (``if grow <= 0: self.unread.add(row)``): the ``==`` here and
-  ``test_a_write_that_widens_the_matrix_is_read``;
-* the mark dropped for a row that lost its history
-  (``if pmf is not None: self.unread.add(row)``): only
-  ``test_a_row_that_lost_its_history_is_read`` — no sequence of
-  repository calls reaches that write without a membership change, which
-  rebuilds the state, and the row answers ``None`` whatever its ``F``.
+a resident CDF matrix, beside the vector of ``F`` at the deadline last
+asked for, of which it re-reads only the rows written since.  For any
+interleaving of writes, membership changes, invalidations, batch queries
+and direct reads, every answer must be ``F_{R_i}(t)`` as §5.3 computes it
+from the raw window samples (``tests/core/spec_model.py``, to 1e-12), a
+batch query must equal the scalar queries bitwise, and ``rows_evaluated``
+must say the kept vector was not simply recomputed.  Last bits — which
+stale rows share one batched FFT — are pinned by
+``tests/core/test_pinned_bits.py``.  The directed tests at the bottom pin
+the marks a write leaves: a kept vector served across a deadline change,
+or a write that widens the matrix or empties a row going unread.
 """
 
 import pytest
@@ -47,7 +28,7 @@ from repro.core.estimator import (
 )
 from repro.core.repository import InformationRepository
 
-from ..core import estimator_oracle
+from ..core import spec_model as spec
 
 NAMES = ["r1", "r2", "r3", "r4"]
 names = st.sampled_from(NAMES)
@@ -126,15 +107,14 @@ def write(repo, step, now):
             repo.record_gateway_delay(name, old.gateway_delay_ms, now_ms=now)
 
 
-def same_pmf(ours, theirs):
-    """Bitwise equality of two optional pmfs."""
-    if ours is None or theirs is None:
-        return ours is theirs
-    return (
-        ours._lattice == (theirs.bin_width is not None)
-        and ours.values.tobytes() == theirs.values.tobytes()
-        and ours.probs.tobytes() == theirs.probs.tobytes()
-    )
+def specified(repo, name, queue_scaled):
+    """The replica's §5.3 response-time pmf (``None`` without history)."""
+    return spec.response_time(repo.record(name), queue_scaled)
+
+
+def same_pmf(pmf, expected):
+    """A derived pmf is the specified one (``None`` alike)."""
+    return pmf is None if expected is None else spec.agrees(pmf, expected)
 
 
 @pytest.mark.parametrize(
@@ -154,10 +134,10 @@ def test_resident_matrix_equals_whole_fleet_walk(
     estimator_cls, gateway_window, drawn, window_size
 ):
     repo = InformationRepository(window_size, gateway_window_size=gateway_window)
-    oracle_cls = getattr(estimator_oracle, estimator_cls.__name__)
+    queue_scaled = estimator_cls is QueueScaledEstimator
     # Two consumers of one repository, asking at different cadences: the
     # change log must answer each from the version *it* last saw.
-    consumers = [(estimator_cls(repo), oracle_cls(repo)) for _ in range(2)]
+    consumers = [estimator_cls(repo) for _ in range(2)]
     # Start from a resident matrix over replicas that all have history, so
     # the interleaving lands on the patch path.
     fixed = {"service": 100.0, "delay": 3.0, "depth": 1, "subset": False}
@@ -171,10 +151,11 @@ def test_resident_matrix_equals_whole_fleet_walk(
     warm_up += [{"kind": "query", **fixed}]
 
     def ask(replicas, deadline, asking):
-        fresh = oracle_cls(repo, incremental=False).batch_probability_by(
-            replicas, deadline
-        )
-        for index, (ours, oracle) in enumerate(asking):
+        expected = [
+            spec.probability_by(repo.record(name), deadline, queue_scaled)
+            for name in replicas
+        ]
+        for index, ours in enumerate(asking):
             before = ours.cache_info()
             batched = ours.batch_probability_by(replicas, deadline)
             after = ours.cache_info()
@@ -195,33 +176,34 @@ def test_resident_matrix_equals_whole_fleet_walk(
                     assert patched <= read <= unread[index]
                     assert read or not unread[index]
                 held[index], unread[index] = deadline, 0
-            assert batched == oracle.batch_probability_by(replicas, deadline)
-            assert all(map(same_pmf, ours._batch.pmfs, oracle._batch.pmfs))
             assert batched == [  # batch == scalar, per query
                 ours.probability_by(name, deadline) for name in replicas
             ]
-            # A from-scratch rebuild convolves directly where the batched
-            # refresh uses one padded FFT: equal to round-off, not bitwise.
-            assert [p is None for p in batched] == [p is None for p in fresh]
+            assert [p is None for p in batched] == [p is None for p in expected]
             assert [p or 0.0 for p in batched] == pytest.approx(
-                [p or 0.0 for p in fresh], abs=1e-12
+                [p or 0.0 for p in expected], abs=1e-12
+            )
+            assert all(
+                same_pmf(pmf, specified(repo, name, queue_scaled))
+                for name, pmf in zip(replicas, ours._batch.pmfs)
             )
 
     for now, step in enumerate(warm_up + drawn):
         kind, deadline = step["kind"], step["deadline"]
         asking = consumers[: 1 + step["both"]]
         if kind == "invalidate":
-            for estimator in asking[-1]:
-                estimator.invalidate()
+            asking[-1].invalidate()
         elif kind == "direct":
             # A direct read derives and stores that replica alone.
             for name in (n for n in step["names"] if n in repo):
-                for ours, oracle in asking:
+                for ours in asking:
                     assert same_pmf(
-                        ours.response_time_pmf(name), oracle.response_time_pmf(name)
+                        ours.response_time_pmf(name),
+                        specified(repo, name, queue_scaled),
                     )
-                    assert ours.probability_by(name, deadline) == (
-                        oracle.probability_by(name, deadline)
+                    assert ours.probability_by(name, deadline) == pytest.approx(
+                        spec.probability_by(repo.record(name), deadline, queue_scaled),
+                        abs=1e-12,
                     )
         elif kind != "query":
             write(repo, step, float(now))
@@ -232,20 +214,17 @@ def test_resident_matrix_equals_whole_fleet_walk(
                 replicas = repo.replicas()
             tuples = [replicas]
             if step["twice"] and replicas:
-                # Asked once nothing is stale: the oracle would convolve a
-                # stale replica named twice with itself (one padded FFT),
-                # the estimator derives it once (scalar kernel).
+                # No row-by-name index: rebuilt, and read whole, per call.
                 tuples.append(replicas + replicas[:1])
             for replicas in tuples:
                 ask(replicas, deadline, asking)
-    for ours, oracle in consumers:
+    for ours in consumers:
         replicas = repo.replicas()
         batched = ours.batch_probability_by(replicas, 120.5)
-        assert batched == oracle.batch_probability_by(replicas, 120.5)
         assert batched == [ours.probability_by(name, 120.5) for name in replicas]
         for name in replicas:
             assert same_pmf(
-                ours.response_time_pmf(name), oracle.response_time_pmf(name)
+                ours.response_time_pmf(name), specified(repo, name, queue_scaled)
             )
 
 

@@ -61,7 +61,7 @@ class TestColocatedServices:
         activity = scenario.manager.host_activity
         spec = ServiceSpec(
             service="billing",
-            servant_factory=lambda: IntegerServant(interface, "charge"),
+            servant_factory=lambda: IntegerServant(interface),
             profile_factory=lambda host: ServiceProfile(
                 default=Constant(30.0),
                 load=CoupledLoad(activity, host, alpha=1.0),

@@ -16,7 +16,7 @@ def app(streams):
     interface = make_interface("search", "process")
     return ReplicaApplication(
         host="replica-1",
-        servant=IntegerServant(interface, "process"),
+        servant=IntegerServant(interface),
         profile=ServiceProfile(default=Constant(10.0)),
         streams=streams,
     )
