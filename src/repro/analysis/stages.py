@@ -1,11 +1,12 @@
-"""Per-stage latency decomposition from traces (paper §5.1).
+"""Per-stage latency decomposition from request outcomes (paper §5.1).
 
 The paper's authors "conducted experiments to determine the factors that
 have a significant impact on a replica's response time" and concluded the
 gateway-to-gateway delay, queuing delay and service time dominate — the
 decomposition that becomes Equation 2.  This module reproduces that
-off-line analysis: it correlates trace records into per-request stage
-durations along the winning reply's path.
+off-line analysis: it splits each request's ``tr`` along the winning
+reply's path, from the stamps its :class:`~repro.engine.ReplyOutcome`
+carries.
 
 Stages (Fig. 2 of the paper):
 
@@ -15,16 +16,20 @@ Stages (Fig. 2 of the paper):
 * ``service_ms``  — servant execution (ts)
 * ``reply_ms``    — reply leaving the server gateway → arrival (…→t4)
 
-Requires a scenario built with ``trace=True``.
+Every stamp is a host-clock reading: ``t0``/``t1``/``t4`` on the client
+gateway's clock, ``t2`` and the reply-send instant on the replica's.  On
+the paper's testbed (pristine clocks) those read the kernel bit for bit,
+so the cross-host differences are exact; under a clock fault they carry
+the fault.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List
 
+from ..engine.types import ReplyOutcome
 from ..metrics.stats import Summary, summarize
-from ..sim.trace import Tracer
 
 __all__ = ["RequestStages", "extract_stages", "stage_summaries"]
 
@@ -33,8 +38,7 @@ __all__ = ["RequestStages", "extract_stages", "stage_summaries"]
 class RequestStages:
     """Stage durations for one completed request (winning replica path)."""
 
-    msg_id: int
-    client: str
+    request_id: int
     replica: str
     client_ms: float
     request_ms: float
@@ -55,66 +59,36 @@ class RequestStages:
         return (self.request_ms + self.reply_ms) / self.total_ms
 
 
-def extract_stages(tracer: Tracer) -> List[RequestStages]:
-    """Correlate trace records into per-request stage decompositions.
+def extract_stages(outcomes: Iterable[ReplyOutcome]) -> List[RequestStages]:
+    """Decompose every replied request of ``outcomes``, by ``request_id``.
 
-    Only requests with a delivered (non-timed-out) first reply appear;
-    the decomposition follows the replica that won the race.
+    Timeouts and sheds carry no reply and are skipped; a request won by a
+    retransmitted copy is decomposed from that copy's send.
     """
-    sent: Dict[int, Tuple[float, float, str]] = {}  # msg_id -> (t0, t1, client)
-    enqueued: Dict[Tuple[int, str], float] = {}  # (msg_id, replica) -> t2
-    serviced: Dict[Tuple[int, str], Tuple[float, float, float]] = {}
-    replies: Dict[int, Tuple[float, str]] = {}  # first reply: t4, replica
-
-    for record in tracer.records:
-        if record.kind == "client.sent":
-            client = record.source.split(".", 1)[1]
-            sent[record.data["msg_id"]] = (
-                record.data["t0"], record.time, client
-            )
-        elif record.kind == "server.enqueued":
-            replica = record.source.split(".", 1)[1]
-            enqueued[(record.data["msg_id"], replica)] = record.time
-        elif record.kind == "server.serviced":
-            replica = record.source.split(".", 1)[1]
-            serviced[(record.data["msg_id"], replica)] = (
-                record.time, record.data["tq"], record.data["ts"]
-            )
-        elif record.kind == "client.reply":
-            msg_id = record.data["msg_id"]
-            if msg_id not in replies:  # first reply wins
-                replies[msg_id] = (record.time, record.data["replica"])
-
     stages = []
-    for msg_id, (t4, replica) in replies.items():
-        if msg_id not in sent or (msg_id, replica) not in serviced:
+    for outcome in sorted(outcomes, key=lambda o: o.request_id):
+        perf = outcome.perf
+        if perf is None or outcome.replica is None or outcome.t1_ms is None:
             continue
-        t0, t1, client = sent[msg_id]
-        t2 = enqueued.get((msg_id, replica))
-        if t2 is None:
-            continue
-        reply_sent_at, tq, ts = serviced[(msg_id, replica)]
         stages.append(
             RequestStages(
-                msg_id=msg_id,
-                client=client,
-                replica=replica,
-                client_ms=t1 - t0,
-                request_ms=t2 - t1,
-                queue_ms=tq,
-                service_ms=ts,
-                reply_ms=t4 - reply_sent_at,
-                total_ms=t4 - t0,
+                request_id=outcome.request_id,
+                replica=outcome.replica,
+                client_ms=outcome.t1_ms - outcome.t0_ms,
+                request_ms=perf.enqueued_at_ms - outcome.t1_ms,
+                queue_ms=perf.queue_delay_ms,
+                service_ms=perf.service_time_ms,
+                reply_ms=outcome.t4_ms - perf.sent_at_ms,
+                total_ms=outcome.t4_ms - outcome.t0_ms,
             )
         )
-    stages.sort(key=lambda s: s.msg_id)
     return stages
 
 
 def stage_summaries(stages: List[RequestStages]) -> Dict[str, Summary]:
     """Summaries per stage name, plus ``total``."""
     if not stages:
-        raise ValueError("no completed requests in the trace")
+        raise ValueError("no replied requests to decompose")
     return {
         "client": summarize([s.client_ms for s in stages]),
         "request-net": summarize([s.request_ms for s in stages]),

@@ -41,7 +41,6 @@ from .types import (
     EnginePort,
     PerformanceUpdate,
     ReplyOutcome,
-    TraceSink,
 )
 
 if TYPE_CHECKING:  # passed in, never constructed here
@@ -72,7 +71,6 @@ class TimingFaultEngine:
         members: Sequence[str],
         *,
         rng: np.random.Generator,
-        trace: TraceSink,
         metrics: MetricsCollector,
         labels: Dict[str, str],
         book: Optional[RequestBook] = None,
@@ -91,7 +89,6 @@ class TimingFaultEngine:
         self.book = book or RequestBook()
         self.evidence = evidence or EvidenceAdmission(config.health_config)
         self.rng = rng
-        self.trace = trace
         self.metrics = metrics
         self.labels = labels
         self.stats = TimingFailureStats()
@@ -226,10 +223,6 @@ class TimingFaultEngine:
             violated = tuple(r for r in sent_to if health.is_quarantined(r))
             if violated:
                 self.quarantined_traffic.append((msg_id, violated))
-        self.trace(
-            "client.sent", msg_id=msg_id, selected=list(sent_to), t0=t0,
-            bootstrap=decision.meta.get("bootstrap", False),
-        )
         # The response timeout also keeps the run alive while a reply is
         # in flight.  A request that reached zero replicas (empty view or
         # a racing eviction) can never be answered: fail fast as a timeout
@@ -298,18 +291,22 @@ class TimingFaultEngine:
         """
         self.sheds += 1
         meta: SelectionMeta = {**decision.meta, "shed_load": load}
+        t4 = self.port.now
         outcome = ReplyOutcome(
             value=None,
-            response_time_ms=max(0.0, self.port.now - t0),
+            response_time_ms=max(0.0, t4 - t0),
             timely=False,
             timed_out=False,
             replica=None,
             redundancy=0,
             request_id=-1,
+            t0_ms=t0,
+            t1_ms=None,
+            t4_ms=t4,
+            perf=None,
             decision_meta=meta,
             shed=True,
         )
-        self.trace("client.shed", load=load)
         self.port.complete(token, outcome)
 
     # -- evidence intake -------------------------------------------------------
@@ -335,7 +332,6 @@ class TimingFaultEngine:
     def _clock_anomaly(self, replica: str, now_ms: float) -> None:
         """One physically impossible / incoherent sample was dropped."""
         self.clock_rejections += 1
-        self.trace("client.clock-anomaly", replica=replica)
         if self.health is not None:
             self.health.record_clock_anomaly(replica, now_ms)
 
@@ -379,17 +375,7 @@ class TimingFaultEngine:
                 self.health.record_fault(replica, t4, kind="timing")
         if self.book.claim(record):
             value, upcall_cost = self.port.decode(reply)
-            # The paper's tr = t4 − t0, both on this gateway's clock;
-            # clamped at zero so a backward-stepped client clock can
-            # never admit a negative response time (auditor invariant,
-            # ARCHITECTURE.md §10).
-            outcome = self._outcome(
-                msg_id, record, max(0.0, t4 - record.t0), value, replica
-            )
-            self.trace(
-                "client.reply", msg_id=msg_id, replica=replica,
-                tr=outcome.response_time_ms, timely=outcome.timely,
-            )
+            outcome = self._outcome(msg_id, record, t1, t4, perf, value, replica)
             # The CORBA upcall happens after demarshalling.
             self.port.complete(record.token, outcome, upcall_cost)
         self.book.settle(msg_id)
@@ -408,19 +394,24 @@ class TimingFaultEngine:
         self._bill_silent(record)
         if not self.book.claim(record):
             return  # normal case: reply already delivered; just forget it
-        outcome = self._outcome(msg_id, record, max(0.0, self.port.now - record.t0))
-        self.trace("client.timeout", msg_id=msg_id)
+        outcome = self._outcome(msg_id, record, record.t1, self.port.now)
         self.port.complete(record.token, outcome)
 
     def _outcome(
         self,
         msg_id: int,
         record: RequestRecord,
-        response_time: float,
+        t1: float,
+        t4: float,
+        perf: Optional[PerformanceUpdate] = None,
         value: Any = None,
         replica: Optional[str] = None,
     ) -> ReplyOutcome:
         """Account ``tr`` and build the reply (or, with no replica, timeout) outcome."""
+        # The paper's tr = t4 − t0, both on this gateway's clock; clamped
+        # at zero so a backward-stepped client clock can never admit a
+        # negative response time (auditor invariant, ARCHITECTURE.md §10).
+        response_time = max(0.0, t4 - record.t0)
         # Judged before accounting: the violation callback may renegotiate.
         timely = replica is not None and response_time <= self.qos.deadline_ms
         self._account(response_time)
@@ -432,6 +423,10 @@ class TimingFaultEngine:
             replica=replica,
             redundancy=record.decision.redundancy,
             request_id=msg_id,
+            t0_ms=record.t0,
+            t1_ms=t1,
+            t4_ms=t4,
+            perf=perf,
             decision_meta=record.decision.meta.copy(),
         )
 
@@ -488,9 +483,6 @@ class TimingFaultEngine:
         copy_id = self.port.send_copy(call, target)
         self.book.add_copy(copy_id, msg_id, target, self.port.now)
         self.retransmissions += 1
-        self.trace(
-            "client.retransmit", msg_id=msg_id, attempt=attempt, replica=target
-        )
         self._arm_retry(msg_id, call, ranking, tried, attempt + 1)
 
     # -- probing (§8 extension + health re-admission) --------------------------
@@ -529,7 +521,6 @@ class TimingFaultEngine:
         self.port.arm(
             self.config.probe_interval_ms, self.expire_probe, msg_id, daemon=True
         )
-        self.trace("client.probe", replica=replica)
 
     def quiesce_probes(self) -> None:
         """Expire every in-flight probe through the normal expiry path.

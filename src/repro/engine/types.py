@@ -22,7 +22,6 @@ __all__ = [
     "PerformanceUpdate",
     "ReplyOutcome",
     "RequestClassifier",
-    "TraceSink",
     "method_classifier",
 ]
 
@@ -33,9 +32,6 @@ DEFAULT_CLASS = ""
 # A classifier maps a request to the performance class whose history
 # should model it.
 RequestClassifier = Callable[[MethodRequest], str]
-
-#: ``trace(kind, **fields)`` — the adapter stamps time and source.
-TraceSink = Callable[..., None]
 
 
 def method_classifier(request: MethodRequest) -> str:
@@ -85,7 +81,15 @@ class OutcomeKind(Enum):
 
 @dataclass(frozen=True)
 class ReplyOutcome:
-    """What the client's invocation event fires with.
+    """What the client's invocation event fires with: the request's record.
+
+    The paper's stamps (§1, Fig. 2), all read on the gateway's host clock
+    except those the winning reply carries: ``t0_ms`` (interception),
+    ``t1_ms`` (send of the copy whose reply won — the original send for a
+    timeout, ``None`` for a shed), ``t4_ms`` (completion: reply arrival,
+    expiry or shed) and ``perf``, the winning reply's
+    :class:`PerformanceUpdate` (``t2 = enqueued_at_ms``, ``tq``, ``ts``,
+    ``sent_at_ms`` on the replica's clock; ``None`` unless a reply won).
 
     ``timed_out`` marks requests for which no reply arrived before the
     engine's response timeout (e.g. every selected replica crashed);
@@ -105,6 +109,10 @@ class ReplyOutcome:
     replica: Optional[str]
     redundancy: int
     request_id: int
+    t0_ms: float
+    t1_ms: Optional[float]
+    t4_ms: float
+    perf: Optional[PerformanceUpdate]
     decision_meta: SelectionMeta = field(
         default_factory=lambda: SelectionMeta()
     )

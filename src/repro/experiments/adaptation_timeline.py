@@ -31,14 +31,13 @@ THINK_MS = 250.0
 
 
 def point(params: dict, seed: int, repetition: int) -> Dict[str, list]:
-    """One traced run; the reply timeline as ``(start, end, n, failed, timed out)``."""
+    """One run; the reply timeline as ``(start, end, n, failed, timed out)``."""
     # A deliberately sluggish failure detector (~2 s to evict) widens the
     # window during which selection must survive on redundancy alone —
     # the regime §5.3.2's hedge exists for.
-    scenario, _clients = run_clients(
+    _scenario, (client,) = run_clients(
         ScenarioConfig(
             seed=seed,
-            trace=True,
             response_timeout_factor=3.0,
             fd_poll_interval_ms=1000.0,
         ),
@@ -51,13 +50,8 @@ def point(params: dict, seed: int, repetition: int) -> Dict[str, list]:
         think_time=Constant(THINK_MS),
     )
 
-    # Reconstruct per-reply instants from the trace.
-    events: List[tuple] = []  # (time, failed, timed_out)
-    for record in scenario.tracer.records:
-        if record.kind == "client.reply":
-            events.append((record.time, not record.data["timely"], False))
-        elif record.kind == "client.timeout":
-            events.append((record.time, True, True))
+    # Each request completes at its t4: a reply's arrival or the expiry.
+    events = [(o.t4_ms, not o.timely, o.timed_out) for o in client.outcomes]
 
     buckets = []
     start = 0.0

@@ -124,7 +124,7 @@ def measure_message_throughput(
     """Microseconds per message through ``net`` + kernel + gateway routing.
 
     Two hosts of an otherwise empty deployment on the default
-    :class:`~repro.net.lan.LinkProfile`, no tracer, one
+    :class:`~repro.net.lan.LinkProfile`, tracing off, one
     :class:`~repro.gateway.gateway.Gateway` routing to a no-op handler.
     Each round constructs and sends ``sends_per_drain`` messages in one
     instant (a replica's push fan-out at the A16 knee is about that

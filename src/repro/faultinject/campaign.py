@@ -38,6 +38,7 @@ from typing import (
     Tuple,
 )
 
+from ..engine import ReplyOutcome
 from ..gateway.handlers.timing_fault import TimingFaultClientHandler
 from ..health import HealthConfig
 from ..net.message import reset_message_ids
@@ -257,15 +258,14 @@ def _build_stack(
 def _closed_loop(
     stack: "MiniStack",
     host: str,
-    outcomes: List[Tuple[float, Any]],
+    outcomes: List[ReplyOutcome],
 ) -> Any:
     stub = stack.stubs[host]
     for i in range(REQUESTS_PER_CLIENT):
-        t0 = stack.sim.now
         event = stub.invoke(METHOD, i)
         yield event
         if event.ok:
-            outcomes.append((t0, event.value))
+            outcomes.append(event.value)
         yield stack.sim.timeout(THINK_MS)
 
 
@@ -296,7 +296,7 @@ def run_scenario(
         handler_cls=handler_cls,
     )
     stack.auditor.set_replay(replay)
-    outcomes: List[Tuple[float, Any]] = []
+    outcomes: List[ReplyOutcome] = []
     for host in CLIENT_HOSTS:
         stack.sim.spawn(
             _closed_loop(stack, host, outcomes), name=f"load.{host}"
@@ -314,7 +314,7 @@ def run_scenario(
     violations = list(report.violations)
     served = report.submitted - report.sheds
     reply_fraction = report.replies / served if served else 1.0
-    timely = [v.timely for _t0, v in outcomes if not v.shed]
+    timely = [o.timely for o in outcomes if not o.shed]
     timely_fraction = (
         sum(timely) / len(timely) if timely else 1.0
     )

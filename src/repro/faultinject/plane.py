@@ -59,7 +59,6 @@ from ..rng import RNGManager, derive_entity_seed
 from ..sim.events import Event
 from ..sim.hostclock import ClockRegistry, HostClock
 from ..sim.kernel import Simulator
-from ..sim.trace import Tracer
 from .auditor import LifecycleAuditor
 from .clock import ClockFault
 from .partition import PartitionFault
@@ -69,7 +68,7 @@ from .transport import FaultyTransport
 __all__ = ["FaultPlane"]
 
 #: First argument of surge requests — a range apart from the regular
-#: workloads' indices, so surge traffic is recognizable in traces.
+#: workloads' indices, so surge traffic is recognizable in reports.
 SURGE_FIRST_ARG = 900_000
 
 #: The hosts each timed family's faults name (overloads name clients).
@@ -138,7 +137,6 @@ class FaultPlane:
         transport: Any,
         auditor: LifecycleAuditor,
         wire_seed: int,
-        tracer: Tracer,
     ) -> None:
         self.sim = sim
         self.lan = lan
@@ -148,7 +146,6 @@ class FaultPlane:
         self.stubs = stubs
         self.transport = transport
         self.auditor = auditor
-        self.tracer = tracer
         self._wire_seed = wire_seed
         #: Everything applied so far (what the wire and the auditor hold).
         self.schedule = FaultSchedule()
@@ -246,7 +243,6 @@ class FaultPlane:
         for handler in self.replicas.get(host, ()):
             handler.crash()
         self.crashes_applied += 1
-        self.tracer.emit(self.sim.now, "faultinject", "fault.crash", host=host)
 
     def restart_now(self, host: str) -> None:
         """Bring ``host`` back as a fresh incarnation (idempotent)."""
@@ -259,7 +255,6 @@ class FaultPlane:
             if host not in self.group_comm.view(handler.service):
                 self.group_comm.join(handler.service, host, watch=True)
         self.restarts_applied += 1
-        self.tracer.emit(self.sim.now, "faultinject", "fault.restart", host=host)
 
     # -- view churn ------------------------------------------------------------
     def leave_now(self, member: str) -> None:
@@ -269,9 +264,6 @@ class FaultPlane:
                 continue
             self.group_comm.leave(handler.service, member)
             self.leaves_applied += 1
-            self.tracer.emit(
-                self.sim.now, "faultinject", "fault.leave", member=member
-            )
 
     def rejoin_now(self, member: str) -> None:
         """Rejoin a previously churned member (skipped if down/present)."""
@@ -282,9 +274,6 @@ class FaultPlane:
                 continue
             self.group_comm.join(handler.service, member, watch=True)
             self.rejoins_applied += 1
-            self.tracer.emit(
-                self.sim.now, "faultinject", "fault.rejoin", member=member
-            )
 
     # -- degradation -----------------------------------------------------------
     def degrade_now(self, fault: DegradationFault) -> None:
@@ -294,10 +283,6 @@ class FaultPlane:
                 handler.app.profile, fault.slow_factor
             )
         self.degradations_applied += 1
-        self.tracer.emit(
-            self.sim.now, "faultinject", "fault.degrade",
-            host=fault.host, slow_factor=fault.slow_factor,
-        )
 
     def recover_now(self, fault: DegradationFault) -> None:
         """Unwrap one layer of slowdown (overlapping windows nest)."""
@@ -308,10 +293,6 @@ class FaultPlane:
                 lifted = True
         if lifted:
             self.degradations_lifted += 1
-            self.tracer.emit(
-                self.sim.now, "faultinject", "fault.degrade-end",
-                host=fault.host,
-            )
 
     # -- partitions ------------------------------------------------------------
     def _pairs(self, fault: PartitionFault) -> List[Tuple[str, str]]:
@@ -334,10 +315,6 @@ class FaultPlane:
             self.lan.sever_link(src, dst)
         self._severed.setdefault(fault, []).append(pairs)
         self.cuts_applied += 1
-        self.tracer.emit(
-            self.sim.now, "faultinject", "fault.partition-cut",
-            side=list(fault.side), mode=fault.mode, links=len(pairs),
-        )
 
     def heal_now(self, fault: PartitionFault) -> None:
         """Heal the most recent cut of ``fault`` and reconcile membership."""
@@ -349,10 +326,6 @@ class FaultPlane:
         if not stack:
             self._severed.pop(fault, None)
         self.heals_applied += 1
-        self.tracer.emit(
-            self.sim.now, "faultinject", "fault.partition-heal",
-            side=list(fault.side), mode=fault.mode,
-        )
         self._reconcile(fault)
 
     def _reconcile(self, fault: PartitionFault) -> None:
@@ -375,10 +348,6 @@ class FaultPlane:
                     continue
                 self.group_comm.join(handler.service, host, watch=True)
                 self.heal_rejoins_applied += 1
-                self.tracer.emit(
-                    self.sim.now, "faultinject", "fault.partition-rejoin",
-                    member=host,
-                )
 
     # -- overload surges -------------------------------------------------------
     def surge_now(self, fault: OverloadFault) -> None:
@@ -392,10 +361,6 @@ class FaultPlane:
         """
         clients = fault.clients or tuple(sorted(self.stubs))
         self.surges_applied += 1
-        self.tracer.emit(
-            self.sim.now, "faultinject", "fault.surge",
-            clients=list(clients), until=fault.end_ms,
-        )
         for client in clients:
             self.sim.spawn(
                 self._surge(fault, self.stubs[client]), name=f"overload.{client}"
@@ -446,10 +411,6 @@ class FaultPlane:
         active.append(fault)
         self._engage(self.clocks.clock(fault.host), fault)
         self.engagements += 1
-        self.tracer.emit(
-            self.sim.now, "faultinject", "fault.clock-engage",
-            host=fault.host, fault_kind=fault.kind,
-        )
 
     def disengage_now(self, fault: ClockFault) -> None:
         """End ``fault``'s window: resync, then re-engage survivors.
@@ -470,10 +431,6 @@ class FaultPlane:
         if not active:
             self._engaged.pop(fault.host, None)
         self.resyncs += 1
-        self.tracer.emit(
-            self.sim.now, "faultinject", "fault.clock-resync",
-            host=fault.host, fault_kind=fault.kind,
-        )
 
     def __repr__(self) -> str:
         return (

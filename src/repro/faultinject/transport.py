@@ -25,7 +25,6 @@ from typing import List, Optional, Sequence
 from ..net.message import Message
 from ..net.transport import Receiver, Transport
 from ..rng import RNGManager
-from ..sim.trace import NullTracer, Tracer
 from .schedule import FaultSchedule
 
 __all__ = ["FaultyTransport"]
@@ -57,14 +56,12 @@ class FaultyTransport:
         inner: Transport,
         streams: RNGManager,
         schedule: Optional[FaultSchedule] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.inner = inner
         self.sim = inner.sim
         self.lan = inner.lan
         self.schedule = schedule or FaultSchedule()
         self.rng = streams.stream(self.STREAM_NAME)
-        self.tracer = tracer if tracer is not None else NullTracer()
         self.injected_drops = 0
         self.injected_delays = 0
         self.injected_duplicates = 0
@@ -119,10 +116,6 @@ class FaultyTransport:
                 or self.rng.random() < fault.drop_probability
             ):
                 self.injected_partition_drops += 1
-                self.tracer.emit(
-                    now, "faultinject", "fault.partition-drop",
-                    mode=fault.mode, **message.describe(),
-                )
                 return 0.0
 
         for rule in self.schedule.drops:
@@ -130,9 +123,6 @@ class FaultyTransport:
                 rule.probability >= 1.0 or self.rng.random() < rule.probability
             ):
                 self.injected_drops += 1
-                self.tracer.emit(
-                    now, "faultinject", "fault.drop", **message.describe()
-                )
                 return 0.0
 
         # Degradation omissions: a degraded host's NIC loses traffic in
@@ -147,10 +137,6 @@ class FaultyTransport:
                 or self.rng.random() < fault.omission_probability
             ):
                 self.injected_degradation_drops += 1
-                self.tracer.emit(
-                    now, "faultinject", "fault.degradation-drop",
-                    host=fault.host, **message.describe(),
-                )
                 return 0.0
 
         extra = 0.0
@@ -159,10 +145,6 @@ class FaultyTransport:
                 extra += rule.extra_ms
         if extra > 0.0:
             self.injected_delays += 1
-            self.tracer.emit(
-                now, "faultinject", "fault.delay", extra=extra,
-                **message.describe(),
-            )
 
         for rule in self.schedule.duplicates:
             if rule.matches(now, message) and (
@@ -174,11 +156,6 @@ class FaultyTransport:
                         extra + rule.late_by_ms,
                         lambda m=message, g=group_size: self.inner.send(m, g),
                     )
-                self.tracer.emit(
-                    now, "faultinject", "fault.duplicate",
-                    copies=rule.copies, late_by=rule.late_by_ms,
-                    **message.describe(),
-                )
 
         if extra > 0.0:
             self.sim.call_in(

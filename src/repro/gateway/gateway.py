@@ -10,12 +10,11 @@ which is why handlers, not gateways, own QoS state and repositories.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..net.message import Message
 from ..net.transport import TransportAPI
 from ..sim.kernel import Simulator
-from ..sim.trace import NullTracer, Tracer
 
 __all__ = ["Gateway", "ProtocolHandler", "GatewayError"]
 
@@ -42,7 +41,7 @@ class ProtocolHandler:
         raise NotImplementedError
 
     def describe(self) -> str:
-        """Short label for tracing."""
+        """Short label for error messages."""
         return f"{type(self).__name__}({self.service})"
 
 
@@ -54,12 +53,10 @@ class Gateway:
         host: str,
         sim: Simulator,
         transport: TransportAPI,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.host = host
         self.sim = sim
         self.transport = transport
-        self.tracer = tracer if tracer is not None else NullTracer()
         self._handlers: Dict[Tuple[str, str], ProtocolHandler] = {}
         transport.bind(host, self._receive)
 
@@ -97,13 +94,8 @@ class Gateway:
         if handler is None:
             # Service-agnostic fallback route.
             handler = self._handlers.get((message.kind, ""))
-        if handler is None:
-            self.tracer.emit(
-                self.sim.now, f"gateway.{self.host}", "gateway.unrouted",
-                **message.describe(),
-            )
-            return
-        handler.handle_message(message)
+        if handler is not None:
+            handler.handle_message(message)
 
     def __repr__(self) -> str:
         return f"<Gateway host={self.host!r} handlers={len(self.handlers())}>"

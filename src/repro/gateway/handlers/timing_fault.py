@@ -7,7 +7,7 @@ reply (including redundant ones) for performance data, detects timing
 failures (``tr = t4 − t0 > t``), and notifies the client via a callback
 when the observed timely frequency drops below the QoS minimum.  All of
 that behaviour lives in :mod:`repro.engine`; the handler is its simulator
-adapter (messages, marshalling, timers, the host clock, trace).
+adapter (messages, marshalling, timers, the host clock).
 
 Server side (:class:`TimingFaultServerHandler`): enqueues requests at
 ``t2``, dequeues at ``t3`` (FIFO), services them (``ts``), replies with the
@@ -68,7 +68,6 @@ from ...rng import seeded_generator
 from ...sim.events import Event
 from ...sim.hostclock import HostClock
 from ...sim.kernel import Simulator
-from ...sim.trace import NullTracer, Tracer
 from ..gateway import ProtocolHandler
 
 # The engine defines the evidence/outcome vocabulary (it produces them);
@@ -120,8 +119,6 @@ class TimingFaultServerHandler(ProtocolHandler):
         app: ReplicaApplication,
         transport: TransportAPI,
         marshalling: Optional[MarshallingModel] = None,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsCollector] = None,
         clock: Optional[HostClock] = None,
     ) -> None:
         self.sim = sim
@@ -129,8 +126,6 @@ class TimingFaultServerHandler(ProtocolHandler):
         self.app = app
         self.transport = transport
         self.marshalling = marshalling or MarshallingModel()
-        self.tracer = tracer if tracer is not None else NullTracer()
-        self.metrics = metrics or MetricsCollector(keep_samples=False)
         self.service = app.service
         self.host = app.host
         self._queue: Deque[Tuple[Message, float]] = deque()
@@ -141,6 +136,7 @@ class TimingFaultServerHandler(ProtocolHandler):
         self._busy = False
         self.crashed = False
         self.probes_answered = 0
+        self.replies = 0
         self._process = sim.spawn(self._run(), name=f"server.{self.host}")
 
     # -- inspection ------------------------------------------------------------
@@ -167,11 +163,6 @@ class TimingFaultServerHandler(ProtocolHandler):
         # MSG_REQUEST: record the enqueue time t2 and wake the consumer.
         t2 = self.clock.now
         self._queue.append((message, t2))
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.clock.kernel_now, f"server.{self.host}", "server.enqueued",
-                msg_id=message.msg_id, queue=len(self._queue),
-            )
         if self._wakeup is not None and not self._wakeup.triggered:
             self._wakeup.succeed(None)
 
@@ -231,12 +222,6 @@ class TimingFaultServerHandler(ProtocolHandler):
 
             if self.crashed:
                 return  # crashed mid-service: the reply is lost
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    self.clock.kernel_now, f"server.{self.host}", "server.serviced",
-                    msg_id=message.msg_id, tq=queue_delay, ts=service_time,
-                    demarshal=demarshal_cost, marshal=marshal_cost,
-                )
             self._send_reply(
                 message, request, reply, service_time, queue_delay, t2
             )
@@ -274,9 +259,7 @@ class TimingFaultServerHandler(ProtocolHandler):
             correlation_id=request_msg.msg_id,
         )
         self.transport.send(reply_msg)
-        self.metrics.increment(
-            "server.replies", labels={"replica": self.host}
-        )
+        self.replies += 1
         # Push the fresh performance data to every subscriber except the
         # requester (whose copy rides inside the reply itself).  One
         # payload for the whole fan-out: receivers only read it.
@@ -378,9 +361,8 @@ class TimingFaultClientHandler(ProtocolHandler, RequestInterceptor):
         probe send/receive times, staleness reads, health evidence) is
         read from it; scheduling stays on the kernel.  Defaults to a
         pristine clock, which reads identically to the kernel.
-    tracer, metrics:
-        Sinks for the ``client.*`` trace records and ``tf.*`` metrics;
-        default to a null tracer and a sample-free collector.
+    metrics:
+        Sink for the ``tf.*`` metrics; defaults to a sample-free collector.
     """
 
     message_kinds = (MSG_REPLY, MSG_PERF, MSG_PROBE_REPLY)
@@ -403,7 +385,6 @@ class TimingFaultClientHandler(ProtocolHandler, RequestInterceptor):
         marshalling: Optional[MarshallingModel] = None,
         rng: Optional[np.random.Generator] = None,
         clock: Optional[HostClock] = None,
-        tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsCollector] = None,
     ) -> None:
         if qos.service != interface.name:
@@ -420,9 +401,7 @@ class TimingFaultClientHandler(ProtocolHandler, RequestInterceptor):
         self.service = interface.name
         self.marshalling = marshalling or MarshallingModel()
         self.selection_charge_ms = config.selection_charge_ms
-        self.tracer = tracer if tracer is not None else NullTracer()
         self.metrics = metrics or MetricsCollector(keep_samples=False)
-        self._source = f"client.{host}"
         self._wire = {"service": self.service, "client": host}
 
         # Track the service group: the engine is seeded from the current
@@ -435,7 +414,6 @@ class TimingFaultClientHandler(ProtocolHandler, RequestInterceptor):
             config,
             self._mgroup.members(),
             rng=rng if rng is not None else seeded_generator(0),
-            trace=self._trace,
             metrics=self.metrics,
             labels={"client": host, "service": self.service},
             book=self.book_cls(),
@@ -501,9 +479,7 @@ class TimingFaultClientHandler(ProtocolHandler, RequestInterceptor):
 
     # -- membership tracking -----------------------------------------------------
     def _on_view_change(self, view: GroupView) -> None:
-        joined = self.engine.on_view(view.members)
-        self._trace("client.view", view=view.view_id, members=list(view.members))
-        if joined:
+        if self.engine.on_view(view.members):
             # New replicas need this client's subscription too.
             self._send_subscription()
 
@@ -608,9 +584,6 @@ class TimingFaultClientHandler(ProtocolHandler, RequestInterceptor):
             token.succeed(outcome)
         else:  # the book claims each request once: no expiry can race this
             self.sim.call_in(after_ms, lambda: token.succeed(outcome))
-
-    def _trace(self, kind: str, **fields: Any) -> None:
-        self.tracer.emit(self.clock.kernel_now, self._source, kind, **fields)
 
     def __repr__(self) -> str:
         return (

@@ -16,7 +16,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..net.lan import LanModel
 from ..net.transport import Transport
 from ..sim.kernel import Simulator
-from ..sim.trace import NullTracer, Tracer
 from .failure_detector import FailureDetector
 from .membership import GroupView, MembershipService
 from .multicast import MulticastGroup
@@ -48,7 +47,6 @@ class GroupCommunication:
         transport: Transport,
         notify_delay_ms: float = 1.0,
         failure_detector: Optional[FailureDetector] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         if notify_delay_ms < 0:
             raise ValueError(f"notify_delay_ms must be >= 0, got {notify_delay_ms}")
@@ -56,7 +54,6 @@ class GroupCommunication:
         self.lan = lan
         self.transport = transport
         self.notify_delay_ms = float(notify_delay_ms)
-        self.tracer = tracer if tracer is not None else NullTracer()
         self.membership = MembershipService()
         self.failure_detector = failure_detector or FailureDetector(sim, lan)
         self.failure_detector.on_crash(self._on_crash)
@@ -75,10 +72,6 @@ class GroupCommunication:
         view = group.join(member)
         if watch:
             self.failure_detector.watch(member)
-        self.tracer.emit(
-            self.sim.now, "ensemble", "group.join",
-            group=group_name, member=member, view=view.view_id,
-        )
         self._announce(group_name, view)
         return view
 
@@ -86,10 +79,6 @@ class GroupCommunication:
         """Gracefully remove ``member`` from ``group_name``."""
         group = self.membership.get(group_name)
         view = group.leave(member)
-        self.tracer.emit(
-            self.sim.now, "ensemble", "group.leave",
-            group=group_name, member=member, view=view.view_id,
-        )
         self._announce(group_name, view)
         return view
 
@@ -141,10 +130,6 @@ class GroupCommunication:
     # -- crash handling -------------------------------------------------------
     def _on_crash(self, host_name: str) -> None:
         views = self.membership.evict_everywhere(host_name)
-        self.tracer.emit(
-            self.sim.now, "ensemble", "group.evict",
-            member=host_name, groups=[v.group for v in views],
-        )
         for view in views:
             self._announce(view.group, view)
 

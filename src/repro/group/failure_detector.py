@@ -24,7 +24,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..net.lan import LanModel
 from ..sim.kernel import Simulator
-from ..sim.trace import NullTracer, Tracer
 
 __all__ = ["FailureDetector"]
 
@@ -85,7 +84,6 @@ class FailureDetector:
         lan: LanModel,
         poll_interval_ms: float = 50.0,
         confirm_polls: int = 2,
-        tracer: Optional[Tracer] = None,
         vantage: Optional[str] = None,
     ) -> None:
         if poll_interval_ms <= 0:
@@ -97,7 +95,6 @@ class FailureDetector:
         self.poll_interval_ms = float(poll_interval_ms)
         self.confirm_polls = int(confirm_polls)
         self._vantage = vantage
-        self.tracer = tracer if tracer is not None else NullTracer()
         self._listeners: List[CrashListener] = []
         self._chains: Dict[str, _Chain] = {}
         self._declared: Dict[str, float] = {}  # host -> time of declaration
@@ -288,9 +285,6 @@ class FailureDetector:
             and host_name not in self._declared
         ):
             self._declared[host_name] = self.sim.now
-            self.tracer.emit(
-                self.sim.now, "failure-detector", "fd.crash", host=host_name
-            )
             for listener in list(self._listeners):
                 listener(host_name)
         # Still down: keep the chain going, unless a listener unwatched

@@ -63,7 +63,6 @@ class DependabilityManager:
     def __init__(self, stack: "Deployment"):
         self.stack = stack
         self.sim = stack.sim
-        self.tracer = stack.tracer
         self._specs: Dict[str, ServiceSpec] = {}
         self._spares: Dict[str, List[str]] = {}
         # service -> spare starts maintain_replication has scheduled that
@@ -121,9 +120,6 @@ class DependabilityManager:
             host, servant, spec.profile_factory(host), activity=self.host_activity
         )
         self.replicas_started += 1
-        self.tracer.emit(
-            self.sim.now, "proteus", "proteus.start", service=service, host=host
-        )
         return handler
 
     def _runs(self, service: str, host: str) -> bool:
@@ -156,17 +152,11 @@ class DependabilityManager:
     def report_health_event(self, service: str, event) -> None:
         """Accept a :class:`~repro.health.HealthEvent` from a client handler.
 
-        The manager records it (``health_reports``) and traces it — giving
+        The manager records it (``health_reports``) — giving
         experiments and operators one place to see every suspicion,
         quarantine and re-admission across all clients.
         """
         self.health_reports.append((service, event))
-        self.tracer.emit(
-            self.sim.now, "proteus", "proteus.health",
-            service=service, replica=event.replica,
-            old=event.old_state.value, new=event.new_state.value,
-            reason=event.reason,
-        )
 
     def health_listener(self, service: str):
         """A per-service callback suitable for ``health_listener=``."""

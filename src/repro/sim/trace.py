@@ -1,16 +1,16 @@
-"""Structured event tracing for simulations.
+"""Structured event tracing for the message plane.
 
-Components emit :class:`TraceRecord` entries into a shared
-:class:`Tracer`.  Records are cheap named tuples; filtering/aggregation is
-done after the run.  The experiment harness uses traces to extract per-stage
-latencies (the paper's t0..t4 timestamps), selection decisions and failure
-events without the components needing to know about any experiment.
+The transport emits :class:`TraceRecord` entries (``net.sent`` /
+``net.delivered`` / ``net.dropped``) into a :class:`Tracer` handed to it;
+records are cheap frozen dataclasses and filtering is done after the run.
+Per-request stamps (the paper's t0..t4) are not traced: they travel on
+the request's :class:`~repro.engine.ReplyOutcome`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Dict, List
 
 __all__ = ["TraceRecord", "Tracer", "NullTracer"]
 
@@ -24,9 +24,9 @@ class TraceRecord:
     time:
         Simulated time in milliseconds.
     source:
-        Name of the emitting component, e.g. ``"client-1.handler"``.
+        Name of the emitting component, e.g. ``"transport"``.
     kind:
-        Machine-readable record type, e.g. ``"request.sent"``.
+        Machine-readable record type, e.g. ``"net.sent"``.
     data:
         Free-form payload describing the occurrence.
     """
@@ -38,53 +38,23 @@ class TraceRecord:
 
 
 class Tracer:
-    """Collects :class:`TraceRecord` entries and offers simple queries."""
+    """Collects :class:`TraceRecord` entries."""
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self.records: List[TraceRecord] = []
-        self._listeners: List[Callable[[TraceRecord], None]] = []
 
     def emit(self, time: float, source: str, kind: str, **data: Any) -> None:
         """Record one occurrence (no-op when tracing is disabled)."""
         if not self.enabled:
             return
-        record = TraceRecord(time=time, source=source, kind=kind, data=data)
-        self.records.append(record)
-        for listener in self._listeners:
-            listener(record)
+        self.records.append(
+            TraceRecord(time=time, source=source, kind=kind, data=data)
+        )
 
-    def subscribe(self, listener: Callable[[TraceRecord], None]) -> None:
-        """Invoke ``listener`` synchronously for every future record."""
-        self._listeners.append(listener)
-
-    # -- queries ----------------------------------------------------------
     def of_kind(self, kind: str) -> List[TraceRecord]:
         """All records with exactly this ``kind``."""
         return [r for r in self.records if r.kind == kind]
-
-    def select(
-        self,
-        kind: Optional[str] = None,
-        source: Optional[str] = None,
-        since: Optional[float] = None,
-        until: Optional[float] = None,
-    ) -> Iterator[TraceRecord]:
-        """Lazily filter records by kind/source/time window."""
-        for record in self.records:
-            if kind is not None and record.kind != kind:
-                continue
-            if source is not None and record.source != source:
-                continue
-            if since is not None and record.time < since:
-                continue
-            if until is not None and record.time > until:
-                continue
-            yield record
-
-    def clear(self) -> None:
-        """Drop all collected records (listeners stay subscribed)."""
-        self.records.clear()
 
     def __len__(self) -> int:
         return len(self.records)

@@ -51,7 +51,6 @@ from ..sim.events import Event
 from ..sim.hostclock import ClockRegistry
 from ..sim.kernel import Simulator
 from ..sim.random import Constant, Distribution
-from ..sim.trace import NullTracer, Tracer
 
 __all__ = [
     "Deployment",
@@ -103,8 +102,8 @@ class Wiring:
     """The values one deployment is wired with.
 
     The defaults are the bare stack: zero-jitter 1 ms links, free
-    marshalling, a failure detector polling every 10 ms, nothing
-    traced, one private metrics collector per handler.  Every
+    marshalling, a failure detector polling every 10 ms, one private
+    metrics collector per client handler.  Every
     deployment confirms a crash after two missed polls and delivers a
     view change 1 ms after it (the group layer's defaults).
     """
@@ -122,7 +121,6 @@ class Wiring:
         )
     )
     fd_poll_interval_ms: float = 10.0
-    tracer: Tracer = field(default_factory=NullTracer)
     metrics: Optional[MetricsCollector] = None
 
 
@@ -153,28 +151,20 @@ class Deployment:
         # the clock-fault plane can de-synchronize them.
         self.clocks = ClockRegistry(self.sim)
         self.streams = RNGManager(base_seed=seed)
-        self.tracer = wiring.tracer
         self.metrics = wiring.metrics
         self.lan = LanModel(
             self.streams,
             default_profile=wiring.link,
             shared_congestion=wiring.shared_congestion,
         )
-        self.transport: Any = Transport(self.sim, self.lan, tracer=self.tracer)
+        self.transport: Any = Transport(self.sim, self.lan)
         if faulty_wire:
             self.transport = FaultyTransport(self.transport, RNGManager(wire_seed))
         self.detector = FailureDetector(
-            self.sim,
-            self.lan,
-            poll_interval_ms=wiring.fd_poll_interval_ms,
-            tracer=self.tracer,
+            self.sim, self.lan, poll_interval_ms=wiring.fd_poll_interval_ms
         )
         self.group_comm = GroupCommunication(
-            self.sim,
-            self.lan,
-            self.transport,
-            failure_detector=self.detector,
-            tracer=self.tracer,
+            self.sim, self.lan, self.transport, failure_detector=self.detector
         )
         self.marshalling = wiring.marshalling
         self.interface = interface
@@ -195,14 +185,13 @@ class Deployment:
             self.transport,
             self.auditor,
             wire_seed,
-            self.tracer,
         )
 
     def gateway_for(self, host: str) -> Gateway:
         """The gateway of ``host``, creating (and binding) it if needed."""
         gateway = self._gateways.get(host)
         if gateway is None:
-            gateway = Gateway(host, self.sim, self.transport, tracer=self.tracer)
+            gateway = Gateway(host, self.sim, self.transport)
             self._gateways[host] = gateway
         return gateway
 
@@ -233,8 +222,6 @@ class Deployment:
             app=app,
             transport=self.transport,
             marshalling=self.marshalling,
-            tracer=self.tracer,
-            metrics=self.metrics,
             clock=self.clocks.clock(host),
         )
         self.gateway_for(host).load_handler(handler)
@@ -254,9 +241,9 @@ class Deployment:
 
         ``options`` are the fields of the client's
         :class:`~repro.engine.EngineConfig` — the one place flat keywords
-        become a config — except the five substrate keywords, which
+        become a config — except the four substrate keywords, which
         override the deployment's own marshalling, policy stream, host
-        clock, tracer and metrics.  Each client process gets its own ORB,
+        clock and metrics.  Each client process gets its own ORB,
         like separate CORBA applications on separate hosts.
         """
         self.lan.add_host(host)
@@ -264,7 +251,6 @@ class Deployment:
             "marshalling": self.marshalling,
             "rng": self.streams.stream(f"client.{host}.policy"),
             "clock": self.clocks.clock(host),
-            "tracer": self.tracer,
             "metrics": self.metrics,
         }
         for key in substrate.keys() & options.keys():

@@ -2,7 +2,7 @@
 
 A :class:`Scenario` is a :class:`~repro.workload.ministack.Deployment`
 wired with the testbed's values (LAN jitter/loss/shared congestion, stock
-marshalling costs, a 50 ms x 2 failure detector, tracer and metrics) from
+marshalling costs, a 50 ms x 2 failure detector, a metrics collector) from
 one :class:`ScenarioConfig`, plus what is its own: a Proteus manager
 deploying the configured replicas, closed/open-loop clients, scripted
 crashes and a bounded run-to-completion.  All randomness flows through
@@ -32,7 +32,6 @@ from ..orb.orb import Stub
 from ..proteus.manager import DependabilityManager, ServiceSpec
 from ..replica.load import ConstantLoad, LoadModel, ServiceProfile
 from ..sim.random import Constant, Distribution, Normal
-from ..sim.trace import NullTracer, Tracer
 from .client import ClosedLoopClient, OpenLoopClient
 from .ministack import Deployment, IntegerServant, Wiring, make_interface
 
@@ -64,7 +63,6 @@ class ScenarioConfig:
     shared_congestion: Optional[Distribution] = None
     fd_poll_interval_ms: float = 50.0
     response_timeout_factor: float = 10.0
-    trace: bool = False
     keep_samples: bool = True
     # Optional per-host overrides.
     load_factory: Optional[Callable[[str], LoadModel]] = None
@@ -129,7 +127,6 @@ class Scenario(Deployment):
             shared_congestion=cfg.shared_congestion,
             marshalling=MarshallingModel(),
             fd_poll_interval_ms=cfg.fd_poll_interval_ms,
-            tracer=Tracer() if cfg.trace else NullTracer(),
             metrics=MetricsCollector(keep_samples=cfg.keep_samples),
         )
 

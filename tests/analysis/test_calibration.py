@@ -22,6 +22,10 @@ def _outcome(prediction, timely, bootstrap=False):
         replica="r1",
         redundancy=2,
         request_id=1,
+        t0_ms=0.0,
+        t1_ms=0.0,
+        t4_ms=100.0,
+        perf=None,
         decision_meta=meta,
     )
 

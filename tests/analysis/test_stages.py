@@ -9,11 +9,10 @@ from repro.workload.scenarios import Scenario, ScenarioConfig
 
 
 @pytest.fixture(scope="module")
-def traced_run():
+def finished_run():
     config = ScenarioConfig(
         seed=0,
         num_replicas=3,
-        trace=True,
         service_distribution_factory=lambda host: Constant(40.0),
     )
     scenario = Scenario(config)
@@ -27,15 +26,15 @@ def traced_run():
     return scenario, client
 
 
-def test_every_completed_request_is_decomposed(traced_run):
-    scenario, client = traced_run
-    stages = extract_stages(scenario.tracer)
+def test_every_completed_request_is_decomposed(finished_run):
+    scenario, client = finished_run
+    stages = extract_stages(client.outcomes)
     assert len(stages) == len(client.outcomes)
 
 
-def test_stage_sum_matches_total(traced_run):
-    scenario, _client = traced_run
-    for s in extract_stages(scenario.tracer):
+def test_stage_sum_matches_total(finished_run):
+    _scenario, client = finished_run
+    for s in extract_stages(client.outcomes):
         parts = (
             s.client_ms + s.request_ms + s.queue_ms + s.service_ms + s.reply_ms
         )
@@ -45,29 +44,28 @@ def test_stage_sum_matches_total(traced_run):
         assert s.total_ms - parts < 2.0
 
 
-def test_service_stage_matches_configured_time(traced_run):
-    scenario, _client = traced_run
-    for s in extract_stages(scenario.tracer):
+def test_service_stage_matches_configured_time(finished_run):
+    _scenario, client = finished_run
+    for s in extract_stages(client.outcomes):
         assert s.service_ms == pytest.approx(40.0)
 
 
-def test_decomposition_follows_winning_replica(traced_run):
-    scenario, client = traced_run
-    stages = {s.msg_id: s for s in extract_stages(scenario.tracer)}
-    replies = [o for o in client.outcomes if o.replica]
-    winners = {o.replica for o in replies}
-    assert all(s.replica in winners for s in stages.values())
+def test_decomposition_follows_winning_replica(finished_run):
+    _scenario, client = finished_run
+    stages = {s.request_id: s for s in extract_stages(client.outcomes)}
+    by_id = {o.request_id: o for o in client.outcomes}
+    assert all(by_id[i].replica == s.replica for i, s in stages.items())
 
 
-def test_network_share_is_small_on_lan(traced_run):
-    scenario, _client = traced_run
-    for s in extract_stages(scenario.tracer):
+def test_network_share_is_small_on_lan(finished_run):
+    _scenario, client = finished_run
+    for s in extract_stages(client.outcomes):
         assert 0.0 <= s.network_share() < 0.4
 
 
-def test_summaries_cover_all_stages(traced_run):
-    scenario, _client = traced_run
-    summaries = stage_summaries(extract_stages(scenario.tracer))
+def test_summaries_cover_all_stages(finished_run):
+    _scenario, client = finished_run
+    summaries = stage_summaries(extract_stages(client.outcomes))
     assert set(summaries) == {
         "client", "request-net", "queueing", "service", "reply-net", "total"
     }

@@ -147,7 +147,6 @@ def make_engine(
         EngineConfig(policy=policy or RankedPolicy(), **options),
         members,
         rng=seeded_generator(0),
-        trace=lambda kind, **fields: None,
         metrics=MetricsCollector(keep_samples=False),
         labels={"client": "c-1", "service": SERVICE},
         book=book,

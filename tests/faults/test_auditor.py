@@ -20,6 +20,10 @@ def _outcome(timed_out, replica):
         replica=replica,
         redundancy=1,
         request_id=1,
+        t0_ms=0.0,
+        t1_ms=0.0,
+        t4_ms=5.0,
+        perf=None,
     )
 
 

@@ -258,6 +258,10 @@ class TestAuditorClockInvariants:
             replica="r1",
             redundancy=1,
             request_id=1,
+            t0_ms=4.2,
+            t1_ms=4.2,
+            t4_ms=0.0,
+            perf=None,
         )
         stack.auditor.records.append(
             SubmissionRecord(

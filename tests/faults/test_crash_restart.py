@@ -7,10 +7,6 @@ from repro.sim.random import Constant
 from .conftest import FaultStack
 
 
-def _replies(server) -> int:
-    return server.metrics.counter("server.replies", labels={"replica": server.host})
-
-
 def test_crash_mid_service_loses_reply_exactly_once():
     stack = FaultStack()
     stack.add_server("s-1", service_time=Constant(10.0))
@@ -24,7 +20,7 @@ def test_crash_mid_service_loses_reply_exactly_once():
     stack.sim.run()
     assert len(outcomes) == 1
     assert outcomes[0].timed_out
-    assert _replies(stack.servers["s-1"]) == 0
+    assert stack.servers["s-1"].replies == 0
     stack.auditor.assert_clean()
 
 
@@ -42,7 +38,7 @@ def test_restart_services_new_requests_exactly_once():
     second = later[0].value
     assert not second.timed_out
     assert second.replica == "s-1"
-    assert _replies(server) == 1  # new incarnation replied exactly once
+    assert server.replies == 1  # new incarnation replied exactly once
     assert driver.crashes_applied == 1
     assert driver.restarts_applied == 1
     report = stack.auditor.assert_clean()
@@ -70,7 +66,7 @@ def test_old_service_loop_cannot_drain_the_new_queue():
     assert first.value.timed_out
     assert second.value.timed_out
     assert not later[0].value.timed_out
-    assert _replies(server) == 1
+    assert server.replies == 1
     assert server.queue_length == 0
     stack.auditor.assert_clean()
 

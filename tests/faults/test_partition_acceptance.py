@@ -63,18 +63,12 @@ def _closed_loop(stack, outcomes, think_ms=4.0, until_ms=HORIZON_MS):
         yield stack.sim.timeout(think_ms)
 
 
-def _replies(stack, host):
-    return stack.servers[host].metrics.counter(
-        "server.replies", labels={"replica": host}
-    )
-
-
 def test_majority_rides_out_a_30s_cut_of_the_best_replica():
     stack = _build()
     outcomes = []
     stack.sim.spawn(_closed_loop(stack, outcomes), name="load")
     stack.sim.run(until=HORIZON_MS)
-    served_mid_cut = _replies(stack, "s-2") + _replies(stack, "s-3")
+    served_mid_cut = stack.servers["s-2"].replies + stack.servers["s-3"].replies
     stack.sim.run(until=HORIZON_MS + 10_000.0)
 
     # The one-way cut really was one-way: the dark replica kept receiving
@@ -96,7 +90,7 @@ def test_majority_rides_out_a_30s_cut_of_the_best_replica():
     assert timely_fraction >= 0.95
 
     # Post-heal: the best replica is re-admitted and serves fresh load.
-    healed_baseline = _replies(stack, "s-1")
+    healed_baseline = stack.servers["s-1"].replies
     late_outcomes = []
     stack.sim.spawn(
         _closed_loop(
@@ -114,4 +108,4 @@ def test_majority_rides_out_a_30s_cut_of_the_best_replica():
     for client in stack.clients.values():
         client.quiesce_probes()
     stack.auditor.assert_clean()
-    assert _replies(stack, "s-1") >= healed_baseline
+    assert stack.servers["s-1"].replies >= healed_baseline

@@ -19,7 +19,7 @@ def _stack_with(handler_kwargs=None, servers=2, service_time=None):
     return stack
 
 
-def _add_retry_client(stack, deadline=200.0, tracer=None, **options):
+def _add_retry_client(stack, deadline=200.0, **options):
     from repro.core.qos import QoSSpec
     from repro.gateway.gateway import Gateway
     from repro.orb.orb import Orb
@@ -35,7 +35,6 @@ def _add_retry_client(stack, deadline=200.0, tracer=None, **options):
         config=EngineConfig(selection_charge_ms=0.0, **options),
         marshalling=stack.marshalling,
         rng=stack.streams.stream("client-1.policy"),
-        tracer=tracer,
     )
     Gateway("client-1", stack.sim, stack.transport).load_handler(handler)
     orb = Orb()
@@ -133,11 +132,12 @@ def test_backoff_cap_defaults_to_the_deadline():
 
 
 def test_backoff_spreads_retransmissions_exponentially():
+    from repro.gateway.handlers.timing_fault import MSG_REQUEST
     from repro.sim.trace import Tracer
 
-    tracer = Tracer()
     stack = _stack_with(servers=2)
-    _add_retry_client(stack, deadline=80.0, tracer=tracer)
+    tracer = stack.transport.tracer = Tracer()
+    _add_retry_client(stack, deadline=80.0)
     stack.invoke("client-1", 0)
     stack.sim.run()
     for server in stack.servers.values():
@@ -145,10 +145,12 @@ def test_backoff_spreads_retransmissions_exponentially():
     crashed_at = stack.sim.now
     stack.invoke("client-1", 1)
     stack.sim.run()
+    # The copies on the wire: one replica each, after the original send
+    # (which leaves at crashed_at; the warm-up request may retry too).
     times = [
         r.time
-        for r in tracer.of_kind("client.retransmit")
-        if r.time > crashed_at  # the warm-up request may retry too
+        for r in tracer.of_kind("net.sent")
+        if r.data["msg_kind"] == MSG_REQUEST and r.time > crashed_at
     ]
     assert len(times) == MAX_RETRIES
     # Waits of 40 then 80 ms: the second retransmission waits twice as long.

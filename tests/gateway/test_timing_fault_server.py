@@ -11,7 +11,6 @@ import pytest
 import repro
 from repro.gateway.handlers.timing_fault import MSG_PERF
 from repro.sim.random import Constant
-from repro.sim.trace import NullTracer, Tracer
 
 
 def test_request_is_serviced_and_replied(stack):
@@ -125,40 +124,6 @@ def test_crash_and_restart_are_idempotent(stack):
     server.restart()
     server.restart()
     assert not server.crashed
-
-
-# -- tracing (ISSUE 24) ---------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "off", [NullTracer, lambda: Tracer(enabled=False)], ids=["null", "disabled"]
-)
-def test_a_tracer_that_is_off_is_handed_no_server_record(stack, monkeypatch, off):
-    def boom(*args, **fields):
-        raise AssertionError("server record built for a tracer that is off")
-
-    server = stack.add_server("replica-1", service_time=Constant(20.0))
-    server.tracer = off()
-    monkeypatch.setattr(server.tracer, "emit", boom)
-    stack.add_client("client-1", deadline_ms=200.0)
-    event = stack.invoke("client-1", 7)
-    stack.sim.run()
-    assert event.value.value == 7  # enqueued and serviced, both sites walked
-
-
-def test_a_tracer_that_is_on_gets_both_server_records(stack):
-    server = stack.add_server("replica-1", service_time=Constant(20.0))
-    tracer = server.tracer = Tracer()
-    stack.add_client("client-1", deadline_ms=200.0)
-    stack.invoke("client-1", 7)
-    stack.sim.run()
-    enqueued, serviced = tracer.records
-    assert (enqueued.kind, serviced.kind) == ("server.enqueued", "server.serviced")
-    assert enqueued.source == serviced.source == "server.replica-1"
-    assert enqueued.data["queue"] == 1
-    assert serviced.data["msg_id"] == enqueued.data["msg_id"]
-    assert serviced.data["ts"] == pytest.approx(20.0)
-    assert serviced.time - enqueued.time == pytest.approx(20.0)
 
 
 # -- performance pushes (ISSUE 21) ----------------------------------------------

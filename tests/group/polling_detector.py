@@ -20,7 +20,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.net.lan import LanModel
 from repro.sim.kernel import Simulator
-from repro.sim.trace import NullTracer, Tracer
 
 __all__ = ["PollingFailureDetector"]
 
@@ -53,7 +52,6 @@ class PollingFailureDetector:
         lan: LanModel,
         poll_interval_ms: float = 50.0,
         confirm_polls: int = 2,
-        tracer: Optional[Tracer] = None,
         vantage: Optional[str] = None,
     ) -> None:
         if poll_interval_ms <= 0:
@@ -65,7 +63,6 @@ class PollingFailureDetector:
         self.poll_interval_ms = float(poll_interval_ms)
         self.confirm_polls = int(confirm_polls)
         self.vantage = vantage
-        self.tracer = tracer if tracer is not None else NullTracer()
         self._listeners: List[CrashListener] = []
         self._watched: Dict[str, int] = {}  # host -> consecutive down samples
         self._declared: Dict[str, float] = {}  # host -> time of declaration
@@ -172,9 +169,6 @@ class PollingFailureDetector:
                 and host_name not in self._declared
             ):
                 self._declared[host_name] = self.sim.now
-                self.tracer.emit(
-                    self.sim.now, "failure-detector", "fd.crash", host=host_name
-                )
                 for listener in list(self._listeners):
                     listener(host_name)
         self.sim.call_in(

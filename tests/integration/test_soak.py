@@ -30,7 +30,6 @@ def soak_run():
         loss_probability=0.01,
         load_factory=load_factory,
         response_timeout_factor=5.0,
-        trace=True,
     )
     scenario = Scenario(config)
     clients = []

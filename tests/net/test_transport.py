@@ -156,7 +156,7 @@ def run_scripted_plane(tracer):
     transport = Transport(sim, lan, tracer=tracer)
     inbox = []
     for name in PLANE_HOSTS:
-        Gateway(name, sim, transport, tracer=tracer).load_handler(
+        Gateway(name, sim, transport).load_handler(
             _Inbox(name, sim, inbox)
         )
     servers = PLANE_HOSTS[1:]

@@ -105,3 +105,17 @@ def test_auditor_flags_contradictory_shed_outcomes():
     report = auditor.audit()
     assert any("shed AND reply" in v for v in report.violations)
 
+
+
+def test_a_shed_carries_t0_and_t4_and_no_send():
+    stack = make_stack(overload_config=True, selection_charge_ms=0.25)
+    stack.invoke("c-1", 1)
+    stack.sim.run()
+    saturate(stack)
+    event = stack.invoke("c-1", 2)
+    stack.sim.run()
+    outcome = event.value
+    assert outcome.shed
+    assert outcome.t1_ms is None and outcome.perf is None
+    # Shed at dispatch, after the selection charge.
+    assert outcome.t4_ms - outcome.t0_ms == outcome.response_time_ms == 0.25
