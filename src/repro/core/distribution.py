@@ -23,11 +23,16 @@ docs/PERFORMANCE.md):
   :data:`CDF_TOLERANCE` of float dust.  A pmf counted on the lattice is
   tagged as such; two tagged pmfs convolve on the dense lattice, every
   other pair on the exact pairwise path.
+
+:func:`convolve_each` settles many untagged pairs in one call of the
+pairwise kernel, and a pmf remembers whether its probabilities sum to
+exactly 1, so a shift or scaling of it does not sum them again.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,6 +44,7 @@ __all__ = [
     "DiscretePMF",
     "SampleCounts",
     "batch_convolve",
+    "convolve_each",
 ]
 
 #: Quantization grid of every window pmf, ms.
@@ -61,9 +67,10 @@ _FFT_CROSSOVER = 64
 
 def _check_mass(probs: npt.NDArray[np.float64]) -> None:
     """Reject negative probabilities and a total mass that is not 1."""
-    if (probs < -1e-12).any():
+    # (.any() and .sum() without their python wrappers: every row pays this.)
+    if np.logical_or.reduce(probs < -1e-12):
         raise ValueError("probabilities must be non-negative")
-    total = float(probs.sum())
+    total = float(np.add.reduce(probs))
     if not math.isclose(total, 1.0, rel_tol=1e-6, abs_tol=1e-6):
         raise ValueError(f"probabilities must sum to 1, got {total}")
 
@@ -88,7 +95,8 @@ class SampleCounts:
     @staticmethod
     def _key(sample: float) -> float:
         """The lattice point ``sample`` is counted at."""
-        return round(round(float(sample) / BIN_WIDTH_MS) * BIN_WIDTH_MS, _KEY_DECIMALS)
+        # An integer times BIN_WIDTH_MS == 1.0 is already on the 9-decimal grid.
+        return round(float(sample) / BIN_WIDTH_MS) * BIN_WIDTH_MS
 
     def add(self, sample: float) -> None:
         """Count one new sample."""
@@ -111,12 +119,12 @@ class SampleCounts:
     def replace(self, new_sample: float, evicted: Optional[float] = None) -> None:
         """Push ``new_sample``, evicting ``evicted`` first when given.
 
-        :meth:`evict` then :meth:`add` in one body: the same two
-        ``round`` calls per sample, the same error on an empty bin.
+        :meth:`evict` then :meth:`add` in one body: the same ``round``
+        per sample, the same error on an empty bin.
         """
         width, counts = BIN_WIDTH_MS, self._counts
         if evicted is not None:
-            key = round(round(float(evicted) / width) * width, _KEY_DECIMALS)
+            key = round(float(evicted) / width) * width
             count = counts.get(key, 0)
             if count == 0:
                 raise ValueError(f"cannot evict {evicted!r}: bin {key!r} is empty")
@@ -125,7 +133,7 @@ class SampleCounts:
             else:
                 counts[key] = count - 1
             self._total -= 1
-        key = round(round(float(new_sample) / width) * width, _KEY_DECIMALS)
+        key = round(float(new_sample) / width) * width
         counts[key] = counts.get(key, 0) + 1
         self._total += 1
 
@@ -164,7 +172,7 @@ class DiscretePMF:
     decides: :meth:`scale` and the public constructor leave it off.
     """
 
-    __slots__ = ("_values", "_probs", "_cum", "_lattice")
+    __slots__ = ("_values", "_probs", "_cum", "_lattice", "_unit")
 
     def __init__(self, values: Sequence[float], probs: Sequence[float]) -> None:
         if len(values) != len(probs):
@@ -186,6 +194,7 @@ class DiscretePMF:
         self._probs = self._probs / self._probs.sum()
         self._cum = None
         self._lattice = False
+        self._unit = False
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -194,16 +203,25 @@ class DiscretePMF:
         values: npt.NDArray[np.float64],
         probs: npt.NDArray[np.float64],
         lattice: bool,
+        unit: bool = False,
     ) -> "DiscretePMF":
         """A pmf over arrays this module computed itself (RL008 keeps it so):
         sorted values and non-negative probs are not re-sorted or re-scanned.
-        The renormalising division fixes last bits; ``x / 1.0`` is ``x``."""
+        The renormalising division fixes last bits; ``x / 1.0`` is ``x``.
+        ``unit`` vouches that ``probs`` sums to exactly 1 (a pmf's own array,
+        handed on by :meth:`shift` or :meth:`scale`), so it is not summed
+        again; the pmf records the same of the array it keeps."""
         pmf = cls.__new__(cls)
-        total = probs.sum()
+        if not unit:
+            total = np.add.reduce(probs)  # (probs.sum() without its wrapper)
+            unit = bool(total == 1.0)
+            if not unit:
+                probs = probs / total
         pmf._values = values
-        pmf._probs = probs if total == 1.0 else probs / total
+        pmf._probs = probs
         pmf._cum = None
         pmf._lattice = lattice
+        pmf._unit = unit
         return pmf
 
     def validated(self) -> "DiscretePMF":
@@ -319,10 +337,12 @@ class DiscretePMF:
         """The pmf of ``X + delta`` (adding a constant, e.g. ``T_i``).
 
         A translation keeps the atom spacing, so the lattice tag survives
-        (the offset moves, which the lattice convolution handles).
+        (the offset moves, which the lattice convolution handles).  The
+        probabilities are this pmf's own array, handed on with what
+        :meth:`_derived` knew of its mass: summed to exactly 1 or not.
         """
         values = (self._values + float(delta)).round(_KEY_DECIMALS)
-        return DiscretePMF._derived(values, self._probs, self._lattice)
+        return DiscretePMF._derived(values, self._probs, self._lattice, self._unit)
 
     def scale(self, factor: float) -> "DiscretePMF":
         """The pmf of ``factor · X`` (used by queue-scaling extensions).
@@ -339,7 +359,7 @@ class DiscretePMF:
         values = (self._values * float(factor)).round(_KEY_DECIMALS)
         # Scaling cannot merge distinct atoms (it is injective for f>0),
         # so values stay unique.
-        return DiscretePMF._derived(values, self._probs, False)
+        return DiscretePMF._derived(values, self._probs, False, self._unit)
 
     def convolve(self, other: "DiscretePMF") -> "DiscretePMF":
         """The pmf of the sum of two independent variables.
@@ -350,23 +370,11 @@ class DiscretePMF:
         * two lattice-tagged pmfs convolve on the dense lattice —
           ``np.convolve`` below :data:`_FFT_CROSSOVER` slots, FFT above
           it — in ``O(L log L)`` instead of ``O(L²)``;
-        * any other pair takes the exact pairwise outer-product path.
+        * any other pair takes the exact pairwise kernel, as its one-pair
+          call (:func:`convolve_each` hands it many pairs at once).
         """
-        shifted = _as_shift(self, other)
-        if shifted is not None:
-            return shifted
-        if self._lattice and other._lattice:
-            return self._convolve_lattice(other)
-        return self._convolve_pairwise(other)
-
-    def _convolve_pairwise(self, other: "DiscretePMF") -> "DiscretePMF":
-        """Exact ``O(L²)`` pairwise-sum convolution: an untagged operand's path."""
-        sums = np.add.outer(self._values, other._values).ravel()
-        weights = np.multiply.outer(self._probs, other._probs).ravel()
-        keys = np.round(sums, _KEY_DECIMALS)
-        unique, inverse = np.unique(keys, return_inverse=True)
-        probs = np.bincount(inverse, weights=weights)
-        return DiscretePMF._derived(unique, probs, False)
+        result = _shift_or_lattice(self, other)
+        return _pairwise([(self, other)])[0] if result is None else result
 
     def _lattice_indices(self) -> npt.NDArray[np.int64]:
         """Integer lattice offsets of the atoms from the first one."""
@@ -432,6 +440,73 @@ def _as_shift(a: DiscretePMF, b: DiscretePMF) -> Optional[DiscretePMF]:
     if a._values.size == 1:
         return b.shift(float(a._values[0]))
     return None
+
+
+def _shift_or_lattice(a: DiscretePMF, b: DiscretePMF) -> Optional[DiscretePMF]:
+    """``a ⊛ b`` as a shift or on the dense lattice; ``None`` for a pair the
+    pairwise kernel takes (both operands wider than one atom, one untagged)."""
+    result = _as_shift(a, b)
+    if result is None and a._lattice and b._lattice:
+        return a._convolve_lattice(b)
+    return result
+
+
+def _pairwise(pairs: Sequence[Tuple[DiscretePMF, DiscretePMF]]) -> List[DiscretePMF]:
+    """Exact ``O(L²)`` pairwise-sum convolution of every pair, in one pass.
+
+    Pair ``r`` fills row ``r`` of a ``(rows, L_a, L_b)`` block with its sums
+    ``a_i + b_j`` and products ``p_i · q_j``, i-major; a mask by the row's
+    sizes keeps its own entries.  The keys are rounded to the grid once and
+    sorted by one stable ``lexsort`` on ``(row, key)``, so equal keys of two
+    rows never merge and a group's products stay in input order: one
+    ``bincount`` adds them in the order a one-pair call adds them, and
+    every row's bits are those of its own one-pair call.
+    """
+    sizes_a = [a._values.size for a, _ in pairs]
+    sizes_b = [b._values.size for _, b in pairs]
+    width_a, width_b = max(sizes_a), max(sizes_b)
+    inside = np.array([sizes_a, sizes_b])[:, :, None] > np.arange(max(width_a, width_b))
+    # Four padded planes: a's values, a's probs, b's values, b's probs.
+    padded = np.zeros((4,) + inside.shape[1:])
+    padded[inside[[0, 0, 1, 1]]] = np.concatenate(
+        [a._values for a, _ in pairs] + [a._probs for a, _ in pairs]
+        + [b._values for _, b in pairs] + [b._probs for _, b in pairs]
+    )
+    values_a, probs_a = padded[:2, :, :width_a, None]
+    values_b, probs_b = padded[2:, :, None, :width_b]
+    kept = inside[0, :, :width_a, None] & inside[1, :, None, :width_b]
+    keys = (values_a + values_b)[kept].round(_KEY_DECIMALS)
+    weights = (probs_a * probs_b)[kept]
+    order = np.lexsort((keys, kept.nonzero()[0]))
+    keys = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    pair_ends = list(accumulate(a * b for a, b in zip(sizes_a, sizes_b)))
+    first[[0] + pair_ends[:-1]] = True  # each row's first key starts a group
+    group = np.add.accumulate(first, dtype=np.intp)  # each key's group, from 1
+    probs = np.bincount(group, weights=weights[order])[1:]
+    values = keys[first]
+    atom_ends = group[[end - 1 for end in pair_ends]].tolist()
+    return [
+        DiscretePMF._derived(values[start:end], probs[start:end], False)
+        for start, end in zip([0] + atom_ends, atom_ends)
+    ]
+
+
+def convolve_each(
+    pairs: Sequence[Tuple[DiscretePMF, DiscretePMF]],
+) -> List[DiscretePMF]:
+    """``[a.convolve(b) for a, b in pairs]``, bit for bit, with one call of
+    the pairwise kernel for all pairs that take it.
+
+    Shifts and lattice pairs are settled one by one, exactly as
+    :meth:`DiscretePMF.convolve` settles them (no FFT is shared, unlike
+    :func:`batch_convolve`), so no result depends on the other pairs.
+    """
+    results = [_shift_or_lattice(a, b) for a, b in pairs]
+    untagged = [pair for pair, result in zip(pairs, results) if result is None]
+    convolved = iter(_pairwise(untagged) if untagged else [])
+    return [next(convolved) if result is None else result for result in results]
 
 
 def _on_lattice(

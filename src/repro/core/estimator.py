@@ -20,6 +20,10 @@ record is still the one the repository tracks.  Re-deriving an entry
 reuses its base while both window versions stand (a ``T_i``-only or
 queue-only write re-shifts it); two or more stale bases asked for
 together share one batched FFT, a lone one takes the scalar kernel.
+:class:`QueueScaledEstimator` scales ``W_i`` off the lattice and never
+reuses its base: the stale rows of one derivation share one call of the
+exact pairwise kernel, and each row's ``+ T_i``, check and matrix write
+stay per row.
 
 :meth:`ResponseTimeEstimator.batch_probability_by` evaluates
 ``F_{R_i}(t)`` for *all* replicas in one vectorized pass over the array
@@ -41,7 +45,13 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 import numpy.typing as npt
 
-from .distribution import BIN_WIDTH_MS, CDF_TOLERANCE, DiscretePMF, batch_convolve
+from .distribution import (
+    BIN_WIDTH_MS,
+    CDF_TOLERANCE,
+    DiscretePMF,
+    batch_convolve,
+    convolve_each,
+)
 from .repository import InformationRepository, ReplicaRecord
 
 __all__ = ["ResponseTimeEstimator", "QueueScaledEstimator"]
@@ -394,7 +404,10 @@ class QueueScaledEstimator(ResponseTimeEstimator):
     """
 
     def _sums(self, records: Sequence[ReplicaRecord]) -> List[DiscretePMF]:
-        sums = []
+        """Each record's window pmfs, ``W_i`` scaled, then every pair
+        convolved by :func:`convolve_each`: the scaled (untagged) pairs in
+        one pairwise-kernel call."""
+        pairs = []
         for record in records:
             service_pmf = record.service_times.pmf()
             queue_pmf = record.queue_delays.pmf()
@@ -403,5 +416,5 @@ class QueueScaledEstimator(ResponseTimeEstimator):
                 implied_hist_depth = queue_pmf.mean() / mean_service
                 factor = (record.queue_length + 1.0) / (implied_hist_depth + 1.0)
                 queue_pmf = queue_pmf.scale(factor)
-            sums.append(service_pmf.convolve(queue_pmf))
-        return sums
+            pairs.append((service_pmf, queue_pmf))
+        return convolve_each(pairs)

@@ -7,7 +7,9 @@ from repro.core.distribution import (
     CDF_TOLERANCE,
     DiscretePMF,
     SampleCounts,
+    _pairwise,
     batch_convolve,
+    convolve_each,
 )
 
 
@@ -113,6 +115,17 @@ class TestAlgebra:
     def test_scale_rejects_negative(self):
         with pytest.raises(ValueError):
             DiscretePMF.degenerate(1.0).scale(-1.0)
+
+    def test_shift_and_scale_of_a_divided_pmf_sum_and_renormalise_again(self):
+        # [0.7, 0.2, 0.1] sums to 1 - 2**-53, so the constructor divided it,
+        # and the quotient sums to 1 + 2**-52: a derived pmf passing that
+        # array on must sum it and divide again, not take its mass as 1.
+        pmf = DiscretePMF([1.0, 2.0, 3.0], [0.7, 0.2, 0.1])
+        kept = pmf.probs.copy()
+        assert kept.sum() != 1.0
+        for derived in (pmf.shift(0.5), pmf.scale(1.5)):
+            assert derived.probs.tobytes() == (kept / kept.sum()).tobytes()
+            assert derived.probs.tobytes() != kept.tobytes()
 
     def test_convolution_of_degenerates_is_sum(self):
         a = DiscretePMF.degenerate(3.0)
@@ -409,7 +422,7 @@ class TestLatticeConvolution:
         assert np.array_equal(doubled.values, np.rint(doubled.values))
         for a, b in ((tagged, doubled), (doubled, tagged), (doubled, doubled)):
             result = a.convolve(b)
-            pairwise = a._convolve_pairwise(b)
+            pairwise = _pairwise([(a, b)])[0]
             assert not result._lattice
             assert result.values.tobytes() == pairwise.values.tobytes()
             assert result.probs.tobytes() == pairwise.probs.tobytes()
@@ -465,3 +478,30 @@ class TestBatchConvolve:
 
     def test_empty_input(self):
         assert batch_convolve([]) == []
+
+
+class TestConvolveEach:
+    def test_each_pair_is_its_own_convolve_bit_for_bit(self):
+        rng = np.random.default_rng(44)
+        tagged = [_random_grid_pmf(rng, size, spread=30) for size in (3, 6, 12, 20)]
+        pairs = [
+            (tagged[0], tagged[1].scale(0.5)),  # pairwise
+            (tagged[1], tagged[2]),  # lattice
+            (tagged[2].scale(2.0), tagged[3].scale(1.0)),  # pairwise
+            (DiscretePMF.degenerate(2.0), tagged[3]),  # shift
+            (tagged[3].scale(1.3), tagged[0]),  # pairwise
+        ]
+        for (a, b), result in zip(pairs, convolve_each(pairs)):
+            alone = a.convolve(b)
+            assert result._lattice == alone._lattice
+            assert result.values.tobytes() == alone.values.tobytes()
+            assert result.probs.tobytes() == alone.probs.tobytes()
+        assert convolve_each([]) == []
+
+    def test_equal_keys_of_two_rows_stay_in_their_rows(self):
+        pmf = DiscretePMF.from_samples([0.0, 1.0])
+        once, twice = pmf.scale(1.0), pmf.scale(2.0).shift(1.0)
+        # Row 1 ends on key 2.0, where row 2 starts.
+        first, second = convolve_each([(pmf, once), (twice, once.shift(1.0))])
+        assert first.items() == [(0.0, 0.25), (1.0, 0.5), (2.0, 0.25)]
+        assert second.items() == [(2.0, 0.25), (3.0, 0.25), (4.0, 0.25), (5.0, 0.25)]

@@ -18,7 +18,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core.distribution import DiscretePMF, SampleCounts, batch_convolve
+from repro.core.distribution import (
+    DiscretePMF,
+    SampleCounts,
+    batch_convolve,
+    convolve_each,
+)
 from repro.core.estimator import QueueScaledEstimator, ResponseTimeEstimator
 from repro.core.repository import InformationRepository
 
@@ -30,6 +35,7 @@ PINNED = {
     "lattice_direct": "ad5574bf06b70a21",
     "lattice_fft": "aee2cd540b2803d4",
     "pairwise": "821abd521790bf81",
+    "pairwise_many": "adeed30d43d1aeb0",
     "batch": "db6e2d67fed3c0a1",
     "walk_base": "e2463f4cf789fcd7",
     "walk_gateway_window": "31929540da26957b",
@@ -122,6 +128,18 @@ def chain_pairwise():
     return [a.convolve(b) for a, b in pairs]
 
 
+def chain_pairwise_many():
+    """Untagged pairs of unequal widths in one kernel call; the literal is
+    each pair's own one-pair convolution, taken before there was a batch."""
+    a, b, c, d = (window(seed, count, spread) for seed, count, spread in
+                  ((41, 3, 6), (42, 6, 12), (43, 12, 30), (44, 30, 60)))
+    return convolve_each([
+        (a, b.scale(0.5)), (b.scale(1.0), c), (c.shift(0.25), d.scale(2.0)),
+        (d.scale(1.3), a.scale(0.5)), (a.scale(2.0), b.scale(1.0)),
+        (DiscretePMF([0.0, 0.3, 1.7], [0.2, 0.5, 0.3]), d),
+    ])
+
+
 def chain_batch():
     pairs = [(window(seed, 5, 9), window(seed + 1, 5, 9).shift(0.25))
              for seed in range(20, 28, 2)]
@@ -186,6 +204,7 @@ CHAINS = {
     "lattice_direct": chain_lattice_direct,
     "lattice_fft": chain_lattice_fft,
     "pairwise": chain_pairwise,
+    "pairwise_many": chain_pairwise_many,
     "batch": chain_batch,
     "walk_base": lambda: walk(ResponseTimeEstimator, None),
     "walk_gateway_window": lambda: walk(ResponseTimeEstimator, 3),

@@ -26,7 +26,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.distribution import DiscretePMF, SampleCounts, batch_convolve
+from repro.core.distribution import (
+    DiscretePMF,
+    SampleCounts,
+    batch_convolve,
+    convolve_each,
+)
 
 from ..core import spec_model as spec
 
@@ -282,6 +287,36 @@ def test_any_chain_agrees_with_the_spec(drawn):
             gaps = np.diff(pmf.values)
             if pmf.support_size <= 400 and (gaps.size == 0 or gaps.min() > 1e-6):
                 pool.append(pmf)
+
+
+# -- many pairs, one pairwise-kernel call -------------------------------------
+
+untagged_pairs = st.lists(
+    st.tuples(
+        sample_lists(min_size=2, max_size=12),
+        sample_lists(min_size=2, max_size=12),
+        st.sampled_from([0.5, 1.0, 2.0, 1.3]),  # 0.5, 1 and 2 collide across rows
+        st.sampled_from([0.0, 0.25, 0.734]),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(drawn=untagged_pairs)
+@settings(max_examples=60, deadline=None)
+def test_one_kernel_call_is_each_pairs_own_call(drawn):
+    pairs = []
+    for left, right, factor, delta in drawn:
+        a = DiscretePMF.from_samples([k % 40 + off for k, off in left]).shift(delta)
+        b = DiscretePMF.from_samples([k % 40 + off for k, off in right]).scale(factor)
+        if 1 not in (a.support_size, b.support_size):  # (a singleton is a shift)
+            pairs.append((a, b))
+    for (a, b), result in zip(pairs, convolve_each(pairs)):
+        alone = a.convolve(b)
+        assert np.array_equal(result.values, alone.values)
+        assert np.array_equal(result.probs, alone.probs)
+        check(result, spec.convolve(twin(a), twin(b)))
 
 
 # -- outside input -------------------------------------------------------------

@@ -14,16 +14,23 @@ small change to the parsed source each:
 * a simple statement deleted (replaced by ``pass``).
 
 Annotations, docstrings, f-strings, imports and ``__all__`` are left
-alone.  Each mutant is written into a fresh temporary copy of ``src/`` —
-the working tree is never edited — and the module's test files run
-against it with ``-x``, a timeout and derandomized hypothesis.  A mutant
-is *killed* when pytest fails (an import error counts), *survived* when
-it passes, *timed out* when it outlives the timeout.
+alone, and so are the annotation-only keys of a ``TypedDict`` or
+``Protocol`` body (deleting one changes nothing at run time; a dataclass
+field is a mutant, since deleting it does).  Each mutant is written into
+a fresh temporary copy of ``src/`` — the working tree is never edited —
+and the module's test files run against it with ``-x``, a timeout and
+derandomized hypothesis.  A mutant is *killed* when pytest fails (an
+import error counts), *survived* when it passes, *timed out* when it
+outlives the timeout.
 
 Run from anywhere; it takes no options and writes ``BENCH_mutation.json``
 at the repository root::
 
     python tools/mutate.py
+
+The file it overwrites is the ratchet: the run exits non-zero, naming the
+module and both counts, when a module's ``killed`` count falls below the
+one the file held.
 
 Format and reading of the output: docs/PERFORMANCE.md §5.
 """
@@ -143,11 +150,26 @@ def _flipped(value: object) -> object:
     return value + 1  # type: ignore[operator]
 
 
+def _declares_only(node: ast.ClassDef) -> bool:
+    """Whether ``node`` is a ``TypedDict`` or ``Protocol``: its bare
+    annotations declare keys, they execute nothing."""
+    for base in node.bases:
+        base = base.value if isinstance(base, ast.Subscript) else base
+        name = base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", "")
+        if name in ("TypedDict", "Protocol"):
+            return True
+    return False
+
+
 def _exempt(tree: ast.AST) -> set:
     """Ids of nodes no mutant touches: annotations, docstrings, f-strings,
-    imports and ``__all__``."""
+    imports, ``__all__`` and the keys a ``TypedDict`` or ``Protocol``
+    declares."""
     roots: List[ast.AST] = []
     for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and _declares_only(node):
+            roots += [line for line in node.body
+                      if isinstance(line, ast.AnnAssign) and line.value is None]
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             roots += [a.annotation for a in ast.walk(node.args)
                       if isinstance(a, ast.arg) and a.annotation]
@@ -313,8 +335,21 @@ def summary(tests: Sequence[str], outcomes: Sequence[Tuple[Mutant, str]]) -> Dic
     }
 
 
+def ratchet(committed: Dict[str, Dict], modules: Dict[str, Dict]) -> List[str]:
+    """One line per module whose ``killed`` count fell below ``committed``'s
+    (a module the committed file does not list has no floor yet)."""
+    return [
+        f"{module}: killed {entry['killed']}, committed {committed[module]['killed']}"
+        for module, entry in modules.items()
+        if module in committed and entry["killed"] < committed[module]["killed"]
+    ]
+
+
 def main() -> int:
-    """Run every target and write :data:`OUTPUT`."""
+    """Run every target, write :data:`OUTPUT` and hold it to the file it
+    replaces: non-zero when a module's ``killed`` count fell."""
+    output = ROOT / OUTPUT
+    committed = json.loads(output.read_text())["modules"] if output.exists() else {}
     modules = {}
     for module, tests in TARGETS.items():
         started = time.perf_counter()
@@ -330,8 +365,11 @@ def main() -> int:
         ),
         "modules": modules,
     }
-    (ROOT / OUTPUT).write_text(json.dumps(payload, indent=2) + "\n")
-    return 0
+    output.write_text(json.dumps(payload, indent=2) + "\n")
+    fallen = ratchet(committed, modules)
+    for line in fallen:
+        print(f"mutation ratchet: {line}", file=sys.stderr)
+    return 1 if fallen else 0
 
 
 if __name__ == "__main__":
