@@ -82,13 +82,18 @@ class SampleCounts:
     a sliding window that pushes one sample and evicts another updates two
     dictionary entries instead of recounting all ``l`` samples.  Each of
     the repository's windows owns one (see ``SlidingWindow.pmf``).
+
+    The pmf is a value of the counts, so the one last built is kept until
+    a count changes: :meth:`add` and :meth:`evict` drop it, :meth:`replace`
+    only when the two samples fall in different bins.
     """
 
-    __slots__ = ("_counts", "_total")
+    __slots__ = ("_counts", "_total", "_pmf")
 
     def __init__(self, samples: Iterable[float] = ()) -> None:
         self._counts: Dict[float, int] = {}
         self._total = 0
+        self._pmf: Optional[DiscretePMF] = None
         for sample in samples:
             self.add(sample)
 
@@ -103,6 +108,7 @@ class SampleCounts:
         key = self._key(sample)
         self._counts[key] = self._counts.get(key, 0) + 1
         self._total += 1
+        self._pmf = None
 
     def evict(self, sample: float) -> None:
         """Remove one previously added sample."""
@@ -115,27 +121,33 @@ class SampleCounts:
         else:
             self._counts[key] = count - 1
         self._total -= 1
+        self._pmf = None
 
     def replace(self, new_sample: float, evicted: Optional[float] = None) -> None:
         """Push ``new_sample``, evicting ``evicted`` first when given.
 
         :meth:`evict` then :meth:`add` in one body: the same ``round``
-        per sample, the same error on an empty bin.
+        per sample, the same error on an empty bin.  Both bins are found
+        before anything changes; when they are one bin no count changes
+        and the kept pmf stands.
         """
         width, counts = BIN_WIDTH_MS, self._counts
-        if evicted is not None:
-            key = round(float(evicted) / width) * width
-            count = counts.get(key, 0)
-            if count == 0:
-                raise ValueError(f"cannot evict {evicted!r}: bin {key!r} is empty")
-            if count == 1:
-                del counts[key]
-            else:
-                counts[key] = count - 1
-            self._total -= 1
         key = round(float(new_sample) / width) * width
+        if evicted is not None:
+            gone = round(float(evicted) / width) * width
+            count = counts.get(gone, 0)
+            if count == 0:
+                raise ValueError(f"cannot evict {evicted!r}: bin {gone!r} is empty")
+            if gone == key:
+                return
+            if count == 1:
+                del counts[gone]
+            else:
+                counts[gone] = count - 1
+            self._total -= 1
         counts[key] = counts.get(key, 0) + 1
         self._total += 1
+        self._pmf = None
 
     def counts(self) -> Dict[float, int]:
         """Current bin counts (copy)."""
@@ -145,13 +157,16 @@ class SampleCounts:
         return self._total
 
     def pmf(self) -> "DiscretePMF":
-        """The relative-frequency pmf of the counted samples."""
-        counts, total = self._counts, self._total
-        if not counts:
-            raise ValueError("cannot build a pmf from zero samples")
-        values = sorted(counts)
-        probs = np.array([counts[v] / total for v in values])
-        return DiscretePMF._derived(np.array(values), probs, True)
+        """The relative-frequency pmf of the counted samples (kept until a
+        count changes)."""
+        if self._pmf is None:
+            counts, total = self._counts, self._total
+            if not counts:
+                raise ValueError("cannot build a pmf from zero samples")
+            values = sorted(counts)
+            probs = np.array([counts[v] / total for v in values])
+            self._pmf = DiscretePMF._derived(np.array(values), probs, True)
+        return self._pmf
 
     def __repr__(self) -> str:
         return f"<SampleCounts bins={len(self._counts)} total={self._total}>"
@@ -340,7 +355,18 @@ class DiscretePMF:
         (the offset moves, which the lattice convolution handles).  The
         probabilities are this pmf's own array, handed on with what
         :meth:`_derived` knew of its mass: summed to exactly 1 or not.
+
+        A lattice-tagged pmf shifted by zero is returned as it is: its
+        atoms are on the 9-decimal grid, where ``round`` changes nothing,
+        and ``x + 0.0`` is ``x`` unless ``x`` is ``-0.0``, which the sign
+        bit of the smallest atom rules out (negative atoms with it).
         """
+        if (
+            delta == 0.0
+            and self._lattice
+            and math.copysign(1.0, self._values[0]) == 1.0
+        ):
+            return self
         values = (self._values + float(delta)).round(_KEY_DECIMALS)
         return DiscretePMF._derived(values, self._probs, self._lattice, self._unit)
 

@@ -19,7 +19,10 @@ change log has not named its replica since the entry was derived and its
 record is still the one the repository tracks.  Re-deriving an entry
 reuses its base while both window versions stand (a ``T_i``-only or
 queue-only write re-shifts it); two or more stale bases asked for
-together share one batched FFT, a lone one takes the scalar kernel.
+together share one batched FFT, a lone one takes the scalar kernel.  A
+stale base pays only for what changed: a window whose counts did not
+change hands back the pmf it built last, and at an idle queue
+(``W_i = {0}``) ``S_i ⊛ W_i`` is the ``S_i`` pmf itself.
 :class:`QueueScaledEstimator` scales ``W_i`` off the lattice and never
 reuses its base: the stale rows of one derivation share one call of the
 exact pairwise kernel, and each row's ``+ T_i``, check and matrix write
@@ -30,6 +33,8 @@ stay per row.
 view of those entries, a resident padded (values, cumulative) matrix in
 which only the rows of replicas the change log names are overwritten
 between calls, beside the vector of ``F`` at the deadline last asked.
+The cumulative matrix leads with a column of zeros and ends each row
+with an exact 1, so reading ``F`` is one count and one gather.
 A selection at that deadline costs work proportional to the rows that
 changed — Fig. 3's ``δ`` collapses, loosening Algorithm 1's ``t − δ``.
 :meth:`ResponseTimeEstimator.invalidate` forgets every entry; calling it
@@ -40,7 +45,7 @@ docs/PERFORMANCE.md §1–2 has the details.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -74,13 +79,17 @@ def _window_versions(record: ReplicaRecord) -> Tuple[int, int]:
 class _BatchState:
     """The resident CDF matrix of one replica tuple, one row per replica.
 
-    Row ``i`` holds ``pmfs[i]``'s support in ``values[i, :sizes[i]]``
-    (padded with ``inf``) and its running sum in ``cumulative`` (padded
-    with 1); rows in ``missing`` have no history (``pmfs[i] is None``)
-    and are all padding.  Everything reflects the repository as of
-    ``version``.  A new state has no history in any row.
-    ``probabilities`` is ``F_{R_i}(deadline)`` per row as last read: stale for
-    the ``unread`` rows (written since), for all while ``deadline`` is ``None``.
+    Row ``i`` holds ``pmfs[i]``'s support in ``values[i, :sizes[i]]``,
+    padded with NaN, which no deadline reaches, and ``F`` below each atom
+    in ``cumulative``, one column wider: column 0 is 0, column ``k`` the
+    running sum of the first ``k`` probabilities and column ``sizes[i]``
+    exactly 1.  ``F(t)`` is the column numbered by the atoms at or below
+    ``t``, so the columns right of ``sizes[i]`` are never read.  Rows in
+    ``missing`` have no history (``pmfs[i] is None``): all padding, ``F``
+    0.  Everything reflects the repository as of ``version``.  A new state
+    has no history in any row.  ``probabilities`` is ``F_{R_i}(deadline)``
+    per row as last read: stale for the ``unread`` rows (written since),
+    for all while ``deadline`` is ``None``.
     """
 
     def __init__(self, replicas: Tuple[str, ...], width: int) -> None:
@@ -88,34 +97,35 @@ class _BatchState:
         self.replicas = replicas
         self.version = 0
         self.rows = {name: row for row, name in enumerate(replicas)}
+        self.every_row = np.arange(count)
         self.pmfs: List[Optional[DiscretePMF]] = [None] * count
         self.missing = set(range(count))
-        self.values: npt.NDArray[np.float64] = np.full((count, width), np.inf)
-        self.cumulative: npt.NDArray[np.float64] = np.ones((count, width))
+        self.values: npt.NDArray[np.float64] = np.full((count, width), np.nan)
+        self.cumulative: npt.NDArray[np.float64] = np.zeros((count, width + 1))
         self.sizes: npt.NDArray[np.intp] = np.zeros(count, dtype=np.intp)
         self.deadline: Optional[float] = None
         self.probabilities: npt.NDArray[np.float64] = np.zeros(count)
         self.unread: Set[int] = set()
 
     def write_row(self, row: int, pmf: Optional[DiscretePMF]) -> None:
-        """Overwrite ``row`` with ``pmf``, widening the matrix if needed."""
+        """Overwrite ``row`` with ``pmf``, widening the matrix if needed;
+        of the padding, only the slots a shrinking row vacates are written."""
         size = 0 if pmf is None else pmf.support_size
         grow = size - self.values.shape[1]
         if grow > 0:
             self.values = np.pad(
-                self.values, ((0, 0), (0, grow)), constant_values=np.inf
+                self.values, ((0, 0), (0, grow)), constant_values=np.nan
             )
-            self.cumulative = np.pad(
-                self.cumulative, ((0, 0), (0, grow)), constant_values=1.0
-            )
-        self.values[row, size:] = np.inf
-        self.cumulative[row, size:] = 1.0
+            self.cumulative = np.pad(self.cumulative, ((0, 0), (0, grow)))
+        self.values[row, size : self.sizes[row]] = np.nan
         if pmf is None:
             self.missing.add(row)
         else:
             self.missing.discard(row)
             self.values[row, :size] = pmf._values
-            pmf._probs.cumsum(out=self.cumulative[row, :size])
+            cumulative = self.cumulative[row]
+            pmf._probs.cumsum(out=cumulative[1 : size + 1])
+            cumulative[size] = 1.0  # every atom at or below t: certain
         self.sizes[row] = size
         self.pmfs[row] = pmf
         self.unread.add(row)
@@ -124,24 +134,18 @@ class _BatchState:
         """Bring ``probabilities`` to ``F(deadline)``; returns the rows read:
         all, or at the held deadline the ``unread`` ones (a row's ``F`` reads
         that row alone; widening pads right of ``sizes[row]``)."""
-        rows: Union[slice, npt.NDArray[np.intp]] = slice(None)
+        rows = self.every_row
         if deadline == self.deadline:
             if not self.unread:
                 return 0
             rows = np.fromiter(self.unread, np.intp, len(self.unread))
-        values, sizes = self.values[rows], self.sizes[rows]
-        counts = (values <= deadline + CDF_TOLERANCE).sum(axis=1)
+        counts = (self.values[rows] <= deadline + CDF_TOLERANCE).sum(axis=1)
+        gathered = self.cumulative[rows, counts]
         # (minimum ∘ maximum is np.clip without its dispatch layers.)
-        indices = np.minimum(np.maximum(counts - 1, 0), values.shape[1] - 1)
-        gathered = self.cumulative[rows][np.arange(sizes.size), indices]
-        probabilities = np.minimum(np.maximum(gathered, 0.0), 1.0)
-        # Mirror the scalar cdf's exact end points.
-        probabilities[counts == 0] = 0.0
-        probabilities[counts >= sizes] = 1.0
-        self.probabilities[rows] = probabilities
+        self.probabilities[rows] = np.minimum(np.maximum(gathered, 0.0), 1.0)
         self.deadline = deadline
         self.unread.clear()
-        return sizes.size
+        return rows.size
 
 
 class ResponseTimeEstimator:
@@ -286,9 +290,8 @@ class ResponseTimeEstimator:
         the resident matrix (every row at another deadline than the last).
         """
         state = self._synced_batch(replicas)
-        results: List[Optional[float]]
         if deadline_ms <= 0:
-            results = [0.0] * len(state.pmfs)
+            results: List[Optional[float]] = [0.0] * len(state.pmfs)
         else:
             self.rows_evaluated += state.read_probabilities(float(deadline_ms))
             results = state.probabilities.tolist()

@@ -16,6 +16,7 @@ information service.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Callable, Deque, Dict, Iterable, List, Optional
 
@@ -24,15 +25,28 @@ from .distribution import DiscretePMF, SampleCounts
 __all__ = ["SlidingWindow", "ReplicaRecord", "InformationRepository"]
 
 
+def _measurement(value: float) -> float:
+    """``value`` as a float, refused unless finite and non-negative."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"measurements must be finite, got {value}")
+    if value < 0:
+        raise ValueError(f"measurements must be >= 0, got {value}")
+    return value
+
+
 class SlidingWindow:
     """Fixed-capacity window over the most recent measurements.
 
     Besides the raw values, the window maintains — from the first
     :meth:`pmf` on — :class:`SampleCounts` updated in place, so that a
     push/evict costs O(1) and :meth:`pmf` builds the window's empirical
-    pmf without an O(l) recount.  The monotone :attr:`version` (bumped on
-    every push) tells an estimator whether a stored ``S ⊛ W`` still
-    reflects the window; see docs/ARCHITECTURE.md §3.
+    pmf without an O(l) recount; the counts keep that pmf until one of
+    them changes, so a push that evicts a sample of its own bin costs no
+    rebuild.  A push is refused (``ValueError``) before anything changes
+    unless the value is finite and non-negative.  The monotone
+    :attr:`version` (bumped on every push) tells an estimator whether a
+    stored ``S ⊛ W`` still reflects the window; see docs/ARCHITECTURE.md §3.
     """
 
     def __init__(self, size: int) -> None:
@@ -46,9 +60,7 @@ class SlidingWindow:
 
     def append(self, value: float) -> None:
         """Push one measurement, evicting the oldest if full."""
-        if value < 0:
-            raise ValueError(f"measurements must be >= 0, got {value}")
-        value = float(value)
+        value = _measurement(value)
         evicted = self._values[0] if len(self._values) == self.size else None
         self._values.append(value)
         self.version += 1
@@ -152,13 +164,20 @@ class ReplicaRecord:
         queue_length: int,
         now_ms: float,
     ) -> None:
-        """Fold in a performance update pushed by the replica."""
+        """Fold in a performance update pushed by the replica.
+
+        Every input is checked before the first write (the service time by
+        its window's ``append``), so a refused update leaves the record as
+        it was.
+        """
         if queue_length < 0:
             raise ValueError(f"queue_length must be >= 0, got {queue_length}")
+        queue_delay_ms = _measurement(queue_delay_ms)
+        queue_length, now_ms = int(queue_length), float(now_ms)
         self.service_times.append(service_time_ms)
         self.queue_delays.append(queue_delay_ms)
-        self.queue_length = int(queue_length)  # setter notifies
-        self.last_update_ms = float(now_ms)
+        self.queue_length = queue_length  # setter notifies
+        self.last_update_ms = now_ms
 
     def record_gateway_delay(self, delay_ms: float, now_ms: float) -> None:
         """Store a freshly measured two-way gateway-to-gateway delay."""
@@ -166,10 +185,12 @@ class ReplicaRecord:
             # Clock arithmetic (t4 − t1 − tq − ts) can go slightly negative
             # when stage timestamps straddle a bin boundary; clamp.
             delay_ms = 0.0
-        self.gateway_delay_ms = float(delay_ms)
+        # (A non-finite delay is refused before anything changes.)
+        delay_ms, now_ms = _measurement(delay_ms), float(now_ms)
+        self.gateway_delay_ms = delay_ms
         if self.gateway_delays is not None:
-            self.gateway_delays.append(float(delay_ms))
-        self.last_update_ms = float(now_ms)
+            self.gateway_delays.append(delay_ms)
+        self.last_update_ms = now_ms
         if self._on_mutate is not None:
             self._on_mutate(self.name)
 

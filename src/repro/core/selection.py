@@ -302,22 +302,14 @@ def select_replicas_arrays(
         )
 
     # Line 15: no acceptable subset — return the complete set M (trimmed
-    # to the governor's cap when one is in force).
-    capped = cap < total
-    remainder_size = cap - protected_count
-    crash_safe = (
-        float(covered[remainder_size - 1])
-        if covered.size and remainder_size >= 1
-        else 0.0
-    )
+    # to the governor's cap when one is in force).  No prefix of the
+    # remainder covers Pc, so no set provides the guarantee.
     return SelectionResult(
         selected=tuple(names[:cap].tolist()),
-        crash_safe_probability=(
-            crash_safe if crash_safe >= min_probability else 0.0
-        ),
+        crash_safe_probability=0.0,
         full_probability=1.0 - float(miss[cap - 1]),
         used_fallback=True,
-        capped=capped,
+        capped=cap < total,
     )
 
 

@@ -18,6 +18,7 @@ baseline, ``experiments/clock_faults.py``) subclasses
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional
 
 from ..health import HealthConfig
@@ -47,9 +48,14 @@ class EvidenceAdmission:
         A negative duration is physically impossible — no healthy clock
         measures one — so the whole sample is rejected rather than
         clamped: a clamped zero would still poison the window with a
-        fabricated "instant" service.
+        fabricated "instant" service.  A non-finite one (NaN, ±inf) is
+        rejected the same way: the repository would refuse it.
         """
-        if perf.service_time_ms < 0.0 or perf.queue_delay_ms < 0.0:
+        # (Written so that NaN, which fails every comparison, fails it.)
+        if not (
+            0.0 <= perf.service_time_ms < math.inf
+            and 0.0 <= perf.queue_delay_ms < math.inf
+        ):
             return None
         return perf
 

@@ -223,6 +223,100 @@ class TestSampleCounts:
         ]
 
 
+def _bits(pmf):
+    """Everything a pmf is, as bytes: atoms, probabilities, tag, exact mass."""
+    return (pmf.values.tobytes(), pmf.probs.tobytes(), pmf._lattice, pmf._unit)
+
+
+class TestKeptWindowPmf:
+    """A window's pmf is a value of its counts: kept until a count changes."""
+
+    def test_pmf_is_the_same_object_until_a_count_changes(self):
+        counter = SampleCounts([1.0, 2.0, 2.2])
+        pmf = counter.pmf()
+        assert counter.pmf() is pmf
+        counter.replace(2.4, evicted=1.8)  # one bin (2.0): no count changes
+        assert counter.pmf() is pmf
+        assert counter.counts() == {1.0: 1, 2.0: 2}
+        assert len(counter) == 3
+
+    @pytest.mark.parametrize(
+        "change, window",
+        [
+            (lambda c: c.add(7.0), [1.0, 2.0, 2.2, 7.0]),
+            (lambda c: c.evict(2.2), [1.0, 2.0]),
+            (lambda c: c.replace(7.0, evicted=1.0), [2.0, 2.2, 7.0]),
+            (lambda c: c.replace(7.0), [1.0, 2.0, 2.2, 7.0]),
+        ],
+        ids=["add", "evict", "cross-bin replace", "replace without eviction"],
+    )
+    def test_a_changed_count_drops_it_and_rebuilds_the_same_bits(self, change, window):
+        counter = SampleCounts([1.0, 2.0, 2.2])
+        pmf = counter.pmf()
+        change(counter)
+        rebuilt = counter.pmf()
+        assert rebuilt is not pmf
+        assert _bits(rebuilt) == _bits(SampleCounts(window).pmf())
+
+    def test_a_same_bin_replace_still_refuses_an_empty_bin(self):
+        counter = SampleCounts([1.0])
+        pmf = counter.pmf()
+        with pytest.raises(ValueError, match="bin 5.0 is empty"):
+            counter.replace(5.2, evicted=4.9)
+        assert counter.counts() == {1.0: 1}
+        assert counter.pmf() is pmf
+
+    def test_no_samples_no_pmf(self):
+        counter = SampleCounts([3.0])
+        counter.evict(3.0)
+        for empty in (SampleCounts(), counter):
+            with pytest.raises(ValueError, match="zero samples"):
+                empty.pmf()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_a_replace_that_fails_changes_nothing(self, bad):
+        counter = SampleCounts([1.0, 2.0])
+        pmf = counter.pmf()
+        with pytest.raises((ValueError, OverflowError)):
+            counter.replace(bad, evicted=1.0)
+        assert counter.counts() == {1.0: 1, 2.0: 1}
+        assert len(counter) == 2
+        assert counter.pmf() is pmf
+
+
+class TestShiftByZero:
+    """``shift(0.0)`` of a tagged pmf with no negative atom is the pmf itself."""
+
+    def test_a_window_pmf_shifted_by_zero_is_itself(self):
+        pmf = DiscretePMF.from_samples([0.0, 3.0, 3.0, 8.0])
+        assert pmf.shift(0.0) is pmf
+        assert pmf.shift(-0.0) is pmf
+        zero = DiscretePMF.from_samples([0.0])
+        assert pmf.convolve(zero) is pmf  # S ⊛ {0} is S
+        assert zero.convolve(pmf) is pmf
+
+    @pytest.mark.parametrize(
+        "pmf",
+        [
+            # 1 − 1.0000000001 rounds to -0.0 on the 9-decimal grid.
+            DiscretePMF.from_samples([1.0, 2.0]).shift(-1.0000000001),
+            DiscretePMF.from_samples([1.0, 5.0]).shift(-3.0),
+            DiscretePMF([0.0, 2.0], [0.5, 0.5]),  # untagged
+        ],
+        ids=["-0.0 atom", "negative atoms", "untagged"],
+    )
+    def test_the_other_pmfs_take_the_computing_path(self, pmf):
+        shifted = pmf.shift(0.0)
+        assert shifted is not pmf
+        assert shifted.values.tobytes() == (pmf.values + 0.0).round(9).tobytes()
+        assert shifted._lattice == pmf._lattice
+
+    def test_the_minus_zero_atom_becomes_plus_zero(self):
+        pmf = DiscretePMF.from_samples([1.0, 2.0]).shift(-1.0000000001)
+        assert np.signbit(pmf.values[0]) and pmf.values[0] == 0.0
+        assert not np.signbit(pmf.shift(0.0).values[0])
+
+
 class TestFromCounts:
     def test_from_counts_matches_from_samples(self):
         pmf = DiscretePMF.from_counts({10.0: 3, 20.0: 1})

@@ -68,6 +68,34 @@ def test_nonpositive_deadline_gives_zero(repo):
     assert estimator.probability_by("r1", -5.0) == 0.0
 
 
+def test_a_deadline_below_one_millisecond_is_read_off_the_pmf(repo):
+    # R = {0}: the window pmf of S, shifted by W = {0} and T = 0, is itself.
+    _feed(repo, "r1", services=[0.0] * 5, queues=[0.0] * 5, gateway=0.0)
+    estimator = ResponseTimeEstimator(repo)
+    record = repo.record("r1")
+    assert estimator.response_time_pmf("r1") is record.service_times.pmf()
+    assert estimator.probability_by("r1", 0.5) == 1.0
+    assert estimator.batch_probability_by(["r1"], 0.5) == [1.0]
+
+
+def test_a_rejoined_replica_without_history_is_no_hit(repo):
+    _feed(repo, "r1", services=[100] * 5, queues=[0] * 5, gateway=3.0)
+    estimator = ResponseTimeEstimator(repo)
+    assert estimator.probability_by("r1", 150.0) == 1.0
+    repo.remove_replica("r1")
+    repo.add_replica("r1")
+    assert estimator.probability_by("r1", 150.0) is None
+    info = estimator.cache_info()
+    assert (info["hits"], info["misses"], info["entries"]) == (0, 1, 0)
+
+
+def test_repr_names_the_lattice_and_the_replicas(repo):
+    _feed(repo, "r1", services=[100] * 5, queues=[0] * 5, gateway=3.0)
+    assert repr(QueueScaledEstimator(repo)) == (
+        "<QueueScaledEstimator bin=1.0ms replicas=1>"
+    )
+
+
 def test_probabilities_by_covers_all_replicas(repo):
     _feed(repo, "r1", services=[50] * 5, queues=[0] * 5, gateway=3.0)
     repo.add_replica("r2")  # no history

@@ -1,5 +1,7 @@
 """Unit tests for the gateway information repository."""
 
+import math
+
 import pytest
 
 from repro.core.repository import InformationRepository, ReplicaRecord, SlidingWindow
@@ -53,6 +55,28 @@ class TestSlidingWindow:
         with pytest.raises(ValueError):
             SlidingWindow(3).pmf()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_a_refused_value_changes_nothing(self, bad):
+        window = SlidingWindow(2)
+        for value in (1.0, 2.0):
+            window.append(value)
+        pmf = window.pmf()
+        with pytest.raises(ValueError, match="finite|>= 0"):
+            window.append(bad)
+        assert window.values() == [1.0, 2.0] and window.version == 2
+        assert window.counts() == {1.0: 1, 2.0: 1}
+        assert window.pmf() is pmf
+
+    def test_a_push_into_its_evictee_bin_keeps_the_pmf(self):
+        window = SlidingWindow(2)
+        for value in (1.0, 2.0):
+            window.append(value)
+        pmf = window.pmf()
+        window.append(1.3)  # evicts 1.0: the same bin
+        assert window.version == 3 and window.pmf() is pmf
+        window.append(5.0)  # evicts 2.0
+        assert window.pmf().items() == [(1.0, 0.5), (5.0, 0.5)]
+
 
 class TestReplicaRecord:
     def test_no_history_initially(self):
@@ -75,6 +99,57 @@ class TestReplicaRecord:
         record = ReplicaRecord("r1", window_size=5)
         with pytest.raises(ValueError):
             record.record_performance(1.0, 1.0, -1, now_ms=0.0)
+
+    def test_a_new_record_has_an_empty_queue_and_no_history(self):
+        record = ReplicaRecord("r1", window_size=5)
+        assert record.queue_length == 0
+        assert record.staleness(5.0) == math.inf
+        record.record_gateway_delay(0.5, now_ms=0.0)
+        assert record.gateway_delay_ms == 0.5  # only a negative delay is clamped
+        assert not record.has_history
+        record.queue_delays.append(1.0)  # a direct write: still no service time
+        assert not record.has_history
+
+    def test_reprs_name_what_they_hold(self):
+        repo = InformationRepository(window_size=3)
+        repo.record_performance("r1", 4.0, 0.0, 2, now_ms=1.0)
+        record = repo.record("r1")
+        assert repr(repo) == "<InformationRepository replicas=1 l=3>"
+        assert repr(record.service_times) == "<SlidingWindow 1/3>"
+        assert repr(record) == "<ReplicaRecord 'r1' qlen=2 T=None history=False>"
+
+    @pytest.mark.parametrize(
+        "service, queue, depth",
+        [
+            (6.0, -1.0, 0),
+            (6.0, math.nan, 0),
+            (6.0, math.inf, 0),
+            (math.nan, 1.0, 0),
+            (-math.inf, 1.0, 0),
+            (6.0, 1.0, -1),
+            (6.0, 1.0, math.nan),
+        ],
+    )
+    def test_a_refused_update_leaves_the_record_as_it_was(self, service, queue, depth):
+        repo = InformationRepository(window_size=3)
+        repo.record_performance("r1", 4.0, 0.0, 2, now_ms=1.0)
+        record, version = repo.record("r1"), repo.version
+        with pytest.raises(ValueError):
+            repo.record_performance("r1", service, queue, depth, now_ms=9.0)
+        assert record.service_times.values() == [4.0]
+        assert record.queue_delays.values() == [0.0]
+        assert (record.queue_length, record.last_update_ms) == (2, 1.0)
+        assert repo.version == version and repo.changed_since(version) == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_non_finite_gateway_delay_is_refused_before_any_write(self, bad):
+        record = ReplicaRecord("r1", window_size=5, gateway_window_size=3)
+        record.record_gateway_delay(2.0, now_ms=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            record.record_gateway_delay(bad, now_ms=9.0)
+        assert record.gateway_delay_ms == 2.0
+        assert record.gateway_delays.values() == [2.0]
+        assert record.last_update_ms == 1.0
 
 
 class TestInformationRepository:
@@ -145,6 +220,21 @@ class TestChangeLog:
         assert repo.changed_since(start) == ["r3", "r2", "r1"]
         repo.record_gateway_delay("r1", 3.0, now_ms=1.0)
         assert repo.changed_since(start) == ["r1", "r3", "r2"]  # once each
+
+    def test_a_new_repository_has_seen_nothing(self):
+        repo = InformationRepository(gateway_window_size=1)
+        assert (repo.version, repo.window_size, len(repo)) == (0, 5, 0)
+        assert repo.changed_since(0) == []
+
+    def test_a_rejoined_replica_has_no_change_since_it_joined(self):
+        repo = self._repo("r1")
+        repo.record_gateway_delay("r1", 3.0, now_ms=0.0)
+        assert repo.changed_at("r1") == repo.version
+        repo.remove_replica("r1")
+        assert "r1" not in repo
+        repo.add_replica("r1")
+        assert "r1" in repo
+        assert repo.changed_at("r1") == 0 and repo.changed_at("r9") == 0
 
     def test_is_a_query_not_a_drain(self):
         repo = self._repo("r1", "r2")

@@ -135,6 +135,47 @@ class TestSelectReplicas:
         result = select_replicas(_candidates([0.5, 0.5]), 0.0)
         assert result.full_probability == pytest.approx(0.75)
 
+    def test_the_array_path_validates_and_protects_like_the_object_path(self):
+        with pytest.raises(ValueError, match="at least one candidate"):
+            select_replicas_arrays(np.array([]), np.array([]), 0.5)
+        with pytest.raises(ValueError, match="max_size must be >= 1"):
+            select_replicas(_candidates([0.5]), 0.5, max_size=0)
+        # One crash tolerated by default: the best is protected.
+        names, probabilities = np.array(["a", "b"]), np.array([0.9, 0.8])
+        result = select_replicas_arrays(names, probabilities, 0.5)
+        assert result.selected == ("a", "b")
+
+    def test_a_cap_never_drops_below_the_protected_best_plus_one(self):
+        result = select_replicas(_candidates([0.5] * 4), 0.85, max_size=1)
+        assert result.selected == ("r1", "r2") and result.capped
+
+    def test_a_capped_selection_reports_the_trimmed_set(self):
+        # Pc = 0.85 needs three X members behind the protected best; the
+        # cap keeps one, and both probabilities describe that pair.
+        result = select_replicas(_candidates([0.5] * 4), 0.85, max_size=2)
+        assert result.selected == ("r1", "r2")
+        assert result.capped and not result.used_fallback
+        assert result.crash_safe_probability == 0.5
+        assert result.full_probability == 0.75
+
+    @pytest.mark.parametrize(
+        "max_size, selected, full",
+        [(None, 3, 0.88), (3, 3, 0.88), (2, 2, 0.8)],
+    )
+    def test_the_fallback_promises_no_crash_safe_probability(
+        self, max_size, selected, full
+    ):
+        # No prefix covers Pc, so no set (capped or not) carries the
+        # guarantee: Line 15 reports 0.0, whatever the remainder covers.
+        result = select_replicas(
+            _candidates([0.6, 0.5, 0.4]), 0.99, max_size=max_size
+        )
+        assert result.used_fallback
+        assert result.selected == ("r1", "r2", "r3")[:selected]
+        assert result.crash_safe_probability == 0.0
+        assert result.full_probability == pytest.approx(full)
+        assert result.capped is (selected < 3)
+
     def test_vectorized_matches_reference_implementation(self):
         # The batched numpy version against a line-by-line transcription
         # of Algorithm 1, over a random sweep of inputs.
@@ -233,9 +274,46 @@ class TestDynamicSelectionPolicy:
         policy.decide(self._context(repo))
         assert policy.last_overhead_ms > 0.0
 
+    @pytest.mark.parametrize("deadline, effective", [(5.0, 0.0), (7.5, 0.5)])
+    def test_compensation_never_takes_the_deadline_below_zero(
+        self, deadline, effective
+    ):
+        repo = self._loaded_repo({"r1": 100.0, "r2": 100.0})
+        policy = DynamicSelectionPolicy(fixed_overhead_ms=7.0)
+        decision = policy.decide(self._context(repo, deadline=deadline))
+        assert decision.meta["effective_deadline_ms"] == effective
+
+    @pytest.mark.parametrize("history", [False, True], ids=["bootstrap", "model"])
+    def test_the_overhead_is_the_decision_s_wall_time_in_ms(
+        self, monkeypatch, history
+    ):
+        repo = self._loaded_repo({"r1": 100.0, "r2": 100.0} if history else {})
+        repo.add_replica("r1")
+        clock = iter([10.0, 10.002])
+        monkeypatch.setattr(
+            "repro.core.selection.time.perf_counter", lambda: next(clock, 10.002)
+        )
+        policy = DynamicSelectionPolicy(compensate_overhead=False)
+        decision = policy.decide(self._context(repo))
+        assert decision.meta["bootstrap"] is not history
+        assert policy.last_overhead_ms == pytest.approx(2.0, rel=1e-9)
+
+    @pytest.mark.parametrize("cap, kept", [(None, 4), (2, 2), (0, 1)])
+    def test_the_bootstrap_respects_the_governor_s_cap(self, cap, kept):
+        repo = InformationRepository()
+        for name in ("r1", "r2", "r3", "r4"):
+            repo.add_replica(name)
+        ctx = self._context(repo)
+        ctx.max_redundancy = cap
+        decision = DynamicSelectionPolicy().decide(ctx)
+        assert decision.selected == ("r1", "r2", "r3", "r4")[:kept]
+        assert decision.meta == {"bootstrap": True, "fallback": False}
+
     def test_negative_fixed_overhead_rejected(self):
         with pytest.raises(ValueError):
             DynamicSelectionPolicy(fixed_overhead_ms=-1.0)
+        for overhead in (0.0, 0.5):
+            assert DynamicSelectionPolicy(fixed_overhead_ms=overhead).fixed_overhead_ms == overhead
 
     def test_decision_meta_has_probabilities(self):
         repo = self._loaded_repo({"r1": 50.0, "r2": 60.0})

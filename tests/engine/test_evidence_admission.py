@@ -5,13 +5,15 @@ against the round trip plus slack; deflation only with clock sanity on
 *and* a trusted (probed) round trip to compare against.
 """
 
+import math
+
 import pytest
 
 from repro.engine import EvidenceAdmission
 from repro.health import HealthConfig
 from repro.health.state import CLOCK_SLACK_MS
 
-from .fakes import perf
+from .fakes import FakePort, make_engine, perf
 
 SANE = HealthConfig(clock_anomaly_after=3)  # slack 1 ms, deflation factor 6
 
@@ -31,6 +33,22 @@ class TestAdmit:
         sample = perf("s-1", ts=ts, tq=tq)
         result = EvidenceAdmission().admit(sample)
         assert (result is sample) if admitted else (result is None)
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["ts", "tq"])
+    def test_non_finite_durations_are_rejected_like_negative_ones(self, field, bad):
+        sample = perf("s-1", **{field: bad})
+        assert EvidenceAdmission().admit(sample) is None
+
+    def test_a_non_finite_report_is_a_clock_anomaly_not_an_exception(self):
+        engine = make_engine(FakePort())
+        repo = engine.models.repository_for(engine.models.classify(None))
+        version = repo.version
+        assert engine.on_perf(perf("s-1", tq=math.nan)) is False
+        assert engine.on_perf(perf("s-1", ts=math.inf)) is False
+        assert engine.clock_rejections == 2
+        assert repo.version == version
 
 
 class TestInflation:

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.distribution import DiscretePMF
+from repro.core.distribution import DiscretePMF, batch_convolve
 
 # Measurement-like samples: non-negative, bounded, millisecond scale.
 samples = st.lists(
@@ -158,3 +158,41 @@ def test_chain_matches_pairwise_reference(sample_sets):
     assert fast.support_size == slow.support_size
     assert np.allclose(fast.values, slow.values, atol=1e-9)
     assert np.allclose(fast.probs, slow.probs, atol=1e-9)
+
+
+# Lattice-point samples; a span of 64 slots or more puts a product on
+# the FFT kernel, less on the direct one.
+narrow = st.lists(st.integers(0, 40), min_size=2, max_size=12)
+wide = st.lists(st.integers(0, 400), min_size=2, max_size=60).map(lambda s: s + [0, 300])
+
+
+@st.composite
+def tagged_pmfs(draw):
+    """A tagged pmf from one constructor, shifted by an arbitrary ``T ≥ 0``."""
+
+    def window(samples):
+        return DiscretePMF.from_samples([float(s) for s in samples])
+
+    kind = draw(st.sampled_from(["window", "direct", "fft", "batch"]))
+    if kind == "window":
+        pmf = window(draw(st.one_of(narrow, wide)))
+    elif kind == "direct":
+        pmf = window(draw(narrow)).convolve(window(draw(narrow)))
+    elif kind == "fft":
+        pmf = window(draw(wide)).convolve(window(draw(wide)))
+    else:
+        pairs = [(window(draw(narrow)), window(draw(wide))) for _ in range(2)]
+        pmf = batch_convolve(pairs)[draw(st.integers(0, 1))]
+    assert pmf._lattice
+    # The grid is exact while an atom times 1e9 stays far below 2**53.
+    delta = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e4, allow_nan=False)))
+    return pmf.shift(delta)
+
+
+@settings(deadline=None, max_examples=60)
+@given(tagged_pmfs())
+def test_a_tagged_pmf_shifted_by_zero_is_itself(pmf):
+    """Its atoms are on the grid, so the computing path would give its bits."""
+    assert pmf.shift(0.0) is pmf
+    assert (pmf.values + 0.0).round(9).tobytes() == pmf.values.tobytes()
+    assert not np.signbit(pmf.values).any()

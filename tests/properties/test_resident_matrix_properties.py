@@ -13,14 +13,17 @@ must say the kept vector was not simply recomputed.  Last bits — which
 stale rows share one batched FFT — are pinned by
 ``tests/core/test_pinned_bits.py``.  The directed tests at the bottom pin
 the marks a write leaves: a kept vector served across a deadline change,
-or a write that widens the matrix or empties a row going unread.
+or a write that widens the matrix or empties a row going unread; the last
+five pin the layout ``F`` is one gather from (a leading zero column, an
+exact 1 at each row's size, NaN padding no deadline reaches).
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.distribution import DiscretePMF
+from repro.core.distribution import CDF_TOLERANCE, DiscretePMF
 from repro.core.estimator import (
     QueueScaledEstimator,
     ResponseTimeEstimator,
@@ -297,3 +300,79 @@ def test_a_row_that_lost_its_history_is_read():
     state.write_row(1, pmf)
     assert state.read_probabilities(15.0) == 1
     assert state.probabilities.tolist() == [0.5, 0.5]
+
+
+# -- the matrix layout: a leading zero column, NaN padding, one gather -------
+
+
+def uniform(*atoms):
+    return DiscretePMF(list(atoms), [1.0 / len(atoms)] * len(atoms))
+
+
+def read(state, deadline):
+    state.read_probabilities(deadline)
+    return state.probabilities.tolist()
+
+
+def test_a_row_that_shrinks_vacates_its_slots_in_place():
+    state = _BatchState(("a", "b"), 5)
+    values, cumulative = state.values, state.cumulative
+    state.write_row(0, uniform(1.0, 2.0, 3.0, 4.0, 5.0))
+    state.write_row(0, DiscretePMF([1.0, 2.0, 3.0], [0.25, 0.25, 0.5]))
+    assert state.values is values and state.cumulative is cumulative
+    assert state.sizes.tolist() == [3, 0]
+    assert state.values[0, :3].tolist() == [1.0, 2.0, 3.0]
+    assert np.isnan(state.values[0, 3:]).all()
+    # Past the new last atom but below the old one: the old atoms are gone.
+    assert read(state, 4.5)[0] == 1.0
+    assert read(state, 2.5)[0] == 0.5
+    assert read(state, 0.5)[0] == 0.0
+
+
+def test_a_deadline_on_an_atom_counts_it_within_the_tolerance():
+    state = _BatchState(("a",), 2)
+    pmf = uniform(10.0, 20.0)
+    state.write_row(0, pmf)
+    on_atom = 10.0 - CDF_TOLERANCE
+    assert on_atom + CDF_TOLERANCE == 10.0  # exactly: the comparison decides
+    for deadline, expected in ((on_atom, 0.5), (10.0 - 3 * CDF_TOLERANCE, 0.0)):
+        assert read(state, deadline) == [expected] == [pmf.cdf(deadline)]
+
+
+def test_a_deadline_past_every_atom_reads_exactly_one():
+    state = _BatchState(("a", "b"), 10)
+    tenths = uniform(*[float(k) for k in range(10)])
+    assert tenths.cumulative_probs()[-1] != 1.0  # the running sum falls short
+    state.write_row(0, tenths)
+    state.write_row(1, uniform(3.0, 4.0))
+    assert read(state, 9.0) == [1.0, 1.0]
+    assert read(state, 100.0) == [1.0, 1.0]
+    assert read(state, float("inf")) == [1.0, 1.0]  # the NaN padding is not reached
+    assert read(state, 8.5) == [tenths.cdf(8.5), 1.0]
+
+
+def test_a_widening_write_pads_the_other_rows():
+    state = _BatchState(("a", "b", "c"), 2)
+    state.write_row(0, uniform(1.0, 2.0))
+    state.write_row(1, uniform(1.0, 2.0, 3.0, 4.0, 5.0))
+    assert state.values.shape == (3, 5) and state.cumulative.shape == (3, 6)
+    assert np.isnan(state.values[0, 2:]).all() and np.isnan(state.values[2]).all()
+    assert read(state, 1.5) == [0.5, 0.2, 0.0]
+    assert read(state, 7.0) == [1.0, 1.0, 0.0]
+    # A write that fits the widened matrix keeps it.
+    values, cumulative = state.values, state.cumulative
+    state.write_row(2, uniform(6.0, 7.0, 8.0, 9.0, 10.0))
+    assert state.values is values and state.cumulative is cumulative
+    assert read(state, 7.0) == [1.0, 1.0, 0.4]
+
+
+def test_a_missing_row_is_all_padding_and_reads_zero():
+    state = _BatchState(("a", "b"), 3)
+    state.write_row(0, uniform(1.0, 2.0))
+    assert read(state, 5.0) == [1.0, 0.0]
+    state.write_row(1, uniform(1.0, 2.0, 3.0))
+    state.write_row(1, None)
+    assert state.missing == {1} and state.sizes.tolist() == [2, 0]
+    assert np.isnan(state.values[1]).all()
+    assert read(state, 5.0) == [1.0, 0.0]
+    assert read(state, float("inf")) == [1.0, 0.0]

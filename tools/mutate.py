@@ -86,6 +86,12 @@ TARGETS: Dict[str, Tuple[str, ...]] = {
         "tests/gateway/test_retransmit.py",
         "tests/engine/test_engine_state_machine.py",
     ),
+    "repro/core/repository.py": (
+        "tests/core/test_repository.py",
+        "tests/core/test_repository_extensions.py",
+        "tests/properties/test_estimator_cache_properties.py",
+    ),
+    "repro/health/state.py": ("tests/health/test_state_machine.py",),
 }
 
 #: Mutants run side by side (each is one pytest process).
