@@ -24,9 +24,11 @@ docs/PERFORMANCE.md):
   tagged as such; two tagged pmfs convolve on the dense lattice, every
   other pair on the exact pairwise path.
 
-:func:`convolve_each` settles many untagged pairs in one call of the
-pairwise kernel, and a pmf remembers whether its probabilities sum to
-exactly 1, so a shift or scaling of it does not sum them again.
+:func:`batch_convolve` is the one place that picks a pair's kernel, and
+so which pairs share an FFT and what their last bits are;
+:meth:`DiscretePMF.convolve` is its one-pair call.  A pmf remembers
+whether its probabilities sum to exactly 1, so a shift or scaling of it
+does not sum them again.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ __all__ = [
     "DiscretePMF",
     "SampleCounts",
     "batch_convolve",
-    "convolve_each",
 ]
 
 #: Quantization grid of every window pmf, ms.
@@ -59,8 +60,8 @@ _KEY_DECIMALS = 9
 #: never conflate two neighbours.
 CDF_TOLERANCE = 1e-9
 
-# Dense-lattice convolution switches from ``np.convolve`` to an FFT once
-# both operands span at least this many lattice slots; below it the
+# A lattice pair convolved alone switches from ``np.convolve`` to an FFT
+# once both operands span at least this many lattice slots; below it the
 # direct product beats the transform setup.
 _FFT_CROSSOVER = 64
 
@@ -390,44 +391,15 @@ class DiscretePMF:
     def convolve(self, other: "DiscretePMF") -> "DiscretePMF":
         """The pmf of the sum of two independent variables.
 
-        The discrete convolution of §5.3.1, dispatched by shape:
-
-        * a singleton operand is a constant shift (translation);
-        * two lattice-tagged pmfs convolve on the dense lattice —
-          ``np.convolve`` below :data:`_FFT_CROSSOVER` slots, FFT above
-          it — in ``O(L log L)`` instead of ``O(L²)``;
-        * any other pair takes the exact pairwise kernel, as its one-pair
-          call (:func:`convolve_each` hands it many pairs at once).
+        The discrete convolution of §5.3.1: the one-pair call of
+        :func:`batch_convolve`, which picks the kernel by shape.
         """
-        result = _shift_or_lattice(self, other)
-        return _pairwise([(self, other)])[0] if result is None else result
+        return batch_convolve([(self, other)])[0]
 
     def _lattice_indices(self) -> npt.NDArray[np.int64]:
         """Integer lattice offsets of the atoms from the first one."""
         offsets = (self._values - self._values[0]) / BIN_WIDTH_MS
         return np.rint(offsets).astype(np.int64)
-
-    def _convolve_lattice(self, other: "DiscretePMF") -> "DiscretePMF":
-        """Dense convolution of two lattice-tagged pmfs."""
-        ia, ib = self._lattice_indices(), other._lattice_indices()
-        len_a = int(ia[-1]) + 1
-        len_b = int(ib[-1]) + 1
-        out_len = len_a + len_b - 1
-        dense_a = np.zeros(len_a)
-        dense_a[ia] = self._probs
-        dense_b = np.zeros(len_b)
-        dense_b[ib] = other._probs
-        if min(len_a, len_b) >= _FFT_CROSSOVER:
-            full = _fft_convolve(dense_a, dense_b, out_len)
-            # FFT round-off leaves ± noise in empty slots and drifts the
-            # total mass; drop the noise floor, negatives with it (the
-            # surviving mass is renormalized to exactly 1).
-            floor = out_len * np.finfo(float).eps
-        else:
-            full = np.convolve(dense_a, dense_b)
-            floor = 0.0
-        keep = np.nonzero(full > floor)[0]
-        return _on_lattice(self, other, keep, full[keep])
 
     def __add__(self, other: "DiscretePMF") -> "DiscretePMF":
         if not isinstance(other, DiscretePMF):
@@ -448,33 +420,6 @@ class DiscretePMF:
             f"<DiscretePMF atoms={self.support_size} "
             f"mean={self.mean():.3f} range=[{self.min():.3f}, {self.max():.3f}]>"
         )
-
-
-def _fft_convolve(
-    a: npt.NDArray[np.float64], b: npt.NDArray[np.float64], out_len: int
-) -> npt.NDArray[np.float64]:
-    """Linear convolution of two dense prob vectors via a real FFT."""
-    size = 1 << max(0, out_len - 1).bit_length()
-    product = np.fft.rfft(a, size) * np.fft.rfft(b, size)
-    return np.fft.irfft(product, size)[:out_len]
-
-
-def _as_shift(a: DiscretePMF, b: DiscretePMF) -> Optional[DiscretePMF]:
-    """``a ⊛ b`` when an operand is a singleton (a translation), else ``None``."""
-    if b._values.size == 1:
-        return a.shift(float(b._values[0]))
-    if a._values.size == 1:
-        return b.shift(float(a._values[0]))
-    return None
-
-
-def _shift_or_lattice(a: DiscretePMF, b: DiscretePMF) -> Optional[DiscretePMF]:
-    """``a ⊛ b`` as a shift or on the dense lattice; ``None`` for a pair the
-    pairwise kernel takes (both operands wider than one atom, one untagged)."""
-    result = _as_shift(a, b)
-    if result is None and a._lattice and b._lattice:
-        return a._convolve_lattice(b)
-    return result
 
 
 def _pairwise(pairs: Sequence[Tuple[DiscretePMF, DiscretePMF]]) -> List[DiscretePMF]:
@@ -519,80 +464,88 @@ def _pairwise(pairs: Sequence[Tuple[DiscretePMF, DiscretePMF]]) -> List[Discrete
     ]
 
 
-def convolve_each(
-    pairs: Sequence[Tuple[DiscretePMF, DiscretePMF]],
+def _lattice(
+    pairs: Sequence[Tuple[DiscretePMF, DiscretePMF]], alone: bool
 ) -> List[DiscretePMF]:
-    """``[a.convolve(b) for a, b in pairs]``, bit for bit, with one call of
-    the pairwise kernel for all pairs that take it.
+    """Dense-lattice convolution of lattice-tagged pairs, in one pass.
 
-    Shifts and lattice pairs are settled one by one, exactly as
-    :meth:`DiscretePMF.convolve` settles them (no FFT is shared, unlike
-    :func:`batch_convolve`), so no result depends on the other pairs.
+    Every pair contributes one row to a pair of zero-padded dense
+    matrices, and a single ``rfft``/``irfft`` along the row axis convolves
+    them all.  A pair convolved ``alone`` (the whole of a one-pair call)
+    is sized to itself: ``np.convolve`` while an operand spans fewer than
+    :data:`_FFT_CROSSOVER` slots, an FFT above.  FFT round-off leaves ±
+    noise in empty slots and drifts the total mass: slots at or below the
+    noise floor (``out_len · eps`` for a pair alone, ``size · eps`` in a
+    batch; which slots survive is part of a row's pinned bits) are
+    dropped, negatives with them, and the surviving mass is renormalized
+    to exactly 1.
     """
-    results = [_shift_or_lattice(a, b) for a, b in pairs]
-    untagged = [pair for pair, result in zip(pairs, results) if result is None]
-    convolved = iter(_pairwise(untagged) if untagged else [])
-    return [next(convolved) if result is None else result for result in results]
-
-
-def _on_lattice(
-    a: DiscretePMF,
-    b: DiscretePMF,
-    keep: npt.NDArray[np.intp],
-    probs: npt.NDArray[np.float64],
-) -> DiscretePMF:
-    """The tagged pmf of ``a ⊛ b`` with mass ``probs`` at lattice slots ``keep``."""
-    offset = float(a._values[0]) + float(b._values[0])
-    values = np.round(offset + keep * BIN_WIDTH_MS, _KEY_DECIMALS)
-    return DiscretePMF._derived(values, probs, True)
-
-
-_Indices = npt.NDArray[np.int64]
+    indices = [(a._lattice_indices(), b._lattice_indices()) for a, b in pairs]
+    len_a = max([int(ia[-1]) for ia, _ in indices]) + 1
+    len_b = max([int(ib[-1]) for _, ib in indices]) + 1
+    out_len = len_a + len_b - 1
+    dense_a = np.zeros((len(pairs), len_a))
+    dense_b = np.zeros((len(pairs), len_b))
+    for row, ((a, b), (ia, ib)) in enumerate(zip(pairs, indices)):
+        dense_a[row][ia] = a._probs
+        dense_b[row][ib] = b._probs
+    if alone and min(len_a, len_b) < _FFT_CROSSOVER:
+        full = np.convolve(dense_a[0], dense_b[0])[None]
+        floor = 0.0
+    else:
+        size = 1 << (out_len - 1).bit_length()
+        full = np.fft.irfft(
+            np.fft.rfft(dense_a, size, axis=1) * np.fft.rfft(dense_b, size, axis=1),
+            size,
+            axis=1,
+        )
+        floor = (out_len if alone else size) * np.finfo(float).eps
+    results = []
+    for row, ((a, b), (ia, ib)) in enumerate(zip(pairs, indices)):
+        dense = full[row, : int(ia[-1]) + int(ib[-1]) + 1]
+        keep = np.nonzero(dense > floor)[0]
+        offset = float(a._values[0]) + float(b._values[0])
+        values = np.round(offset + keep * BIN_WIDTH_MS, _KEY_DECIMALS)
+        results.append(DiscretePMF._derived(values, dense[keep], True))
+    return results
 
 
 def batch_convolve(
     pairs: Sequence[Tuple[DiscretePMF, DiscretePMF]],
-) -> List[Optional[DiscretePMF]]:
-    """Convolve many lattice-tagged pmf pairs in one padded FFT pass.
+) -> List[DiscretePMF]:
+    """``a ⊛ b`` for every pair: the one place a pair's kernel is picked.
 
-    The array kernel behind the estimator's batched ``S_i ⊛ W_i``
-    refresh: every tagged pair contributes one row to a pair of
-    zero-padded dense matrices, a single ``rfft``/``irfft`` along the
-    row axis convolves them all, and each row is pruned back to a sparse
-    :class:`DiscretePMF` (FFT noise dropped, mass renormalized — same
-    guarantees as :meth:`DiscretePMF.convolve`).
+    The pairs are walked once and settled by shape:
 
-    Returns a list aligned with ``pairs``.  A pair with a singleton
-    operand is settled as a shift, exactly as the scalar method does; a
-    pair with an untagged operand comes back as ``None`` so the caller
-    can fall back to ``convolve``.
+    * a pair with a singleton operand is a shift (a translation);
+    * pairs whose operands are both lattice-tagged convolve on the dense
+      lattice (:func:`_lattice`), all in one padded FFT when the call
+      holds more than one pair; the pair of a one-pair call is convolved
+      alone, ``np.convolve`` below :data:`_FFT_CROSSOVER` slots;
+    * every other pair goes into one call of the exact pairwise kernel,
+      each row bit-equal to its own one-pair call.
+
+    A shift or pairwise row therefore does not depend on the other pairs;
+    a lattice row's last bits do (the FFT size), which is why the
+    estimator hands a derivation's stale rows over in one call.
     """
-    results: List[Optional[DiscretePMF]] = [None] * len(pairs)
-    rows: List[Tuple[int, DiscretePMF, DiscretePMF, _Indices, _Indices]] = []
-    for index, (a, b) in enumerate(pairs):
-        results[index] = _as_shift(a, b)
-        if results[index] is None and a._lattice and b._lattice:
-            rows.append((index, a, b, a._lattice_indices(), b._lattice_indices()))
-    if not rows:
-        return results
-
-    len_a = max(int(ia[-1]) + 1 for _, _, _, ia, _ in rows)
-    len_b = max(int(ib[-1]) + 1 for _, _, _, _, ib in rows)
-    out_len = len_a + len_b - 1
-    size = 1 << max(0, out_len - 1).bit_length()
-    dense_a = np.zeros((len(rows), len_a))
-    dense_b = np.zeros((len(rows), len_b))
-    for row, (_, a, b, ia, ib) in enumerate(rows):
-        dense_a[row, ia] = a._probs
-        dense_b[row, ib] = b._probs
-    full = np.fft.irfft(
-        np.fft.rfft(dense_a, size, axis=1) * np.fft.rfft(dense_b, size, axis=1),
-        size,
-        axis=1,
-    )
-    floor = size * np.finfo(float).eps
-    for row, (index, a, b, ia, ib) in enumerate(rows):
-        dense = full[row, : int(ia[-1]) + int(ib[-1]) + 1]
-        keep = np.nonzero(dense > floor)[0]
-        results[index] = _on_lattice(a, b, keep, dense[keep])
-    return results
+    results: List[Optional[DiscretePMF]] = []
+    lattice: List[int] = []
+    untagged: List[int] = []
+    for a, b in pairs:
+        if b._values.size == 1:
+            results.append(a.shift(float(b._values[0])))
+            continue
+        if a._values.size == 1:
+            results.append(b.shift(float(a._values[0])))
+            continue
+        (lattice if a._lattice and b._lattice else untagged).append(len(results))
+        results.append(None)
+    if lattice:
+        convolved = _lattice([pairs[i] for i in lattice], len(pairs) == 1)
+        for index, pmf in zip(lattice, convolved):
+            results[index] = pmf
+    if untagged:
+        for index, pmf in zip(untagged, _pairwise([pairs[i] for i in untagged])):
+            results[index] = pmf
+    return results  # type: ignore[return-value]  # (every None was filled)

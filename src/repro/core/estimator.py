@@ -12,21 +12,19 @@ measured value.  ``F_{R_i}(t)`` is then read off the convolved pmf.
 Computing the distribution is ~90 % of the selection cost the paper
 reports in Fig. 3, and between two requests only the replicas that
 answered the last one have new measurements.  The estimator therefore
-keeps **one entry per replica** — the record it was derived from, the
-``S_i ⊛ W_i`` base with the two window versions it was built at, and the
-final pmf — under **one rule**: an entry is current iff the repository's
-change log has not named its replica since the entry was derived and its
-record is still the one the repository tracks.  Re-deriving an entry
-reuses its base while both window versions stand (a ``T_i``-only or
-queue-only write re-shifts it); two or more stale bases asked for
-together share one batched FFT, a lone one takes the scalar kernel.  A
-stale base pays only for what changed: a window whose counts did not
-change hands back the pmf it built last, and at an idle queue
-(``W_i = {0}``) ``S_i ⊛ W_i`` is the ``S_i`` pmf itself.
-:class:`QueueScaledEstimator` scales ``W_i`` off the lattice and never
-reuses its base: the stale rows of one derivation share one call of the
-exact pairwise kernel, and each row's ``+ T_i``, check and matrix write
-stay per row.
+keeps **one entry per replica** — the record it was derived from and
+the final pmf — under **one rule**: an entry is current iff the
+repository's change log has not named its replica since the entry was
+derived and its record is still the one the repository tracks.  The
+stale entries of one derivation are rebuilt from their windows together:
+their ``S_i ⊛ W_i`` pairs go to :func:`batch_convolve` in one call, so
+several lattice pairs share one padded FFT.  A stale row pays only for
+what changed: a window whose counts did not change hands back the pmf it
+built last, and at an idle queue (``W_i = {0}``) ``S_i ⊛ W_i`` is the
+``S_i`` pmf itself.
+:class:`QueueScaledEstimator` scales ``W_i`` off the lattice, so its
+stale rows share one call of the exact pairwise kernel; each row's
+``+ T_i``, check and matrix write stay per row.
 
 :meth:`ResponseTimeEstimator.batch_probability_by` evaluates
 ``F_{R_i}(t)`` for *all* replicas in one vectorized pass over the array
@@ -50,13 +48,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 import numpy as np
 import numpy.typing as npt
 
-from .distribution import (
-    BIN_WIDTH_MS,
-    CDF_TOLERANCE,
-    DiscretePMF,
-    batch_convolve,
-    convolve_each,
-)
+from .distribution import BIN_WIDTH_MS, CDF_TOLERANCE, DiscretePMF, batch_convolve
 from .repository import InformationRepository, ReplicaRecord
 
 __all__ = ["ResponseTimeEstimator", "QueueScaledEstimator"]
@@ -65,15 +57,9 @@ __all__ = ["ResponseTimeEstimator", "QueueScaledEstimator"]
 class _Entry(NamedTuple):
     """What an estimator remembers about one replica."""
 
-    record: ReplicaRecord  # the one everything below was read from
-    versions: Tuple[int, int]  # (S, W) window versions ``base`` was built at
-    base: DiscretePMF  # S_i + W_i
-    pmf: DiscretePMF  # base + T_i
+    record: ReplicaRecord  # the one ``pmf`` was read from
+    pmf: DiscretePMF  # S_i + W_i + T_i
     derived_at: int  # repository version ``pmf`` reflects
-
-
-def _window_versions(record: ReplicaRecord) -> Tuple[int, int]:
-    return (record.service_times.version, record.queue_delays.version)
 
 
 class _BatchState:
@@ -201,8 +187,8 @@ class ResponseTimeEstimator:
         for record in records:
             entry = entries.get(record.name)
             if entry is not None and entry.record is not record:
-                # Left and re-joined: the fresh record's window versions
-                # restart at 0 and may collide, so nothing is reusable.
+                # Left and re-joined: the entry describes a record the
+                # repository no longer holds.
                 del entries[record.name]
                 entry = None
             if entry is not None and (
@@ -216,8 +202,6 @@ class ResponseTimeEstimator:
         for record, base in zip(rebuilt, self._sums(rebuilt)):
             entries[record.name] = _Entry(
                 record,
-                _window_versions(record),
-                base,
                 # (The one sign/mass check a re-derived row pays.)
                 self._add_gateway_delay(record, base).validated(),
                 repository.version,
@@ -229,30 +213,16 @@ class ResponseTimeEstimator:
         ]
 
     def _sums(self, records: Sequence[ReplicaRecord]) -> List[DiscretePMF]:
-        """``S_i + W_i`` of each record — the part of the model variants override.
+        """``S_i + W_i`` of each record, all pairs in one
+        :func:`batch_convolve` call: a fleet-wide measurement burst costs
+        one array kernel, not ``n`` ``O(L²)`` products."""
+        return batch_convolve(
+            [(record.service_times.pmf(), self._queue_pmf(record)) for record in records]
+        )
 
-        A stored base whose two window versions stand is reused; stale
-        ones are convolved in one padded FFT pass when there are several
-        (a fleet-wide measurement burst costs one array kernel, not ``n``
-        ``O(L²)`` products) and by the scalar kernel when there is one.
-        """
-        sums: Dict[str, DiscretePMF] = {}
-        pairs: Dict[str, Tuple[DiscretePMF, DiscretePMF]] = {}
-        for record in records:
-            entry = self._entries.get(record.name)
-            if entry is not None and entry.versions == _window_versions(record):
-                sums[record.name] = entry.base
-            else:
-                pairs[record.name] = (
-                    record.service_times.pmf(),
-                    record.queue_delays.pmf(),
-                )
-        convolved: List[Optional[DiscretePMF]] = [None] * len(pairs)
-        if len(pairs) > 1:
-            convolved = batch_convolve(list(pairs.values()))
-        for (name, (service, queue)), base in zip(pairs.items(), convolved):
-            sums[name] = service.convolve(queue) if base is None else base
-        return [sums[record.name] for record in records]
+    def _queue_pmf(self, record: ReplicaRecord) -> DiscretePMF:
+        """The pmf of ``W_i`` — the part of the model variants override."""
+        return record.queue_delays.pmf()
 
     def _add_gateway_delay(
         self, record: ReplicaRecord, base: DiscretePMF
@@ -402,22 +372,15 @@ class QueueScaledEstimator(ResponseTimeEstimator):
     window's mean queuing delay divided by the window's mean service time.
     It is **not** part of the paper's algorithm; it exists for the ablation
     that quantifies how much the simple windowed model leaves on the table.
-    The scaled sum depends on the live queue depth, so it is never reused:
-    every write to a replica (all reach the change log) rebuilds it.
     """
 
-    def _sums(self, records: Sequence[ReplicaRecord]) -> List[DiscretePMF]:
-        """Each record's window pmfs, ``W_i`` scaled, then every pair
-        convolved by :func:`convolve_each`: the scaled (untagged) pairs in
-        one pairwise-kernel call."""
-        pairs = []
-        for record in records:
-            service_pmf = record.service_times.pmf()
-            queue_pmf = record.queue_delays.pmf()
-            mean_service = service_pmf.mean()
-            if mean_service > 0:
-                implied_hist_depth = queue_pmf.mean() / mean_service
-                factor = (record.queue_length + 1.0) / (implied_hist_depth + 1.0)
-                queue_pmf = queue_pmf.scale(factor)
-            pairs.append((service_pmf, queue_pmf))
-        return convolve_each(pairs)
+    def _queue_pmf(self, record: ReplicaRecord) -> DiscretePMF:
+        """The window's ``W_i`` pmf scaled by the depth ratio (as it is when
+        the window's mean service time is 0: then ``S_i = {0}``)."""
+        queue_pmf = record.queue_delays.pmf()
+        mean_service = record.service_times.pmf().mean()
+        if mean_service > 0:
+            implied_hist_depth = queue_pmf.mean() / mean_service
+            factor = (record.queue_length + 1.0) / (implied_hist_depth + 1.0)
+            queue_pmf = queue_pmf.scale(factor)
+        return queue_pmf

@@ -11,6 +11,7 @@ requested minimum, it is notified through a callback.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -43,8 +44,10 @@ class QoSSpec:
     min_probability: float
 
     def __post_init__(self) -> None:
-        if self.deadline_ms <= 0:
-            raise ValueError(f"deadline must be > 0 ms, got {self.deadline_ms}")
+        if not 0 < self.deadline_ms < math.inf:  # (NaN included)
+            raise ValueError(
+                f"deadline must be finite and > 0 ms, got {self.deadline_ms}"
+            )
         if not 0.0 <= self.min_probability <= 1.0:
             raise ValueError(
                 f"min_probability must be in [0, 1], got {self.min_probability}"

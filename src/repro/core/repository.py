@@ -45,8 +45,8 @@ class SlidingWindow:
     them changes, so a push that evicts a sample of its own bin costs no
     rebuild.  A push is refused (``ValueError``) before anything changes
     unless the value is finite and non-negative.  The monotone
-    :attr:`version` (bumped on every push) tells an estimator whether a
-    stored ``S ⊛ W`` still reflects the window; see docs/ARCHITECTURE.md §3.
+    :attr:`version` (bumped on every push) tells a reader whether the
+    window moved, even by a push that evicts an equal sample.
     """
 
     def __init__(self, size: int) -> None:

@@ -117,7 +117,7 @@ class Event:
     def _arm(self, ok: bool, value: Any, delay: float) -> None:
         if self._state is not EventState.PENDING:
             raise SimulationError(f"event {self!r} already triggered")
-        if delay < 0:
+        if not delay >= 0:  # (NaN included)
             raise ValueError(f"delay must be non-negative, got {delay}")
         self._ok = ok
         self._value = value
@@ -148,7 +148,7 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
+        if not delay >= 0:  # (NaN included)
             raise ValueError(f"timeout delay must be >= 0, got {delay}")
         super().__init__(sim)
         self.delay = delay

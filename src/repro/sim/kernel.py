@@ -110,7 +110,7 @@ class Simulator:
 
     def call_at(self, when: float, callback: Callable[[], None]) -> Event:
         """Run ``callback()`` at absolute simulated time ``when``."""
-        if when < self._now:
+        if not when >= self._now:  # (NaN included)
             raise SimulationError(
                 f"cannot schedule at {when} ms: clock already at {self._now} ms"
             )
@@ -129,7 +129,7 @@ class Simulator:
         failure detector's polls) needs the chain's own value: this
         pushes ``when`` untouched.  ``daemon`` is as for :meth:`call_in`.
         """
-        if when < self._now:
+        if not when >= self._now:  # (NaN included)
             raise SimulationError(
                 f"cannot schedule at {when} ms: clock already at {self._now} ms"
             )
@@ -152,7 +152,7 @@ class Simulator:
         not keep an unbounded ``run()`` alive.  Use it for self-reschedul-
         ing activities such as failure-detector polls.
         """
-        if delay < 0:
+        if not delay >= 0:  # (NaN included)
             raise ValueError(f"timeout delay must be >= 0, got {delay}")
         # A Timeout built in one step, not through its constructor: same
         # fields, same (when, seq).
@@ -202,7 +202,7 @@ class Simulator:
         to the horizon and the clock is left exactly at ``until``, so
         repeated ``run(until=...)`` calls compose predictably.
         """
-        if until is not None and until < self._now:
+        if until is not None and not until >= self._now:
             raise SimulationError(
                 f"run until {until} ms is in the past (now {self._now} ms)"
             )

@@ -68,7 +68,7 @@ class Constant(Distribution):
     """Degenerate distribution: always ``value``."""
 
     def __init__(self, value: float) -> None:
-        if value < 0:
+        if not value >= 0:  # (NaN included)
             raise ValueError(f"constant delay must be >= 0, got {value}")
         self.value = float(value)
 
@@ -91,7 +91,7 @@ class Uniform(Distribution):
     """Uniform on ``[low, high)``."""
 
     def __init__(self, low: float, high: float) -> None:
-        if high < low:
+        if not low <= high:  # (NaN included)
             raise ValueError(f"need low <= high, got [{low}, {high})")
         self.low = float(low)
         self.high = float(high)
@@ -115,7 +115,7 @@ class Exponential(Distribution):
     """Exponential with the given mean (not rate)."""
 
     def __init__(self, mean: float) -> None:
-        if mean <= 0:
+        if not mean > 0:  # (NaN included)
             raise ValueError(f"exponential mean must be > 0, got {mean}")
         self._mean = float(mean)
 
@@ -138,7 +138,9 @@ class Normal(Distribution):
     """Normal(mu, sigma), clipped at zero (delays cannot be negative)."""
 
     def __init__(self, mu: float, sigma: float) -> None:
-        if sigma < 0:
+        if math.isnan(mu):
+            raise ValueError("mu must be a number, got nan")
+        if not sigma >= 0:  # (NaN included)
             raise ValueError(f"sigma must be >= 0, got {sigma}")
         self.mu = float(mu)
         self.sigma = float(sigma)
@@ -168,7 +170,7 @@ class Pareto(Distribution):
     """Pareto with scale ``xm`` and shape ``alpha`` (heavy-tailed delays)."""
 
     def __init__(self, xm: float, alpha: float) -> None:
-        if xm <= 0 or alpha <= 0:
+        if not (xm > 0 and alpha > 0):  # (NaN included)
             raise ValueError(f"need xm > 0 and alpha > 0, got {xm}, {alpha}")
         self.xm = float(xm)
         self.alpha = float(alpha)

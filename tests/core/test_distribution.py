@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from repro.core.distribution import (
+    _FFT_CROSSOVER,
     CDF_TOLERANCE,
     DiscretePMF,
     SampleCounts,
+    _lattice,
     _pairwise,
     batch_convolve,
-    convolve_each,
 )
+
+from . import spec_model as spec
 
 
 class TestQuantize:
@@ -482,7 +485,7 @@ class TestLatticeConvolution:
         b = DiscretePMF.from_samples([0, 2]).shift(0.25)
         result = a.convolve(b)
         assert result._lattice
-        assert result.values.tobytes() == a._convolve_lattice(b).values.tobytes()
+        assert result.values.tobytes() == _lattice([(a, b)], True)[0].values.tobytes()
         assert result.values.tolist() == [0.75, 1.75, 2.75, 3.75, 5.75]
         _assert_matches_reference(result, a, b)
 
@@ -520,7 +523,9 @@ class TestLatticeConvolution:
             assert not result._lattice
             assert result.values.tobytes() == pairwise.values.tobytes()
             assert result.probs.tobytes() == pairwise.probs.tobytes()
-        assert batch_convolve([(tagged, doubled)]) == [None]
+        # In a many-pair call too: the untagged row is its own pairwise call.
+        row = batch_convolve([(tagged, doubled), (tagged, tagged)])[0]
+        assert row.probs.tobytes() == _pairwise([(tagged, doubled)])[0].probs.tobytes()
 
     def test_fft_mass_is_renormalized(self):
         rng = np.random.default_rng(11)
@@ -554,12 +559,15 @@ class TestBatchConvolve:
         assert left.allclose(pmf.shift(3.0))
         assert right.allclose(pmf.shift(3.0))
 
-    def test_untagged_pairs_come_back_none(self):
+    def test_untagged_pairs_take_the_pairwise_kernel(self):
         tagged = DiscretePMF.from_samples([1, 2, 4])
         untagged = DiscretePMF([0.0, 0.3], [0.5, 0.5])
         results = batch_convolve([(tagged, untagged), (tagged, tagged)])
-        assert results[0] is None
-        assert results[1] is not None
+        pairwise = _pairwise([(tagged, untagged)])[0]
+        assert not results[0]._lattice and results[1]._lattice
+        assert results[0].values.tobytes() == pairwise.values.tobytes()
+        assert results[0].probs.tobytes() == pairwise.probs.tobytes()
+        _assert_matches_reference(results[0], tagged, untagged)
 
     def test_mixed_row_lengths_pad_correctly(self):
         rng = np.random.default_rng(33)
@@ -574,8 +582,10 @@ class TestBatchConvolve:
         assert batch_convolve([]) == []
 
 
-class TestConvolveEach:
-    def test_each_pair_is_its_own_convolve_bit_for_bit(self):
+class TestOneDispatcher:
+    """Every pair of a call goes through :func:`batch_convolve`'s one walk."""
+
+    def test_shift_and_pairwise_rows_are_their_own_call_bit_for_bit(self):
         rng = np.random.default_rng(44)
         tagged = [_random_grid_pmf(rng, size, spread=30) for size in (3, 6, 12, 20)]
         pairs = [
@@ -585,17 +595,99 @@ class TestConvolveEach:
             (DiscretePMF.degenerate(2.0), tagged[3]),  # shift
             (tagged[3].scale(1.3), tagged[0]),  # pairwise
         ]
-        for (a, b), result in zip(pairs, convolve_each(pairs)):
+        results = batch_convolve(pairs)
+        for index, ((a, b), result) in enumerate(zip(pairs, results)):
             alone = a.convolve(b)
             assert result._lattice == alone._lattice
+            if index == 1:  # the lattice row: its FFT is the batch's
+                assert spec.agrees(result, spec.convolve(_twin(a), _twin(b)))
+                continue
             assert result.values.tobytes() == alone.values.tobytes()
             assert result.probs.tobytes() == alone.probs.tobytes()
-        assert convolve_each([]) == []
 
     def test_equal_keys_of_two_rows_stay_in_their_rows(self):
         pmf = DiscretePMF.from_samples([0.0, 1.0])
         once, twice = pmf.scale(1.0), pmf.scale(2.0).shift(1.0)
         # Row 1 ends on key 2.0, where row 2 starts.
-        first, second = convolve_each([(pmf, once), (twice, once.shift(1.0))])
+        first, second = batch_convolve([(pmf, once), (twice, once.shift(1.0))])
         assert first.items() == [(0.0, 0.25), (1.0, 0.5), (2.0, 0.25)]
         assert second.items() == [(2.0, 0.25), (3.0, 0.25), (4.0, 0.25), (5.0, 0.25)]
+
+
+def _twin(pmf):
+    return dict(zip(pmf.values.tolist(), pmf.probs.tolist()))
+
+
+def _spanning(rng, slots):
+    """A tagged pmf whose atoms span exactly ``slots`` lattice slots."""
+    inner = rng.integers(1, slots - 1, size=6)
+    return DiscretePMF.from_samples([0.0, float(slots - 1), *inner.tolist()])
+
+
+def _dense(pmf):
+    dense = np.zeros(int(pmf._lattice_indices()[-1]) + 1)
+    dense[pmf._lattice_indices()] = pmf.probs
+    return dense
+
+
+def _lattice_result(a, b, full, floor):
+    """The tagged pmf a lattice kernel makes of the dense product ``full``."""
+    keep = np.nonzero(full > floor)[0]
+    values = np.round(a.min() + b.min() + keep * 1.0, 9)
+    probs = full[keep]
+    return values, probs / probs.sum()
+
+
+class TestTheLatticeKernel:
+    """Which dense product a lattice pair gets, by the call it is in."""
+
+    def _fft(self, a, b, size):
+        product = np.fft.rfft(_dense(a), size) * np.fft.rfft(_dense(b), size)
+        return np.fft.irfft(product, size)[: _dense(a).size + _dense(b).size - 1]
+
+    @pytest.mark.parametrize("slots", [_FFT_CROSSOVER - 1, _FFT_CROSSOVER])
+    def test_a_one_pair_call_is_sized_to_its_pair(self, slots):
+        # Below the crossover np.convolve, at it an FFT sized to the pair
+        # whose noise floor is its own output length.
+        rng = np.random.default_rng(slots)
+        a, b = _spanning(rng, slots), _spanning(rng, slots + 10)
+        out_len = 2 * slots + 9
+        if slots < _FFT_CROSSOVER:
+            full, floor = np.convolve(_dense(a), _dense(b)), 0.0
+        else:
+            size = 1 << (out_len - 1).bit_length()
+            full, floor = self._fft(a, b, size), out_len * np.finfo(float).eps
+        values, probs = _lattice_result(a, b, full, floor)
+        for result in (a.convolve(b), batch_convolve([(a, b)])[0]):
+            assert result._lattice
+            assert result.values.tobytes() == values.tobytes()
+            assert result.probs.tobytes() == probs.tobytes()
+
+    def test_a_lone_lattice_pair_of_a_many_pair_call_takes_the_batch_fft(self):
+        # Narrow operands, yet not alone in the call: the padded FFT, its
+        # floor the transform size, not np.convolve.
+        rng = np.random.default_rng(3)
+        a, b = _spanning(rng, 12), _spanning(rng, 9)
+        shift = (a, DiscretePMF.degenerate(1.0))
+        result = batch_convolve([shift, (a, b)])[1]
+        size = 32
+        values, probs = _lattice_result(
+            a, b, self._fft(a, b, size), size * np.finfo(float).eps
+        )
+        assert result._lattice
+        assert result.values.tobytes() == values.tobytes()
+        assert result.probs.tobytes() == probs.tobytes()
+        assert spec.agrees(result, spec.convolve(_twin(a), _twin(b)))
+
+    def test_rows_of_unequal_width_share_one_transform(self):
+        rng = np.random.default_rng(4)
+        narrow = (_spanning(rng, 5), _spanning(rng, 7))
+        wide = (_spanning(rng, 70), _spanning(rng, 40))
+        size = 128  # 70 + 40 - 1 = 109 outputs
+        results = batch_convolve([narrow, wide])
+        for (a, b), result in zip((narrow, wide), results):
+            values, probs = _lattice_result(
+                a, b, self._fft(a, b, size), size * np.finfo(float).eps
+            )
+            assert result.values.tobytes() == values.tobytes()
+            assert result.probs.tobytes() == probs.tobytes()

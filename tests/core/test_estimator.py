@@ -207,16 +207,18 @@ class TestIncrementalPipeline:
             "rows_evaluated": 0,
         }
 
-    def test_gateway_delay_update_reuses_convolution(self, repo):
-        # A new T_i must re-shift the stored S ⊛ W, not rebuild it.
-        _feed(repo, "r1", services=[100] * 5, queues=[0] * 5, gateway=3.0)
+    def test_a_gateway_delay_write_rederives_the_row_and_f_moves_by_the_shift(self, repo):
+        # A new T_i is a write like any other: the row is re-derived from
+        # its windows, and F at every t is F at t - 6 before.
+        _feed(repo, "r1", services=[100, 110, 110, 100, 110], queues=[0] * 5, gateway=3.0)
         estimator = ResponseTimeEstimator(repo)
-        estimator.response_time_pmf("r1")
-        base_before = estimator._entries["r1"].base
+        before = estimator.response_time_pmf("r1")
         repo.record_gateway_delay("r1", 9.0, now_ms=1.0)
         after = estimator.response_time_pmf("r1")
-        assert estimator._entries["r1"].base is base_before
+        assert estimator.cache_info()["misses"] == 2
         assert after.min() == pytest.approx(109.0)
+        for t in (102.0, 103.0, 109.0, 112.0, 113.0, 119.0, 150.0):
+            assert after.cdf(t + 6.0) == before.cdf(t)
 
     def test_prune_drops_departed_replicas(self, repo):
         # Membership is in the change log: the first batch read after a
@@ -269,7 +271,7 @@ class TestIncrementalPipeline:
             estimator.batch_probability_by(replicas, 200.0)
             assert matrix_counters() == (1, step)
         # One rule: any logged write re-derives the row, even one the pmf
-        # does not depend on (the stored base is re-shifted).
+        # does not depend on (a queue-only write to the base estimator).
         misses = estimator.cache_misses
         repo.record("r2").queue_length = 4
         estimator.batch_probability_by(replicas, 200.0)

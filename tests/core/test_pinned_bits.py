@@ -18,12 +18,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core.distribution import (
-    DiscretePMF,
-    SampleCounts,
-    batch_convolve,
-    convolve_each,
-)
+from repro.core.distribution import DiscretePMF, SampleCounts, _pairwise, batch_convolve
 from repro.core.estimator import QueueScaledEstimator, ResponseTimeEstimator
 from repro.core.repository import InformationRepository
 
@@ -37,8 +32,8 @@ PINNED = {
     "pairwise": "821abd521790bf81",
     "pairwise_many": "adeed30d43d1aeb0",
     "batch": "db6e2d67fed3c0a1",
-    "walk_base": "e2463f4cf789fcd7",
-    "walk_gateway_window": "31929540da26957b",
+    "walk_base": "d42baa694ecc0588",
+    "walk_gateway_window": "451915a3bae551ab",
     "walk_queue_scaled": "1a0f0284c06b709a",
 }
 
@@ -133,7 +128,7 @@ def chain_pairwise_many():
     each pair's own one-pair convolution, taken before there was a batch."""
     a, b, c, d = (window(seed, count, spread) for seed, count, spread in
                   ((41, 3, 6), (42, 6, 12), (43, 12, 30), (44, 30, 60)))
-    return convolve_each([
+    return batch_convolve([
         (a, b.scale(0.5)), (b.scale(1.0), c), (c.shift(0.25), d.scale(2.0)),
         (d.scale(1.3), a.scale(0.5)), (a.scale(2.0), b.scale(1.0)),
         (DiscretePMF([0.0, 0.3, 1.7], [0.2, 0.5, 0.3]), d),
@@ -146,7 +141,9 @@ def chain_batch():
     pairs += [(window(30, 60, 150), window(31, 60, 90)), (window(32, 5, 9), window(33, 1, 1))]
     pairs += [(spanning(34, 63), spanning(35, 10)), (window(36, 5, 9), DiscretePMF([0.0, 0.3], [0.5, 0.5]))]
     results = batch_convolve(pairs)
-    assert results[-1] is None
+    untagged = _pairwise([pairs[-1]])[0]  # the pairwise row is its own call
+    assert results[-1].values.tobytes() == untagged.values.tobytes()
+    assert results[-1].probs.tobytes() == untagged.probs.tobytes()
     # 64 + 65 slots: 128 outputs, exactly one transform size.
     edge = [(spanning(37, 63), spanning(38, 64)), (window(39, 5, 9), window(40, 5, 9))]
     return results[:-1] + batch_convolve(pairs[:2]) + batch_convolve(edge)

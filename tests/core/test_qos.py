@@ -14,6 +14,13 @@ class TestQoSSpec:
         with pytest.raises(ValueError):
             QoSSpec("s", deadline_ms=0.0, min_probability=0.5)
 
+    @pytest.mark.parametrize("deadline", [float("nan"), float("inf"), -1.0])
+    def test_deadline_must_be_finite_and_positive(self, deadline):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            QoSSpec("s", deadline, 0.5)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            QoSSpec("s", 100.0, 0.5).renegotiate(deadline_ms=deadline)
+
     def test_probability_validation(self):
         with pytest.raises(ValueError):
             QoSSpec("s", deadline_ms=10.0, min_probability=1.5)

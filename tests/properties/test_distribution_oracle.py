@@ -26,12 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.distribution import (
-    DiscretePMF,
-    SampleCounts,
-    batch_convolve,
-    convolve_each,
-)
+from repro.core.distribution import DiscretePMF, SampleCounts, _pairwise, batch_convolve
 
 from ..core import spec_model as spec
 
@@ -158,10 +153,10 @@ class TestEachKernelOnEachGrid:
         pairs += [(pmf(60, 150), pmf(60, 90)), (pmf(5, 9), single)]
         pairs += [(single, pmf(3, 4)), (pmf(5, 9), outside)]
         results = batch_convolve(pairs)
-        assert [r is None for r in results] == [False] * 7 + [True]
-        for (a, b), result in zip(pairs[:7], results):
-            assert result._lattice
+        assert [r._lattice for r in results] == [True] * 7 + [False]
+        for (a, b), result in zip(pairs, results):
             check(result, spec.convolve(twin(a), twin(b)))
+        assert np.array_equal(results[-1].probs, _pairwise(pairs[-1:])[0].probs)
 
 
 # -- chains ----------------------------------------------------------------------
@@ -265,13 +260,14 @@ def run_step(pool, step):
         return [check_convolve(pool[i % len(pool)], pool[j % len(pool)])]
     pairs = [(pool[i % len(pool)], pool[j % len(pool)]) for i, j in step[1]]
     results = batch_convolve(pairs)
+    kept = []
     for (a, b), result in zip(pairs, results):
-        tagged = a._lattice and b._lattice
-        if result is None:
-            assert not tagged and 1 not in (a.support_size, b.support_size)
-        else:
+        if a._lattice and b._lattice or 1 in (a.support_size, b.support_size):
             check(result, spec.convolve(twin(a), twin(b)))
-    return [result for result in results if result is not None]
+            kept.append(result)
+        else:  # the pairwise kernel's row: its own call, checked by "convolve"
+            assert np.array_equal(result.probs, _pairwise([(a, b)])[0].probs)
+    return kept
 
 
 @given(drawn=st.lists(steps, min_size=6, max_size=30))
@@ -312,11 +308,52 @@ def test_one_kernel_call_is_each_pairs_own_call(drawn):
         b = DiscretePMF.from_samples([k % 40 + off for k, off in right]).scale(factor)
         if 1 not in (a.support_size, b.support_size):  # (a singleton is a shift)
             pairs.append((a, b))
-    for (a, b), result in zip(pairs, convolve_each(pairs)):
+    for (a, b), result in zip(pairs, batch_convolve(pairs)):
         alone = a.convolve(b)
         assert np.array_equal(result.values, alone.values)
         assert np.array_equal(result.probs, alone.probs)
         check(result, spec.convolve(twin(a), twin(b)))
+
+
+# -- one dispatcher, every kind of pair ------------------------------------------
+
+mixed_pairs = st.lists(
+    st.tuples(
+        st.sampled_from(["shift", "lattice", "untagged"]),
+        sample_lists(min_size=2, max_size=20),
+        sample_lists(min_size=2, max_size=20),
+        st.sampled_from([0.0, 0.25, 0.734]),
+        st.sampled_from([1, 40, 150]),  # slots: both sides of the FFT crossover
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(drawn=mixed_pairs)
+@settings(max_examples=60, deadline=None)
+def test_one_call_settles_every_kind_of_pair(drawn):
+    """A shift or untagged row is bitwise its own one-pair call, a lattice
+    row (whose FFT is the call's) the specification's to 1e-12, and a
+    one-pair call bitwise ``convolve``."""
+    pairs = []
+    for kind, left, right, delta, spread in drawn:
+        a = DiscretePMF.from_samples([k % spread + off for k, off in left]).shift(delta)
+        b = DiscretePMF.from_samples([k % 40 + off for k, off in right])
+        if kind == "shift":
+            b = DiscretePMF.degenerate(b.max())
+        elif kind == "untagged":
+            b = b.scale(1.3)
+        pairs.append((a, b))
+    results = batch_convolve(pairs)
+    for (a, b), result in zip(pairs, results):
+        check(result, spec.convolve(twin(a), twin(b)))
+        alone = a.convolve(b)
+        assert result._lattice == alone._lattice
+        on_lattice = a._lattice and b._lattice and 1 not in (a.support_size, b.support_size)
+        if len(pairs) == 1 or not on_lattice:
+            assert np.array_equal(result.values, alone.values)
+            assert np.array_equal(result.probs, alone.probs)
 
 
 # -- outside input -------------------------------------------------------------

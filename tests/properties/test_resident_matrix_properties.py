@@ -99,7 +99,7 @@ def write(repo, step, now):
     elif name in repo:
         # "rejoin": evict, then push as many samples as the old record
         # saw, so the fresh record's window versions (and its T_i) collide
-        # with the ones every stored pmf was built at.
+        # with the old record's: only the record tells them apart.
         old = repo.record(name)
         repo.remove_replica(name)
         for _ in range(old.service_times.version):

@@ -134,6 +134,24 @@ class TestCallHelpers:
             sim.call_in(-0.001, lambda: None)
         assert sim.pending_live == 0 and sim.peek() == float("inf")
 
+    def test_a_nan_instant_or_delay_is_refused_before_anything_is_queued(self, sim):
+        nan = float("nan")
+        sim.call_in(1.0, lambda: None)
+        for schedule, error in (
+            (lambda: sim.call_in(nan, lambda: None), ValueError),
+            (lambda: sim.timeout(nan), ValueError),
+            (lambda: sim.event().succeed(delay=nan), ValueError),
+            (lambda: sim.event().fail(RuntimeError(), delay=nan), ValueError),
+            (lambda: sim.call_at(nan, lambda: None), SimulationError),
+            (lambda: sim.call_at_exact(nan, lambda: None), SimulationError),
+            (lambda: sim.run(until=nan), SimulationError),
+        ):
+            with pytest.raises(error):
+                schedule()
+        assert len(sim._queue) == 1 and sim.pending_live == 1
+        sim.run()
+        assert sim.now == 1.0
+
     def test_call_in_daemon_is_never_counted_live(self, sim):
         seen = []
         sim.call_in(5.0, lambda: seen.append("daemon"), daemon=True)

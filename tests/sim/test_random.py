@@ -53,6 +53,27 @@ class TestDistributions:
         with pytest.raises(ValueError):
             Constant(-1.0)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Constant(math.nan),
+            lambda: Uniform(math.nan, 1.0),
+            lambda: Uniform(0.0, math.nan),
+            lambda: Exponential(math.nan),
+            lambda: Normal(math.nan, 1.0),
+            lambda: Normal(1.0, math.nan),
+            lambda: Pareto(math.nan, 2.0),
+            lambda: Pareto(1.0, math.nan),
+        ],
+        ids=["constant", "uniform-low", "uniform-high", "exponential", "normal-mu",
+             "normal-sigma", "pareto-xm", "pareto-alpha"],
+    )
+    def test_nan_parameters_are_refused(self, build):
+        # A NaN passes every check written ``x < 0``; each is written so
+        # that it does not.
+        with pytest.raises(ValueError):
+            build()
+
     def test_uniform_bounds(self, rng):
         dist = Uniform(2.0, 4.0)
         samples = [dist.sample(rng) for _ in range(200)]

@@ -39,9 +39,12 @@ def test_the_runner_kills_what_the_check_sees_and_reports_what_it_misses(toy_run
         (5, "Mult->Div", "survived"),
         (5, "1->0", "killed"),
     ]
-    entry = mutate.summary(["toy_checks.py"], outcomes)
+    source = (FIXTURE / "src" / "toy.py").read_text()
+    entry = mutate.summary(["toy_checks.py"], outcomes, source)
     assert (entry["mutants"], entry["killed"], entry["survived"]) == (3, 2, 1)
-    assert entry["survivors"] == [{"line": 5, "operator": "Mult->Div"}]
+    assert entry["survivors"] == [
+        {"line": 5, "operator": "Mult->Div", "source": "return x * 1"}
+    ]
     assert tree() == before  # the working tree is never edited
 
 
@@ -64,17 +67,78 @@ def test_keys_a_typed_dict_or_protocol_declares_are_not_mutants():
     ]
 
 
-def test_a_run_that_kills_less_than_the_file_it_replaces_fails(
+# -- the ratchet -----------------------------------------------------------------
+
+CHECKED = """\
+def scale(x):
+    assert x >= 0
+    return x * 1
+"""
+
+
+def module_entry(source, survivors):
+    """The summary of ``source`` when exactly the mutants named in
+    ``survivors`` (``(source line, operator)``) survive."""
+    lines = source.splitlines()
+    outcomes = [
+        (m, "survived" if (lines[m.line - 1].strip(), m.operator) in survivors else "killed")
+        for m in mutate.enumerate_mutants(source)
+    ]
+    return mutate.summary(["checks.py"], outcomes, source)
+
+
+COMMITTED = {"toy.py": module_entry(CHECKED, {("return x * 1", "Mult->Div")})}
+
+
+def test_deleting_a_killed_line_passes():
+    # Three kills fewer and the survivor one line up: no new survivor.
+    without_assert = CHECKED.replace("    assert x >= 0\n", "")
+    entry = module_entry(without_assert, {("return x * 1", "Mult->Div")})
+    assert entry["killed"] < COMMITTED["toy.py"]["killed"]
+    assert entry["survivors"][0]["line"] == 2
+    assert mutate.ratchet(COMMITTED, {"toy.py": entry}) == []
+
+
+def test_removing_the_check_that_killed_a_mutant_fails():
+    entry = module_entry(CHECKED, {("return x * 1", "Mult->Div"), ("return x * 1", "1->0")})
+    assert mutate.ratchet(COMMITTED, {"toy.py": entry}) == [
+        "toy.py: new survivor 1->0 on line 3: return x * 1"
+    ]
+
+
+def test_adding_an_unchecked_line_fails():
+    grown = CHECKED.replace("    return", "    x = x + 0\n    return")
+    entry = module_entry(
+        grown, {("return x * 1", "Mult->Div"), ("x = x + 0", "Add->Sub")}
+    )
+    assert entry["killed"] > COMMITTED["toy.py"]["killed"]
+    assert mutate.ratchet(COMMITTED, {"toy.py": entry}) == [
+        "toy.py: new survivor Add->Sub on line 3: x = x + 0"
+    ]
+
+
+def test_a_committed_entry_without_source_text_is_held_to_its_survived_count():
+    old = {"toy.py": {"survived": 1, "survivors": [{"line": 3, "operator": "Mult->Div"}]}}
+    one = module_entry(CHECKED, {("return x * 1", "1->0")})
+    two = module_entry(CHECKED, {("return x * 1", "1->0"), ("return x * 1", "Mult->Div")})
+    assert mutate.ratchet(old, {"toy.py": one}) == []  # another survivor, not one more
+    assert mutate.ratchet(old, {"toy.py": two}) == ["toy.py: survived 2, committed 1"]
+    assert mutate.ratchet({}, {"toy.py": two}) == []  # a new target has no floor
+
+
+def test_a_run_with_a_survivor_the_file_does_not_list_fails(
     toy_run, tmp_path, monkeypatch, capsys
 ):
     _, outcomes = toy_run
     monkeypatch.setattr(mutate, "ROOT", tmp_path)
     monkeypatch.setattr(mutate, "TARGETS", {"toy.py": ("toy_checks.py",)})
     monkeypatch.setattr(mutate, "run_module", lambda root, module, tests: outcomes)
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "toy.py").write_text((FIXTURE / "src" / "toy.py").read_text())
     committed = tmp_path / mutate.OUTPUT
-    committed.write_text(json.dumps({"modules": {"toy.py": {"killed": 3}}}))
+    committed.write_text(json.dumps({"modules": {"toy.py": {"survivors": []}}}))
     assert mutate.main() == 1
-    assert "toy.py: killed 2, committed 3" in capsys.readouterr().err
-    assert json.loads(committed.read_text())["modules"]["toy.py"]["killed"] == 2
-    assert mutate.main() == 0  # the file just written is the new floor
-    assert mutate.ratchet({}, {"toy.py": {"killed": 0}}) == []  # a new target
+    assert "toy.py: new survivor Mult->Div on line 5: return x * 1" in capsys.readouterr().err
+    written = json.loads(committed.read_text())["modules"]["toy.py"]
+    assert written["survivors"][0]["source"] == "return x * 1"
+    assert mutate.main() == 0  # the file just written lists the survivor

@@ -28,9 +28,13 @@ at the repository root::
 
     python tools/mutate.py
 
-The file it overwrites is the ratchet: the run exits non-zero, naming the
-module and both counts, when a module's ``killed`` count falls below the
-one the file held.
+The file it overwrites is the ratchet: the run exits non-zero, naming
+each one, when it has a survivor the file does not list for that module.
+A survivor is matched on its operator and the source text of its line,
+so deleting tested code (fewer kills, no new survivor) passes, while a
+mutant a test stops killing, or new code no test checks, fails.  A
+module entry written before survivors carried their source text is held
+to its ``survived`` count instead.
 
 Format and reading of the output: docs/PERFORMANCE.md §5.
 """
@@ -45,6 +49,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -325,41 +330,64 @@ def run_module(root: Path, module: str, tests: Sequence[str]) -> List[Tuple[Muta
         return list(zip(mutants, pool.map(one, mutants)))
 
 
-def summary(tests: Sequence[str], outcomes: Sequence[Tuple[Mutant, str]]) -> Dict[str, object]:
-    """The ``BENCH_mutation.json`` entry of one module."""
+def summary(
+    tests: Sequence[str], outcomes: Sequence[Tuple[Mutant, str]], source: str
+) -> Dict[str, object]:
+    """The ``BENCH_mutation.json`` entry of one module, whose text is ``source``."""
     counts = {kind: sum(o == kind for _, o in outcomes)
               for kind in ("killed", "survived", "timed_out")}
+    lines = source.splitlines()
     return {
         "tests": list(tests),
         "mutants": len(outcomes),
         **counts,
         "kill_ratio": round(counts["killed"] / max(1, len(outcomes)), 4),
         "survivors": [
-            {"line": m.line, "operator": m.operator}
+            {"line": m.line, "operator": m.operator, "source": lines[m.line - 1].strip()}
             for m, outcome in outcomes if outcome == "survived"
         ],
     }
 
 
 def ratchet(committed: Dict[str, Dict], modules: Dict[str, Dict]) -> List[str]:
-    """One line per module whose ``killed`` count fell below ``committed``'s
-    (a module the committed file does not list has no floor yet)."""
-    return [
-        f"{module}: killed {entry['killed']}, committed {committed[module]['killed']}"
-        for module, entry in modules.items()
-        if module in committed and entry["killed"] < committed[module]["killed"]
-    ]
+    """One line per survivor ``committed`` does not list for its module,
+    matched on operator and source text (each listed one excuses one).
+
+    A committed entry whose survivors carry no source text is held to its
+    ``survived`` count; a module the committed file does not list has no
+    floor yet.
+    """
+    fallen = []
+    for module, entry in modules.items():
+        if module not in committed:
+            continue
+        known = committed[module].get("survivors", [])
+        if not all("source" in survivor for survivor in known):
+            if entry["survived"] > committed[module]["survived"]:
+                fallen.append(f"{module}: survived {entry['survived']}, "
+                              f"committed {committed[module]['survived']}")
+            continue
+        excused = Counter((s["operator"], s["source"]) for s in known)
+        for survivor in entry["survivors"]:
+            key = (survivor["operator"], survivor["source"])
+            if excused[key]:
+                excused[key] -= 1
+            else:
+                fallen.append(f"{module}: new survivor {survivor['operator']} "
+                              f"on line {survivor['line']}: {survivor['source']}")
+    return fallen
 
 
 def main() -> int:
     """Run every target, write :data:`OUTPUT` and hold it to the file it
-    replaces: non-zero when a module's ``killed`` count fell."""
+    replaces: non-zero when a module has a survivor that file does not list."""
     output = ROOT / OUTPUT
     committed = json.loads(output.read_text())["modules"] if output.exists() else {}
     modules = {}
     for module, tests in TARGETS.items():
         started = time.perf_counter()
-        modules[module] = summary(tests, run_module(ROOT, module, tests))
+        source = (ROOT / "src" / module).read_text()
+        modules[module] = summary(tests, run_module(ROOT, module, tests), source)
         print(f"{module}: {modules[module]['killed']}/{modules[module]['mutants']}"
               f" killed in {time.perf_counter() - started:.0f} s", flush=True)
     payload = {
