@@ -26,12 +26,12 @@ CACHED_US_CEILING = 1000.0
 #: One dirty replica must cost O(one row), not O(fleet): what it adds to
 #: the nothing-changed selection (``dirty1 - cached``) at n = 1024 over
 #: the same difference at n = 64 (measured 1.0-1.6; ~5 if a write makes
-#: the next selection re-read every row, more if it rebuilds the matrix).
+#: the next selection re-read every row, more if it rebuilds the state).
 #: Ratios of same-run timings, so host speed cancels.
 DIRTY_ROW_COST_GROWTH_CEILING = 2.5
 
 #: A nothing-changed selection is Algorithm 1 over n probabilities, not a
-#: pass over the n x L matrix: n = 1024 over n = 64 (measured 5-7; 16 is
+#: pass over every row: n = 1024 over n = 64 (measured 5-7; 16 is
 #: linear, 10-14 with the pass).
 CACHED_GROWTH_CEILING = 8.0
 

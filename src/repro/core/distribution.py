@@ -320,16 +320,24 @@ class DiscretePMF:
     def cdf(self, t: float) -> float:
         """``P(X <= t)`` — the distribution function ``F(t)``.
 
-        :data:`CDF_TOLERANCE` absorbs bin float dust so that
-        ``cdf(value)`` includes the atom at ``value``; the result is
-        clamped to [0, 1] against summation roundoff.
+        The one reader of ``F`` off a pmf, the estimator's batch pass
+        included: the atoms at or below ``t + CDF_TOLERANCE`` (so
+        ``cdf(value)`` includes the atom at ``value`` despite bin float
+        dust) number the answer — 0 for none, exactly 1 for all, else
+        the cached running sum clamped to [0, 1] against roundoff.  A NaN
+        ``t`` is refused (``ValueError``).
         """
-        if t >= self._values[-1] - CDF_TOLERANCE:
-            return 1.0  # at or beyond the largest atom: certain
-        index = int(np.searchsorted(self._values, t + CDF_TOLERANCE, side="right"))
+        if not t >= -math.inf:  # (NaN fails every comparison)
+            raise ValueError(f"cannot read F at {t}")
+        values = self._values
+        index = int(values.searchsorted(t + CDF_TOLERANCE, "right"))
+        if index == values.size:
+            return 1.0  # every atom at or below t: certain
         if index == 0:
             return 0.0
-        return min(1.0, max(0.0, float(self.cumulative_probs()[index - 1])))
+        if self._cum is None:
+            self._cum = self._probs.cumsum()
+        return min(1.0, max(0.0, float(self._cum[index - 1])))
 
     def quantile(self, q: float) -> float:
         """Smallest value ``v`` with ``F(v) >= q``."""

@@ -24,17 +24,17 @@ built last, and at an idle queue (``W_i = {0}``) ``S_i ⊛ W_i`` is the
 ``S_i`` pmf itself.
 :class:`QueueScaledEstimator` scales ``W_i`` off the lattice, so its
 stale rows share one call of the exact pairwise kernel; each row's
-``+ T_i``, check and matrix write stay per row.
+``+ T_i``, check and row write stay per row.
 
-:meth:`ResponseTimeEstimator.batch_probability_by` evaluates
-``F_{R_i}(t)`` for *all* replicas in one vectorized pass over the array
-view of those entries, a resident padded (values, cumulative) matrix in
-which only the rows of replicas the change log names are overwritten
-between calls, beside the vector of ``F`` at the deadline last asked.
-The cumulative matrix leads with a column of zeros and ends each row
-with an exact 1, so reading ``F`` is one count and one gather.
-A selection at that deadline costs work proportional to the rows that
-changed — Fig. 3's ``δ`` collapses, loosening Algorithm 1's ``t − δ``.
+:meth:`ResponseTimeEstimator.batch_probability_by` answers
+``F_{R_i}(t)`` for *all* replicas from the vector of ``F`` kept at the
+deadline last asked: only the rows of replicas the change log names are
+rewritten between calls, and each is read off its own pmf by
+:meth:`DiscretePMF.cdf` (one binary search on the atoms).  The engine
+asks one estimator at one deadline for its whole life, so a selection
+costs work proportional to the rows that changed — Fig. 3's ``δ``
+collapses, loosening Algorithm 1's ``t − δ``; another deadline reads
+every row.
 :meth:`ResponseTimeEstimator.invalidate` forgets every entry; calling it
 before each selection is the uncached arm of ``BENCH_estimator.json``.
 docs/PERFORMANCE.md §1–2 has the details.
@@ -45,13 +45,18 @@ from __future__ import annotations
 import math
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-import numpy as np
-import numpy.typing as npt
-
-from .distribution import BIN_WIDTH_MS, CDF_TOLERANCE, DiscretePMF, batch_convolve
+from .distribution import BIN_WIDTH_MS, DiscretePMF, batch_convolve
 from .repository import InformationRepository, ReplicaRecord
 
 __all__ = ["ResponseTimeEstimator", "QueueScaledEstimator"]
+
+
+def _reads_f(deadline_ms: float) -> bool:
+    """Whether ``F`` is read at ``deadline_ms``: a deadline ``<= 0`` is
+    answered 0.0 without it, and a NaN one is refused (``ValueError``)."""
+    if not deadline_ms >= -math.inf:  # (NaN fails every comparison)
+        raise ValueError(f"deadline must be a number, got {deadline_ms}")
+    return deadline_ms > 0
 
 
 class _Entry(NamedTuple):
@@ -63,75 +68,49 @@ class _Entry(NamedTuple):
 
 
 class _BatchState:
-    """The resident CDF matrix of one replica tuple, one row per replica.
+    """The view of one replica tuple's entries, one row per replica.
 
-    Row ``i`` holds ``pmfs[i]``'s support in ``values[i, :sizes[i]]``,
-    padded with NaN, which no deadline reaches, and ``F`` below each atom
-    in ``cumulative``, one column wider: column 0 is 0, column ``k`` the
-    running sum of the first ``k`` probabilities and column ``sizes[i]``
-    exactly 1.  ``F(t)`` is the column numbered by the atoms at or below
-    ``t``, so the columns right of ``sizes[i]`` are never read.  Rows in
-    ``missing`` have no history (``pmfs[i] is None``): all padding, ``F``
-    0.  Everything reflects the repository as of ``version``.  A new state
-    has no history in any row.  ``probabilities`` is ``F_{R_i}(deadline)``
-    per row as last read: stale for the ``unread`` rows (written since),
-    for all while ``deadline`` is ``None``.
+    Row ``i`` holds ``pmfs[i]``; rows in ``missing`` have no history
+    (``pmfs[i] is None``).  Everything reflects the repository as of
+    ``version``; a new state has no history in any row.  ``probabilities``
+    is ``F_{R_i}(deadline)`` per row as last read (``None`` for a missing
+    row): stale for the ``unread`` rows (written since), for all while
+    ``deadline`` is ``None``.
     """
 
-    def __init__(self, replicas: Tuple[str, ...], width: int) -> None:
+    def __init__(self, replicas: Tuple[str, ...]) -> None:
         count = len(replicas)
         self.replicas = replicas
         self.version = 0
         self.rows = {name: row for row, name in enumerate(replicas)}
-        self.every_row = np.arange(count)
         self.pmfs: List[Optional[DiscretePMF]] = [None] * count
         self.missing = set(range(count))
-        self.values: npt.NDArray[np.float64] = np.full((count, width), np.nan)
-        self.cumulative: npt.NDArray[np.float64] = np.zeros((count, width + 1))
-        self.sizes: npt.NDArray[np.intp] = np.zeros(count, dtype=np.intp)
         self.deadline: Optional[float] = None
-        self.probabilities: npt.NDArray[np.float64] = np.zeros(count)
+        self.probabilities: List[Optional[float]] = [None] * count
         self.unread: Set[int] = set()
 
     def write_row(self, row: int, pmf: Optional[DiscretePMF]) -> None:
-        """Overwrite ``row`` with ``pmf``, widening the matrix if needed;
-        of the padding, only the slots a shrinking row vacates are written."""
-        size = 0 if pmf is None else pmf.support_size
-        grow = size - self.values.shape[1]
-        if grow > 0:
-            self.values = np.pad(
-                self.values, ((0, 0), (0, grow)), constant_values=np.nan
-            )
-            self.cumulative = np.pad(self.cumulative, ((0, 0), (0, grow)))
-        self.values[row, size : self.sizes[row]] = np.nan
+        """Make ``pmf`` row ``row``'s, to be read at the next deadline."""
         if pmf is None:
             self.missing.add(row)
         else:
             self.missing.discard(row)
-            self.values[row, :size] = pmf._values
-            cumulative = self.cumulative[row]
-            pmf._probs.cumsum(out=cumulative[1 : size + 1])
-            cumulative[size] = 1.0  # every atom at or below t: certain
-        self.sizes[row] = size
         self.pmfs[row] = pmf
         self.unread.add(row)
 
     def read_probabilities(self, deadline: float) -> int:
         """Bring ``probabilities`` to ``F(deadline)``; returns the rows read:
-        all, or at the held deadline the ``unread`` ones (a row's ``F`` reads
-        that row alone; widening pads right of ``sizes[row]``)."""
-        rows = self.every_row
-        if deadline == self.deadline:
-            if not self.unread:
-                return 0
-            rows = np.fromiter(self.unread, np.intp, len(self.unread))
-        counts = (self.values[rows] <= deadline + CDF_TOLERANCE).sum(axis=1)
-        gathered = self.cumulative[rows, counts]
-        # (minimum ∘ maximum is np.clip without its dispatch layers.)
-        self.probabilities[rows] = np.minimum(np.maximum(gathered, 0.0), 1.0)
+        all, or at the held deadline the ``unread`` ones, each off its own
+        pmf (:meth:`DiscretePMF.cdf`)."""
+        pmfs, probabilities = self.pmfs, self.probabilities
+        rows = self.unread if deadline == self.deadline else range(len(pmfs))
+        read = len(rows)
+        for row in rows:
+            pmf = pmfs[row]
+            probabilities[row] = None if pmf is None else pmf.cdf(deadline)
         self.deadline = deadline
         self.unread.clear()
-        return rows.size
+        return read
 
 
 class ResponseTimeEstimator:
@@ -163,7 +142,7 @@ class ResponseTimeEstimator:
         self._batch: Optional[_BatchState] = None
         self.cache_hits = 0
         self.cache_misses = 0
-        self.matrix_builds = 0
+        self.batch_builds = 0
         self.rows_patched = 0
         self.rows_evaluated = 0
 
@@ -241,12 +220,11 @@ class ResponseTimeEstimator:
         Returns ``None`` when the replica has no usable history (the
         caller then falls back to the paper's select-all bootstrap).
         """
+        read = _reads_f(deadline_ms)
         pmf = self.response_time_pmf(replica)
         if pmf is None:
             return None
-        if deadline_ms <= 0:
-            return 0.0
-        return pmf.cdf(deadline_ms)
+        return pmf.cdf(deadline_ms) if read else 0.0
 
     def batch_probability_by(
         self, replicas: Sequence[str], deadline_ms: float
@@ -256,24 +234,25 @@ class ResponseTimeEstimator:
         Per-replica entries are ``None`` without history, exactly as
         :meth:`probability_by`.  :meth:`_synced_batch` re-derives the
         rows whose replicas changed since the last call and evaluation —
-        the hot path of ``DynamicSelectionPolicy`` — reads those rows of
-        the resident matrix (every row at another deadline than the last).
+        the hot path of ``DynamicSelectionPolicy`` — reads ``F`` off
+        those rows' pmfs alone (every row at another deadline than the
+        last); the other rows answer the ``F`` kept from the last call.
         """
+        read = _reads_f(deadline_ms)
         state = self._synced_batch(replicas)
-        if deadline_ms <= 0:
-            results: List[Optional[float]] = [0.0] * len(state.pmfs)
-        else:
+        if read:
             self.rows_evaluated += state.read_probabilities(float(deadline_ms))
-            results = state.probabilities.tolist()
+            return list(state.probabilities)
+        results: List[Optional[float]] = [0.0] * len(state.pmfs)
         for row in state.missing:
             results[row] = None
         return results
 
     def _synced_batch(self, replicas: Sequence[str]) -> _BatchState:
-        """The resident matrix for ``replicas``, brought up to date.
+        """The batch state for ``replicas``, brought up to date.
 
         Rows of replicas the change log names since the version the
-        matrix reflects are re-read from their entries; a membership
+        state reflects are re-read from their entries; a membership
         change, another replica tuple or :meth:`invalidate` re-reads
         every row (entries of retained replicas stay current, so only
         the rows that have to be are re-derived).
@@ -298,15 +277,11 @@ class ResponseTimeEstimator:
                 for name, entry in self._entries.items()
                 if name in self.repository
             }
-            pmfs = self._derive(key)
-            width = max(
-                (pmf.support_size for pmf in pmfs if pmf is not None), default=1
-            )
-            state = self._batch = _BatchState(key, width)
-            for row, pmf in enumerate(pmfs):
+            state = self._batch = _BatchState(key)
+            for row, pmf in enumerate(self._derive(key)):
                 if pmf is not None:
                     state.write_row(row, pmf)
-            self.matrix_builds += 1
+            self.batch_builds += 1
         else:
             rows = state.rows
             dirty = sorted(rows[name] for name in changed if name in rows)
@@ -335,18 +310,18 @@ class ResponseTimeEstimator:
         self._batch = None
 
     def cache_info(self) -> Dict[str, int]:
-        """Counters of the per-replica entries and the resident matrix.
+        """Counters of the per-replica entries and the batch state.
 
         ``hits`` counts rows and queries served without re-derivation,
-        ``misses`` re-derivations; ``matrix_builds`` whole-matrix
-        (re)builds, ``rows_patched`` rows overwritten in place in a
-        matrix that was kept, ``rows_evaluated`` rows ``F`` was read off.
+        ``misses`` re-derivations; ``batch_builds`` whole-state
+        (re)builds, ``rows_patched`` rows rewritten in a state that was
+        kept, ``rows_evaluated`` rows ``F`` was read off.
         """
         return {
             "hits": self.cache_hits,
             "misses": self.cache_misses,
             "entries": len(self._entries),
-            "matrix_builds": self.matrix_builds,
+            "batch_builds": self.batch_builds,
             "rows_patched": self.rows_patched,
             "rows_evaluated": self.rows_evaluated,
         }

@@ -181,9 +181,10 @@ class ReplicaRecord:
 
     def record_gateway_delay(self, delay_ms: float, now_ms: float) -> None:
         """Store a freshly measured two-way gateway-to-gateway delay."""
-        if delay_ms < 0:
+        if -math.inf < delay_ms <= 0:
             # Clock arithmetic (t4 − t1 − tq − ts) can go slightly negative
-            # when stage timestamps straddle a bin boundary; clamp.
+            # when stage timestamps straddle a bin boundary; clamp (a
+            # finite delay only, and -0.0 to 0.0).
             delay_ms = 0.0
         # (A non-finite delay is refused before anything changes.)
         delay_ms, now_ms = _measurement(delay_ms), float(now_ms)

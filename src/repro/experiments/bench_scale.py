@@ -169,8 +169,8 @@ def export_scale_bench(
         "benchmark": "scale-kernel",
         "description": (
             "Fleet-scale selection overhead (lattice/FFT convolution + "
-            "batched refresh + resident padded-matrix CDF patched per "
-            "changed row), raw event-kernel dispatch throughput "
+            "batched refresh + kept F vector re-read per changed row), "
+            "raw event-kernel dispatch throughput "
             "(heapq EventQueue) and the untraced message plane's cost "
             "per message (Message -> Transport.send -> kernel -> "
             "Gateway -> no-op handler).  Written only by `python -m "

@@ -1,5 +1,7 @@
 """Unit tests for empirical pmfs and discrete convolution."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,13 @@ class TestStatistics:
         pmf = DiscretePMF.from_samples([float(k) for k in range(10)])
         assert pmf.cumulative_probs()[-1] < 1.0
         assert pmf.cdf(9.0 - CDF_TOLERANCE) == pmf.cdf(9.0) == 1.0
+
+    def test_cdf_reads_infinities_and_refuses_nan(self):
+        pmf = DiscretePMF([1.0, 2.0, 3.0], [0.2, 0.3, 0.5])
+        assert pmf.cdf(-math.inf) == 0.0
+        assert pmf.cdf(math.inf) == 1.0
+        with pytest.raises(ValueError, match="nan"):
+            pmf.cdf(math.nan)
 
     def test_quantile(self):
         pmf = DiscretePMF([1.0, 2.0, 3.0], [0.2, 0.3, 0.5])

@@ -1,5 +1,7 @@
 """Unit tests for the response-time estimator (Equation 2)."""
 
+import math
+
 import pytest
 
 from repro.core.estimator import QueueScaledEstimator, ResponseTimeEstimator
@@ -64,8 +66,25 @@ def test_probability_by_deadline(repo):
 def test_nonpositive_deadline_gives_zero(repo):
     _feed(repo, "r1", services=[100] * 5, queues=[0] * 5, gateway=3.0)
     estimator = ResponseTimeEstimator(repo)
-    assert estimator.probability_by("r1", 0.0) == 0.0
-    assert estimator.probability_by("r1", -5.0) == 0.0
+    for deadline in (0.0, -5.0, -math.inf):
+        assert estimator.probability_by("r1", deadline) == 0.0
+        assert estimator.batch_probability_by(["r1"], deadline) == [0.0]
+
+
+def test_a_nan_deadline_is_refused_by_both_paths(repo):
+    # NaN is neither <= 0 nor a point F can be read at.  Both paths refuse
+    # it, with history or without, before anything is derived.
+    _feed(repo, "r1", services=[100] * 5, queues=[0] * 5, gateway=3.0)
+    repo.add_replica("r2")  # no history
+    estimator = ResponseTimeEstimator(repo)
+    before = estimator.cache_info()
+    for name in ("r1", "r2"):
+        with pytest.raises(ValueError, match="nan"):
+            estimator.probability_by(name, float("nan"))
+    for replicas in (["r1", "r2"], ["r2"]):
+        with pytest.raises(ValueError, match="nan"):
+            estimator.batch_probability_by(replicas, float("nan"))
+    assert estimator.cache_info() == before
 
 
 def test_a_deadline_below_one_millisecond_is_read_off_the_pmf(repo):
@@ -163,8 +182,8 @@ def test_a_row_whose_final_pmf_is_not_a_pmf_is_refused(
     repo, monkeypatch, spoil, message
 ):
     # Derived pmfs skip the constructor's checks; the one that would reach
-    # the matrix does not.  A kernel gone wrong stops the decision with the
-    # constructor's own ValueError and leaves no entry behind.
+    # the batch state does not.  A kernel gone wrong stops the decision with
+    # the constructor's own ValueError and leaves no entry behind.
     from repro.core.distribution import DiscretePMF
 
     _feed(repo, "r1", services=[100, 110], queues=[0, 5], gateway=3.0)
@@ -202,7 +221,7 @@ class TestIncrementalPipeline:
             "hits": 1,
             "misses": 1,
             "entries": 1,
-            "matrix_builds": 0,  # no batch call yet
+            "batch_builds": 0,  # no batch call yet
             "rows_patched": 0,
             "rows_evaluated": 0,
         }
@@ -257,29 +276,29 @@ class TestIncrementalPipeline:
         estimator = ResponseTimeEstimator(repo)
         replicas = repo.replicas()
 
-        def matrix_counters():
+        def batch_counters():
             info = estimator.cache_info()
-            return info["matrix_builds"], info["rows_patched"]
+            return info["batch_builds"], info["rows_patched"]
 
         estimator.batch_probability_by(replicas, 100.0)
-        assert matrix_counters() == (1, 0)
+        assert batch_counters() == (1, 0)
         estimator.batch_probability_by(replicas, 200.0)
-        assert matrix_counters() == (1, 0)  # nothing changed: reused as is
+        assert batch_counters() == (1, 0)  # nothing changed: reused as is
         # Each reply dirties one row: one patch per decision, never a build.
         for step, name in enumerate(["r1", "r2", "r1", "r3"], start=1):
             repo.record_performance(name, 150.0 + step, 0.0, 0, now_ms=1.0)
             estimator.batch_probability_by(replicas, 200.0)
-            assert matrix_counters() == (1, step)
+            assert batch_counters() == (1, step)
         # One rule: any logged write re-derives the row, even one the pmf
         # does not depend on (a queue-only write to the base estimator).
         misses = estimator.cache_misses
         repo.record("r2").queue_length = 4
         estimator.batch_probability_by(replicas, 200.0)
-        assert matrix_counters() == (1, 5)
+        assert batch_counters() == (1, 5)
         assert estimator.cache_misses == misses + 1
         repo.add_replica("r4")  # membership: every row re-read, none re-derived
         estimator.batch_probability_by(replicas, 200.0)
-        assert matrix_counters() == (2, 5)
+        assert batch_counters() == (2, 5)
         assert estimator.cache_misses == misses + 1
 
 
@@ -424,7 +443,7 @@ def test_rejoined_replica_is_never_served_its_old_row(repo, evict, estimator_cls
 
     Pushing as many samples as before the eviction makes every window
     version collide with the pre-eviction ones; neither the replica's
-    entry nor its resident matrix row may survive that.
+    entry nor its batch row may survive that.
     """
     _feed(repo, "r1", services=[100] * 5, queues=[0] * 5, gateway=3.0)
     _feed(repo, "r2", services=[100] * 5, queues=[0] * 5, gateway=3.0)

@@ -4,7 +4,7 @@ The pinned experiment digests sit on the last bits of every pmf — a
 batched FFT's size, a rounding, which kernel a pair takes — and the
 §5.3 specification (``spec_model.py``) checks the arithmetic only to
 1e-12.  This file holds those bits still: fixed seeded chains through
-each kernel, and one fixed walk of the resident matrix per estimator
+each kernel, and one fixed walk of the batch state per estimator
 configuration, are hashed (sha256 of ``values`` / ``probs`` /
 ``cumulative_probs()`` and the lattice tag of every pmf, the float64
 bytes of every ``F``).  A change that moves a single bit of any of them
@@ -150,7 +150,7 @@ def chain_batch():
 
 
 def walk(estimator_cls, gateway_window):
-    """Every ``F`` and pmf of one fixed walk of the resident matrix."""
+    """Every ``F`` and pmf of one fixed walk of the batch state."""
     rng = np.random.default_rng(40)
     repo = InformationRepository(4, gateway_window_size=gateway_window)
     estimator, names, out = estimator_cls(repo), ["r1", "r2", "r3", "r4"], []

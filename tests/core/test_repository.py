@@ -151,6 +151,26 @@ class TestReplicaRecord:
         assert record.gateway_delays.values() == [2.0]
         assert record.last_update_ms == 1.0
 
+    @pytest.mark.parametrize("bad", [-math.inf, math.nan])
+    def test_only_a_finite_negative_gateway_delay_is_clamped(self, bad):
+        # -inf is no clock-arithmetic dust: refused like +inf, not stored as 0.
+        repo = InformationRepository(window_size=3, gateway_window_size=3)
+        repo.record_gateway_delay("r1", 2.0, now_ms=1.0)
+        record, version = repo.record("r1"), repo.version
+        with pytest.raises(ValueError, match="finite"):
+            repo.record_gateway_delay("r1", bad, now_ms=9.0)
+        assert record.gateway_delay_ms == 2.0
+        assert record.gateway_delays.values() == [2.0]
+        assert record.last_update_ms == 1.0
+        assert repo.version == version and repo.changed_since(version) == []
+        repo.record_gateway_delay("r1", -1e300, now_ms=9.0)  # finite: clamped
+        assert record.gateway_delays.values() == [2.0, 0.0]
+
+    def test_a_minus_zero_gateway_delay_is_stored_as_zero(self):
+        record = ReplicaRecord("r1", window_size=5)
+        record.record_gateway_delay(-0.0, now_ms=0.0)
+        assert math.copysign(1.0, record.gateway_delay_ms) == 1.0
+
 
 class TestInformationRepository:
     def test_window_size_validation(self):

@@ -46,12 +46,12 @@ class WatchedEstimator(ResponseTimeEstimator):
         repository = self.repository
         named = repository.changed_since(self.seen)
         assert self.derived == []  # reads between decisions find current entries
-        before = (self.cache_hits, self.cache_misses, self.matrix_builds)
+        before = (self.cache_hits, self.cache_misses, self.batch_builds)
         result = super().batch_probability_by(replicas, deadline_ms)
         hits, misses, builds = (
             after - was
             for after, was in zip(
-                (self.cache_hits, self.cache_misses, self.matrix_builds), before
+                (self.cache_hits, self.cache_misses, self.batch_builds), before
             )
         )
         if named is not None:  # (a view change names nobody: every row is re-read)
@@ -165,7 +165,7 @@ def test_no_validated_construction_on_the_decision_path(constructions):
     # S_i, W_i, S ⊛ W, + T_i: each derived once, through the private path.
     assert misses < counts["_derived"] <= 4 * misses
     # The check the constructor made on every one of them is paid once,
-    # on the pmf that reaches the matrix.
+    # on the pmf that reaches the batch state.
     assert counts["validated"] == misses
 
 

@@ -1,10 +1,11 @@
-"""Property test: the resident matrix answers what §5.3 says, reading only what changed.
+"""Property test: the batch state answers what §5.3 says, reading only what changed.
 
 The estimator keeps one entry per replica under one rule (current iff the
 change log has not named the replica since the entry was derived and its
-record is still the tracked one) and patches the rows the log names into
-a resident CDF matrix, beside the vector of ``F`` at the deadline last
-asked for, of which it re-reads only the rows written since.  For any
+record is still the tracked one) and rewrites the rows the log names in
+its batch state, beside the vector of ``F`` at the deadline last asked
+for, of which it re-reads only the rows written since, each off its own
+pmf.  For any
 interleaving of writes, membership changes, invalidations, batch queries
 and direct reads, every answer must be ``F_{R_i}(t)`` as §5.3 computes it
 from the raw window samples (``tests/core/spec_model.py``, to 1e-12), a
@@ -13,12 +14,11 @@ must say the kept vector was not simply recomputed.  Last bits — which
 stale rows share one batched FFT — are pinned by
 ``tests/core/test_pinned_bits.py``.  The directed tests at the bottom pin
 the marks a write leaves: a kept vector served across a deadline change,
-or a write that widens the matrix or empties a row going unread; the last
-five pin the layout ``F`` is one gather from (a leading zero column, an
-exact 1 at each row's size, NaN padding no deadline reaches).
+or a write that grows, shrinks or empties a row going unread; the last
+five pin the per-row read (only a row's own atoms count, exactly 1 past
+the last of them, ``None`` for a row without history).
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,13 +51,13 @@ steps = st.fixed_dictionaries(
         "name": names,
         "names": name_lists,
         # A query mostly passes the caller's usual ``repository.replicas()``,
-        # so the matrix stays resident between membership changes; a subset
+        # so the batch state is kept between membership changes; a subset
         # is what a quarantine makes of the tuple.
         "subset": st.sampled_from([False] * 5 + [True]),
         # A tuple naming its first replica twice has no row-by-name index
         # and is rebuilt (and read whole) on every call.
         "twice": st.sampled_from([False] * 9 + [True]),
-        # A wide range makes supports outgrow the matrix as windows fill;
+        # A wide range makes supports outgrow each other as windows fill;
         # the repeated values shrink them again when a duplicate slides in.
         "service": st.one_of(
             st.sampled_from([100.0, 100.4, 250.0]),
@@ -70,7 +70,7 @@ steps = st.fixed_dictionaries(
         "depth": st.integers(min_value=0, max_value=9),
         # A handler asks at one deadline until its QoS is renegotiated: the
         # repeats are what lets the kept vector of F be served, the others
-        # (<= 0 is answered without the matrix) what must not be.
+        # (<= 0 is answered without a read) what must not be.
         "deadline": st.sampled_from(
             [120.5] * 6 + [-5.0, 0.0, 40.0, 300.0, 10_000.0]
         ),
@@ -141,7 +141,7 @@ def test_resident_matrix_equals_whole_fleet_walk(
     # Two consumers of one repository, asking at different cadences: the
     # change log must answer each from the version *it* last saw.
     consumers = [estimator_cls(repo) for _ in range(2)]
-    # Start from a resident matrix over replicas that all have history, so
+    # Start from a batch state over replicas that all have history, so
     # the interleaving lands on the patch path.
     fixed = {"service": 100.0, "delay": 3.0, "depth": 1, "subset": False}
     fixed |= {"deadline": 120.5, "both": True, "twice": False}
@@ -164,7 +164,7 @@ def test_resident_matrix_equals_whole_fleet_walk(
             after = ours.cache_info()
             built, patched, read = (
                 after[key] - before[key]
-                for key in ("matrix_builds", "rows_patched", "rows_evaluated")
+                for key in ("batch_builds", "rows_patched", "rows_evaluated")
             )
             if built:
                 held[index], unread[index] = None, 0
@@ -258,7 +258,7 @@ def test_rows_read_per_query():
     assert rows_read(110.0) == 0
     assert rows_read(104.0) == count  # renegotiated
     assert rows_read(104.0) == 0
-    # A deadline <= 0 is answered without the matrix: the write before it
+    # A deadline <= 0 is answered without a read: the write before it
     # is still unread when the held deadline comes back.
     repo.record_performance("r3", 60.0, 0.0, 0, now_ms=2.0)
     assert rows_read(0.0) == 0
@@ -277,18 +277,18 @@ def test_rows_read_per_query():
         assert estimator.cache_info()["rows_evaluated"] - before == count + 1
 
 
-def test_a_write_that_widens_the_matrix_is_read():
+def test_a_row_that_outgrows_the_others_is_read():
     repo, estimator, replicas = loaded_fleet()
     assert estimator.batch_probability_by(replicas, 110.0) == [1.0, 1.0, 0.0, 0.0]
-    width = estimator._batch.values.shape[1]
     repo.record_performance("r3", 80.0, 0.0, 0, now_ms=1.0)  # one atom -> four
     assert estimator.batch_probability_by(replicas, 110.0) == [1.0, 1.0, 0.0, 0.75]
-    assert estimator._batch.values.shape[1] > width
-    assert estimator.cache_info()["matrix_builds"] == 1
+    sizes = [pmf.support_size for pmf in estimator._batch.pmfs]
+    assert sizes == [1, 1, 1, 4]
+    assert estimator.cache_info()["batch_builds"] == 1
 
 
 def test_a_row_that_lost_its_history_is_read():
-    state = _BatchState(("a", "b"), 1)
+    state = _BatchState(("a", "b"))
     pmf = DiscretePMF([10.0, 20.0], [0.5, 0.5])
     state.write_row(0, pmf)
     state.write_row(1, pmf)
@@ -296,13 +296,14 @@ def test_a_row_that_lost_its_history_is_read():
     state.write_row(1, None)
     assert state.missing == {1}
     assert state.read_probabilities(15.0) == 1
+    assert state.probabilities == [0.5, None]
     assert state.read_probabilities(15.0) == 0
     state.write_row(1, pmf)
     assert state.read_probabilities(15.0) == 1
-    assert state.probabilities.tolist() == [0.5, 0.5]
+    assert state.probabilities == [0.5, 0.5]
 
 
-# -- the matrix layout: a leading zero column, NaN padding, one gather -------
+# -- the per-row read: a row's own atoms, exactly 1 past them, None without --
 
 
 def uniform(*atoms):
@@ -311,26 +312,22 @@ def uniform(*atoms):
 
 def read(state, deadline):
     state.read_probabilities(deadline)
-    return state.probabilities.tolist()
+    return list(state.probabilities)
 
 
-def test_a_row_that_shrinks_vacates_its_slots_in_place():
-    state = _BatchState(("a", "b"), 5)
-    values, cumulative = state.values, state.cumulative
+def test_a_row_that_shrinks_reads_only_its_new_atoms():
+    state = _BatchState(("a", "b"))
     state.write_row(0, uniform(1.0, 2.0, 3.0, 4.0, 5.0))
+    assert read(state, 4.5) == [pytest.approx(0.8), None]
     state.write_row(0, DiscretePMF([1.0, 2.0, 3.0], [0.25, 0.25, 0.5]))
-    assert state.values is values and state.cumulative is cumulative
-    assert state.sizes.tolist() == [3, 0]
-    assert state.values[0, :3].tolist() == [1.0, 2.0, 3.0]
-    assert np.isnan(state.values[0, 3:]).all()
     # Past the new last atom but below the old one: the old atoms are gone.
-    assert read(state, 4.5)[0] == 1.0
+    assert read(state, 4.5) == [1.0, None]
     assert read(state, 2.5)[0] == 0.5
     assert read(state, 0.5)[0] == 0.0
 
 
 def test_a_deadline_on_an_atom_counts_it_within_the_tolerance():
-    state = _BatchState(("a",), 2)
+    state = _BatchState(("a",))
     pmf = uniform(10.0, 20.0)
     state.write_row(0, pmf)
     on_atom = 10.0 - CDF_TOLERANCE
@@ -340,39 +337,34 @@ def test_a_deadline_on_an_atom_counts_it_within_the_tolerance():
 
 
 def test_a_deadline_past_every_atom_reads_exactly_one():
-    state = _BatchState(("a", "b"), 10)
+    state = _BatchState(("a", "b"))
     tenths = uniform(*[float(k) for k in range(10)])
     assert tenths.cumulative_probs()[-1] != 1.0  # the running sum falls short
     state.write_row(0, tenths)
     state.write_row(1, uniform(3.0, 4.0))
     assert read(state, 9.0) == [1.0, 1.0]
     assert read(state, 100.0) == [1.0, 1.0]
-    assert read(state, float("inf")) == [1.0, 1.0]  # the NaN padding is not reached
+    assert read(state, float("inf")) == [1.0, 1.0]
     assert read(state, 8.5) == [tenths.cdf(8.5), 1.0]
 
 
-def test_a_widening_write_pads_the_other_rows():
-    state = _BatchState(("a", "b", "c"), 2)
+def test_rows_of_any_size_read_their_own_atoms():
+    state = _BatchState(("a", "b", "c"))
     state.write_row(0, uniform(1.0, 2.0))
     state.write_row(1, uniform(1.0, 2.0, 3.0, 4.0, 5.0))
-    assert state.values.shape == (3, 5) and state.cumulative.shape == (3, 6)
-    assert np.isnan(state.values[0, 2:]).all() and np.isnan(state.values[2]).all()
-    assert read(state, 1.5) == [0.5, 0.2, 0.0]
-    assert read(state, 7.0) == [1.0, 1.0, 0.0]
-    # A write that fits the widened matrix keeps it.
-    values, cumulative = state.values, state.cumulative
+    assert read(state, 1.5) == [0.5, 0.2, None]
+    assert read(state, 7.0) == [1.0, 1.0, None]
     state.write_row(2, uniform(6.0, 7.0, 8.0, 9.0, 10.0))
-    assert state.values is values and state.cumulative is cumulative
     assert read(state, 7.0) == [1.0, 1.0, 0.4]
 
 
-def test_a_missing_row_is_all_padding_and_reads_zero():
-    state = _BatchState(("a", "b"), 3)
+def test_a_missing_row_answers_none():
+    state = _BatchState(("a", "b"))
     state.write_row(0, uniform(1.0, 2.0))
-    assert read(state, 5.0) == [1.0, 0.0]
+    assert read(state, 5.0) == [1.0, None]
     state.write_row(1, uniform(1.0, 2.0, 3.0))
+    assert read(state, 5.0) == [1.0, 1.0]
     state.write_row(1, None)
-    assert state.missing == {1} and state.sizes.tolist() == [2, 0]
-    assert np.isnan(state.values[1]).all()
-    assert read(state, 5.0) == [1.0, 0.0]
-    assert read(state, float("inf")) == [1.0, 0.0]
+    assert state.missing == {1}
+    assert read(state, 5.0) == [1.0, None]
+    assert read(state, float("inf")) == [1.0, None]
