@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
+    Iterator,
     List,
+    Mapping,
     Optional,
     Protocol,
     Sequence,
@@ -39,6 +41,7 @@ from .qos import QoSSpec
 
 __all__ = [
     "ReplicaProbability",
+    "ProbabilityRow",
     "SelectionResult",
     "select_replicas",
     "select_replicas_arrays",
@@ -102,8 +105,11 @@ class SelectionMeta(TypedDict, total=False):
     effective_deadline_ms: float
     #: Measured δ of this very decision, milliseconds.
     overhead_ms: float
-    #: Per-replica F_{R_i}(t − δ) the decision was computed from.
-    probabilities: Dict[str, float]
+    #: Per-replica F_{R_i}(t − δ) the decision was computed from (health
+    #: discount applied), in replica order: a read-only mapping that owns
+    #: its values, so no later decision or estimator write changes it
+    #: (:class:`ProbabilityRow` from the dynamic policy).
+    probabilities: Mapping[str, float]
     #: Replicas excluded from consideration by the health view.
     quarantined: Tuple[str, ...]
     #: Every replica was quarantined; traffic sent anyway (best effort).
@@ -134,6 +140,40 @@ class ReplicaProbability:
             raise ValueError(
                 f"probability must be in [0, 1], got {self.probability}"
             )
+
+
+class ProbabilityRow(Mapping[str, float]):
+    """A decision's ``F_{R_i}(t − δ)`` per replica, read as a ``dict``.
+
+    ``index`` maps a replica name to its slot; it is shared by every
+    decision :class:`DynamicSelectionPolicy` takes over the same replica
+    list.  ``probs`` is this decision's own float64 array: the policy
+    builds it fresh per decision and nothing writes it afterwards.  A read
+    gives what ``dict(zip(replicas, probs.tolist()))`` would: the same
+    floats bit for bit, in replica order, ``==`` to that dict and with its
+    ``repr`` — for 8 bytes per replica instead of a dict entry and a boxed
+    float on every kept request record.
+    """
+
+    __slots__ = ("_index", "_probs")
+
+    def __init__(
+        self, index: Dict[str, int], probs: npt.NDArray[np.float64]
+    ) -> None:
+        self._index = index
+        self._probs = probs
+
+    def __getitem__(self, name: str) -> float:
+        return self._probs.item(self._index[name])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 @dataclass(frozen=True)
@@ -422,8 +462,11 @@ class DynamicSelectionPolicy(SelectionPolicy):
         #: δ from the previous execution, milliseconds (paper measures it
         #: "each time the selection algorithm is executed").
         self.last_overhead_ms = 0.0
-        # The replica list last decided over, as the array Algorithm 1 sorts.
-        self._named: Tuple[List[str], npt.NDArray[np.str_]] = ([], np.empty(0, str))
+        # The replica list last decided over, as the array Algorithm 1
+        # sorts and as the name → slot index its ProbabilityRows share.
+        self._named: Tuple[List[str], npt.NDArray[np.str_], Dict[str, int]] = (
+            [], np.array([], dtype=str), {}
+        )
 
     def decide(self, ctx: SelectionContext) -> SelectionDecision:
         started = time.perf_counter()
@@ -492,11 +535,16 @@ class DynamicSelectionPolicy(SelectionPolicy):
         # path (that allocation dominated at fleet scale; see
         # docs/PERFORMANCE.md §6).
         if replicas != self._named[0]:
-            self._named = (replicas, np.asarray(replicas))
-        names = self._named[1]
-        probs = np.asarray(probabilities, dtype=float)
+            self._named = (
+                replicas,
+                np.asarray(replicas),
+                {name: slot for slot, name in enumerate(replicas)},
+            )
+        _, names, index = self._named
+        # A fresh array: the decision's record owns it.
+        probs = np.array(probabilities, dtype=float)
         if ctx.health is not None:
-            probs = probs * np.asarray(
+            probs *= np.asarray(
                 [ctx.health.discount(name) for name in replicas], dtype=float
             )
 
@@ -519,7 +567,7 @@ class DynamicSelectionPolicy(SelectionPolicy):
                     "full_probability": result.full_probability,
                     "effective_deadline_ms": deadline,
                     "overhead_ms": self.last_overhead_ms,
-                    "probabilities": dict(zip(replicas, probs.tolist())),
+                    "probabilities": ProbabilityRow(index, probs),
                 }
             ),
         )

@@ -12,6 +12,7 @@ timeout, shed).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Optional
 
 from ..core.selection import SelectionMeta
@@ -42,10 +43,11 @@ class AdmissionController:
         of hopelessness, shedding would be guessing.
         """
         probabilities = decision_meta.get("probabilities")
-        # The isinstance guard is redundant under the checker but kept as
-        # runtime defense: untyped callers (tests, notebooks) hand-build
-        # meta dicts.
-        if not isinstance(probabilities, dict) or not probabilities:
+        # Any mapping (the dynamic policy's is a ProbabilityRow, not a
+        # dict).  The isinstance guard is redundant under the checker but
+        # kept as runtime defense: untyped callers (tests, notebooks)
+        # hand-build meta dicts.
+        if not isinstance(probabilities, Mapping) or not probabilities:
             return None
         return max(float(p) for p in probabilities.values())
 
