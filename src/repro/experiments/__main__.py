@@ -6,7 +6,8 @@ each sweep's declared smoke grid, ``--workers N`` fans sweeps across N
 processes (tables and digests are bit-identical for any N), ``--json
 FILE`` / ``--csv DIR`` export the rows, and ``--check-digests`` compares
 every full-grid sweep digest, and the A17 campaign's, with
-``experiments_digests.json`` (an entry without its pin fails).
+``experiments_digests.json`` (an entry without its pin fails) and runs
+each sweep's own row check (A16's capacity bound).
 """
 
 from __future__ import annotations
@@ -68,7 +69,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--check-digests",
         action="store_true",
-        help=f"fail unless full-grid digests match {DIGESTS_FILE}",
+        help=(
+            f"fail unless full-grid digests match {DIGESTS_FILE} and every "
+            "sweep's row check holds"
+        ),
     )
     args, extra = parser.parse_known_args(argv)
 
@@ -92,6 +96,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         shared += ["--json", args.json]
     exported: Dict[str, dict] = {}
     mismatches: List[str] = []
+    broken: List[str] = []
     status = 0
     started_all = time.perf_counter()
     pinned = (
@@ -127,6 +132,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             mismatches.append(
                 f"{key}: digest {result.digest} != pinned {pinned.get(key)}"
             )
+        if args.check_digests and entry.check is not None:
+            broken += [f"{key}: {line}" for line in entry.check(result.rows)]
     if len(keys) > 1:
         print(
             f"\nAll experiments done in {time.perf_counter() - started_all:.1f}s."
@@ -138,7 +145,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"wrote {args.json}")
     for line in mismatches:
         print(f"DIGEST MISMATCH {line}")
-    return 1 if mismatches else status
+    for line in broken:
+        print(f"ROW CHECK FAILED {line}")
+    return 1 if mismatches or broken else status
 
 
 if __name__ == "__main__":

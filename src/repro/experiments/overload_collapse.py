@@ -24,19 +24,37 @@ stale pmfs stay optimistic during a burst and doomed requests are
 admitted.  The estimator is not the fix on its own: queue-scaling
 without the governor still falls into the select-all feedback loop and
 collapses past the knee (the confound check in the A16 tests).
+
+Every row also prints the closed-loop capacity bound: ``N`` clients
+sending ``k`` copies of ``E[S]`` ms each to ``m`` replicas, thinking
+``Z`` ms between requests, cannot see a mean response below
+``N·k·E[S]/m − Z`` (the interactive response-time law at full
+utilisation).  ``utilisation`` is measured, from the replicas' own busy
+time over the run, not taken from that formula.  A row at utilisation
+≥ 0.95 must sit within 5 % above its bound (``--check-digests`` holds
+the full grid to it).  A bound past the response timeout is
+``censored``: a timed-out request enters the mean at its timeout.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 from ..core.estimator import QueueScaledEstimator
 from ..sim.random import Exponential, Normal
 from ..workload.scenarios import ScenarioConfig
 from .harness import run_clients
-from .registry import Experiment, Table, cartesian
+from .registry import Cell, Experiment, Row, Table, cartesian, mean_rows
 
-__all__ = ["VARIANTS", "default_overload_config", "grid", "point", "EXPERIMENT"]
+__all__ = [
+    "VARIANTS",
+    "default_overload_config",
+    "grid",
+    "point",
+    "rows",
+    "bound_violations",
+    "EXPERIMENT",
+]
 
 #: Table label → whether the overload subsystem (and queue-scaled F) is on.
 VARIANTS = {"ungoverned": False, "governed": True}
@@ -45,6 +63,11 @@ DEADLINE_MS, MIN_PROBABILITY = 60.0, 0.9
 SERVICE_MEAN_MS = 8.0
 SERVICE_SIGMA_MS = 2.0
 THINK_MS = 5.0
+RESPONSE_TIMEOUT_FACTOR = 3.0
+#: A row at or above this measured utilisation is held to its bound ...
+SATURATED = 0.95
+#: ... within this factor above it.
+BOUND_SLACK = 1.05
 
 
 def default_overload_config() -> bool:
@@ -83,7 +106,7 @@ def point(params: dict, seed: int, repetition: int) -> Dict[str, float]:
             service_distribution_factory=lambda host: Normal(
                 SERVICE_MEAN_MS, SERVICE_SIGMA_MS
             ),
-            response_timeout_factor=3.0,
+            response_timeout_factor=RESPONSE_TIMEOUT_FACTOR,
             keep_samples=False,
             overload_config=governed,
         ),
@@ -104,6 +127,11 @@ def point(params: dict, seed: int, repetition: int) -> Dict[str, float]:
     sheds = sum(s.sheds for s in summaries)
     admitted = issued - sheds
     admitted_timely = sum(s.admitted - s.timing_failures for s in summaries)
+    busy_ms = sum(
+        server.busy_ms
+        for servers in scenario.replicas.values()
+        for server in servers
+    )
     return {
         "timely_fraction": admitted_timely / issued,
         "admitted_timely_fraction": admitted_timely / max(admitted, 1),
@@ -116,7 +144,40 @@ def point(params: dict, seed: int, repetition: int) -> Dict[str, float]:
             sum(s.mean_response_ms * s.admitted for s in summaries)
             / max(admitted, 1)
         ),
+        # The run ends when the last copy has been served.
+        "utilisation": busy_ms / (NUM_REPLICAS * scenario.sim.now),
     }
+
+
+def rows(cells: Sequence[Cell]) -> List[Row]:
+    """The mean rows, each with its bound ``N·k·E[S]/m − Z`` from its own
+    mean redundancy ``k`` and its response over that bound (``censored``
+    past the timeout)."""
+    table = mean_rows(cells)
+    for row in table:
+        bound = (
+            row["num_clients"] * row["mean_redundancy"] * SERVICE_MEAN_MS
+            / NUM_REPLICAS - THINK_MS
+        )
+        ratio: Union[float, str] = row["mean_response_ms"] / bound
+        if bound >= RESPONSE_TIMEOUT_FACTOR * DEADLINE_MS:
+            ratio = "censored"
+        row["bound_ms"] = bound
+        row["response_over_bound"] = ratio
+    return table
+
+
+def bound_violations(table: Sequence[Row]) -> List[str]:
+    """One line per saturated, uncensored row outside ``[1, 1.05]`` of
+    its bound."""
+    return [
+        f"{row['variant']} {row['num_clients']} clients: response / bound "
+        f"{row['response_over_bound']:.3f} at utilisation {row['utilisation']:.3f}"
+        for row in table
+        if row["utilisation"] >= SATURATED
+        and row["response_over_bound"] != "censored"
+        and not 1.0 <= row["response_over_bound"] <= BOUND_SLACK
+    ]
 
 
 EXPERIMENT = Experiment(
@@ -141,7 +202,12 @@ EXPERIMENT = Experiment(
                 ("shed", "shed_fraction"),
                 ("redundancy", "mean_redundancy"),
                 ("response ms", "mean_response_ms"),
+                ("utilisation", "utilisation"),
+                ("bound ms", "bound_ms"),
+                ("response / bound", "response_over_bound"),
             ),
         ),
     ),
+    rows=rows,
+    check=bound_violations,
 )

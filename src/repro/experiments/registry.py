@@ -112,7 +112,9 @@ class Experiment:
     rows — the mean by default; the few experiments whose table is not a
     per-point mean (a pooled calibration table, a single-run timeline)
     supply their own.  ``quick_grid``/``quick_seeds`` are the reduced
-    sweep of ``--quick`` smoke runs.
+    sweep of ``--quick`` smoke runs.  ``check``, when given, returns one
+    line per full-grid row that breaks a law the rows must obey (A16's
+    capacity bound); ``--check-digests`` fails on any.
     """
 
     key: str
@@ -124,6 +126,7 @@ class Experiment:
     quick_seeds: Tuple[int, ...]
     tables: Tuple[Table, ...]
     rows: Callable[[Sequence[Cell]], List[Row]] = mean_rows
+    check: Optional[Callable[[Sequence[Row]], List[str]]] = None
 
 
 @dataclass(frozen=True)

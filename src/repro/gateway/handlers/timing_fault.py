@@ -134,6 +134,8 @@ class TimingFaultServerHandler(ProtocolHandler):
         self._subscribers: Dict[str, None] = {}
         self._wakeup: Optional[Event] = None
         self._busy = False
+        #: Kernel time spent serving copies (demarshal, service, marshal).
+        self.busy_ms = 0.0
         self.crashed = False
         self.probes_answered = 0
         self.replies = 0
@@ -192,6 +194,7 @@ class TimingFaultServerHandler(ProtocolHandler):
                 yield self._wakeup
             message, t2 = self._queue.popleft()
             self._busy = True
+            began = self.clock.kernel_now
             t3 = self.clock.now
             queue_delay = t3 - t2  # tq
 
@@ -219,6 +222,7 @@ class TimingFaultServerHandler(ProtocolHandler):
             reply, marshal_cost = self.marshalling.marshal_reply(value, signature)
             yield self.sim.timeout(marshal_cost)
             self._busy = False
+            self.busy_ms += self.clock.kernel_now - began
 
             if self.crashed:
                 return  # crashed mid-service: the reply is lost

@@ -23,7 +23,21 @@ Where each twin's assertions live now::
     test_colocation            a12 + TestColocationShape
     test_retransmission        a13 + TestRetransmissionShape
     test_adaptation_timeline   a14 + TestAdaptationTimelineShape
+
+A16's capacity-bound columns (the formula; the ``censored`` rule is
+``tests/overload/test_acceptance_a16.py``'s) are checked on its quick
+rows; the bound itself is asserted on the full grid by
+``--check-digests`` (20 requests per client are too few for steady
+state: the quick 8-client row sits at 0.99 of its bound).
 """
+
+from repro.experiments.overload_collapse import (
+    DEADLINE_MS,
+    NUM_REPLICAS,
+    RESPONSE_TIMEOUT_FACTOR,
+    SERVICE_MEAN_MS,
+    THINK_MS,
+)
 
 BUDGET = 0.1  # the strict client's 1 − Pc
 
@@ -160,8 +174,20 @@ def a14(rows):
             assert bucket["requests"] > 0
 
 
+def a16(rows):
+    for row in rows:
+        bound = (
+            row["num_clients"] * row["mean_redundancy"] * SERVICE_MEAN_MS
+            / NUM_REPLICAS - THINK_MS
+        )
+        assert row["bound_ms"] == bound
+        assert bound < RESPONSE_TIMEOUT_FACTOR * DEADLINE_MS  # none censored
+        assert row["response_over_bound"] == row["mean_response_ms"] / bound
+        assert 0.0 < row["utilisation"] <= 1.0
+
+
 SHAPES = {
     "fig45": fig45, "factors": factors, "A1": a1, "A2": a2, "A3": a3,
     "A5": a5, "A8": a8, "A9": a9, "A10": a10, "A11": a11, "A12": a12,
-    "A13": a13, "A14": a14,
+    "A13": a13, "A14": a14, "A16": a16,
 }

@@ -103,6 +103,30 @@ def test_check_digests_names_the_offending_key(tmp_path, monkeypatch, capsys):
     assert "pinned None" in capsys.readouterr().out
 
 
+def test_check_digests_runs_each_sweep_s_row_check(tmp_path, monkeypatch, capsys):
+    import dataclasses
+
+    import repro.experiments.__main__ as command_line
+
+    monkeypatch.chdir(tmp_path)
+    experiment = load("min_response")
+    Path(DIGESTS_FILE).write_text(
+        json.dumps({"min_response": run(experiment).digest})
+    )
+    checked = dataclasses.replace(
+        experiment, check=lambda rows: [f"{len(rows)} rows out of bounds"]
+    )
+    monkeypatch.setattr(command_line, "load", lambda key: checked)
+    capsys.readouterr()
+    assert main(["min_response", "--check-digests"]) == 1
+    out = capsys.readouterr().out
+    assert "ROW CHECK FAILED min_response: " in out
+    assert "DIGEST MISMATCH" not in out
+    # Without the flag the rows are printed, not checked.
+    assert main(["min_response"]) == 0
+    assert "ROW CHECK FAILED" not in capsys.readouterr().out
+
+
 def test_check_digests_gates_the_a17_campaign(tmp_path, monkeypatch, capsys):
     # The pin is the default campaign's; a four-schedule one stands in
     # for it here, pinned in a scratch digests file.

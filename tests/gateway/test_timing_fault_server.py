@@ -57,6 +57,21 @@ def test_service_time_reported_in_perf_data(stack):
     assert services == [pytest.approx(35.0)]
 
 
+def test_busy_time_counts_serving_not_waiting(stack):
+    # Two 50 ms services, the second sent long after the first finished:
+    # the idle gap between them is not busy time.
+    server = stack.add_server("replica-1", service_time=Constant(50.0))
+    stack.add_client("client-1", deadline_ms=10_000.0)
+    stack.invoke("client-1", 1)
+    stack.sim.run()
+    once = server.busy_ms
+    assert 50.0 <= once < 51.0  # the service plus (de)marshalling
+    stack.sim.run(until=stack.sim.now + 1_000.0)
+    stack.invoke("client-1", 2)
+    stack.sim.run()
+    assert server.busy_ms == pytest.approx(2 * once)
+
+
 def test_queue_length_counts_waiting_and_in_service(stack):
     server = stack.add_server("replica-1", service_time=Constant(100.0))
     stack.add_client("client-1", deadline_ms=100_000.0)

@@ -111,3 +111,34 @@ def test_queue_scaled_estimation_alone_does_not_avert_collapse():
         f"queue scaling alone sustained timely={timely:.3f}; the A16 "
         "narrative (governor is load-bearing) no longer holds"
     )
+
+
+def _cell(variant, clients, redundancy, response_ms, utilisation):
+    params = {"variant": variant, "num_clients": clients, "num_requests": 40}
+    run = {
+        "mean_redundancy": redundancy,
+        "mean_response_ms": response_ms,
+        "utilisation": utilisation,
+    }
+    return params, [run]
+
+
+def test_the_capacity_bound_is_checked_only_where_it_binds():
+    from repro.experiments.overload_collapse import bound_violations, rows
+
+    table = rows(
+        [
+            _cell("ungoverned", 16, 5.0, 125.9, 0.99),  # bound 123: 1.024
+            _cell("ungoverned", 24, 5.0, 177.0, 0.99),  # bound 187 > 180 ms
+            _cell("governed", 8, 2.0, 40.0, 0.70),  # unsaturated: a floor only
+            _cell("governed", 16, 2.0, 60.0, 0.96),  # bound 46.2: 1.30
+            _cell("governed", 24, 2.0, 70.0, 0.95),  # bound 71.8: under it
+        ]
+    )
+    assert [row["bound_ms"] for row in table] == [123.0, 187.0, 20.6, 46.2, 71.8]
+    assert table[0]["response_over_bound"] == 125.9 / 123.0
+    assert table[1]["response_over_bound"] == "censored"
+    assert bound_violations(table) == [
+        "governed 16 clients: response / bound 1.299 at utilisation 0.960",
+        "governed 24 clients: response / bound 0.975 at utilisation 0.950",
+    ]

@@ -71,6 +71,26 @@ def test_config_validation():
     assert 0.0 <= ENGAGE_LOAD < SATURATE_LOAD
 
 
+def test_the_ladder_is_a16_s_tuning():
+    # The constants are A16's one tuning of its knee; the digests hold
+    # them, and so does this literal point on the ladder.
+    policy = GovernedSelectionPolicy(RecordingPolicy(REPLICAS), StubTracker())
+    assert policy.cap_for(1.0, 5) == 3
+    assert policy.cap_for(1.0, 0) == 0
+    assert policy.last_load == 0.0
+
+
+def test_the_floor_defaults_to_the_single_crash_guarantee():
+    class ToleranceBlind(SelectionPolicy):
+        def decide(self, ctx):
+            return SelectionDecision(selected=tuple(ctx.replicas), meta={})
+
+    policy = GovernedSelectionPolicy(ToleranceBlind(), StubTracker(load=10.0))
+    assert policy.floor_redundancy() == 2
+    decision = policy.decide(make_ctx({name: 0.5 for name in REPLICAS}))
+    assert decision.selected == tuple(REPLICAS[:2])
+
+
 def test_cap_ladder_endpoints_and_interpolation():
     policy = GovernedSelectionPolicy(RecordingPolicy(REPLICAS), StubTracker())
     midpoint = (ENGAGE_LOAD + SATURATE_LOAD) / 2

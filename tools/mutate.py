@@ -79,6 +79,7 @@ TARGETS: Dict[str, Tuple[str, ...]] = {
     ),
     "repro/core/selection.py": (
         "tests/core/test_selection.py",
+        "tests/core/test_probability_row.py",
         "tests/core/test_baselines.py",
         "tests/health/test_selection_health.py",
         "tests/properties/test_selection_properties.py",
@@ -97,6 +98,23 @@ TARGETS: Dict[str, Tuple[str, ...]] = {
         "tests/properties/test_estimator_cache_properties.py",
     ),
     "repro/health/state.py": ("tests/health/test_state_machine.py",),
+    "repro/overload/admission.py": (
+        "tests/overload/test_admission.py",
+        "tests/overload/test_handler_shed.py",
+        "tests/overload/test_acceptance_a16.py",
+    ),
+    "repro/overload/governor.py": (
+        "tests/overload/test_governor.py",
+        "tests/properties/test_governor_properties.py",
+        "tests/overload/test_handler_shed.py",
+        "tests/overload/test_acceptance_a16.py",
+    ),
+    "repro/overload/load.py": (
+        "tests/overload/test_load_tracker.py",
+        "tests/overload/test_handler_shed.py",
+        "tests/overload/test_overload_driver.py",
+        "tests/overload/test_acceptance_a16.py",
+    ),
 }
 
 #: Mutants run side by side (each is one pytest process).
