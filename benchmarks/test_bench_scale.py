@@ -6,11 +6,16 @@ on the fleet, and a nothing-changed selection grows sub-linearly with it
 (ISSUEs 14 and 24); the kernel's event queue sustains a dispatch-rate
 floor; one message through the untraced message plane stays under a
 ceiling (ISSUE 21).
+A kernel timer costs little more than a bare heap entry.
 
 These tests only assert.  ``BENCH_scale.json`` has one producer,
 ``python -m repro.experiments scale --json BENCH_scale.json``, which the
 CI job runs first and uploads.
 """
+
+import heapq
+import itertools
+import time
 
 from repro.experiments.bench_scale import (
     REPLICA_COUNTS,
@@ -39,6 +44,15 @@ CACHED_GROWTH_CEILING = 8.0
 #: developer laptop; 50k trips only on a genuine regression, not on a
 #: noisy CI runner.
 KERNEL_EVENTS_PER_SEC_FLOOR = 50_000.0
+
+#: One timer through the kernel (``call_in``, heap entry, run-loop
+#: dispatch) over one push, pop and call of a bare ``heapq`` loop running
+#: the same 512 self-rescheduling timers, both timed in one process, so
+#: host speed cancels.  Measured three times on one two-core host:
+#: 3.5-3.6 when every timer was a ``Timeout`` holding a wrapper lambda in
+#: its callback list, 2.0-2.05 with the callback itself as the heap
+#: entry's payload.
+KERNEL_OVER_BARE_HEAP_CEILING = 2.75
 
 #: Generous ceiling for one message, construction to (no-op) handler:
 #: ~5.5 us on the host that measured it, 10.4 us before ISSUE 21.  Twenty
@@ -100,4 +114,44 @@ def test_message_cost_ceiling():
     assert point.us_per_message <= MESSAGE_US_CEILING, (
         f"a message cost {point.us_per_message:.1f} us "
         f"(ceiling: {MESSAGE_US_CEILING:.0f})"
+    )
+
+
+def _bare_heap_us_per_event(pending_timers: int, target_events: int) -> float:
+    """Microseconds per dispatch of the kernel's timer pattern on a bare heap."""
+    heap, push, pop = [], heapq.heappush, heapq.heappop
+    seq = itertools.count()
+    now = 0.0
+
+    def make_timer():
+        def tick() -> None:
+            push(heap, (now + 1.0, next(seq), tick))
+
+        return tick
+
+    for index in range(pending_timers):
+        push(heap, (index / pending_timers, next(seq), make_timer()))
+    started = time.perf_counter()
+    for _ in range(target_events):
+        now, _seq, fn = pop(heap)
+        fn()
+    return (time.perf_counter() - started) * 1e6 / target_events
+
+
+def kernel_over_bare_heap(pending_timers: int = 512, target_events: int = 100_000) -> float:
+    """Kernel cost per timer over the bare-heap reference, fastest of three each."""
+    kernel_us, bare_us = [], []
+    for _ in range(3):
+        point = measure_kernel_throughput(pending_timers, target_events)
+        kernel_us.append(1e6 / point.events_per_sec)
+        bare_us.append(_bare_heap_us_per_event(pending_timers, target_events))
+    return min(kernel_us) / min(bare_us)
+
+
+def test_a_timer_costs_the_kernel_little_more_than_a_heap_entry():
+    """No Event, callback list or wrapper is built per timer."""
+    ratio = kernel_over_bare_heap()
+    assert ratio <= KERNEL_OVER_BARE_HEAP_CEILING, (
+        f"a call_in timer costs {ratio:.2f}x a bare heapq push, pop and call "
+        f"(ceiling: {KERNEL_OVER_BARE_HEAP_CEILING}x)"
     )

@@ -325,7 +325,6 @@ class TimingFaultEngine:
                 admitted.queue_length,
                 admitted.queue_delay_ms,
                 admitted.service_time_ms,
-                now,
             )
         return True
 
@@ -556,7 +555,7 @@ class TimingFaultEngine:
         self.evidence.trust_round_trip(replica, round_trip)
         self.models.record_probe(replica, round_trip, queue_length, self.port.now)
         if self.load_tracker is not None and replica in self.models.members:
-            self.load_tracker.observe_probe(replica, queue_length, self.port.now)
+            self.load_tracker.observe_probe(replica, queue_length)
         if self.health is not None:
             self.health.record_probe_success(replica, self.port.now)
 

@@ -30,7 +30,6 @@ from typing import (
     Callable,
     Deque,
     Dict,
-    Generator,
     List,
     Mapping,
     Optional,
@@ -132,14 +131,21 @@ class TimingFaultServerHandler(ProtocolHandler):
         # Insertion-ordered (a dict used as a set): pushes go out in
         # subscription-arrival order, never in str-hash order.
         self._subscribers: Dict[str, None] = {}
-        self._wakeup: Optional[Event] = None
+        # A copy is dequeued and not yet replied to (counts in the queue).
         self._busy = False
+        # The service chain is live: a wake-up or a copy's step is on the
+        # kernel heap.  A request arriving meanwhile only joins the queue.
+        self._running = False
+        # Between the servant's begin_service and end_service.
+        self._in_service = False
+        # Bumped by every crash: a step of an earlier incarnation that is
+        # still on the kernel heap sees another number and does nothing.
+        self._incarnation = 0
         #: Kernel time spent serving copies (demarshal, service, marshal).
         self.busy_ms = 0.0
         self.crashed = False
         self.probes_answered = 0
         self.replies = 0
-        self._process = sim.spawn(self._run(), name=f"server.{self.host}")
 
     # -- inspection ------------------------------------------------------------
     @property
@@ -162,11 +168,19 @@ class TimingFaultServerHandler(ProtocolHandler):
         if message.kind == MSG_PROBE:
             self._answer_probe(message)
             return
-        # MSG_REQUEST: record the enqueue time t2 and wake the consumer.
+        # MSG_REQUEST: record the enqueue time t2 and, when the server is
+        # idle, wake it at this instant, behind what is already due now.
         t2 = self.clock.now
         self._queue.append((message, t2))
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed(None)
+        if not self._running:
+            self._running = True
+            incarnation = self._incarnation
+
+            def wake() -> None:
+                if incarnation == self._incarnation:
+                    self._serve_head()
+
+            self.sim.call_in(0.0, wake)
 
     def _answer_probe(self, message: Message) -> None:
         """Reply to a gateway-level probe, bypassing the FIFO queue."""
@@ -186,22 +200,33 @@ class TimingFaultServerHandler(ProtocolHandler):
             )
         )
 
-    # -- the FIFO service loop ---------------------------------------------------
-    def _run(self) -> Generator[Event, Any, None]:
-        while True:
-            while not self._queue:
-                self._wakeup = self.sim.event()
-                yield self._wakeup
-            message, t2 = self._queue.popleft()
-            self._busy = True
-            began = self.clock.kernel_now
-            t3 = self.clock.now
-            queue_delay = t3 - t2  # tq
+    # -- the FIFO service chain --------------------------------------------------
+    def _serve_head(self) -> None:
+        """Dequeue the head copy at ``t3`` and serve it as a chain of steps.
 
-            call = message.payload["call"]
-            request, demarshal_cost = self.marshalling.demarshal_request(call)
-            yield self.sim.timeout(demarshal_cost)
+        Demarshal, service and marshal each take kernel time: each ends in
+        a ``call_in`` step, and the last one replies and starts the next
+        queued copy at the same instant.  Every step checks that its
+        incarnation is still the live one first: a crash leaves the
+        pending step on the heap, where it fires and does nothing.
+        """
+        message, t2 = self._queue.popleft()
+        self._busy = True
+        began = self.clock.kernel_now
+        t3 = self.clock.now
+        request, demarshal_cost = self.marshalling.demarshal_request(
+            message.payload["call"]
+        )
+        incarnation = self._incarnation
+        duration: float
+        service_started: float
+        service_time: float
+        reply: MarshalledReply
 
+        def demarshalled() -> None:
+            nonlocal service_started, duration
+            if incarnation != self._incarnation:
+                return
             # The load profile is a physical process: it follows the
             # kernel clock, not this host's (possibly faulty) view of it.
             duration = self.app.service_duration(
@@ -209,26 +234,35 @@ class TimingFaultServerHandler(ProtocolHandler):
             )
             service_started = self.clock.now
             self.app.begin_service()
-            try:
-                yield self.sim.timeout(duration)
-                value = self.app.execute(request)
-            finally:
-                self.app.end_service()
+            self._in_service = True
+            self.sim.call_in(duration, serviced)
+
+        def serviced() -> None:
+            nonlocal service_time, reply
+            if incarnation != self._incarnation:
+                return
+            self._in_service = False
+            value = self.app.execute(request)
+            self.app.end_service()
             # ts (Stage 4 only), *measured on this host's clock*: exact
             # on a healthy clock, corrupted by drift/step/freeze faults.
             service_time = self.clock.elapsed_since(service_started, duration)
-
             signature = self.app.servant.interface.method(request.method)
             reply, marshal_cost = self.marshalling.marshal_reply(value, signature)
-            yield self.sim.timeout(marshal_cost)
+            self.sim.call_in(marshal_cost, marshalled)
+
+        def marshalled() -> None:
+            if incarnation != self._incarnation:
+                return
             self._busy = False
             self.busy_ms += self.clock.kernel_now - began
+            self._send_reply(message, request, reply, service_time, t3 - t2, t2)
+            if self._queue:
+                self._serve_head()
+            else:
+                self._running = False
 
-            if self.crashed:
-                return  # crashed mid-service: the reply is lost
-            self._send_reply(
-                message, request, reply, service_time, queue_delay, t2
-            )
+        self.sim.call_in(demarshal_cost, demarshalled)
 
     def _send_reply(
         self,
@@ -283,24 +317,21 @@ class TimingFaultServerHandler(ProtocolHandler):
 
     # -- fault lifecycle ---------------------------------------------------------
     def crash(self) -> None:
-        """Fail-stop: drop queued work and halt the service loop."""
+        """Fail-stop: drop queued work and end this incarnation's chain."""
         if self.crashed:
             return
         self.crashed = True
         self._queue.clear()
         self._busy = False
-        if self._process.alive:
-            self._process.interrupt("crash")
+        self._running = False
+        self._incarnation += 1
+        if self._in_service:  # the copy is cut off: the servant stops now
+            self._in_service = False
+            self.app.end_service()
 
     def restart(self) -> None:
         """Come back after a crash with an empty queue (new incarnation)."""
-        if not self.crashed:
-            return
         self.crashed = False
-        self._queue.clear()
-        self._busy = False
-        self._wakeup = None
-        self._process = self.sim.spawn(self._run(), name=f"server.{self.host}")
 
     # -- lifecycle invariants ------------------------------------------------
     def lifecycle_leaks(self) -> Dict[str, List[Any]]:

@@ -41,7 +41,7 @@ class LoadTracker:
     """Folds reply-borne queue evidence into a load index.
 
     The tracker is passive like the health monitor: the handler feeds it
-    observations with explicit timestamps and it never schedules events.
+    observations and it never schedules events or reads a clock.
     ``inflight_provider`` (set by the owning handler) reports the number
     of request copies currently awaiting a reply, so the index reflects
     work this gateway has committed but the replicas have not yet
@@ -54,7 +54,6 @@ class LoadTracker:
         self.inflight_provider = inflight_provider
         # replica -> EWMA of the implied queue depth.
         self._depth_ewma: Dict[str, float] = {}
-        self._last_update_ms: Dict[str, float] = {}
         self.observations = 0
 
     # -- feeding -------------------------------------------------------------
@@ -64,7 +63,6 @@ class LoadTracker:
         queue_length: int,
         queue_delay_ms: float = 0.0,
         service_time_ms: float = 0.0,
-        now_ms: float = 0.0,
     ) -> None:
         """Fold one performance update (reply or push) into the index.
 
@@ -76,15 +74,13 @@ class LoadTracker:
         implied = float(queue_length)
         if service_time_ms > 0.0 and queue_delay_ms > 0.0:
             implied = max(implied, queue_delay_ms / service_time_ms)
-        self._fold(replica, implied, now_ms)
+        self._fold(replica, implied)
 
-    def observe_probe(
-        self, replica: str, queue_length: int, now_ms: float
-    ) -> None:
+    def observe_probe(self, replica: str, queue_length: int) -> None:
         """Fold a gateway probe's sampled queue depth into the index."""
-        self._fold(replica, float(queue_length), now_ms)
+        self._fold(replica, float(queue_length))
 
-    def _fold(self, replica: str, implied_depth: float, now_ms: float) -> None:
+    def _fold(self, replica: str, implied_depth: float) -> None:
         if implied_depth < 0:
             raise ValueError(
                 f"implied depth must be >= 0, got {implied_depth}"
@@ -97,7 +93,6 @@ class LoadTracker:
             self._depth_ewma[replica] = (
                 alpha * implied_depth + (1.0 - alpha) * previous
             )
-        self._last_update_ms[replica] = float(now_ms)
         self.observations += 1
 
     def sync_members(self, members: Iterable[str]) -> None:
@@ -106,7 +101,6 @@ class LoadTracker:
         for name in list(self._depth_ewma):
             if name not in members:
                 del self._depth_ewma[name]
-                self._last_update_ms.pop(name, None)
 
     # -- the index -----------------------------------------------------------
     def replica_load(self, replica: str) -> float:

@@ -5,9 +5,11 @@ events by yielding them; the kernel resumes every waiter when the event is
 triggered.  Events may *succeed* (carrying a value) or *fail* (carrying an
 exception), mirroring the familiar future/promise contract.
 
-The kernel schedules :class:`Event` objects on its heap; everything that
-"happens" in the simulation ultimately reduces to an event callback firing
-at a simulated instant.
+A triggered event puts its bound ``_run_callbacks`` on the kernel's heap;
+a fire-and-forget timer (``Simulator.call_in`` and friends) puts its
+callback there directly, with no event around it.  Everything that
+"happens" in the simulation reduces to one such call at a simulated
+instant.
 """
 
 from __future__ import annotations

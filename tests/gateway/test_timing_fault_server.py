@@ -75,6 +75,7 @@ def test_busy_time_counts_serving_not_waiting(stack):
 def test_queue_length_counts_waiting_and_in_service(stack):
     server = stack.add_server("replica-1", service_time=Constant(100.0))
     stack.add_client("client-1", deadline_ms=100_000.0)
+    assert server.queue_length == 0
     for i in range(3):
         stack.invoke("client-1", i)
     stack.sim.run(until=30.0)  # all three arrived; one in service
@@ -130,6 +131,35 @@ def test_restart_after_crash_processes_again(stack):
     event = stack.invoke("client-1", 5)
     stack.sim.run()
     assert event.value.value == 5
+
+
+def test_lifecycle_leaks_name_queued_and_in_service_work(stack):
+    server = stack.add_server("replica-1", service_time=Constant(100.0))
+    stack.add_client("client-1", deadline_ms=100_000.0)
+    stack.invoke("client-1", 1)
+    second = stack.invoke("client-1", 2)
+    stack.sim.run(until=30.0)  # one in service, one waiting
+    leaks = server.lifecycle_leaks()
+    assert leaks["busy"] == ["replica-1"]
+    assert len(leaks["queued_requests"]) == 1
+    stack.sim.run()
+    assert second.value.value == 2 and server.lifecycle_leaks() == {}
+    stack.invoke("client-1", 3)
+    stack.sim.run(until=stack.sim.now + 30.0)
+    server.crash()  # a crashed incarnation holds no live obligations
+    assert server.lifecycle_leaks() == {}
+
+
+def test_restarting_a_live_server_keeps_its_work(stack):
+    server = stack.add_server("replica-1", service_time=Constant(50.0))
+    stack.add_client("client-1", deadline_ms=100_000.0)
+    first, second = stack.invoke("client-1", 1), stack.invoke("client-1", 2)
+    stack.sim.run(until=30.0)
+    server.restart()  # not crashed: nothing to do
+    assert server.queue_length == 2
+    stack.sim.run()
+    assert (first.value.value, second.value.value) == (1, 2)
+    assert server.replies == 2
 
 
 def test_crash_and_restart_are_idempotent(stack):

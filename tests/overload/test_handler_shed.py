@@ -16,7 +16,7 @@ REPLICAS = ["s-1", "s-2", "s-3"]
 def saturate(stack: FaultStack) -> None:
     """Every replica probes at a queue of 9: the load index passes the shed load."""
     for host in REPLICAS:
-        stack.clients["c-1"].load_tracker.observe_probe(host, 9, stack.sim.now)
+        stack.clients["c-1"].load_tracker.observe_probe(host, 9)
 
 
 def make_stack(**client_kwargs) -> FaultStack:

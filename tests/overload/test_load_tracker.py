@@ -23,9 +23,9 @@ def test_unseen_replica_and_empty_pool_read_idle():
 
 def test_reply_folds_ewma_of_the_implied_depth():
     tracker = LoadTracker()
-    tracker.observe_reply("s-1", queue_length=6, now_ms=1.0)
+    tracker.observe_reply("s-1", queue_length=6)
     assert tracker.replica_load("s-1") == pytest.approx(6 / TARGET_QUEUE_DEPTH)
-    tracker.observe_reply("s-1", queue_length=0, now_ms=2.0)
+    tracker.observe_reply("s-1", queue_length=0)
     # EWMA: alpha * 0 + (1 - alpha) * 6, over the target depth.
     assert tracker.replica_load("s-1") == pytest.approx(
         (1 - EWMA_ALPHA) * 6 / TARGET_QUEUE_DEPTH
@@ -49,7 +49,7 @@ def test_implied_depth_is_max_of_queue_length_and_tq_over_ts():
 
 def test_probe_observation_feeds_the_same_index():
     tracker = LoadTracker()
-    tracker.observe_probe("s-1", queue_length=8, now_ms=10.0)
+    tracker.observe_probe("s-1", queue_length=8)
     assert tracker.replica_load("s-1") == pytest.approx(8 / TARGET_QUEUE_DEPTH)
 
 

@@ -1,8 +1,10 @@
 """Unit tests for the simulation kernel (clock, heap, daemon events)."""
 
+import math
+
 import pytest
 
-from repro.sim.events import SimulationError, Timeout
+from repro.sim.events import SimulationError
 from repro.sim.kernel import Simulator
 
 
@@ -115,19 +117,20 @@ class TestDaemonEvents:
 
 
 class TestCallHelpers:
-    def test_call_in_returns_a_timeout_that_fires_its_callback_once(self, sim):
+    def test_call_in_fires_its_callback_once_and_returns_none(self, sim):
         fired = []
-        event = sim.call_in(2.5, lambda: fired.append(sim.now))
-        assert type(event) is Timeout
-        assert (event.delay, event.triggered, event.processed) == (2.5, True, False)
-        assert sim.pending_live == 1
+
+        def callback():
+            fired.append(sim.now)
+
+        assert sim.call_in(2.5, callback) is None
+        # The heap entry's payload is the callback itself, not an Event.
+        assert [entry[3] for entry in sim._queue._heap] == [callback]
+        assert sim.pending_live == 1 and sim.peek() == 2.5
         sim.run()
         assert fired == [2.5]
-        assert event.processed and event.ok and event.value is None
-        assert event.callbacks == [] and sim.pending_live == 0
-        late = []
-        event.add_callback(late.append)  # already fired: runs at once
-        assert late == [event]
+        assert sim.pending_live == 0 and sim.processed_events == 1
+        assert sim.peek() == float("inf")
 
     def test_call_in_negative_delay_raises(self, sim):
         with pytest.raises(ValueError):
@@ -223,10 +226,46 @@ class TestCallHelpers:
     def test_run_until_event_without_source_raises(self, sim):
         event = sim.event()  # never triggered
         sim.timeout(1.0)
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="ended before"):
             sim.run_until_event(event)
 
     def test_run_until_event_respects_limit(self, sim):
         event = sim.timeout(100.0)
         with pytest.raises(SimulationError):
             sim.run_until_event(event, limit=10.0)
+
+    def test_run_until_event_fires_an_event_due_exactly_at_the_limit(self, sim):
+        event = sim.timeout(10.0, "on time")
+        assert sim.run_until_event(event, limit=10.0) == "on time"
+
+
+class TestBoundaries:
+    def test_step_counts_the_entry_and_its_liveness(self, sim):
+        sim.call_in(1.0, lambda: None)
+        sim.call_in(2.0, lambda: None, daemon=True)
+        sim.step()
+        assert (sim.now, sim.processed_events, sim.pending_live) == (1.0, 1, 0)
+        sim.step()
+        assert (sim.now, sim.processed_events, sim.pending_live) == (2.0, 2, 0)
+
+    def test_the_present_instant_is_schedulable(self, sim):
+        seen = []
+        sim.call_at(0.0, lambda: seen.append("at"))
+        sim.call_at_exact(0.0, lambda: seen.append("exact"))
+        sim.run(until=0.0)  # a horizon at now is not in the past
+        assert seen == ["at", "exact"] and sim.now == 0.0
+
+    def test_an_entry_due_at_the_horizon_fires(self, sim):
+        seen = []
+        sim.call_in(10.0, lambda: seen.append(sim.now))
+        sim.run(until=10.0)
+        assert seen == [10.0]
+
+    def test_the_clock_never_reads_negative_zero(self, sim):
+        sim.call_at_exact(-0.0, lambda: None)
+        sim.run()
+        assert math.copysign(1.0, sim.now) == 1.0
+
+    def test_repr_names_the_clock_and_the_counts(self, sim):
+        sim.call_in(1.0, lambda: None)
+        assert repr(sim) == "<Simulator now=0.000ms pending=1 processed=0>"

@@ -115,6 +115,23 @@ TARGETS: Dict[str, Tuple[str, ...]] = {
         "tests/overload/test_overload_driver.py",
         "tests/overload/test_acceptance_a16.py",
     ),
+    "repro/sim/kernel.py": (
+        "tests/sim/test_kernel.py",
+        "tests/sim/test_timer_entries.py",
+        "tests/sim/test_event_queue.py",
+        "tests/sim/test_events.py",
+        "tests/sim/test_process.py",
+        "tests/net/test_transport.py",
+    ),
+    "repro/gateway/handlers/timing_fault.py": (
+        "tests/gateway/test_timing_fault_server.py",
+        "tests/faults/test_crash_restart.py",
+        "tests/gateway/test_timing_fault_client.py",
+        "tests/gateway/test_extensions.py",
+        "tests/gateway/test_retransmit.py",
+        "tests/gateway/test_probe_staleness.py",
+        "tests/gateway/test_outcome_record.py",
+    ),
 }
 
 #: Mutants run side by side (each is one pytest process).
