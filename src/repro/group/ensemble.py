@@ -135,6 +135,6 @@ class GroupCommunication:
 
     def __repr__(self) -> str:
         return (
-            f"<GroupCommunication groups={len(self.membership.group_names())} "
+            f"<GroupCommunication groups={len(self.membership._groups)} "
             f"notify_delay={self.notify_delay_ms}ms>"
         )

@@ -2,20 +2,19 @@
 
 Replicas offering the same service, and the clients talking to them, join
 a named *group*.  Membership is versioned into :class:`GroupView` objects;
-every change (join, leave, crash eviction) installs a new view and notifies
-listeners — the contract AQuA inherits from Maestro/Ensemble and that the
-timing fault handler relies on to purge crashed replicas from its
-information repository (paper §5.4).
+every change (join, leave, crash eviction) installs a new view, which
+:class:`~repro.group.ensemble.GroupCommunication` announces to the members
+— the contract AQuA inherits from Maestro/Ensemble and that the timing
+fault handler relies on to purge crashed replicas from its information
+repository (paper §5.4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["GroupView", "Group", "MembershipService", "MembershipError"]
-
-ViewListener = Callable[["GroupView", "GroupView"], None]
 
 
 class MembershipError(Exception):
@@ -48,14 +47,12 @@ class GroupView:
 
 
 class Group:
-    """One named group and its view history."""
+    """One named group and its current view."""
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._members: List[str] = []
         self._view_id = 0
-        self._listeners: List[ViewListener] = []
-        self._history: List[GroupView] = [self.view()]
 
     # -- views ------------------------------------------------------------
     def view(self) -> GroupView:
@@ -63,10 +60,6 @@ class Group:
         return GroupView(
             group=self.name, view_id=self._view_id, members=tuple(self._members)
         )
-
-    def history(self) -> List[GroupView]:
-        """All installed views, oldest first."""
-        return list(self._history)
 
     @property
     def members(self) -> List[str]:
@@ -100,26 +93,9 @@ class Group:
         return self.leave(member)
 
     def _install(self, members: List[str]) -> GroupView:
-        old_view = self.view()
         self._members = members
         self._view_id += 1
-        new_view = self.view()
-        self._history.append(new_view)
-        for listener in list(self._listeners):
-            listener(old_view, new_view)
-        return new_view
-
-    # -- notification --------------------------------------------------------
-    def subscribe(self, listener: ViewListener) -> None:
-        """Call ``listener(old_view, new_view)`` on every future change."""
-        self._listeners.append(listener)
-
-    def unsubscribe(self, listener: ViewListener) -> None:
-        """Remove a previously subscribed listener (idempotent)."""
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            pass
+        return self.view()
 
     def __repr__(self) -> str:
         return (
@@ -168,10 +144,6 @@ class MembershipService:
             if view is not None:
                 views.append(view)
         return views
-
-    def group_names(self) -> List[str]:
-        """Sorted names of all groups."""
-        return sorted(self._groups)
 
     def __repr__(self) -> str:
         return f"<MembershipService groups={len(self._groups)}>"

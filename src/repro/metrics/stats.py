@@ -79,31 +79,6 @@ class RunningStats:
         """Sample standard deviation."""
         return math.sqrt(self.variance)
 
-    def merge(self, other: "RunningStats") -> "RunningStats":
-        """Combine two independent statistics (Chan et al. parallel merge)."""
-        merged = RunningStats()
-        if self.count == 0:
-            merged.count = other.count
-            merged._mean = other._mean
-            merged._m2 = other._m2
-        elif other.count == 0:
-            merged.count = self.count
-            merged._mean = self._mean
-            merged._m2 = self._m2
-        else:
-            total = self.count + other.count
-            delta = other._mean - self._mean
-            merged.count = total
-            merged._mean = self._mean + delta * other.count / total
-            merged._m2 = (
-                self._m2
-                + other._m2
-                + delta * delta * self.count * other.count / total
-            )
-        merged.minimum = min(self.minimum, other.minimum)
-        merged.maximum = max(self.maximum, other.maximum)
-        return merged
-
     def __repr__(self) -> str:
         return (
             f"<RunningStats n={self.count} mean={self.mean:.4g} "

@@ -222,25 +222,6 @@ class Simulator:
         if until is not None:
             self._now = until
 
-    def run_until_event(self, event: Event, limit: Optional[float] = None) -> Any:
-        """Run until ``event`` has been processed; return its value.
-
-        Raises the event's exception if it failed, and
-        :class:`SimulationError` if the queue drains (or ``limit`` is hit)
-        before the event fires.
-        """
-        while not event.processed:
-            if not self._queue:
-                raise SimulationError("simulation ended before event fired")
-            if limit is not None and self.peek() > limit:
-                raise SimulationError(
-                    f"event did not fire before limit {limit} ms"
-                )
-            self.step()
-        if not event.ok:
-            raise event.value
-        return event.value
-
     def __repr__(self) -> str:
         return (
             f"<Simulator now={self._now:.3f}ms "

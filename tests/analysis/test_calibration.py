@@ -1,5 +1,7 @@
 """Tests for the calibration analysis."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.calibration import (
@@ -66,6 +68,23 @@ class TestCalibrationTable:
     def test_bucket_validation(self):
         with pytest.raises(ValueError):
             bucket_pairs([], num_buckets=0)
+        (whole,) = bucket_pairs([(0.5, True)], num_buckets=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            whole.count = 2
+
+    def test_a_bucket_holds_its_low_edge_and_not_its_high_one(self):
+        pairs = [(0.25, True), (0.375, False), (0.5, False)]
+        rows = [
+            (b.low, b.count, b.mean_predicted, b.observed_timely, b.overconfidence)
+            for b in bucket_pairs(pairs, num_buckets=4)
+        ]
+        assert rows == [(0.25, 2, 0.3125, 0.5, -0.1875), (0.5, 1, 0.5, 0.0, 0.5)]
+        assert bucket_pairs([(0.95, True)])[0].low == pytest.approx(0.9)  # ten by default
+
+    def test_an_outcome_without_a_bootstrap_flag_is_model_backed(self):
+        outcome = _outcome(0.5, True)
+        del outcome.decision_meta["bootstrap"]
+        assert prediction_pairs([outcome]) == [(0.5, True)]
 
 
 class TestBrierScore:

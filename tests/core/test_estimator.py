@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.estimator import QueueScaledEstimator, ResponseTimeEstimator
 from repro.core.repository import InformationRepository
@@ -153,6 +155,33 @@ def test_invalidate_clears_memo(repo):
     second = estimator.response_time_pmf("r1")
     assert second is not first
     assert second.allclose(first)
+
+
+@given(
+    st.lists(
+        st.floats(min_value=0.0, max_value=300.0, allow_nan=False),
+        min_size=1,
+        max_size=8,
+    )
+)
+@settings(max_examples=40)
+def test_version_bump_always_invalidates(extra_samples):
+    """Every push moves the window version and replaces the stored pmf."""
+    repo = InformationRepository(window_size=3)
+    repo.record_performance("r1", 100.0, 5.0, 1, now_ms=0.0)
+    repo.record_gateway_delay("r1", 3.0, now_ms=0.0)
+    estimator = ResponseTimeEstimator(repo)
+    previous = estimator.response_time_pmf("r1")
+    record = repo.record("r1")
+    for step, sample in enumerate(extra_samples):
+        version_before = (record.service_times.version, record.queue_delays.version)
+        repo.record_performance("r1", sample, sample / 2.0, 0, now_ms=float(step))
+        version_after = (record.service_times.version, record.queue_delays.version)
+        assert version_after > version_before  # push bumps the version
+        current = estimator.response_time_pmf("r1")
+        assert current is not previous  # the entry was re-derived
+        assert spec.agrees(current, spec.response_time(record))
+        previous = current
 
 
 def test_expected_response_time(repo):

@@ -1,8 +1,10 @@
 """Unit tests for the per-replica health state machine (no simulator)."""
 
+import dataclasses
+
 import pytest
 
-from repro.health import HealthConfig, HealthMonitor, HealthState
+from repro.health import HealthConfig, HealthEvent, HealthMonitor, HealthState
 
 
 def make_monitor(**overrides) -> HealthMonitor:
@@ -55,6 +57,19 @@ class TestSuspicionAndQuarantine:
         monitor.record_success("r-1", 40.0)
         assert monitor.state("r-1") is HealthState.HEALTHY
 
+    def test_a_suspected_replica_that_answered_once_needs_three_more_faults(self):
+        # SUSPECT_AFTER + QUARANTINE_AFTER = 3 consecutive faults: one
+        # success resets the streak without re-admitting the replica.
+        monitor = make_monitor()
+        monitor.record_fault("r-1", 10.0)
+        monitor.record_fault("r-1", 20.0)
+        monitor.record_success("r-1", 30.0)
+        monitor.record_fault("r-1", 40.0)
+        monitor.record_fault("r-1", 50.0)
+        assert monitor.state("r-1") is HealthState.SUSPECTED
+        monitor.record_fault("r-1", 60.0)
+        assert monitor.state("r-1") is HealthState.QUARANTINED
+
     def test_crash_declaration_quarantines_immediately(self):
         monitor = make_monitor()
         monitor.record_crash("r-2", 50.0)
@@ -97,6 +112,7 @@ class TestProbeEvidence:
         assert monitor.state("r-1") is HealthState.QUARANTINED
         monitor.record_probe_success("r-1", 200.0)
         assert monitor.state("r-1") is HealthState.PROBATION
+        assert monitor.discount("r-1") == pytest.approx(0.7)
         # PROBATION_AFTER is 2; the admitting probe already counted once.
         monitor.record_probe_success("r-1", 300.0)
         assert monitor.state("r-1") is HealthState.HEALTHY
@@ -246,8 +262,47 @@ class TestClockAnomalies:
         assert record.faults_total == 1
         assert record.consecutive_successes == 0
 
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             HealthConfig(clock_anomaly_after=0)
         with pytest.raises(ValueError):
             HealthConfig(clock_deflation_factor=0.5)
+
+
+class TestConfig:
+    def test_defaults(self):
+        config = HealthConfig()
+        assert dataclasses.astuple(config) == (1000.0, 0.99, None, None, 6.0)
+        assert config.backoff_max_ms == 8000.0
+
+    @pytest.mark.parametrize(
+        "field, value, accepted",
+        [
+            ("backoff_initial_ms", 0.0, False),
+            ("backoff_initial_ms", 0.5, True),
+            ("adaptive_timeout_quantile", 0.0, False),
+            ("adaptive_timeout_quantile", 0.5, True),
+            ("adaptive_timeout_quantile", 1.0, True),
+            ("adaptive_timeout_quantile", 1.0 + 1e-9, False),
+            ("adaptive_timeout_quantile", None, True),
+            ("unreachable_after", 0, False),
+            ("unreachable_after", 1, True),
+            ("clock_anomaly_after", 0, False),
+            ("clock_anomaly_after", 1, True),
+            ("clock_deflation_factor", 1.0 - 1e-9, False),
+            ("clock_deflation_factor", 1.0, True),
+        ],
+    )
+    def test_each_bound_accepts_and_refuses(self, field, value, accepted):
+        if accepted:
+            assert getattr(HealthConfig(**{field: value}), field) == value
+        else:
+            with pytest.raises(ValueError, match=field):
+                HealthConfig(**{field: value})
+
+    def test_config_and_events_are_frozen(self):
+        event = HealthEvent("r-1", HealthState.HEALTHY, HealthState.SUSPECTED, 1.0, "timing")
+        for frozen, field in ((HealthConfig(), "backoff_initial_ms"), (event, "at_ms")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(frozen, field, 2.0)

@@ -35,24 +35,6 @@ class TestRunningStats:
         assert stats.variance == 0.0
         assert stats.stdev == 0.0
 
-    def test_merge_equals_concatenation(self):
-        a_vals = [1.0, 2.0, 3.0]
-        b_vals = [10.0, 20.0]
-        a, b = RunningStats(), RunningStats()
-        a.extend(a_vals)
-        b.extend(b_vals)
-        merged = a.merge(b)
-        assert merged.count == 5
-        assert merged.mean == pytest.approx(np.mean(a_vals + b_vals))
-        assert merged.variance == pytest.approx(np.var(a_vals + b_vals, ddof=1))
-
-    def test_merge_with_empty(self):
-        a = RunningStats()
-        a.extend([1.0, 2.0])
-        merged = a.merge(RunningStats())
-        assert merged.count == 2
-        assert merged.mean == 1.5
-
 
 class TestSummarize:
     def test_rejects_empty(self):

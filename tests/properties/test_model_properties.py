@@ -67,28 +67,3 @@ def test_running_stats_matches_batch(values):
     assert math.isclose(stats.mean, mean, rel_tol=1e-9, abs_tol=1e-6)
     assert stats.minimum == min(values)
     assert stats.maximum == max(values)
-
-
-@given(
-    st.lists(
-        st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
-        min_size=1,
-        max_size=30,
-    ),
-    st.lists(
-        st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
-        min_size=1,
-        max_size=30,
-    ),
-)
-def test_running_stats_merge_equals_concat(a_values, b_values):
-    a, b, combined = RunningStats(), RunningStats(), RunningStats()
-    a.extend(a_values)
-    b.extend(b_values)
-    combined.extend(a_values + b_values)
-    merged = a.merge(b)
-    assert merged.count == combined.count
-    assert math.isclose(merged.mean, combined.mean, rel_tol=1e-9, abs_tol=1e-9)
-    assert math.isclose(
-        merged.variance, combined.variance, rel_tol=1e-6, abs_tol=1e-6
-    )

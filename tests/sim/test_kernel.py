@@ -212,41 +212,16 @@ class TestCallHelpers:
         assert seen == [20.0, 50.0]
         assert sim.pending_live == 0
 
-    def test_run_until_event_returns_value(self, sim):
-        event = sim.timeout(3.0, "payload")
-        sim.timeout(100.0)  # later noise
-        assert sim.run_until_event(event) == "payload"
-        assert sim.now == 3.0
-
-    def test_run_until_event_raises_event_exception(self, sim):
-        event = sim.event().fail(ValueError("bad"), delay=1.0)
-        with pytest.raises(ValueError):
-            sim.run_until_event(event)
-
-    def test_run_until_event_without_source_raises(self, sim):
-        event = sim.event()  # never triggered
-        sim.timeout(1.0)
-        with pytest.raises(SimulationError, match="ended before"):
-            sim.run_until_event(event)
-
-    def test_run_until_event_respects_limit(self, sim):
-        event = sim.timeout(100.0)
-        with pytest.raises(SimulationError):
-            sim.run_until_event(event, limit=10.0)
-
-    def test_run_until_event_fires_an_event_due_exactly_at_the_limit(self, sim):
-        event = sim.timeout(10.0, "on time")
-        assert sim.run_until_event(event, limit=10.0) == "on time"
-
 
 class TestBoundaries:
     def test_step_counts_the_entry_and_its_liveness(self, sim):
-        sim.call_in(1.0, lambda: None)
-        sim.call_in(2.0, lambda: None, daemon=True)
+        seen = []
+        sim.call_in(1.0, lambda: seen.append(1))
+        sim.call_in(2.0, lambda: seen.append(2), daemon=True)
         sim.step()
-        assert (sim.now, sim.processed_events, sim.pending_live) == (1.0, 1, 0)
+        assert (sim.now, sim.processed_events, sim.pending_live, seen) == (1.0, 1, 0, [1])
         sim.step()
-        assert (sim.now, sim.processed_events, sim.pending_live) == (2.0, 2, 0)
+        assert (sim.now, sim.processed_events, sim.pending_live, seen) == (2.0, 2, 0, [1, 2])
 
     def test_the_present_instant_is_schedulable(self, sim):
         seen = []

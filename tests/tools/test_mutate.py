@@ -4,7 +4,8 @@
 ``scale(3) == 3``: flipping ``1 -> 0`` and deleting the ``return`` are
 killed, ``* -> /`` is an equivalent mutant the check must miss.
 ``mutation_fixture/src/shapes.py`` holds the class bodies whose bare
-annotations are, and are not, mutation sites.
+annotations are, and are not, mutation sites.  The last test holds
+``TARGETS`` to the tree and to the committed ``BENCH_mutation.json``.
 """
 
 from __future__ import annotations
@@ -142,3 +143,17 @@ def test_a_run_with_a_survivor_the_file_does_not_list_fails(
     written = json.loads(committed.read_text())["modules"]["toy.py"]
     assert written["survivors"][0]["source"] == "return x * 1"
     assert mutate.main() == 0  # the file just written lists the survivor
+
+
+# -- the committed run's owners are real ----------------------------------------
+
+
+def test_every_target_and_owner_exists_and_is_the_committed_runs():
+    """A deleted or renamed owner fails here, not as "fail unmutated" in a
+    nightly run; a renamed suite cannot leave the ratchet file stale."""
+    committed = json.loads((mutate.ROOT / mutate.OUTPUT).read_text())["modules"]
+    assert sorted(committed) == sorted(mutate.TARGETS)
+    for module, tests in mutate.TARGETS.items():
+        assert (mutate.ROOT / "src" / module).is_file(), module
+        assert [t for t in tests if not (mutate.ROOT / t).is_file()] == [], module
+        assert committed[module]["tests"] == list(tests), module

@@ -65,7 +65,6 @@ TARGETS: Dict[str, Tuple[str, ...]] = {
         "tests/core/test_distribution.py",
         "tests/core/test_pinned_bits.py",
         "tests/core/test_estimator.py",
-        "tests/properties/test_pmf_properties.py",
         "tests/properties/test_distribution_oracle.py",
     ),
     "repro/core/estimator.py": (
@@ -73,9 +72,7 @@ TARGETS: Dict[str, Tuple[str, ...]] = {
         "tests/core/test_pinned_bits.py",
         "tests/gateway/test_timing_fault_client.py",
         "tests/integration/test_estimator_traffic.py",
-        "tests/properties/test_estimator_cache_properties.py",
-        "tests/properties/test_estimator_properties.py",
-        "tests/properties/test_resident_matrix_properties.py",
+        "tests/properties/test_estimator_walk.py",
     ),
     "repro/core/selection.py": (
         "tests/core/test_selection.py",
@@ -95,9 +92,13 @@ TARGETS: Dict[str, Tuple[str, ...]] = {
     "repro/core/repository.py": (
         "tests/core/test_repository.py",
         "tests/core/test_repository_extensions.py",
-        "tests/properties/test_estimator_cache_properties.py",
+        "tests/core/test_estimator.py",
+        "tests/properties/test_estimator_walk.py",
     ),
-    "repro/health/state.py": ("tests/health/test_state_machine.py",),
+    "repro/health/state.py": (
+        "tests/health/test_state_machine.py",
+        "tests/engine/test_evidence_admission.py",
+    ),
     "repro/overload/admission.py": (
         "tests/overload/test_admission.py",
         "tests/overload/test_handler_shed.py",
@@ -132,6 +133,20 @@ TARGETS: Dict[str, Tuple[str, ...]] = {
         "tests/gateway/test_probe_staleness.py",
         "tests/gateway/test_outcome_record.py",
     ),
+    "repro/engine/engine.py": (
+        "tests/engine/test_request_book.py",
+        "tests/engine/test_boundary.py",
+        "tests/engine/test_config.py",
+        "tests/engine/test_class_models.py",
+        "tests/engine/test_evidence_admission.py",
+        "tests/engine/test_engine_state_machine.py",
+        "tests/gateway/test_timing_fault_client.py",
+        "tests/gateway/test_extensions.py",
+        "tests/gateway/test_retransmit.py",
+        "tests/gateway/test_probe_staleness.py",
+        "tests/gateway/test_outcome_record.py",
+    ),
+    "repro/analysis/calibration.py": ("tests/analysis/test_calibration.py",),
 }
 
 #: Mutants run side by side (each is one pytest process).
