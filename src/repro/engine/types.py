@@ -164,7 +164,5 @@ class EnginePort(Protocol):
     ) -> None:
         """Call ``callback(*args)`` after ``delay_ms`` (daemon: keeps nothing alive)."""
 
-    def complete(
-        self, token: Any, outcome: ReplyOutcome, after_ms: Optional[float] = None
-    ) -> None:
-        """Fire ``token`` with ``outcome`` — now, or after the upcall cost."""
+    def complete(self, token: Any, outcome: ReplyOutcome, after_ms: float = 0.0) -> None:
+        """Fire ``token`` with ``outcome`` ``after_ms`` (the upcall cost) from now."""

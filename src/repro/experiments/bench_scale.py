@@ -171,7 +171,7 @@ def export_scale_bench(
             "Fleet-scale selection overhead (lattice/FFT convolution + "
             "batched refresh + kept F vector re-read per changed row), "
             "raw event-kernel dispatch throughput "
-            "(heapq EventQueue) and the untraced message plane's cost "
+            "(the Simulator's heapq) and the untraced message plane's cost "
             "per message (Message -> Transport.send -> kernel -> "
             "Gateway -> no-op handler).  Written only by `python -m "
             "repro.experiments scale --json FILE`: 50 iterations per "

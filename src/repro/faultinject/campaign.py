@@ -262,10 +262,7 @@ def _closed_loop(
 ) -> Any:
     stub = stack.stubs[host]
     for i in range(REQUESTS_PER_CLIENT):
-        event = stub.invoke(METHOD, i)
-        yield event
-        if event.ok:
-            outcomes.append(event.value)
+        outcomes.append((yield stub.invoke(METHOD, i)))
         yield stack.sim.timeout(THINK_MS)
 
 

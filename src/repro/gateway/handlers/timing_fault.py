@@ -612,13 +612,10 @@ class TimingFaultClientHandler(ProtocolHandler, RequestInterceptor):
         self.sim.call_in(delay_ms, lambda: callback(*args), daemon)
 
     def complete(
-        self, token: Event, outcome: ReplyOutcome, after_ms: Optional[float] = None
+        self, token: Event, outcome: ReplyOutcome, after_ms: float = 0.0
     ) -> None:
-        """Fire the invocation event — now, or after the upcall's CPU cost."""
-        if after_ms is None:
-            token.succeed(outcome)
-        else:  # the book claims each request once: no expiry can race this
-            self.sim.call_in(after_ms, lambda: token.succeed(outcome))
+        """Fire the invocation event ``after_ms`` (the upcall's CPU cost) from now."""
+        token.succeed(outcome, after_ms)
 
     def __repr__(self) -> str:
         return (

@@ -2,12 +2,15 @@
 
 This package provides the simulated "machines and wires" on which the
 reproduction runs: an event-driven kernel with a millisecond clock
-(:class:`Simulator`), generator-based processes (:class:`Process`),
-sampling distributions with a uniform ``sample(rng)`` interface and
-structured tracing (:class:`Tracer`).
+(:class:`Simulator`), one-shot events a process can wait on
+(:class:`Event`), generator-based processes (:class:`Process`), sampling
+distributions with a uniform ``sample(rng)`` interface and structured
+tracing (:class:`Tracer`).  Simulated code has one failure rule: an
+exception a timer callback or a process does not catch stops
+:meth:`Simulator.run` and propagates to its caller.
 """
 
-from .events import Event, EventState, Interrupt, SimulationError, Timeout
+from .events import Event, SimulationError
 from .hostclock import ClockRegistry, HostClock
 from .kernel import Simulator
 from .process import Process
@@ -28,9 +31,6 @@ __all__ = [
     "ClockRegistry",
     "Process",
     "Event",
-    "EventState",
-    "Timeout",
-    "Interrupt",
     "SimulationError",
     "Distribution",
     "Constant",

@@ -4,67 +4,32 @@
 Time is a ``float`` in **milliseconds** throughout the repository, matching
 the units the paper reports.
 
-The pending set is an :class:`EventQueue`: a binary heap of
-``(when, seq, daemon, fn)`` entries, popped in ascending ``(when, seq)``
-so same-instant entries dispatch strictly FIFO.  An entry's payload is
-the one callable the run loop calls when the entry's instant arrives:
-the callback itself for a timer (:meth:`Simulator.call_in`,
-:meth:`~Simulator.call_at`, :meth:`~Simulator.call_at_exact`), and the
-bound ``_run_callbacks`` of an :class:`~repro.sim.events.Event` for
-anything a process can wait on (timeouts, triggered events, a process's
-bootstrap and interrupt).
+The pending set is a binary heap of ``(when, seq, daemon, fn)`` entries,
+popped in ascending ``(when, seq)`` with ``seq`` assigned in push order,
+so same-instant entries dispatch strictly FIFO.  ``seq`` is unique, so
+comparing two entries never reaches the daemon flag or the payload.  An
+entry's payload is the one callable the run loop calls when the entry's
+instant arrives: the callback itself for a timer
+(:meth:`Simulator.call_in`, :meth:`~Simulator.call_at`,
+:meth:`~Simulator.call_at_exact`), and the bound ``_run_callbacks`` of an
+:class:`~repro.sim.events.Event` for anything a process can wait on
+(timeouts, triggered events, a process's bootstrap and completion).
 
 The kernel is deliberately small: events (:mod:`repro.sim.events`),
 processes (:mod:`repro.sim.process`) and everything above them are built
-from ``_schedule``, the timer calls and the run loop below.
+from ``_push`` and the run loop below.  An exception raised by a timer
+callback or by a process propagates out of :meth:`Simulator.run`.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
-from .events import Event, SimulationError, Timeout
+from .events import Event, SimulationError
 from .process import Process
 
-__all__ = ["EventQueue", "Simulator"]
-
-
-class EventQueue:
-    """Pending-entry heap.
-
-    Ordering contract: pops come out in ascending ``(when, seq)``, with
-    ``seq`` assigned in push order.  ``seq`` is unique, so comparing two
-    entries never reaches the daemon flag or the payload, which may be
-    any object.
-    """
-
-    __slots__ = ("_heap", "_seq")
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, bool, Any]] = []
-        self._seq = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, when: float, item: Any, daemon: bool = False) -> None:
-        """Enqueue ``item`` at instant ``when`` (FIFO-stable on ties)."""
-        self._seq += 1
-        # ``+ 0.0``: the clock reads back a float whatever number was
-        # scheduled, and never a negative zero.
-        heapq.heappush(self._heap, (when + 0.0, self._seq, daemon, item))
-
-    def pop(self) -> Tuple[float, Any, bool]:
-        """Dequeue and return ``(when, item, daemon)`` for the next entry."""
-        if not self._heap:
-            raise SimulationError("pop() on an empty event queue")
-        when, _seq, daemon, item = heapq.heappop(self._heap)
-        return when, item, daemon
-
-    def peek_when(self) -> float:
-        """Instant of the next entry, or ``inf`` when empty."""
-        return self._heap[0][0] if self._heap else float("inf")
+__all__ = ["Simulator"]
 
 
 class Simulator:
@@ -78,7 +43,8 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._queue = EventQueue()
+        self._heap: List[Tuple[float, int, bool, Callable[[], None]]] = []
+        self._seq = 0
         self._processed_events = 0
         self._pending_live = 0
 
@@ -98,9 +64,9 @@ class Simulator:
         """Create a fresh untriggered :class:`Event`."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that fires ``delay`` ms from now."""
-        return Timeout(self, delay, value)
+    def timeout(self, delay: float, value: Any = None) -> Event:
+        """Create an event that fires with ``value`` ``delay`` ms from now."""
+        return Event(self).succeed(value, delay)
 
     @property
     def pending_live(self) -> int:
@@ -127,8 +93,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {when} ms: clock already at {self._now} ms"
             )
-        self._pending_live += 1
-        self._queue.push(self._now + (when - self._now), callback)
+        self._push(self._now + (when - self._now), callback)
 
     def call_at_exact(
         self, when: float, callback: Callable[[], None], daemon: bool = False
@@ -146,9 +111,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {when} ms: clock already at {self._now} ms"
             )
-        if not daemon:
-            self._pending_live += 1
-        self._queue.push(when, callback, daemon)
+        self._push(when, callback, daemon)
 
     def call_in(
         self, delay: float, callback: Callable[[], None], daemon: bool = False
@@ -165,30 +128,18 @@ class Simulator:
         """
         if not delay >= 0:  # (NaN included)
             raise ValueError(f"timeout delay must be >= 0, got {delay}")
+        self._push(self._now + delay, callback, daemon)
+
+    def _push(self, when: float, fn: Callable[[], None], daemon: bool = False) -> None:
+        """Enqueue ``fn`` at instant ``when`` (FIFO-stable on ties)."""
         if not daemon:
             self._pending_live += 1
-        self._queue.push(self._now + delay, callback, daemon)
-
-    # -- scheduling ------------------------------------------------------
-    def _schedule(self, event: Event, delay: float) -> None:
-        """Enqueue ``event`` to fire ``delay`` ms from now (FIFO-stable)."""
-        self._pending_live += 1
-        self._queue.push(self._now + delay, event._run_callbacks)
+        self._seq += 1
+        # ``+ 0.0``: the clock reads back a float whatever number was
+        # scheduled, and never a negative zero.
+        heappush(self._heap, (when + 0.0, self._seq, daemon, fn))
 
     # -- run loop ----------------------------------------------------------
-    def peek(self) -> float:
-        """Time of the next pending entry, or ``float('inf')`` if none."""
-        return self._queue.peek_when()
-
-    def step(self) -> None:
-        """Fire the single next entry, advancing the clock to it."""
-        when, fn, daemon = self._queue.pop()  # raises on an empty queue
-        if not daemon:
-            self._pending_live -= 1
-        self._now = when
-        self._processed_events += 1
-        fn()
-
     def run(self, until: Optional[float] = None) -> None:
         """Run until work drains or the clock would pass ``until``.
 
@@ -197,15 +148,14 @@ class Simulator:
         simulation alive).  With ``until`` set, all entries — daemon
         included — fire up to the horizon and the clock is left exactly
         at ``until``, so repeated ``run(until=...)`` calls compose
-        predictably.
+        predictably.  An exception raised by a timer callback or a process
+        leaves the run at that entry's instant and propagates.
         """
         if until is not None and not until >= self._now:
             raise SimulationError(
                 f"run until {until} ms is in the past (now {self._now} ms)"
             )
-        # The queue's own heap, popped here as EventQueue.pop does and
-        # fired as step() does: the loop runs once per entry.
-        heap, heappop = self._queue._heap, heapq.heappop
+        heap, pop = self._heap, heappop
         while heap:
             if until is None:
                 if self._pending_live == 0:
@@ -213,7 +163,7 @@ class Simulator:
             elif heap[0][0] > until:
                 self._now = until
                 return
-            when, _seq, daemon, fn = heappop(heap)
+            when, _seq, daemon, fn = pop(heap)
             if not daemon:
                 self._pending_live -= 1
             self._now = when
@@ -225,5 +175,5 @@ class Simulator:
     def __repr__(self) -> str:
         return (
             f"<Simulator now={self._now:.3f}ms "
-            f"pending={len(self._queue)} processed={self._processed_events}>"
+            f"pending={len(self._heap)} processed={self._processed_events}>"
         )

@@ -2,9 +2,11 @@
 
 A process is a Python generator that yields :class:`~repro.sim.events.Event`
 objects.  Each ``yield`` suspends the process until the yielded event fires;
-the event's value is sent back into the generator (or its exception raised
-inside it).  A process is itself an event that fires when the generator
-returns, which makes ``yield other_process`` a natural join.
+the event's value is sent back into the generator.  A process is itself an
+event that fires with the generator's return value, which makes
+``yield other_process`` a natural join.  An exception the generator does
+not catch, like one raised by a timer callback, propagates out of
+:meth:`Simulator.run`: a failing process stops the run.
 
 Example
 -------
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from .events import Event, Interrupt, SimulationError
+from .events import _PENDING, Event, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Simulator
@@ -34,11 +36,11 @@ __all__ = ["Process"]
 class Process(Event):
     """A running simulated activity driven by a generator.
 
-    Fires (as an event) when the generator finishes: successfully with the
-    generator's return value, or failing with its uncaught exception.
+    Fires (as an event) with the generator's return value when it
+    finishes.
     """
 
-    __slots__ = ("generator", "name", "_waiting_on", "_started")
+    __slots__ = ("generator", "name")
 
     def __init__(
         self,
@@ -53,78 +55,33 @@ class Process(Event):
         super().__init__(sim)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Optional[Event] = None
-        self._started = False
         # Kick off the process at the current simulated instant.
         bootstrap = Event(sim)
         bootstrap.add_callback(self._resume)
         bootstrap.succeed(None)
 
-    # -- state -----------------------------------------------------------
     @property
     def alive(self) -> bool:
         """``True`` while the generator has not finished."""
-        return self._state.value == "pending"
+        return self._value is _PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Raise :class:`Interrupt` inside the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a process
-        twice before it resumes collapses to the latest cause.
-        """
-        if not self.alive:
-            raise SimulationError(f"cannot interrupt finished process {self.name}")
-        waiting_on = self._waiting_on
-        if waiting_on is not None:
-            # Detach from the event we were waiting on so its later firing
-            # does not resume us twice.
-            try:
-                waiting_on.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-            self._waiting_on = None
-        wakeup = Event(self.sim)
-        wakeup.add_callback(self._resume)
-        wakeup.fail(Interrupt(cause))
-
-    # -- engine ------------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
-        self._started = True
         try:
-            if event.ok:
-                target = self.generator.send(event.value)
-            else:
-                target = self.generator.throw(event.value)
+            target = self.generator.send(event._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
-        except Interrupt as interrupt:
-            # An unhandled interrupt terminates the process "successfully
-            # killed": surface it as a failure so joiners notice.
-            self.fail(interrupt)
-            return
-        except Exception as exc:
-            self.fail(exc)
-            return
-
         if not isinstance(target, Event):
-            error = SimulationError(
+            raise SimulationError(
                 f"process {self.name!r} yielded {target!r}; "
                 "processes may only yield Event instances"
             )
-        elif target.sim is not self.sim:
-            error = SimulationError(
-                "yielded event belongs to a different simulator"
+        if target.sim is not self.sim:
+            raise SimulationError(
+                f"process {self.name!r} yielded an event of another simulator"
             )
-        else:
-            error = None
-        if error is not None:
-            self.generator.close()
-            self.fail(error)
-            return
-        self._waiting_on = target
         target.add_callback(self._resume)
 
     def __repr__(self) -> str:
-        return f"<Process {self.name!r} state={self._state.value}>"
+        state = "alive" if self.alive else "finished"
+        return f"<Process {self.name!r} {state}>"

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import numpy.typing as npt
 
 __all__ = [
     "Distribution",
@@ -57,11 +56,6 @@ class Distribution:
         """Analytic mean where known; used by tests and load balancing."""
         raise NotImplementedError
 
-    def sample_many(
-        self, rng: np.random.Generator, n: int
-    ) -> npt.NDArray[np.float64]:
-        """Draw ``n`` variates (vectorized where possible)."""
-        return np.array([self.sample(rng) for _ in range(n)])
 
 
 class Constant(Distribution):
@@ -78,10 +72,6 @@ class Constant(Distribution):
     def mean(self) -> float:
         return self.value
 
-    def sample_many(
-        self, rng: np.random.Generator, n: int
-    ) -> npt.NDArray[np.float64]:
-        return np.full(n, self.value)
 
     def __repr__(self) -> str:
         return f"Constant({self.value})"
@@ -102,10 +92,6 @@ class Uniform(Distribution):
     def mean(self) -> float:
         return (self.low + self.high) / 2.0
 
-    def sample_many(
-        self, rng: np.random.Generator, n: int
-    ) -> npt.NDArray[np.float64]:
-        return rng.uniform(self.low, self.high, size=n)
 
     def __repr__(self) -> str:
         return f"Uniform({self.low}, {self.high})"
@@ -125,10 +111,6 @@ class Exponential(Distribution):
     def mean(self) -> float:
         return self._mean
 
-    def sample_many(
-        self, rng: np.random.Generator, n: int
-    ) -> npt.NDArray[np.float64]:
-        return rng.exponential(self._mean, size=n)
 
     def __repr__(self) -> str:
         return f"Exponential(mean={self._mean})"
@@ -157,10 +139,6 @@ class Normal(Distribution):
         cdf = 0.5 * (1 + math.erf(z / math.sqrt(2)))
         return self.mu * cdf + self.sigma * phi
 
-    def sample_many(
-        self, rng: np.random.Generator, n: int
-    ) -> npt.NDArray[np.float64]:
-        return np.clip(rng.normal(self.mu, self.sigma, size=n), 0.0, None)
 
     def __repr__(self) -> str:
         return f"Normal(mu={self.mu}, sigma={self.sigma})"

@@ -50,20 +50,6 @@ class ClientSummary:
         """Requests that were actually dispatched (issued minus shed)."""
         return self.requests - self.sheds
 
-    @property
-    def shed_fraction(self) -> float:
-        """Fraction of issued requests the admission controller rejected."""
-        if self.requests == 0:
-            return 0.0
-        return self.sheds / self.requests
-
-    @property
-    def admitted_timely_fraction(self) -> float:
-        """In-deadline fraction among admitted requests (A16's headline)."""
-        if self.admitted == 0:
-            return 0.0
-        return (self.admitted - self.timing_failures) / self.admitted
-
 
 def _summarize(outcomes: List[ReplyOutcome]) -> ClientSummary:
     if not outcomes:
@@ -214,8 +200,7 @@ class OpenLoopClient:
         return self.summary()
 
     def _collect(self, event) -> None:
-        if event.ok:
-            self.outcomes.append(event.value)
+        self.outcomes.append(event.value)
 
     @property
     def done(self) -> bool:

@@ -76,7 +76,7 @@ class FakePort:
     def arm(self, delay_ms, callback, *args, daemon: bool = False) -> None:
         self.timers.append(Timer(self.clock + delay_ms, callback, args, daemon))
 
-    def complete(self, token, outcome, after_ms: Optional[float] = None) -> None:
+    def complete(self, token, outcome, after_ms: float = 0.0) -> None:
         self.completions.setdefault(token, []).append(outcome)
 
     # -- test conveniences -------------------------------------------------

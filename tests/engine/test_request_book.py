@@ -5,6 +5,8 @@ order, and what the book (and the engine above it) must hold afterwards.
 The engine runs on a fake port; no simulator is involved.
 """
 
+import math
+
 import pytest
 
 from repro.core.selection import SelectionDecision
@@ -205,3 +207,53 @@ class TestThroughTheEngine:
         (timeout,) = port.armed(engine.expire)
         port.fire(timeout)  # s-1 never answered: the timeout drops the record
         assert engine.leaks() == {}
+
+
+class TestHealthEvidence:
+    """Health evidence per reply and retry, and the probe-expiry count."""
+
+    def reply_at(self, t4):
+        port = FakePort()
+        engine = make_engine(
+            port, policy=RankedPolicy(width=1), health_config=HealthConfig()
+        )
+        port.clock = 50.0  # t0 off zero: t4 + t0 must not pass for t4 − t0
+        msg_id = engine.dispatch(REQUEST, "call", port.now, "t-1")
+        port.clock = t4
+        engine.on_reply(msg_id, "s-1", perf("s-1"), "v")
+        return engine.health.record_for("s-1"), port.outcome("t-1")
+
+    def test_a_reply_at_exactly_the_deadline_is_a_success(self):
+        health, outcome = self.reply_at(150.0)
+        assert (health.successes_total, health.faults_total) == (1, 0)
+        assert outcome.timely and outcome.response_time_ms == 100.0
+
+    def test_a_reply_one_tick_past_the_deadline_is_a_timing_fault(self):
+        health, outcome = self.reply_at(math.nextafter(150.0, math.inf))
+        assert (health.successes_total, health.faults_total) == (0, 1)
+        assert health.last_fault_kind == "timing" and health.consecutive_omissions == 0
+        assert not outcome.timely
+
+    def test_a_retry_timer_bills_the_silent_replicas_as_omissions(self):
+        port = FakePort()
+        engine = make_engine(
+            port, policy=RankedPolicy(width=1), retry=True, health_config=HealthConfig()
+        )
+        engine.dispatch(REQUEST, "call", port.now, "t-1")
+        (retry,) = port.armed(engine.retransmit)
+        port.fire(retry)
+        silent = engine.health.record_for("s-1")
+        assert (silent.consecutive_omissions, silent.last_fault_kind) == (1, "omission")
+        assert engine.health.record_for("s-2").faults_total == 0
+        assert port.sent[-1][0::2] == ("copy", ("s-2",))
+
+    def test_an_expired_probe_is_counted_once(self):
+        port = FakePort()
+        engine = make_engine(port)
+        assert engine.probes_expired == 0
+        engine.send_probe("s-1")
+        (expiry,) = port.armed(engine.expire_probe)
+        port.fire(expiry)
+        assert engine.probes_expired == 1 and engine.book.probes == {}
+        engine.expire_probe(*expiry.args)  # a second firing finds nothing
+        assert engine.probes_expired == 1

@@ -56,10 +56,7 @@ def _closed_loop(stack, outcomes, think_ms=4.0, until_ms=HORIZON_MS):
         t0 = stack.sim.now
         if t0 >= until_ms:
             return
-        event = stack.invoke("client-1", i)
-        yield event
-        if event.ok:
-            outcomes.append((t0, event.value))
+        outcomes.append((t0, (yield stack.invoke("client-1", i))))
         yield stack.sim.timeout(think_ms)
 
 

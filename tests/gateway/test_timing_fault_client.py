@@ -88,9 +88,12 @@ def test_expiry_when_no_replica_replies(stack):
     client = stack.add_client("client-1", deadline_ms=20.0)
     server.crash()
     event = stack.invoke("client-1", 0)
+    fired = []
+    event.add_callback(lambda e: fired.append(stack.sim.now))
     stack.sim.run()
     outcome = event.value
     assert outcome.timed_out
+    assert fired == [outcome.t4_ms]  # delivered at the expiry: no upcall cost
     assert outcome.timely is False
     factor = client.engine.config.response_timeout_factor
     assert outcome.response_time_ms >= 20.0 * factor - 1

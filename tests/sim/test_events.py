@@ -8,8 +8,10 @@ from repro.sim.events import SimulationError
 class TestEventLifecycle:
     def test_new_event_is_pending(self, sim):
         event = sim.event()
-        assert not event.triggered
         assert not event.processed
+        assert repr(event) == "<Event state=pending>"
+        event.succeed()
+        assert repr(event) == "<Event state=triggered>" and not event.processed
 
     def test_value_before_trigger_raises(self, sim):
         event = sim.event()
@@ -23,21 +25,12 @@ class TestEventLifecycle:
 
     def test_succeed_carries_value(self, sim):
         event = sim.event().succeed(42)
+        assert event.ok and event.value == 42  # readable once triggered
         sim.run()
         assert event.processed
+        assert repr(event) == "<Event state=processed>"
         assert event.ok
         assert event.value == 42
-
-    def test_fail_carries_exception(self, sim):
-        boom = RuntimeError("boom")
-        event = sim.event().fail(boom)
-        sim.run()
-        assert not event.ok
-        assert event.value is boom
-
-    def test_fail_with_non_exception_raises_typeerror(self, sim):
-        with pytest.raises(TypeError):
-            sim.event().fail("not an exception")
 
     def test_double_trigger_raises(self, sim):
         event = sim.event().succeed(1)

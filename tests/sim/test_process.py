@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.events import Interrupt, SimulationError
+from repro.sim.events import SimulationError
 from repro.sim.kernel import Simulator
 
 
@@ -11,10 +11,11 @@ def test_process_returns_generator_return_value(sim):
         yield sim.timeout(5.0)
         return "done"
 
-    proc = sim.spawn(worker(sim))
+    proc = sim.spawn(worker(sim), name="w")
+    assert repr(proc) == "<Process 'w' alive>"
     sim.run()
     assert proc.value == "done"
-    assert not proc.alive
+    assert not proc.alive and repr(proc) == "<Process 'w' finished>"
 
 
 def test_process_receives_event_values(sim):
@@ -27,27 +28,18 @@ def test_process_receives_event_values(sim):
     assert proc.value == "tick"
 
 
-def test_process_sees_failed_event_as_exception(sim):
-    def worker(sim):
-        try:
-            yield sim.event().fail(ValueError("bad"), delay=1.0)
-        except ValueError as exc:
-            return f"caught {exc}"
-
-    proc = sim.spawn(worker(sim))
-    sim.run()
-    assert proc.value == "caught bad"
-
-
-def test_uncaught_exception_fails_the_process(sim):
+def test_uncaught_exception_stops_the_run(sim):
+    # As for a timer callback: the error leaves run() at the failing
+    # instant, and the process never fires.
     def worker(sim):
         yield sim.timeout(1.0)
         raise RuntimeError("crash")
 
     proc = sim.spawn(worker(sim))
-    sim.run()
-    assert not proc.ok
-    assert isinstance(proc.value, RuntimeError)
+    later = sim.timeout(5.0)
+    with pytest.raises(RuntimeError, match="crash"):
+        sim.run()
+    assert sim.now == 1.0 and proc.alive and not later.processed
 
 
 def test_joining_another_process(sim):
@@ -69,14 +61,15 @@ def test_spawn_requires_generator(sim):
         sim.spawn(lambda: None)
 
 
-def test_yielding_non_event_raises_inside_process(sim):
+def test_yielding_a_non_event_stops_the_run(sim):
     def worker(sim):
+        yield sim.timeout(2.0)
         yield 42
 
     proc = sim.spawn(worker(sim))
-    sim.run()
-    assert not proc.ok
-    assert isinstance(proc.value, SimulationError)
+    with pytest.raises(SimulationError, match="yielded 42"):
+        sim.run()
+    assert sim.now == 2.0 and proc.alive
 
 
 def test_yielding_foreign_event_raises(sim):
@@ -85,66 +78,9 @@ def test_yielding_foreign_event_raises(sim):
     def worker(sim):
         yield other.timeout(1.0)
 
-    proc = sim.spawn(worker(sim))
-    sim.run()
-    assert not proc.ok
-    assert isinstance(proc.value, SimulationError)
-
-
-class TestInterrupt:
-    def test_interrupt_wakes_waiting_process(self, sim):
-        def worker(sim):
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt as interrupt:
-                return f"interrupted: {interrupt.cause}"
-
-        proc = sim.spawn(worker(sim))
-        sim.call_in(5.0, lambda: proc.interrupt("crash"))
-        finished_at = []
-        proc.add_callback(lambda e: finished_at.append(sim.now))
+    sim.spawn(worker(sim))
+    with pytest.raises(SimulationError, match="another simulator"):
         sim.run()
-        assert proc.value == "interrupted: crash"
-        # The process finished at the interrupt instant, not the timeout's.
-        assert finished_at == [5.0]
-
-    def test_unhandled_interrupt_fails_process(self, sim):
-        def worker(sim):
-            yield sim.timeout(100.0)
-
-        proc = sim.spawn(worker(sim))
-        sim.call_in(1.0, lambda: proc.interrupt())
-        sim.run()
-        assert not proc.ok
-        assert isinstance(proc.value, Interrupt)
-
-    def test_interrupting_finished_process_raises(self, sim):
-        def worker(sim):
-            yield sim.timeout(1.0)
-
-        proc = sim.spawn(worker(sim))
-        sim.run()
-        with pytest.raises(SimulationError):
-            proc.interrupt()
-
-    def test_interrupted_wait_does_not_resume_twice(self, sim):
-        resumptions = []
-
-        def worker(sim):
-            try:
-                yield sim.timeout(10.0)
-                resumptions.append("timeout")
-            except Interrupt:
-                resumptions.append("interrupt")
-            # Wait past the original timeout to catch a double resume.
-            yield sim.timeout(50.0)
-            resumptions.append("after")
-
-        proc = sim.spawn(worker(sim))
-        sim.call_in(5.0, lambda: proc.interrupt())
-        sim.run()
-        assert resumptions == ["interrupt", "after"]
-        assert proc.ok
 
 
 def test_two_processes_interleave_by_time(sim):

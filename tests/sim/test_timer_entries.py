@@ -1,13 +1,13 @@
 """A timer is one bare heap entry: its callback, with no Event around it.
 
-On the bare stack a request passes through ~17 kernel entries: message
-deliveries, the dispatch timer, the response-timeout expiry, the
-upcall, and the server's wake, demarshal, service and marshal steps.
-Only two of them are something a process can wait on — the request's
-outcome token and the closed-loop client's think ``Timeout`` — so only
-those two may reach the heap as an :class:`Event` (its bound
-``_run_callbacks``).  Every other entry's payload is the callback the
-kernel calls.
+On the bare stack a request passes through ~14 kernel entries: message
+deliveries, the dispatch timer, the response-timeout expiry, and the
+server's wake, demarshal, service and marshal steps.  Only two of them
+are something a process can wait on — the request's outcome token,
+fired after the upcall's cost, and the closed-loop client's think
+timeout — so only those two may reach the heap as an :class:`Event`
+(its bound ``_run_callbacks``).  Every other entry's payload is the
+callback the kernel calls.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.events import Event
-from repro.sim.kernel import EventQueue, Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.random import Constant
 from repro.workload.client import ClosedLoopClient
 from repro.workload.ministack import METHOD, MiniStack
@@ -27,18 +27,35 @@ REQUESTS = 50
 def pushed(monkeypatch):
     """Every payload pushed onto any kernel heap, in push order."""
     payloads = []
-    push = EventQueue.push
+    push = Simulator._push
 
-    def recording_push(self, when, item, daemon=False):
-        payloads.append(item)
-        push(self, when, item, daemon)
+    def recording_push(self, when, fn, daemon=False):
+        payloads.append(fn)
+        push(self, when, fn, daemon)
 
-    monkeypatch.setattr(EventQueue, "push", recording_push)
+    monkeypatch.setattr(Simulator, "_push", recording_push)
     return payloads
 
 
 def _is_event(payload) -> bool:
     return isinstance(getattr(payload, "__self__", payload), Event)
+
+
+def _origin(payload) -> str:
+    """The function a payload was defined in (a bound method's own name)."""
+    return getattr(payload, "__func__", payload).__qualname__
+
+
+#: Where every bare timer of a request on the bare stack comes from.
+BARE_TIMERS = {
+    "Transport.send.<locals>.<lambda>",  # a message's delivery
+    "TimingFaultClientHandler.submit.<locals>.<lambda>",  # dispatch after δ
+    "TimingFaultClientHandler.arm.<locals>.<lambda>",  # the response timeout
+    "TimingFaultServerHandler.handle_message.<locals>.wake",
+    "TimingFaultServerHandler._serve_head.<locals>.demarshalled",
+    "TimingFaultServerHandler._serve_head.<locals>.serviced",
+    "TimingFaultServerHandler._serve_head.<locals>.marshalled",
+}
 
 
 def test_a_request_puts_at_most_two_events_on_the_heap(pushed):
@@ -60,9 +77,13 @@ def test_a_request_puts_at_most_two_events_on_the_heap(pushed):
     assert len(pushed) == stack.sim.processed_events
     events = sum(_is_event(payload) for payload in pushed)
     # Beside the client process's own start and finish: one outcome
-    # token per request and one think Timeout between two requests.
-    assert (events - 2) / REQUESTS <= 2.0
+    # token per request and one think timeout between two requests.
+    assert events == 2 + REQUESTS + (REQUESTS - 1)
     assert len(pushed) / REQUESTS > 10  # the rest are bare timers
+    # A completed request is its token's one entry: firing the token
+    # from a timer (a lambda in ``complete``) would add a bare origin.
+    bare = {_origin(payload) for payload in pushed if not _is_event(payload)}
+    assert bare == BARE_TIMERS
 
 
 def test_call_in_fires_once_at_now_plus_delay(pushed):

@@ -1,5 +1,6 @@
 """Tests for multi-method scenarios and method choosers."""
 
+import pytest
 
 from repro.core.qos import QoSSpec
 from repro.sim.random import Constant
@@ -38,6 +39,22 @@ def test_extra_methods_get_their_own_service_times():
     heavy = [o.response_time_ms for o in client.outcomes[1::2]]
     assert max(cheap) < 30.0
     assert min(heavy) > 50.0
+
+
+def test_a_client_naming_an_unknown_method_stops_the_run():
+    # The client's process raises on its third request; the error leaves
+    # run_to_completion instead of ending the client as if it had finished.
+    scenario = Scenario(_config())
+    client = scenario.add_client(
+        "c1",
+        QoSSpec(scenario.config.service, 500.0, 0.0),
+        num_requests=5,
+        think_time=Constant(10.0),
+        method_chooser=lambda i: "process" if i < 2 else "no-such-method",
+    )
+    with pytest.raises(KeyError, match="no-such-method"):
+        scenario.run_to_completion()
+    assert len(client.outcomes) == 2 and not client.done
 
 
 def test_method_chooser_default_is_config_method():

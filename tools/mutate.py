@@ -119,7 +119,6 @@ TARGETS: Dict[str, Tuple[str, ...]] = {
     "repro/sim/kernel.py": (
         "tests/sim/test_kernel.py",
         "tests/sim/test_timer_entries.py",
-        "tests/sim/test_event_queue.py",
         "tests/sim/test_events.py",
         "tests/sim/test_process.py",
         "tests/net/test_transport.py",
