@@ -47,17 +47,6 @@ class RequestStages:
     reply_ms: float
     total_ms: float
 
-    def network_share(self) -> float:
-        """Fraction of the response time spent on gateway-to-gateway paths.
-
-        The paper justifies Equation 1's independence assumption with
-        "the network delay is usually a small fraction of the replica's
-        response time in a LAN environment" — this is that fraction.
-        """
-        if self.total_ms <= 0:
-            return 0.0
-        return (self.request_ms + self.reply_ms) / self.total_ms
-
 
 def extract_stages(outcomes: Iterable[ReplyOutcome]) -> List[RequestStages]:
     """Decompose every replied request of ``outcomes``, by ``request_id``.

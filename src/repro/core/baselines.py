@@ -15,7 +15,12 @@ from __future__ import annotations
 
 from typing import Callable, Tuple
 
-from .selection import SelectionContext, SelectionDecision, SelectionPolicy
+from .selection import (
+    SelectionContext,
+    SelectionDecision,
+    SelectionMeta,
+    SelectionPolicy,
+)
 
 __all__ = [
     "AllReplicasPolicy",
@@ -27,6 +32,7 @@ __all__ = [
     "LowestMeanPolicy",
     "NearestPolicy",
     "ProbeEstimatePolicy",
+    "BestSinglePolicy",
     "probability_key",
 ]
 
@@ -175,25 +181,24 @@ class LowestMeanPolicy(_RankedPrefixPolicy):
 
     name = "lowest-mean"
 
-    def __init__(self, redundancy: int = 1) -> None:
-        super().__init__(redundancy)
-        if self.redundancy != 1:
-            self.name = f"lowest-mean-{self.redundancy}"
-
     def score(self, ctx: SelectionContext, replica: str) -> float:
         mean = ctx.estimator.expected_response_time(replica)
         return mean if mean is not None else float("inf")
 
 
 class NearestPolicy(_RankedPrefixPolicy):
-    """Smallest static distance metric (Heidemann-style nearest server)."""
+    """Smallest static distance metric (Heidemann-style nearest server).
+
+    On the paper's testbed, one LAN segment, every replica is equally
+    near, so every score is 0 and "nearest" is name order.  A topology
+    where distance means something (a tree, as in Rehn-Sonigo's Closest
+    policy) is not modelled.
+    """
 
     name = "nearest"
 
     def score(self, ctx: SelectionContext, replica: str) -> float:
-        # Without a topology metric, distance degenerates to name
-        # order — deterministic, and documented as such.
-        return ctx.distance(replica) if ctx.distance is not None else 0.0
+        return 0.0
 
 
 class ProbeEstimatePolicy(_RankedPrefixPolicy):
@@ -219,3 +224,29 @@ class ProbeEstimatePolicy(_RankedPrefixPolicy):
         mean_service = sum(service_values) / len(service_values)
         assert record.gateway_delay_ms is not None
         return record.gateway_delay_ms + (record.queue_length + 1) * mean_service
+
+
+class BestSinglePolicy(SelectionPolicy):
+    """Rank replicas by F(t) and send to the best one.
+
+    The related work's single-replica routing (§1): with
+    ``EngineConfig.retry`` on, the engine retransmits a silent request
+    to the next replica of ``meta["ranking"]``.
+    """
+
+    name = "best-single"
+
+    def decide(self, ctx: SelectionContext) -> SelectionDecision:
+        replicas = list(ctx.replicas)
+        meta: SelectionMeta = {}
+        if ctx.health is not None:
+            usable = [r for r in replicas if not ctx.health.is_quarantined(r)]
+            if usable:
+                replicas = usable
+            elif replicas:
+                # Every replica quarantined: trying one beats refusing to
+                # serve; flag the override so the audit exempts it.
+                meta["quarantine_override"] = True
+        ranking = sorted(replicas, key=probability_key(ctx))
+        meta["ranking"] = ranking
+        return SelectionDecision(selected=tuple(ranking[:1]), meta=meta)

@@ -13,9 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable
 
-__all__ = ["QoSSpec", "TimingFailureStats", "QoSViolationCallback"]
+__all__ = ["MIN_SAMPLES", "QoSSpec", "TimingFailureStats", "QoSViolationCallback"]
+
+#: Responses a client must have seen before its observed timely frequency
+#: can report a QoS violation: with fewer, the frequency is noise.
+MIN_SAMPLES = 10
 
 # Signature of the client callback invoked on a QoS violation:
 # callback(service_name, observed_timely_probability, spec)
@@ -53,21 +57,9 @@ class QoSSpec:
                 f"min_probability must be in [0, 1], got {self.min_probability}"
             )
 
-    def renegotiate(
-        self,
-        deadline_ms: Optional[float] = None,
-        min_probability: Optional[float] = None,
-    ) -> "QoSSpec":
-        """A new spec with the given fields changed (runtime negotiation)."""
-        return replace(
-            self,
-            deadline_ms=self.deadline_ms if deadline_ms is None else deadline_ms,
-            min_probability=(
-                self.min_probability
-                if min_probability is None
-                else min_probability
-            ),
-        )
+    def renegotiate(self, deadline_ms: float) -> "QoSSpec":
+        """A new spec with ``deadline_ms`` changed (runtime negotiation)."""
+        return replace(self, deadline_ms=deadline_ms)
 
     @property
     def max_failure_probability(self) -> float:
@@ -81,17 +73,10 @@ class TimingFailureStats:
     The handler "maintains a counter that keeps track of the number of
     times its client has failed to receive a timely response" (§5.4.2) and
     issues a callback when the observed timely frequency falls below the
-    spec's minimum probability.
-
-    ``min_samples`` guards the ratio test: with very few responses the
-    observed frequency is noise, so no violation is reported before that
-    many responses have been seen.
+    spec's minimum probability, once :data:`MIN_SAMPLES` responses are in.
     """
 
-    def __init__(self, min_samples: int = 10) -> None:
-        if min_samples < 1:
-            raise ValueError(f"min_samples must be >= 1, got {min_samples}")
-        self.min_samples = int(min_samples)
+    def __init__(self) -> None:
         self.responses = 0
         self.timing_failures = 0
 
@@ -117,7 +102,7 @@ class TimingFailureStats:
 
     def violates(self, spec: QoSSpec) -> bool:
         """Whether the observed frequency has fallen below the spec."""
-        if self.responses < self.min_samples:
+        if self.responses < MIN_SAMPLES:
             return False
         return self.observed_timely_probability < spec.min_probability
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from typing import (
-    Callable,
     Dict,
     Iterator,
     List,
@@ -374,8 +373,6 @@ class SelectionContext:
         Current simulated time.
     rng:
         Random generator for stochastic policies.
-    distance:
-        Optional static distance metric (for nearest-replica baselines).
     health:
         Optional health view (any :class:`HealthView`, e.g.
         :class:`repro.health.HealthMonitor`).  Policies that honor it
@@ -394,7 +391,6 @@ class SelectionContext:
     qos: QoSSpec
     now_ms: float
     rng: np.random.Generator
-    distance: Optional[Callable[[str], float]] = None
     health: Optional[HealthView] = None
     max_redundancy: Optional[int] = None
 

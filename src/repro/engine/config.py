@@ -59,8 +59,6 @@ class EngineConfig:
         Invoked as ``callback(service, observed_probability, spec)`` when
         the observed timely frequency first drops below the QoS minimum
         (never before 10 responses were observed).
-    distance:
-        Optional static replica distance, for nearest-replica baselines.
     classifier:
         Optional request classifier (§8 extension): performance history
         and models are kept per class key.  ``None`` keeps the paper's
@@ -116,7 +114,6 @@ class EngineConfig:
     selection_charge_ms: float = 0.3
     response_timeout_factor: float = 10.0
     violation_callback: Optional[QoSViolationCallback] = None
-    distance: Optional[Callable[[str], float]] = None
     classifier: Optional[RequestClassifier] = None
     estimator_factory: Optional[EstimatorFactory] = None
     probe_staleness_ms: Optional[float] = None

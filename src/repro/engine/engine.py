@@ -245,7 +245,6 @@ class TimingFaultEngine:
             qos=self.qos,
             now_ms=self.port.now,
             rng=self.rng,
-            distance=self.config.distance,
             health=self.health,
         )
         decision = self.policy.decide(ctx)

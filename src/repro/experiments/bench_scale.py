@@ -45,6 +45,9 @@ __all__ = [
 REPLICA_COUNTS = (64, 256, 1024)
 #: Window sizes, up to the 240-entry ceiling of ISSUE 7.
 WINDOW_SIZES = (60, 240)
+#: Messages sent in one instant per round of the message probe: a
+#: replica's push fan-out at the A16 knee is about that wide.
+SENDS_PER_DRAIN = 16
 
 
 @dataclass(frozen=True)
@@ -118,17 +121,14 @@ class _Sink(ProtocolHandler):
         return
 
 
-def measure_message_throughput(
-    target_messages: int = 100_000, sends_per_drain: int = 16
-) -> MessagePoint:
+def measure_message_throughput(target_messages: int = 100_000) -> MessagePoint:
     """Microseconds per message through ``net`` + kernel + gateway routing.
 
     Two hosts of an otherwise empty deployment on the default
-    :class:`~repro.net.lan.LinkProfile`, tracing off, one
+    :class:`~repro.net.lan.LinkProfile`, one
     :class:`~repro.gateway.gateway.Gateway` routing to a no-op handler.
-    Each round constructs and sends ``sends_per_drain`` messages in one
-    instant (a replica's push fan-out at the A16 knee is about that
-    wide) and runs the kernel until they have all been delivered, so a
+    Each round constructs and sends :data:`SENDS_PER_DRAIN` messages in one
+    instant and runs the kernel until they have all been delivered, so a
     message pays exactly what it pays in a scenario — construction,
     delay draw, one event, delivery, routing — and nothing of the
     handlers above.  The messages go through in five equal timed slices
@@ -141,21 +141,21 @@ def measure_message_throughput(
     stack.lan.add_host("b")
     stack.gateway_for("b").load_handler(_Sink())
     payload = {"service": ""}
-    rounds = max(1, target_messages // (5 * sends_per_drain))
+    rounds = max(1, target_messages // (5 * SENDS_PER_DRAIN))
     fastest = float("inf")
     for _ in range(5):
         started = time.perf_counter()
         for _ in range(rounds):
-            for _ in range(sends_per_drain):
+            for _ in range(SENDS_PER_DRAIN):
                 transport.send(
                     Message(sender="a", destination="b", kind="probe",
                             payload=payload, size_bytes=96)
                 )
             sim.run()
         fastest = min(fastest, time.perf_counter() - started)
-    if transport.delivered_count != 5 * rounds * sends_per_drain:
+    if transport.delivered_count != 5 * rounds * SENDS_PER_DRAIN:
         raise RuntimeError("message probe lost messages on a reliable link")
-    return MessagePoint(messages=rounds * sends_per_drain, elapsed_s=fastest)
+    return MessagePoint(messages=rounds * SENDS_PER_DRAIN, elapsed_s=fastest)
 
 
 def export_scale_bench(

@@ -53,6 +53,10 @@ __all__ = [
     "EXPERIMENT",
 ]
 
+#: The QoS every timed selection is made for.
+DEADLINE_MS = 150.0
+MIN_PROBABILITY = 0.9
+
 
 @dataclass(frozen=True)
 class OverheadPoint:
@@ -129,8 +133,6 @@ def _time_selections(
     repository: InformationRepository,
     probabilities: Callable[[Sequence[str], float], Sequence[Optional[float]]],
     iterations: int,
-    deadline_ms: float = 150.0,
-    min_probability: float = 0.9,
     before_each: Callable[[int], None] = lambda iteration: None,
 ) -> OverheadPoint:
     """Mean cost of ``probabilities`` and of Algorithm 1 over its result.
@@ -144,9 +146,9 @@ def _time_selections(
     for iteration in range(iterations):
         before_each(iteration)
         started = time.perf_counter()
-        computed = np.asarray(probabilities(replicas, deadline_ms), dtype=float)
+        computed = np.asarray(probabilities(replicas, DEADLINE_MS), dtype=float)
         mid = time.perf_counter()
-        select_replicas_arrays(names, computed, min_probability)
+        select_replicas_arrays(names, computed, MIN_PROBABILITY)
         ended = time.perf_counter()
         distribution_s += mid - started
         selection_s += ended - mid
@@ -165,10 +167,7 @@ def _time_selections(
 def measure_overhead(
     num_replicas: int,
     window_size: int,
-    deadline_ms: float = 150.0,
-    min_probability: float = 0.9,
     iterations: int = 200,
-    seed: int = 0,
     cached: bool = False,
     dirty: int = 0,
 ) -> OverheadPoint:
@@ -183,12 +182,12 @@ def measure_overhead(
     run every reply dirties one replica, so ``dirty=1`` — not ``dirty=0``
     — is the cost a request actually pays.
     """
-    repository = build_loaded_repository(num_replicas, window_size, seed=seed)
+    repository = build_loaded_repository(num_replicas, window_size)
     estimator = ResponseTimeEstimator(repository)
     replicas = repository.replicas()
     if cached:
-        estimator.batch_probability_by(replicas, deadline_ms)  # warm
-    rng = seeded_generator(seed + 1)
+        estimator.batch_probability_by(replicas, DEADLINE_MS)  # warm
+    rng = seeded_generator(1)
 
     def before_each(iteration: int) -> None:
         if not cached:
@@ -200,8 +199,7 @@ def measure_overhead(
             )
 
     return _time_selections(
-        repository, estimator.batch_probability_by, iterations,
-        deadline_ms, min_probability, before_each,
+        repository, estimator.batch_probability_by, iterations, before_each
     )
 
 

@@ -29,9 +29,7 @@ PROBABILITIES = (0.9, 0.5, 0.0)
 
 
 def grid(
-    deadlines_ms: Sequence[float] = DEADLINES_MS,
-    probabilities: Sequence[float] = PROBABILITIES,
-    num_requests: int = 50,
+    deadlines_ms: Sequence[float] = DEADLINES_MS, num_requests: int = 50
 ) -> Tuple[dict, ...]:
     """The (Pc, deadline) grid; ``tolerated`` is the 1 − Pc the client accepts."""
     return tuple(
@@ -41,7 +39,7 @@ def grid(
             "tolerated_failure_probability": 1.0 - min_probability,
             "num_requests": num_requests,
         }
-        for min_probability in probabilities
+        for min_probability in PROBABILITIES
         for deadline in deadlines_ms
     )
 

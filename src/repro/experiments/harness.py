@@ -12,7 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.baselines import AllReplicasPolicy, RandomPolicy, SingleFastestPolicy
+from ..core.baselines import (
+    AllReplicasPolicy,
+    BestSinglePolicy,
+    RandomPolicy,
+    SingleFastestPolicy,
+)
 from ..core.qos import QoSSpec
 from ..core.selection import DynamicSelectionPolicy, SelectionPolicy
 from ..workload.client import ClientSummary, ClosedLoopClient
@@ -49,6 +54,7 @@ POLICIES: Dict[str, Optional[Callable[[], SelectionPolicy]]] = {
     "all-replicas": AllReplicasPolicy,
     "single-fastest": SingleFastestPolicy,
     "random-2 (load-blind)": lambda: RandomPolicy(redundancy=2),
+    "best-single": BestSinglePolicy,
 }
 
 

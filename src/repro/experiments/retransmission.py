@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
-from ..gateway.handlers.retransmit import RetransmittingClientHandler
-from ..gateway.handlers.timing_fault import TimingFaultClientHandler
 from ..workload.scenarios import ScenarioConfig
 from .harness import run_clients, summary_metrics
 from .registry import Experiment, Table, cartesian
@@ -23,10 +21,11 @@ from .registry import Experiment, Table, cartesian
 __all__ = ["DEADLINES_MS", "STRATEGIES", "grid", "point", "EXPERIMENT"]
 
 DEADLINES_MS = (140.0, 180.0, 240.0)
-#: Table label → client handler class.
+#: Table label → (policy label in ``harness.POLICIES``, client options):
+#: the related work routes to the best single replica and retransmits.
 STRATEGIES = {
-    "dynamic (paper)": TimingFaultClientHandler,
-    "retransmit (related work)": RetransmittingClientHandler,
+    "dynamic (paper)": ("dynamic (paper)", {"retry": False}),
+    "retransmit (related work)": ("best-single", {"retry": True}),
 }
 MIN_PROBABILITY = 0.9
 CRASH_AT_MS = 8_000.0
@@ -43,16 +42,18 @@ def grid(
 
 def point(params: dict, seed: int, repetition: int) -> Dict[str, float]:
     """One strategy at one deadline, with the best replica crashing."""
+    arm = STRATEGIES[params["strategy"]]
     scenario, (client,) = run_clients(
         ScenarioConfig(seed=seed, response_timeout_factor=4.0),
         1,
         params["deadline_ms"],
         MIN_PROBABILITY,
         params["num_requests"],
+        policy=arm[0],
         crash_at_ms=CRASH_AT_MS,
-        handler_cls=STRATEGIES[params["strategy"]],
+        handler_kwargs=arm[1],
     )
-    extra = getattr(scenario.handlers["client-1"], "retransmissions", 0)
+    extra = scenario.handlers["client-1"].retransmissions
     return {
         **summary_metrics(client.summary()),
         "messages_per_request": (

@@ -402,10 +402,12 @@ def rebuild_schedule(items: Sequence[Tuple[str, Any]]) -> FaultSchedule:
     )
 
 
+#: Reruns :func:`shrink_schedule` spends at most, for pathological schedules.
+MAX_PROBES = 512
+
+
 def shrink_schedule(
-    schedule: FaultSchedule,
-    fails: Callable[[FaultSchedule], bool],
-    max_probes: int = 512,
+    schedule: FaultSchedule, fails: Callable[[FaultSchedule], bool]
 ) -> FaultSchedule:
     """Minimize ``schedule`` to a 1-minimal failing subset (ddmin).
 
@@ -414,15 +416,14 @@ def shrink_schedule(
     deterministic (the campaign's seed discipline guarantees that).  The
     returned schedule still fails, and removing any single remaining
     fault makes it pass (1-minimality), which is exactly the "minimal
-    reproducer" the failure report should point at.  ``max_probes``
-    bounds the rerun budget for pathological schedules.
+    reproducer" the failure report should point at.
     """
     items = flatten_schedule(schedule)
     if not fails(rebuild_schedule(items)):
         raise ValueError("schedule does not fail; nothing to shrink")
     probes = 0
     granularity = 2
-    while len(items) >= 2 and probes < max_probes:
+    while len(items) >= 2 and probes < MAX_PROBES:
         chunk = max(1, -(-len(items) // granularity))  # ceil division
         reduced = False
         # Try each chunk alone, then each complement.

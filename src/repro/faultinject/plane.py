@@ -378,10 +378,6 @@ class FaultPlane:
             self.surge_requests += 1
             yield self.sim.timeout(fault.surge_interarrival_ms)
 
-    def surges_drained(self) -> bool:
-        """Whether every surge request has completed (any outcome)."""
-        return all(event.processed for event in self.surge_events)
-
     # -- clocks ----------------------------------------------------------------
     @cached_property
     def _jitter_streams(self) -> RNGManager:

@@ -20,7 +20,7 @@ Drops win over everything (a message that was never sent cannot be late).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..net.message import Message
 from ..net.transport import Receiver, Transport
@@ -42,25 +42,20 @@ class FaultyTransport:
         stream supplies the probabilistic rules' draws, keeping fault
         randomness on a named substream independent of every other
         component's draws (docs/REPRODUCIBILITY.md).
-    schedule:
-        The rules in force; a deployment's wire starts empty and is
-        handed its schedule by :meth:`~repro.faultinject.plane
-        .FaultPlane.apply`, which also arms the timed fault families.
+
+    ``schedule`` holds the rules in force: the wire starts empty and is
+    handed its schedule by :meth:`~repro.faultinject.plane
+    .FaultPlane.apply`, which also arms the timed fault families.
     """
 
     #: Named stream the wire-level injection draws come from.
     STREAM_NAME = "faultinject.wire"
 
-    def __init__(
-        self,
-        inner: Transport,
-        streams: RNGManager,
-        schedule: Optional[FaultSchedule] = None,
-    ) -> None:
+    def __init__(self, inner: Transport, streams: RNGManager) -> None:
         self.inner = inner
         self.sim = inner.sim
         self.lan = inner.lan
-        self.schedule = schedule or FaultSchedule()
+        self.schedule = FaultSchedule()
         self.rng = streams.stream(self.STREAM_NAME)
         self.injected_drops = 0
         self.injected_delays = 0

@@ -1,6 +1,5 @@
 """Protocol handlers loaded into AQuA gateways."""
 
-from .retransmit import BestSinglePolicy, RetransmittingClientHandler
 from .timing_fault import (
     DEFAULT_CLASS,
     MSG_PERF,
@@ -21,8 +20,6 @@ from .timing_fault import (
 __all__ = [
     "TimingFaultClientHandler",
     "TimingFaultServerHandler",
-    "RetransmittingClientHandler",
-    "BestSinglePolicy",
     "OutcomeKind",
     "PerformanceUpdate",
     "ReplyOutcome",

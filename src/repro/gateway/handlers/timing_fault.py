@@ -153,11 +153,6 @@ class TimingFaultServerHandler(ProtocolHandler):
         """Outstanding requests: waiting plus the one in service."""
         return len(self._queue) + (1 if self._busy else 0)
 
-    @property
-    def subscribers(self) -> List[str]:
-        """Clients subscribed to performance updates (sorted)."""
-        return sorted(self._subscribers)
-
     # -- message handling --------------------------------------------------------
     def handle_message(self, message: Message) -> None:
         if self.crashed:

@@ -20,7 +20,11 @@ from .failure_detector import FailureDetector
 from .membership import GroupView, MembershipService
 from .multicast import MulticastGroup
 
-__all__ = ["GroupCommunication"]
+__all__ = ["NOTIFY_DELAY_MS", "GroupCommunication"]
+
+#: Delay between a membership change being installed and each member
+#: learning about it (propagation of the view-change protocol).
+NOTIFY_DELAY_MS = 1.0
 
 ViewCallback = Callable[[GroupView], None]
 
@@ -32,9 +36,6 @@ class GroupCommunication:
     ----------
     sim, lan, transport:
         Simulation substrate.
-    notify_delay_ms:
-        Delay between a membership change being installed and each member
-        learning about it (propagation of the view-change protocol).
     failure_detector:
         Detector used to evict crashed members; a default one is built if
         not supplied.
@@ -45,15 +46,11 @@ class GroupCommunication:
         sim: Simulator,
         lan: LanModel,
         transport: Transport,
-        notify_delay_ms: float = 1.0,
         failure_detector: Optional[FailureDetector] = None,
     ) -> None:
-        if notify_delay_ms < 0:
-            raise ValueError(f"notify_delay_ms must be >= 0, got {notify_delay_ms}")
         self.sim = sim
         self.lan = lan
         self.transport = transport
-        self.notify_delay_ms = float(notify_delay_ms)
         self.membership = MembershipService()
         self.failure_detector = failure_detector or FailureDetector(sim, lan)
         self.failure_detector.on_crash(self._on_crash)
@@ -101,7 +98,7 @@ class GroupCommunication:
     ) -> None:
         """Deliver future views of ``group_name`` to ``member``'s callback.
 
-        Notifications arrive ``notify_delay_ms`` after the view is
+        Notifications arrive :data:`NOTIFY_DELAY_MS` after the view is
         installed, and only if the member host is still up at that time.
         """
         key = (group_name, member)
@@ -113,8 +110,7 @@ class GroupCommunication:
                 continue
             for callback in list(callbacks):
                 self.sim.call_in(
-                    self.notify_delay_ms,
-                    self._make_notifier(member, callback, view),
+                    NOTIFY_DELAY_MS, self._make_notifier(member, callback, view)
                 )
 
     def _make_notifier(
@@ -135,6 +131,5 @@ class GroupCommunication:
 
     def __repr__(self) -> str:
         return (
-            f"<GroupCommunication groups={len(self.membership._groups)} "
-            f"notify_delay={self.notify_delay_ms}ms>"
+            f"<GroupCommunication groups={len(self.membership._groups)}>"
         )

@@ -4,7 +4,7 @@ Maestro/Ensemble detects member crashes and announces membership changes.
 Our analog is a heartbeat-style detector: every watched host has a *poll
 chain* — one liveness sample every ``poll_interval_ms``, starting one
 interval after the host was first watched — and a crash is declared after
-``confirm_polls`` consecutive "down" samples.  The product of the two is
+:data:`CONFIRM_POLLS` consecutive "down" samples.  The product of the two is
 the *detection latency* — the window during which the paper's selection
 algorithm must survive on redundancy alone, which is exactly why
 Algorithm 1 over-provisions by one replica.
@@ -25,7 +25,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..net.lan import LanModel
 from ..sim.kernel import Simulator
 
-__all__ = ["FailureDetector"]
+__all__ = ["CONFIRM_POLLS", "FailureDetector"]
+
+#: Consecutive "down" samples before a crash is declared (guards against
+#: transient unreachability).
+CONFIRM_POLLS = 2
 
 CrashListener = Callable[[str], None]
 
@@ -61,16 +65,14 @@ class FailureDetector:
         Kernel and topology.
     poll_interval_ms:
         Gap between liveness samples for each watched host.
-    confirm_polls:
-        Consecutive "down" samples required before declaring a crash
-        (guards against transient unreachability).
-    vantage:
-        Optional host the detector observes *from*.  With a vantage set,
-        a watched host severed from it (in either direction — probes out
-        or replies back) samples as down, so partitions produce the same
-        eviction path as crashes.  ``None`` (the default) keeps the
-        legacy oracle behaviour: only ``lan.is_up`` matters.  Assignable
-        after construction; takes effect at the next chain instant.
+
+    ``vantage`` is the host the detector observes *from*, assigned after
+    construction (the chaos campaign sets it).  With a vantage set, a
+    watched host severed from it (in either direction — probes out or
+    replies back) samples as down, so partitions produce the same
+    eviction path as crashes; ``None`` (the default) keeps the oracle
+    behaviour: only ``lan.is_up`` matters.  ``confirm_polls`` starts at
+    :data:`CONFIRM_POLLS`.
 
     Only samples that can change something are run: a host's timer exists
     from the LAN change that makes it look down until the first sample
@@ -83,18 +85,14 @@ class FailureDetector:
         sim: Simulator,
         lan: LanModel,
         poll_interval_ms: float = 50.0,
-        confirm_polls: int = 2,
-        vantage: Optional[str] = None,
     ) -> None:
         if poll_interval_ms <= 0:
             raise ValueError(f"poll_interval_ms must be > 0, got {poll_interval_ms}")
-        if confirm_polls < 1:
-            raise ValueError(f"confirm_polls must be >= 1, got {confirm_polls}")
         self.sim = sim
         self.lan = lan
         self.poll_interval_ms = float(poll_interval_ms)
-        self.confirm_polls = int(confirm_polls)
-        self._vantage = vantage
+        self.confirm_polls = CONFIRM_POLLS
+        self._vantage: Optional[str] = None
         self._listeners: List[CrashListener] = []
         self._chains: Dict[str, _Chain] = {}
         self._declared: Dict[str, float] = {}  # host -> time of declaration
@@ -102,11 +100,6 @@ class FailureDetector:
         self._watch_count = 0
         self._polls_fired = 0
         lan.on_change(self._on_lan_change)
-
-    @property
-    def detection_latency_ms(self) -> float:
-        """Worst-case time from crash to declaration."""
-        return self.poll_interval_ms * (self.confirm_polls + 1)
 
     @property
     def vantage(self) -> Optional[str]:
@@ -167,14 +160,6 @@ class FailureDetector:
     def is_declared_crashed(self, host_name: str) -> bool:
         """Whether a crash has been declared for this host."""
         return host_name in self._declared
-
-    def declared_crashes(self) -> Dict[str, float]:
-        """Map of declared-crashed hosts to the declaration time."""
-        return dict(self._declared)
-
-    def consecutive_down(self, host_name: str) -> int:
-        """Consecutive "down" samples on record for a watched host."""
-        return self._chains[host_name].down_samples
 
     def sight(self, host_name: str) -> None:
         """Register a fresh sighting of ``host_name``.

@@ -140,10 +140,6 @@ class HealthMonitor:
         record = self._replicas.get(name)
         return record.state if record is not None else None
 
-    def states(self) -> Dict[str, HealthState]:
-        """Snapshot of every tracked replica's state."""
-        return {name: r.state for name, r in self._replicas.items()}
-
     def record_for(self, name: str) -> ReplicaHealth:
         """The full bookkeeping record (KeyError if untracked)."""
         return self._replicas[name]

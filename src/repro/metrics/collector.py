@@ -55,10 +55,6 @@ class MetricsCollector:
         key = (name, _labels_key(labels))
         self._counters[key] = self._counters.get(key, 0) + amount
 
-    def counter(self, name: str, labels: Optional[Dict[str, str]] = None) -> int:
-        """Current value of counter ``name`` (0 if never incremented)."""
-        return self._counters.get((name, _labels_key(labels)), 0)
-
     # -- queries ----------------------------------------------------------
     def stats(
         self, name: str, labels: Optional[Dict[str, str]] = None

@@ -39,8 +39,6 @@ class Host:
 
     name: str
     up: bool = True
-    # Free-form placement tag, used by nearest-replica baselines.
-    zone: str = "default"
 
     def __hash__(self) -> int:
         return hash(self.name)
@@ -131,11 +129,11 @@ class LanModel:
         self._change_listeners: List[ChangeListener] = []
 
     # -- topology ----------------------------------------------------------
-    def add_host(self, name: str, zone: str = "default") -> Host:
+    def add_host(self, name: str) -> Host:
         """Register a host; names must be unique on the LAN."""
         if name in self._hosts:
             raise ValueError(f"host {name!r} already registered")
-        host = Host(name=name, zone=zone)
+        host = Host(name=name)
         self._hosts[name] = host
         return host
 
@@ -275,14 +273,6 @@ class LanModel:
         if loss_rng is None:
             return False
         return bool(loss_rng.random() < profile.loss_probability)
-
-    def zone_distance(self, src: str, dst: str) -> float:
-        """Static "distance" between hosts, for nearest-replica baselines.
-
-        Same zone → 0; different zones → 1.  Deterministic and cheap; the
-        nearest baseline (Heidemann-style) only needs an ordering.
-        """
-        return 0.0 if self.host(src).zone == self.host(dst).zone else 1.0
 
     def __repr__(self) -> str:
         up = sum(1 for h in self._hosts.values() if h.up)

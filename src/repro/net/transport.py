@@ -10,10 +10,9 @@ selection and group-membership crash notification.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Protocol, Sequence
+from typing import Callable, Dict, List, Protocol, Sequence
 
 from ..sim.kernel import Simulator
-from ..sim.trace import NullTracer, Tracer
 from .lan import LanModel
 from .message import Message
 
@@ -63,21 +62,14 @@ class Transport:
         Simulation kernel (provides the clock and scheduling).
     lan:
         Latency/topology model.
-    tracer:
-        Optional structured tracer; emits ``net.sent`` / ``net.delivered`` /
-        ``net.dropped`` records.  A tracer that is off (``enabled`` false)
-        costs one attribute test per site: ``describe()`` is not built.
+
+    Its four counters (sent, delivered, dropped at the destination, lost
+    in transit) are the plane's whole record.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        lan: LanModel,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, lan: LanModel) -> None:
         self.sim = sim
         self.lan = lan
-        self.tracer = tracer if tracer is not None else NullTracer()
         self._receivers: Dict[str, Receiver] = {}
         self.sent_count = 0
         self.delivered_count = 0
@@ -117,25 +109,11 @@ class Transport:
             # The link is severed by a partition: nothing crosses, not
             # even copies a fault injector scheduled before the cut.
             self.lost_count += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    self.sim.now, "transport", "net.partitioned",
-                    **message.describe(),
-                )
             return delay
         if lan.should_drop(sender, destination):
             # Omission fault: the message vanishes in transit.
             self.lost_count += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    self.sim.now, "transport", "net.lost", **message.describe()
-                )
             return delay
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.sim.now, "transport", "net.sent",
-                delay=delay, **message.describe(),
-            )
         self.sim.call_in(delay, lambda: self._deliver(message))
         return delay
 
@@ -160,28 +138,11 @@ class Transport:
 
     # -- delivery ------------------------------------------------------------
     def _deliver(self, message: Message) -> None:
-        if not self.lan.is_up(message.destination):
-            self.dropped_count += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    self.sim.now, "transport", "net.dropped",
-                    reason="host-down", **message.describe(),
-                )
-            return
         receiver = self._receivers.get(message.destination)
-        if receiver is None:
+        if receiver is None or not self.lan.is_up(message.destination):
             self.dropped_count += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    self.sim.now, "transport", "net.dropped",
-                    reason="no-receiver", **message.describe(),
-                )
             return
         self.delivered_count += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.sim.now, "transport", "net.delivered", **message.describe()
-            )
         receiver(message)
 
     def __repr__(self) -> str:

@@ -5,9 +5,7 @@ for different applications based on their dependability requirements"
 (paper §2).  Here the manager decides *what* runs *where* on a
 :class:`~repro.workload.ministack.Deployment`: it deploys a service's
 replicas onto hosts (a host may run replicas of several services, which
-then share a :class:`~repro.replica.load.HostActivity`), optionally keeps
-the replication level up by starting replicas on spare hosts after
-members are evicted, and aggregates the health transitions the client
+then share a :class:`~repro.replica.load.HostActivity`) and aggregates the health transitions the client
 gateways report.  Starting a replica, and crashing or restarting a host,
 are the deployment's own paths.
 """
@@ -18,7 +16,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..gateway.handlers.timing_fault import TimingFaultServerHandler
-from ..group.membership import GroupView
 from ..orb.object import Servant
 from ..replica.load import HostActivity, ServiceProfile
 
@@ -62,12 +59,7 @@ class DependabilityManager:
 
     def __init__(self, stack: "Deployment"):
         self.stack = stack
-        self.sim = stack.sim
         self._specs: Dict[str, ServiceSpec] = {}
-        self._spares: Dict[str, List[str]] = {}
-        # service -> spare starts maintain_replication has scheduled that
-        # have not fired yet; they already cover that much of a deficit.
-        self._pending_starts: Dict[str, int] = {}
         # Shared co-location activity, consumed by CoupledLoad profiles.
         self.host_activity = HostActivity()
         self.replicas_started = 0
@@ -80,7 +72,6 @@ class DependabilityManager:
     def deploy(self, spec: ServiceSpec, hosts: List[str]) -> List[str]:
         """Deploy ``spec`` onto the first ``replication_level`` hosts.
 
-        Remaining hosts become spares for :meth:`maintain_replication`.
         Returns the hosts that now run replicas.
         """
         if len(hosts) < spec.replication_level:
@@ -91,8 +82,6 @@ class DependabilityManager:
             raise ValueError(f"service {spec.service!r} already deployed")
         self._specs[spec.service] = spec
         active = hosts[: spec.replication_level]
-        self._spares[spec.service] = list(hosts[spec.replication_level:])
-        self._pending_starts[spec.service] = 0
         for host in active:
             self.start_replica(spec.service, host)
         return active
@@ -161,44 +150,6 @@ class DependabilityManager:
     def health_listener(self, service: str):
         """A per-service callback suitable for ``health_listener=``."""
         return lambda event: self.report_health_event(service, event)
-
-    # -- replication maintenance ---------------------------------------------
-    def maintain_replication(
-        self, service: str, start_delay_ms: float = 500.0
-    ) -> None:
-        """Keep the service at its target level using spare hosts.
-
-        After a member eviction drops the view below ``replication_level``,
-        a replica is started on the next spare ``start_delay_ms`` later
-        (modeling Proteus's restart latency).
-        """
-        if start_delay_ms < 0:
-            raise ValueError(f"start_delay_ms must be >= 0, got {start_delay_ms}")
-        spec = self._specs[service]
-
-        def on_view(view: GroupView) -> None:
-            missing = (
-                spec.replication_level
-                - len(view.members)
-                - self._pending_starts[service]
-            )
-            spares = self._spares[service]
-            while missing > 0 and spares:
-                spare = spares.pop(0)
-                missing -= 1
-                self._pending_starts[service] += 1
-                self.sim.call_in(
-                    start_delay_ms,
-                    lambda host=spare: self._start_if_absent(service, host),
-                )
-
-        self.stack.group_comm.on_view_change(service, "proteus-manager", on_view)
-
-    def _start_if_absent(self, service: str, host: str) -> None:
-        self._pending_starts[service] -= 1
-        if self._runs(service, host) or not self.stack.lan.is_up(host):
-            return
-        self.start_replica(service, host)
 
     def __repr__(self) -> str:
         return (

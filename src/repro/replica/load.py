@@ -124,30 +124,25 @@ class HostActivity:
 class CoupledLoad(LoadModel):
     """Load factor driven by co-located replicas' concurrency.
 
-    ``factor = base · (1 + alpha · other_busy)`` where ``other_busy`` is
+    ``factor = 1 + alpha · other_busy`` where ``other_busy`` is
     the number of *other* replicas on the same host currently in service
     — a linear CPU-contention model.  The sampling replica is itself about
     to run, so only its neighbours slow it down.
     """
 
-    def __init__(self, activity: HostActivity, host: str, alpha: float = 1.0,
-                 base: float = 1.0):
-        if alpha < 0 or base < 0:
-            raise ValueError("alpha and base must be >= 0")
+    def __init__(self, activity: HostActivity, host: str, alpha: float = 1.0):
+        if alpha < 0:
+            raise ValueError("alpha must be >= 0")
         self.activity = activity
         self.host = host
         self.alpha = float(alpha)
-        self.base = float(base)
 
     def factor(self, now_ms: float) -> float:
         others = max(0, self.activity.busy(self.host))
-        return self.base * (1.0 + self.alpha * others)
+        return 1.0 + self.alpha * others
 
     def __repr__(self) -> str:
-        return (
-            f"CoupledLoad(host={self.host!r}, alpha={self.alpha}, "
-            f"base={self.base})"
-        )
+        return f"CoupledLoad(host={self.host!r}, alpha={self.alpha})"
 
 
 class ServiceProfile:

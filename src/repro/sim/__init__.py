@@ -4,8 +4,7 @@ This package provides the simulated "machines and wires" on which the
 reproduction runs: an event-driven kernel with a millisecond clock
 (:class:`Simulator`), one-shot events a process can wait on
 (:class:`Event`), generator-based processes (:class:`Process`), sampling
-distributions with a uniform ``sample(rng)`` interface and structured
-tracing (:class:`Tracer`).  Simulated code has one failure rule: an
+distributions with a uniform ``sample(rng)`` interface.  Simulated code has one failure rule: an
 exception a timer callback or a process does not catch stops
 :meth:`Simulator.run` and propagates to its caller.
 """
@@ -23,7 +22,6 @@ from .random import (
     Pareto,
     Uniform,
 )
-from .trace import NullTracer, TraceRecord, Tracer
 
 __all__ = [
     "Simulator",
@@ -39,7 +37,4 @@ __all__ = [
     "Normal",
     "Pareto",
     "MarkovModulated",
-    "Tracer",
-    "NullTracer",
-    "TraceRecord",
 ]

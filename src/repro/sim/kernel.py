@@ -64,9 +64,9 @@ class Simulator:
         """Create a fresh untriggered :class:`Event`."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Event:
-        """Create an event that fires with ``value`` ``delay`` ms from now."""
-        return Event(self).succeed(value, delay)
+    def timeout(self, delay: float) -> Event:
+        """Create an event that fires ``delay`` ms from now."""
+        return Event(self).succeed(None, delay)
 
     @property
     def pending_live(self) -> int:

@@ -1,10 +1,9 @@
-"""Structured event tracing for the message plane.
+"""Structured event tracing: a record list nothing in ``repro`` writes.
 
-The transport emits :class:`TraceRecord` entries (``net.sent`` /
-``net.delivered`` / ``net.dropped``) into a :class:`Tracer` handed to it;
-records are cheap frozen dataclasses and filtering is done after the run.
-Per-request stamps (the paper's t0..t4) are not traced: they travel on
-the request's :class:`~repro.engine.ReplyOutcome`.
+No layer of the simulator traces: a request's stamps (the paper's
+t0..t4) travel on its :class:`~repro.engine.ReplyOutcome`, and the
+transport keeps counters.  The module stays because the end-to-end
+benchmark wraps :meth:`Tracer.emit` and :meth:`NullTracer.emit` by name.
 """
 
 from __future__ import annotations
@@ -51,10 +50,6 @@ class Tracer:
         self.records.append(
             TraceRecord(time=time, source=source, kind=kind, data=data)
         )
-
-    def of_kind(self, kind: str) -> List[TraceRecord]:
-        """All records with exactly this ``kind``."""
-        return [r for r in self.records if r.kind == kind]
 
     def __len__(self) -> int:
         return len(self.records)

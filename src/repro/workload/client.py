@@ -4,7 +4,7 @@ The paper's §6 experiments use closed-loop clients: each "independently
 issued requests to the same service with a one second delay between
 receiving a response and issuing the next request", fifty requests per
 run.  :class:`ClosedLoopClient` reproduces that; :class:`OpenLoopClient`
-adds rate-driven arrivals for the scalability ablations.
+adds rate-driven arrivals: A12's noisy batch neighbour.
 """
 
 from __future__ import annotations
@@ -153,9 +153,9 @@ class ClosedLoopClient:
 class OpenLoopClient:
     """Fires requests on an arrival process, not waiting for replies.
 
-    Used by the scalability experiments, where the offered load must not
-    shrink when the service slows down (the defining property of open-loop
-    workloads).
+    Drives A12's batch neighbour (``experiments/colocation.py``), whose
+    offered load must not shrink when the service slows down (the
+    defining property of open-loop workloads).
     """
 
     def __init__(

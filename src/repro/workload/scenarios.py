@@ -32,10 +32,14 @@ from ..orb.orb import Stub
 from ..proteus.manager import DependabilityManager, ServiceSpec
 from ..replica.load import ConstantLoad, LoadModel, ServiceProfile
 from ..sim.random import Constant, Distribution, Normal
-from .client import ClosedLoopClient, OpenLoopClient
+from .client import ClosedLoopClient
 from .ministack import Deployment, IntegerServant, Wiring, make_interface
 
 __all__ = ["IntegerServant", "ScenarioConfig", "Scenario", "make_interface"]
+
+#: Simulated time by which :meth:`Scenario.run_to_completion` must have
+#: seen every client finish, ms.
+RUN_LIMIT_MS = 10_000_000.0
 
 
 @dataclass
@@ -113,7 +117,6 @@ class Scenario(Deployment):
         )
         self.replica_hosts = self.manager.deploy(spec, cfg.replica_hosts())
         self.clients: Dict[str, ClosedLoopClient] = {}
-        self.open_clients: Dict[str, OpenLoopClient] = {}
         self.handlers: Dict[str, TimingFaultClientHandler] = {}
 
     def _wiring(self) -> Wiring:
@@ -186,31 +189,6 @@ class Scenario(Deployment):
         self.clients[name] = client
         return client
 
-    def add_open_loop_client(
-        self,
-        name: str,
-        qos: QoSSpec,
-        interarrival: Distribution,
-        policy: Optional[SelectionPolicy] = None,
-        num_requests: int = 100,
-        window_size: Optional[int] = None,
-    ) -> OpenLoopClient:
-        """Add an open-loop client firing on ``interarrival`` gaps."""
-        stub = self._bind(
-            name, qos, TimingFaultClientHandler, window_size, policy=policy
-        )
-        client = OpenLoopClient(
-            sim=self.sim,
-            stub=stub,
-            host=name,
-            streams=self.streams,
-            interarrival=interarrival,
-            method=self.config.method,
-            num_requests=num_requests,
-        )
-        self.open_clients[name] = client
-        return client
-
     def _bind(
         self, name: str, qos: QoSSpec, handler_cls: type,
         window_size: Optional[int], **options,
@@ -224,7 +202,6 @@ class Scenario(Deployment):
         defaults = dict(
             window_size=window_size if window_size is not None else cfg.window_size,
             response_timeout_factor=cfg.response_timeout_factor,
-            distance=lambda replica: self.lan.zone_distance(name, replica),
             overload_config=cfg.overload_config,
         )
         if cfg.health_config is not None:
@@ -240,27 +217,23 @@ class Scenario(Deployment):
         """Advance the simulation (see :meth:`Simulator.run`)."""
         self.sim.run(until=until)
 
-    def run_to_completion(self, limit_ms: float = 10_000_000.0) -> None:
-        """Run until every client finished (bounded by ``limit_ms``)."""
+    def run_to_completion(self) -> None:
+        """Run until every client finished (bounded by :data:`RUN_LIMIT_MS`)."""
         self.sim.run()
         # Live events drained while clients still wait (e.g. replies lost
         # to a crash): let daemon activity (failure detection) unblock
         # them, then continue.
-        while self._unfinished() and self.sim.now < limit_ms:
-            self.sim.run(until=min(limit_ms, self.sim.now + 1000.0))
+        while self._unfinished() and self.sim.now < RUN_LIMIT_MS:
+            self.sim.run(until=min(RUN_LIMIT_MS, self.sim.now + 1000.0))
             self.sim.run()
         unfinished = self._unfinished()
         if unfinished:
             raise RuntimeError(
-                f"clients {unfinished} did not finish before {limit_ms} ms"
+                f"clients {unfinished} did not finish before {RUN_LIMIT_MS} ms"
             )
 
     def _unfinished(self) -> List[str]:
-        return [
-            client.host
-            for client in (*self.clients.values(), *self.open_clients.values())
-            if not client.done
-        ]
+        return [client.host for client in self.clients.values() if not client.done]
 
     # -- lifecycle auditing ------------------------------------------------
     def audit_lifecycle(self) -> AuditReport:

@@ -8,7 +8,6 @@ from repro.net.lan import LanModel
 from repro.net.transport import Transport
 from repro.sim.kernel import Simulator
 from repro.rng import RNGManager
-from repro.sim.trace import Tracer
 
 
 @pytest.fixture
@@ -24,12 +23,6 @@ def streams() -> RNGManager:
 
 
 @pytest.fixture
-def tracer() -> Tracer:
-    """An enabled tracer."""
-    return Tracer()
-
-
-@pytest.fixture
 def lan(streams) -> LanModel:
     """A LAN with three hosts: one client, two servers."""
     lan = LanModel(streams)
@@ -39,6 +32,6 @@ def lan(streams) -> LanModel:
 
 
 @pytest.fixture
-def transport(sim, lan, tracer) -> Transport:
+def transport(sim, lan) -> Transport:
     """Transport over the three-host LAN."""
-    return Transport(sim, lan, tracer=tracer)
+    return Transport(sim, lan)

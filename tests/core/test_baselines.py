@@ -31,14 +31,13 @@ def _loaded_repo(means, queue_lengths=None, gateway=3.0):
     return repo
 
 
-def _context(repo, deadline=150.0, distance=None, seed=0):
+def _context(repo, deadline=150.0, seed=0):
     return SelectionContext(
         replicas=repo.replicas(),
         estimator=ResponseTimeEstimator(repo),
         qos=QoSSpec("svc", deadline, 0.9),
         now_ms=0.0,
         rng=np.random.default_rng(seed),
-        distance=distance,
     )
 
 
@@ -117,16 +116,9 @@ def test_lowest_mean_unknown_history_ranks_last():
     assert decision.selected == ("r1",)
 
 
-def test_nearest_uses_distance_metric(repo):
-    distances = {"r1": 3.0, "r2": 1.0, "r3": 2.0}
-    decision = NearestPolicy().decide(
-        _context(repo, distance=lambda r: distances[r])
-    )
-    assert decision.selected == ("r2",)
-
-
 def test_nearest_without_metric_uses_name_order(repo):
-    decision = NearestPolicy().decide(_context(repo, distance=None))
+    # One LAN segment: every replica is equally near, so name order decides.
+    decision = NearestPolicy().decide(_context(repo))
     assert decision.selected == ("r1",)
 
 

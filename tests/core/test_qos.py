@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.qos import QoSSpec, TimingFailureStats
+from repro.core.qos import MIN_SAMPLES, QoSSpec, TimingFailureStats
 
 
 class TestQoSSpec:
@@ -69,8 +69,8 @@ class TestTimingFailureStats:
 
     def test_violation_needs_min_samples(self):
         spec = QoSSpec("s", 100.0, 0.9)
-        stats = TimingFailureStats(min_samples=10)
-        for _ in range(9):
+        stats = TimingFailureStats()
+        for _ in range(MIN_SAMPLES - 1):
             stats.record(200.0, deadline_ms=100.0)  # all failures
         assert not stats.violates(spec)  # still warming up
         stats.record(200.0, deadline_ms=100.0)
@@ -78,8 +78,8 @@ class TestTimingFailureStats:
 
     def test_no_violation_when_within_budget(self):
         spec = QoSSpec("s", 100.0, 0.5)
-        stats = TimingFailureStats(min_samples=4)
-        for tr in (50.0, 50.0, 50.0, 150.0):
+        stats = TimingFailureStats()
+        for tr in (50.0, 50.0, 50.0, 150.0) * 3:
             stats.record(tr, deadline_ms=100.0)
         assert not stats.violates(spec)  # 75 % timely >= 50 %
 
@@ -89,7 +89,3 @@ class TestTimingFailureStats:
         stats.reset()
         assert stats.responses == 0
         assert stats.timing_failures == 0
-
-    def test_min_samples_validation(self):
-        with pytest.raises(ValueError):
-            TimingFailureStats(min_samples=0)

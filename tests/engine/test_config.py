@@ -24,7 +24,6 @@ DEFAULTS = {
     "selection_charge_ms": 0.3,
     "response_timeout_factor": 10.0,
     "violation_callback": None,
-    "distance": None,
     "classifier": None,
     "estimator_factory": None,
     "probe_staleness_ms": None,

@@ -23,7 +23,7 @@ from repro.sim.random import Constant
 class Wire:
     """Three hosts on a deterministic 1 ms LAN behind a FaultyTransport."""
 
-    def __init__(self, schedule=None, fault_seed=0):
+    def __init__(self, schedule=FaultSchedule(), fault_seed=0):
         self.sim = Simulator()
         streams = RNGManager(base_seed=0)
         profile = LinkProfile(
@@ -31,9 +31,8 @@ class Wire:
         )
         self.lan = LanModel(streams, default_profile=profile)
         self.inner = Transport(self.sim, self.lan)
-        self.transport = FaultyTransport(
-            self.inner, RNGManager(fault_seed), schedule=schedule
-        )
+        self.transport = FaultyTransport(self.inner, RNGManager(fault_seed))
+        self.transport.schedule = schedule
         self.received = {}
         for host in ("a", "b", "c"):
             self.lan.add_host(host)

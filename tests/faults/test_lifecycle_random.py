@@ -18,8 +18,8 @@ import os
 
 import pytest
 
+from repro.core.baselines import BestSinglePolicy
 from repro.faultinject import random_fault_schedule
-from repro.gateway.handlers.retransmit import RetransmittingClientHandler
 from repro.rng import RNGManager
 from repro.sim.random import Constant
 
@@ -56,7 +56,7 @@ def test_randomized_fault_schedule_drains_clean(seed, fault_seed, schedule_seed)
     stack.add_client(
         "c-3",
         deadline_ms=100.0,
-        handler_cls=RetransmittingClientHandler,
+        policy=BestSinglePolicy(), retry=True,
         response_timeout_factor=3.0,
     )
 

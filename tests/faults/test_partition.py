@@ -268,9 +268,8 @@ class TestFaultyTransportEnforcement:
         for host in ("c-1", "s-1"):
             lan.add_host(host)
         inner = Transport(sim, lan)
-        faulty = FaultyTransport(
-            inner, RNGManager(fault_seed), schedule=schedule
-        )
+        faulty = FaultyTransport(inner, RNGManager(fault_seed))
+        faulty.schedule = schedule
         return sim, inner, faulty
 
     def test_blackout_cut_times_out_the_request(self):

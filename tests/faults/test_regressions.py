@@ -15,8 +15,8 @@ Each test pins one of the lifecycle fixes:
 
 import pytest
 
+from repro.core.baselines import BestSinglePolicy
 from repro.faultinject import DropRule, FaultSchedule
-from repro.gateway.handlers.retransmit import RetransmittingClientHandler
 from repro.gateway.handlers.timing_fault import MSG_PROBE_REPLY
 from repro.sim.random import Constant
 
@@ -29,7 +29,7 @@ def _retrans_stack(servers=2, **client_kwargs):
         stack.add_server(f"s-{index + 1}", service_time=Constant(10.0))
     client_kwargs.setdefault("deadline_ms", 200.0)
     handler = stack.add_client(
-        "c-1", handler_cls=RetransmittingClientHandler, **client_kwargs
+        "c-1", policy=BestSinglePolicy(), retry=True, **client_kwargs
     )
     return stack, handler
 

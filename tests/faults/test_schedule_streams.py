@@ -17,6 +17,12 @@ from repro.rng import RNGManager
 
 REPLICAS = ["s-1", "s-2", "s-3"]
 HORIZON_MS = 4000.0
+#: The families drawn before partition windows, in draw order; clock
+#: windows come after partitions.
+BEFORE_PARTITIONS = (
+    "drops", "delays", "duplicates", "crashes", "churn", "degradations", "overloads"
+)
+BEFORE_CLOCKS = BEFORE_PARTITIONS + ("partitions",)
 
 
 def _streamed(seed, **kwargs):
@@ -49,14 +55,7 @@ class TestStreamedPathIndependence:
         more_drops = _streamed(
             29, drop_windows=7, degradations=1, overload_windows=1
         )
-        for family in (
-            "delays",
-            "duplicates",
-            "crashes",
-            "churn",
-            "degradations",
-            "overloads",
-        ):
+        for family in BEFORE_PARTITIONS[1:]:
             assert getattr(more_drops, family) == getattr(base, family)
         assert more_drops.drops[:3] == base.drops
 
@@ -111,15 +110,7 @@ class TestPartitionFamily:
         extended = _streamed(
             13, degradations=2, overload_windows=2, partition_windows=2
         )
-        for family in (
-            "drops",
-            "delays",
-            "duplicates",
-            "crashes",
-            "churn",
-            "degradations",
-            "overloads",
-        ):
+        for family in BEFORE_PARTITIONS:
             assert getattr(extended, family) == getattr(plain, family)
         assert len(extended.partitions) == 2
 
@@ -128,15 +119,7 @@ class TestPartitionFamily:
         cut = _streamed(
             29, degradations=1, overload_windows=1, partition_windows=3
         )
-        for family in (
-            "drops",
-            "delays",
-            "duplicates",
-            "crashes",
-            "churn",
-            "degradations",
-            "overloads",
-        ):
+        for family in BEFORE_PARTITIONS:
             assert getattr(cut, family) == getattr(base, family)
         assert len(cut.partitions) == 3
         # ... and window i keeps its identity as the count grows.
@@ -198,16 +181,7 @@ class TestClockFamily:
             partition_windows=2,
             clock_windows=2,
         )
-        for family in (
-            "drops",
-            "delays",
-            "duplicates",
-            "crashes",
-            "churn",
-            "degradations",
-            "overloads",
-            "partitions",
-        ):
+        for family in BEFORE_CLOCKS:
             assert getattr(extended, family) == getattr(plain, family)
         assert len(extended.clocks) == 2
 
@@ -222,16 +196,7 @@ class TestClockFamily:
             partition_windows=1,
             clock_windows=3,
         )
-        for family in (
-            "drops",
-            "delays",
-            "duplicates",
-            "crashes",
-            "churn",
-            "degradations",
-            "overloads",
-            "partitions",
-        ):
+        for family in BEFORE_CLOCKS:
             assert getattr(clocked, family) == getattr(base, family)
         assert len(clocked.clocks) == 3
         # ... and window i keeps its identity as the count grows.

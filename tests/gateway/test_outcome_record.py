@@ -6,7 +6,7 @@ the configuration, and ``extract_stages`` reads the decomposition off it.
 """
 
 from repro.analysis.stages import extract_stages
-from repro.gateway.handlers.retransmit import RetransmittingClientHandler
+from repro.core.baselines import BestSinglePolicy
 from repro.sim.random import Constant
 
 CHARGE_MS = 0.25
@@ -38,7 +38,7 @@ def test_a_reply_to_a_retransmitted_copy_is_decomposed_from_the_copy(stack):
     for host in ("replica-1", "replica-2"):
         stack.add_server(host, service_time=Constant(10.0))
     handler = stack.add_client(
-        "client-1", deadline_ms=100.0, handler_cls=RetransmittingClientHandler
+        "client-1", deadline_ms=100.0, policy=BestSinglePolicy(), retry=True
     )
     warm_up = stack.invoke("client-1", 0)
     stack.sim.run()

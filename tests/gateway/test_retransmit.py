@@ -1,16 +1,16 @@
-"""Tests for the retransmission-based client handler."""
+"""Tests for retransmission: the stock client handler with ``retry=True``
+routing to the best single replica (A13's related-work arm)."""
 
 import pytest
 
-from repro.engine import EngineConfig
+from repro.core.baselines import BestSinglePolicy
 from repro.engine.engine import MAX_RETRIES
-from repro.gateway.handlers.retransmit import RetransmittingClientHandler
 from repro.sim.random import Constant
 
 from .conftest import MiniStack
 
 
-def _stack_with(handler_kwargs=None, servers=2, service_time=None):
+def _stack_with(servers=2, service_time=None):
     stack = MiniStack()
     for index in range(servers):
         stack.add_server(
@@ -19,30 +19,10 @@ def _stack_with(handler_kwargs=None, servers=2, service_time=None):
     return stack
 
 
-def _add_retry_client(stack, deadline=200.0, **options):
-    from repro.core.qos import QoSSpec
-    from repro.gateway.gateway import Gateway
-    from repro.orb.orb import Orb
-
-    stack.lan.add_host("client-1")
-    handler = RetransmittingClientHandler(
-        sim=stack.sim,
-        host="client-1",
-        transport=stack.transport,
-        group_comm=stack.group_comm,
-        interface=stack.interface,
-        qos=QoSSpec("search", deadline, 0.0),
-        config=EngineConfig(selection_charge_ms=0.0, **options),
-        marshalling=stack.marshalling,
-        rng=stack.streams.stream("client-1.policy"),
+def _add_retry_client(stack, deadline=200.0):
+    return stack.add_client(
+        "client-1", deadline_ms=deadline, policy=BestSinglePolicy(), retry=True
     )
-    Gateway("client-1", stack.sim, stack.transport).load_handler(handler)
-    orb = Orb()
-    orb.register_interface(stack.interface)
-    orb.bind_interceptor("search", handler)
-    stack.clients["client-1"] = handler
-    stack.stubs["client-1"] = orb.stub("search")
-    return handler
 
 
 def test_sends_to_single_replica_after_bootstrap():
@@ -103,14 +83,6 @@ def test_duplicate_replies_after_retransmit_are_discarded():
     assert handler.retransmissions >= 1
 
 
-def test_rejects_custom_policy():
-    from repro.core.baselines import RandomPolicy
-
-    stack = _stack_with()
-    with pytest.raises(ValueError):
-        _add_retry_client(stack, policy=RandomPolicy(1))
-
-
 def test_default_retry_timeout_is_half_deadline():
     stack = _stack_with()
     handler = _add_retry_client(stack, deadline=300.0)
@@ -133,10 +105,16 @@ def test_backoff_cap_defaults_to_the_deadline():
 
 def test_backoff_spreads_retransmissions_exponentially():
     from repro.gateway.handlers.timing_fault import MSG_REQUEST
-    from repro.sim.trace import Tracer
 
     stack = _stack_with(servers=2)
-    tracer = stack.transport.tracer = Tracer()
+    send, requests = stack.transport.send, []
+
+    def recording_send(message, group_size=1):
+        if message.kind == MSG_REQUEST:
+            requests.append(stack.sim.now)
+        return send(message, group_size)
+
+    stack.transport.send = recording_send
     _add_retry_client(stack, deadline=80.0)
     stack.invoke("client-1", 0)
     stack.sim.run()
@@ -147,11 +125,7 @@ def test_backoff_spreads_retransmissions_exponentially():
     stack.sim.run()
     # The copies on the wire: one replica each, after the original send
     # (which leaves at crashed_at; the warm-up request may retry too).
-    times = [
-        r.time
-        for r in tracer.of_kind("net.sent")
-        if r.data["msg_kind"] == MSG_REQUEST and r.time > crashed_at
-    ]
+    times = [time for time in requests if time > crashed_at]
     assert len(times) == MAX_RETRIES
     # Waits of 40 then 80 ms: the second retransmission waits twice as long.
     assert times[0] - crashed_at == pytest.approx(40.0)

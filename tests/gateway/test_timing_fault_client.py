@@ -17,6 +17,11 @@ def test_qos_service_must_match_interface(stack):
         )
 
 
+def test_the_handler_reads_the_clock_its_host_is_given(stack):
+    # The clock-fault plane skews a host through the registry's clock.
+    assert stack.add_client("client-1").clock is stack.clocks.clock("client-1")
+
+
 def test_first_request_bootstraps_to_all_replicas(stack):
     for i in range(3):
         stack.add_server(f"replica-{i + 1}", service_time=Constant(10.0))

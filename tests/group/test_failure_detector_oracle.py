@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,19 +59,22 @@ def chain_instant(watch_ms: float, interval_ms: float, polls: int) -> float:
     return instant
 
 
+def down_samples(detector: Any) -> Dict[str, int]:
+    """Consecutive "down" samples on record, per watched host."""
+    if isinstance(detector, PollingFailureDetector):
+        return dict(detector._watched)
+    return {host: chain.down_samples for host, chain in detector._chains.items()}
+
+
 def replay(detector_cls: type, history: History) -> List[Tuple[Any, ...]]:
     """Run ``history`` in a fresh world; return everything observable."""
     sim = Simulator()
     lan = LanModel(RNGManager(base_seed=1))
     for name in HOSTS:
         lan.add_host(name)
-    detector = detector_cls(
-        sim,
-        lan,
-        poll_interval_ms=history.poll_interval_ms,
-        confirm_polls=history.confirm_polls,
-        vantage=history.vantage,
-    )
+    detector = detector_cls(sim, lan, poll_interval_ms=history.poll_interval_ms)
+    detector.confirm_polls = history.confirm_polls
+    detector.vantage = history.vantage
     log: List[Tuple[Any, ...]] = []
 
     def on_crash(host: str) -> None:
@@ -88,13 +91,12 @@ def replay(detector_cls: type, history: History) -> List[Tuple[Any, ...]]:
     detector.on_crash(on_crash)
 
     def probe() -> None:
-        counts = {}
-        for host in HOSTS:
-            try:
-                counts[host] = detector.consecutive_down(host)
-            except KeyError:
-                pass  # not watched
-        log.append(("probe", sim.now, counts, detector.declared_crashes()))
+        # A declaration's instant is its host's last "crash" entry.
+        declared = {
+            entry[1]: entry[2] for entry in log
+            if entry[0] == "crash" and detector.is_declared_crashed(entry[1])
+        }
+        log.append(("probe", sim.now, down_samples(detector), declared))
 
     def links(src: str, dst: str, two_way: bool) -> List[Tuple[str, str]]:
         return [(src, dst), (dst, src)] if two_way else [(src, dst)]

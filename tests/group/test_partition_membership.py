@@ -27,13 +27,10 @@ OBSERVER = "client-1"
 
 
 def _vantage_detector(sim, lan, confirm_polls=2):
-    return FailureDetector(
-        sim,
-        lan,
-        poll_interval_ms=10.0,
-        confirm_polls=confirm_polls,
-        vantage=OBSERVER,
-    )
+    detector = FailureDetector(sim, lan, poll_interval_ms=10.0)
+    detector.confirm_polls = confirm_polls
+    detector.vantage = OBSERVER
+    return detector
 
 
 class TestVantageDetection:
@@ -56,9 +53,7 @@ class TestVantageDetection:
         assert detector.is_declared_crashed("server-1")
 
     def test_legacy_detector_ignores_partitions(self, sim, lan):
-        detector = FailureDetector(
-            sim, lan, poll_interval_ms=10.0, confirm_polls=2
-        )
+        detector = FailureDetector(sim, lan, poll_interval_ms=10.0)
         detector.watch("server-1")
         lan.sever_link(OBSERVER, "server-1")
         lan.sever_link("server-1", OBSERVER)
@@ -228,7 +223,8 @@ class TestMulticastUnderPartition:
         schedule = FaultSchedule(
             delays=(DelayRule(start_ms=0.0, end_ms=5.0, extra_ms=30.0),),
         )
-        faulty = FaultyTransport(transport, RNGManager(0), schedule=schedule)
+        faulty = FaultyTransport(transport, RNGManager(0))
+        faulty.schedule = schedule
         group, mgroup = self._group(faulty)
         received = {"server-1": [], "server-2": []}
         for host in received:

@@ -206,10 +206,9 @@ class TestMembershipAndEvents:
         monitor.record_success("ghost", 20.0)
         monitor.record_crash("ghost", 30.0)
         monitor.record_probe_failure("ghost", 40.0)
-        assert monitor.states() == {
-            "r-1": HealthState.HEALTHY,
-            "r-2": HealthState.HEALTHY,
-        }
+        assert [monitor.state(r) for r in ("r-1", "r-2", "ghost")] == [
+            HealthState.HEALTHY, HealthState.HEALTHY, None,
+        ]
 
 
 class TestClockAnomalies:

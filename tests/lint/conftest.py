@@ -1,4 +1,4 @@
-"""Path setup for the repro-lint self-tests.
+"""Path setup for the repro-lint self-tests, and helpers the lints share.
 
 The lint pack lives in ``tools/`` (outside the installed package) so it
 can lint the package without importing it; the tests put ``tools/`` on
@@ -7,6 +7,8 @@ can lint the package without importing it; the tests put ``tools/`` on
 
 from __future__ import annotations
 
+import ast
+import functools
 import sys
 from pathlib import Path
 
@@ -16,3 +18,19 @@ FIXTURES_DIR = Path(__file__).resolve().parent / "fixtures"
 
 if str(TOOLS_DIR) not in sys.path:
     sys.path.insert(0, str(TOOLS_DIR))
+
+
+@functools.lru_cache(maxsize=None)
+def parsed(path: Path) -> ast.Module:
+    """The syntax tree of ``path``, parsed once per test session (the
+    lints only read trees, they never edit one)."""
+    return ast.parse(path.read_text("utf-8"))
+
+
+def assert_allowed_exactly(findings, allowed, cap):
+    """Each finding (a tuple of names: module, function, ...) is covered by a
+    key of ``allowed``, every key covers one, and there are at most ``cap``."""
+    kept = {key for finding in findings for key in finding if key in allowed}
+    assert len(allowed) <= cap
+    assert {finding for finding in findings if not kept & set(finding)} == set()
+    assert kept == set(allowed)

@@ -11,6 +11,13 @@ including the dicts a function builds and splats into one — and the keys
 of a ``handler_kwargs`` dict are ``EngineConfig`` fields: that is how a
 deployment configures a client.  A field with one production value is a
 constant; the few kept anyway carry their reason here.
+
+One use per parameter: every defaulted parameter of a public function,
+public method or constructor in ``src/repro/`` must be passed by at least
+one production call — by keyword, by position or through a ``*``/``**``
+splat.  Calls are matched by callee name; a subclass's constructor call
+counts for the ``__init__`` it inherits, and ``super().__init__(...)``
+for the bases'.  A parameter no production call passes is a constant.
 """
 
 from __future__ import annotations
@@ -20,12 +27,9 @@ from collections import defaultdict
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from .conftest import REPO_ROOT
+from .conftest import REPO_ROOT, assert_allowed_exactly, parsed
 
 ALLOWED = {
-    ("EngineConfig", "retry"): (
-        "RetransmittingClientHandler switches it on through dataclasses.replace"
-    ),
     ("EngineConfig", "violation_callback"): (
         "capability: the paper's QoS-violation callback (§5.4)"
     ),
@@ -52,7 +56,7 @@ def _config_classes() -> Dict[str, Dict[str, Optional[str]]]:
     """Class name -> {field: default source, ``None`` when required}."""
     classes: Dict[str, Dict[str, Optional[str]]] = {}
     for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
-        for node in ast.parse(path.read_text("utf-8")).body:
+        for node in parsed(path).body:
             if not isinstance(node, ast.ClassDef):
                 continue
             if node.name == "DynamicSelectionPolicy":
@@ -149,7 +153,7 @@ def production_values() -> Dict[Tuple[str, str], Set[str]]:
     classes = _config_classes()
     values: Dict[Tuple[str, str], Set[str]] = defaultdict(set)
     for path in _production():
-        tree = ast.parse(path.read_text("utf-8"))
+        tree = parsed(path)
         bindings = _bindings(tree)
         for call in ast.walk(tree):
             if not isinstance(call, ast.Call):
@@ -189,5 +193,112 @@ def test_every_setting_has_two_production_values():
     one_valued = {
         knob for knob, seen in production_values().items() if len(seen) < 2
     }
-    assert len(ALLOWED) <= 4
+    assert len(ALLOWED) <= 3
     assert one_valued == set(ALLOWED)
+
+
+# -- every defaulted parameter is passed by production ---------------------------
+
+#: Defaulted parameters no production call passes, each with its reason.
+#: A key names a module, a function (``Owner.name``) or one parameter.
+ALLOWED_PARAMETERS = {
+    "select_replicas": "public API: the README's use without the simulator",
+    "metrics/collector.py": "read by benchmarks/e2e; goes with ROADMAP item 3's PR",
+    "metrics/stats.py": "reserved: ROADMAP item 1's confidence intervals",
+    "Deployment.schedule_crash(recover_at_ms)": "examples/radar_tracking.py",
+    "Simulator.__init__(start_time)": "test view: clock-order tests start off 0",
+    "RNGManager.substream(repetition)": "derive_entity_seed's key axis, as the sweeps",
+}
+
+
+def _signatures() -> Iterator[Tuple[str, str, ast.FunctionDef, bool]]:
+    """``(module, qualified name, def, bound)`` of every public function,
+    public method and constructor in ``src/repro/``."""
+    package = REPO_ROOT / "src" / "repro"
+    for path in sorted(package.rglob("*.py")):
+        module, tree = path.relative_to(package).as_posix(), parsed(path)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield module, node.name, node, False
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and (
+                    node.name == "__init__" or not node.name.startswith("_")
+                ):
+                    bound = "staticmethod" not in map(ast.unparse, node.decorator_list)
+                    yield module, f"{cls.name}.{node.name}", node, bound
+
+
+def _defaulted(node: ast.FunctionDef, bound: bool) -> Iterator[Tuple[str, Optional[int]]]:
+    """``(name, position or None)`` of each parameter with a default."""
+    positional = (node.args.posonlyargs + node.args.args)[int(bound):]
+    first = len(positional) - len(node.args.defaults)
+    for position, arg in enumerate(positional[first:], first):
+        yield arg.arg, position
+    for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def unpassed_parameters() -> Set[Tuple[str, str, str]]:
+    """``(module, "Owner.function", "Owner.function(param)")`` of every
+    defaulted parameter of ``src/repro/`` that no production call passes."""
+    calls: Dict[str, List[ast.Call]] = defaultdict(list)
+    bases: Dict[str, List[str]] = {}
+    inits: Dict[str, bool] = {}
+    for path in _production():
+        tree = parsed(path)
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                calls[_callee(call)].append(call)
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            bases[cls.name] = [ast.unparse(b).split(".")[-1] for b in cls.bases]
+            inits[cls.name] = any(
+                isinstance(f, ast.FunctionDef) and f.name == "__init__"
+                for f in cls.body
+            )
+            for call in ast.walk(cls):  # super().__init__(...) calls the bases'
+                if (
+                    isinstance(call, ast.Call) and _callee(call) == "__init__"
+                    and isinstance(call.func, ast.Attribute)
+                    and isinstance(call.func.value, ast.Call)
+                    and _callee(call.func.value) == "super"
+                ):
+                    for base in bases[cls.name]:
+                        calls[base].append(call)
+
+    def callees(qualified: str) -> Iterator[str]:
+        owner, _, name = qualified.rpartition(".")
+        if name != "__init__":
+            yield name
+            return
+        # The class, and every subclass that inherits this __init__.
+        for cls in bases:
+            chain = cls
+            while chain != owner and not inits.get(chain, True) and bases[chain]:
+                chain = bases[chain][0]
+            if chain == owner:
+                yield cls
+
+    unpassed = set()
+    for module, qualified, node, bound in _signatures():
+        made = [call for callee in callees(qualified) for call in calls[callee]]
+        for name, position in _defaulted(node, bound):
+            if not any(
+                any(k.arg in (name, None) for k in call.keywords)
+                or position is not None and (
+                    len(call.args) > position
+                    or any(isinstance(a, ast.Starred) for a in call.args)
+                )
+                for call in made
+            ):
+                unpassed.add((module, qualified, f"{qualified}({name})"))
+    return unpassed
+
+
+def test_every_defaulted_parameter_is_passed_by_production():
+    assert_allowed_exactly(unpassed_parameters(), ALLOWED_PARAMETERS, cap=8)

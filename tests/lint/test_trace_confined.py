@@ -1,9 +1,10 @@
-"""Only the message plane traces: ``repro.sim.trace`` has two importers.
+"""Nothing in ``repro`` traces: no module imports ``repro.sim.trace``.
 
-A request's stamps (t0..t4) travel on its ``ReplyOutcome``; the transport's
-``net.*`` records are the one trace left.  A ``Tracer`` parameter in any
-other layer would need this import, so the guard is on the import graph:
-relative and absolute forms, and the ``repro.sim`` re-export, all count.
+A request's stamps (t0..t4) travel on its ``ReplyOutcome`` and the
+transport keeps counters; the module stays only for the end-to-end
+benchmark, which wraps ``Tracer.emit`` by name.  A ``Tracer`` parameter in
+any layer would need this import, so the guard is on the import graph:
+relative and absolute forms, and a ``repro.sim`` re-export, all count.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .conftest import REPO_ROOT
 PACKAGE = REPO_ROOT / "src" / "repro"
 TRACE = "repro.sim.trace"
 TRACE_NAMES = {"trace", "Tracer", "NullTracer", "TraceRecord"}
-IMPORTERS = {"net/transport.py", "sim/__init__.py"}
 
 
 def _imports_trace(source: str, path: Path) -> bool:
@@ -40,13 +40,13 @@ def _imports_trace(source: str, path: Path) -> bool:
     return False
 
 
-def test_only_the_message_plane_imports_the_tracer():
+def test_no_module_imports_the_tracer():
     importers = {
         path.relative_to(PACKAGE).as_posix()
         for path in sorted(PACKAGE.rglob("*.py"))
         if _imports_trace(path.read_text("utf-8"), path)
     }
-    assert importers == IMPORTERS
+    assert importers == set()
 
 
 @pytest.mark.parametrize(

@@ -37,8 +37,10 @@ def test_counters():
     collector = MetricsCollector()
     collector.increment("failures")
     collector.increment("failures", 2)
-    assert collector.counter("failures") == 3
-    assert collector.counter("unseen") == 0
+    # Nothing in the package reads a count back; only its label sets.
+    assert collector._counters == {("failures", ()): 3}
+    assert collector.label_sets("failures") == [{}]
+    assert collector.label_sets("unseen") == []
 
 
 def test_samples_retained_by_default():
@@ -71,4 +73,4 @@ def test_clear():
     collector.increment("c")
     collector.clear()
     assert collector.stats("m").count == 0
-    assert collector.counter("c") == 0
+    assert collector.label_sets("c") == []

@@ -126,13 +126,3 @@ class TestDelays:
         delays = [lan.one_way_delay("a", "b") for _ in range(2000)]
         assert max(delays) > 5.0  # burst samples present
         assert sorted(delays)[len(delays) // 2] < 3.0  # median stays LAN-like
-
-
-class TestZones:
-    def test_zone_distance(self, streams):
-        lan = LanModel(streams)
-        lan.add_host("near", zone="rack-1")
-        lan.add_host("same", zone="rack-1")
-        lan.add_host("far", zone="rack-2")
-        assert lan.zone_distance("near", "same") == 0.0
-        assert lan.zone_distance("near", "far") == 1.0

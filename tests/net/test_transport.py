@@ -13,7 +13,6 @@ from repro.net.transport import Transport
 from repro.rng import RNGManager
 from repro.sim.kernel import Simulator
 from repro.sim.random import Constant, Exponential
-from repro.sim.trace import NullTracer, Tracer
 
 
 def _msg(dest="server-1", **overrides):
@@ -101,7 +100,7 @@ class TestMulticast:
         with pytest.raises(ValueError):
             transport.multicast(_msg(), [])
 
-    def test_multicast_charges_group_overhead(self, sim, lan, streams, tracer):
+    def test_multicast_charges_group_overhead(self, sim, lan, streams):
         # With deterministic jitter, a bigger destination set means a
         # strictly larger per-copy delay.
         from repro.net.lan import LanModel, LinkProfile
@@ -140,7 +139,40 @@ class _Inbox(ProtocolHandler):
 PLANE_HOSTS = ("c", "s1", "s2", "s3", "s4", "s5", "s6", "s7")
 
 
-def run_scripted_plane(tracer):
+class _RecordingTransport(Transport):
+    """A transport that keeps one ``(time, kind, data)`` record per send
+    and per delivery, its kind read from the outside of the plane: the
+    LAN's link state before a send, the counters after it, and the
+    destination's state before a delivery."""
+
+    def __init__(self, sim, lan):
+        super().__init__(sim, lan)
+        self.records = []
+
+    def _record(self, kind, message, **data):
+        self.records.append((self.sim.now, kind, {**data, **message.describe()}))
+
+    def send(self, message, group_size=1):
+        lost = self.lost_count
+        reachable = self.lan.reachable(message.sender, message.destination)
+        delay = super().send(message, group_size)
+        if self.lost_count == lost:
+            self._record("net.sent", message, delay=delay)
+        else:
+            self._record("net.lost" if reachable else "net.partitioned", message)
+        return delay
+
+    def _deliver(self, message):
+        if not self.lan.is_up(message.destination):
+            self._record("net.dropped", message, reason="host-down")
+        elif not self.is_bound(message.destination):
+            self._record("net.dropped", message, reason="no-receiver")
+        else:
+            self._record("net.delivered", message)
+        super()._deliver(message)
+
+
+def run_scripted_plane():
     """Drive kernel + LAN + transport + one gateway per host from a script.
 
     Scripted rather than driven through the timing-fault handlers so
@@ -153,7 +185,7 @@ def run_scripted_plane(tracer):
     lan = LanModel(streams)
     for name in PLANE_HOSTS:
         lan.add_host(name)
-    transport = Transport(sim, lan, tracer=tracer)
+    transport = _RecordingTransport(sim, lan)
     inbox = []
     for name in PLANE_HOSTS:
         Gateway(name, sim, transport).load_handler(
@@ -209,13 +241,12 @@ def run_scripted_plane(tracer):
     return transport, streams, inbox
 
 
-def plane_digest(tracer):
+def plane_digest(records):
     """sha256 over every ``net.*`` record, floats by ``repr``."""
     rows = [
-        [repr(record.time), record.source, record.kind,
-         sorted((key, repr(value)) for key, value in record.data.items())]
-        for record in tracer.records
-        if record.kind.startswith("net.")
+        [repr(time), "transport", kind,
+         sorted((key, repr(value)) for key, value in data.items())]
+        for time, kind, data in records
     ]
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
@@ -240,31 +271,15 @@ class TestPlanePinned:
     }
 
     def test_net_records_and_stream_names_are_pinned(self):
-        tracer = Tracer()
-        transport, streams, inbox = run_scripted_plane(tracer)
-        kinds = Counter(
-            r.kind for r in tracer.records if r.kind.startswith("net.")
-        )
+        transport, streams, inbox = run_scripted_plane()
+        kinds = Counter(kind for _time, kind, _data in transport.records)
         assert dict(kinds) == self.KINDS
         assert sorted(key[0] for key in streams._streams) == self.STREAMS
-        assert plane_digest(tracer) == self.DIGEST
-        assert len(inbox) == transport.delivered_count == kinds["net.delivered"]
-
-    @pytest.mark.parametrize(
-        "off", [NullTracer, lambda: Tracer(enabled=False)], ids=["null", "disabled"]
-    )
-    def test_a_tracer_that_is_off_never_builds_describe(self, monkeypatch, off):
-        def boom(self):
-            raise AssertionError("describe() built for a tracer that is off")
-
-        monkeypatch.setattr(Message, "describe", boom)
-        tracer = off()
-        transport, _streams, inbox = run_scripted_plane(tracer)
-        assert len(tracer) == 0
+        assert plane_digest(transport.records) == self.DIGEST
         # Every branch was walked: sent, lost, partitioned, both drops.
         assert (transport.sent_count, transport.lost_count) == (87, 5)
         assert (transport.delivered_count, transport.dropped_count) == (79, 3)
-        assert len(inbox) == 79
+        assert len(inbox) == transport.delivered_count == kinds["net.delivered"]
 
 
 class _SpyJitter(Constant):

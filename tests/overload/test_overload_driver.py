@@ -61,7 +61,7 @@ def test_surge_requests_flow_through_the_real_client_path():
 
     assert plane.surges_applied == 1
     assert plane.surge_requests == 10  # 10, 15, ..., 55
-    assert plane.surges_drained()
+    assert all(event.processed for event in plane.surge_events)
     # Every surge request was booked by the auditor (it went through the
     # wrapped submit) and completed exactly once.
     report = stack.auditor.assert_clean()
@@ -123,7 +123,7 @@ def test_randomized_schedule_with_surges_and_shedding_audits_clean():
     stack.sim.run()
 
     assert plane.surge_requests > 0
-    assert plane.surges_drained()
+    assert all(event.processed for event in plane.surge_events)
     report = stack.auditor.assert_clean()
     assert report.submitted == 120 + plane.surge_requests
     assert report.completed == report.submitted

@@ -39,8 +39,8 @@ class TestHostActivity:
 class TestCoupledLoad:
     def test_idle_host_runs_at_base(self):
         activity = HostActivity()
-        load = CoupledLoad(activity, "h", alpha=1.0, base=2.0)
-        assert load.factor(0.0) == 2.0
+        load = CoupledLoad(activity, "h", alpha=1.0)
+        assert load.factor(0.0) == 1.0
 
     def test_neighbours_slow_the_host(self):
         activity = HostActivity()

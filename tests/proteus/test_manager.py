@@ -90,50 +90,10 @@ def test_recovery_restarts_and_rejoins(fx):
     assert fx.hosts[0] in fx.group_comm.view("search")
 
 
-def test_maintain_replication_uses_spares(fx):
-    fx.manager.deploy(fx.spec(2), fx.hosts)  # hosts 3,4 become spares
-    fx.manager.maintain_replication("search", start_delay_ms=100.0)
-    fx.crash(fx.hosts[0], at_ms=50.0)
-    fx.sim.run(until=2000.0)
-    members = fx.group_comm.view("search").members
-    assert len(members) == 2
-    assert fx.hosts[2] in members  # first spare promoted
 
 
-def test_maintain_replication_delay_validation(fx):
-    fx.manager.deploy(fx.spec(2), fx.hosts)
-    with pytest.raises(ValueError):
-        fx.manager.maintain_replication("search", start_delay_ms=-1.0)
 
 
 def test_gateway_for_is_cached(fx):
     gateway = fx.stack.gateway_for("replica-1")
     assert fx.stack.gateway_for("replica-1") is gateway
-
-
-def test_pending_spare_start_is_not_counted_as_a_deficit_again():
-    # Level 3 of six hosts, Proteus takes 500 ms to start a spare.  The
-    # second crash lands while the first spare's start is still pending:
-    # the deficit is then 2 with 1 already on its way, so exactly one more
-    # spare is due — not two.
-    fx = ManagerFixture(num_hosts=6)
-    fx.manager.deploy(fx.spec(3), fx.hosts)
-    fx.manager.maintain_replication("search", start_delay_ms=500.0)
-    fx.crash(fx.hosts[0], at_ms=50.0)
-    fx.crash(fx.hosts[1], at_ms=150.0)
-    fx.sim.run(until=3000.0)
-    assert fx.group_comm.view("search").members == (
-        fx.hosts[2], fx.hosts[3], fx.hosts[4],
-    )
-    assert fx.manager.replicas_started == 5
-    assert fx.manager._spares["search"] == [fx.hosts[5]]
-
-
-def test_spare_that_is_down_at_start_time_is_skipped(fx):
-    fx.manager.deploy(fx.spec(2), fx.hosts)  # hosts 3,4 become spares
-    fx.manager.maintain_replication("search", start_delay_ms=100.0)
-    fx.crash(fx.hosts[0], at_ms=50.0)
-    fx.crash(fx.hosts[2], at_ms=60.0)  # the first spare dies before its start
-    fx.sim.run(until=2000.0)
-    assert fx.manager.replicas_started == 2
-    assert fx.hosts[2] not in fx.group_comm.view("search")

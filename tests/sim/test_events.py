@@ -76,10 +76,10 @@ class TestCallbacks:
 
 class TestTimeout:
     def test_fires_at_the_right_instant(self, sim):
-        timeout = sim.timeout(25.0, "tick")
+        timeout = sim.timeout(25.0)
         sim.run()
         assert sim.now == 25.0
-        assert timeout.value == "tick"
+        assert timeout.processed and timeout.value is None
 
     def test_zero_delay_is_allowed(self, sim):
         timeout = sim.timeout(0.0)

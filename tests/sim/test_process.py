@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.events import SimulationError
+from repro.sim.events import Event, SimulationError
 from repro.sim.kernel import Simulator
 
 
@@ -20,7 +20,7 @@ def test_process_returns_generator_return_value(sim):
 
 def test_process_receives_event_values(sim):
     def worker(sim):
-        value = yield sim.timeout(1.0, "tick")
+        value = yield Event(sim).succeed("tick", 1.0)
         return value
 
     proc = sim.spawn(worker(sim))

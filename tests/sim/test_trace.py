@@ -13,14 +13,6 @@ def test_emit_records_fields():
     assert record.data == {"msg_id": 7}
 
 
-def test_of_kind_and_from_source_filter():
-    tracer = Tracer()
-    tracer.emit(1.0, "a", "x")
-    tracer.emit(2.0, "b", "x")
-    tracer.emit(3.0, "a", "y")
-    assert [r.source for r in tracer.of_kind("x")] == ["a", "b"]
-
-
 def test_disabled_tracer_records_nothing():
     tracer = Tracer(enabled=False)
     tracer.emit(0.0, "s", "k")

@@ -142,6 +142,7 @@ def test_a_run_with_a_survivor_the_file_does_not_list_fails(
     assert "toy.py: new survivor Mult->Div on line 5: return x * 1" in capsys.readouterr().err
     written = json.loads(committed.read_text())["modules"]["toy.py"]
     assert written["survivors"][0]["source"] == "return x * 1"
+    assert written["seconds"] >= 0.0  # each module's wall time
     assert mutate.main() == 0  # the file just written lists the survivor
 
 
@@ -157,3 +158,4 @@ def test_every_target_and_owner_exists_and_is_the_committed_runs():
         assert (mutate.ROOT / "src" / module).is_file(), module
         assert [t for t in tests if not (mutate.ROOT / t).is_file()] == [], module
         assert committed[module]["tests"] == list(tests), module
+        assert committed[module]["seconds"] > 0, module

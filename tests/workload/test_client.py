@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.qos import QoSSpec
 from repro.sim.random import Constant
-from repro.workload.client import ClientSummary
+from repro.workload.client import ClientSummary, OpenLoopClient
 from repro.workload.scenarios import Scenario, ScenarioConfig
 
 
@@ -61,12 +61,18 @@ class TestClosedLoopClient:
         assert isinstance(client.process.value, ClientSummary)
 
 
+def _open_loop(scenario, interarrival, num_requests):
+    _handler, stub = scenario.bind_client("c1", _qos(scenario))
+    return OpenLoopClient(
+        sim=scenario.sim, stub=stub, host="c1", streams=scenario.streams,
+        interarrival=interarrival, num_requests=num_requests,
+    )
+
+
 class TestOpenLoopClient:
     def test_all_requests_complete(self, scenario):
-        client = scenario.add_open_loop_client(
-            "c1", _qos(scenario), interarrival=Constant(20.0), num_requests=10
-        )
-        scenario.run_to_completion()
+        client = _open_loop(scenario, Constant(20.0), num_requests=10)
+        scenario.run()
         assert client.issued == 10
         assert len(client.outcomes) == 10
 
@@ -75,19 +81,15 @@ class TestOpenLoopClient:
         # closed loop would need at least the sum of the response times;
         # the open loop finishes roughly when the slowest overlapping
         # request does.
-        client = scenario.add_open_loop_client(
-            "c1", _qos(scenario), interarrival=Constant(20.0), num_requests=5
-        )
-        scenario.run_to_completion()
+        client = _open_loop(scenario, Constant(20.0), num_requests=5)
+        scenario.run()
         total_response = sum(o.response_time_ms for o in client.outcomes)
         assert client.completed_at_ms is not None
         assert client.completed_at_ms < total_response
 
     def test_validation(self, scenario):
         with pytest.raises(ValueError):
-            scenario.add_open_loop_client(
-                "c1", _qos(scenario), interarrival=Constant(1.0), num_requests=0
-            )
+            _open_loop(scenario, Constant(1.0), num_requests=0)
 
 
 class TestClientSummary:

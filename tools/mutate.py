@@ -437,14 +437,15 @@ def main() -> int:
         started = time.perf_counter()
         source = (ROOT / "src" / module).read_text()
         modules[module] = summary(tests, run_module(ROOT, module, tests), source)
+        modules[module]["seconds"] = round(time.perf_counter() - started, 1)
         print(f"{module}: {modules[module]['killed']}/{modules[module]['mutants']}"
-              f" killed in {time.perf_counter() - started:.0f} s", flush=True)
+              f" killed in {modules[module]['seconds']:.0f} s", flush=True)
     payload = {
         "benchmark": "mutation",
         "description": (
             "Mutants of each module (operator, constant and statement-deletion "
-            "flips) and how many its test files kill.  Written only by "
-            "`python tools/mutate.py`."
+            "flips), how many its test files kill, and the module's wall "
+            "seconds.  Written only by `python tools/mutate.py`."
         ),
         "modules": modules,
     }
