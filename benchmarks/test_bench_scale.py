@@ -6,7 +6,8 @@ on the fleet, and a nothing-changed selection grows sub-linearly with it
 (ISSUEs 14 and 24); the kernel's event queue sustains a dispatch-rate
 floor; one message through the untraced message plane stays under a
 ceiling (ISSUE 21).
-A kernel timer costs little more than a bare heap entry.
+A kernel timer costs little more than a bare heap entry.  One evidence
+push costs a bounded multiple of one message.
 
 These tests only assert.  ``BENCH_scale.json`` has one producer,
 ``python -m repro.experiments scale --json BENCH_scale.json``, which the
@@ -20,6 +21,7 @@ import time
 from repro.experiments.bench_scale import (
     REPLICA_COUNTS,
     WINDOW_SIZES,
+    measure_evidence_push,
     measure_kernel_throughput,
     measure_message_throughput,
 )
@@ -59,6 +61,16 @@ KERNEL_OVER_BARE_HEAP_CEILING = 2.75
 #: trips on a plane that has grown a per-message cost, not on a slow
 #: runner.
 MESSAGE_US_CEILING = 20.0
+
+#: One evidence push (a perf message on the same link into a real client
+#: handler, its engine and both windows of the replica's record) over one
+#: no-op message, timed in one process so host speed cancels.  Measured
+#: 1.75-1.83 over five pairs on one two-core host (push 6.7-7.0 us,
+#: message 3.7-3.9 us).  The tuple envelopes cheapened both probes in
+#: step: the parent commit read 1.71-1.84 at 8.4-8.7 us per push.
+#: The ceiling is the largest reading plus 15 %: it trips when the
+#: handler, the engine or the repository write grows against the plane.
+PUSH_OVER_MESSAGE_CEILING = 2.1
 
 
 def test_cached_selection_under_1ms_and_one_dirty_row_stays_cheap():
@@ -114,6 +126,19 @@ def test_message_cost_ceiling():
     assert point.us_per_message <= MESSAGE_US_CEILING, (
         f"a message cost {point.us_per_message:.1f} us "
         f"(ceiling: {MESSAGE_US_CEILING:.0f})"
+    )
+
+
+def test_an_evidence_push_costs_a_bounded_multiple_of_a_message():
+    """Admission and the repository write stay a small part of a push."""
+    ratio = min(
+        measure_evidence_push(20_000).us_per_message
+        / measure_message_throughput(20_000).us_per_message
+        for _ in range(2)
+    )
+    assert ratio <= PUSH_OVER_MESSAGE_CEILING, (
+        f"an evidence push costs {ratio:.2f}x a no-op message "
+        f"(ceiling: {PUSH_OVER_MESSAGE_CEILING}x)"
     )
 
 

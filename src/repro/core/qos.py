@@ -12,7 +12,7 @@ requested minimum, it is notified through a callback.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 __all__ = ["MIN_SAMPLES", "QoSSpec", "TimingFailureStats", "QoSViolationCallback"]
@@ -56,10 +56,6 @@ class QoSSpec:
             raise ValueError(
                 f"min_probability must be in [0, 1], got {self.min_probability}"
             )
-
-    def renegotiate(self, deadline_ms: float) -> "QoSSpec":
-        """A new spec with ``deadline_ms`` changed (runtime negotiation)."""
-        return replace(self, deadline_ms=deadline_ms)
 
     @property
     def max_failure_probability(self) -> float:

@@ -60,7 +60,10 @@ class SlidingWindow:
 
     def append(self, value: float) -> None:
         """Push one measurement, evicting the oldest if full."""
-        value = _measurement(value)
+        self._push(_measurement(value))
+
+    def _push(self, value: float) -> None:
+        """Push a measurement already checked by :func:`_measurement`."""
         evicted = self._values[0] if len(self._values) == self.size else None
         self._values.append(value)
         self.version += 1
@@ -73,11 +76,6 @@ class SlidingWindow:
 
     def __len__(self) -> int:
         return len(self._values)
-
-    @property
-    def full(self) -> bool:
-        """Whether the window has reached capacity."""
-        return len(self._values) == self.size
 
     def counts(self) -> Dict[float, int]:
         """Bin counts of the current contents on the lattice."""
@@ -166,18 +164,20 @@ class ReplicaRecord:
     ) -> None:
         """Fold in a performance update pushed by the replica.
 
-        Every input is checked before the first write (the service time by
-        its window's ``append``), so a refused update leaves the record as
-        it was.
+        Every input is checked before the first write, so a refused update
+        leaves the record as it was; the owner is notified once.
         """
         if queue_length < 0:
             raise ValueError(f"queue_length must be >= 0, got {queue_length}")
+        service_time_ms = _measurement(service_time_ms)
         queue_delay_ms = _measurement(queue_delay_ms)
         queue_length, now_ms = int(queue_length), float(now_ms)
-        self.service_times.append(service_time_ms)
-        self.queue_delays.append(queue_delay_ms)
-        self.queue_length = queue_length  # setter notifies
+        self.service_times._push(service_time_ms)
+        self.queue_delays._push(queue_delay_ms)
+        self._queue_length = queue_length
         self.last_update_ms = now_ms
+        if self._on_mutate is not None:
+            self._on_mutate(self.name)
 
     def record_gateway_delay(self, delay_ms: float, now_ms: float) -> None:
         """Store a freshly measured two-way gateway-to-gateway delay."""
@@ -190,7 +190,7 @@ class ReplicaRecord:
         delay_ms, now_ms = _measurement(delay_ms), float(now_ms)
         self.gateway_delay_ms = delay_ms
         if self.gateway_delays is not None:
-            self.gateway_delays.append(delay_ms)
+            self.gateway_delays._push(delay_ms)
         self.last_update_ms = now_ms
         if self._on_mutate is not None:
             self._on_mutate(self.name)

@@ -82,15 +82,14 @@ class ClassModels:
         An evicted replica is not tracked: a stale push must not
         resurrect it.
         """
-        repo = self.repository_for(self.classify(perf.request))
+        repo = self.repository  # the base design's one model: no lookup
+        if self.config.classifier is not None:
+            repo = self.repository_for(self.classify(perf.request))
         if perf.replica not in repo:
             return False
         repo.record_performance(
-            perf.replica,
-            perf.service_time_ms,
-            perf.queue_delay_ms,
-            perf.queue_length,
-            now_ms,
+            perf.replica, perf.service_time_ms, perf.queue_delay_ms,
+            perf.queue_length, now_ms,
         )
         return True
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Optional, Protocol, Sequence, Tuple
+from typing import Any, Callable, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 from ..core.selection import SelectionMeta
 from ..orb.object import MethodRequest
@@ -39,8 +39,7 @@ def method_classifier(request: MethodRequest) -> str:
     return request.method
 
 
-@dataclass(frozen=True)
-class PerformanceUpdate:
+class PerformanceUpdate(NamedTuple):
     """The measurements a replica publishes after servicing a request.
 
     ``request`` identifies what was serviced so that classifying clients

@@ -7,9 +7,10 @@ This benchmark runs Fig. 3's selection loop
 (:func:`~repro.experiments.fig3_overhead.measure_selection`) over
 n ∈ {64, 256, 1024} replicas and windows up to l = 240, and adds an event-kernel
 throughput figure (events/sec through :class:`repro.sim.Simulator`'s
-event queue) and the cost of one message through the message plane
-(``net`` + one kernel event + the gateway's routing), exported together
-as ``BENCH_scale.json`` so CI tracks all three numbers PR over PR.
+event queue), the cost of one message through the message plane
+(``net`` + one kernel event + the gateway's routing) and of one evidence
+push (the same, plus a client handler filing it in its repository),
+exported together as ``BENCH_scale.json`` so CI tracks them PR over PR.
 
 Acceptance target (ISSUE 7): one cached selection over 1024 replicas in
 under 1 ms.
@@ -20,13 +21,15 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Callable, Dict, Sequence
 
+from ..engine import PerformanceUpdate
 from ..gateway.gateway import ProtocolHandler
+from ..gateway.handlers.timing_fault import MSG_PERF
 from ..net.lan import LinkProfile
 from ..net.message import Message
 from ..sim.kernel import Simulator
-from ..workload.ministack import Deployment, Wiring, make_interface
+from ..workload.ministack import SERVICE, Deployment, MiniStack, Wiring, make_interface
 from .fig3_overhead import SelectionPoint, measure_selection
 from .harness import print_table
 from .registry import Command, flag_value
@@ -36,6 +39,7 @@ __all__ = [
     "MessagePoint",
     "measure_kernel_throughput",
     "measure_message_throughput",
+    "measure_evidence_push",
     "export_scale_bench",
     "main",
     "EXPERIMENT",
@@ -121,6 +125,22 @@ class _Sink(ProtocolHandler):
         return
 
 
+def _fastest_slice(
+    sim: Simulator, send_round: Callable[[], None], target_messages: int
+) -> MessagePoint:
+    """Five equal timed slices of ``send_round`` + kernel drain; the fastest
+    counts (a slice shared with a busy neighbour says nothing of the plane)."""
+    rounds = max(1, target_messages // (5 * SENDS_PER_DRAIN))
+    fastest = float("inf")
+    for _ in range(5):
+        started = time.perf_counter()
+        for _ in range(rounds):
+            send_round()
+            sim.run()
+        fastest = min(fastest, time.perf_counter() - started)
+    return MessagePoint(messages=rounds * SENDS_PER_DRAIN, elapsed_s=fastest)
+
+
 def measure_message_throughput(target_messages: int = 100_000) -> MessagePoint:
     """Microseconds per message through ``net`` + kernel + gateway routing.
 
@@ -131,37 +151,56 @@ def measure_message_throughput(target_messages: int = 100_000) -> MessagePoint:
     instant and runs the kernel until they have all been delivered, so a
     message pays exactly what it pays in a scenario — construction,
     delay draw, one event, delivery, routing — and nothing of the
-    handlers above.  The messages go through in five equal timed slices
-    and the fastest is reported: a slice that shared the host with a
-    busy neighbour says nothing about the plane.
+    handlers above.
     """
     stack = Deployment(0, Wiring(link=LinkProfile()), make_interface())
-    sim, transport = stack.sim, stack.transport
+    transport = stack.transport
     stack.lan.add_host("a")
     stack.lan.add_host("b")
     stack.gateway_for("b").load_handler(_Sink())
     payload = {"service": ""}
-    rounds = max(1, target_messages // (5 * SENDS_PER_DRAIN))
-    fastest = float("inf")
-    for _ in range(5):
-        started = time.perf_counter()
-        for _ in range(rounds):
-            for _ in range(SENDS_PER_DRAIN):
-                transport.send(
-                    Message(sender="a", destination="b", kind="probe",
-                            payload=payload, size_bytes=96)
-                )
-            sim.run()
-        fastest = min(fastest, time.perf_counter() - started)
-    if transport.delivered_count != 5 * rounds * SENDS_PER_DRAIN:
+
+    def send_round() -> None:
+        for _ in range(SENDS_PER_DRAIN):
+            transport.send(Message("a", "b", "probe", payload, 96))
+
+    point = _fastest_slice(stack.sim, send_round, target_messages)
+    if transport.delivered_count != 5 * point.messages:
         raise RuntimeError("message probe lost messages on a reliable link")
-    return MessagePoint(messages=rounds * SENDS_PER_DRAIN, elapsed_s=fastest)
+    return point
+
+
+def measure_evidence_push(target_messages: int = 100_000) -> MessagePoint:
+    """Microseconds per perf push, construction to the repository window.
+
+    :func:`measure_message_throughput` on the same link, but replica ``s``
+    pushes ``(ts, tq, queue length)`` to client ``c``'s timing-fault
+    handler, whose engine admits it and writes both windows of ``s``.
+    """
+    stack = MiniStack()
+    stack.add_server("s")
+    client = stack.add_client("c")
+    stack.lan.set_link_profile("s", "c", LinkProfile())
+    transport = stack.transport
+    stack.sim.run()  # deliver the subscription
+
+    def send_round() -> None:
+        for step in range(SENDS_PER_DRAIN):
+            perf = PerformanceUpdate("s", SERVICE, 10.0 + step, 0.5 * step, 1)
+            payload = {"service": SERVICE, "replica": "s", "perf": perf}
+            transport.send(Message("s", "c", MSG_PERF, payload, 96))
+
+    point = _fastest_slice(stack.sim, send_round, target_messages)
+    if client.repository.record("s").service_times.version != 5 * point.messages:
+        raise RuntimeError("evidence probe lost pushes on a reliable link")
+    return point
 
 
 def export_scale_bench(
     selection: Sequence[SelectionPoint],
     kernel: Sequence[KernelPoint],
     message: MessagePoint,
+    push: MessagePoint,
     path: str,
 ) -> None:
     """Write ``BENCH_scale.json`` (format: docs/PERFORMANCE.md §7)."""
@@ -173,7 +212,8 @@ def export_scale_bench(
             "raw event-kernel dispatch throughput "
             "(the Simulator's heapq) and the untraced message plane's cost "
             "per message (Message -> Transport.send -> kernel -> "
-            "Gateway -> no-op handler).  Written only by `python -m "
+            "Gateway -> no-op handler) and per evidence push (the same "
+            "to a client handler's repository window).  Written only by `python -m "
             "repro.experiments scale --json FILE`: 50 iterations per "
             "cached/dirty arm, 3 per uncached, 200,000 kernel events "
             "(--quick: n = 64 only, 5 / 1 / 20,000)."
@@ -208,6 +248,11 @@ def export_scale_bench(
             "unit": "microseconds per message, construction to handler",
             "messages": message.messages,
             "us_per_message": round(message.us_per_message, 3),
+        },
+        "evidence_push": {
+            "unit": "microseconds per push, construction to repository window",
+            "messages": push.messages,
+            "us_per_message": round(push.us_per_message, 3),
         },
     }
     with open(path, "w") as handle:
@@ -244,14 +289,18 @@ def main(argv: Sequence[str] = ()) -> int:
         [(p.pending_timers, p.events, p.events_per_sec) for p in kernel],
     )
     message = measure_message_throughput(10_000 if quick else 100_000)
+    push = measure_evidence_push(10_000 if quick else 100_000)
     print_table(
-        "Message plane (untraced, two hosts, no-op handler)",
-        ["messages", "us/message"],
-        [(message.messages, message.us_per_message)],
+        "Message plane (untraced, two hosts)",
+        ["probe", "messages", "us/message"],
+        [
+            ("no-op handler", message.messages, message.us_per_message),
+            ("evidence push", push.messages, push.us_per_message),
+        ],
     )
     path = flag_value(argv, "--json")
     if path:
-        export_scale_bench(selection, kernel, message, path)
+        export_scale_bench(selection, kernel, message, push, path)
         print(f"wrote {path}")
     return 0
 

@@ -43,7 +43,6 @@ draw a ``"clock_fault"`` quarantine.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.estimator import QueueScaledEstimator
@@ -95,8 +94,7 @@ class _NaiveAdmission(EvidenceAdmission):
         ):
             return None
         if perf.service_time_ms < 0.0 or perf.queue_delay_ms < 0.0:
-            return replace(
-                perf,
+            return perf._replace(
                 service_time_ms=max(perf.service_time_ms, 0.0),
                 queue_delay_ms=max(perf.queue_delay_ms, 0.0),
             )

@@ -16,11 +16,14 @@ message-level rules of a :class:`~repro.faultinject.schedule.FaultSchedule`:
 
 Faults compose: a message can be delayed and duplicated by one schedule.
 Drops win over everything (a message that was never sent cannot be late).
+A send checks only the rules whose window covers its instant (one outside
+matches and draws nothing), kept until the clock passes a window edge.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import math
+from typing import Any, Optional, Tuple
 
 from ..net.message import Message
 from ..net.transport import Receiver, Transport
@@ -46,6 +49,7 @@ class FaultyTransport:
     ``schedule`` holds the rules in force: the wire starts empty and is
     handed its schedule by :meth:`~repro.faultinject.plane
     .FaultPlane.apply`, which also arms the timed fault families.
+    Assigning it takes effect at the next send.
     """
 
     #: Named stream the wire-level injection draws come from.
@@ -62,6 +66,35 @@ class FaultyTransport:
         self.injected_duplicates = 0
         self.injected_degradation_drops = 0
         self.injected_partition_drops = 0
+
+    @property
+    def schedule(self) -> FaultSchedule:
+        """The message-level rules the wire enforces."""
+        return self._schedule
+
+    @schedule.setter
+    def schedule(self, schedule: FaultSchedule) -> None:
+        self._schedule = schedule
+        self._since, self._until = math.inf, -math.inf  # rebuilt at next send
+
+    def _rules_at(self, now: float) -> Optional[Tuple[Tuple[Any, ...], ...]]:
+        """The partitions, drops, degradations, delays and duplicates live
+        at ``now`` (``None``: no rule), kept until the clock passes the
+        nearest window edge on either side of ``now``."""
+        schedule = self._schedule
+        families: Tuple[Tuple[Any, ...], ...] = (
+            schedule.partitions, schedule.drops, schedule.degradations,
+            schedule.delays, schedule.duplicates,
+        )
+        live = tuple(
+            tuple(rule for rule in rules if rule.start_ms <= now < rule.end_ms)
+            for rules in families
+        )
+        edges = [e for rules in families for r in rules for e in (r.start_ms, r.end_ms)]
+        self._since = max((e for e in edges if e <= now), default=-math.inf)
+        self._until = min((e for e in edges if e > now), default=math.inf)
+        self._live = live if any(live) else None
+        return self._live
 
     # -- wiring (delegated) ----------------------------------------------------
     def bind(self, host_name: str, receiver: Receiver) -> None:
@@ -100,12 +133,17 @@ class FaultyTransport:
         fault injection.
         """
         now = self.sim.now
+        live = self._live if self._since <= now < self._until else self._rules_at(now)
+        if live is None:
+            self.inner.send(message, group_size)
+            return 0.0
+        partitions, drops, degradations, delays, duplicates = live
         # Partitions outrank every message-level rule: traffic that
         # cannot cross the cut is lost before drops/delays/duplicates
         # get a say.  Lossy partitions (drop_probability < 1) draw from
         # the wire stream; total cuts stay draw-free so adding a clean
         # blackout never perturbs the other injection draws.
-        for fault in self.schedule.partitions:
+        for fault in partitions:
             if fault.severs(now, message) and (
                 fault.drop_probability >= 1.0
                 or self.rng.random() < fault.drop_probability
@@ -113,7 +151,7 @@ class FaultyTransport:
                 self.injected_partition_drops += 1
                 return 0.0
 
-        for rule in self.schedule.drops:
+        for rule in drops:
             if rule.matches(now, message) and (
                 rule.probability >= 1.0 or self.rng.random() < rule.probability
             ):
@@ -122,8 +160,8 @@ class FaultyTransport:
 
         # Degradation omissions: a degraded host's NIC loses traffic in
         # both directions — messages it sends and messages sent to it.
-        for fault in self.schedule.degradations:
-            if fault.omission_probability <= 0.0 or not fault.active(now):
+        for fault in degradations:
+            if fault.omission_probability <= 0.0:
                 continue
             if message.sender != fault.host and message.destination != fault.host:
                 continue
@@ -135,13 +173,13 @@ class FaultyTransport:
                 return 0.0
 
         extra = 0.0
-        for rule in self.schedule.delays:
+        for rule in delays:
             if rule.matches(now, message):
                 extra += rule.extra_ms
         if extra > 0.0:
             self.injected_delays += 1
 
-        for rule in self.schedule.duplicates:
+        for rule in duplicates:
             if rule.matches(now, message) and (
                 rule.probability >= 1.0 or self.rng.random() < rule.probability
             ):
@@ -158,20 +196,11 @@ class FaultyTransport:
                 lambda m=message, g=group_size: self.inner.send(m, g),
             )
             return extra
-        self.inner.send(message, group_size=group_size)
+        self.inner.send(message, group_size)
         return 0.0
 
-    def multicast(
-        self, message: Message, destinations: Sequence[str]
-    ) -> List[float]:
-        """Per-destination send through the fault rules (same msg_id)."""
-        if not destinations:
-            raise ValueError("multicast needs at least one destination")
-        group_size = len(destinations)
-        return [
-            self.send(message.with_destination(dst), group_size=group_size)
-            for dst in destinations
-        ]
+    # The transport's fan-out, each copy through this wire's ``send``.
+    multicast = Transport.multicast
 
     def __repr__(self) -> str:
         return (

@@ -86,10 +86,8 @@ class Gateway:
 
     # -- dispatch ----------------------------------------------------------
     def _receive(self, message: Message) -> None:
-        service = ""
         payload = message.payload
-        if isinstance(payload, dict):
-            service = payload.get("service", "")
+        service = payload.get("service", "") if isinstance(payload, dict) else ""
         handler = self._handlers.get((message.kind, service))
         if handler is None:
             # Service-agnostic fallback route.

@@ -180,19 +180,11 @@ class TimingFaultServerHandler(ProtocolHandler):
     def _answer_probe(self, message: Message) -> None:
         """Reply to a gateway-level probe, bypassing the FIFO queue."""
         self.probes_answered += 1
+        payload = {"service": self.service, "replica": self.host,
+                   "queue_length": self.queue_length}
         self.transport.send(
-            Message(
-                sender=self.host,
-                destination=message.sender,
-                kind=MSG_PROBE_REPLY,
-                payload={
-                    "service": self.service,
-                    "replica": self.host,
-                    "queue_length": self.queue_length,
-                },
-                size_bytes=64,
-                correlation_id=message.msg_id,
-            )
+            Message(self.host, message.sender, MSG_PROBE_REPLY, payload, 64,
+                    correlation_id=message.msg_id)
         )
 
     # -- the FIFO service chain --------------------------------------------------
@@ -269,46 +261,25 @@ class TimingFaultServerHandler(ProtocolHandler):
         enqueued_at: float,
     ) -> None:
         perf = PerformanceUpdate(
-            replica=self.host,
-            service=self.service,
-            service_time_ms=service_time,
-            queue_delay_ms=queue_delay,
-            queue_length=self.queue_length,
-            request=request,
-            enqueued_at_ms=enqueued_at,
-            sent_at_ms=self.clock.now,
+            self.host, self.service, service_time_ms=service_time,
+            queue_delay_ms=queue_delay, queue_length=self.queue_length,
+            request=request, enqueued_at_ms=enqueued_at, sent_at_ms=self.clock.now,
         )
-        reply_msg = Message(
-            sender=self.host,
-            destination=request_msg.sender,
-            kind=MSG_REPLY,
-            payload={
-                "service": self.service,
-                "reply": reply,
-                "perf": perf,
-                "replica": self.host,
-            },
-            size_bytes=reply.size_bytes,
-            correlation_id=request_msg.msg_id,
+        payload = {"service": self.service, "reply": reply, "perf": perf,
+                   "replica": self.host}
+        self.transport.send(
+            Message(self.host, request_msg.sender, MSG_REPLY, payload,
+                    reply.size_bytes, correlation_id=request_msg.msg_id)
         )
-        self.transport.send(reply_msg)
         self.replies += 1
         # Push the fresh performance data to every subscriber except the
         # requester (whose copy rides inside the reply itself).  One
         # payload for the whole fan-out: receivers only read it.
         push = {"service": self.service, "replica": self.host, "perf": perf}
+        send, host, requester = self.transport.send, self.host, request_msg.sender
         for subscriber in self._subscribers:
-            if subscriber == request_msg.sender:
-                continue
-            self.transport.send(
-                Message(
-                    sender=self.host,
-                    destination=subscriber,
-                    kind=MSG_PERF,
-                    payload=push,
-                    size_bytes=96,
-                )
-            )
+            if subscriber != requester:
+                send(Message(host, subscriber, MSG_PERF, push, 96))
 
     # -- fault lifecycle ---------------------------------------------------------
     def crash(self) -> None:
@@ -558,10 +529,7 @@ class TimingFaultClientHandler(ProtocolHandler, RequestInterceptor):
     def _message(
         self, kind: str, destination: str, payload: Dict[str, Any], size: int
     ) -> Message:
-        return Message(
-            sender=self.host, destination=destination, kind=kind,
-            payload=payload, size_bytes=size,
-        )
+        return Message(self.host, destination, kind, payload, size)
 
     def _request(self, call: MarshalledCall, destination: str) -> Message:
         payload = {"service": self.service, "call": call, "client": self.host}

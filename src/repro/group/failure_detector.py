@@ -41,8 +41,8 @@ class _Chain:
     the chain is dormant (``armed`` false) it may lie in the past and is
     fast-forwarded on the next wake.  ``begun`` (when it was watched) and
     ``serial`` (which watch it was) order the chains that share an instant
-    (see :meth:`FailureDetector._fire`).  A fresh object per ``watch`` is
-    what retires the timer of an unwatched chain.
+    (see :meth:`FailureDetector._fire`).  A host keeps its chain for the
+    detector's lifetime: a re-watch reuses it.
     """
 
     __slots__ = ("host", "down_samples", "due", "armed", "begun", "serial")
@@ -134,10 +134,6 @@ class FailureDetector:
             host_name, now, now + self.poll_interval_ms, self._watch_count
         )
         self._wake(chain)
-
-    def unwatch(self, host_name: str) -> None:
-        """Stop monitoring ``host_name`` (idempotent)."""
-        self._chains.pop(host_name, None)
 
     def on_crash(self, listener: CrashListener) -> Callable[[], None]:
         """Call ``listener(host_name)`` when a crash is confirmed.
@@ -251,8 +247,7 @@ class FailureDetector:
             return instants[-2::-1], chain.serial
 
         for chain in sorted(batch, key=pushed):
-            if self._chains.get(chain.host) is chain:
-                self._poll(chain)
+            self._poll(chain)
 
     def _poll(self, chain: _Chain) -> None:
         host_name = chain.host
@@ -272,9 +267,9 @@ class FailureDetector:
             self._declared[host_name] = self.sim.now
             for listener in list(self._listeners):
                 listener(host_name)
-        # Still down: keep the chain going, unless a listener unwatched
-        # the host or a LAN change it made has re-armed the chain already.
-        if self._chains.get(host_name) is chain and not chain.armed:
+        # Still down: keep the chain going, unless a LAN change a listener
+        # made has re-armed the chain already.
+        if not chain.armed:
             self._arm(chain)
 
     def __repr__(self) -> str:

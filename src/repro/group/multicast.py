@@ -27,11 +27,6 @@ class MulticastGroup:
         self.group = group
         self.transport = transport
 
-    @property
-    def name(self) -> str:
-        """The underlying group's name."""
-        return self.group.name
-
     def members(self) -> List[str]:
         """Members of the current view."""
         return self.group.members

@@ -10,8 +10,7 @@ the paper without bit-level encoding.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, NamedTuple, Optional
 
 __all__ = ["Message", "next_message_id", "reset_message_ids"]
 
@@ -35,58 +34,38 @@ def reset_message_ids() -> None:
     _message_counter = itertools.count(1)
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+class _Envelope(NamedTuple):
+    sender: str  # sending host
+    destination: str  # receiving host
+    kind: str  # type tag, e.g. "tf-request", "tf-perf"
+    payload: Any  # structured content, by convention a dict
+    size_bytes: int  # simulated wire size; feeds the transmission delay
+    msg_id: int  # unique per envelope; the copies of a multicast share it
+    correlation_id: int  # the request a reply answers (0: none)
+
+
+class Message(_Envelope):
     """An envelope travelling between two hosts.
 
-    Slotted: simulations at fleet scale allocate one envelope per hop,
-    so instances carry no per-object ``__dict__``.
-
-    Attributes
-    ----------
-    sender:
-        Name of the sending host.
-    destination:
-        Name of the receiving host.
-    kind:
-        Machine-readable type tag, e.g. ``"request"``, ``"reply"``,
-        ``"perf-update"``, ``"membership"``.
-    payload:
-        Arbitrary structured content.  By convention a dict.
-    size_bytes:
-        Simulated wire size; feeds the transmission-delay model.
-    msg_id:
-        Unique id assigned at construction.
-    correlation_id:
-        Id tying replies to their request (0 = uncorrelated).
+    An immutable tuple record: a simulation builds one per hop, and a
+    tuple is the cheapest object Python builds and reads.  ``msg_id`` is
+    drawn from :func:`next_message_id` unless given, so a pickled
+    envelope keeps its id.
     """
 
-    sender: str
-    destination: str
-    kind: str
-    payload: Any = None
-    size_bytes: int = 256
-    msg_id: int = field(default_factory=next_message_id)
-    correlation_id: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.size_bytes < 0:
-            raise ValueError(f"size_bytes must be >= 0, got {self.size_bytes}")
+    def __new__(
+        cls, sender: str, destination: str, kind: str, payload: Any = None,
+        size_bytes: int = 256, msg_id: Optional[int] = None, correlation_id: int = 0,
+    ) -> "Message":
+        if size_bytes < 0:
+            raise ValueError(f"size_bytes must be >= 0, got {size_bytes}")
+        if msg_id is None:
+            msg_id = next_message_id()
+        row = (sender, destination, kind, payload, size_bytes, msg_id, correlation_id)
+        return tuple.__new__(cls, row)
 
     def with_destination(self, destination: str) -> "Message":
         """A copy addressed to ``destination`` (same msg_id: one multicast)."""
-        return Message(
-            self.sender, destination, self.kind, self.payload, self.size_bytes,
-            self.msg_id, self.correlation_id,
-        )
-
-    def describe(self) -> Dict[str, Any]:
-        """Compact dict for tracing."""
-        return {
-            "msg_id": self.msg_id,
-            "msg_kind": self.kind,
-            "from": self.sender,
-            "to": self.destination,
-            "size": self.size_bytes,
-            "corr": self.correlation_id,
-        }
+        return tuple.__new__(Message, (self.sender, destination, *self[2:]))

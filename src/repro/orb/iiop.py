@@ -11,24 +11,21 @@ the LAN stack cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Tuple
+from typing import Any, NamedTuple, Tuple
 
 from .object import MethodRequest, MethodSignature
 
 __all__ = ["MarshallingModel", "MarshalledCall", "MarshalledReply"]
 
 
-@dataclass(frozen=True)
-class MarshalledCall:
+class MarshalledCall(NamedTuple):
     """A method request encoded for the wire."""
 
     request: MethodRequest
     size_bytes: int
 
 
-@dataclass(frozen=True)
-class MarshalledReply:
+class MarshalledReply(NamedTuple):
     """A method reply encoded for the wire."""
 
     value: Any

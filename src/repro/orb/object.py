@@ -81,10 +81,6 @@ class MethodRequest:
     method: str
     args: Tuple[Any, ...] = ()
 
-    def describe(self) -> Dict[str, Any]:
-        """Compact dict for tracing."""
-        return {"service": self.service, "method": self.method}
-
 
 class Servant:
     """Base class for server-side application objects.

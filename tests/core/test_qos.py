@@ -18,8 +18,6 @@ class TestQoSSpec:
     def test_deadline_must_be_finite_and_positive(self, deadline):
         with pytest.raises(ValueError, match="finite and > 0"):
             QoSSpec("s", deadline, 0.5)
-        with pytest.raises(ValueError, match="finite and > 0"):
-            QoSSpec("s", 100.0, 0.5).renegotiate(deadline_ms=deadline)
 
     def test_probability_validation(self):
         with pytest.raises(ValueError):
@@ -29,14 +27,6 @@ class TestQoSSpec:
         # The paper's worst-case configuration (§6).
         spec = QoSSpec("s", deadline_ms=10.0, min_probability=0.0)
         assert spec.max_failure_probability == 1.0
-
-    def test_renegotiate_changes_only_given_fields(self):
-        spec = QoSSpec("s", deadline_ms=100.0, min_probability=0.9)
-        new = spec.renegotiate(deadline_ms=200.0)
-        assert new.deadline_ms == 200.0
-        assert new.min_probability == 0.9
-        assert new.service == "s"
-        assert spec.deadline_ms == 100.0  # original untouched
 
     def test_specs_are_immutable(self):
         spec = QoSSpec("s", 100.0, 0.9)

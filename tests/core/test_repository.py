@@ -17,7 +17,7 @@ class TestSlidingWindow:
         for value in (1.0, 2.0, 3.0):
             window.append(value)
         assert window.values() == [1.0, 2.0, 3.0]
-        assert window.full
+        assert len(window) == window.size
 
     def test_oldest_evicted_when_full(self):
         window = SlidingWindow(3)

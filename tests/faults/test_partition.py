@@ -542,8 +542,8 @@ class TestFlapCrashRestartComposition:
     The contract is the suspicion lifecycle: every positive liveness
     event — a flap heal's reconciliation or a restart — routes through
     :meth:`FailureDetector.sight`, which clears both the crash
-    declaration and the consecutive-down count.  Eviction does *not*
-    unwatch, so the poll chain keeps accumulating down samples the whole
+    declaration and the consecutive-down count.  Eviction leaves the
+    host watched, so the poll chain keeps accumulating down samples the whole
     time a host is gone; without the sighting reset, the first blip
     after recovery would confirm a "crash" in a single poll.
     """

@@ -6,12 +6,6 @@ This is the detector the repository shipped before the lazy poll chain
 every chain instant, whether or not anything changed.  It lives under
 ``tests/`` as the oracle the production detector is compared against,
 instant for instant (``test_failure_detector_oracle.py``).
-
-One deliberate difference from the historic code: a chain carries the
-epoch of the ``watch`` that started it, so ``unwatch`` + ``watch`` inside
-one poll interval retires the old chain instead of leaving two live ones
-(the historic loop then sampled twice per interval; see
-``test_rewatch_inside_one_interval_keeps_a_single_chain``).
 """
 
 from __future__ import annotations
@@ -45,7 +39,6 @@ class PollingFailureDetector:
         self._listeners: List[CrashListener] = []
         self._watched: Dict[str, int] = {}  # host -> consecutive down samples
         self._declared: Dict[str, float] = {}  # host -> time of declaration
-        self._epoch: Dict[str, int] = {}  # host -> watches that began a chain
 
     # -- wiring --------------------------------------------------------------
     def watch(self, host_name: str) -> None:
@@ -59,14 +52,9 @@ class PollingFailureDetector:
             self._watched[host_name] = 0
             return
         self._watched[host_name] = 0
-        epoch = self._epoch[host_name] = self._epoch.get(host_name, 0) + 1
         self.sim.call_in(
-            self.poll_interval_ms, lambda: self._poll(host_name, epoch), daemon=True
+            self.poll_interval_ms, lambda: self._poll(host_name), daemon=True
         )
-
-    def unwatch(self, host_name: str) -> None:
-        """Stop monitoring ``host_name`` (idempotent)."""
-        self._watched.pop(host_name, None)
 
     def on_crash(self, listener: CrashListener) -> None:
         """Call ``listener(host_name)`` when a crash is confirmed."""
@@ -94,9 +82,7 @@ class PollingFailureDetector:
         ) and self.lan.reachable(host_name, self.vantage)
 
     # -- engine ------------------------------------------------------------
-    def _poll(self, host_name: str, epoch: int) -> None:
-        if host_name not in self._watched or self._epoch[host_name] != epoch:
-            return  # unwatched in the meantime
+    def _poll(self, host_name: str) -> None:
         if self._observes_up(host_name):
             self._watched[host_name] = 0
             if host_name in self._declared:
@@ -112,7 +98,7 @@ class PollingFailureDetector:
                 for listener in list(self._listeners):
                     listener(host_name)
         self.sim.call_in(
-            self.poll_interval_ms, lambda: self._poll(host_name, epoch), daemon=True
+            self.poll_interval_ms, lambda: self._poll(host_name), daemon=True
         )
 
     def __repr__(self) -> str:

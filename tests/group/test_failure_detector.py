@@ -72,14 +72,6 @@ def test_recovery_clears_declaration(sim, lan, detector):
     assert not detector.is_declared_crashed("server-1")
 
 
-def test_unwatch_stops_detection(sim, lan, detector):
-    detector.watch("server-1")
-    detector.unwatch("server-1")
-    lan.mark_down("server-1")
-    sim.run(until=200.0)
-    assert not detector.is_declared_crashed("server-1")
-
-
 def test_watch_is_idempotent(sim, lan, detector):
     detector.watch("server-1")
     detector.watch("server-1")
@@ -100,23 +92,18 @@ def test_polling_does_not_keep_unbounded_run_alive(sim, detector):
 
 
 def test_rewatch_inside_one_interval_keeps_a_single_chain(sim, lan):
-    # The always-on loop left two live chains here (the old one found the
-    # host watched again and kept re-arming): samples every 5 ms instead
-    # of every 10, and a declaration at 25.0 instead of 45.0.
+    # A re-watch reuses the host's chain: its instants stay 10, 20, ...
+    # and nothing samples twice per interval, so four down samples
+    # (10, 20, 30, 40) declare at 40.0.
     detector = FailureDetector(sim, lan, poll_interval_ms=10.0)
     detector.confirm_polls = 4
     declared = declarations(sim, detector)
     detector.watch("server-1")
-
-    def rewatch():
-        detector.unwatch("server-1")
-        detector.watch("server-1")
-
-    sim.call_at(5.0, rewatch)
+    sim.call_at(5.0, lambda: detector.watch("server-1"))
     sim.call_at(6.0, lambda: lan.mark_down("server-1"))
     sim.run(until=100.0)
-    assert declared == [("server-1", 45.0)]
-    assert detector.polls_fired == 9  # 15, 25, ..., 95: one chain
+    assert declared == [("server-1", 40.0)]
+    assert detector.polls_fired == 10  # 10, 20, ..., 100: one chain
 
 
 def test_polls_fired_is_read_only(detector):

@@ -82,10 +82,7 @@ def replay(detector_cls: type, history: History) -> List[Tuple[Any, ...]]:
         if history.reaction == "restart":
             lan.mark_up(host)
             detector.sight(host)
-        elif history.reaction == "unwatch":
-            detector.unwatch(host)
         elif history.reaction == "rewatch":
-            detector.unwatch(host)
             detector.watch(host)
 
     detector.on_crash(on_crash)
@@ -106,7 +103,7 @@ def replay(detector_cls: type, history: History) -> List[Tuple[Any, ...]]:
             probe()
         elif kind == "vantage":
             detector.vantage = args[0]
-        elif kind in ("watch", "unwatch", "sight"):
+        elif kind in ("watch", "sight"):
             getattr(detector, kind)(*args)
         elif kind in ("mark_down", "mark_up"):
             getattr(lan, kind)(*args)
@@ -172,7 +169,7 @@ def histories(draw: st.DrawFn) -> History:
         lan_call,  # twice: LAN changes are what the detector reacts to
         st.tuples(
             times,
-            st.sampled_from(["watch", "unwatch", "sight"]),
+            st.sampled_from(["watch", "sight"]),
             st.tuples(host),
         ),
         st.tuples(
@@ -184,8 +181,8 @@ def histories(draw: st.DrawFn) -> History:
     # Independent actions rarely line up into anything a detector would
     # notice, so most of the script is episodes: an outage or a cut of
     # one host lasting a fraction of, or a few, poll intervals, with the
-    # detector poked (re-watch, sight, unwatch, ...) part-way through.
-    detector_call = st.sampled_from(["watch", "unwatch", "sight"])
+    # detector poked (re-watch, sight) part-way through.
+    detector_call = st.sampled_from(["watch", "sight"])
     episode = st.tuples(
         times,
         host,
@@ -216,7 +213,7 @@ def histories(draw: st.DrawFn) -> History:
         confirm_polls=draw(st.integers(1, 4)),
         vantage=draw(st.sampled_from([None, "v", "v"])),
         reaction=draw(
-            st.sampled_from(["none", "none", "restart", "unwatch", "rewatch"])
+            st.sampled_from(["none", "none", "restart", "rewatch"])
         ),
         actions=tuple(draw(st.permutations(watches + scripted))),
         horizon_ms=horizon,
@@ -433,25 +430,4 @@ class TestWakeUps:
         )
         crashes = [e for e in replay(FailureDetector, history) if e[0] == "crash"]
         assert [when for _, _, when in crashes] == [20.0, 40.0, 60.0]
-        assert_same(history)
-
-    def test_unwatched_while_declared_then_rewatched_up(self):
-        # The declaration outlives unwatch(); the new chain's first
-        # sample is what clears it ("recovered without sight()"), so
-        # that sample must run although the host looks up.
-        history = directed(
-            [
-                (0.0, "watch", ("a",)),
-                (5.0, "mark_down", ("a",)),
-                (31.0, "unwatch", ("a",)),
-                (32.0, "mark_up", ("a",)),
-                (47.0, "watch", ("a",)),
-                (50.0, "probe", ()),
-                (60.0, "probe", ()),
-            ],
-            vantage=None,
-        )
-        log = replay(FailureDetector, history)
-        assert log[1][3] == {"a": 20.0}
-        assert log[2][3] == {}  # cleared by the sample at 57
         assert_same(history)

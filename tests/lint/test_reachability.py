@@ -46,7 +46,6 @@ ALLOWED_METHODS = {
     "Simulator.pending_live": "test view: the kernel's live-entry count",
     "HealthMonitor.record_for": "test view: a replica's whole health record",
     "FailureDetector.polls_fired": "test view: a fault-free run fires no poll",
-    "FailureDetector.unwatch": "oracle axis: the lazy chain vs the polling loop",
 }
 
 

@@ -150,7 +150,15 @@ class _RecordingTransport(Transport):
         self.records = []
 
     def _record(self, kind, message, **data):
-        self.records.append((self.sim.now, kind, {**data, **message.describe()}))
+        routing = {
+            "msg_id": message.msg_id,
+            "msg_kind": message.kind,
+            "from": message.sender,
+            "to": message.destination,
+            "size": message.size_bytes,
+            "corr": message.correlation_id,
+        }
+        self.records.append((self.sim.now, kind, {**data, **routing}))
 
     def send(self, message, group_size=1):
         lost = self.lost_count

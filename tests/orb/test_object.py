@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.orb.object import (
-    MethodRequest,
-    MethodSignature,
-    Servant,
-    ServiceInterface,
-)
+from repro.orb.object import MethodSignature, Servant, ServiceInterface
 
 
 @pytest.fixture
@@ -60,8 +55,3 @@ class TestServant:
         servant = Servant(interface)
         with pytest.raises(NotImplementedError):
             servant.dispatch("process", ())
-
-
-def test_method_request_describe():
-    request = MethodRequest(service="search", method="process", args=(1,))
-    assert request.describe() == {"service": "search", "method": "process"}
