@@ -85,8 +85,8 @@ class SampleCounts:
     the repository's windows owns one (see ``SlidingWindow.pmf``).
 
     The pmf is a value of the counts, so the one last built is kept until
-    a count changes: :meth:`add` and :meth:`evict` drop it, :meth:`replace`
-    only when the two samples fall in different bins.
+    a count changes: :meth:`add` drops it, :meth:`replace` only when the
+    two samples fall in different bins.
     """
 
     __slots__ = ("_counts", "_total", "_pmf")
@@ -111,26 +111,13 @@ class SampleCounts:
         self._total += 1
         self._pmf = None
 
-    def evict(self, sample: float) -> None:
-        """Remove one previously added sample."""
-        key = self._key(sample)
-        count = self._counts.get(key, 0)
-        if count == 0:
-            raise ValueError(f"cannot evict {sample!r}: bin {key!r} is empty")
-        if count == 1:
-            del self._counts[key]
-        else:
-            self._counts[key] = count - 1
-        self._total -= 1
-        self._pmf = None
-
     def replace(self, new_sample: float, evicted: Optional[float] = None) -> None:
         """Push ``new_sample``, evicting ``evicted`` first when given.
 
-        :meth:`evict` then :meth:`add` in one body: the same ``round``
-        per sample, the same error on an empty bin.  Both bins are found
-        before anything changes; when they are one bin no count changes
-        and the kept pmf stands.
+        The same ``round`` per sample as :meth:`add`; evicting from an
+        empty bin is a ``ValueError``.  Both bins are found before
+        anything changes; when they are one bin no count changes and the
+        kept pmf stands.
         """
         width, counts = BIN_WIDTH_MS, self._counts
         key = round(float(new_sample) / width) * width
@@ -413,15 +400,6 @@ class DiscretePMF:
         if not isinstance(other, DiscretePMF):
             return NotImplemented
         return self.convolve(other)
-
-    # -- comparison ----------------------------------------------------------
-    def allclose(self, other: "DiscretePMF", tol: float = 1e-9) -> bool:
-        """Structural equality within ``tol``."""
-        return (
-            self.support_size == other.support_size
-            and bool(np.allclose(self._values, other._values, atol=tol))
-            and bool(np.allclose(self._probs, other._probs, atol=tol))
-        )
 
     def __repr__(self) -> str:
         return (

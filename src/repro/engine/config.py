@@ -16,7 +16,7 @@ from ..core.estimator import ResponseTimeEstimator
 from ..core.qos import QoSViolationCallback
 from ..core.repository import InformationRepository
 from ..core.selection import SelectionPolicy
-from ..health import HealthConfig, HealthListener
+from ..health import HealthConfig
 from .types import RequestClassifier
 
 __all__ = ["EngineConfig", "EstimatorFactory"]
@@ -94,10 +94,6 @@ class EngineConfig:
         exclusion + trust discounts).  Its clock-sanity fields configure
         evidence admission and its ``adaptive_timeout_quantile`` the
         response timeout.
-    health_listener:
-        Callback receiving every :class:`~repro.health.HealthEvent`
-        (scenarios wire this to the Proteus manager — the paper's
-        fault-notification path).  Needs a ``health_config``.
     overload_config:
         When true, the engine runs the overload subsystem
         (docs/ARCHITECTURE.md §6): a :class:`~repro.overload.LoadTracker`
@@ -121,11 +117,10 @@ class EngineConfig:
     bootstrap_probes: bool = False
     retry: bool = False
     health_config: Optional[HealthConfig] = None
-    health_listener: Optional[HealthListener] = None
     overload_config: bool = False
 
     def __post_init__(self) -> None:
-        """Reject out-of-range numbers and options that cannot take effect."""
+        """Reject out-of-range numbers."""
         window, staleness = self.gateway_window_size, self.probe_staleness_ms
         for name, holds, rule in (
             ("window_size", self.window_size >= 1, ">= 1"),
@@ -141,11 +136,6 @@ class EngineConfig:
         ):
             if not holds:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
-        if self.health_listener is not None and self.health_config is None:
-            raise ValueError(
-                "health_listener needs a health_config: without one no "
-                "health monitor runs and the listener would never be called"
-            )
 
     def build_estimator(
         self, repository: InformationRepository

@@ -108,7 +108,7 @@ class TimingFaultEngine:
         self.adaptive_timeout_quantile: Optional[float] = None
         health = config.health_config
         if health is not None:
-            self.health = HealthMonitor(health, listener=config.health_listener)
+            self.health = HealthMonitor(health)
             self.health.sync_members(self.models.members, port.now)
             self.adaptive_timeout_quantile = health.adaptive_timeout_quantile
         self.load_tracker: Optional[LoadTracker] = None

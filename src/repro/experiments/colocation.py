@@ -20,8 +20,7 @@ from ..core.baselines import AllReplicasPolicy
 from ..core.qos import QoSSpec
 from ..engine import EngineConfig
 from ..gateway.handlers.timing_fault import TimingFaultClientHandler
-from ..orb.orb import Orb
-from ..proteus.manager import ServiceSpec
+from ..orb.orb import Stub
 from ..replica.load import CoupledLoad, ServiceProfile
 from ..sim.random import Constant, Exponential, Normal
 from ..workload.client import OpenLoopClient
@@ -63,16 +62,15 @@ def _build_scenario(seed: int) -> Scenario:
 
     # Deploy the noisy neighbour on the first two hosts.
     batch_interface = make_interface("batch", "crunch")
-    spec = ServiceSpec(
-        service="batch",
-        servant_factory=lambda: IntegerServant(batch_interface),
-        profile_factory=lambda host: ServiceProfile(
+    scenario.manager.deploy(
+        "batch",
+        lambda: IntegerServant(batch_interface),
+        lambda host: ServiceProfile(
             default=Normal(60.0, 15.0),
             load=CoupledLoad(activity, host, alpha=activity_alpha),
         ),
-        replication_level=len(NOISY_HOSTS),
+        list(NOISY_HOSTS),
     )
-    scenario.manager.deploy(spec, list(NOISY_HOSTS))
 
     # An open-loop client hammers the batch service through a plain
     # broadcast handler (its QoS is irrelevant; its load is the point).
@@ -89,12 +87,9 @@ def _build_scenario(seed: int) -> Scenario:
         rng=scenario.streams.stream("batch-client.policy"),
     )
     scenario.gateway_for("batch-client").load_handler(batch_handler)
-    batch_orb = Orb()
-    batch_orb.register_interface(batch_interface)
-    batch_orb.bind_interceptor("batch", batch_handler)
     OpenLoopClient(
         sim=scenario.sim,
-        stub=batch_orb.stub("batch"),
+        stub=Stub(batch_interface, batch_handler),
         host="batch-client",
         streams=scenario.streams,
         interarrival=Exponential(120.0),

@@ -154,7 +154,6 @@ class FaultPlane:
         self.leaves_applied = 0
         self.rejoins_applied = 0
         self.degradations_applied = 0
-        self.degradations_lifted = 0
         self.cuts_applied = 0
         self.heals_applied = 0
         self.sightings_applied = 0
@@ -253,7 +252,7 @@ class FaultPlane:
             handler.restart()
             self.group_comm.failure_detector.sight(host)
             if host not in self.group_comm.view(handler.service):
-                self.group_comm.join(handler.service, host, watch=True)
+                self.group_comm.join(handler.service, host)
         self.restarts_applied += 1
 
     # -- view churn ------------------------------------------------------------
@@ -272,7 +271,7 @@ class FaultPlane:
         for handler in self.replicas.get(member, ()):
             if member in self.group_comm.view(handler.service):
                 continue
-            self.group_comm.join(handler.service, member, watch=True)
+            self.group_comm.join(handler.service, member)
             self.rejoins_applied += 1
 
     # -- degradation -----------------------------------------------------------
@@ -286,13 +285,9 @@ class FaultPlane:
 
     def recover_now(self, fault: DegradationFault) -> None:
         """Unwrap one layer of slowdown (overlapping windows nest)."""
-        lifted = False
         for handler in self.replicas.get(fault.host, ()):
             if isinstance(handler.app.profile, _SlowedProfile):
                 handler.app.profile = handler.app.profile._inner
-                lifted = True
-        if lifted:
-            self.degradations_lifted += 1
 
     # -- partitions ------------------------------------------------------------
     def _pairs(self, fault: PartitionFault) -> List[Tuple[str, str]]:
@@ -346,7 +341,7 @@ class FaultPlane:
             for handler in self.replicas.get(host, ()):
                 if host in self.group_comm.view(handler.service):
                     continue
-                self.group_comm.join(handler.service, host, watch=True)
+                self.group_comm.join(handler.service, host)
                 self.heal_rejoins_applied += 1
 
     # -- overload surges -------------------------------------------------------

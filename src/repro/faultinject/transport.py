@@ -1,7 +1,7 @@
 """A fault-injecting decorator around :class:`repro.net.transport.Transport`.
 
 :class:`FaultyTransport` exposes the same surface as the transport it
-wraps (``bind``/``unbind``/``send``/``multicast`` plus the delivery
+wraps (``bind``/``send``/``multicast`` plus the delivery
 counters), so it can be handed to gateways, handlers and the group layer
 in place of the real one.  Every outbound message is checked against the
 message-level rules of a :class:`~repro.faultinject.schedule.FaultSchedule`:
@@ -99,12 +99,6 @@ class FaultyTransport:
     # -- wiring (delegated) ----------------------------------------------------
     def bind(self, host_name: str, receiver: Receiver) -> None:
         self.inner.bind(host_name, receiver)
-
-    def unbind(self, host_name: str) -> None:
-        self.inner.unbind(host_name)
-
-    def is_bound(self, host_name: str) -> bool:
-        return self.inner.is_bound(host_name)
 
     # -- counters (delegated) --------------------------------------------------
     @property

@@ -54,8 +54,7 @@ from ...engine import (
     TimingFaultEngine,
     method_classifier,
 )
-from ...group.ensemble import GroupCommunication
-from ...group.membership import GroupView, MembershipError
+from ...group.ensemble import GroupCommunication, GroupView, MembershipError
 from ...metrics.collector import MetricsCollector
 from ...net.message import Message
 from ...net.transport import TransportAPI
@@ -407,13 +406,12 @@ class TimingFaultClientHandler(ProtocolHandler, RequestInterceptor):
 
         # Track the service group: the engine is seeded from the current
         # view and follows future ones; subscribe to performance pushes.
-        self._mgroup = group_comm.multicast_group(self.service)
         group_comm.on_view_change(self.service, host, self._on_view_change)
         self.engine = TimingFaultEngine(
             self,
             qos,
             config,
-            self._mgroup.members(),
+            group_comm.members(self.service),
             rng=rng if rng is not None else seeded_generator(0),
             metrics=self.metrics,
             labels={"client": host, "service": self.service},
@@ -423,9 +421,7 @@ class TimingFaultClientHandler(ProtocolHandler, RequestInterceptor):
         self.repository = self.engine.models.repository
         self.estimator = self.engine.models.estimator
         self._send_subscription()
-        detector = getattr(group_comm, "failure_detector", None)
-        if self.engine.health is not None and detector is not None:
-            detector.on_crash(self.engine.on_crash)
+        group_comm.failure_detector.on_crash(self.engine.on_crash)
         self.engine.start()
 
     # What experiments, the auditor and the benchmark read off the handler.
@@ -485,8 +481,10 @@ class TimingFaultClientHandler(ProtocolHandler, RequestInterceptor):
             self._send_subscription()
 
     def _send_subscription(self) -> None:
-        if self._mgroup.members():
-            self._mgroup.send(self._message(MSG_SUBSCRIBE, "", self._wire, 64))
+        if self.group_comm.members(self.service):
+            self.group_comm.send(
+                self.service, self._message(MSG_SUBSCRIBE, "", self._wire, 64)
+            )
 
     # -- request path (RequestInterceptor) ------------------------------------------
     def submit(self, request: MethodRequest) -> Event:
@@ -543,7 +541,7 @@ class TimingFaultClientHandler(ProtocolHandler, RequestInterceptor):
         sent_to: Tuple[str, ...] = ()
         if targets:
             try:
-                sent_to = tuple(self._mgroup.send(message, targets))
+                sent_to = tuple(self.group_comm.send(self.service, message, targets))
             except MembershipError:
                 pass  # the whole selection raced an eviction
         return message.msg_id, sent_to

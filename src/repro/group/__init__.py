@@ -4,17 +4,12 @@ Versioned group membership, heartbeat-style crash detection, and
 send-to-subset multicast with delayed membership-change notifications.
 """
 
-from .ensemble import GroupCommunication
+from .ensemble import GroupCommunication, GroupView, MembershipError
 from .failure_detector import FailureDetector
-from .membership import Group, GroupView, MembershipError, MembershipService
-from .multicast import MulticastGroup
 
 __all__ = [
     "GroupCommunication",
     "FailureDetector",
-    "Group",
     "GroupView",
     "MembershipError",
-    "MembershipService",
-    "MulticastGroup",
 ]

@@ -25,7 +25,7 @@ Evidence semantics, chosen to survive the FIFO-queue asymmetry:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from .state import (
     BACKOFF_FACTOR,
@@ -42,8 +42,6 @@ from .state import (
 )
 
 __all__ = ["ReplicaHealth", "HealthMonitor"]
-
-HealthListener = Callable[[HealthEvent], None]
 
 
 @dataclass
@@ -80,39 +78,15 @@ class HealthMonitor:
     config:
         The deployment's backoff and shortcut settings (the thresholds
         are the constants of :mod:`repro.health.state`).
-    listener:
-        Optional initial transition listener (more via
-        :meth:`add_listener`); the handler wires this to the Proteus
-        manager's ``report_health_event`` — the paper's fault-notification
-        path to the dependability manager.
     """
 
-    def __init__(
-        self,
-        config: Optional[HealthConfig] = None,
-        listener: Optional[HealthListener] = None,
-    ) -> None:
+    def __init__(self, config: Optional[HealthConfig] = None) -> None:
         self.config = config or HealthConfig()
         self._replicas: Dict[str, ReplicaHealth] = {}
-        self._listeners: List[HealthListener] = []
         #: Every transition ever emitted, in order (diagnostics/tests).
         self.events: List[HealthEvent] = []
-        if listener is not None:
-            self.add_listener(listener)
 
     # -- wiring --------------------------------------------------------------
-    def add_listener(self, listener: HealthListener) -> Callable[[], None]:
-        """Subscribe to transitions; returns an unsubscribe callable."""
-        self._listeners.append(listener)
-
-        def unsubscribe() -> None:
-            try:
-                self._listeners.remove(listener)
-            except ValueError:
-                pass
-
-        return unsubscribe
-
     def sync_members(self, members: Iterable[str], now_ms: float) -> None:
         """Reconcile tracked replicas with a new group view.
 
@@ -395,8 +369,6 @@ class HealthMonitor:
             record.consecutive_faults = 0
             record.consecutive_successes = 0
         self.events.append(event)
-        for listener in list(self._listeners):
-            listener(event)
 
     def __repr__(self) -> str:
         by_state: Dict[str, int] = {}

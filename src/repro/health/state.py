@@ -82,7 +82,7 @@ class HealthState(enum.Enum):
 
 @dataclass(frozen=True)
 class HealthEvent:
-    """One state transition, as reported to listeners (e.g. Proteus)."""
+    """One state transition, as kept in ``HealthMonitor.events``."""
 
     replica: str
     old_state: HealthState

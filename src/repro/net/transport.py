@@ -34,14 +34,6 @@ class TransportAPI(Protocol):
         """Attach the receive callback for ``host_name``."""
         ...
 
-    def unbind(self, host_name: str) -> None:
-        """Detach the receiver for ``host_name`` (idempotent)."""
-        ...
-
-    def is_bound(self, host_name: str) -> bool:
-        """Whether a receiver is attached for ``host_name``."""
-        ...
-
     def send(self, message: Message, group_size: int = 1) -> float:
         """Send one unicast message; returns a delay in milliseconds."""
         ...
@@ -83,14 +75,6 @@ class Transport:
         if host_name in self._receivers:
             raise ValueError(f"host {host_name!r} already bound")
         self._receivers[host_name] = receiver
-
-    def unbind(self, host_name: str) -> None:
-        """Detach the receiver for ``host_name`` (idempotent)."""
-        self._receivers.pop(host_name, None)
-
-    def is_bound(self, host_name: str) -> bool:
-        """Whether a receiver is attached for ``host_name``."""
-        return host_name in self._receivers
 
     # -- sending -------------------------------------------------------------
     def send(self, message: Message, group_size: int = 1) -> float:

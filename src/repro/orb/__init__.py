@@ -1,6 +1,5 @@
 """Simulated ORB: service interfaces, servants, marshalling and stubs."""
 
-from .dii import DynamicInvoker, InvocationError
 from .iiop import MarshalledCall, MarshalledReply, MarshallingModel
 from .object import (
     MethodRequest,
@@ -8,19 +7,15 @@ from .object import (
     Servant,
     ServiceInterface,
 )
-from .orb import Orb, OrbError, RequestInterceptor, Stub
+from .orb import RequestInterceptor, Stub
 
 __all__ = [
-    "Orb",
-    "OrbError",
     "Stub",
     "RequestInterceptor",
     "ServiceInterface",
     "MethodSignature",
     "MethodRequest",
     "Servant",
-    "DynamicInvoker",
-    "InvocationError",
     "MarshallingModel",
     "MarshalledCall",
     "MarshalledReply",

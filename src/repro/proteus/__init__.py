@@ -1,5 +1,5 @@
 """Proteus analog: dependability management for replicated services."""
 
-from .manager import DependabilityManager, ServiceSpec
+from .manager import DependabilityManager
 
-__all__ = ["DependabilityManager", "ServiceSpec"]
+__all__ = ["DependabilityManager"]

@@ -2,8 +2,9 @@
 
 A :class:`ReplicaApplication` is what runs on one server host: it owns the
 servant (business logic), knows how long requests take there (service
-profile × host load), and performs the DII upcall.  The *gateway* concerns
-— request queue, stage timestamps, performance publication — live in
+profile × host load), and performs the servant upcall (the DII step of
+paper §5.1).  The *gateway* concerns — request queue, stage timestamps,
+performance publication — live in
 :class:`repro.gateway.handlers.timing_fault.TimingFaultServerHandler`,
 mirroring the paper's separation between the AQuA server and its gateway.
 """
@@ -14,7 +15,6 @@ from typing import Any, Optional
 
 import numpy as np
 
-from ..orb.dii import DynamicInvoker
 from ..orb.object import MethodRequest, Servant
 from ..rng import RNGManager
 from .load import HostActivity, ServiceProfile
@@ -52,7 +52,6 @@ class ReplicaApplication:
         # Shared co-location tracker (paper §3: "a machine may host
         # multiple replicas"); None when the host runs a single replica.
         self.activity = activity
-        self._invoker = DynamicInvoker(servant)
         self._rng: np.random.Generator = streams.stream(
             f"replica.{host}.{servant.interface.name}.service"
         )
@@ -79,7 +78,7 @@ class ReplicaApplication:
 
     def execute(self, request: MethodRequest) -> Any:
         """Perform the servant upcall and return the reply value."""
-        value = self._invoker.invoke(request)
+        value = self.servant.dispatch(request.method, request.args)
         self.requests_served += 1
         return value
 

@@ -61,8 +61,6 @@ class HostClock:
         self._frozen = False
         self._jitter_ms = 0.0
         self._jitter_rng: Optional[np.random.Generator] = None
-        #: Manipulations applied since construction (diagnostics).
-        self.adjustments = 0
 
     # -- reading ---------------------------------------------------------------
 
@@ -112,7 +110,6 @@ class HostClock:
         self._anchor_local = kernel if self._pristine else self._local(kernel)
         self._anchor_kernel = kernel
         self._pristine = False
-        self.adjustments += 1
 
     def step(self, delta_ms: float) -> None:
         """Jump the local reading by ``delta_ms`` (skew / NTP-style step)."""
@@ -148,7 +145,6 @@ class HostClock:
         self._frozen = False
         self._jitter_ms = 0.0
         self._jitter_rng = None
-        self.adjustments += 1
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         state = "pristine" if self._pristine else (

@@ -43,7 +43,7 @@ from ..net.lan import LanModel, LinkProfile
 from ..net.transport import Transport
 from ..orb.iiop import MarshallingModel
 from ..orb.object import MethodSignature, Servant, ServiceInterface
-from ..orb.orb import Orb, Stub
+from ..orb.orb import Stub
 from ..replica.load import HostActivity, ServiceProfile
 from ..replica.server import ReplicaApplication
 from ..rng import RNGManager
@@ -226,7 +226,7 @@ class Deployment:
         )
         self.gateway_for(host).load_handler(handler)
         self.replicas.setdefault(host, []).append(handler)
-        self.group_comm.join(handler.service, host, watch=True)
+        self.group_comm.join(handler.service, host)
         self.auditor.watch_server(handler)
         return handler
 
@@ -243,7 +243,7 @@ class Deployment:
         :class:`~repro.engine.EngineConfig` — the one place flat keywords
         become a config — except the four substrate keywords, which
         override the deployment's own marshalling, policy stream, host
-        clock and metrics.  Each client process gets its own ORB,
+        clock and metrics.  The stub is bound to that handler alone,
         like separate CORBA applications on separate hosts.
         """
         self.lan.add_host(host)
@@ -267,12 +267,8 @@ class Deployment:
         )
         self.gateway_for(host).load_handler(handler)
         self.auditor.watch_client(handler)
-        orb = Orb()
-        orb.register_interface(self.interface)
-        orb.bind_interceptor(qos.service, handler)
-        self.stubs[host] = orb.stub(qos.service)
+        self.stubs[host] = Stub(self.interface, handler)
         return handler, self.stubs[host]
-
 
     def schedule_crash(
         self, host: str, at_ms: float, recover_at_ms: Optional[float] = None

@@ -23,13 +23,12 @@ from ..core.qos import QoSSpec
 from ..core.selection import SelectionPolicy
 from ..faultinject.auditor import AuditReport
 from ..gateway.handlers.timing_fault import TimingFaultClientHandler
-from ..health import HealthConfig
 from ..metrics.collector import MetricsCollector
 from ..net.lan import LinkProfile, bursty_jitter
 from ..orb.iiop import MarshallingModel
 from ..orb.object import MethodSignature
 from ..orb.orb import Stub
-from ..proteus.manager import DependabilityManager, ServiceSpec
+from ..proteus.manager import DependabilityManager
 from ..replica.load import ConstantLoad, LoadModel, ServiceProfile
 from ..sim.random import Constant, Distribution, Normal
 from .client import ClosedLoopClient
@@ -76,10 +75,6 @@ class ScenarioConfig:
     extra_methods: Optional[Dict[str, Distribution]] = None
     # Full per-host service profile override; trumps the factories above.
     profile_factory: Optional[Callable[[str], "ServiceProfile"]] = None
-    # When set, every client handler runs the health subsystem
-    # (suspicion/quarantine/probation; docs/ARCHITECTURE.md §5) and its
-    # transitions are reported to the Proteus manager.
-    health_config: Optional[HealthConfig] = None
     # When true, every client handler runs the overload subsystem (load
     # tracker + redundancy governor + admission control;
     # docs/ARCHITECTURE.md §6).
@@ -109,13 +104,13 @@ class Scenario(Deployment):
             )
         super().__init__(cfg.seed, self._wiring(), interface)
         self.manager = DependabilityManager(self)
-        spec = ServiceSpec(
-            service=cfg.service,
-            servant_factory=lambda: IntegerServant(self.interface),
-            profile_factory=self._profile_for,
-            replication_level=cfg.num_replicas,
+        self.replica_hosts = cfg.replica_hosts()
+        self.manager.deploy(
+            cfg.service,
+            lambda: IntegerServant(self.interface),
+            self._profile_for,
+            self.replica_hosts,
         )
-        self.replica_hosts = self.manager.deploy(spec, cfg.replica_hosts())
         self.clients: Dict[str, ClosedLoopClient] = {}
         self.handlers: Dict[str, TimingFaultClientHandler] = {}
 
@@ -204,9 +199,6 @@ class Scenario(Deployment):
             response_timeout_factor=cfg.response_timeout_factor,
             overload_config=cfg.overload_config,
         )
-        if cfg.health_config is not None:
-            defaults["health_config"] = cfg.health_config
-            defaults["health_listener"] = self.manager.health_listener(cfg.service)
         self.handlers[name], stub = self.bind_client(
             name, qos, handler_cls, **{**defaults, **options}
         )

@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.estimator import QueueScaledEstimator
 from repro.engine import ClassModels, EngineConfig
-from repro.health import HealthConfig
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -31,7 +30,6 @@ DEFAULTS = {
     "bootstrap_probes": False,
     "retry": False,
     "health_config": None,
-    "health_listener": None,
     "overload_config": False,
 }
 
@@ -75,12 +73,6 @@ def test_boundary_values_are_accepted():
         probe_staleness_ms=0.001,
         probe_interval_ms=0.001,
     )
-
-
-def test_a_health_listener_without_a_health_config_is_rejected():
-    with pytest.raises(ValueError, match="health_listener needs a health_config"):
-        EngineConfig(health_listener=lambda event: None)
-    EngineConfig(health_listener=lambda event: None, health_config=HealthConfig())
 
 
 def test_a_probe_interval_with_nothing_that_probes_is_accepted():

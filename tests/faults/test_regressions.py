@@ -122,13 +122,12 @@ def test_stale_view_membership_error_fails_fast():
     stack.add_server("s-1")
     stack.add_server("s-2")
     client = stack.add_client("c-1", deadline_ms=100.0)
-    # Drain the join/subscribe traffic, then empty the group *without*
-    # announcing (Group.leave bypasses GroupCommunication): the client's
-    # member list is now entirely stale and the multicast send raises.
+    # Drain the join/subscribe traffic, then empty the group: the views
+    # are announced NOTIFY_DELAY_MS later, so a request sent at once finds
+    # the client's member list entirely stale and the multicast raises.
     stack.sim.run()
-    group = stack.group_comm.membership.get(SERVICE)
-    group.leave("s-1")
-    group.leave("s-2")
+    stack.group_comm.leave(SERVICE, "s-1")
+    stack.group_comm.leave(SERVICE, "s-2")
     assert client.members  # stale on purpose
     start = stack.sim.now
     event = stack.invoke("c-1", 0)

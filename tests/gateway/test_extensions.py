@@ -48,7 +48,7 @@ class TestRequestClassification:
             marshalling=stack.marshalling,
         )
         Gateway("replica-1", stack.sim, stack.transport).load_handler(handler)
-        stack.group_comm.join(SERVICE, "replica-1", watch=True)
+        stack.group_comm.join(SERVICE, "replica-1")
         stack.servers["replica-1"] = handler
         return stack
 

@@ -26,7 +26,8 @@ def _send(transport, sim, dest, kind, service=None):
 
 def test_gateway_binds_its_host(sim, transport):
     Gateway("server-1", sim, transport)
-    assert transport.is_bound("server-1")
+    with pytest.raises(ValueError, match="already bound"):
+        transport.bind("server-1", lambda m: None)
 
 
 def test_dispatch_by_kind(sim, transport):

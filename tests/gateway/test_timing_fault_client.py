@@ -117,6 +117,22 @@ def test_view_change_purges_crashed_replica(stack):
     assert client.repository.replicas() == ["replica-1"]
 
 
+def test_a_crash_declaration_reaches_the_health_monitor(stack):
+    from repro.health import HealthConfig, HealthState
+
+    stack.add_server("replica-1", service_time=Constant(10.0))
+    stack.add_server("replica-2", service_time=Constant(10.0))
+    client = stack.add_client(
+        "client-1", deadline_ms=1000.0, health_config=HealthConfig()
+    )
+    stack.sim.run()
+    stack.faults.crash_now("replica-2")
+    stack.sim.run(until=stack.sim.now + 500.0)
+    assert [(e.replica, e.new_state, e.reason) for e in client.health.events] == [
+        ("replica-2", HealthState.QUARANTINED, "crash")
+    ]
+
+
 def test_requests_avoid_evicted_replica(stack):
     stack.add_server("replica-1", service_time=Constant(10.0))
     stack.add_server("replica-2", service_time=Constant(10.0))
@@ -195,10 +211,8 @@ def test_constructor_validation(stack):
         stack.add_client("client-x", deadline_ms=100.0, response_timeout_factor=1.0)
     with pytest.raises(ValueError):
         stack.add_client("client-y", deadline_ms=100.0, selection_charge_ms=-1.0)
-    # Accepted silently before EngineConfig: a listener nothing would call,
-    # a factory building on another grid than the client's.
-    with pytest.raises(ValueError, match="health_listener"):
-        stack.add_client("client-z", health_listener=lambda event: None)
+    # Accepted silently before EngineConfig: a factory building on
+    # another grid than the client's.
     with pytest.raises(ValueError, match="1.0 ms lattice"):
         stack.add_client(
             "client-w",

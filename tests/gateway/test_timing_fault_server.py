@@ -91,6 +91,30 @@ def test_subscription_registers_client(stack):
     assert list(server._subscribers) == ["client-1"]
 
 
+def test_each_message_kind_carries_its_wire_size(stack):
+    # The sizes the LAN model prices (per_kb_ms): 64-byte subscriptions,
+    # probes and probe replies, 96-byte performance pushes.
+    sizes = {}
+    send, multicast = stack.transport.send, stack.transport.multicast
+
+    def record(message):
+        sizes.setdefault(message.kind, set()).add(message.size_bytes)
+
+    stack.transport.send = lambda m, group_size=1: (record(m), send(m, group_size))[1]
+    stack.transport.multicast = lambda m, to: (record(m), multicast(m, to))[1]
+    stack.add_server("replica-1", service_time=Constant(10.0))
+    stack.add_client("client-1", deadline_ms=1000.0, bootstrap_probes=True)
+    stack.add_client("client-2", deadline_ms=1000.0)
+    stack.sim.run(until=5.0)
+    stack.invoke("client-1", 0)
+    stack.sim.run(until=100.0)
+    assert {kind: sizes[kind] for kind in (
+        "tf-subscribe", "tf-probe", "tf-probe-reply", "tf-perf"
+    )} == {
+        "tf-subscribe": {64}, "tf-probe": {64}, "tf-probe-reply": {64}, "tf-perf": {96}
+    }
+
+
 def test_perf_updates_pushed_to_other_subscribers(stack):
     stack.add_server("replica-1", service_time=Constant(10.0))
     active = stack.add_client("client-1", deadline_ms=1000.0)

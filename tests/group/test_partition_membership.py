@@ -16,9 +16,8 @@ from repro.faultinject import (
     FaultyTransport,
     PartitionFault,
 )
+from repro.group.ensemble import GroupCommunication, MembershipError
 from repro.group.failure_detector import FailureDetector
-from repro.group.membership import Group, MembershipError
-from repro.group.multicast import MulticastGroup
 from repro.net.message import Message
 from repro.rng import RNGManager
 from repro.workload.ministack import SERVICE, MiniStack
@@ -186,21 +185,21 @@ class TestViewConvergence:
 
 
 class TestMulticastUnderPartition:
-    def _group(self, transport):
-        group = Group("svc")
-        group.join("server-1")
-        group.join("server-2")
-        return group, MulticastGroup(group, transport)
+    def _group(self, sim, lan, transport):
+        gc = GroupCommunication(sim, lan, transport, FailureDetector(sim, lan))
+        gc.join("svc", "server-1")
+        gc.join("svc", "server-2")
+        return gc
 
     def test_one_way_loss_kills_only_dark_side_copies(
         self, sim, lan, transport
     ):
-        group, mgroup = self._group(transport)
+        gc = self._group(sim, lan, transport)
         received = {"server-1": [], "server-2": []}
         for host in received:
             transport.bind(host, received[host].append)
         lan.sever_link(OBSERVER, "server-1")
-        targets = mgroup.send(Message(OBSERVER, "*", "data", payload=1))
+        targets = gc.send("svc", Message(OBSERVER, "*", "data", payload=1))
         assert sorted(targets) == ["server-1", "server-2"]
         sim.run()
         # The multicast addressed both; only the reachable copy landed.
@@ -209,7 +208,7 @@ class TestMulticastUnderPartition:
         assert transport.lost_count == 1
         # After the heal the same group delivers everywhere again.
         lan.heal_link(OBSERVER, "server-1")
-        mgroup.send(Message(OBSERVER, "*", "data", payload=2))
+        gc.send("svc", Message(OBSERVER, "*", "data", payload=2))
         sim.run()
         assert [m.payload for m in received["server-1"]] == [2]
         assert [m.payload for m in received["server-2"]] == [1, 2]
@@ -225,14 +224,14 @@ class TestMulticastUnderPartition:
         )
         faulty = FaultyTransport(transport, RNGManager(0))
         faulty.schedule = schedule
-        group, mgroup = self._group(faulty)
+        gc = self._group(sim, lan, faulty)
         received = {"server-1": [], "server-2": []}
         for host in received:
             transport.bind(host, received[host].append)
         first = Message(OBSERVER, "*", "data", payload="first")
         second = Message(OBSERVER, "*", "data", payload="second")
-        sim.call_in(1.0, lambda: mgroup.send(first))
-        sim.call_in(10.0, lambda: mgroup.send(second))
+        sim.call_in(1.0, lambda: gc.send("svc", first))
+        sim.call_in(10.0, lambda: gc.send("svc", second))
         sim.run()
         for host, messages in received.items():
             assert [m.payload for m in messages] == ["second", "first"]
@@ -241,14 +240,15 @@ class TestMulticastUnderPartition:
         }
 
     def test_send_skips_evicted_members_and_raises_when_none_remain(
-        self, sim, transport
+        self, sim, lan, transport
     ):
-        group, mgroup = self._group(transport)
-        group.evict("server-1")
-        targets = mgroup.send(
+        gc = self._group(sim, lan, transport)
+        gc.leave("svc", "server-1")
+        targets = gc.send(
+            "svc",
             Message(OBSERVER, "*", "data"),
             members=["server-1", "server-2"],
         )
         assert targets == ["server-2"]
         with pytest.raises(MembershipError):
-            mgroup.send(Message(OBSERVER, "*", "data"), members=["server-1"])
+            gc.send("svc", Message(OBSERVER, "*", "data"), members=["server-1"])

@@ -182,23 +182,17 @@ class TestMembershipAndEvents:
         monitor.sync_members(["r-1", "r-2"], now_ms=50.0)
         assert monitor.state("r-1") is HealthState.HEALTHY
 
-    def test_listener_sees_every_transition_and_can_unsubscribe(self):
-        seen = []
-        monitor = HealthMonitor(
-            HealthConfig(backoff_initial_ms=10.0), listener=seen.append
-        )
+    def test_events_keep_every_transition_in_order(self):
+        monitor = HealthMonitor(HealthConfig(backoff_initial_ms=10.0))
         monitor.sync_members(["r-1"], now_ms=0.0)
         for at in (10.0, 20.0, 25.0):
             monitor.record_fault("r-1", at)
-        assert [e.new_state for e in seen] == [
-            HealthState.SUSPECTED,
-            HealthState.QUARANTINED,
-        ]
-        assert seen == monitor.events
-        unsubscribe = monitor.add_listener(seen.append)
-        unsubscribe()
         monitor.record_probe_success("r-1", 30.0)
-        assert len(seen) == 3  # only the original listener fired
+        assert [(e.old_state, e.new_state, e.at_ms) for e in monitor.events] == [
+            (HealthState.HEALTHY, HealthState.SUSPECTED, 20.0),
+            (HealthState.SUSPECTED, HealthState.QUARANTINED, 25.0),
+            (HealthState.QUARANTINED, HealthState.PROBATION, 30.0),
+        ]
 
     def test_evidence_for_untracked_replicas_is_ignored(self):
         monitor = make_monitor()

@@ -82,7 +82,7 @@ def test_multiple_sequential_crashes_leave_service_available():
     scenario.run_to_completion()
     summary = client.summary()
     assert summary.requests == 40
-    assert len(scenario.group_comm.view("search")) == 4
+    assert len(scenario.group_comm.view("search").members) == 4
     assert summary.failure_probability <= 0.5
 
 

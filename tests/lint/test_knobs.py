@@ -33,9 +33,6 @@ ALLOWED = {
     ("EngineConfig", "violation_callback"): (
         "capability: the paper's QoS-violation callback (§5.4)"
     ),
-    ("ScenarioConfig", "health_config"): (
-        "capability: a health-enabled Scenario reports to its Proteus manager"
-    ),
     ("ScenarioConfig", "method"): "deployment identity, like the service name",
 }
 
@@ -193,7 +190,7 @@ def test_every_setting_has_two_production_values():
     one_valued = {
         knob for knob, seen in production_values().items() if len(seen) < 2
     }
-    assert len(ALLOWED) <= 3
+    assert len(ALLOWED) <= 2
     assert one_valued == set(ALLOWED)
 
 

@@ -5,8 +5,15 @@ class, without a leading underscore must be named in code (``tokenize``
 NAME tokens, so docstrings, comments and ``__all__`` strings do not
 count; f-string fields do) more often than it is defined, over
 ``src/``, ``examples/`` and ``benchmarks/``: a ``def`` is not a caller,
-and neither is a package ``__init__`` re-export.  The few names kept
-without a caller carry their reason here.
+nor is a use of the name inside a ``def`` of the same name (a same-name
+delegation, ``def bind(...): self.inner.bind(...)``), nor a package
+``__init__`` re-export.  The few names kept without a caller carry their
+reason here.
+
+One reader per attribute: every ``self.<attr>`` a class in ``src/repro/``
+assigns is read somewhere in ``src/``, ``examples/``, ``benchmarks/`` or
+``tests/``.  Assigning it, or calling a mutator on it (``append``,
+``add``, ``update``, ...), is not a read.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import re
 import tokenize
 from collections import Counter
 from pathlib import Path
+from typing import Iterator, Tuple
 
 from .conftest import REPO_ROOT, assert_allowed_exactly, parsed
 
@@ -63,6 +71,22 @@ def _names(path: Path) -> Counter:
     return names
 
 
+def _uses(path: Path) -> Counter:
+    """Name → how often ``path`` names it beyond its own definitions and
+    the bodies of the functions of that name."""
+    uses = _names(path)
+    for node in ast.walk(parsed(path)):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            uses[node.name] -= 1
+        if isinstance(node, ast.FunctionDef):
+            uses[node.name] -= sum(
+                1
+                for stmt in node.body for inner in ast.walk(stmt)
+                if getattr(inner, "id", getattr(inner, "attr", None)) == node.name
+            )
+    return uses
+
+
 @functools.lru_cache(maxsize=None)
 def _callers() -> Counter:
     """Name → how often the corpus names it beyond its own definitions."""
@@ -70,11 +94,7 @@ def _callers() -> Counter:
     for top in ("src", "examples", "benchmarks"):
         for path in sorted((REPO_ROOT / top).rglob("*.py")):
             if path.name != "__init__.py":
-                callers.update(_names(path))
-                callers.subtract(
-                    node.name for node in ast.walk(parsed(path))
-                    if isinstance(node, (ast.ClassDef, ast.FunctionDef))
-                )
+                callers.update(_uses(path))
     return callers
 
 
@@ -100,3 +120,87 @@ def test_every_public_method_has_a_production_caller():
         and not node.name.startswith("_") and _callers()[node.name] <= 0
     }
     assert_allowed_exactly(orphans, ALLOWED_METHODS, cap=8)
+
+
+def test_a_same_name_delegation_is_not_a_caller(tmp_path):
+    path = tmp_path / "wrapper.py"
+    path.write_text(
+        "class Wrapper:\n"
+        "    def bind(self, host):\n"
+        "        self.inner.bind(host)\n"
+        "        return f'{self.inner.bind}'\n"
+        "\n"
+        "    def send(self, message):\n"
+        "        self.inner.send(message)\n"
+        "\n"
+        "    def flush(self):\n"
+        "        self.send(None)\n",
+        "utf-8",
+    )
+    uses = _uses(path)
+    assert uses["bind"] == 0
+    assert uses["send"] == 1  # flush's call, not send's own delegation
+
+
+# -- every assigned attribute is read -------------------------------------------
+
+#: Attributes assigned and never read, each with its reason.
+ALLOWED_STATE: dict = {}
+
+#: Calls that change their receiver; calling one is not a read of it.
+MUTATORS = frozenset({
+    "append", "appendleft", "extend", "extendleft", "insert",
+    "add", "update", "discard", "remove", "clear",
+})
+
+
+def _assigned(tree: ast.Module) -> Iterator[Tuple[str, str]]:
+    """``(class, attr)`` of every ``self.<attr>`` a method of a class stores."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in ast.walk(cls):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                ):
+                    yield cls.name, node.attr
+
+
+def _reads(tree: ast.Module) -> Iterator[str]:
+    """Attribute names ``tree`` loads, other than as a mutator's receiver or
+    the container of a subscript store."""
+    written = set()
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in MUTATORS
+        ):
+            written.add(id(node.func.value))
+        elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            written.add(id(node.value))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and id(node) not in written
+        ):
+            yield node.attr
+
+
+def test_every_assigned_attribute_is_read():
+    read = {
+        name
+        for top in ("src", "examples", "benchmarks", "tests")
+        for path in sorted((REPO_ROOT / top).rglob("*.py"))
+        for name in _reads(parsed(path))
+    }
+    write_only = {
+        (path.relative_to(PACKAGE).as_posix(), f"{cls}.{attr}")
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for cls, attr in _assigned(parsed(path))
+        if attr not in read
+    }
+    assert_allowed_exactly(write_only, ALLOWED_STATE, cap=0)

@@ -98,11 +98,10 @@ class TestEachKernelOnEachGrid:
         rng = np.random.default_rng(12)
         counter, samples = SampleCounts(), []
         for _ in range(80):
-            if len(samples) == 5:
-                counter.evict(samples.pop(0))
+            evicted = samples.pop(0) if len(samples) == 5 else None
             sample = float(rng.integers(0, 9) + rng.uniform(-0.4, 0.4) + grid)
             samples.append(sample)
-            counter.add(sample)
+            counter.replace(sample, evicted)
             assert counter.counts() == Counter(float(round(s)) for s in samples)
             assert len(counter) == len(samples)
             check(counter.pmf(), spec.window_pmf(samples))

@@ -4,8 +4,7 @@ import pytest
 
 from repro.core.qos import QoSSpec
 from repro.gateway.handlers.timing_fault import TimingFaultClientHandler
-from repro.orb.orb import Orb
-from repro.proteus.manager import ServiceSpec
+from repro.orb.orb import Stub
 from repro.replica.load import CoupledLoad, HostActivity, ServiceProfile
 from repro.sim.random import Constant
 from repro.workload.scenarios import (
@@ -59,16 +58,15 @@ class TestColocatedServices:
         """Deploy a second service onto the same replica hosts."""
         interface = make_interface("billing", "charge")
         activity = scenario.manager.host_activity
-        spec = ServiceSpec(
-            service="billing",
-            servant_factory=lambda: IntegerServant(interface),
-            profile_factory=lambda host: ServiceProfile(
+        scenario.manager.deploy(
+            "billing",
+            lambda: IntegerServant(interface),
+            lambda host: ServiceProfile(
                 default=Constant(30.0),
                 load=CoupledLoad(activity, host, alpha=1.0),
             ),
-            replication_level=len(hosts),
+            hosts,
         )
-        scenario.manager.deploy(spec, hosts)
         return interface
 
     def test_two_services_share_hosts(self):
@@ -85,8 +83,13 @@ class TestColocatedServices:
 
     def test_same_service_twice_on_host_rejected(self):
         scenario = Scenario(ScenarioConfig(seed=0, num_replicas=2))
-        with pytest.raises(ValueError):
-            scenario.manager.start_replica("search", "replica-1")
+        with pytest.raises(ValueError, match="already runs a replica"):
+            scenario.manager.deploy(
+                "search",
+                lambda: IntegerServant(scenario.interface),
+                lambda host: ServiceProfile(default=Constant(30.0)),
+                ["replica-1"],
+            )
 
     def test_ambiguous_handler_lookup_needs_service(self):
         scenario = Scenario(ScenarioConfig(seed=0, num_replicas=2))
@@ -146,9 +149,7 @@ class TestColocatedServices:
             rng=scenario.streams.stream("billing-client.policy"),
         )
         scenario.gateway_for("billing-client").load_handler(handler)
-        orb = Orb()
-        orb.register_interface(interface)
-        orb.bind_interceptor("billing", handler)
+        stub = Stub(interface, handler)
 
         # Fire a long search request, then a billing request mid-service.
         search_client = scenario.add_client(
@@ -159,7 +160,7 @@ class TestColocatedServices:
         billing_event = {}
 
         def fire_billing():
-            billing_event["event"] = orb.stub("billing").invoke("charge", 1)
+            billing_event["event"] = stub.invoke("charge", 1)
 
         scenario.sim.call_in(100.0, fire_billing)  # search still in service
         scenario.run_to_completion()

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.orb.dii import InvocationError
 from repro.orb.object import MethodRequest
 from repro.replica.load import ServiceProfile, StepLoad
 from repro.replica.server import ReplicaApplication
@@ -32,9 +31,12 @@ def test_execute_dispatches_and_counts(app):
     assert app.requests_served == 1
 
 
-def test_execute_wrong_service_raises(app):
-    with pytest.raises(InvocationError):
-        app.execute(MethodRequest("other", "process", (1,)))
+def test_servant_application_errors_propagate(app):
+    # A TypeError from the servant itself is an application bug and
+    # surfaces unchanged.
+    with pytest.raises(TypeError):
+        app.execute(MethodRequest("search", "process", (None,)))
+    assert app.requests_served == 0
 
 
 def test_service_duration_uses_profile(app):

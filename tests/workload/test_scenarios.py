@@ -40,7 +40,7 @@ def test_default_config_matches_paper():
 def test_scenario_deploys_all_replicas():
     scenario = Scenario(ScenarioConfig(seed=0, num_replicas=4))
     view = scenario.group_comm.view("search")
-    assert len(view) == 4
+    assert len(view.members) == 4
 
 
 def test_qos_service_must_match(recwarn):
